@@ -139,11 +139,6 @@ class Tape:
         self.records.append((out, inputs, backward_fn))
         self._out_ids.add(out.node_id)
 
-    def reset(self) -> None:
-        self.records.clear()
-        self._out_ids.clear()
-        self._done = False
-
 
 _tape_stack: list[Tape] = []
 

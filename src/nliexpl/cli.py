@@ -32,10 +32,10 @@ from .data import (ColumnMap, CorpusFormatError, EmbeddingTable, build_vocab,
 from .evaluation import (EvaluationError, EvalReport, bleu, evaluate_model,
                          expl_at_k, inter_annotator_bleu, load_annotations,
                          transfer_eval)
-from .models import ModelError, load_model
+from .models import ModelError, load_model, variant_class
 from .quality import filter_example, validate_annotation
-from .training import (ALPHA_GRID, ALPHA_VARIANTS, DECODER_GRID, TrainConfig,
-                       TrainData, TrainingError, grid_select, train)
+from .training import (ALPHA_GRID, DECODER_GRID, TrainConfig, TrainData,
+                       TrainingError, grid_select, train)
 
 INPUT_ERRORS = (ConfigError, CorpusFormatError, TrainingError, ModelError,
                 CheckpointError, EvaluationError, FileNotFoundError)
@@ -166,7 +166,6 @@ def _train_config(config: dict) -> TrainConfig:
         max_decode_len=model_cfg["max_decode_len"],
         clip_norm=train_cfg.get("clip_norm"),
         weight_decay=train_cfg["weight_decay"] or 0.0,
-        criterion=train_cfg.get("criterion") or "",
     )
 
 
@@ -238,9 +237,9 @@ def cmd_validate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _resolved_config(args)
+    cfg = _train_config(config)
     bundle, valid_ex, inputs = _load_bundle(config)
     run_dir = _start_run(args, config, inputs)
-    cfg = _train_config(config)
     record = train(cfg, bundle, run_dir)
     print(f"run dir: {run_dir}")
     for entry in record.epochs:
@@ -260,23 +259,22 @@ def cmd_train(args) -> int:
 
 def cmd_grid(args) -> int:
     config = _resolved_config(args)
+    base = _train_config(config)
     bundle, _, inputs = _load_bundle(config)
     run_dir = _start_run(args, config, inputs)
-    base = _train_config(config)
     decoders = ([int(x) for x in args.decoders.split(",")] if args.decoders
                 else list(DECODER_GRID))
     alphas: list[float | None]
     if args.alphas:
         alphas = [float(x) for x in args.alphas.split(",")]
-    elif base.variant in ALPHA_VARIANTS:
+    elif variant_class(base.variant).takes_alpha:
         alphas = list(ALPHA_GRID)
     else:
         alphas = [None]
     configs = []
     for dec in decoders:
         for alpha in alphas:
-            kw = {**base.__dict__, "decoder_hidden": dec, "alpha": alpha,
-                  "criterion": base.criterion}
+            kw = {**base.__dict__, "decoder_hidden": dec, "alpha": alpha}
             configs.append(TrainConfig(**kw))
     best, records = grid_select(configs, bundle, run_dir / "grid")
     summary = {
@@ -373,13 +371,7 @@ def cmd_repr_export(args) -> int:
     sent_path = resolve_path(args.sentences)
     run_dir = _start_run(args, config, [sent_path, Path(args.checkpoint)])
     model = load_model(args.checkpoint)
-    encoder = None
-    for attr in ("premise_encoder", "hypothesis_encoder", "explanation_encoder"):
-        encoder = getattr(model, attr, None)
-        if encoder is not None:
-            break
-    if encoder is None:
-        raise ModelError(f"{model.variant} has no sentence encoder")
+    encoder = getattr(model, f"{model.sentences[0]}_encoder")
     lines = Path(sent_path).read_text(encoding="utf-8").splitlines()
     sentences = [tokenize(line) for line in lines if line.strip()]
     if not sentences:

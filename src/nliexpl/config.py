@@ -36,7 +36,7 @@ SCHEMA: dict[str, dict[str, type | object]] = {
     "training": {
         "alpha": float, "epochs": int, "batch_size": int, "lr": float,
         "decay": float, "dropout": float, "seed": int, "clip_norm": float,
-        "weight_decay": float, "criterion": str,
+        "weight_decay": float,
     },
     "eval": {
         "batch_size": int, "expl_classifier": str, "annotations": str,

@@ -48,10 +48,6 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def detokenize(tokens: list[str]) -> str:
-    return " ".join(tokens)
-
-
 def label_to_class(label: str) -> int:
     """entailment -> 0, neutral -> 1, contradiction -> 2."""
     try:

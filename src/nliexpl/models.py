@@ -16,6 +16,10 @@ Variants:
   expl-to-label       explanation -> label
   autoenc             classifier + shared decoder reconstructing both
                       input sentences from their own representations
+
+Every fact about a variant lives only on its class. `BaseModel` builds
+each variant from those facts and derives what training, evaluation and
+the CLI read from them.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ import numpy as np
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import Batch, EmbeddingTable, Vocabulary
-
-ATTENTION_WIDTH = 84  # sentences are pre-truncated to this many tokens
 
 
 class ModelError(RuntimeError):
@@ -61,7 +63,7 @@ class FeatureVector:
 
     f: ad.Tensor
     u: ad.Tensor
-    v: ad.Tensor
+    v: ad.Tensor | None   # None when a single sentence is encoded (f = u)
 
 
 def feature_vector(u: ad.Tensor, v: ad.Tensor) -> FeatureVector:
@@ -229,15 +231,6 @@ class AttentionHead:
                                     self.w2, self.b2)}
 
 
-def attention_step(proj_p: tuple, proj_h: tuple, h_dec: ad.Tensor,
-                   head_p: AttentionHead, head_h: AttentionHead,
-                   p_mask: np.ndarray, h_mask: np.ndarray):
-    """One dual-head attention step; returns (p_ctx, h_ctx, w_p, w_h)."""
-    p_ctx, w_p = head_p.step(h_dec, proj_p[0], proj_p[1], p_mask)
-    h_ctx, w_h = head_h.step(h_dec, proj_h[0], proj_h[1], h_mask)
-    return p_ctx, h_ctx, w_p, w_h
-
-
 @dataclass
 class DecodeResult:
     nll_sum: ad.Tensor          # summed over batch rows and timesteps
@@ -251,7 +244,9 @@ class LstmDecoder:
     h0/c0 are affine projections of the source; in the non-attention
     configuration a third projection of the source is concatenated to
     the word embedding at every timestep. In the attention
-    configuration the per-step input is [p_ctx, h_ctx, embedding].
+    configuration the per-step input is [p_ctx, h_ctx, embedding]: one
+    context per (head, proj1, proj2, real-token mask) entry of
+    `attn_ctx`, in entry order.
     Recurrent (variational) dropout draws one mask per sequence and
     applies it to the hidden state entering each step, training only.
     """
@@ -297,14 +292,17 @@ class LstmDecoder:
         return (ad.linear(source, self.w_h0, self.b_h0),
                 ad.linear(source, self.w_c0, self.b_c0))
 
+    def _cond(self, source: ad.Tensor) -> ad.Tensor | None:
+        if self.attention:
+            return None
+        return ad.linear(source, self.w_cond, self.b_cond)
+
     def _step_input(self, emb: ad.Tensor, cond: ad.Tensor | None,
                     attn_ctx=None, h=None) -> ad.Tensor:
         if self.attention:
-            heads, p_mask, h_mask = attn_ctx
-            head_p, head_h, proj_p, proj_h = heads
-            p_ctx, h_ctx, _, _ = attention_step(proj_p, proj_h, h, head_p,
-                                                head_h, p_mask, h_mask)
-            return ad.concat([p_ctx, h_ctx, emb])
+            contexts = [head.step(h, proj1, proj2, mask)[0]
+                        for head, proj1, proj2, mask in attn_ctx]
+            return ad.concat([*contexts, emb])
         return ad.concat([emb, cond])
 
     def teacher_forced(self, embedding: WordEmbedding, source: ad.Tensor,
@@ -314,9 +312,7 @@ class LstmDecoder:
                        attn_ctx=None) -> DecodeResult:
         B, S = inputs.shape
         h, c = self._init_state(source)
-        cond = None
-        if not self.attention:
-            cond = ad.linear(source, self.w_cond, self.b_cond)
+        cond = self._cond(source)
         rmask = None
         if train and self.dropout > 0.0:
             rmask = ad.dropout_mask(rng, (B, self.hidden), self.dropout,
@@ -347,9 +343,7 @@ class LstmDecoder:
         """
         B = start_ids.shape[0]
         h, c = self._init_state(source)
-        cond = None
-        if not self.attention:
-            cond = ad.linear(source, self.w_cond, self.b_cond)
+        cond = self._cond(source)
         current = np.asarray(start_ids, dtype=np.int64)
         emitted: list[list[int]] = [[] for _ in range(B)]
         done = np.zeros(B, dtype=bool)
@@ -376,11 +370,45 @@ class LstmDecoder:
 # Variants
 
 
+def joint_loss(l_label, l_expl, alpha: float):
+    """alpha * label loss + (1 - alpha) * explanation loss.
+
+    Accepts scalars or Tensors; alpha outside [0, 1] is an error.
+    """
+    if alpha is None or not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0,1], got {alpha}")
+    if isinstance(l_label, ad.Tensor):
+        return ad.add(ad.scale(l_label, alpha), ad.scale(l_expl, 1.0 - alpha))
+    return alpha * l_label + (1.0 - alpha) * l_expl
+
+
 class BaseModel:
+    """Builds a variant from the facts its class declares.
+
+    Declared per variant:
+      sentences       encoded inputs, in parameter-init order
+      has_classifier  whether an MLP predicts the label
+      decodes         None, "explain", "attend" (explain with one
+                      attention head per sentence) or "reconstruct"
+
+    Derived once per class (see `__init_subclass__`): `explains`,
+    `needs_explanations`, `takes_alpha` and the selection `criterion`.
+    Parameters are initialized in the order embedding label rows,
+    encoders, classifier, attention heads, decoder.
+    """
+
     variant = "base"
+    sentences: tuple[str, ...] = ()
     has_classifier = False
-    has_decoder = False
-    explains = False   # decoder emits explanations (vs reconstructions)
+    decodes: str | None = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.explains = cls.decodes in ("explain", "attend")
+        cls.needs_explanations = cls.explains or "explanation" in cls.sentences
+        cls.takes_alpha = cls.has_classifier and cls.decodes is not None
+        cls.criterion = ("val-accuracy" if cls.has_classifier
+                         else "val-perplexity")
 
     def __init__(self, cfg: ModelConfig, vocab: Vocabulary,
                  table: EmbeddingTable, rng: np.random.Generator):
@@ -390,6 +418,29 @@ class BaseModel:
         self.vocab = vocab
         self.embedding = WordEmbedding(table, vocab, rng)
         self._parts: list = [self.embedding]
+        for name in self.sentences:
+            encoder = BiLstmEncoder(rng, cfg.embed_dim, cfg.encoder_hidden,
+                                    f"{name}_encoder")
+            setattr(self, encoder.prefix, encoder)
+            self._parts.append(encoder)
+        # f: the feature vector of a sentence pair, else the sentence vector
+        f_dim = cfg.feature_dim if len(self.sentences) == 2 else cfg.sentence_dim
+        if self.has_classifier:
+            self.classifier = MlpClassifier(rng, f_dim, cfg.classifier_width)
+            self._parts.append(self.classifier)
+        self.heads: list[AttentionHead] = []
+        if self.decodes == "attend":
+            self.heads = [AttentionHead(rng, cfg.sentence_dim,
+                                        cfg.decoder_hidden, cfg.decoder_hidden,
+                                        f"attention.{name}")
+                          for name in self.sentences]
+            self._parts += self.heads
+        if self.decodes is not None:
+            source_dim = (cfg.sentence_dim if self.decodes == "reconstruct"
+                          else f_dim)
+            self.decoder = LstmDecoder(rng, cfg, source_dim, len(vocab),
+                                       attention=self.decodes == "attend")
+            self._parts.append(self.decoder)
 
     # -- parameter bookkeeping
 
@@ -430,335 +481,188 @@ class BaseModel:
 
     # -- shared forward pieces
 
+    def _encode(self, batch: Batch, name: str) -> tuple[ad.Tensor, ad.Tensor]:
+        ids = getattr(batch, name)
+        if ids is None:
+            raise ModelError(f"batch carries no {name}s")
+        return getattr(self, f"{name}_encoder").encode(
+            self.embedding, ids, getattr(batch, f"{name}_len"))
+
+    def features(self, batch: Batch):
+        """Encodes the declared sentences; returns (fv, *states), one
+        states tensor per sentence. fv.f is [u, v, |u-v|, u*v] for a
+        sentence pair and the sentence vector itself for one sentence."""
+        encoded = [self._encode(batch, name) for name in self.sentences]
+        vectors = [u for u, _ in encoded]
+        if len(vectors) == 2:
+            fv = feature_vector(*vectors)
+        else:
+            fv = FeatureVector(f=vectors[0], u=vectors[0], v=None)
+        return (fv, *(states for _, states in encoded))
+
+    def _classifier_input(self, batch: Batch) -> ad.Tensor:
+        if not self.has_classifier:
+            raise ModelError(f"{self.variant} has no classifier")
+        return self.features(batch)[0].f
+
     def _label_loss(self, logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
         probs = ad.softmax(logits)
         per_row = ad.nll_rows(probs, labels)
         return ad.scale(ad.sum_(per_row), 1.0 / labels.shape[0])
 
-    def _teacher_inputs(self, batch: Batch, label_ids: np.ndarray | None):
-        expl = batch.explanation
-        if expl is None:
-            raise ModelError("batch carries no explanations")
-        inputs = expl[:, :-1].copy()
-        if label_ids is not None:
-            inputs[:, 0] = label_ids
-        targets = expl[:, 1:]
-        width = targets.shape[1]
-        mask = np.arange(width)[None, :] < (batch.explanation_len - 1)[:, None]
-        return inputs, targets, mask
+    # -- classifier variants; explaining and reconstructing ones override loss
+
+    def loss(self, batch: Batch, train: bool = True,
+             rng: np.random.Generator | None = None,
+             alpha: float | None = None) -> tuple[ad.Tensor, dict]:
+        logits, preds = classify(self.classifier, self._classifier_input(batch))
+        return self._label_loss(logits, batch.labels), {"preds": preds}
+
+    def predict_labels(self, batch: Batch) -> np.ndarray:
+        return classify(self.classifier, self._classifier_input(batch))[1]
+
+
+class Explainer(BaseModel):
+    """Shared teacher-forced loss, perplexity NLL and greedy decoding of
+    the explaining variants. With a classifier, the explanation starts
+    from the label word (gold at training time, predicted at test time)
+    and the loss is the alpha-weighted joint loss."""
+
+    def _condition(self, batch: Batch):
+        """(decoder source, attention context or None, logits or None)."""
+        fv, *states = self.features(batch)
+        logits = self.classifier.logits(fv.f) if self.has_classifier else None
+        ctx = None
+        if self.heads:
+            ctx = []
+            for head, name, seq in zip(self.heads, self.sentences, states):
+                proj1, proj2 = head.precompute(seq)
+                ctx.append((head, proj1, proj2,
+                            _real_mask(getattr(batch, f"{name}_len"),
+                                       getattr(batch, name).shape[1])))
+        return fv.f, ctx, logits
 
     def _label_vocab_ids(self, label_classes: np.ndarray) -> np.ndarray:
         return np.array([self.vocab.label_vocab_id(int(c))
                          for c in label_classes], dtype=np.int64)
 
-    # -- interface stubs
+    def _teacher_forced(self, batch: Batch, source: ad.Tensor, ctx,
+                        label_classes: np.ndarray | None, train: bool,
+                        rng: np.random.Generator | None = None):
+        """Decodes the first gold explanation; given label classes, their
+        label words replace <bos> as the first input."""
+        expl = batch.explanation
+        if expl is None:
+            raise ModelError("batch carries no explanations")
+        inputs = expl[:, :-1].copy()
+        if label_classes is not None:
+            inputs[:, 0] = self._label_vocab_ids(label_classes)
+        targets = expl[:, 1:]
+        width = targets.shape[1]
+        mask = np.arange(width)[None, :] < (batch.explanation_len - 1)[:, None]
+        return self.decoder.teacher_forced(self.embedding, source, inputs,
+                                           targets, mask, train, rng,
+                                           attn_ctx=ctx)
 
-    def loss(self, batch: Batch, train: bool = True,
-             rng: np.random.Generator | None = None,
-             alpha: float | None = None) -> tuple[ad.Tensor, dict]:
-        raise NotImplementedError
+    def loss(self, batch, train=True, rng=None, alpha=None):
+        source, ctx, logits = self._condition(batch)
+        classes = None
+        if logits is not None:
+            label_loss = self._label_loss(logits, batch.labels)
+            classes = batch.labels   # gold label word at training time
+        res = self._teacher_forced(batch, source, ctx, classes, train, rng)
+        expl_loss = ad.scale(res.nll_sum, 1.0 / batch.size)
+        info = {"tokens": res.n_tokens, "correct": res.n_correct}
+        if logits is None:
+            info["nll_sum"] = float(res.nll_sum.data)
+            return expl_loss, info
+        info.update(preds=logits.data.argmax(axis=1),
+                    label_loss=float(label_loss.data),
+                    expl_loss=float(expl_loss.data))
+        return joint_loss(label_loss, expl_loss, alpha), info
 
-    def predict_labels(self, batch: Batch) -> np.ndarray:
-        raise NotImplementedError
+    def explanation_nll(self, batch, use_gold_label=False):
+        """Teacher-forced NLL for perplexity; a classifier variant
+        conditions on the predicted label unless told otherwise."""
+        source, ctx, logits = self._condition(batch)
+        classes = None
+        if logits is not None:
+            classes = (batch.labels if use_gold_label
+                       else logits.data.argmax(axis=1))
+        res = self._teacher_forced(batch, source, ctx, classes, train=False)
+        return float(res.nll_sum.data), res.n_tokens, res.n_correct
+
+    def generate(self, batch):
+        """Greedy explanations; a classifier variant predicts the label
+        first, decodes conditioned on it and also returns the labels."""
+        source, ctx, logits = self._condition(batch)
+        if logits is None:
+            start = np.full(batch.size, self.vocab.bos_id, dtype=np.int64)
+        else:
+            preds = logits.data.argmax(axis=1)
+            start = self._label_vocab_ids(preds)
+        expl, empty = self.decoder.greedy(self.embedding, source, start,
+                                          self.vocab.eos_id, attn_ctx=ctx)
+        return (expl, empty) if logits is None else (expl, empty, preds)
 
 
 class PairClassifier(BaseModel):
     """Premise/hypothesis encoder pair with the feature-vector MLP."""
 
     variant = "bilstm-max"
+    sentences = ("premise", "hypothesis")
     has_classifier = True
-
-    def __init__(self, cfg, vocab, table, rng):
-        super().__init__(cfg, vocab, table, rng)
-        self.premise_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                             cfg.encoder_hidden, "premise_encoder")
-        self.hypothesis_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                                cfg.encoder_hidden,
-                                                "hypothesis_encoder")
-        self.classifier = MlpClassifier(rng, cfg.feature_dim, cfg.classifier_width)
-        self._parts += [self.premise_encoder, self.hypothesis_encoder,
-                        self.classifier]
-
-    def features(self, batch: Batch):
-        u, p_states = self.premise_encoder.encode(self.embedding, batch.premise,
-                                                  batch.premise_len)
-        v, h_states = self.hypothesis_encoder.encode(self.embedding,
-                                                     batch.hypothesis,
-                                                     batch.hypothesis_len)
-        return feature_vector(u, v), p_states, h_states
-
-    def loss(self, batch, train=True, rng=None, alpha=None):
-        fv, _, _ = self.features(batch)
-        logits, preds = classify(self.classifier, fv.f)
-        return self._label_loss(logits, batch.labels), {"preds": preds}
-
-    def predict_labels(self, batch):
-        fv, _, _ = self.features(batch)
-        _, preds = classify(self.classifier, fv.f)
-        return preds
 
 
 class HypClassifier(BaseModel):
     """Hypothesis-only label baseline."""
 
     variant = "hyp-to-label"
+    sentences = ("hypothesis",)
     has_classifier = True
 
-    def __init__(self, cfg, vocab, table, rng):
-        super().__init__(cfg, vocab, table, rng)
-        self.hypothesis_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                                cfg.encoder_hidden,
-                                                "hypothesis_encoder")
-        self.classifier = MlpClassifier(rng, cfg.sentence_dim,
-                                        cfg.classifier_width)
-        self._parts += [self.hypothesis_encoder, self.classifier]
 
-    def loss(self, batch, train=True, rng=None, alpha=None):
-        v, _ = self.hypothesis_encoder.encode(self.embedding, batch.hypothesis,
-                                              batch.hypothesis_len)
-        logits, preds = classify(self.classifier, v)
-        return self._label_loss(logits, batch.labels), {"preds": preds}
-
-    def predict_labels(self, batch):
-        v, _ = self.hypothesis_encoder.encode(self.embedding, batch.hypothesis,
-                                              batch.hypothesis_len)
-        return classify(self.classifier, v)[1]
-
-
-class HypExplainer(BaseModel):
+class HypExplainer(Explainer):
     """Hypothesis-only explanation generator."""
 
     variant = "hyp-to-expl"
-    has_decoder = True
-    explains = True
-
-    def __init__(self, cfg, vocab, table, rng):
-        super().__init__(cfg, vocab, table, rng)
-        self.hypothesis_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                                cfg.encoder_hidden,
-                                                "hypothesis_encoder")
-        self.decoder = LstmDecoder(rng, cfg, cfg.sentence_dim, len(vocab),
-                                   attention=False)
-        self._parts += [self.hypothesis_encoder, self.decoder]
-
-    def _source(self, batch):
-        v, _ = self.hypothesis_encoder.encode(self.embedding, batch.hypothesis,
-                                              batch.hypothesis_len)
-        return v
-
-    def loss(self, batch, train=True, rng=None, alpha=None):
-        inputs, targets, mask = self._teacher_inputs(batch, None)
-        res = self.decoder.teacher_forced(self.embedding, self._source(batch),
-                                          inputs, targets, mask, train, rng)
-        loss = ad.scale(res.nll_sum, 1.0 / batch.size)
-        return loss, {"tokens": res.n_tokens, "correct": res.n_correct,
-                      "nll_sum": float(res.nll_sum.data)}
-
-    def explanation_nll(self, batch, use_gold_label=False):
-        inputs, targets, mask = self._teacher_inputs(batch, None)
-        res = self.decoder.teacher_forced(self.embedding, self._source(batch),
-                                          inputs, targets, mask, train=False)
-        return float(res.nll_sum.data), res.n_tokens, res.n_correct
-
-    def generate(self, batch):
-        start = np.full(batch.size, self.vocab.bos_id, dtype=np.int64)
-        return self.decoder.greedy(self.embedding, self._source(batch), start,
-                                   self.vocab.eos_id)
+    sentences = ("hypothesis",)
+    decodes = "explain"
 
 
-class PredictExplain(PairClassifier):
+class PredictExplain(Explainer):
     """Classify from f, then decode an explanation conditioned on the
     label word (gold at training time, predicted at test time)."""
 
     variant = "pred-expl"
-    has_decoder = True
-    explains = True
-
-    def __init__(self, cfg, vocab, table, rng):
-        super().__init__(cfg, vocab, table, rng)
-        self.decoder = LstmDecoder(rng, cfg, cfg.feature_dim, len(vocab),
-                                   attention=False)
-        self._parts.append(self.decoder)
-
-    def loss(self, batch, train=True, rng=None, alpha=0.6):
-        if alpha is None or not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {alpha}")
-        fv, _, _ = self.features(batch)
-        logits, preds = classify(self.classifier, fv.f)
-        label_loss = self._label_loss(logits, batch.labels)
-        label_ids = self._label_vocab_ids(batch.labels)  # gold at train
-        inputs, targets, mask = self._teacher_inputs(batch, label_ids)
-        res = self.decoder.teacher_forced(self.embedding, fv.f, inputs,
-                                          targets, mask, train, rng)
-        expl_loss = ad.scale(res.nll_sum, 1.0 / batch.size)
-        total = ad.add(ad.scale(label_loss, alpha),
-                       ad.scale(expl_loss, 1.0 - alpha))
-        return total, {"preds": preds, "tokens": res.n_tokens,
-                       "correct": res.n_correct,
-                       "label_loss": float(label_loss.data),
-                       "expl_loss": float(expl_loss.data)}
-
-    def explanation_nll(self, batch, use_gold_label=False):
-        """Teacher-forced NLL for perplexity; conditions on the
-        predicted label unless told otherwise."""
-        fv, _, _ = self.features(batch)
-        if use_gold_label:
-            classes = batch.labels
-        else:
-            _, classes = classify(self.classifier, fv.f)
-        inputs, targets, mask = self._teacher_inputs(
-            batch, self._label_vocab_ids(classes))
-        res = self.decoder.teacher_forced(self.embedding, fv.f, inputs,
-                                          targets, mask, train=False)
-        return float(res.nll_sum.data), res.n_tokens, res.n_correct
-
-    def generate(self, batch):
-        """Predict the label first, then decode conditioned on it."""
-        fv, _, _ = self.features(batch)
-        _, preds = classify(self.classifier, fv.f)
-        start = self._label_vocab_ids(preds)
-        expl, empty = self.decoder.greedy(self.embedding, fv.f, start,
-                                          self.vocab.eos_id)
-        return expl, empty, preds
+    sentences = ("premise", "hypothesis")
+    has_classifier = True
+    decodes = "explain"
 
 
-class ExplainSeq2Seq(BaseModel):
+class ExplainSeq2Seq(Explainer):
     """pred-expl without the classifier and without the label token."""
 
     variant = "expl-pred-seq2seq"
-    has_decoder = True
-    explains = True
-
-    def __init__(self, cfg, vocab, table, rng):
-        super().__init__(cfg, vocab, table, rng)
-        self.premise_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                             cfg.encoder_hidden, "premise_encoder")
-        self.hypothesis_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                                cfg.encoder_hidden,
-                                                "hypothesis_encoder")
-        self.decoder = LstmDecoder(rng, cfg, cfg.feature_dim, len(vocab),
-                                   attention=False)
-        self._parts += [self.premise_encoder, self.hypothesis_encoder,
-                        self.decoder]
-
-    def _source(self, batch):
-        u, p_states = self.premise_encoder.encode(self.embedding, batch.premise,
-                                                  batch.premise_len)
-        v, h_states = self.hypothesis_encoder.encode(self.embedding,
-                                                     batch.hypothesis,
-                                                     batch.hypothesis_len)
-        return feature_vector(u, v), p_states, h_states
-
-    def loss(self, batch, train=True, rng=None, alpha=None):
-        fv, _, _ = self._source(batch)
-        inputs, targets, mask = self._teacher_inputs(batch, None)
-        res = self.decoder.teacher_forced(self.embedding, fv.f, inputs,
-                                          targets, mask, train, rng)
-        loss = ad.scale(res.nll_sum, 1.0 / batch.size)
-        return loss, {"tokens": res.n_tokens, "correct": res.n_correct,
-                      "nll_sum": float(res.nll_sum.data)}
-
-    def explanation_nll(self, batch, use_gold_label=False):
-        fv, _, _ = self._source(batch)
-        inputs, targets, mask = self._teacher_inputs(batch, None)
-        res = self.decoder.teacher_forced(self.embedding, fv.f, inputs,
-                                          targets, mask, train=False)
-        return float(res.nll_sum.data), res.n_tokens, res.n_correct
-
-    def generate(self, batch):
-        fv, _, _ = self._source(batch)
-        start = np.full(batch.size, self.vocab.bos_id, dtype=np.int64)
-        return self.decoder.greedy(self.embedding, fv.f, start,
-                                   self.vocab.eos_id)
+    sentences = ("premise", "hypothesis")
+    decodes = "explain"
 
 
-class ExplainAttention(ExplainSeq2Seq):
+class ExplainAttention(Explainer):
     """Attention variant: two separate, structurally identical heads
     attend over premise and hypothesis states while decoding."""
 
     variant = "expl-pred-att"
-
-    def __init__(self, cfg, vocab, table, rng):
-        BaseModel.__init__(self, cfg, vocab, table, rng)
-        self.premise_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                             cfg.encoder_hidden, "premise_encoder")
-        self.hypothesis_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                                cfg.encoder_hidden,
-                                                "hypothesis_encoder")
-        attn_dim = cfg.decoder_hidden
-        self.head_p = AttentionHead(rng, cfg.sentence_dim, cfg.decoder_hidden,
-                                    attn_dim, "attention.premise")
-        self.head_h = AttentionHead(rng, cfg.sentence_dim, cfg.decoder_hidden,
-                                    attn_dim, "attention.hypothesis")
-        self.decoder = LstmDecoder(rng, cfg, cfg.feature_dim, len(vocab),
-                                   attention=True)
-        self._parts += [self.premise_encoder, self.hypothesis_encoder,
-                        self.head_p, self.head_h, self.decoder]
-
-    def _attn_ctx(self, batch, p_states, h_states):
-        proj_p = self.head_p.precompute(p_states)
-        proj_h = self.head_h.precompute(h_states)
-        p_mask = _real_mask(batch.premise_len, batch.premise.shape[1])
-        h_mask = _real_mask(batch.hypothesis_len, batch.hypothesis.shape[1])
-        heads = (self.head_p, self.head_h, proj_p, proj_h)
-        return (heads, p_mask, h_mask)
-
-    def loss(self, batch, train=True, rng=None, alpha=None):
-        fv, p_states, h_states = self._source(batch)
-        ctx = self._attn_ctx(batch, p_states, h_states)
-        inputs, targets, mask = self._teacher_inputs(batch, None)
-        res = self.decoder.teacher_forced(self.embedding, fv.f, inputs,
-                                          targets, mask, train, rng,
-                                          attn_ctx=ctx)
-        loss = ad.scale(res.nll_sum, 1.0 / batch.size)
-        return loss, {"tokens": res.n_tokens, "correct": res.n_correct,
-                      "nll_sum": float(res.nll_sum.data)}
-
-    def explanation_nll(self, batch, use_gold_label=False):
-        fv, p_states, h_states = self._source(batch)
-        ctx = self._attn_ctx(batch, p_states, h_states)
-        inputs, targets, mask = self._teacher_inputs(batch, None)
-        res = self.decoder.teacher_forced(self.embedding, fv.f, inputs,
-                                          targets, mask, train=False,
-                                          attn_ctx=ctx)
-        return float(res.nll_sum.data), res.n_tokens, res.n_correct
-
-    def generate(self, batch):
-        fv, p_states, h_states = self._source(batch)
-        ctx = self._attn_ctx(batch, p_states, h_states)
-        start = np.full(batch.size, self.vocab.bos_id, dtype=np.int64)
-        return self.decoder.greedy(self.embedding, fv.f, start,
-                                   self.vocab.eos_id, attn_ctx=ctx)
+    sentences = ("premise", "hypothesis")
+    decodes = "attend"
 
 
 class ExplanationClassifier(BaseModel):
     """Label prediction from the explanation text alone."""
 
     variant = "expl-to-label"
+    sentences = ("explanation",)
     has_classifier = True
-
-    def __init__(self, cfg, vocab, table, rng):
-        super().__init__(cfg, vocab, table, rng)
-        self.explanation_encoder = BiLstmEncoder(rng, cfg.embed_dim,
-                                                 cfg.encoder_hidden,
-                                                 "explanation_encoder")
-        self.classifier = MlpClassifier(rng, cfg.sentence_dim,
-                                        cfg.classifier_width)
-        self._parts += [self.explanation_encoder, self.classifier]
-
-    def _encode(self, batch):
-        if batch.explanation is None:
-            raise ModelError("batch carries no explanations")
-        u, _ = self.explanation_encoder.encode(self.embedding, batch.explanation,
-                                               batch.explanation_len)
-        return u
-
-    def loss(self, batch, train=True, rng=None, alpha=None):
-        logits, preds = classify(self.classifier, self._encode(batch))
-        return self._label_loss(logits, batch.labels), {"preds": preds}
-
-    def predict_labels(self, batch):
-        return classify(self.classifier, self._encode(batch))[1]
 
     def classify_token_ids(self, token_ids: list[int]) -> int:
         """Label one raw explanation (ids without <bos>/<eos>)."""
@@ -774,18 +678,14 @@ class ExplanationClassifier(BaseModel):
         return int(classify(self.classifier, u)[1][0])
 
 
-class AutoEncoder(PairClassifier):
+class AutoEncoder(BaseModel):
     """Classifier trunk plus one shared decoder that reconstructs the
     premise from u and the hypothesis from v."""
 
     variant = "autoenc"
-    has_decoder = True
-
-    def __init__(self, cfg, vocab, table, rng):
-        super().__init__(cfg, vocab, table, rng)
-        self.decoder = LstmDecoder(rng, cfg, cfg.sentence_dim, len(vocab),
-                                   attention=False)
-        self._parts.append(self.decoder)
+    sentences = ("premise", "hypothesis")
+    has_classifier = True
+    decodes = "reconstruct"
 
     def _reconstruction_rows(self, ids: np.ndarray, lengths: np.ndarray):
         cap = self.cfg.max_decode_len
@@ -805,9 +705,7 @@ class AutoEncoder(PairClassifier):
         mask = np.arange(width - 1)[None, :] < (lens - 1)[:, None]
         return inputs, targets, mask
 
-    def loss(self, batch, train=True, rng=None, alpha=0.6):
-        if alpha is None or not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must be in [0,1], got {alpha}")
+    def loss(self, batch, train=True, rng=None, alpha=None):
         fv, _, _ = self.features(batch)
         logits, preds = classify(self.classifier, fv.f)
         label_loss = self._label_loss(logits, batch.labels)
@@ -821,19 +719,19 @@ class AutoEncoder(PairClassifier):
             rec_total = (res.nll_sum if rec_total is None
                          else ad.add(rec_total, res.nll_sum))
         rec_loss = ad.scale(rec_total, 1.0 / batch.size)
-        total = ad.add(ad.scale(label_loss, alpha),
-                       ad.scale(rec_loss, 1.0 - alpha))
-        return total, {"preds": preds,
-                       "label_loss": float(label_loss.data),
-                       "expl_loss": float(rec_loss.data)}
+        return joint_loss(label_loss, rec_loss, alpha), {
+            "preds": preds, "label_loss": float(label_loss.data),
+            "expl_loss": float(rec_loss.data)}
 
 
 class ExplainThenPredict:
     """Pipeline: generate an explanation, then label it in isolation."""
 
-    def __init__(self, generator, expl_classifier: ExplanationClassifier):
-        if not generator.has_decoder:
-            raise ModelError("generator must be a decoding variant")
+    def __init__(self, generator: BaseModel,
+                 expl_classifier: ExplanationClassifier):
+        if not generator.explains:
+            raise ModelError(f"{generator.variant} cannot generate "
+                             "explanations for explain-then-predict")
         self.generator = generator
         self.expl_classifier = expl_classifier
 
@@ -844,7 +742,7 @@ class ExplainThenPredict:
         generation is still classified (from the bare <bos><eos> pair)
         and flagged.
         """
-        expl, empty = self.generator.generate(batch)
+        expl, empty = self.generator.generate(batch)[:2]
         labels = np.array([self.expl_classifier._classify_wrapped(e)
                            for e in expl], dtype=np.int64)
         return labels, expl, empty
@@ -857,14 +755,17 @@ VARIANTS: dict[str, type[BaseModel]] = {
 }
 
 
+def variant_class(name: str) -> type[BaseModel]:
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ModelError(f"unknown variant {name!r}; "
+                         f"choose from {sorted(VARIANTS)}") from None
+
+
 def build_model(cfg: ModelConfig, vocab: Vocabulary, table: EmbeddingTable,
                 rng: np.random.Generator) -> BaseModel:
-    try:
-        cls = VARIANTS[cfg.variant]
-    except KeyError:
-        raise ModelError(f"unknown variant {cfg.variant!r}; "
-                         f"choose from {sorted(VARIANTS)}") from None
-    return cls(cfg, vocab, table, rng)
+    return variant_class(cfg.variant)(cfg, vocab, table, rng)
 
 
 def load_model(path) -> BaseModel:

@@ -5,6 +5,10 @@ take SGD steps on the variant's loss, measure validation metrics, keep
 the checkpoint that is best under the variant's selection criterion
 (label accuracy for classifier-led variants, explanation perplexity for
 generator-led ones), then decay the learning rate once.
+
+Nothing here names a variant: whether it takes alpha, needs
+explanations in its batches and which criterion selects it are read
+from the variant class in `models`, where they are declared.
 """
 
 from __future__ import annotations
@@ -20,32 +24,17 @@ import numpy as np
 from . import autodiff as ad
 from .data import EmbeddingTable, EncodedExample, Vocabulary, iterate_batches
 from .evaluation import label_accuracy, perplexity, predict_all
-from .models import ModelConfig, build_model
+from .models import ModelConfig, ModelError, build_model, variant_class
+from .models import joint_loss  # noqa: F401  (public here too)
 
 log = logging.getLogger(__name__)
 
-ACCURACY_VARIANTS = ("bilstm-max", "hyp-to-label", "pred-expl",
-                     "expl-to-label", "autoenc")
-PERPLEXITY_VARIANTS = ("hyp-to-expl", "expl-pred-seq2seq", "expl-pred-att")
-ALPHA_VARIANTS = ("pred-expl", "autoenc")
 ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DECODER_GRID = (512, 1024, 2048, 4096)
 
 
 class TrainingError(RuntimeError):
     pass
-
-
-def joint_loss(l_label, l_expl, alpha: float):
-    """alpha * label loss + (1 - alpha) * explanation loss.
-
-    Accepts scalars or Tensors; alpha outside [0, 1] is an error.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    if isinstance(l_label, ad.Tensor):
-        return ad.add(ad.scale(l_label, alpha), ad.scale(l_expl, 1.0 - alpha))
-    return alpha * l_label + (1.0 - alpha) * l_expl
 
 
 @dataclass
@@ -65,21 +54,24 @@ class TrainConfig:
     max_decode_len: int = 40
     clip_norm: float | None = None     # off unless configured
     weight_decay: float = 0.0          # off unless configured
-    criterion: str = ""                # resolved per variant when empty
 
     def __post_init__(self):
-        if self.variant in ALPHA_VARIANTS:
+        try:
+            takes_alpha = variant_class(self.variant).takes_alpha
+        except ModelError as err:
+            raise TrainingError(str(err)) from None
+        if takes_alpha:
             if self.alpha is None:
                 raise TrainingError(f"{self.variant} requires alpha")
             if not 0.0 <= self.alpha <= 1.0:
                 raise TrainingError(f"alpha must be in [0,1], got {self.alpha}")
         elif self.alpha is not None:
             raise TrainingError(f"{self.variant} takes no alpha")
-        if not self.criterion:
-            self.criterion = ("val-accuracy" if self.variant in ACCURACY_VARIANTS
-                              else "val-perplexity")
-        if self.criterion not in ("val-accuracy", "val-perplexity"):
-            raise TrainingError(f"unknown criterion {self.criterion!r}")
+
+    @property
+    def criterion(self) -> str:
+        """Model-selection metric, fixed by the variant."""
+        return variant_class(self.variant).criterion
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(variant=self.variant, embed_dim=self.embed_dim,
@@ -131,17 +123,11 @@ def _better(value: float, best: float | None, criterion: str) -> bool:
     return value < best
 
 
-def _needs_explanations(variant: str) -> bool:
-    return variant in ("hyp-to-expl", "pred-expl", "expl-pred-seq2seq",
-                       "expl-pred-att", "expl-to-label")
-
-
 def _validation_metrics(model, valid, batch_size) -> dict:
     metrics: dict = {}
     if model.has_classifier:
         preds, golds = predict_all(model, valid, batch_size,
-                                   with_explanations=_needs_explanations(
-                                       model.variant))
+                                   with_explanations=model.needs_explanations)
         metrics["val_accuracy"] = label_accuracy(preds, golds)
     if model.explains:
         ppl = perplexity(model, valid, batch_size)
@@ -166,7 +152,6 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                         np.random.default_rng([config.seed, 0]))
     params = model.params()
     state = ad.SgdState(base_lr=config.lr, decay=config.decay)
-    needs_expl = _needs_explanations(config.variant)
     ckpt_dir = out_dir / "checkpoints" / "best"
 
     for epoch in range(config.epochs):
@@ -176,7 +161,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
         for batch in iterate_batches(data.train, config.batch_size,
                                      seed=config.seed, epoch=epoch,
                                      shuffle=True,
-                                     with_explanations=needs_expl):
+                                     with_explanations=model.needs_explanations):
             with ad.Tape() as tape:
                 loss, _ = model.loss(batch, train=True, rng=drop_rng,
                                      alpha=config.alpha)

@@ -181,6 +181,39 @@ class TestTrainCommand:
                      "--out-root", str(tmp_path / "runs")])
         assert code == 1
 
+    @staticmethod
+    def _forbid_corpus_loading(monkeypatch):
+        from nliexpl import cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("corpus loaded before the config was checked")
+
+        monkeypatch.setattr(cli, "load_corpus", fail)
+
+    def test_criterion_key_is_unknown(self, tmp_path, toy_config, capsys,
+                                      monkeypatch):
+        # the selection criterion follows from the variant; no key sets it
+        self._forbid_corpus_loading(monkeypatch)
+        cfg = tmp_path / "criterion.ini"
+        cfg.write_text(toy_config.read_text() + "criterion = val-accuracy\n")
+        out_root = tmp_path / "runs"
+        code = main(["train", "--config", str(cfg),
+                     "--out-root", str(out_root)])
+        assert code == 1
+        assert "unknown config key [training] criterion" in \
+            capsys.readouterr().err
+        assert not out_root.exists()
+
+    def test_unknown_variant_exits_1_before_loading(self, tmp_path, toy_config,
+                                                    capsys, monkeypatch):
+        self._forbid_corpus_loading(monkeypatch)
+        out_root = tmp_path / "runs"
+        code = main(["train", "--config", str(toy_config), "--variant", "bert",
+                     "--out-root", str(out_root)])
+        assert code == 1
+        assert "unknown variant 'bert'" in capsys.readouterr().err
+        assert not out_root.exists()
+
 
 class TestEvalAndGenerate:
     @pytest.fixture

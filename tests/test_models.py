@@ -7,8 +7,7 @@ from nliexpl import autodiff as ad
 from nliexpl import models as M
 from nliexpl.data import EmbeddingTable, Vocabulary, build_vocab, make_batch
 from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
-                            attention_step, build_model, classify,
-                            feature_vector, load_model)
+                            build_model, classify, feature_vector, load_model)
 from model_utils import full_model_grad_check, toy_config, toy_setup
 from oracles import straight_line_attention
 
@@ -219,8 +218,8 @@ class TestAttention:
         h_mask = np.array([[True, True, True, True]])
         proj_p = head_p.precompute(t(h_p))
         proj_h = head_h.precompute(t(h_h))
-        p_ctx, h_ctx, w_p, w_h = attention_step(
-            proj_p, proj_h, t(h_dec), head_p, head_h, p_mask, h_mask)
+        p_ctx, w_p = head_p.step(t(h_dec), *proj_p, p_mask)
+        h_ctx, w_h = head_h.step(t(h_dec), *proj_h, h_mask)
         weights = {
             "w1_p": head_p.w1.data, "b1_p": head_p.b1.data,
             "wc_p": head_p.wc.data, "bc_p": head_p.bc.data,
@@ -246,6 +245,40 @@ class TestAttention:
         _, w = head_p.step(t(rng.normal(size=(2, 3))), proj1, proj2, mask)
         assert (w.data[0, 3:] == 0.0).all()
         np.testing.assert_allclose(w.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
+
+
+# One row per variant: classifier, explains, needs explanations in its
+# batches, takes alpha, selection criterion, encoded sentences.
+PAIR = ("premise", "hypothesis")
+VARIANT_FACTS = [
+    ("bilstm-max", True, False, False, False, "val-accuracy", PAIR),
+    ("hyp-to-label", True, False, False, False, "val-accuracy", ("hypothesis",)),
+    ("hyp-to-expl", False, True, True, False, "val-perplexity", ("hypothesis",)),
+    ("pred-expl", True, True, True, True, "val-accuracy", PAIR),
+    ("expl-pred-seq2seq", False, True, True, False, "val-perplexity", PAIR),
+    ("expl-pred-att", False, True, True, False, "val-perplexity", PAIR),
+    ("expl-to-label", True, False, True, False, "val-accuracy", ("explanation",)),
+    ("autoenc", True, False, False, True, "val-accuracy", PAIR),
+]
+
+
+@pytest.mark.parametrize(
+    "variant,classifier,explains,needs_expl,alpha,criterion,sentences",
+    VARIANT_FACTS)
+def test_variant_fact_table(variant, classifier, explains, needs_expl, alpha,
+                            criterion, sentences):
+    cls = M.VARIANTS[variant]
+    assert (cls.has_classifier, cls.explains, cls.needs_explanations,
+            cls.takes_alpha, cls.criterion) == (classifier, explains,
+                                                needs_expl, alpha, criterion)
+    assert cls.sentences == sentences
+    model, _, _ = toy_setup(variant, n=3)
+    assert model.variant == variant
+    prefixes = {n.split(".")[0] for n in model.params()}
+    assert {p for p in prefixes if p.endswith("_encoder")} == \
+        {f"{s}_encoder" for s in sentences}
+    assert ("classifier" in prefixes) == classifier
+    assert hasattr(model, "generate") == explains
 
 
 class TestVariantStructure:
@@ -391,6 +424,18 @@ class TestPipeline:
         labels, expl, empty = ExplainThenPredict(gen, clf).predict(batch)
         assert all(empty)
         assert len(labels) == 3
+
+    @pytest.mark.parametrize("variant", ["autoenc", "bilstm-max"])
+    def test_generator_that_cannot_explain_rejected(self, variant):
+        gen, _, vocab = toy_setup(variant, n=3)
+        with pytest.raises(M.ModelError, match="cannot generate"):
+            ExplainThenPredict(gen, self._classifier_sharing(vocab))
+
+    def test_classifier_led_generator_labels_its_explanations(self):
+        gen, batch, vocab = toy_setup("pred-expl", n=3)
+        clf = self._classifier_sharing(vocab)
+        labels, expl, _ = ExplainThenPredict(gen, clf).predict(batch)
+        assert [clf._classify_wrapped(e) for e in expl] == labels.tolist()
 
     def test_expl_to_label_rejects_empty_input(self):
         clf, _, _ = toy_setup("expl-to-label", n=2)

@@ -105,6 +105,10 @@ class TestTrainConfig:
         with pytest.raises(TrainingError):
             TrainConfig(variant="pred-expl", alpha=1.5)
 
+    def test_unknown_variant_rejected_at_construction(self):
+        with pytest.raises(TrainingError, match="unknown variant 'bert'"):
+            TrainConfig(variant="bert")
+
 
 class TestTrain:
     def test_deterministic_loss_curves(self, tmp_path):
