@@ -3,12 +3,14 @@
 A checkpoint is a directory holding `manifest.json` (UTF-8, lists every
 tensor's name, shape, trainable flag, and byte offset) and `params.bin`
 (all tensors concatenated row-major as little-endian float32).
-Save -> load round-trips bit-exactly.
+Save -> load round-trips bit-exactly. Loading checks that the manifest
+entries tile the blob exactly: in order, without gaps or overlaps.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -51,24 +53,69 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint directory; returns (arrays, manifest dict)."""
+    """Read a checkpoint directory; returns (arrays, manifest dict).
+
+    The blob is read once into one writable float32 array and every
+    tensor is a view into it, so loading touches its bytes only once.
+    """
     path = Path(path)
     mpath = path / MANIFEST_NAME
     bpath = path / BLOB_NAME
     if not mpath.exists() or not bpath.exists():
         raise CheckpointError(f"not a checkpoint directory: {path}")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    if manifest.get("format") != FORMAT_TAG:
+    try:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CheckpointError(f"unreadable manifest {mpath}: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_TAG:
         raise CheckpointError(f"unknown checkpoint format in {mpath}")
-    blob = bpath.read_bytes()
-    if len(blob) != manifest["blob_bytes"]:
+    blob_bytes = bpath.stat().st_size
+    if blob_bytes != manifest.get("blob_bytes"):
         raise CheckpointError(
-            f"blob size {len(blob)} != manifest {manifest['blob_bytes']}")
-    arrays: dict[str, np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype=_DTYPE, count=count,
-                            offset=entry["offset"])
-        arrays[entry["name"]] = arr.reshape(shape).copy()
+            f"blob size {blob_bytes} != manifest {manifest.get('blob_bytes')}")
+    tensors = manifest.get("tensors")
+    if not isinstance(tensors, list):
+        raise CheckpointError(f"{mpath}: no tensor list")
+    spans: dict[str, tuple[tuple[int, ...], int, int]] = {}
+    end = 0
+    for entry in tensors:
+        shape, offset = _checked_entry(entry, end, mpath)
+        if entry["name"] in spans:
+            raise CheckpointError(f"{mpath}: tensor {entry['name']!r} listed twice")
+        end = offset + math.prod(shape) * _DTYPE.itemsize
+        if end > blob_bytes:
+            raise CheckpointError(
+                f"{mpath}: tensor {entry['name']!r} ends at byte {end}, "
+                f"past the {blob_bytes}-byte blob")
+        spans[entry["name"]] = (shape, offset, end)
+    if end != blob_bytes:
+        raise CheckpointError(
+            f"{mpath}: tensors cover {end} of {blob_bytes} blob bytes")
+    blob = np.fromfile(bpath, dtype=_DTYPE)
+    size = _DTYPE.itemsize
+    arrays = {name: blob[offset // size:stop // size].reshape(shape)
+              for name, (shape, offset, stop) in spans.items()}
     return arrays, manifest
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _checked_entry(entry: dict, expected_offset: int,
+                   mpath: Path) -> tuple[tuple[int, ...], int]:
+    """(shape, offset) of a manifest entry that starts where the previous
+    tensor ended; anything else is a corrupt or hand-edited manifest."""
+    if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+        raise CheckpointError(f"{mpath}: bad tensor entry {entry!r}")
+    name = entry["name"]
+    shape, offset = entry.get("shape"), entry.get("offset")
+    if not isinstance(shape, list) or not all(_is_count(d) for d in shape):
+        raise CheckpointError(f"{mpath}: tensor {name!r} has bad shape {shape!r}")
+    if not _is_count(offset):
+        raise CheckpointError(f"{mpath}: tensor {name!r} has bad offset {offset!r}")
+    if offset != expected_offset:
+        raise CheckpointError(
+            f"{mpath}: tensor {name!r} starts at byte {offset}, expected "
+            f"{expected_offset} (tensors must be contiguous and not overlap)")
+    return tuple(shape), offset

@@ -245,11 +245,13 @@ def load_corpus(path, split: str = "train",
 
     Rows whose gold label is outside the 3-way set are skipped and
     counted rather than rejected, so transfer corpora with extra labels
-    load cleanly.
+    load cleanly. A repeated example id is an error, whichever rows
+    carry it: evaluation and the filter match outputs to rows by id.
     """
     colmap = colmap or ColumnMap()
     examples: list[Example] = []
     skipped = 0
+    first_row: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -257,6 +259,12 @@ def load_corpus(path, split: str = "train",
             if col not in header:
                 raise CorpusFormatError(f"{path}: missing required column {col!r}")
         for rownum, row in enumerate(reader, start=2):
+            example_id = (row.get(colmap.id) or "").strip() or f"row{rownum}"
+            if example_id in first_row:
+                raise CorpusFormatError(
+                    f"{path}: example id {example_id!r} repeated on rows "
+                    f"{first_row[example_id]} and {rownum}")
+            first_row[example_id] = rownum
             label = (row.get(colmap.gold_label) or "").strip().lower()
             if label not in LABELS:
                 skipped += 1
@@ -273,7 +281,7 @@ def load_corpus(path, split: str = "train",
             h_high = [_parse_highlights(row.get(c), f"{path}:{rownum}")
                       for c in colmap.hypothesis_highlights[:max(1, len(expl_texts))]]
             examples.append(Example(
-                id=(row.get(colmap.id) or "").strip() or f"row{rownum}",
+                id=example_id,
                 premise=tokenize(premise_text),
                 hypothesis=tokenize(hypothesis_text),
                 label=label,

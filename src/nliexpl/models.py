@@ -77,13 +77,6 @@ def _real_mask(lengths: np.ndarray, width: int) -> np.ndarray:
     return np.arange(width)[None, :] < lengths[:, None]
 
 
-def _reverse_rows(ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    out = ids.copy()
-    for i, ln in enumerate(lengths):
-        out[i, :ln] = ids[i, :ln][::-1]
-    return out
-
-
 class WordEmbedding:
     """Frozen pretrained rows plus trainable rows for the label words."""
 
@@ -114,9 +107,10 @@ class WordEmbedding:
 class BiLstmEncoder:
     """Bidirectional LSTM over token ids with masked max-pooling.
 
-    States at pad positions are forced to zero after every step, so the
-    backward direction starts each row's real suffix from a zero state
-    and padding can never leak into real timesteps.
+    Each direction is one input GEMM over the whole (T, B) sequence and
+    one `lstm_layer`. Pad steps output zero and leave the state alone,
+    so the backward direction starts each row's real suffix from a zero
+    state and padding can never leak into real timesteps.
     """
 
     def __init__(self, rng: np.random.Generator, embed_dim: int, hidden: int,
@@ -126,22 +120,6 @@ class BiLstmEncoder:
         self.fwd = ad.init_lstm(rng, embed_dim, hidden, f"{prefix}.fwd")
         self.bwd = ad.init_lstm(rng, embed_dim, hidden, f"{prefix}.bwd")
 
-    def _scan(self, embedding: WordEmbedding, ids: np.ndarray,
-              lengths: np.ndarray, cell: ad.LstmParams) -> ad.Tensor:
-        B, T = ids.shape
-        dtype = embedding.frozen.dtype
-        h = ad.tensor(np.zeros((B, self.hidden)), dtype=dtype)
-        c = ad.tensor(np.zeros((B, self.hidden)), dtype=dtype)
-        steps = []
-        for t in range(T):
-            x = embedding.lookup(ids[:, t])
-            h, c = ad.lstm_cell(x, h, c, cell)
-            m = (t < lengths).astype(dtype)[:, None]
-            h = ad.mul_const(h, m)
-            c = ad.mul_const(c, m)
-            steps.append(h)
-        return ad.stack_steps(steps)
-
     def encode(self, embedding: WordEmbedding, ids: np.ndarray,
                lengths: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
         """Returns (u, states): u is (B, 2H); states is (T, B, 2H) with
@@ -149,11 +127,12 @@ class BiLstmEncoder:
         lengths = np.asarray(lengths, dtype=np.int64)
         if (lengths < 1).any():
             raise ad.EmptySequenceError(f"{self.prefix}: all-pad input row")
-        fwd_states = self._scan(embedding, ids, lengths, self.fwd)
-        rev_states = self._scan(embedding, _reverse_rows(ids, lengths),
-                                lengths, self.bwd)
-        bwd_states = ad.reverse_steps(rev_states, lengths)
-        states = ad.concat([fwd_states, bwd_states])
+        emb = embedding.lookup(ids.T)
+        real = np.arange(ids.shape[1])[:, None] < lengths[None, :]
+        halves = [ad.lstm_layer(ad.linear(emb, cell.wi, cell.b), cell.wh,
+                                mask=real, reverse=reverse)
+                  for cell, reverse in ((self.fwd, False), (self.bwd, True))]
+        states = ad.concat(halves)
         u = ad.max_over_time(states, lengths=lengths)
         return u, states
 
@@ -297,61 +276,79 @@ class LstmDecoder:
             return None
         return ad.linear(source, self.w_cond, self.b_cond)
 
-    def _step_input(self, emb: ad.Tensor, cond: ad.Tensor | None,
-                    attn_ctx=None, h=None) -> ad.Tensor:
-        if self.attention:
-            contexts = [head.step(h, proj1, proj2, mask)[0]
-                        for head, proj1, proj2, mask in attn_ctx]
-            return ad.concat([*contexts, emb])
-        return ad.concat([emb, cond])
+    def _attend(self, emb: ad.Tensor, attn_ctx, h: ad.Tensor) -> ad.Tensor:
+        """The attention step input [p_ctx, h_ctx, embedding]."""
+        contexts = [head.step(h, proj1, proj2, mask)[0]
+                    for head, proj1, proj2, mask in attn_ctx]
+        return ad.concat([*contexts, emb])
 
     def teacher_forced(self, embedding: WordEmbedding, source: ad.Tensor,
                        inputs: np.ndarray, targets: np.ndarray,
                        target_mask: np.ndarray, train: bool,
                        rng: np.random.Generator | None = None,
                        attn_ctx=None) -> DecodeResult:
+        """Without attention the whole sequence is one input GEMM (the
+        source term once per sequence) and one `lstm_layer`; with it,
+        each step attends with the previous hidden state. Either way the
+        output projection, softmax and NLL run once over all S*B rows."""
         B, S = inputs.shape
         h, c = self._init_state(source)
-        cond = self._cond(source)
         rmask = None
         if train and self.dropout > 0.0:
             rmask = ad.dropout_mask(rng, (B, self.hidden), self.dropout,
                                     embedding.frozen.dtype)
-        total = None
-        n_correct = 0
-        for s in range(S):
-            emb = embedding.lookup(inputs[:, s])
-            x = self._step_input(emb, cond, attn_ctx, h)
-            h_in = ad.mul_const(h, rmask) if rmask is not None else h
-            h, c = ad.lstm_cell(x, h_in, c, self.cell)
-            probs = ad.softmax(ad.linear(h, self.w_out, self.b_out))
-            step_nll = ad.nll_rows(probs, targets[:, s], mask=target_mask[:, s])
-            total = step_nll if total is None else ad.add(total, step_nll)
-            hits = probs.data.argmax(axis=1) == targets[:, s]
-            n_correct += int((hits & target_mask[:, s]).sum())
-        return DecodeResult(nll_sum=ad.sum_(total),
+        if self.attention:
+            steps = []
+            for s in range(S):
+                x = self._attend(embedding.lookup(inputs[:, s]), attn_ctx, h)
+                h_in = ad.mul_const(h, rmask) if rmask is not None else h
+                h, c = ad.lstm_cell(x, h_in, c, self.cell)
+                steps.append(h)
+            hs = ad.stack_steps(steps)
+        else:
+            gx = ad.cond_linear(embedding.lookup(inputs.T), self._cond(source),
+                                self.cell.wi, self.cell.b)
+            hs = ad.lstm_layer(gx, self.cell.wh, h, c, rmask=rmask)
+        rows = ad.reshape(hs, (S * B, self.hidden))
+        probs = ad.softmax(ad.linear(rows, self.w_out, self.b_out),
+                           overwrite=True)
+        flat_targets = targets.T.reshape(-1)
+        flat_mask = target_mask.T.reshape(-1)
+        nll = ad.nll_rows(probs, flat_targets, mask=flat_mask)
+        hits = probs.data.argmax(axis=1) == flat_targets
+        return DecodeResult(nll_sum=ad.sum_(nll),
                             n_tokens=int(target_mask.sum()),
-                            n_correct=n_correct)
+                            n_correct=int((hits & flat_mask).sum()))
 
     def greedy(self, embedding: WordEmbedding, source: ad.Tensor,
                start_ids: np.ndarray, eos_id: int,
                attn_ctx=None) -> tuple[list[list[int]], list[bool]]:
         """Argmax decoding until <eos> or the length cap; eval mode.
 
-        Returns per-row emitted token ids (exclusive of <eos>) and a
-        flag marking rows that emitted nothing before <eos>.
+        Steps through the LSTM gate kernel on plain arrays. Returns
+        per-row emitted token ids (exclusive of <eos>) and a flag marking
+        rows that emitted nothing before <eos>.
         """
         B = start_ids.shape[0]
-        h, c = self._init_state(source)
-        cond = self._cond(source)
+        h, c = (t.data for t in self._init_state(source))
+        wi, wh = self.cell.wi.data, self.cell.wh.data
+        if not self.attention:
+            # [embedding, cond] @ wi.T + b with the cond term done once
+            E = embedding.dim
+            w_emb = wi[:, :E].T
+            per_seq = self._cond(source).data @ wi[:, E:].T + self.cell.b.data
         current = np.asarray(start_ids, dtype=np.int64)
         emitted: list[list[int]] = [[] for _ in range(B)]
         done = np.zeros(B, dtype=bool)
         for _ in range(self.max_len):
             emb = embedding.lookup(current)
-            x = self._step_input(emb, cond, attn_ctx, h)
-            h, c = ad.lstm_cell(x, h, c, self.cell)
-            logits = ad.linear(h, self.w_out, self.b_out)
+            if self.attention:
+                x = self._attend(emb, attn_ctx, ad.Tensor(h))
+                gx = ad.linear(x, self.cell.wi, self.cell.b).data
+            else:
+                gx = emb.data @ w_emb + per_seq
+            h, c = ad.lstm_step(gx, wh, h, c)
+            logits = ad.linear(ad.Tensor(h), self.w_out, self.b_out)
             nxt = logits.data.argmax(axis=1)
             for i in range(B):
                 if done[i]:

@@ -98,9 +98,6 @@ def test_criterion_1_gradient_suite():
     lengths = np.array([2, 5, 3])
     _grad_check(lambda: ad.sum_(ad.max_over_time(seq, lengths=lengths)),
                 {"seq": seq})
-    rmask = rng.normal(size=(5, 3, 4))
-    _grad_check(lambda: ad.sum_(ad.mul_const(ad.reverse_steps(seq, lengths),
-                                             rmask)), {"seq": seq})
     q = p64((3, 4), "q")
     _grad_check(lambda: ad.sum_(ad.attn_combine(
         ad.softmax(ad.attn_scores(q, seq)), seq)), {"q": q, "seq": seq})
@@ -132,6 +129,21 @@ def test_criterion_1_gradient_suite():
         return ad.sum_(ad.mul(h, c))
 
     _grad_check(lstm_loss, {"x": x, "wi": lstm.wi, "wh": lstm.wh, "b": lstm.b})
+
+    gx = p64((4, 3, 8), "gx")
+    wh = p64((8, 2), "wh", scale=0.5)
+    h0, c0 = p64((3, 2), "h0"), p64((3, 2), "c0")
+    real = np.arange(4)[:, None] < np.array([1, 4, 3])[None, :]
+    drop_h = ad.dropout_mask(np.random.default_rng(6), (3, 2), 0.5, np.float64)
+    out_w = rng.normal(size=(4, 3, 2))
+    for reverse in (False, True):
+        _grad_check(lambda: ad.sum_(ad.mul_const(ad.lstm_layer(
+            gx, wh, h0, c0, mask=real, reverse=reverse, rmask=drop_h), out_w)),
+            {"gx": gx, "wh": wh, "h0": h0, "c0": c0})
+    cond = p64((3, 2), "cond")
+    wcat = p64((5, 6), "wcat")
+    _grad_check(lambda: ad.sum_(ad.tanh_(ad.cond_linear(seq, cond, wcat, bias))),
+                {"seq": seq, "cond": cond, "wcat": wcat, "bias": bias})
 
     # -- every model variant end to end (short sequences: saturated
     # states over long sequences produce near-tied max-pool columns

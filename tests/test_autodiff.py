@@ -100,6 +100,18 @@ class TestAffine:
         check_op_gradient(lambda: ad.sum_(ad.tanh_(ad.linear(x3, w, b))),
                           {"w": w, "b": b, "x3": x3})
 
+    def test_cond_linear_matches_linear_on_concatenated_input(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(4, 3, 2))
+        cond = rng.normal(size=(3, 5))
+        w = f64(rng.normal(size=(6, 7)))
+        b = f64(rng.normal(size=6))
+        cat = np.concatenate([x, np.broadcast_to(cond, (4, 3, 5))], axis=2)
+        np.testing.assert_allclose(ad.cond_linear(f64(x), f64(cond), w, b).data,
+                                   ad.linear(f64(cat), w, b).data, rtol=1e-12)
+        with pytest.raises(ad.ShapeError):
+            ad.cond_linear(f64(x), f64(cond[:, :4]), w, b)
+
     def test_concat_slice_gradients(self):
         rng = np.random.default_rng(4)
         a = f64_param(rng.normal(size=(2, 3)), "a")
@@ -151,6 +163,15 @@ class TestSoftmax:
         out = ad.softmax(logits, mask=mask).data
         assert out[0, 1] == 0.0
         np.testing.assert_allclose(out.sum(axis=1), [1.0, 1.0], atol=1e-12)
+
+    def test_overwrite_gives_identical_values_in_the_logits_buffer(self):
+        rng = np.random.default_rng(42)
+        logits = rng.normal(size=(4, 6)).astype(np.float32)
+        expected = ad.softmax(ad.Tensor(logits.copy())).data
+        t = ad.Tensor(logits)
+        out = ad.softmax(t, overwrite=True)
+        np.testing.assert_array_equal(out.data, expected)
+        assert np.shares_memory(out.data, logits)
 
     def test_gradient(self):
         rng = np.random.default_rng(5)
@@ -250,24 +271,11 @@ class TestMaxOverTime:
 
 
 class TestSequenceOps:
-    def test_stack_and_reverse_steps(self):
+    def test_stack_steps(self):
         steps = [f64(np.full((2, 3), t, dtype=float)) for t in range(4)]
         stacked = ad.stack_steps(steps)
         assert stacked.shape == (4, 2, 3)
-        rev = ad.reverse_steps(stacked, np.array([2, 4]))
-        # row 0 has length 2: positions swap; tail stays
-        np.testing.assert_allclose(rev.data[:, 0, 0], [1, 0, 2, 3])
-        np.testing.assert_allclose(rev.data[:, 1, 0], [3, 2, 1, 0])
-
-    def test_reverse_steps_gradient(self):
-        rng = np.random.default_rng(10)
-        x = f64_param(rng.normal(size=(4, 2, 3)), "x")
-        w = rng.normal(size=(4, 2, 3))
-
-        def loss():
-            return ad.sum_(ad.mul_const(ad.reverse_steps(x, np.array([3, 4])), w))
-
-        check_op_gradient(loss, {"x": x})
+        np.testing.assert_allclose(stacked.data[:, 1, 0], [0, 1, 2, 3])
 
     def test_attention_contractions_gradient(self):
         rng = np.random.default_rng(11)
@@ -388,6 +396,125 @@ class TestLstmCell:
             return ad.sum_(ad.mul(h, h))
 
         check_op_gradient(loss, params)
+
+
+def _cell_scan(gx, wh, h0, c0, lengths, reverse, rmask):
+    """Reference for `lstm_layer`: the composed `lstm_cell`, run row by
+    row over each row's real prefix (read backwards for `reverse`), with
+    one leaf per input step so every gradient can be compared."""
+    T, B, G = gx.shape
+    H = G // 4
+    eye = ad.LstmParams(wi=f64(np.eye(G)), wh=None, b=f64(np.zeros(G)))
+    leaves = [[f64_param(gx[t, b:b + 1], "gx") for b in range(B)]
+              for t in range(T)]
+    w = f64_param(wh, "wh")
+    starts = [(f64_param(h0[b:b + 1], "h0"), f64_param(c0[b:b + 1], "c0"))
+              for b in range(B)]
+    eye.wh = w
+    outs = {}
+    with ad.Tape() as tape:
+        for b in range(B):
+            h, c = starts[b]
+            steps = range(lengths[b])
+            for t in (reversed(steps) if reverse else steps):
+                h_in = h if rmask is None else ad.mul_const(h, rmask[b:b + 1])
+                h, c = ad.lstm_cell(leaves[t][b], h_in, c, eye)
+                outs[t, b] = h
+    return leaves, w, starts, outs, tape
+
+
+class TestLstmLayer:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_matches_composed_cell_scan(self, reverse, dropout):
+        """States and the gradients of gx, wh, h0 and c0 agree with a
+        scan of `lstm_cell` over mixed row lengths (float64, 1e-10)."""
+        rng = np.random.default_rng(21)
+        T, B, H = 5, 4, 3
+        lengths = np.array([5, 1, 3, 2])
+        gx = rng.normal(size=(T, B, 4 * H))
+        wh = rng.normal(size=(4 * H, H)) * 0.6
+        h0 = rng.normal(size=(B, H))
+        c0 = rng.normal(size=(B, H))
+        rmask = (ad.dropout_mask(np.random.default_rng(3), (B, H), 0.5, np.float64)
+                 if dropout else None)
+        weights = rng.normal(size=(T, B, H))
+        real = np.arange(T)[:, None] < lengths[None, :]
+
+        leaves, w_ref, starts, outs, ref_tape = _cell_scan(
+            gx, wh, h0, c0, lengths, reverse, rmask)
+        with ref_tape:
+            terms = [ad.sum_(ad.mul_const(h, weights[t, b:b + 1]))
+                     for (t, b), h in outs.items()]
+            ref_loss = terms[0]
+            for term in terms[1:]:
+                ref_loss = ad.add(ref_loss, term)
+        ad.backward(ref_tape, ref_loss)
+
+        p = {"gx": f64_param(gx, "gx"), "wh": f64_param(wh, "wh"),
+             "h0": f64_param(h0, "h0"), "c0": f64_param(c0, "c0")}
+        with ad.Tape() as tape:
+            hs = ad.lstm_layer(p["gx"], p["wh"], p["h0"], p["c0"], mask=real,
+                               reverse=reverse, rmask=rmask)
+            loss = ad.sum_(ad.mul_const(hs, weights))
+        ad.backward(tape, loss)
+
+        close = dict(rtol=1e-10, atol=1e-10)
+        expected = np.zeros((T, B, H))
+        for (t, b), h in outs.items():
+            expected[t, b] = h.data[0]
+        np.testing.assert_allclose(hs.data, expected, **close)
+        ref_dgx = np.zeros_like(gx)
+        for t in range(T):
+            for b in range(B):
+                if leaves[t][b].grad is not None:
+                    ref_dgx[t, b] = leaves[t][b].grad[0]
+        np.testing.assert_allclose(p["gx"].grad, ref_dgx, **close)
+        np.testing.assert_allclose(p["wh"].grad, w_ref.grad, **close)
+        np.testing.assert_allclose(
+            p["h0"].grad, np.concatenate([h.grad for h, _ in starts]), **close)
+        np.testing.assert_allclose(
+            p["c0"].grad, np.concatenate([c.grad for _, c in starts]), **close)
+
+    def test_padding_never_changes_real_steps(self):
+        rng = np.random.default_rng(22)
+        H = 2
+        gx = rng.normal(size=(3, 1, 4 * H)).astype(np.float32)
+        wh = ad.tensor(rng.normal(size=(4 * H, H)))
+        pads = rng.normal(size=(2, 1, 4 * H))
+        padded = np.concatenate([gx, pads]).astype(np.float32)
+        for reverse in (False, True):
+            short = ad.lstm_layer(ad.tensor(gx), wh, reverse=reverse)
+            long = ad.lstm_layer(ad.tensor(padded), wh, reverse=reverse,
+                                 mask=np.arange(5)[:, None] < np.array([[3]]))
+            np.testing.assert_array_equal(long.data[:3], short.data)
+            np.testing.assert_array_equal(long.data[3:], 0.0)
+
+    def test_step_kernel_matches_cell(self):
+        rng = np.random.default_rng(23)
+        params = ad.init_lstm(rng, input_dim=3, hidden=4, prefix="cell",
+                              dtype=np.float64)
+        x, h, c = (f64(rng.normal(size=(2, n))) for n in (3, 4, 4))
+        h_ref, c_ref = ad.lstm_cell(x, h, c, params)
+        gx = ad.linear(x, params.wi, params.b).data
+        h2, c2 = ad.lstm_step(gx, params.wh.data, h.data, c.data)
+        np.testing.assert_allclose(h2, h_ref.data, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(c2, c_ref.data, rtol=1e-12, atol=1e-14)
+
+    def test_one_tape_record(self):
+        gx = f64_param(np.zeros((6, 2, 8)), "gx")
+        with ad.Tape() as tape:
+            ad.lstm_layer(gx, f64(np.zeros((8, 2))), reverse=True)
+        assert len(tape.records) == 1
+
+    def test_shape_errors(self):
+        gx = f64(np.zeros((3, 2, 8)))
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_layer(gx, f64(np.zeros((8, 3))))
+        with pytest.raises(ad.ShapeError):
+            ad.lstm_layer(gx, f64(np.zeros((8, 2))), mask=np.ones((2, 3), bool))
+        with pytest.raises(ad.EmptySequenceError):
+            ad.lstm_layer(f64(np.zeros((0, 2, 8))), f64(np.zeros((8, 2))))
 
 
 class TestTapeDiscipline:

@@ -60,3 +60,38 @@ def test_truncated_blob_is_error(tmp_path, arrays):
     blob_path.write_bytes(blob_path.read_bytes()[:-4])
     with pytest.raises(CheckpointError):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def _edit_manifest(path, edit):
+    mpath = path / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    edit(manifest)
+    mpath.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m["tensors"][1].update(offset=-4), "bad offset"),
+    (lambda m: m["tensors"][1].update(offset=1.5), "bad offset"),
+    (lambda m: m["tensors"][0].update(shape=[8, -3]), "bad shape"),
+    (lambda m: m["tensors"][0].update(shape=[8, "3"]), "bad shape"),
+    (lambda m: m["tensors"][2].update(shape=[10, 5]), "past the"),
+    (lambda m: m["tensors"][2].update(shape=[1 << 40, 1 << 40]), "past the"),
+    (lambda m: m["tensors"][1].update(offset=0), "must be contiguous"),
+    (lambda m: m["tensors"][2].update(offset=8 * 3 * 4), "must be contiguous"),
+    (lambda m: m["tensors"][2].update(shape=[9, 4]), "cover"),
+    (lambda m: m["tensors"][1].update(name="enc.wi"), "listed twice"),
+    (lambda m: m.pop("blob_bytes"), "blob size"),
+    (lambda m: m["tensors"].append("junk"), "bad tensor entry"),
+])
+def test_inconsistent_manifest_is_error(tmp_path, arrays, edit, message):
+    save_checkpoint(tmp_path / "ckpt", arrays)
+    _edit_manifest(tmp_path / "ckpt", edit)
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(tmp_path / "ckpt")
+
+
+def test_unparsable_manifest_is_error(tmp_path, arrays):
+    save_checkpoint(tmp_path / "ckpt", arrays)
+    (tmp_path / "ckpt" / "manifest.json").write_text("{not json")
+    with pytest.raises(CheckpointError, match="unreadable manifest"):
+        load_checkpoint(tmp_path / "ckpt")

@@ -111,6 +111,16 @@ class TestFilterCommand:
               "--out-root", str(tmp_path / "runs")])
         assert corpus.read_bytes() == before
 
+    def test_repeated_example_id_exits_1(self, tmp_path, capsys):
+        examples = make_examples(4, seed=3)
+        examples[2].id = examples[0].id
+        corpus = tmp_path / "c.csv"
+        write_corpus_csv(corpus, examples)
+        code = main(["filter", "--input", str(corpus),
+                     "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert "repeated on rows 2 and 4" in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["filter", "--input", str(tmp_path / "nope.csv"),
                      "--out-root", str(tmp_path / "runs")])

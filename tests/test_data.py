@@ -271,6 +271,17 @@ class TestLoadCorpus:
         assert len(loaded) == 1
         assert skipped == 2
 
+    def test_repeated_example_id_is_error(self, tmp_path):
+        path = tmp_path / "corpus.csv"
+        path.write_text(
+            "pairID,gold_label,Sentence1,Sentence2\n"
+            "a1,entailment,a dog,an animal\n"
+            "b2,neutral,a dog,a cat\n"
+            "a1,-,a dog,a pet\n")
+        with pytest.raises(D.CorpusFormatError,
+                           match=r"'a1' repeated on rows 2 and 4"):
+            D.load_corpus(path)
+
     def test_missing_required_column_is_error(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("gold_label,Sentence1\nentailment,a dog\n")
