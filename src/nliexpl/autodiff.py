@@ -109,9 +109,15 @@ def param(data, name: str) -> Tensor:
     return Tensor(data, is_param=True, name=name)
 
 
-def uniform_param(rng: np.random.Generator, shape, fan_in: int, name: str,
-                  dtype=np.float32) -> Tensor:
-    """Weight init: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
+def uniform_param(rng: np.random.Generator | None, shape, fan_in: int,
+                  name: str, dtype=np.float32) -> Tensor:
+    """Weight init: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
+
+    Without a generator the array is left uninitialised, for a skeleton
+    whose every parameter is about to be overwritten (a checkpoint load).
+    """
+    if rng is None:
+        return param(np.empty(shape, dtype=dtype), name)
     bound = 1.0 / np.sqrt(fan_in)
     return param(rng.uniform(-bound, bound, size=shape).astype(dtype), name)
 

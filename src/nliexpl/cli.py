@@ -28,7 +28,8 @@ from .checkpoint import CheckpointError
 from .config import (ConfigError, apply_override, empty_config, load_config,
                      resolve_path)
 from .data import (ColumnMap, CorpusFormatError, EmbeddingTable, build_vocab,
-                   encode_corpus, load_corpus, load_embeddings, tokenize)
+                   encode_corpus, load_corpus, load_embeddings, pad_rows,
+                   tokenize)
 from .evaluation import (EvaluationError, EvalReport, bleu, evaluate_model,
                          expl_at_k, inter_annotator_bleu, load_annotations,
                          transfer_eval)
@@ -376,13 +377,13 @@ def cmd_repr_export(args) -> int:
     sentences = [tokenize(line) for line in lines if line.strip()]
     if not sentences:
         raise EvaluationError(f"{sent_path}: no sentences to encode")
-    rows = []
-    for tokens in sentences:
-        ids = np.array([model.vocab.encode(tokens)], dtype=np.int64)
-        u, _ = encoder.encode(model.embedding, ids,
-                              np.array([ids.shape[1]], dtype=np.int64))
-        rows.append(u.data[0])
-    matrix = np.stack(rows)
+    size = config["eval"]["batch_size"]
+    chunks = []
+    for start in range(0, len(sentences), size):
+        ids, lengths = pad_rows([model.vocab.encode(tokens)
+                                 for tokens in sentences[start:start + size]])
+        chunks.append(encoder.encode(model.embedding, ids, lengths)[0].data)
+    matrix = np.concatenate(chunks)
     out_path = Path(args.out) if args.out else run_dir / "dumps" / "representations.txt"
     header = f"sentence representations rows={matrix.shape[0]} cols={matrix.shape[1]}"
     np.savetxt(out_path, matrix, header=header)

@@ -20,6 +20,13 @@ def _strlist(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise ValueError(raw)
+    return value
+
+
 SCHEMA: dict[str, dict[str, type | object]] = {
     "data": {
         "train": str, "valid": str, "test": str,
@@ -34,13 +41,13 @@ SCHEMA: dict[str, dict[str, type | object]] = {
         "classifier_width": int, "max_decode_len": int,
     },
     "training": {
-        "alpha": float, "epochs": int, "batch_size": int, "lr": float,
-        "decay": float, "dropout": float, "seed": int, "clip_norm": float,
-        "weight_decay": float,
+        "alpha": float, "epochs": int, "batch_size": _positive_int,
+        "lr": float, "decay": float, "dropout": float, "seed": int,
+        "clip_norm": float, "weight_decay": float,
     },
     "eval": {
-        "batch_size": int, "expl_classifier": str, "annotations": str,
-        "expl_at_k_mode": str,
+        "batch_size": _positive_int, "expl_classifier": str,
+        "annotations": str, "expl_at_k_mode": str,
     },
 }
 

@@ -366,21 +366,14 @@ class Batch:
     def size(self) -> int:
         return len(self.ids)
 
-    @staticmethod
-    def _pad_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-        return np.arange(width)[None, :] >= lengths[:, None]
 
-    @property
-    def premise_pad_mask(self) -> np.ndarray:
-        """True exactly on pad positions."""
-        return self._pad_mask(self.premise_len, self.premise.shape[1])
-
-    @property
-    def hypothesis_pad_mask(self) -> np.ndarray:
-        return self._pad_mask(self.hypothesis_len, self.hypothesis.shape[1])
+def real_mask(lengths: np.ndarray, width: int) -> np.ndarray:
+    """(B, width) mask, True exactly on the first lengths[b] positions."""
+    return np.arange(width)[None, :] < lengths[:, None]
 
 
-def _pad_rows(rows: list[np.ndarray], pad_id: int = 0) -> tuple[np.ndarray, np.ndarray]:
+def pad_rows(rows: list, pad_id: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pads id rows into one (B, T) matrix; returns (ids, lengths)."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
     width = int(lengths.max())
     out = np.full((len(rows), width), pad_id, dtype=np.int64)
@@ -390,12 +383,12 @@ def _pad_rows(rows: list[np.ndarray], pad_id: int = 0) -> tuple[np.ndarray, np.n
 
 
 def make_batch(chunk: list[EncodedExample], with_explanations: bool) -> Batch:
-    prem, prem_len = _pad_rows([e.premise for e in chunk])
-    hyp, hyp_len = _pad_rows([e.hypothesis for e in chunk])
+    prem, prem_len = pad_rows([e.premise for e in chunk])
+    hyp, hyp_len = pad_rows([e.hypothesis for e in chunk])
     labels = np.array([e.label for e in chunk], dtype=np.int64)
     expl = expl_len = None
     if with_explanations:
-        expl, expl_len = _pad_rows([e.explanations[0] for e in chunk])
+        expl, expl_len = pad_rows([e.explanations[0] for e in chunk])
     return Batch(ids=[e.id for e in chunk], premise=prem, premise_len=prem_len,
                  hypothesis=hyp, hypothesis_len=hyp_len, labels=labels,
                  explanation=expl, explanation_len=expl_len)

@@ -25,13 +25,13 @@ the CLI read from them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Batch, EmbeddingTable, Vocabulary
+from .data import Batch, EmbeddingTable, Vocabulary, pad_rows, real_mask
 
 
 class ModelError(RuntimeError):
@@ -71,10 +71,6 @@ def feature_vector(u: ad.Tensor, v: ad.Tensor) -> FeatureVector:
         raise ad.ShapeError(f"feature_vector: {u.shape} vs {v.shape}")
     f = ad.concat([u, v, ad.abs_(ad.sub(u, v)), ad.mul(u, v)])
     return FeatureVector(f=f, u=u, v=v)
-
-
-def _real_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-    return np.arange(width)[None, :] < lengths[:, None]
 
 
 class WordEmbedding:
@@ -128,7 +124,7 @@ class BiLstmEncoder:
         if (lengths < 1).any():
             raise ad.EmptySequenceError(f"{self.prefix}: all-pad input row")
         emb = embedding.lookup(ids.T)
-        real = np.arange(ids.shape[1])[:, None] < lengths[None, :]
+        real = real_mask(lengths, ids.shape[1]).T
         halves = [ad.lstm_layer(ad.linear(emb, cell.wi, cell.b), cell.wh,
                                 mask=real, reverse=reverse)
                   for cell, reverse in ((self.fwd, False), (self.bwd, True))]
@@ -535,8 +531,8 @@ class Explainer(BaseModel):
             for head, name, seq in zip(self.heads, self.sentences, states):
                 proj1, proj2 = head.precompute(seq)
                 ctx.append((head, proj1, proj2,
-                            _real_mask(getattr(batch, f"{name}_len"),
-                                       getattr(batch, name).shape[1])))
+                            real_mask(getattr(batch, f"{name}_len"),
+                                      getattr(batch, name).shape[1])))
         return fv.f, ctx, logits
 
     def _label_vocab_ids(self, label_classes: np.ndarray) -> np.ndarray:
@@ -555,8 +551,7 @@ class Explainer(BaseModel):
         if label_classes is not None:
             inputs[:, 0] = self._label_vocab_ids(label_classes)
         targets = expl[:, 1:]
-        width = targets.shape[1]
-        mask = np.arange(width)[None, :] < (batch.explanation_len - 1)[:, None]
+        mask = real_mask(batch.explanation_len - 1, targets.shape[1])
         return self.decoder.teacher_forced(self.embedding, source, inputs,
                                            targets, mask, train, rng,
                                            attn_ctx=ctx)
@@ -661,19 +656,6 @@ class ExplanationClassifier(BaseModel):
     sentences = ("explanation",)
     has_classifier = True
 
-    def classify_token_ids(self, token_ids: list[int]) -> int:
-        """Label one raw explanation (ids without <bos>/<eos>)."""
-        if not token_ids:
-            raise ModelError("empty explanation")
-        return self._classify_wrapped(token_ids)
-
-    def _classify_wrapped(self, token_ids: list[int]) -> int:
-        row = np.array([[self.vocab.bos_id] + list(token_ids)
-                        + [self.vocab.eos_id]], dtype=np.int64)
-        u, _ = self.explanation_encoder.encode(
-            self.embedding, row, np.array([row.shape[1]], dtype=np.int64))
-        return int(classify(self.classifier, u)[1][0])
-
 
 class AutoEncoder(BaseModel):
     """Classifier trunk plus one shared decoder that reconstructs the
@@ -686,21 +668,11 @@ class AutoEncoder(BaseModel):
 
     def _reconstruction_rows(self, ids: np.ndarray, lengths: np.ndarray):
         cap = self.cfg.max_decode_len
-        rows = []
-        for i in range(ids.shape[0]):
-            body = ids[i, :min(int(lengths[i]), cap)]
-            rows.append(np.concatenate(([self.vocab.bos_id], body,
-                                        [self.vocab.eos_id])))
-        width = max(len(r) for r in rows)
-        mat = np.zeros((len(rows), width), dtype=np.int64)
-        lens = np.zeros(len(rows), dtype=np.int64)
-        for i, r in enumerate(rows):
-            mat[i, :len(r)] = r
-            lens[i] = len(r)
-        inputs = mat[:, :-1]
-        targets = mat[:, 1:]
-        mask = np.arange(width - 1)[None, :] < (lens - 1)[:, None]
-        return inputs, targets, mask
+        mat, lens = pad_rows([
+            np.concatenate(([self.vocab.bos_id], row[:min(int(n), cap)],
+                            [self.vocab.eos_id]))
+            for row, n in zip(ids, lengths)])
+        return mat[:, :-1], mat[:, 1:], real_mask(lens - 1, mat.shape[1] - 1)
 
     def loss(self, batch, train=True, rng=None, alpha=None):
         fv, _, _ = self.features(batch)
@@ -724,25 +696,35 @@ class AutoEncoder(BaseModel):
 class ExplainThenPredict:
     """Pipeline: generate an explanation, then label it in isolation."""
 
-    def __init__(self, generator: BaseModel,
-                 expl_classifier: ExplanationClassifier):
+    def __init__(self, generator: BaseModel, expl_classifier: BaseModel):
         if not generator.explains:
             raise ModelError(f"{generator.variant} cannot generate "
                              "explanations for explain-then-predict")
+        if not (expl_classifier.has_classifier
+                and expl_classifier.sentences == ("explanation",)):
+            raise ModelError(f"{expl_classifier.variant} does not label "
+                             "explanations; explain-then-predict needs "
+                             "expl-to-label")
+        if expl_classifier.vocab.sha256() != generator.vocab.sha256():
+            raise ModelError("explanation classifier and generator use "
+                             "different vocabularies")
         self.generator = generator
         self.expl_classifier = expl_classifier
 
     def predict(self, batch: Batch):
         """Returns (labels, explanation ids, empty-explanation flags).
 
-        The label depends only on the generated explanation; an empty
-        generation is still classified (from the bare <bos><eos> pair)
-        and flagged.
+        All generations are labelled in one batched encode; each label
+        still depends only on its own explanation, since padding never
+        reaches real positions. An empty generation is classified from
+        the bare <bos><eos> pair and flagged.
         """
         expl, empty = self.generator.generate(batch)[:2]
-        labels = np.array([self.expl_classifier._classify_wrapped(e)
-                           for e in expl], dtype=np.int64)
-        return labels, expl, empty
+        vocab = self.generator.vocab
+        ids, lengths = pad_rows([[vocab.bos_id, *e, vocab.eos_id]
+                                 for e in expl])
+        wrapped = replace(batch, explanation=ids, explanation_len=lengths)
+        return self.expl_classifier.predict_labels(wrapped), expl, empty
 
 
 VARIANTS: dict[str, type[BaseModel]] = {
@@ -774,7 +756,7 @@ def load_model(path) -> BaseModel:
     if vocab.sha256() != meta["model"]["vocab_sha256"]:
         raise ModelError(f"vocabulary hash mismatch in {path}")
     table = EmbeddingTable(matrix=arrays.pop("embedding.frozen"), frozen=True)
-    model = build_model(cfg, vocab, table, np.random.default_rng(0))
+    model = build_model(cfg, vocab, table, None)   # every array overwritten below
     params = model.params()
     missing = set(params) - set(arrays)
     if missing:

@@ -3,7 +3,7 @@
 import numpy as np
 
 from nliexpl import autodiff as ad
-from nliexpl.data import (EmbeddingTable, build_vocab, encode_corpus,
+from nliexpl.data import (Batch, EmbeddingTable, build_vocab, encode_corpus,
                           make_batch)
 from nliexpl.models import ModelConfig, build_model
 from oracles import max_rel_err, numeric_grad
@@ -39,6 +39,17 @@ def toy_setup(variant, n=6, seed=0, max_tokens=None, **cfg_kw):
     model = build_model(cfg, vocab, table, rng)
     batch = make_batch(encode_corpus(examples, vocab), with_explanations=True)
     return model, batch, vocab
+
+
+def label_alone(clf, token_ids):
+    """expl-to-label's label for one raw explanation (ids without
+    <bos>/<eos>), from a one-row batch that carries nothing else."""
+    vocab = clf.vocab
+    row = np.array([[vocab.bos_id, *token_ids, vocab.eos_id]], dtype=np.int64)
+    batch = Batch(ids=["alone"], premise=None, premise_len=None,
+                  hypothesis=None, hypothesis_len=None, labels=None,
+                  explanation=row, explanation_len=np.array([row.shape[1]]))
+    return int(clf.predict_labels(batch)[0])
 
 
 def full_model_grad_check(model, batch, alpha=None, eps=1e-3, tol=1e-4):

@@ -23,7 +23,8 @@ from nliexpl.quality import (HYPOTHESIS_SLOT, PREMISE_SLOT, TEMPLATES,
                              is_uninformative, normalize, validate_annotation,
                              instantiate_templates)
 from nliexpl.training import TrainConfig, TrainData, train
-from model_utils import full_model_grad_check, toy_config, toy_setup
+from model_utils import (full_model_grad_check, label_alone, toy_config,
+                         toy_setup)
 from oracles import (brute_force_bleu, levenshtein_full, max_rel_err,
                      numeric_grad, straight_line_attention)
 from synth import make_examples, random_sentence
@@ -419,8 +420,7 @@ def test_criterion_8_pipeline_contract():
         for batch in iterate_batches(encoded, 8, with_explanations=True):
             labels, expls, empty = pipe.predict(batch)
             for lab, e in zip(labels, expls):
-                redo = clf._classify_wrapped(e)
-                agree += int(redo == lab)
+                agree += int(label_alone(clf, e) == lab)
                 total += 1
         assert total == 40
         assert agree == total, f"{variant}: {agree}/{total}"

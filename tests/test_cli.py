@@ -281,18 +281,37 @@ class TestEvalAndGenerate:
                                                      toy_config, trained):
         from nliexpl.models import load_model
         from nliexpl.data import tokenize
-        sentences = tmp_path / "one.txt"
-        sentences.write_text("a dog runs\n")
+        lines = ["a dog runs", "a cat sits in the park", "dog",
+                 "the man is sleeping on a bench", "a cat"]
+        sentences = tmp_path / "several.txt"
+        sentences.write_text("\n".join(lines) + "\n")
         out = tmp_path / "m.txt"
+        # chunks of 2, 2 and 1 rows, each padded to its longest sentence
         assert main(["repr-export", "--config", str(toy_config),
+                     "--set", "eval.batch_size", "2",
                      "--checkpoint", str(trained),
                      "--sentences", str(sentences), "--out", str(out),
                      "--out-root", str(tmp_path / "rr")]) == 0
+        matrix = np.loadtxt(out)
+        assert matrix.shape == (len(lines), 12)
         model = load_model(trained)
-        ids = np.array([model.vocab.encode(tokenize("a dog runs"))])
-        u, _ = model.premise_encoder.encode(model.embedding, ids,
-                                            np.array([ids.shape[1]]))
-        np.testing.assert_allclose(np.loadtxt(out), u.data[0], rtol=1e-6)
+        for row, line in zip(matrix, lines):
+            ids = np.array([model.vocab.encode(tokenize(line))])
+            u, _ = model.premise_encoder.encode(model.embedding, ids,
+                                                np.array([ids.shape[1]]))
+            np.testing.assert_allclose(row, u.data[0], rtol=1e-6)
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_non_positive_batch_size_exits_1(self, tmp_path, toy_config,
+                                             trained, capsys, size):
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("a dog runs\n")
+        code = main(["repr-export", "--config", str(toy_config),
+                     "--set", "eval.batch_size", size,
+                     "--checkpoint", str(trained), "--sentences", str(sentences),
+                     "--out-root", str(tmp_path / "rr")])
+        assert code == 1
+        assert "bad value for [eval] batch_size" in capsys.readouterr().err
 
     def test_empty_sentences_file_is_error(self, tmp_path, toy_config, trained):
         empty = tmp_path / "empty.txt"
@@ -301,6 +320,59 @@ class TestEvalAndGenerate:
                      "--checkpoint", str(trained), "--sentences", str(empty),
                      "--out-root", str(tmp_path / "rr")])
         assert code == 1
+
+
+class TestExplainThenPredictCommand:
+    """`eval --expl-classifier` on untrained checkpoints of a generator
+    that has no classifier of its own."""
+
+    @staticmethod
+    def _save(path, variant, examples):
+        from nliexpl.data import EmbeddingTable, build_vocab
+        from nliexpl.models import ModelConfig, build_model
+        vocab = build_vocab([e.premise for e in examples]
+                            + [e.hypothesis for e in examples]
+                            + [e.explanations[0] for e in examples],
+                            min_count=1)
+        cfg = ModelConfig(variant=variant, embed_dim=8, encoder_hidden=6,
+                          classifier_width=6, decoder_hidden=6,
+                          max_decode_len=10)
+        rng = np.random.default_rng(5)
+        table = EmbeddingTable.random(vocab, cfg.embed_dim, rng)
+        build_model(cfg, vocab, table, rng).save(path)
+        return path
+
+    def _eval(self, tmp_path, toy_config, corpus, clf_variant, clf_examples):
+        _, valid = corpus
+        examples = make_examples(9, seed=50, n_explanations=3)
+        gen = self._save(tmp_path / "gen", "expl-pred-seq2seq", examples)
+        clf = self._save(tmp_path / "clf", clf_variant, clf_examples)
+        return main(["eval", "--config", str(toy_config),
+                     "--checkpoint", str(gen), "--corpus", str(valid),
+                     "--expl-classifier", str(clf),
+                     "--out-root", str(tmp_path / "runs")])
+
+    def test_matching_classifier_labels(self, tmp_path, toy_config, corpus):
+        examples = make_examples(9, seed=50, n_explanations=3)
+        assert self._eval(tmp_path, toy_config, corpus, "expl-to-label",
+                          examples) == 0
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        report = json.loads((run_dir / "reports" / "eval_report.json").read_text())
+        assert report["accuracy"] is not None
+
+    def test_pair_classifier_exits_1(self, tmp_path, toy_config, corpus,
+                                     capsys):
+        examples = make_examples(9, seed=50, n_explanations=3)
+        assert self._eval(tmp_path, toy_config, corpus, "bilstm-max",
+                          examples) == 1
+        assert "does not label explanations" in capsys.readouterr().err
+
+    def test_classifier_with_another_vocabulary_exits_1(self, tmp_path,
+                                                        toy_config, corpus,
+                                                        capsys):
+        assert self._eval(tmp_path, toy_config, corpus, "expl-to-label",
+                          make_examples(9, seed=7)) == 1
+        assert "different vocabularies" in capsys.readouterr().err
 
 
 class TestBleuCommand:

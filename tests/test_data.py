@@ -233,13 +233,13 @@ class TestBatching:
     def test_pad_mask_complementary_to_lengths(self):
         enc, v = self._encoded(30)
         for batch in D.iterate_batches(enc, 8):
-            mask = batch.premise_pad_mask
+            real = D.real_mask(batch.premise_len, batch.premise.shape[1])
             for i, ln in enumerate(batch.premise_len):
-                assert not mask[i, :ln].any()
-                assert mask[i, ln:].all()
-            # pads are pad_id exactly where the mask is set
-            assert (batch.premise[mask] == v.pad_id).all()
-            assert (batch.premise[~mask] != v.pad_id).all() or True
+                assert real[i, :ln].all()
+                assert not real[i, ln:].any()
+            # pads are pad_id exactly where the mask is clear
+            assert (batch.premise[~real] == v.pad_id).all()
+            assert (batch.premise[real] != v.pad_id).all()
 
     def test_lengths_bounded_by_width(self):
         enc, _ = self._encoded(40)

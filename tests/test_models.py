@@ -8,7 +8,8 @@ from nliexpl import models as M
 from nliexpl.data import EmbeddingTable, Vocabulary, build_vocab, make_batch
 from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
                             build_model, classify, feature_vector, load_model)
-from model_utils import full_model_grad_check, toy_config, toy_setup
+from model_utils import (full_model_grad_check, label_alone, toy_config,
+                         toy_setup)
 from oracles import straight_line_attention
 
 
@@ -408,12 +409,8 @@ class TestPipeline:
         gen, batch, vocab = toy_setup("expl-pred-seq2seq", n=5, seed=2)
         clf = self._classifier_sharing(vocab)
         pipe = ExplainThenPredict(gen, clf)
-        labels, expl, empty = pipe.predict(batch)
-        for lab, e, is_empty in zip(labels, expl, empty):
-            if is_empty:
-                assert lab == clf._classify_wrapped(e)
-            else:
-                assert lab == clf.classify_token_ids(e)
+        labels, expl, _ = pipe.predict(batch)
+        assert [label_alone(clf, e) for e in expl] == labels.tolist()
 
     def test_empty_generation_flagged_not_fatal(self):
         gen, batch, vocab = toy_setup("expl-pred-seq2seq", n=3, seed=0)
@@ -435,12 +432,38 @@ class TestPipeline:
         gen, batch, vocab = toy_setup("pred-expl", n=3)
         clf = self._classifier_sharing(vocab)
         labels, expl, _ = ExplainThenPredict(gen, clf).predict(batch)
-        assert [clf._classify_wrapped(e) for e in expl] == labels.tolist()
+        assert [label_alone(clf, e) for e in expl] == labels.tolist()
 
-    def test_expl_to_label_rejects_empty_input(self):
-        clf, _, _ = toy_setup("expl-to-label", n=2)
-        with pytest.raises(M.ModelError):
-            clf.classify_token_ids([])
+    @pytest.mark.parametrize("variant", ["bilstm-max", "hyp-to-label",
+                                         "hyp-to-expl"])
+    def test_classifier_that_cannot_label_explanations_rejected(self,
+                                                                variant):
+        gen, _, vocab = toy_setup("expl-pred-seq2seq", n=3)
+        clf, _, _ = toy_setup(variant, n=3)   # same corpus, same vocabulary
+        assert clf.vocab.sha256() == vocab.sha256()
+        with pytest.raises(M.ModelError, match="does not label explanations"):
+            ExplainThenPredict(gen, clf)
+
+    def test_classifier_with_another_vocabulary_rejected(self):
+        gen, _, _ = toy_setup("expl-pred-seq2seq", n=3, seed=0)
+        clf, _, _ = toy_setup("expl-to-label", n=5, seed=4)
+        with pytest.raises(M.ModelError, match="different vocabularies"):
+            ExplainThenPredict(gen, clf)
+
+    def test_labels_all_generations_in_one_encode(self, monkeypatch):
+        gen, batch, vocab = toy_setup("expl-pred-att", n=5, seed=2)
+        clf = self._classifier_sharing(vocab)
+        widths = []
+        encode = M.BiLstmEncoder.encode
+
+        def spy(encoder, embedding, ids, lengths):
+            widths.append(ids.shape[0])
+            return encode(encoder, embedding, ids, lengths)
+
+        monkeypatch.setattr(M.BiLstmEncoder, "encode", spy)
+        labels, _, _ = ExplainThenPredict(gen, clf).predict(batch)
+        # two generator encodes, then one classifier encode of all 5 rows
+        assert widths == [5, 5, 5] and len(labels) == 5
 
     def test_expl_to_label_deterministic(self):
         clf, batch, _ = toy_setup("expl-to-label", n=4)
