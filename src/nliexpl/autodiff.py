@@ -779,16 +779,18 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
         if rmask.shape != (B, H):
             raise ShapeError(f"lstm_layer: rmask {rmask.shape}, expected {(B, H)}")
     steps = range(T - 1, -1, -1) if reverse else range(T)
-    acts = np.empty_like(x)
-    c_prev = np.empty((T, B, H), dtype=dtype)
-    tanh_c = np.empty((T, B, H), dtype=dtype)
-    h_in = np.empty((T, B, H), dtype=dtype)
     hs = np.empty((T, B, H), dtype=dtype)
+    # the caches backward reads; with no tape recording nothing reads them
+    recording = _active_tape() is not None
+    if recording:
+        acts = np.empty_like(x)
+        c_prev, tanh_c, h_in = (np.empty((T, B, H), dtype=dtype)
+                                for _ in range(3))
     for t in steps:
-        h_in[t] = h if rmask is None else h * rmask
-        c_prev[t] = c
-        acts[t], c_new, tanh_c[t], h_new = _lstm_gates(
-            x[t] + _recurrent(h_in[t], w), c)
+        h_t = h if rmask is None else h * rmask
+        a_t, c_new, tc_t, h_new = _lstm_gates(x[t] + _recurrent(h_t, w), c)
+        if recording:
+            acts[t], c_prev[t], tanh_c[t], h_in[t] = a_t, c, tc_t, h_t
         if keep is None:
             h, c = h_new, c_new
             hs[t] = h
@@ -797,6 +799,8 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
             h = hs[t] + h * held[t]
             c = c_new * keep[t] + c * held[t]
     out = Tensor(hs)
+    if not recording:
+        return out
 
     def _bw(g):
         i, f, gc, o = (acts[..., k * H:(k + 1) * H] for k in range(4))

@@ -5,12 +5,18 @@ tensor's name, shape, trainable flag, and byte offset) and `params.bin`
 (all tensors concatenated row-major as little-endian float32).
 Save -> load round-trips bit-exactly. Loading checks that the manifest
 entries tile the blob exactly: in order, without gaps or overlaps.
+
+A save writes both files into a temporary sibling directory and renames
+it into place, so an interrupted save leaves the previous checkpoint or
+none, never one save's blob beside another save's manifest.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +34,18 @@ class CheckpointError(RuntimeError):
 def save_checkpoint(path, arrays: dict[str, np.ndarray],
                     trainable: set[str] | None = None,
                     meta: dict | None = None) -> Path:
-    """Write `arrays` (insertion order preserved) under directory `path`."""
+    """Write `arrays` (insertion order preserved) as directory `path`,
+    replacing the checkpoint (or empty directory) already there."""
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    if path.exists() and not {p.name for p in path.iterdir()} <= {
+            MANIFEST_NAME, BLOB_NAME}:
+        raise CheckpointError(f"{path} holds more than a checkpoint; "
+                              "not replacing it")
+    partial = path.with_name(f".{path.name}.partial")
+    previous = path.with_name(f".{path.name}.previous")
+    for stale in (partial, previous):   # left by an interrupted save
+        shutil.rmtree(stale, ignore_errors=True)
+    partial.mkdir(parents=True)
     entries = []
     chunks = []
     offset = 0
@@ -46,9 +61,17 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray],
         offset += data.nbytes
     manifest = {"format": FORMAT_TAG, "dtype": "<f4", "blob_bytes": offset,
                 "tensors": entries, "meta": meta or {}}
-    (path / BLOB_NAME).write_bytes(b"".join(chunks))
-    (path / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=1, sort_keys=False), encoding="utf-8")
+    try:
+        (partial / BLOB_NAME).write_bytes(b"".join(chunks))
+        (partial / MANIFEST_NAME).write_text(
+            json.dumps(manifest, indent=1, sort_keys=False), encoding="utf-8")
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if path.exists():
+        os.replace(path, previous)
+    os.replace(partial, path)
+    shutil.rmtree(previous, ignore_errors=True)
     return path
 
 

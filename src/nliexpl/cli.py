@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .checkpoint import CheckpointError
 from .config import (ConfigError, apply_override, empty_config, load_config,
-                     resolve_path)
+                     resolve_path, set_value)
 from .data import (ColumnMap, CorpusFormatError, EmbeddingTable, build_vocab,
                    encode_corpus, load_corpus, load_embeddings, pad_rows,
                    tokenize)
@@ -51,7 +51,7 @@ def _sha256(path: Path) -> str:
 
 
 def _start_run(args, config: dict, inputs: list[Path]) -> Path:
-    seed = config["training"]["seed"] or 0
+    seed = config["training"]["seed"]
     stamp = time.strftime("%Y%m%d-%H%M%S")
     run_dir = Path(args.out_root) / f"{stamp}-seed{seed}"
     suffix = 0
@@ -96,7 +96,7 @@ def _resolved_config(args) -> dict:
     for attr, (section, key) in direct.items():
         value = getattr(args, attr, None)
         if value is not None:
-            config[section][key] = value
+            set_value(config, section, key, value)
     return config
 
 
@@ -134,7 +134,7 @@ def _load_bundle(config: dict):
     if emb_path is not None:
         table = load_embeddings(emb_path, vocab, dim=dim)
     else:
-        seed = config["training"]["seed"] or 0
+        seed = config["training"]["seed"]
         table = EmbeddingTable.random(vocab, dim,
                                       np.random.default_rng([seed, 99]))
     limits = dict(sentence_limit=data_cfg["sentence_limit"],
@@ -166,7 +166,7 @@ def _train_config(config: dict) -> TrainConfig:
         decoder_hidden=model_cfg["decoder_hidden"],
         max_decode_len=model_cfg["max_decode_len"],
         clip_norm=train_cfg.get("clip_norm"),
-        weight_decay=train_cfg["weight_decay"] or 0.0,
+        weight_decay=train_cfg["weight_decay"],
     )
 
 

@@ -1,8 +1,9 @@
 """Flat sectioned key=value configuration files.
 
 One section per module; unknown sections or keys are rejected so typos
-fail loudly. Empty values mean "unset". Flag overrides are applied on
-top of the file by the CLI.
+fail loudly. An empty value unsets a key that has no default; a key
+with a default must have a value. Flag overrides are applied on top of
+the file by the CLI, through the same typed `set_value`.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ SCHEMA: dict[str, dict[str, type | object]] = {
         "classifier_width": int, "max_decode_len": int,
     },
     "training": {
-        "alpha": float, "epochs": int, "batch_size": _positive_int,
+        "alpha": float, "epochs": _positive_int, "batch_size": _positive_int,
         "lr": float, "decay": float, "dropout": float, "seed": int,
         "clip_norm": float, "weight_decay": float,
     },
@@ -84,15 +85,18 @@ def load_config(path) -> dict[str, dict]:
 
 
 def set_value(config: dict, section: str, key: str, raw) -> None:
-    """Typed assignment of one key; unknown keys are rejected."""
+    """Typed assignment of one key, from a string or an already typed
+    flag value; unknown keys are rejected."""
     if section not in SCHEMA or key not in SCHEMA[section]:
         raise ConfigError(f"unknown config key [{section}] {key}")
     if raw is None or (isinstance(raw, str) and not raw.strip()):
+        if key in DEFAULTS.get(section, {}):
+            raise ConfigError(f"[{section}] {key} needs a value")
         config[section][key] = None
         return
     parse = SCHEMA[section][key]
     try:
-        config[section][key] = parse(raw) if isinstance(raw, str) else raw
+        config[section][key] = parse(raw)
     except (TypeError, ValueError):
         raise ConfigError(
             f"bad value for [{section}] {key}: {raw!r}") from None

@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (Batch, ColumnMap, EncodedExample, Example, encode_corpus,
+from .data import (ColumnMap, EncodedExample, Example, encode_corpus,
                    iterate_batches, load_corpus)
+from .models import EvalOutput, ExplainThenPredict
 
 BLEU_MAX_N = 4
 
@@ -117,36 +118,6 @@ def inter_annotator_bleu(examples: list[Example]) -> tuple[float, int, int]:
     if not cands:
         raise EvaluationError("no examples with three explanations")
     return bleu(cands, refs), len(cands), skipped
-
-
-# ---------------------------------------------------------------------------
-# Perplexity
-
-
-@dataclass
-class PerplexityResult:
-    perplexity: float
-    total_nll: float
-    n_tokens: int
-    token_accuracy: float
-
-
-def perplexity(model, encoded: list[EncodedExample],
-               batch_size: int = 64) -> PerplexityResult:
-    """Teacher-forced perplexity over the first gold explanations."""
-    total_nll = 0.0
-    n_tokens = 0
-    n_correct = 0
-    for batch in iterate_batches(encoded, batch_size, with_explanations=True):
-        nll, tokens, correct = model.explanation_nll(batch)
-        total_nll += nll
-        n_tokens += tokens
-        n_correct += correct
-    if n_tokens == 0:
-        raise EvaluationError("no explanation tokens to score")
-    return PerplexityResult(perplexity=math.exp(total_nll / n_tokens),
-                            total_nll=total_nll, n_tokens=n_tokens,
-                            token_accuracy=n_correct / n_tokens)
 
 
 # ---------------------------------------------------------------------------
@@ -249,56 +220,63 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def predict_all(model, encoded, batch_size=64, expl_classifier=None,
-                with_explanations=None):
-    """Labels for every example; uses the explain-then-predict pipeline
-    when the model itself has no classifier."""
-    from .models import ExplainThenPredict  # local import to avoid a cycle
-
-    preds = []
-    golds = []
-    if with_explanations is None:
-        with_explanations = all(e.explanations for e in encoded)
+def evaluation_pass(model, encoded: list[EncodedExample], batch_size: int = 64,
+                    nll: bool = False, greedy: bool = False, expl_classifier=None,
+                    with_explanations: bool | None = None) -> EvalOutput:
+    """One `model.eval_batch` per batch, so each batch is encoded once
+    for everything the pass gives: labels whenever the model has a
+    classifier, teacher-forced NLL with `nll`, greedy explanations with
+    `greedy`. A generator without a classifier, given `expl_classifier`,
+    labels by explain-then-predict on the same greedy output."""
     pipe = None
-    if not model.has_classifier:
-        if expl_classifier is None:
-            raise EvaluationError(f"{model.variant} needs an explanation "
-                                  "classifier to predict labels")
+    if expl_classifier is not None and not model.has_classifier:
         pipe = ExplainThenPredict(model, expl_classifier)
+    res = EvalOutput()
     for batch in iterate_batches(encoded, batch_size,
                                  with_explanations=with_explanations):
+        out = model.eval_batch(batch, nll=nll,
+                               greedy=greedy or pipe is not None)
         if pipe is not None:
-            labels, _, _ = pipe.predict(batch)
-        else:
-            labels = model.predict_labels(batch)
-        preds.extend(int(x) for x in labels)
-        golds.extend(int(x) for x in batch.labels)
-    return np.array(preds), np.array(golds)
+            out.preds = pipe.predict(batch, (out.generated, out.empty))[0].tolist()
+        out.golds = batch.labels.tolist()
+        res.extend(out)
+    if nll and res.n_tokens == 0:
+        raise EvaluationError("no explanation tokens to score")
+    return res
+
+
+def predict_all(model, encoded, batch_size=64, expl_classifier=None):
+    """(predicted, gold) labels for every example; a generator without
+    a classifier labels by explain-then-predict."""
+    if not model.has_classifier and expl_classifier is None:
+        raise EvaluationError(f"{model.variant} needs an explanation "
+                              "classifier to predict labels")
+    res = evaluation_pass(model, encoded, batch_size,
+                          expl_classifier=expl_classifier)
+    return np.array(res.preds), np.array(res.golds)
+
+
+def perplexity(model, encoded: list[EncodedExample],
+               batch_size: int = 64) -> EvalOutput:
+    """Teacher-forced perplexity over the first gold explanations."""
+    return evaluation_pass(model, encoded, batch_size, nll=True,
+                           with_explanations=True)
 
 
 def generate_all(model, encoded, batch_size=64):
-    """Greedy explanations for every example, as token-id lists."""
-    out = []
-    flags = []
-    for batch in iterate_batches(encoded, batch_size,
-                                 with_explanations=all(e.explanations
-                                                       for e in encoded)):
-        result = model.generate(batch)
-        expl, empty = result[0], result[1]
-        out.extend(expl)
-        flags.extend(empty)
-    return out, flags
+    """Greedy explanations (token-id lists) and empty flags for every example."""
+    res = evaluation_pass(model, encoded, batch_size, greedy=True)
+    return res.generated, res.empty
 
 
 def evaluate_model(model, encoded: list[EncodedExample],
                    examples: list[Example] | None = None, split: str = "valid",
                    batch_size: int = 64, expl_classifier=None) -> EvalReport:
-    """Full metric sweep for one model on one split.
+    """Full metric sweep for one model on one split, in one pass.
 
-    Accuracy comes from the model's own classifier, or from the
-    explain-then-predict pipeline for generator-only variants (when an
-    explanation classifier is supplied). BLEU scores greedy generations
-    against gold explanations 1-2 of the raw examples.
+    Accuracy comes from the model's classifier or, for a generator-only
+    variant given `expl_classifier`, from explain-then-predict on the
+    greedy generations that BLEU scores against gold explanations 1-2.
     """
     report = EvalReport(provenance={
         "split": split, "variant": model.variant,
@@ -306,27 +284,24 @@ def evaluate_model(model, encoded: list[EncodedExample],
         "vocab_sha256": model.vocab.sha256()})
     report.counts["examples"] = len(encoded)
     can_label = model.has_classifier or expl_classifier is not None
+    scored = model.explains and all(e.explanations for e in encoded)
+    res = evaluation_pass(model, encoded, batch_size, nll=scored,
+                          greedy=scored and bool(examples),
+                          expl_classifier=expl_classifier)
     if can_label:
-        preds, golds = predict_all(model, encoded, batch_size, expl_classifier)
-        report.accuracy = label_accuracy(preds, golds)
-    if model.explains and all(e.explanations for e in encoded):
-        ppl = perplexity(model, encoded, batch_size)
-        report.perplexity = ppl.perplexity
-        report.counts["explanation_tokens"] = ppl.n_tokens
-        report.provenance["perplexity_total_nll"] = ppl.total_nll
-        if examples:
-            by_id = {e.id: e for e in examples}
-            generated, _ = generate_all(model, encoded, batch_size)
-            cands, refs = [], []
-            for enc, gen in zip(encoded, generated):
-                raw = by_id.get(enc.id)
-                if raw is None or not raw.explanations:
-                    continue
-                cands.append(model.vocab.decode(gen))
-                refs.append(raw.explanations[:2])
-            if cands:
-                report.bleu = bleu(cands, refs)
-                report.counts["bleu_candidates"] = len(cands)
+        report.accuracy = label_accuracy(res.preds, res.golds)
+    if scored:
+        report.perplexity = res.perplexity
+        report.counts["explanation_tokens"] = res.n_tokens
+        report.provenance["perplexity_total_nll"] = res.total_nll
+        by_id = {e.id: e for e in examples or ()}
+        pairs = [(model.vocab.decode(gen), by_id[enc.id].explanations[:2])
+                 for enc, gen in zip(encoded, res.generated)
+                 if enc.id in by_id and by_id[enc.id].explanations]
+        if pairs:
+            cands, refs = zip(*pairs)
+            report.bleu = bleu(list(cands), list(refs))
+            report.counts["bleu_candidates"] = len(pairs)
     return report
 
 
@@ -346,24 +321,16 @@ def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
         "vocab_sha256": model.vocab.sha256()})
     report.counts["examples"] = len(encoded)
     report.counts["skipped_rows"] = skipped
-    if model.has_classifier or expl_classifier is not None:
-        preds, golds = predict_all(model, encoded, batch_size, expl_classifier,
-                                   with_explanations=False)
-        report.accuracy = label_accuracy(preds, golds)
-    else:
-        preds = None
-    dumps = []
-    if model.explains:
-        generated, _ = generate_all(model, encoded, batch_size)
-        by_id = {e.id: e for e in examples}
-        for i, (enc, gen) in enumerate(zip(encoded, generated)):
-            raw = by_id[enc.id]
-            label = int(preds[i]) if preds is not None else None
-            dumps.append({
-                "id": enc.id,
-                "premise": raw.premise_text,
-                "hypothesis": raw.hypothesis_text,
-                "predicted_label": label,
-                "explanation": " ".join(model.vocab.decode(gen)),
-            })
+    can_label = model.has_classifier or expl_classifier is not None
+    res = evaluation_pass(model, encoded, batch_size, greedy=model.explains,
+                          expl_classifier=expl_classifier,
+                          with_explanations=False)
+    if can_label:
+        report.accuracy = label_accuracy(res.preds, res.golds)
+    by_id = {e.id: e for e in examples}
+    dumps = [{"id": enc.id, "premise": by_id[enc.id].premise_text,
+              "hypothesis": by_id[enc.id].hypothesis_text,
+              "predicted_label": res.preds[i] if can_label else None,
+              "explanation": " ".join(model.vocab.decode(gen))}
+             for i, (enc, gen) in enumerate(zip(encoded, res.generated))]
     return report, dumps

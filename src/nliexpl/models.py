@@ -25,7 +25,8 @@ the CLI read from them.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, replace
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -207,6 +208,31 @@ class AttentionHead:
 
 
 @dataclass
+class EvalOutput:
+    """Evaluation outputs in example order, of one batch or, `extend`ed
+    batch by batch, of a split. A list stays empty where nothing was
+    asked for or the variant cannot give it. The NLL and token counts
+    are teacher-forced over the first gold explanations."""
+
+    preds: list[int] = field(default_factory=list)       # classifier argmax
+    golds: list[int] = field(default_factory=list)
+    total_nll: float = 0.0
+    n_tokens: int = 0
+    n_correct: int = 0
+    generated: list[list[int]] = field(default_factory=list)  # greedy, no <eos>
+    empty: list[bool] = field(default_factory=list)
+
+    def extend(self, other: EvalOutput) -> None:
+        """Appends the lists of `other` and adds up its sums."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
+    @property
+    def perplexity(self) -> float:
+        return math.exp(self.total_nll / self.n_tokens)
+
+
+@dataclass
 class DecodeResult:
     nll_sum: ad.Tensor          # summed over batch rows and timesteps
     n_tokens: int
@@ -346,13 +372,9 @@ class LstmDecoder:
             h, c = ad.lstm_step(gx, wh, h, c)
             logits = ad.linear(ad.Tensor(h), self.w_out, self.b_out)
             nxt = logits.data.argmax(axis=1)
-            for i in range(B):
-                if done[i]:
-                    continue
-                if nxt[i] == eos_id:
-                    done[i] = True
-                else:
-                    emitted[i].append(int(nxt[i]))
+            for i in np.flatnonzero(~done & (nxt != eos_id)):
+                emitted[i].append(int(nxt[i]))
+            done |= nxt == eos_id
             if done.all():
                 break
             current = nxt
@@ -493,36 +515,14 @@ class BaseModel:
             fv = FeatureVector(f=vectors[0], u=vectors[0], v=None)
         return (fv, *(states for _, states in encoded))
 
-    def _classifier_input(self, batch: Batch) -> ad.Tensor:
-        if not self.has_classifier:
-            raise ModelError(f"{self.variant} has no classifier")
-        return self.features(batch)[0].f
-
     def _label_loss(self, logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
         probs = ad.softmax(logits)
         per_row = ad.nll_rows(probs, labels)
         return ad.scale(ad.sum_(per_row), 1.0 / labels.shape[0])
 
-    # -- classifier variants; explaining and reconstructing ones override loss
-
-    def loss(self, batch: Batch, train: bool = True,
-             rng: np.random.Generator | None = None,
-             alpha: float | None = None) -> tuple[ad.Tensor, dict]:
-        logits, preds = classify(self.classifier, self._classifier_input(batch))
-        return self._label_loss(logits, batch.labels), {"preds": preds}
-
-    def predict_labels(self, batch: Batch) -> np.ndarray:
-        return classify(self.classifier, self._classifier_input(batch))[1]
-
-
-class Explainer(BaseModel):
-    """Shared teacher-forced loss, perplexity NLL and greedy decoding of
-    the explaining variants. With a classifier, the explanation starts
-    from the label word (gold at training time, predicted at test time)
-    and the loss is the alpha-weighted joint loss."""
-
     def _condition(self, batch: Batch):
-        """(decoder source, attention context or None, logits or None)."""
+        """One encode of the batch: (decoder source, attention context or
+        None, logits or None)."""
         fv, *states = self.features(batch)
         logits = self.classifier.logits(fv.f) if self.has_classifier else None
         ctx = None
@@ -535,9 +535,12 @@ class Explainer(BaseModel):
                                       getattr(batch, name).shape[1])))
         return fv.f, ctx, logits
 
-    def _label_vocab_ids(self, label_classes: np.ndarray) -> np.ndarray:
-        return np.array([self.vocab.label_vocab_id(int(c))
-                         for c in label_classes], dtype=np.int64)
+    def _start_ids(self, n: int, classes: np.ndarray | None) -> np.ndarray:
+        """First decoder inputs: <bos>, or the label words of `classes`."""
+        if classes is None:
+            return np.full(n, self.vocab.bos_id, dtype=np.int64)
+        return np.array([self.vocab.label_vocab_id(int(c)) for c in classes],
+                        dtype=np.int64)
 
     def _teacher_forced(self, batch: Batch, source: ad.Tensor, ctx,
                         label_classes: np.ndarray | None, train: bool,
@@ -549,12 +552,56 @@ class Explainer(BaseModel):
             raise ModelError("batch carries no explanations")
         inputs = expl[:, :-1].copy()
         if label_classes is not None:
-            inputs[:, 0] = self._label_vocab_ids(label_classes)
+            inputs[:, 0] = self._start_ids(batch.size, label_classes)
         targets = expl[:, 1:]
         mask = real_mask(batch.explanation_len - 1, targets.shape[1])
         return self.decoder.teacher_forced(self.embedding, source, inputs,
                                            targets, mask, train, rng,
                                            attn_ctx=ctx)
+
+    def eval_batch(self, batch: Batch, nll: bool = False, greedy: bool = False,
+                   use_gold_label: bool = False) -> EvalOutput:
+        """From one `_condition`: the classifier's labels and, for an
+        explaining variant, the teacher-forced NLL (`nll`) and greedy
+        explanations (`greedy`), both started from the predicted label
+        word of a classifier variant (the NLL from the gold one with
+        `use_gold_label`)."""
+        if (nll or greedy) and not self.explains:
+            raise ModelError(f"{self.variant} does not explain")
+        source, ctx, logits = self._condition(batch)
+        preds = None if logits is None else logits.data.argmax(axis=1)
+        out = EvalOutput(preds=[] if preds is None else preds.tolist())
+        if nll:
+            classes = (batch.labels if use_gold_label and preds is not None
+                       else preds)
+            res = self._teacher_forced(batch, source, ctx, classes, train=False)
+            out.total_nll = float(res.nll_sum.data)
+            out.n_tokens, out.n_correct = res.n_tokens, res.n_correct
+        if greedy:
+            out.generated, out.empty = self.decoder.greedy(
+                self.embedding, source, self._start_ids(batch.size, preds),
+                self.vocab.eos_id, attn_ctx=ctx)
+        return out
+
+    def predict_labels(self, batch: Batch) -> np.ndarray:
+        if not self.has_classifier:
+            raise ModelError(f"{self.variant} has no classifier")
+        return np.array(self.eval_batch(batch).preds, dtype=np.int64)
+
+    # -- classifier variants; explaining and reconstructing ones override loss
+
+    def loss(self, batch: Batch, train: bool = True,
+             rng: np.random.Generator | None = None,
+             alpha: float | None = None) -> tuple[ad.Tensor, dict]:
+        logits, preds = classify(self.classifier, self.features(batch)[0].f)
+        return self._label_loss(logits, batch.labels), {"preds": preds}
+
+
+class Explainer(BaseModel):
+    """Shared teacher-forced loss and the perplexity and generation views
+    of the explaining variants. With a classifier, the explanation starts
+    from the label word (gold at training time, predicted at test time)
+    and the loss is the alpha-weighted joint loss."""
 
     def loss(self, batch, train=True, rng=None, alpha=None):
         source, ctx, logits = self._condition(batch)
@@ -574,28 +621,17 @@ class Explainer(BaseModel):
         return joint_loss(label_loss, expl_loss, alpha), info
 
     def explanation_nll(self, batch, use_gold_label=False):
-        """Teacher-forced NLL for perplexity; a classifier variant
-        conditions on the predicted label unless told otherwise."""
-        source, ctx, logits = self._condition(batch)
-        classes = None
-        if logits is not None:
-            classes = (batch.labels if use_gold_label
-                       else logits.data.argmax(axis=1))
-        res = self._teacher_forced(batch, source, ctx, classes, train=False)
-        return float(res.nll_sum.data), res.n_tokens, res.n_correct
+        """(summed NLL, tokens, correct tokens) for perplexity."""
+        out = self.eval_batch(batch, nll=True, use_gold_label=use_gold_label)
+        return out.total_nll, out.n_tokens, out.n_correct
 
     def generate(self, batch):
-        """Greedy explanations; a classifier variant predicts the label
-        first, decodes conditioned on it and also returns the labels."""
-        source, ctx, logits = self._condition(batch)
-        if logits is None:
-            start = np.full(batch.size, self.vocab.bos_id, dtype=np.int64)
-        else:
-            preds = logits.data.argmax(axis=1)
-            start = self._label_vocab_ids(preds)
-        expl, empty = self.decoder.greedy(self.embedding, source, start,
-                                          self.vocab.eos_id, attn_ctx=ctx)
-        return (expl, empty) if logits is None else (expl, empty, preds)
+        """Greedy explanations; a classifier variant also returns the
+        labels it conditioned them on."""
+        out = self.eval_batch(batch, greedy=True)
+        if not self.has_classifier:
+            return out.generated, out.empty
+        return out.generated, out.empty, np.array(out.preds, dtype=np.int64)
 
 
 class PairClassifier(BaseModel):
@@ -711,15 +747,16 @@ class ExplainThenPredict:
         self.generator = generator
         self.expl_classifier = expl_classifier
 
-    def predict(self, batch: Batch):
+    def predict(self, batch: Batch, generated=None):
         """Returns (labels, explanation ids, empty-explanation flags).
 
-        All generations are labelled in one batched encode; each label
-        still depends only on its own explanation, since padding never
-        reaches real positions. An empty generation is classified from
-        the bare <bos><eos> pair and flagged.
+        Labels `generated`, the generator's (ids, flags) for the batch,
+        or decodes them first. All are labelled in one batched encode;
+        each label still depends only on its own explanation, since
+        padding never reaches real positions. An empty generation is
+        classified from the bare <bos><eos> pair and flagged.
         """
-        expl, empty = self.generator.generate(batch)[:2]
+        expl, empty = generated or self.generator.generate(batch)[:2]
         vocab = self.generator.vocab
         ids, lengths = pad_rows([[vocab.bos_id, *e, vocab.eos_id]
                                  for e in expl])

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import EmbeddingTable, EncodedExample, Vocabulary, iterate_batches
-from .evaluation import label_accuracy, perplexity, predict_all
+from .evaluation import evaluation_pass, label_accuracy
 from .models import ModelConfig, ModelError, build_model, variant_class
 from .models import joint_loss  # noqa: F401  (public here too)
 
@@ -124,15 +124,14 @@ def _better(value: float, best: float | None, criterion: str) -> bool:
 
 
 def _validation_metrics(model, valid, batch_size) -> dict:
+    res = evaluation_pass(model, valid, batch_size, nll=model.explains,
+                          with_explanations=model.needs_explanations)
     metrics: dict = {}
     if model.has_classifier:
-        preds, golds = predict_all(model, valid, batch_size,
-                                   with_explanations=model.needs_explanations)
-        metrics["val_accuracy"] = label_accuracy(preds, golds)
+        metrics["val_accuracy"] = label_accuracy(res.preds, res.golds)
     if model.explains:
-        ppl = perplexity(model, valid, batch_size)
-        metrics["val_perplexity"] = ppl.perplexity
-        metrics["val_token_accuracy"] = ppl.token_accuracy
+        metrics["val_perplexity"] = res.perplexity
+        metrics["val_token_accuracy"] = res.n_correct / res.n_tokens
     return metrics
 
 
@@ -157,7 +156,6 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
     for epoch in range(config.epochs):
         drop_rng = np.random.default_rng([config.seed, 1, epoch])
         epoch_losses = []
-        arrived = True
         for batch in iterate_batches(data.train, config.batch_size,
                                      seed=config.seed, epoch=epoch,
                                      shuffle=True,
@@ -167,23 +165,20 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                                      alpha=config.alpha)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
-                record.aborted = True
                 record.note = f"non-finite loss at epoch {epoch}"
-                log.error("%s; keeping last good checkpoint", record.note)
-                arrived = False
-                break
-            ad.backward(tape, loss)
-            try:
-                ad.sgd_step(params, state, clip_norm=config.clip_norm,
-                            weight_decay=config.weight_decay)
-            except ad.GradientError as err:
+            else:
+                ad.backward(tape, loss)
+                try:
+                    ad.sgd_step(params, state, clip_norm=config.clip_norm,
+                                weight_decay=config.weight_decay)
+                except ad.GradientError as err:
+                    record.note = f"epoch {epoch}: {err}"
+            if record.note:
                 record.aborted = True
-                record.note = f"epoch {epoch}: {err}"
                 log.error("%s; keeping last good checkpoint", record.note)
-                arrived = False
                 break
             epoch_losses.append(loss_val)
-        if not arrived:
+        if record.aborted:
             break
         entry = {"epoch": epoch, "lr": state.lr,
                  "train_loss": float(np.mean(epoch_losses))}

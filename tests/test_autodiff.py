@@ -490,6 +490,43 @@ class TestLstmLayer:
             np.testing.assert_array_equal(long.data[:3], short.data)
             np.testing.assert_array_equal(long.data[3:], 0.0)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_same_states_with_and_without_tape(self, reverse, dropout):
+        """Without a tape the backward caches are skipped; the states
+        must not change by a bit (float32, mixed lengths, given h0/c0)."""
+        rng = np.random.default_rng(24)
+        T, B, H = 6, 5, 8
+        gx = ad.tensor(rng.normal(size=(T, B, 4 * H)).astype(np.float32))
+        wh, h0, c0 = (ad.tensor(rng.normal(size=shape).astype(np.float32))
+                      for shape in ((4 * H, H), (B, H), (B, H)))
+        mask = np.arange(T)[:, None] < np.array([[6, 1, 3, 6, 2]])
+        rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float32)
+                 if dropout else None)
+        kw = dict(mask=mask, reverse=reverse, rmask=rmask)
+        with ad.Tape() as tape:
+            taped = ad.lstm_layer(gx, wh, h0, c0, **kw)
+        assert len(tape.records) == 1
+        untaped = ad.lstm_layer(gx, wh, h0, c0, **kw)
+        assert untaped.data.dtype == np.float32
+        np.testing.assert_array_equal(untaped.data, taped.data)
+
+    def test_no_backward_caches_without_tape(self):
+        """The caches (acts, c_prev, tanh_c, h_in) take six times the
+        output; forward-only, the peak allocation stays near the output."""
+        import tracemalloc
+        rng = np.random.default_rng(25)
+        T, B, H = 40, 5, 8
+        gx = ad.tensor(rng.normal(size=(T, B, 4 * H)))
+        wh = ad.tensor(rng.normal(size=(4 * H, H)))
+        tracemalloc.start()
+        try:
+            hs = ad.lstm_layer(gx, wh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * hs.data.nbytes
+
     def test_step_kernel_matches_cell(self):
         rng = np.random.default_rng(23)
         params = ad.init_lstm(rng, input_dim=3, hidden=4, prefix="cell",

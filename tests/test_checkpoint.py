@@ -95,3 +95,52 @@ def test_unparsable_manifest_is_error(tmp_path, arrays):
     (tmp_path / "ckpt" / "manifest.json").write_text("{not json")
     with pytest.raises(CheckpointError, match="unreadable manifest"):
         load_checkpoint(tmp_path / "ckpt")
+
+
+def _perturbed(arrays):
+    return {name: arr + 1.0 for name, arr in arrays.items()}
+
+
+def test_resave_replaces_and_leaves_no_siblings(tmp_path, arrays):
+    save_checkpoint(tmp_path / "ckpt", arrays)
+    newer = _perturbed(arrays)
+    save_checkpoint(tmp_path / "ckpt", newer)
+    loaded, _ = load_checkpoint(tmp_path / "ckpt")
+    for name in arrays:
+        assert loaded[name].tobytes() == newer[name].tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_interrupted_save_keeps_previous_checkpoint(tmp_path, arrays,
+                                                    monkeypatch):
+    """A failure after the blob is written and before the manifest is
+    must not pair the new blob with the old manifest."""
+    from types import SimpleNamespace
+
+    from nliexpl import checkpoint
+
+    save_checkpoint(tmp_path / "ckpt", arrays, meta={"save": 1})
+
+    def killed(*args, **kwargs):
+        raise OSError("killed between the two writes")
+
+    monkeypatch.setattr(checkpoint, "json",
+                        SimpleNamespace(dumps=killed, loads=json.loads))
+    with pytest.raises(OSError, match="killed"):
+        save_checkpoint(tmp_path / "ckpt", _perturbed(arrays),
+                        meta={"save": 2})
+    monkeypatch.undo()
+    loaded, manifest = load_checkpoint(tmp_path / "ckpt")
+    assert manifest["meta"] == {"save": 1}
+    for name in arrays:
+        assert loaded[name].tobytes() == arrays[name].tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
+
+def test_directory_with_other_files_is_not_replaced(tmp_path, arrays):
+    target = tmp_path / "mixed"
+    target.mkdir()
+    (target / "notes.txt").write_text("keep me")
+    with pytest.raises(CheckpointError, match="more than a checkpoint"):
+        save_checkpoint(target, arrays)
+    assert (target / "notes.txt").read_text() == "keep me"

@@ -224,6 +224,36 @@ class TestTrainCommand:
         assert "unknown variant 'bert'" in capsys.readouterr().err
         assert not out_root.exists()
 
+    @pytest.mark.parametrize("args", [
+        ["train", "--batch-size", "0"], ["grid", "--batch-size", "0"],
+        ["train", "--epochs", "0"], ["grid", "--epochs", "0"],
+        ["train", "--epochs", "-1"], ["train", "--set", "training.epochs", "0"],
+    ])
+    def test_non_positive_size_exits_1_before_loading(self, tmp_path,
+                                                      toy_config, capsys,
+                                                      monkeypatch, args):
+        # direct flags go through the same typed check as the config file
+        self._forbid_corpus_loading(monkeypatch)
+        out_root = tmp_path / "runs"
+        code = main([*args, "--config", str(toy_config),
+                     "--out-root", str(out_root)])
+        assert code == 1
+        assert "bad value for [training]" in capsys.readouterr().err
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("key", ["batch_size", "epochs"])
+    def test_empty_value_for_defaulted_key_exits_1(self, tmp_path, toy_config,
+                                                   capsys, monkeypatch, key):
+        self._forbid_corpus_loading(monkeypatch)
+        cfg = tmp_path / "empty.ini"
+        text = toy_config.read_text()
+        line = next(ln for ln in text.splitlines() if ln.startswith(key))
+        cfg.write_text(text.replace(line, f"{key} ="))
+        code = main(["train", "--config", str(cfg),
+                     "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert f"[training] {key} needs a value" in capsys.readouterr().err
+
 
 class TestEvalAndGenerate:
     @pytest.fixture

@@ -1,6 +1,7 @@
 """Tests for metrics and the evaluation protocol."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import evaluation as E
-from nliexpl.data import encode_corpus
+from nliexpl.data import encode_corpus, iterate_batches, load_corpus
+from nliexpl.models import (BiLstmEncoder, EvalOutput, ExplainThenPredict,
+                            LstmDecoder, ModelError)
+from nliexpl.training import _validation_metrics
 from model_utils import toy_setup
 from oracles import brute_force_bleu
 from synth import make_examples
@@ -137,14 +141,16 @@ class TestInterAnnotatorBleu:
 
 
 class _StubModel:
-    """Duck-typed stand-in exposing only explanation_nll."""
+    """Duck-typed stand-in exposing only the teacher-forced NLL of
+    `eval_batch`."""
 
     def __init__(self, nll_per_token):
         self.nll_per_token = nll_per_token
 
-    def explanation_nll(self, batch, use_gold_label=False):
+    def eval_batch(self, batch, nll=False, greedy=False):
         tokens = int((batch.explanation_len - 1).sum())
-        return self.nll_per_token * tokens, tokens, 0
+        return EvalOutput(total_nll=self.nll_per_token * tokens,
+                          n_tokens=tokens)
 
 
 class TestPerplexity:
@@ -314,3 +320,156 @@ class TestTransferEval:
         report, _ = E.transfer_eval(model, path)
         assert report.counts["skipped_rows"] == 1
         assert report.counts["examples"] == 1
+
+
+VARIANTS = ["bilstm-max", "hyp-to-label", "hyp-to-expl", "pred-expl",
+            "expl-pred-seq2seq", "expl-pred-att", "expl-to-label", "autoenc"]
+# every variant alone, and each generator-only one with an expl-to-label
+# classifier for explain-then-predict labels
+PASS_CASES = ([(v, False) for v in VARIANTS]
+              + [(v, True) for v in ("hyp-to-expl", "expl-pred-seq2seq",
+                                     "expl-pred-att")])
+
+
+def _pass_setup(variant, n=7, seed=4):
+    model, _, vocab = toy_setup(variant, n=n, seed=seed, max_len=12)
+    clf = None
+    if not model.has_classifier:
+        clf, _, _ = toy_setup("expl-to-label", n=n, seed=seed)
+    examples = make_examples(n, seed=seed)
+    return model, clf, examples, encode_corpus(examples, vocab)
+
+
+def _labels_by_batch(model, clf, batches):
+    if model.has_classifier:
+        return np.concatenate([model.predict_labels(b) for b in batches])
+    pipe = ExplainThenPredict(model, clf)
+    return np.concatenate([pipe.predict(b)[0] for b in batches])
+
+
+def _reference_report(model, clf, encoded, examples, batch_size):
+    """evaluate_model rebuilt from separate per-batch calls of the views,
+    one loop per metric."""
+    batches = list(iterate_batches(encoded, batch_size))
+    report = E.EvalReport(provenance={
+        "split": "valid", "variant": model.variant,
+        "reference_policy": "gold explanations 1-2",
+        "vocab_sha256": model.vocab.sha256()})
+    report.counts["examples"] = len(encoded)
+    if model.has_classifier or clf is not None:
+        report.accuracy = E.label_accuracy(
+            _labels_by_batch(model, clf, batches),
+            np.concatenate([b.labels for b in batches]))
+    if model.explains:
+        scored = [model.explanation_nll(b) for b in batches]
+        total = sum(nll for nll, _, _ in scored)
+        tokens = sum(t for _, t, _ in scored)
+        report.perplexity = math.exp(total / tokens)
+        report.counts["explanation_tokens"] = tokens
+        report.provenance["perplexity_total_nll"] = total
+        by_id = {e.id: e for e in examples}
+        cands = [model.vocab.decode(g) for b in batches
+                 for g in model.generate(b)[0]]
+        report.bleu = E.bleu(cands, [by_id[e.id].explanations[:2]
+                                     for e in encoded])
+        report.counts["bleu_candidates"] = len(cands)
+    return report
+
+
+def _reference_transfer(model, clf, path, batch_size):
+    examples, skipped = load_corpus(path, split="transfer")
+    encoded = encode_corpus(examples, model.vocab)
+    batches = list(iterate_batches(encoded, batch_size,
+                                   with_explanations=False))
+    report = E.EvalReport(provenance={
+        "split": "transfer", "variant": model.variant, "corpus": str(path),
+        "vocab_sha256": model.vocab.sha256()})
+    report.counts["examples"] = len(encoded)
+    report.counts["skipped_rows"] = skipped
+    preds = None
+    if model.has_classifier or clf is not None:
+        preds = _labels_by_batch(model, clf, batches)
+        report.accuracy = E.label_accuracy(
+            preds, np.concatenate([b.labels for b in batches]))
+    dumps = []
+    if model.explains:
+        generated = [g for b in batches for g in model.generate(b)[0]]
+        by_id = {e.id: e for e in examples}
+        dumps = [{"id": enc.id, "premise": by_id[enc.id].premise_text,
+                  "hypothesis": by_id[enc.id].hypothesis_text,
+                  "predicted_label": None if preds is None else int(preds[i]),
+                  "explanation": " ".join(model.vocab.decode(gen))}
+                 for i, (enc, gen) in enumerate(zip(encoded, generated))]
+    return report, dumps
+
+
+class TestOnePass:
+    """The one evaluation pass gives what separate per-batch calls of
+    predict_labels / explanation_nll / generate / explain-then-predict
+    give, and encodes and decodes each batch once."""
+
+    @pytest.mark.parametrize("variant, with_clf", PASS_CASES)
+    def test_evaluate_model_matches_per_batch_views(self, variant, with_clf):
+        model, clf, examples, encoded = _pass_setup(variant)
+        clf = clf if with_clf else None
+        got = E.evaluate_model(model, encoded, examples, batch_size=3,
+                               expl_classifier=clf)
+        ref = _reference_report(model, clf, encoded, examples, 3)
+        assert got.to_json() == ref.to_json()
+
+    @pytest.mark.parametrize("variant, with_clf", PASS_CASES)
+    def test_transfer_eval_matches_per_batch_views(self, tmp_path, variant,
+                                                   with_clf):
+        from synth import write_corpus_csv
+        model, clf, _, _ = _pass_setup(variant)
+        clf = clf if with_clf else None
+        path = tmp_path / "transfer.csv"
+        write_corpus_csv(path, make_examples(8, seed=9))
+        if variant == "expl-to-label":
+            # transfer batches carry no gold explanation to label
+            with pytest.raises(ModelError, match="no explanations"):
+                E.transfer_eval(model, path, batch_size=3)
+            return
+        report, dumps = E.transfer_eval(model, path, batch_size=3,
+                                        expl_classifier=clf)
+        ref_report, ref_dumps = _reference_transfer(model, clf, path, 3)
+        assert report.to_json() == ref_report.to_json()
+        assert dumps == ref_dumps
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        counts = Counter()
+        encode, greedy = BiLstmEncoder.encode, LstmDecoder.greedy
+
+        def counted_encode(self, *args, **kwargs):
+            counts[self.prefix] += 1
+            return encode(self, *args, **kwargs)
+
+        def counted_greedy(self, *args, **kwargs):
+            counts["greedy"] += 1
+            return greedy(self, *args, **kwargs)
+
+        monkeypatch.setattr(BiLstmEncoder, "encode", counted_encode)
+        monkeypatch.setattr(LstmDecoder, "greedy", counted_greedy)
+        return counts
+
+    @pytest.mark.parametrize("variant", ["pred-expl", "expl-pred-att",
+                                         "hyp-to-expl"])
+    def test_evaluate_model_encodes_and_decodes_once_per_batch(
+            self, monkeypatch, variant):
+        model, clf, examples, encoded = _pass_setup(variant)   # 3 batches
+        counts = self._count_calls(monkeypatch)
+        E.evaluate_model(model, encoded, examples, batch_size=3,
+                         expl_classifier=clf)
+        expected = {f"{name}_encoder": 3 for name in model.sentences}
+        if clf is not None:
+            expected["explanation_encoder"] = 3
+        assert counts == Counter(expected, greedy=3)
+
+    def test_validation_never_decodes_greedily(self, monkeypatch):
+        model, _, _, encoded = _pass_setup("pred-expl")
+        counts = self._count_calls(monkeypatch)
+        metrics = _validation_metrics(model, encoded, 3)
+        assert counts == Counter(premise_encoder=3, hypothesis_encoder=3)
+        assert set(metrics) == {"val_accuracy", "val_perplexity",
+                                "val_token_accuracy"}
