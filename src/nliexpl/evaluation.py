@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import (ColumnMap, EncodedExample, Example, encode_corpus,
                    iterate_batches, load_corpus)
-from .models import EvalOutput, ExplainThenPredict
+from .models import ExplainThenPredict
 
 BLEU_MAX_N = 4
 
@@ -220,6 +220,29 @@ class EvalReport:
         return "\n".join(lines)
 
 
+@dataclass
+class EvalOutput:
+    """One pass over a split, in example order; a list stays empty where
+    nothing was asked for. The NLL and token counts are teacher-forced
+    over the first gold explanations."""
+
+    preds: list[int] = field(default_factory=list)
+    golds: list[int] = field(default_factory=list)
+    total_nll: float = 0.0
+    n_tokens: int = 0
+    n_correct: int = 0
+    generated: list[list[int]] = field(default_factory=list)   # no <eos>
+    empty: list[bool] = field(default_factory=list)
+
+    @property
+    def perplexity(self) -> float:
+        return math.exp(self.total_nll / self.n_tokens)
+
+    @property
+    def token_accuracy(self) -> float:
+        return self.n_correct / self.n_tokens
+
+
 def evaluation_pass(model, encoded: list[EncodedExample], batch_size: int = 64,
                     nll: bool = False, greedy: bool = False, expl_classifier=None,
                     with_explanations: bool | None = None) -> EvalOutput:
@@ -232,14 +255,24 @@ def evaluation_pass(model, encoded: list[EncodedExample], batch_size: int = 64,
     if expl_classifier is not None and not model.has_classifier:
         pipe = ExplainThenPredict(model, expl_classifier)
     res = EvalOutput()
+    if not (nll or greedy or pipe is not None or model.has_classifier):
+        return res
     for batch in iterate_batches(encoded, batch_size,
                                  with_explanations=with_explanations):
-        out = model.eval_batch(batch, nll=nll,
-                               greedy=greedy or pipe is not None)
+        preds, scored, generated = model.eval_batch(
+            batch, nll=nll, greedy=greedy or pipe is not None)
         if pipe is not None:
-            out.preds = pipe.predict(batch, (out.generated, out.empty))[0].tolist()
-        out.golds = batch.labels.tolist()
-        res.extend(out)
+            preds = pipe.predict(batch, generated)[0]
+        if preds is not None:
+            res.preds += preds.tolist()
+            res.golds += batch.labels.tolist()
+        if scored is not None:
+            res.total_nll += scored[0]
+            res.n_tokens += scored[1]
+            res.n_correct += scored[2]
+        if generated is not None:
+            res.generated += generated[0]
+            res.empty += generated[1]
     if nll and res.n_tokens == 0:
         raise EvaluationError("no explanation tokens to score")
     return res
@@ -272,31 +305,30 @@ def generate_all(model, encoded, batch_size=64):
 def evaluate_model(model, encoded: list[EncodedExample],
                    examples: list[Example] | None = None, split: str = "valid",
                    batch_size: int = 64, expl_classifier=None) -> EvalReport:
-    """Full metric sweep for one model on one split, in one pass.
+    """Full metric sweep for one model on one split.
 
-    Accuracy comes from the model's classifier or, for a generator-only
-    variant given `expl_classifier`, from explain-then-predict on the
-    greedy generations that BLEU scores against gold explanations 1-2.
+    Accuracy comes from the model's own classifier, or from the
+    explain-then-predict pipeline for generator-only variants (when an
+    explanation classifier is supplied). BLEU scores greedy generations
+    against gold explanations 1-2 of the raw examples.
     """
     report = EvalReport(provenance={
         "split": split, "variant": model.variant,
         "reference_policy": "gold explanations 1-2",
         "vocab_sha256": model.vocab.sha256()})
     report.counts["examples"] = len(encoded)
-    can_label = model.has_classifier or expl_classifier is not None
-    scored = model.explains and all(e.explanations for e in encoded)
-    res = evaluation_pass(model, encoded, batch_size, nll=scored,
-                          greedy=scored and bool(examples),
-                          expl_classifier=expl_classifier)
-    if can_label:
-        report.accuracy = label_accuracy(res.preds, res.golds)
-    if scored:
-        report.perplexity = res.perplexity
-        report.counts["explanation_tokens"] = res.n_tokens
-        report.provenance["perplexity_total_nll"] = res.total_nll
+    if model.has_classifier or expl_classifier is not None:
+        preds, golds = predict_all(model, encoded, batch_size, expl_classifier)
+        report.accuracy = label_accuracy(preds, golds)
+    if model.explains and all(e.explanations for e in encoded):
+        ppl = perplexity(model, encoded, batch_size)
+        report.perplexity = ppl.perplexity
+        report.counts["explanation_tokens"] = ppl.n_tokens
+        report.provenance["perplexity_total_nll"] = ppl.total_nll
         by_id = {e.id: e for e in examples or ()}
+        generated = generate_all(model, encoded, batch_size)[0] if by_id else []
         pairs = [(model.vocab.decode(gen), by_id[enc.id].explanations[:2])
-                 for enc, gen in zip(encoded, res.generated)
+                 for enc, gen in zip(encoded, generated)
                  if enc.id in by_id and by_id[enc.id].explanations]
         if pairs:
             cands, refs = zip(*pairs)

@@ -25,8 +25,7 @@ the CLI read from them.
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -208,31 +207,6 @@ class AttentionHead:
 
 
 @dataclass
-class EvalOutput:
-    """Evaluation outputs in example order, of one batch or, `extend`ed
-    batch by batch, of a split. A list stays empty where nothing was
-    asked for or the variant cannot give it. The NLL and token counts
-    are teacher-forced over the first gold explanations."""
-
-    preds: list[int] = field(default_factory=list)       # classifier argmax
-    golds: list[int] = field(default_factory=list)
-    total_nll: float = 0.0
-    n_tokens: int = 0
-    n_correct: int = 0
-    generated: list[list[int]] = field(default_factory=list)  # greedy, no <eos>
-    empty: list[bool] = field(default_factory=list)
-
-    def extend(self, other: EvalOutput) -> None:
-        """Appends the lists of `other` and adds up its sums."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
-
-    @property
-    def perplexity(self) -> float:
-        return math.exp(self.total_nll / self.n_tokens)
-
-
-@dataclass
 class DecodeResult:
     nll_sum: ad.Tensor          # summed over batch rows and timesteps
     n_tokens: int
@@ -372,9 +346,13 @@ class LstmDecoder:
             h, c = ad.lstm_step(gx, wh, h, c)
             logits = ad.linear(ad.Tensor(h), self.w_out, self.b_out)
             nxt = logits.data.argmax(axis=1)
-            for i in np.flatnonzero(~done & (nxt != eos_id)):
-                emitted[i].append(int(nxt[i]))
-            done |= nxt == eos_id
+            for i in range(B):
+                if done[i]:
+                    continue
+                if nxt[i] == eos_id:
+                    done[i] = True
+                else:
+                    emitted[i].append(int(nxt[i]))
             if done.all():
                 break
             current = nxt
@@ -521,8 +499,7 @@ class BaseModel:
         return ad.scale(ad.sum_(per_row), 1.0 / labels.shape[0])
 
     def _condition(self, batch: Batch):
-        """One encode of the batch: (decoder source, attention context or
-        None, logits or None)."""
+        """(decoder source, attention context or None, logits or None)."""
         fv, *states = self.features(batch)
         logits = self.classifier.logits(fv.f) if self.has_classifier else None
         ctx = None
@@ -535,12 +512,9 @@ class BaseModel:
                                       getattr(batch, name).shape[1])))
         return fv.f, ctx, logits
 
-    def _start_ids(self, n: int, classes: np.ndarray | None) -> np.ndarray:
-        """First decoder inputs: <bos>, or the label words of `classes`."""
-        if classes is None:
-            return np.full(n, self.vocab.bos_id, dtype=np.int64)
-        return np.array([self.vocab.label_vocab_id(int(c)) for c in classes],
-                        dtype=np.int64)
+    def _label_vocab_ids(self, label_classes: np.ndarray) -> np.ndarray:
+        return np.array([self.vocab.label_vocab_id(int(c))
+                         for c in label_classes], dtype=np.int64)
 
     def _teacher_forced(self, batch: Batch, source: ad.Tensor, ctx,
                         label_classes: np.ndarray | None, train: bool,
@@ -552,7 +526,7 @@ class BaseModel:
             raise ModelError("batch carries no explanations")
         inputs = expl[:, :-1].copy()
         if label_classes is not None:
-            inputs[:, 0] = self._start_ids(batch.size, label_classes)
+            inputs[:, 0] = self._label_vocab_ids(label_classes)
         targets = expl[:, 1:]
         mask = real_mask(batch.explanation_len - 1, targets.shape[1])
         return self.decoder.teacher_forced(self.embedding, source, inputs,
@@ -560,33 +534,32 @@ class BaseModel:
                                            attn_ctx=ctx)
 
     def eval_batch(self, batch: Batch, nll: bool = False, greedy: bool = False,
-                   use_gold_label: bool = False) -> EvalOutput:
-        """From one `_condition`: the classifier's labels and, for an
-        explaining variant, the teacher-forced NLL (`nll`) and greedy
-        explanations (`greedy`), both started from the predicted label
-        word of a classifier variant (the NLL from the gold one with
-        `use_gold_label`)."""
+                   use_gold_label: bool = False):
+        """From one `_condition`: (labels, (summed NLL, tokens, correct
+        tokens) with `nll`, (explanations, empty flags) with `greedy`),
+        None where not asked or not given. A classifier variant starts
+        both from the predicted label word (the NLL from the gold one
+        with `use_gold_label`)."""
         if (nll or greedy) and not self.explains:
             raise ModelError(f"{self.variant} does not explain")
         source, ctx, logits = self._condition(batch)
         preds = None if logits is None else logits.data.argmax(axis=1)
-        out = EvalOutput(preds=[] if preds is None else preds.tolist())
+        scored = generated = None
         if nll:
-            classes = (batch.labels if use_gold_label and preds is not None
-                       else preds)
+            classes = batch.labels if use_gold_label and preds is not None else preds
             res = self._teacher_forced(batch, source, ctx, classes, train=False)
-            out.total_nll = float(res.nll_sum.data)
-            out.n_tokens, out.n_correct = res.n_tokens, res.n_correct
+            scored = float(res.nll_sum.data), res.n_tokens, res.n_correct
         if greedy:
-            out.generated, out.empty = self.decoder.greedy(
-                self.embedding, source, self._start_ids(batch.size, preds),
-                self.vocab.eos_id, attn_ctx=ctx)
-        return out
+            start = (np.full(batch.size, self.vocab.bos_id, dtype=np.int64)
+                     if preds is None else self._label_vocab_ids(preds))
+            generated = self.decoder.greedy(self.embedding, source, start,
+                                            self.vocab.eos_id, attn_ctx=ctx)
+        return preds, scored, generated
 
     def predict_labels(self, batch: Batch) -> np.ndarray:
         if not self.has_classifier:
             raise ModelError(f"{self.variant} has no classifier")
-        return np.array(self.eval_batch(batch).preds, dtype=np.int64)
+        return self.eval_batch(batch)[0]
 
     # -- classifier variants; explaining and reconstructing ones override loss
 
@@ -622,16 +595,13 @@ class Explainer(BaseModel):
 
     def explanation_nll(self, batch, use_gold_label=False):
         """(summed NLL, tokens, correct tokens) for perplexity."""
-        out = self.eval_batch(batch, nll=True, use_gold_label=use_gold_label)
-        return out.total_nll, out.n_tokens, out.n_correct
+        return self.eval_batch(batch, nll=True, use_gold_label=use_gold_label)[1]
 
     def generate(self, batch):
         """Greedy explanations; a classifier variant also returns the
         labels it conditioned them on."""
-        out = self.eval_batch(batch, greedy=True)
-        if not self.has_classifier:
-            return out.generated, out.empty
-        return out.generated, out.empty, np.array(out.preds, dtype=np.int64)
+        preds, _, (expl, empty) = self.eval_batch(batch, greedy=True)
+        return (expl, empty) if preds is None else (expl, empty, preds)
 
 
 class PairClassifier(BaseModel):

@@ -131,7 +131,7 @@ def _validation_metrics(model, valid, batch_size) -> dict:
         metrics["val_accuracy"] = label_accuracy(res.preds, res.golds)
     if model.explains:
         metrics["val_perplexity"] = res.perplexity
-        metrics["val_token_accuracy"] = res.n_correct / res.n_tokens
+        metrics["val_token_accuracy"] = res.token_accuracy
     return metrics
 
 
@@ -156,6 +156,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
     for epoch in range(config.epochs):
         drop_rng = np.random.default_rng([config.seed, 1, epoch])
         epoch_losses = []
+        arrived = True
         for batch in iterate_batches(data.train, config.batch_size,
                                      seed=config.seed, epoch=epoch,
                                      shuffle=True,
@@ -165,20 +166,23 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                                      alpha=config.alpha)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
-                record.note = f"non-finite loss at epoch {epoch}"
-            else:
-                ad.backward(tape, loss)
-                try:
-                    ad.sgd_step(params, state, clip_norm=config.clip_norm,
-                                weight_decay=config.weight_decay)
-                except ad.GradientError as err:
-                    record.note = f"epoch {epoch}: {err}"
-            if record.note:
                 record.aborted = True
+                record.note = f"non-finite loss at epoch {epoch}"
                 log.error("%s; keeping last good checkpoint", record.note)
+                arrived = False
+                break
+            ad.backward(tape, loss)
+            try:
+                ad.sgd_step(params, state, clip_norm=config.clip_norm,
+                            weight_decay=config.weight_decay)
+            except ad.GradientError as err:
+                record.aborted = True
+                record.note = f"epoch {epoch}: {err}"
+                log.error("%s; keeping last good checkpoint", record.note)
+                arrived = False
                 break
             epoch_losses.append(loss_val)
-        if record.aborted:
+        if not arrived:
             break
         entry = {"epoch": epoch, "lr": state.lr,
                  "train_loss": float(np.mean(epoch_losses))}

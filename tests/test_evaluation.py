@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from nliexpl import evaluation as E
 from nliexpl.data import encode_corpus, iterate_batches, load_corpus
-from nliexpl.models import (BiLstmEncoder, EvalOutput, ExplainThenPredict,
-                            LstmDecoder, ModelError)
+from nliexpl.models import (BiLstmEncoder, ExplainThenPredict, LstmDecoder,
+                            ModelError)
 from nliexpl.training import _validation_metrics
 from model_utils import toy_setup
 from oracles import brute_force_bleu
@@ -149,8 +149,7 @@ class _StubModel:
 
     def eval_batch(self, batch, nll=False, greedy=False):
         tokens = int((batch.explanation_len - 1).sum())
-        return EvalOutput(total_nll=self.nll_per_token * tokens,
-                          n_tokens=tokens)
+        return None, (self.nll_per_token * tokens, tokens, 0), None
 
 
 class TestPerplexity:
@@ -404,9 +403,10 @@ def _reference_transfer(model, clf, path, batch_size):
 
 
 class TestOnePass:
-    """The one evaluation pass gives what separate per-batch calls of
+    """The evaluation pass gives what separate per-batch calls of
     predict_labels / explanation_nll / generate / explain-then-predict
-    give, and encodes and decodes each batch once."""
+    give, encodes and decodes each batch once, and computes only what
+    its caller reads."""
 
     @pytest.mark.parametrize("variant, with_clf", PASS_CASES)
     def test_evaluate_model_matches_per_batch_views(self, variant, with_clf):
@@ -439,37 +439,56 @@ class TestOnePass:
     @staticmethod
     def _count_calls(monkeypatch):
         counts = Counter()
-        encode, greedy = BiLstmEncoder.encode, LstmDecoder.greedy
-
-        def counted_encode(self, *args, **kwargs):
-            counts[self.prefix] += 1
-            return encode(self, *args, **kwargs)
-
-        def counted_greedy(self, *args, **kwargs):
-            counts["greedy"] += 1
-            return greedy(self, *args, **kwargs)
-
-        monkeypatch.setattr(BiLstmEncoder, "encode", counted_encode)
-        monkeypatch.setattr(LstmDecoder, "greedy", counted_greedy)
+        for cls, name, key in ((BiLstmEncoder, "encode", None),
+                               (LstmDecoder, "greedy", "greedy"),
+                               (LstmDecoder, "teacher_forced", "teacher_forced")):
+            def counted(self, *args, _orig=getattr(cls, name), _key=key, **kwargs):
+                counts[_key or self.prefix] += 1
+                return _orig(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, counted)
         return counts
 
     @pytest.mark.parametrize("variant", ["pred-expl", "expl-pred-att",
                                          "hyp-to-expl"])
-    def test_evaluate_model_encodes_and_decodes_once_per_batch(
-            self, monkeypatch, variant):
-        model, clf, examples, encoded = _pass_setup(variant)   # 3 batches
+    def test_transfer_eval_encodes_and_decodes_once_per_batch(
+            self, monkeypatch, tmp_path, variant):
+        from synth import write_corpus_csv
+        model, clf, _, _ = _pass_setup(variant)
+        path = tmp_path / "transfer.csv"
+        write_corpus_csv(path, make_examples(7, seed=9))   # 3 batches
         counts = self._count_calls(monkeypatch)
-        E.evaluate_model(model, encoded, examples, batch_size=3,
-                         expl_classifier=clf)
+        E.transfer_eval(model, path, batch_size=3, expl_classifier=clf)
         expected = {f"{name}_encoder": 3 for name in model.sentences}
         if clf is not None:
             expected["explanation_encoder"] = 3
         assert counts == Counter(expected, greedy=3)
 
+    @pytest.mark.parametrize("variant", ["pred-expl", "expl-pred-att"])
+    def test_views_compute_only_what_they_return(self, monkeypatch, variant):
+        model, clf, _, encoded = _pass_setup(variant)   # 3 batches
+        counts = self._count_calls(monkeypatch)
+        E.predict_all(model, encoded, 3, expl_classifier=clf)
+        # explain-then-predict labels need the generations, nothing else
+        assert counts["teacher_forced"] == 0
+        assert counts["greedy"] == (0 if clf is None else 3)
+        counts.clear()
+        E.perplexity(model, encoded, 3)
+        assert counts["greedy"] == 0 and counts["teacher_forced"] == 3
+        counts.clear()
+        E.generate_all(model, encoded, 3)
+        assert counts["teacher_forced"] == 0 and counts["greedy"] == 3
+
     def test_validation_never_decodes_greedily(self, monkeypatch):
         model, _, _, encoded = _pass_setup("pred-expl")
         counts = self._count_calls(monkeypatch)
         metrics = _validation_metrics(model, encoded, 3)
-        assert counts == Counter(premise_encoder=3, hypothesis_encoder=3)
+        assert counts == Counter(premise_encoder=3, hypothesis_encoder=3,
+                                 teacher_forced=3)
         assert set(metrics) == {"val_accuracy", "val_perplexity",
                                 "val_token_accuracy"}
+
+    def test_nothing_to_compute_runs_no_batch(self, monkeypatch):
+        model, _, _, encoded = _pass_setup("hyp-to-expl")
+        counts = self._count_calls(monkeypatch)
+        res = E.evaluation_pass(model, encoded, 3)
+        assert not counts and res == E.EvalOutput()
