@@ -10,8 +10,9 @@ The LSTM layer follows Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946):
 the input projection of a whole sequence is one GEMM done before the
 recurrence, the gate math of a step is fused, and backprop through time
 runs inside one tape record whose recurrent weight gradient is one GEMM
-over all steps. Pad masking and the backward direction are done inside
-the op. The composed single-step `lstm_cell` is kept as its reference.
+over all steps. Each step runs over the rows still live only (packed
+sequences); pad masking and the backward direction are done inside the
+op. The composed single-step `lstm_cell` is kept as its reference.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
@@ -41,7 +42,8 @@ class EmptySequenceError(ValueError):
 
 
 class MaskError(ValueError):
-    """A softmax row has no unmasked position."""
+    """A mask is unusable: a softmax row with no unmasked position, or a
+    sequence mask whose real steps are not a prefix of each row."""
 
 
 class TapeError(RuntimeError):
@@ -282,18 +284,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _gemm_rows(a: np.ndarray, gemm: bool) -> np.ndarray:
+    """The row operand `a` (n, K) of a product that must run as gemm.
+
+    numpy sends a one-row product to gemv, whose sums round differently
+    from the same row inside a gemm. With `gemm`, a one-row `a` is
+    repeated to two rows; the caller keeps the first n rows of the result.
+    """
+    return np.concatenate([a, a]) if gemm and a.shape[0] == 1 else a
+
+
 def _flat_matmul(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
     """x (..., K) @ w_t (K, N) as one GEMM over the flattened leading axes.
 
-    numpy sends a one-row product to gemv, whose sums round differently
-    from the same row inside a gemm. A sequence (x.ndim > 2) that
-    flattens to one row therefore runs as two, so that a one-token,
-    one-row sequence rounds like the same row of a longer padded one.
+    A sequence (x.ndim > 2) that flattens to one row still runs as gemm,
+    so that a one-token, one-row sequence rounds like the same row of a
+    longer padded one.
     """
     x2 = x.reshape(-1, x.shape[-1])
-    if x2.shape[0] == 1 and x.ndim > 2:
-        return (np.concatenate([x2, x2]) @ w_t)[:1]
-    return x2 @ w_t
+    return (_gemm_rows(x2, x.ndim > 2) @ w_t)[:x2.shape[0]]
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -739,16 +748,25 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
     (4H, H) the recurrent weights, h0/c0 (B, H) the initial state (None
     is a zero state). Returns the hidden states (T, B, H).
 
-    `mask` (T, B) is False on pad steps: there the output is 0 and the
-    state passes through unchanged. With `reverse` the steps run from
-    T-1 down to 0, so each row's real prefix is read backwards starting
-    from (h0, c0), exactly as if it had been reversed in place. `rmask`
-    (B, H) is a recurrent dropout mask applied to the hidden state
-    entering every step.
+    `mask` (T, B) is True on each row's real steps, which must be a
+    prefix: `mask[t, b]` is `t < lengths[b]` (otherwise MaskError);
+    None means every row has length T. Pad steps output 0. With
+    `reverse` the steps run from T-1 down to 0, so each row's real
+    prefix is read backwards starting from (h0, c0), exactly as if it
+    had been reversed in place. `rmask` (B, H) is a recurrent dropout
+    mask applied to the hidden state entering every step.
 
-    Backward is backprop through time: it stacks the gate gradients,
-    which are the gradient of gx, and computes the gradient of wh as one
-    GEMM over all steps.
+    Only real step-rows are computed (Appleyard, Kocisky & Blunsom 2016,
+    packed sequences). The rows are sorted once, stably, by descending
+    length, so the rows live at step t are a prefix of that order; the
+    step's recurrent GEMM and gate math run over that prefix alone, and
+    steps with no live row are skipped. A row waiting for its first real
+    step (the reverse direction) keeps (h0, c0). The backward caches hold
+    the live rows only, one block per step. Backward is backprop through
+    time over the same prefixes; the gradient of wh is one GEMM over all
+    packed rows. When a batch of several rows is down to one live row,
+    that row still runs through gemm (`_gemm_rows`), so every row rounds
+    as it would in a full batch; a one-row batch stays on gemv.
     """
     x, w = gx.data, wh.data
     if x.ndim != 3 or w.ndim != 2 or w.shape != (x.shape[2], x.shape[2] // 4) \
@@ -763,77 +781,87 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
     if any(s0.shape != (B, H) for s0 in given):
         raise ShapeError(f"lstm_layer: initial state {[s0.shape for s0 in given]}, "
                          f"expected {(B, H)}")
-    h, c = (np.zeros((B, H), dtype=dtype) if s0 is None else s0.data
-            for s0 in (h0, c0))
-    keep = None
-    if mask is not None:
+    if mask is None:
+        lengths = np.full(B, T)
+    else:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (T, B):
             raise ShapeError(f"lstm_layer: mask {mask.shape}, expected {(T, B)}")
-        # 0/1 blends instead of np.where, which is slow; exact for the
-        # finite states an LSTM produces
-        keep = mask[:, :, None].astype(dtype)
-        held = 1.0 - keep
+        lengths = mask.sum(axis=0)
+        if not np.array_equal(mask, np.arange(T)[:, None] < lengths):
+            raise MaskError("lstm_layer: mask is not a prefix of real steps")
     if rmask is not None:
         rmask = np.asarray(rmask, dtype=dtype)
         if rmask.shape != (B, H):
             raise ShapeError(f"lstm_layer: rmask {rmask.shape}, expected {(B, H)}")
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    hs = np.empty((T, B, H), dtype=dtype)
+    order = np.argsort(-lengths, kind="stable")
+    live = (lengths > np.arange(T)[:, None]).sum(axis=1)
+    steps = np.flatnonzero(live)   # steps with no live row are skipped
+    if reverse:
+        steps = steps[::-1]
+    gemm = B > 1
+    # states in sorted row order; rows past the live prefix are left alone
+    h, c = (np.zeros((B, H), dtype=dtype) if s0 is None else s0.data[order]
+            for s0 in (h0, c0))
+    rm = None if rmask is None else rmask[order]
+    hs = np.zeros((T, B, H), dtype=dtype)
     # the caches backward reads; with no tape recording nothing reads them
     recording = _active_tape() is not None
     if recording:
-        acts = np.empty_like(x)
-        c_prev, tanh_c, h_in = (np.empty((T, B, H), dtype=dtype)
-                                for _ in range(3))
+        P = int(live.sum())
+        acts = np.empty((P, G), dtype=dtype)
+        c_prev, tanh_c, h_in = (np.empty((P, H), dtype=dtype) for _ in range(3))
+        s = 0
     for t in steps:
-        h_t = h if rmask is None else h * rmask
-        a_t, c_new, tc_t, h_new = _lstm_gates(x[t] + _recurrent(h_t, w), c)
+        n = live[t]
+        rows = order[:n]
+        h_t = h[:n] if rm is None else h[:n] * rm[:n]
+        z = x[t, rows] + _recurrent(_gemm_rows(h_t, gemm), w)[:n]
+        a_t, c_new, tc_t, h_new = _lstm_gates(z, c[:n])
         if recording:
-            acts[t], c_prev[t], tanh_c[t], h_in[t] = a_t, c, tc_t, h_t
-        if keep is None:
-            h, c = h_new, c_new
-            hs[t] = h
-        else:
-            hs[t] = h_new * keep[t]
-            h = hs[t] + h * held[t]
-            c = c_new * keep[t] + c * held[t]
+            acts[s:s + n], c_prev[s:s + n], tanh_c[s:s + n], h_in[s:s + n] = \
+                a_t, c[:n], tc_t, h_t
+            s += n
+        h[:n], c[:n] = h_new, c_new
+        hs[t, rows] = h_new
     out = Tensor(hs)
     if not recording:
         return out
 
     def _bw(g):
-        i, f, gc, o = (acts[..., k * H:(k + 1) * H] for k in range(4))
+        i, f, gc, o = (acts[:, k * H:(k + 1) * H] for k in range(4))
         # d(gate pre-activation) per unit of the c' gradient (i, f, g) or
         # of the h' gradient (o); only dc and dh are left to the loop
         per_dc = np.stack([gc * i * (1.0 - i), c_prev * f * (1.0 - f),
-                           i * (1.0 - gc * gc)], axis=2)
+                           i * (1.0 - gc * gc)], axis=1)
         per_dh = tanh_c * o * (1.0 - o)
         dc_from_h = o * (1.0 - tanh_c * tanh_c)
-        dz = np.empty((T, B, 4, H), dtype=acts.dtype)
+        dz = np.empty((P, 4, H), dtype=acts.dtype)
         dh = np.zeros((B, H), dtype=g.dtype)
         dc = np.zeros((B, H), dtype=g.dtype)
-        for t in reversed(steps):
-            dh_new = g[t] + dh
-            dc_new = dc
-            if keep is not None:
-                dh_new *= keep[t]
-                dc_new = dc * keep[t]
-            dc_new = dc_new + dh_new * dc_from_h[t]
-            np.multiply(per_dc[t], dc_new[:, None, :], out=dz[t, :, :3])
-            np.multiply(per_dh[t], dh_new, out=dz[t, :, 3])
-            dh_next = dz[t].reshape(B, G) @ w
-            if rmask is not None:
-                dh_next *= rmask
-            dc_next = dc_new * f[t]
-            if keep is not None:
-                dh_next += dh * held[t]
-                dc_next += dc * held[t]
-            dh, dc = dh_next, dc_next
-        dz = dz.reshape(T, B, G)
-        dw = dz.reshape(-1, G).T @ h_in.reshape(-1, H)
-        return (dz, dw) + tuple(d for s0, d in ((h0, dh), (c0, dc))
-                                if s0 is not None)
+        end = P
+        for t in steps[::-1]:
+            n = live[t]
+            blk = slice(end - n, end)
+            end -= n
+            dh_new = g[t, order[:n]] + dh[:n]
+            dc_new = dc[:n] + dh_new * dc_from_h[blk]
+            np.multiply(per_dc[blk], dc_new[:, None, :], out=dz[blk, :3])
+            np.multiply(per_dh[blk], dh_new, out=dz[blk, 3])
+            dh_next = (_gemm_rows(dz[blk].reshape(n, G), gemm) @ w)[:n]
+            if rm is not None:
+                dh_next *= rm[:n]
+            dh[:n] = dh_next
+            dc[:n] = dc_new * f[blk]
+        dz = dz.reshape(P, G)
+        dgx = np.zeros((T, B, G), dtype=dz.dtype)
+        # (order[:0] keeps the concatenation defined when no row is live)
+        dgx[np.repeat(steps, live[steps]),
+            np.concatenate([order[:0], *(order[:live[t]] for t in steps)])] = dz
+        dw = dz.T @ h_in
+        unsort = np.argsort(order)
+        return (dgx, dw) + tuple(d[unsort] for s0, d in ((h0, dh), (c0, dc))
+                                 if s0 is not None)
 
     _record(out, (gx, wh, *given), _bw)
     return out

@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import (ColumnMap, EncodedExample, Example, encode_corpus,
                    iterate_batches, load_corpus)
-from .models import ExplainThenPredict
+from .models import ExplainThenPredict, ModelError
 
 BLEU_MAX_N = 4
 
@@ -344,8 +344,14 @@ def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
 
     Returns (EvalReport, dump rows); dump rows carry one generated
     explanation per example for explanation-capable variants, ready for
-    human annotation. No parameter is updated.
+    human annotation. No parameter is updated. A model that reads
+    explanations (expl-to-label) is rejected with ModelError: the corpus
+    is run from its premises and hypotheses alone.
     """
+    if "explanation" in model.sentences:
+        raise ModelError(f"{model.variant} reads explanations, and transfer "
+                         "batches carry no explanations (premise/hypothesis "
+                         "pairs only)")
     examples, skipped = load_corpus(corpus_path, split=split, colmap=colmap)
     encoded = encode_corpus(examples, model.vocab)
     report = EvalReport(provenance={

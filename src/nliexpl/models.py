@@ -104,9 +104,10 @@ class BiLstmEncoder:
     """Bidirectional LSTM over token ids with masked max-pooling.
 
     Each direction is one input GEMM over the whole (T, B) sequence and
-    one `lstm_layer`. Pad steps output zero and leave the state alone,
-    so the backward direction starts each row's real suffix from a zero
-    state and padding can never leak into real timesteps.
+    one `lstm_layer`, which runs each step over the rows still real
+    there and outputs zero on pad steps. The backward direction starts
+    each row at its last real token from a zero state, so padding can
+    never leak into real timesteps.
     """
 
     def __init__(self, rng: np.random.Generator, embed_dim: int, hidden: int,
@@ -284,9 +285,11 @@ class LstmDecoder:
                        rng: np.random.Generator | None = None,
                        attn_ctx=None) -> DecodeResult:
         """Without attention the whole sequence is one input GEMM (the
-        source term once per sequence) and one `lstm_layer`; with it,
-        each step attends with the previous hidden state. Either way the
-        output projection, softmax and NLL run once over all S*B rows."""
+        source term once per sequence) and one `lstm_layer`, which skips
+        the pad steps of `target_mask` (their NLL rows are masked out);
+        with it, each step attends with the previous hidden state. Either
+        way the output projection, softmax and NLL run once over all S*B
+        rows."""
         B, S = inputs.shape
         h, c = self._init_state(source)
         rmask = None
@@ -304,7 +307,8 @@ class LstmDecoder:
         else:
             gx = ad.cond_linear(embedding.lookup(inputs.T), self._cond(source),
                                 self.cell.wi, self.cell.b)
-            hs = ad.lstm_layer(gx, self.cell.wh, h, c, rmask=rmask)
+            hs = ad.lstm_layer(gx, self.cell.wh, h, c, mask=target_mask.T,
+                               rmask=rmask)
         rows = ad.reshape(hs, (S * B, self.hidden))
         probs = ad.softmax(ad.linear(rows, self.w_out, self.b_out),
                            overwrite=True)

@@ -2,13 +2,19 @@
 
 Everything here is deliberately written from the definitions (brute
 force, full DP matrices, straight-line formula transcriptions) and
-shares no code with the package under test.
+shares no code with the package under test. The one exception is
+`lstm_layer_dense`, the dense LSTM layer kept as the reference of the
+packed one: it shares the step kernels, so the two can be compared bit
+for bit.
 """
 
 import math
 from collections import Counter
 
 import numpy as np
+
+from nliexpl.autodiff import (EmptySequenceError, ShapeError, Tensor,
+                              _active_tape, _lstm_gates, _record, _recurrent)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +90,125 @@ def scalar_lstm_step(x, h, c, wi, wh, b):
     c_new = f * c + i * g
     h_new = o * math.tanh(c_new)
     return h_new, c_new
+
+
+# ---------------------------------------------------------------------------
+# Dense LSTM layer
+
+
+def lstm_layer_dense(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
+                     c0: Tensor | None = None, mask: np.ndarray | None = None,
+                     reverse: bool = False,
+                     rmask: np.ndarray | None = None) -> Tensor:
+    """The dense `lstm_layer` that the packed one replaced, verbatim:
+    every step runs over all B rows and pad steps blend the state
+    through with 0/1 masks. The packed layer must match its float32
+    forward states bit for bit.
+
+    An LSTM over a whole sequence as one tape record.
+
+    gx (T, B, 4H) holds each step's input projection x_t @ wi.T + b, wh
+    (4H, H) the recurrent weights, h0/c0 (B, H) the initial state (None
+    is a zero state). Returns the hidden states (T, B, H).
+
+    `mask` (T, B) is False on pad steps: there the output is 0 and the
+    state passes through unchanged. With `reverse` the steps run from
+    T-1 down to 0, so each row's real prefix is read backwards starting
+    from (h0, c0), exactly as if it had been reversed in place. `rmask`
+    (B, H) is a recurrent dropout mask applied to the hidden state
+    entering every step.
+
+    Backward is backprop through time: it stacks the gate gradients,
+    which are the gradient of gx, and computes the gradient of wh as one
+    GEMM over all steps.
+    """
+    x, w = gx.data, wh.data
+    if x.ndim != 3 or w.ndim != 2 or w.shape != (x.shape[2], x.shape[2] // 4) \
+            or x.shape[2] % 4:
+        raise ShapeError(f"lstm_layer: gx {x.shape} incompatible with wh {w.shape}")
+    T, B, G = x.shape
+    H = G // 4
+    if T == 0:
+        raise EmptySequenceError("lstm_layer: no timesteps")
+    dtype = x.dtype
+    given = [s0 for s0 in (h0, c0) if s0 is not None]
+    if any(s0.shape != (B, H) for s0 in given):
+        raise ShapeError(f"lstm_layer: initial state {[s0.shape for s0 in given]}, "
+                         f"expected {(B, H)}")
+    h, c = (np.zeros((B, H), dtype=dtype) if s0 is None else s0.data
+            for s0 in (h0, c0))
+    keep = None
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (T, B):
+            raise ShapeError(f"lstm_layer: mask {mask.shape}, expected {(T, B)}")
+        # 0/1 blends instead of np.where, which is slow; exact for the
+        # finite states an LSTM produces
+        keep = mask[:, :, None].astype(dtype)
+        held = 1.0 - keep
+    if rmask is not None:
+        rmask = np.asarray(rmask, dtype=dtype)
+        if rmask.shape != (B, H):
+            raise ShapeError(f"lstm_layer: rmask {rmask.shape}, expected {(B, H)}")
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    hs = np.empty((T, B, H), dtype=dtype)
+    # the caches backward reads; with no tape recording nothing reads them
+    recording = _active_tape() is not None
+    if recording:
+        acts = np.empty_like(x)
+        c_prev, tanh_c, h_in = (np.empty((T, B, H), dtype=dtype)
+                                for _ in range(3))
+    for t in steps:
+        h_t = h if rmask is None else h * rmask
+        a_t, c_new, tc_t, h_new = _lstm_gates(x[t] + _recurrent(h_t, w), c)
+        if recording:
+            acts[t], c_prev[t], tanh_c[t], h_in[t] = a_t, c, tc_t, h_t
+        if keep is None:
+            h, c = h_new, c_new
+            hs[t] = h
+        else:
+            hs[t] = h_new * keep[t]
+            h = hs[t] + h * held[t]
+            c = c_new * keep[t] + c * held[t]
+    out = Tensor(hs)
+    if not recording:
+        return out
+
+    def _bw(g):
+        i, f, gc, o = (acts[..., k * H:(k + 1) * H] for k in range(4))
+        # d(gate pre-activation) per unit of the c' gradient (i, f, g) or
+        # of the h' gradient (o); only dc and dh are left to the loop
+        per_dc = np.stack([gc * i * (1.0 - i), c_prev * f * (1.0 - f),
+                           i * (1.0 - gc * gc)], axis=2)
+        per_dh = tanh_c * o * (1.0 - o)
+        dc_from_h = o * (1.0 - tanh_c * tanh_c)
+        dz = np.empty((T, B, 4, H), dtype=acts.dtype)
+        dh = np.zeros((B, H), dtype=g.dtype)
+        dc = np.zeros((B, H), dtype=g.dtype)
+        for t in reversed(steps):
+            dh_new = g[t] + dh
+            dc_new = dc
+            if keep is not None:
+                dh_new *= keep[t]
+                dc_new = dc * keep[t]
+            dc_new = dc_new + dh_new * dc_from_h[t]
+            np.multiply(per_dc[t], dc_new[:, None, :], out=dz[t, :, :3])
+            np.multiply(per_dh[t], dh_new, out=dz[t, :, 3])
+            dh_next = dz[t].reshape(B, G) @ w
+            if rmask is not None:
+                dh_next *= rmask
+            dc_next = dc_new * f[t]
+            if keep is not None:
+                dh_next += dh * held[t]
+                dc_next += dc * held[t]
+            dh, dc = dh_next, dc_next
+        dz = dz.reshape(T, B, G)
+        dw = dz.reshape(-1, G).T @ h_in.reshape(-1, H)
+        return (dz, dw) + tuple(d for s0, d in ((h0, dh), (c0, dc))
+                                if s0 is not None)
+
+    _record(out, (gx, wh, *given), _bw)
+    return out
 
 
 # ---------------------------------------------------------------------------

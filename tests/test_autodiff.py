@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
-from oracles import column_max, max_rel_err, numeric_grad, scalar_lstm_step
+from oracles import (column_max, lstm_layer_dense, max_rel_err, numeric_grad,
+                     scalar_lstm_step)
 
 
 def f64(x):
@@ -423,6 +424,32 @@ def _cell_scan(gx, wh, h0, c0, lengths, reverse, rmask):
     return leaves, w, starts, outs, tape
 
 
+# (T, row lengths) for the packed-versus-dense comparison; a batch whose
+# rows all have length T runs with no mask
+PACKING_CASES = {
+    "one-row-of-length-1": (5, [5, 1, 3, 2]),
+    "equal-lengths": (6, [4, 4, 4]),
+    "every-row-length-T": (5, [5, 5, 5]),
+    "one-row-batch": (6, [4]),
+    "one-row-batch-length-T": (3, [3]),
+    "last-live-row-alone": (6, [6, 2, 3, 2]),
+}
+
+
+def _layer_run(layer, arrays, mask, reverse, rmask, weights, dtype):
+    """States and input gradients of `layer` under a weighted-sum loss;
+    `arrays` holds gx, wh and optionally h0, c0."""
+    p = {name: ad.param(np.asarray(v, dtype=dtype), name)
+         for name, v in arrays.items()}
+    with ad.Tape() as tape:
+        hs = layer(p["gx"], p["wh"], p.get("h0"), p.get("c0"), mask=mask,
+                   reverse=reverse,
+                   rmask=None if rmask is None else rmask.astype(dtype))
+        loss = ad.sum_(ad.mul_const(hs, weights.astype(dtype)))
+    ad.backward(tape, loss)
+    return hs.data, {name: t.grad for name, t in p.items()}
+
+
 class TestLstmLayer:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("dropout", [False, True])
@@ -475,6 +502,81 @@ class TestLstmLayer:
             p["h0"].grad, np.concatenate([h.grad for h, _ in starts]), **close)
         np.testing.assert_allclose(
             p["c0"].grad, np.concatenate([c.grad for _, c in starts]), **close)
+
+    @pytest.mark.parametrize("case", sorted(PACKING_CASES))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_dense_oracle(self, case, reverse):
+        """The packed layer against the dense one it replaced, with and
+        without h0/c0 and recurrent dropout: float64 states and gradients
+        within 1e-10, float32 states bit-equal."""
+        T, lengths = PACKING_CASES[case]
+        B, H = len(lengths), 8
+        lengths = np.array(lengths)
+        mask = (None if (lengths == T).all()
+                else np.arange(T)[:, None] < lengths[None, :])
+        rng = np.random.default_rng(26)
+        for given in (False, True):
+            for dropout in (False, True):
+                arrays = {"gx": rng.normal(size=(T, B, 4 * H)),
+                          "wh": rng.normal(size=(4 * H, H)) * 0.6}
+                if given:
+                    arrays.update(h0=rng.normal(size=(B, H)),
+                                  c0=rng.normal(size=(B, H)))
+                rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float64)
+                         if dropout else None)
+                weights = rng.normal(size=(T, B, H))
+                runs = {(layer, dtype): _layer_run(layer, arrays, mask, reverse,
+                                                   rmask, weights, dtype)
+                        for layer in (ad.lstm_layer, lstm_layer_dense)
+                        for dtype in (np.float64, np.float32)}
+                hs, grads = runs[ad.lstm_layer, np.float64]
+                hs_ref, grads_ref = runs[lstm_layer_dense, np.float64]
+                close = dict(rtol=1e-10, atol=1e-10)
+                np.testing.assert_allclose(hs, hs_ref, **close)
+                assert grads.keys() == grads_ref.keys()
+                for name in grads:
+                    np.testing.assert_allclose(grads[name], grads_ref[name],
+                                               err_msg=name, **close)
+                np.testing.assert_array_equal(
+                    runs[ad.lstm_layer, np.float32][0],
+                    runs[lstm_layer_dense, np.float32][0])
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("lengths,extra", [([6, 2, 3, 2, 1], 3), ([3], 0)])
+    def test_recurrent_gemm_runs_live_rows_only(self, monkeypatch, reverse,
+                                                lengths, extra):
+        """Forward and backward each feed the recurrent GEMM every real
+        step-row once and no pad row, plus a repeated row at each step
+        where one row of several is left live (the gemm rule); a one-row
+        batch has no repeats."""
+        fed = []
+        gemm_rows = ad._gemm_rows
+
+        def counting(a, gemm):
+            rows = gemm_rows(a, gemm)
+            fed.append(rows.shape[0])
+            return rows
+
+        monkeypatch.setattr(ad, "_gemm_rows", counting)
+        rng = np.random.default_rng(27)
+        T, B, H = 8, len(lengths), 4
+        mask = np.arange(T)[:, None] < np.array(lengths)[None, :]
+        gx = f64_param(rng.normal(size=(T, B, 4 * H)), "gx")
+        wh = f64_param(rng.normal(size=(4 * H, H)), "wh")
+        with ad.Tape() as tape:
+            loss = ad.sum_(ad.lstm_layer(gx, wh, mask=mask, reverse=reverse))
+        forward = sum(fed)
+        ad.backward(tape, loss)
+        backward = sum(fed) - forward
+        assert forward == backward == sum(lengths) + extra
+
+    def test_rejects_non_prefix_mask(self):
+        gx, wh = f64(np.zeros((4, 2, 8))), f64(np.zeros((8, 2)))
+        hole = np.array([[1, 1], [0, 1], [1, 1], [0, 0]], dtype=bool)
+        late = np.array([[0, 1], [1, 1], [1, 0], [0, 0]], dtype=bool)
+        for mask in (hole, late):
+            with pytest.raises(ad.MaskError, match="not a prefix"):
+                ad.lstm_layer(gx, wh, mask=mask)
 
     def test_padding_never_changes_real_steps(self):
         rng = np.random.default_rng(22)

@@ -291,6 +291,22 @@ class TestEvalAndGenerate:
         assert set(rows[0]) == {"id", "premise", "hypothesis",
                                 "predicted_label", "explanation"}
 
+    def test_generate_rejects_expl_to_label(self, tmp_path, toy_config,
+                                            corpus, capsys):
+        """`generate` feeds premise/hypothesis pairs only, so a model that
+        reads explanations is refused up front, by name."""
+        _, valid = corpus
+        ckpt = TestExplainThenPredictCommand._save(
+            tmp_path / "clf", "expl-to-label",
+            make_examples(9, seed=50, n_explanations=3))
+        code = main(["generate", "--config", str(toy_config),
+                     "--checkpoint", str(ckpt), "--corpus", str(valid),
+                     "--out", str(tmp_path / "dump.csv"),
+                     "--out-root", str(tmp_path / "gen-runs")])
+        assert code == 1
+        assert "expl-to-label reads explanations" in capsys.readouterr().err
+        assert not (tmp_path / "dump.csv").exists()
+
     def test_repr_export(self, tmp_path, toy_config, trained):
         sentences = tmp_path / "sentences.txt"
         sentences.write_text("a dog runs in the park\na dog runs in the park\n"

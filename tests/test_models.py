@@ -5,12 +5,14 @@ import pytest
 
 from nliexpl import autodiff as ad
 from nliexpl import models as M
-from nliexpl.data import EmbeddingTable, Vocabulary, build_vocab, make_batch
+from nliexpl.data import (EmbeddingTable, Vocabulary, build_vocab,
+                          encode_corpus, make_batch)
 from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
                             build_model, classify, feature_vector, load_model)
 from model_utils import (full_model_grad_check, label_alone, toy_config,
                          toy_setup)
-from oracles import straight_line_attention
+from oracles import max_rel_err, straight_line_attention
+from synth import make_examples
 
 
 def t(x, dtype=np.float32):
@@ -389,6 +391,37 @@ class TestDecoding:
         assert tokens == int((batch.explanation_len - 1).sum())
         assert 0 <= correct <= tokens
         assert nll > 0
+
+    def test_teacher_forcing_equals_sum_of_one_row_batches(self):
+        """The decoder skips the pad steps of mixed-length explanations:
+        summed NLL, token and correct counts and every parameter gradient
+        equal the sums over unpadded one-row batches (float64, the
+        tolerance of the finite-difference suite)."""
+        model, batch, vocab = toy_setup("pred-expl", n=5)
+        assert len(set(batch.explanation_len)) > 1
+        model.cast_(np.float64)
+        params = model.params()
+
+        def forced(b):
+            for p in params.values():
+                p.grad = None
+            with ad.Tape() as tape:
+                source, ctx, _ = model._condition(b)
+                res = model._teacher_forced(b, source, ctx, b.labels,
+                                            train=False)
+            ad.backward(tape, res.nll_sum)
+            grads = {name: np.zeros_like(p.data) if p.grad is None
+                     else p.grad.copy() for name, p in params.items()}
+            grads["nll"] = np.asarray(res.nll_sum.data)
+            return grads, res.n_tokens, res.n_correct
+
+        whole, tokens, correct = forced(batch)
+        rows = [forced(make_batch([e], with_explanations=True))
+                for e in encode_corpus(make_examples(5, seed=0), vocab)]
+        assert tokens == sum(r[1] for r in rows)
+        assert correct == sum(r[2] for r in rows)
+        summed = {name: sum(r[0][name] for r in rows) for name in whole}
+        assert max_rel_err(whole, summed) < 1e-4
 
     def test_pred_expl_generation_conditions_on_predicted_label(self):
         model, batch, vocab = toy_setup("pred-expl", n=3)
