@@ -28,10 +28,6 @@ import numpy as np
 
 LOG_FLOOR = 1e-12  # clamp for -log(p) on degenerate distributions
 
-# Fixed LSTM gate ordering along the 4H axis: input, forget,
-# cell-candidate, output. The forget slice is rows [H:2H).
-GATE_ORDER = ("input", "forget", "cell", "output")
-
 
 class ShapeError(ValueError):
     """Operand dimensions are inconsistent."""
@@ -94,9 +90,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         tag = f" param={self.name!r}" if self.is_param else ""
@@ -290,6 +283,9 @@ def _gemm_rows(a: np.ndarray, gemm: bool) -> np.ndarray:
     numpy sends a one-row product to gemv, whose sums round differently
     from the same row inside a gemm. With `gemm`, a one-row `a` is
     repeated to two rows; the caller keeps the first n rows of the result.
+    A row then rounds as in a two-row gemm, which is not always as in a
+    large one: OpenBLAS takes a small-matrix sgemm path for products of
+    few rows (see `lstm_layer` for the sizes where this shows).
     """
     return np.concatenate([a, a]) if gemm and a.shape[0] == 1 else a
 
@@ -482,15 +478,6 @@ def nll_rows(probs: Tensor, targets: np.ndarray,
     return out
 
 
-def cross_entropy(probs: Tensor, target: int) -> Tensor:
-    """-log probs[target] for a single distribution; scalar output."""
-    if probs.data.ndim != 1:
-        raise ShapeError(f"cross_entropy: expected 1-D probs, got {probs.shape}")
-    row = reshape(probs, (1, probs.shape[0]))
-    losses = nll_rows(row, np.array([target]))
-    return reshape(losses, ())
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     old = a.shape
@@ -631,20 +618,6 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float,
     return keep / np.dtype(dtype).type(1.0 - rate)
 
 
-def dropout(x: Tensor, rate: float, train: bool,
-            rng: np.random.Generator | None = None) -> Tensor:
-    """Single-use dropout. Eval mode is the identity.
-
-    Recurrent use samples one mask per sequence via `dropout_mask` and
-    applies it with `mul_const` at every timestep.
-    """
-    if not train or rate == 0.0:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-        return x
-    return mul_const(x, dropout_mask(rng, x.shape, rate, x.dtype))
-
-
 # ---------------------------------------------------------------------------
 # LSTM cell
 
@@ -765,8 +738,14 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
     the live rows only, one block per step. Backward is backprop through
     time over the same prefixes; the gradient of wh is one GEMM over all
     packed rows. When a batch of several rows is down to one live row,
-    that row still runs through gemm (`_gemm_rows`), so every row rounds
-    as it would in a full batch; a one-row batch stays on gemv.
+    that row still runs through gemm (`_gemm_rows`); a one-row batch
+    stays on gemv. A row's float32 states are the same with any number of
+    live rows only where OpenBLAS rounds a gemm of few rows like a large
+    one. Against a 64-row step (OpenBLAS 0.3.31, one thread, x86-64
+    Haswell kernels), the forward product `(wh @ h.T).T` of n rows matches
+    at H = 8, 16, 256 and 512, and differs for n <= 9 at H = 32, n <= 4 at
+    H = 64 and n <= 2 at H = 128; the backward `dz @ wh` differs for
+    n <= 15 at H = 128 and n <= 3 at H = 256.
     """
     x, w = gx.data, wh.data
     if x.ndim != 3 or w.ndim != 2 or w.shape != (x.shape[2], x.shape[2] // 4) \

@@ -19,6 +19,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from .config import (ConfigError, apply_override, empty_config, load_config,
                      resolve_path, set_value)
 from .data import (ColumnMap, CorpusFormatError, EmbeddingTable, build_vocab,
                    encode_corpus, load_corpus, load_embeddings, pad_rows,
-                   tokenize)
+                   row_id, tokenize)
 from .evaluation import (EvaluationError, EvalReport, bleu, evaluate_model,
                          expl_at_k, inter_annotator_bleu, load_annotations,
                          transfer_eval)
@@ -40,6 +41,21 @@ from .training import (ALPHA_GRID, DECODER_GRID, TrainConfig, TrainData,
 
 INPUT_ERRORS = (ConfigError, CorpusFormatError, TrainingError, ModelError,
                 CheckpointError, EvaluationError, FileNotFoundError)
+
+# The flags that set one config key: (flag, section, key, type, commands
+# taking it; None: every command). The parser adds them and
+# `_resolved_config` applies them. `grid` sweeps decoder_hidden and alpha
+# itself, so only `train` takes --alpha and --decoder.
+_TRAINING = ("train", "grid")
+RUN_FLAGS = (
+    ("--seed", "training", "seed", int, None),
+    ("--variant", "model", "variant", str, _TRAINING),
+    ("--alpha", "training", "alpha", float, ("train",)),
+    ("--decoder", "model", "decoder_hidden", int, ("train",)),
+    ("--encoder", "model", "encoder_hidden", int, _TRAINING),
+    ("--epochs", "training", "epochs", int, _TRAINING),
+    ("--batch-size", "training", "batch_size", int, _TRAINING),
+)
 
 
 def _sha256(path: Path) -> str:
@@ -84,35 +100,18 @@ def _resolved_config(args) -> dict:
     config = load_config(args.config) if args.config else empty_config()
     for dotted, raw in args.set or []:
         apply_override(config, dotted, raw)
-    direct = {
-        "variant": ("model", "variant"),
-        "decoder": ("model", "decoder_hidden"),
-        "encoder": ("model", "encoder_hidden"),
-        "alpha": ("training", "alpha"),
-        "epochs": ("training", "epochs"),
-        "seed": ("training", "seed"),
-        "batch_size": ("training", "batch_size"),
-    }
-    for attr, (section, key) in direct.items():
-        value = getattr(args, attr, None)
+    for _, section, key, _, _ in RUN_FLAGS:
+        value = getattr(args, key, None)
         if value is not None:
             set_value(config, section, key, value)
     return config
 
 
 def _colmap(config: dict) -> ColumnMap:
+    """Each ColumnMap field from `[data] col_<field>`, where that is set."""
     data = config["data"]
-    kw = {}
-    mapping = {
-        "col_gold_label": "gold_label", "col_premise": "premise",
-        "col_hypothesis": "hypothesis", "col_explanations": "explanations",
-        "col_premise_highlights": "premise_highlights",
-        "col_hypothesis_highlights": "hypothesis_highlights", "col_id": "id",
-    }
-    for cfg_key, field in mapping.items():
-        if data.get(cfg_key):
-            kw[field] = data[cfg_key]
-    return ColumnMap(**kw)
+    return ColumnMap(**{f.name: data[f"col_{f.name}"] for f in fields(ColumnMap)
+                        if data.get(f"col_{f.name}")})
 
 
 def _load_bundle(config: dict):
@@ -146,28 +145,17 @@ def _load_bundle(config: dict):
         [emb_path] if emb_path else [])
 
 
-def _train_config(config: dict) -> TrainConfig:
-    model_cfg = config["model"]
-    train_cfg = config["training"]
-    if not model_cfg.get("variant"):
+def _variant(config: dict) -> str:
+    if not config["model"].get("variant"):
         raise ConfigError("[model] variant is required")
-    return TrainConfig(
-        variant=model_cfg["variant"],
-        alpha=train_cfg.get("alpha"),
-        epochs=train_cfg["epochs"],
-        seed=train_cfg["seed"],
-        batch_size=train_cfg["batch_size"],
-        lr=train_cfg["lr"],
-        decay=train_cfg["decay"],
-        dropout=train_cfg["dropout"],
-        embed_dim=config["data"]["embedding_dim"],
-        encoder_hidden=model_cfg["encoder_hidden"],
-        classifier_width=model_cfg["classifier_width"],
-        decoder_hidden=model_cfg["decoder_hidden"],
-        max_decode_len=model_cfg["max_decode_len"],
-        clip_norm=train_cfg.get("clip_norm"),
-        weight_decay=train_cfg["weight_decay"],
-    )
+    return config["model"]["variant"]
+
+
+def _train_config(config: dict, **overrides) -> TrainConfig:
+    """The [model] and [training] settings, then `overrides`, as one run."""
+    _variant(config)
+    return TrainConfig(**{**config["model"], **config["training"], **overrides},
+                       embed_dim=config["data"]["embedding_dim"])
 
 
 # ---------------------------------------------------------------------------
@@ -202,10 +190,8 @@ def cmd_filter(args) -> int:
         reader = csv.DictReader(src)
         writer = csv.DictWriter(dst, fieldnames=reader.fieldnames)
         writer.writeheader()
-        id_col = colmap.id
         for rownum, row in enumerate(reader, start=2):
-            row_id = (row.get(id_col) or "").strip() or f"row{rownum}"
-            if row_id in survivor_ids:
+            if row_id(row, colmap.id, rownum) in survivor_ids:
                 writer.writerow(row)
     print(f"filtered report: {report_path}")
     print(f"survivors: {survivors_path} ({len(survivor_ids)} of "
@@ -260,23 +246,17 @@ def cmd_train(args) -> int:
 
 def cmd_grid(args) -> int:
     config = _resolved_config(args)
-    base = _train_config(config)
-    bundle, _, inputs = _load_bundle(config)
-    run_dir = _start_run(args, config, inputs)
     decoders = ([int(x) for x in args.decoders.split(",")] if args.decoders
                 else list(DECODER_GRID))
-    alphas: list[float | None]
+    alphas = [config["training"].get("alpha")]
     if args.alphas:
         alphas = [float(x) for x in args.alphas.split(",")]
-    elif variant_class(base.variant).takes_alpha:
+    elif variant_class(_variant(config)).takes_alpha:
         alphas = list(ALPHA_GRID)
-    else:
-        alphas = [None]
-    configs = []
-    for dec in decoders:
-        for alpha in alphas:
-            kw = {**base.__dict__, "decoder_hidden": dec, "alpha": alpha}
-            configs.append(TrainConfig(**kw))
+    configs = [_train_config(config, decoder_hidden=dec, alpha=alpha)
+               for dec in decoders for alpha in alphas]
+    bundle, _, inputs = _load_bundle(config)
+    run_dir = _start_run(args, config, inputs)
     best, records = grid_select(configs, bundle, run_dir / "grid")
     summary = {
         "criterion": best.criterion,
@@ -395,13 +375,18 @@ def cmd_repr_export(args) -> int:
 # Parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_command(sub, name: str, fn, help: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
     p.add_argument("--config", help="sectioned key=value config file")
     p.add_argument("--set", nargs=2, action="append", metavar=("KEY", "VALUE"),
                    help="override a config entry, e.g. --set training.lr 0.05")
     p.add_argument("--out-root", default="runs",
                    help="directory that receives run directories")
-    p.add_argument("--seed", type=int, default=None)
+    for flag, _, key, kind, commands in RUN_FLAGS:
+        if commands is None or name in commands:
+            p.add_argument(flag, type=kind, dest=key)
+    p.set_defaults(fn=fn)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,46 +397,27 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("filter", help="template-filter uninformative explanations")
-    _add_common(p)
+    p = _add_command(sub, "filter", cmd_filter,
+                     "template-filter uninformative explanations")
     p.add_argument("--input", required=True)
     p.add_argument("--out", help="report CSV path")
     p.add_argument("--survivors", help="survivors CSV path")
     p.add_argument("--threshold", type=int, default=10)
-    p.set_defaults(fn=cmd_filter)
 
-    p = sub.add_parser("validate", help="check annotation constraints")
-    _add_common(p)
+    p = _add_command(sub, "validate", cmd_validate, "check annotation constraints")
     p.add_argument("--input", required=True)
     p.add_argument("--out", help="report CSV path")
-    p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("train", help="train one configuration")
-    _add_common(p)
-    p.add_argument("--variant")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--decoder", type=int)
-    p.add_argument("--encoder", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.set_defaults(fn=cmd_train)
+    _add_command(sub, "train", cmd_train, "train one configuration")
 
-    p = sub.add_parser("grid", help="train a hyperparameter grid and select")
-    _add_common(p)
-    p.add_argument("--variant")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--decoder", type=int)
-    p.add_argument("--encoder", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
+    p = _add_command(sub, "grid", cmd_grid,
+                     "train a hyperparameter grid and select")
     p.add_argument("--decoders", help="comma-separated decoder sizes "
                    "(default: the canonical 512,1024,2048,4096 sweep)")
     p.add_argument("--alphas", help="comma-separated alpha values (default "
                    "for weighted variants: 0.1..0.9 step 0.1)")
-    p.set_defaults(fn=cmd_grid)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    _add_common(p)
+    p = _add_command(sub, "eval", cmd_eval, "evaluate a checkpoint on a corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", default="test")
@@ -460,28 +426,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--annotations", help="partial-score CSV for expl@k")
     p.add_argument("--inter-annotator", action="store_true",
                    help="also report inter-annotator BLEU")
-    p.set_defaults(fn=cmd_eval)
 
-    p = sub.add_parser("generate", help="dump generated explanations")
-    _add_common(p)
+    p = _add_command(sub, "generate", cmd_generate, "dump generated explanations")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out", help="dump CSV path")
-    p.set_defaults(fn=cmd_generate)
 
-    p = sub.add_parser("bleu", help="corpus BLEU of line-aligned token files")
-    _add_common(p)
+    p = _add_command(sub, "bleu", cmd_bleu,
+                     "corpus BLEU of line-aligned token files")
     p.add_argument("--candidates", required=True)
     p.add_argument("--references", nargs="+", required=True)
-    p.set_defaults(fn=cmd_bleu)
 
-    p = sub.add_parser("repr-export", help="export sentence representations")
-    _add_common(p)
+    p = _add_command(sub, "repr-export", cmd_repr_export,
+                     "export sentence representations")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sentences", required=True)
     p.add_argument("--out", help="matrix file path")
-    p.set_defaults(fn=cmd_repr_export)
     return parser
 
 

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import configparser
 import os
+from dataclasses import MISSING, fields
 from pathlib import Path
+
+from .data import EXPLANATION_LIMIT, SENTENCE_LIMIT
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -52,13 +56,19 @@ SCHEMA: dict[str, dict[str, type | object]] = {
     },
 }
 
+_RUN_DEFAULTS = {f.name: f.default for f in fields(TrainConfig)
+                 if f.default not in (MISSING, None)}
+
+# [model] and [training] defaults are TrainConfig's; [data] embedding_dim
+# is its embed_dim.
 DEFAULTS = {
-    "data": {"embedding_dim": 300, "min_count": 15, "sentence_limit": 84,
-             "explanation_limit": 40},
-    "model": {"encoder_hidden": 2048, "decoder_hidden": 512,
-              "classifier_width": 512, "max_decode_len": 40},
-    "training": {"epochs": 20, "batch_size": 64, "lr": 0.1, "decay": 0.99,
-                 "dropout": 0.5, "seed": 0, "weight_decay": 0.0},
+    "data": {"embedding_dim": _RUN_DEFAULTS["embed_dim"], "min_count": 15,
+             "sentence_limit": SENTENCE_LIMIT,
+             "explanation_limit": EXPLANATION_LIMIT},
+    "model": {k: _RUN_DEFAULTS[k] for k in SCHEMA["model"]
+              if k in _RUN_DEFAULTS},
+    "training": {k: _RUN_DEFAULTS[k] for k in SCHEMA["training"]
+                 if k in _RUN_DEFAULTS},
     "eval": {"batch_size": 64, "expl_at_k_mode": "partial"},
 }
 

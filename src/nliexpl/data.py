@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import logging
 import re
 from collections import Counter
@@ -89,9 +88,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, self.unk_id) for t in tokens]
 
@@ -108,13 +104,6 @@ class Vocabulary:
 
     def sha256(self) -> str:
         return hashlib.sha256("\n".join(self.id_to_token).encode()).hexdigest()
-
-    def to_json(self) -> str:
-        return json.dumps({"tokens": self.id_to_token[self.reserved_size:]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Vocabulary":
-        return cls(json.loads(text)["tokens"])
 
 
 def build_vocab(corpus, min_count: int = 15) -> Vocabulary:
@@ -143,7 +132,6 @@ class EmbeddingTable:
     """Fixed pretrained word vectors, one row per vocabulary id."""
 
     matrix: np.ndarray
-    frozen: bool = True
 
     @property
     def dim(self) -> int:
@@ -156,7 +144,7 @@ class EmbeddingTable:
         pretrained vector file. <pad> stays zero."""
         m = rng.uniform(-scale, scale, size=(len(vocab), dim)).astype(np.float32)
         m[vocab.pad_id] = 0.0
-        return cls(matrix=m, frozen=True)
+        return cls(matrix=m)
 
 
 def load_embeddings(path, vocab: Vocabulary, dim: int = 300) -> EmbeddingTable:
@@ -185,7 +173,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int = 300) -> EmbeddingTable:
             except ValueError:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: unparsable float") from None
-    return EmbeddingTable(matrix=matrix, frozen=True)
+    return EmbeddingTable(matrix=matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +227,11 @@ def _parse_highlights(cell: str | None, where: str) -> set[int] | None:
         raise CorpusFormatError(f"{where}: bad highlight indices {cell!r}") from None
 
 
+def row_id(row: dict, id_col: str, rownum: int) -> str:
+    """A corpus row's example id: its id cell, else "row<N>" by CSV line."""
+    return (row.get(id_col) or "").strip() or f"row{rownum}"
+
+
 def load_corpus(path, split: str = "train",
                 colmap: ColumnMap | None = None) -> tuple[list[Example], int]:
     """Parse a corpus CSV. Returns (examples, skipped_row_count).
@@ -259,7 +252,7 @@ def load_corpus(path, split: str = "train",
             if col not in header:
                 raise CorpusFormatError(f"{path}: missing required column {col!r}")
         for rownum, row in enumerate(reader, start=2):
-            example_id = (row.get(colmap.id) or "").strip() or f"row{rownum}"
+            example_id = row_id(row, colmap.id, rownum)
             if example_id in first_row:
                 raise CorpusFormatError(
                     f"{path}: example id {example_id!r} repeated on rows "

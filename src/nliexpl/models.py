@@ -766,7 +766,7 @@ def load_model(path) -> BaseModel:
     vocab = Vocabulary(meta["vocab_tokens"])
     if vocab.sha256() != meta["model"]["vocab_sha256"]:
         raise ModelError(f"vocabulary hash mismatch in {path}")
-    table = EmbeddingTable(matrix=arrays.pop("embedding.frozen"), frozen=True)
+    table = EmbeddingTable(matrix=arrays.pop("embedding.frozen"))
     model = build_model(cfg, vocab, table, None)   # every array overwritten below
     params = model.params()
     missing = set(params) - set(arrays)

@@ -10,7 +10,6 @@ punctuation noise cannot dominate a character-level metric.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -106,7 +105,6 @@ TEMPLATES: tuple[Template, ...] = tuple(
 )
 
 _WS_RUN = re.compile(r"\s+")
-_OPTIONAL = re.compile(r"\(([^()]*)\)")
 
 
 def normalize(text: str) -> str:
@@ -157,53 +155,14 @@ def edit_distance(a: str, b: str, limit: int | None = None) -> int:
     return d
 
 
-def expand_pattern(pattern: str) -> list[str]:
-    """Materialize template variants.
-
-    Parenthesized subphrases are optional (expanded with and without);
-    "/"-joined alternatives within a word expand one variant per option.
-    Placeholder tokens are never split.
-    """
-    variants = [pattern]
-    while True:
-        nxt = []
-        changed = False
-        for v in variants:
-            m = _OPTIONAL.search(v)
-            if m is None:
-                nxt.append(v)
-                continue
-            changed = True
-            nxt.append(v[:m.start()] + m.group(1) + v[m.end():])
-            nxt.append(v[:m.start()] + v[m.end():])
-        variants = nxt
-        if not changed:
-            break
-    out = []
-    for v in variants:
-        words = v.split(" ")
-        choices = [w.split("/") if "/" in w and "<" not in w else [w]
-                   for w in words]
-        for combo in itertools.product(*choices):
-            s = _WS_RUN.sub(" ", " ".join(combo)).strip()
-            if s and s not in out:
-                out.append(s)
-    return out
-
-
 def instantiate_templates(premise: str, hypothesis: str, label: str) -> list[str]:
-    """All general templates plus the given label class's templates,
-    expanded and with the placeholders replaced by the full sentences."""
+    """All general templates plus the given label class's templates, with
+    the placeholders replaced by the full sentences."""
     if label not in LABEL_CLASSES:
         raise ValueError(f"unknown label class {label!r}")
-    out = []
-    for tpl in TEMPLATES:
-        if tpl.label_class not in ("general", label):
-            continue
-        for variant in expand_pattern(tpl.pattern):
-            out.append(variant.replace(PREMISE_SLOT, premise)
-                       .replace(HYPOTHESIS_SLOT, hypothesis))
-    return out
+    return [tpl.pattern.replace(PREMISE_SLOT, premise)
+            .replace(HYPOTHESIS_SLOT, hypothesis)
+            for tpl in TEMPLATES if tpl.label_class in ("general", label)]
 
 
 @dataclass

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +38,15 @@ class TrainingError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
-    variant: str
+class TrainConfig(ModelConfig):
+    """A model configuration plus the settings of its optimisation."""
+
     alpha: float | None = None
     epochs: int = 20
     seed: int = 0
     batch_size: int = 64
     lr: float = 0.1
     decay: float = 0.99
-    dropout: float = 0.5
-    embed_dim: int = 300
-    encoder_hidden: int = 2048
-    classifier_width: int = 512
-    decoder_hidden: int = 512
-    max_decode_len: int = 40
     clip_norm: float | None = None     # off unless configured
     weight_decay: float = 0.0          # off unless configured
 
@@ -74,12 +69,8 @@ class TrainConfig:
         return variant_class(self.variant).criterion
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(variant=self.variant, embed_dim=self.embed_dim,
-                           encoder_hidden=self.encoder_hidden,
-                           classifier_width=self.classifier_width,
-                           decoder_hidden=self.decoder_hidden,
-                           max_decode_len=self.max_decode_len,
-                           dropout=self.dropout)
+        return ModelConfig(**{f.name: getattr(self, f.name)
+                              for f in fields(ModelConfig)})
 
 
 @dataclass

@@ -189,12 +189,12 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_certain_prediction_is_zero(self):
-        loss = ad.cross_entropy(f64([1.0, 0.0, 0.0]), 0)
-        assert float(loss.data) == 0.0
+        loss = ad.nll_rows(f64([[1.0, 0.0, 0.0]]), np.array([0]))
+        assert float(loss.data[0]) == 0.0
 
     def test_uniform_four_way(self):
-        loss = ad.cross_entropy(f64([0.25] * 4), 2)
-        np.testing.assert_allclose(float(loss.data), math.log(4), rtol=1e-12)
+        loss = ad.nll_rows(f64([[0.25] * 4]), np.array([2]))
+        np.testing.assert_allclose(float(loss.data[0]), math.log(4), rtol=1e-12)
 
     def test_sequence_sum_three_halves(self):
         # three timesteps at gold-token probability 0.5 sum to 3*ln 2
@@ -205,8 +205,8 @@ class TestCrossEntropy:
 
     def test_zero_probability_clamped_and_flagged(self):
         with pytest.warns(ad.NumericsWarning):
-            loss = ad.cross_entropy(f64([1.0, 0.0]), 1)
-        np.testing.assert_allclose(float(loss.data), -math.log(ad.LOG_FLOOR))
+            loss = ad.nll_rows(f64([[1.0, 0.0]]), np.array([1]))
+        np.testing.assert_allclose(float(loss.data[0]), -math.log(ad.LOG_FLOOR))
 
     def test_gradient_through_softmax(self):
         rng = np.random.default_rng(6)
@@ -737,19 +737,13 @@ class TestTapeDiscipline:
 
 
 class TestDropout:
-    def test_eval_mode_is_identity(self):
-        x = f64([[1.0, -2.0, 3.0]])
-        assert ad.dropout(x, 0.5, train=False) is x
-
     def test_rate_zero_is_identity(self):
-        x = f64([[1.0, 2.0]])
-        rng = np.random.default_rng(0)
-        out = ad.dropout(x, 0.0, train=True, rng=rng)
-        np.testing.assert_array_equal(out.data, x.data)
+        m = ad.dropout_mask(np.random.default_rng(0), (1, 2), 0.0, np.float64)
+        np.testing.assert_array_equal(m, np.ones((1, 2)))
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            ad.dropout(f64([1.0]), 1.0, train=True, rng=np.random.default_rng(0))
+            ad.dropout_mask(np.random.default_rng(0), (1,), 1.0)
 
     def test_inverted_scaling_preserves_mean(self):
         # Monte-Carlo: mean over 10,000 masks within 2% of x

@@ -2,13 +2,17 @@
 
 import csv
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nliexpl import cli
 from nliexpl.cli import main
-from nliexpl.config import ConfigError, apply_override, load_config
+from nliexpl.config import (SCHEMA, ConfigError, apply_override, empty_config,
+                            load_config)
+from nliexpl.training import TrainConfig
 from synth import make_examples, write_corpus_csv
 
 
@@ -193,8 +197,6 @@ class TestTrainCommand:
 
     @staticmethod
     def _forbid_corpus_loading(monkeypatch):
-        from nliexpl import cli
-
         def fail(*args, **kwargs):
             raise AssertionError("corpus loaded before the config was checked")
 
@@ -477,7 +479,8 @@ class TestReproducibility:
 
 
 class TestGridCommand:
-    def test_grid_selects_and_reports(self, tmp_path, corpus):
+    @staticmethod
+    def _config(tmp_path, corpus, variant):
         train, valid = corpus
         cfg = tmp_path / "g.ini"
         cfg.write_text(f"""
@@ -488,7 +491,7 @@ embedding_dim = 8
 min_count = 1
 
 [model]
-variant = expl-pred-seq2seq
+variant = {variant}
 encoder_hidden = 5
 classifier_width = 5
 
@@ -497,6 +500,10 @@ epochs = 1
 batch_size = 8
 seed = 1
 """)
+        return cfg
+
+    def test_grid_selects_and_reports(self, tmp_path, corpus):
+        cfg = self._config(tmp_path, corpus, "expl-pred-seq2seq")
         out_root = tmp_path / "runs"
         code = main(["grid", "--config", str(cfg), "--decoders", "4,6",
                      "--out-root", str(out_root)])
@@ -507,3 +514,25 @@ seed = 1
         assert len(summary["runs"]) == 2
         values = [r["best_value"] for r in summary["runs"]]
         assert summary["best"]["value"] == min(values)
+
+    def test_alpha_sweep_needs_no_configured_alpha(self, tmp_path, corpus):
+        cfg = self._config(tmp_path, corpus, "pred-expl")
+        out_root = tmp_path / "runs"
+        code = main(["grid", "--config", str(cfg), "--decoders", "4",
+                     "--alphas", "0.3,0.7", "--out-root", str(out_root)])
+        assert code == 0
+        (run_dir,) = run_dirs(out_root)
+        summary = json.loads((run_dir / "reports" / "grid.json").read_text())
+        assert [r["config"]["alpha"] for r in summary["runs"]] == [0.3, 0.7]
+        assert {r["config"]["decoder_hidden"] for r in summary["runs"]} == {4}
+
+
+class TestRunSettings:
+    def test_config_sections_name_every_train_config_field(self):
+        keys = {*SCHEMA["model"], *SCHEMA["training"], "embed_dim"}
+        assert keys == {f.name for f in fields(TrainConfig)}
+
+    def test_defaults_are_train_config_defaults(self):
+        config = empty_config()
+        config["model"]["variant"] = "expl-pred-seq2seq"
+        assert cli._train_config(config) == TrainConfig(variant="expl-pred-seq2seq")

@@ -111,27 +111,15 @@ class TestTemplates:
         with pytest.raises(ValueError):
             Q.instantiate_templates("A", "B", "maybe")
 
-
-class TestExpandPattern:
-    def test_optional_subphrase_both_variants(self):
-        out = Q.expand_pattern("it is (really) big")
-        assert sorted(out) == ["it is big", "it is really big"]
-
-    def test_slash_alternatives(self):
-        out = Q.expand_pattern("he is/was here")
-        assert sorted(out) == ["he is here", "he was here"]
-
-    def test_combined_expansion(self):
-        out = Q.expand_pattern("(very) fast/slow")
-        assert sorted(out) == ["fast", "slow", "very fast", "very slow"]
-
-    def test_placeholders_never_split(self):
-        out = Q.expand_pattern("<PREMISE> and/or <HYPOTHESIS>")
-        assert "<PREMISE> and <HYPOTHESIS>" in out
-        assert "<PREMISE> or <HYPOTHESIS>" in out
-
-    def test_plain_pattern_passes_through(self):
-        assert Q.expand_pattern("A implies B") == ["A implies B"]
+    def test_patterns_are_plain_text(self):
+        # instantiation fills each frame verbatim: no optional "(...)"
+        # subphrases or "/" alternatives, and one template per frame
+        for t in Q.TEMPLATES:
+            assert not set("()/") & set(t.pattern), t.pattern
+        for label in ("entailment", "neutral", "contradiction"):
+            frames = [t for t in Q.TEMPLATES
+                      if t.label_class in ("general", label)]
+            assert len(Q.instantiate_templates("P", "H", label)) == len(frames)
 
 
 class TestIsUninformative:
@@ -175,12 +163,11 @@ class TestIsUninformative:
     def test_every_shipped_template_self_filters(self):
         for t in Q.TEMPLATES:
             label = t.label_class if t.label_class != "general" else "neutral"
-            for variant in Q.expand_pattern(t.pattern):
-                inst = variant.replace(Q.PREMISE_SLOT, "a man sings") \
-                              .replace(Q.HYPOTHESIS_SLOT, "someone is loud")
-                res = Q.is_uninformative(inst, "a man sings", "someone is loud",
-                                         label)
-                assert res.uninformative and res.distance == 0, t.pattern
+            inst = t.pattern.replace(Q.PREMISE_SLOT, "a man sings") \
+                            .replace(Q.HYPOTHESIS_SLOT, "someone is loud")
+            res = Q.is_uninformative(inst, "a man sings", "someone is loud",
+                                     label)
+            assert res.uninformative and res.distance == 0, t.pattern
 
     def test_filter_example_rows(self):
         e = Example(id="e1", premise=tokenize("a dog runs"),
