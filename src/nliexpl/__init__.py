@@ -2,8 +2,8 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import (SgdState, Tape, Tensor, backward, lstm_cell,
-                       max_over_time, sgd_step, softmax)
+from .autodiff import (SgdState, Tape, Tensor, backward, max_over_time,
+                       sgd_step, softmax)
 from .data import (Batch, ColumnMap, EmbeddingTable, Example, Vocabulary,
                    build_vocab, encode_corpus, encode_example, iterate_batches,
                    load_corpus, load_embeddings, tokenize)
@@ -19,8 +19,8 @@ from .training import (RunRecord, TrainConfig, TrainData, grid_select,
                        joint_loss, train)
 
 __all__ = [
-    "SgdState", "Tape", "Tensor", "backward", "lstm_cell", "max_over_time",
-    "sgd_step", "softmax",
+    "SgdState", "Tape", "Tensor", "backward", "max_over_time", "sgd_step",
+    "softmax",
     "Batch", "ColumnMap", "EmbeddingTable", "Example", "Vocabulary",
     "build_vocab", "encode_corpus", "encode_example", "iterate_batches",
     "load_corpus", "load_embeddings", "tokenize",

@@ -1,18 +1,22 @@
 """Minimal reverse-mode autodiff engine on a numpy backend.
 
 Implements exactly the operations the model zoo needs: affine maps
-(one GEMM over all leading axes), elementwise arithmetic, tanh/sigmoid,
+(one GEMM over all leading axes), elementwise arithmetic and tanh,
 masked softmax, max-over-time pooling, concatenation, attention
 contractions, embedding lookup with partially trainable rows, dropout,
-a fused LSTM layer, and plain SGD with per-epoch learning-rate decay.
+a fused LSTM layer and step, and plain SGD with per-epoch learning-rate
+decay.
 
-The LSTM layer follows Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946):
-the input projection of a whole sequence is one GEMM done before the
-recurrence, the gate math of a step is fused, and backprop through time
-runs inside one tape record whose recurrent weight gradient is one GEMM
-over all steps. Each step runs over the rows still live only (packed
-sequences); pad masking and the backward direction are done inside the
-op. The composed single-step `lstm_cell` is kept as its reference.
+The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
+and share one fused gate kernel (`_lstm_gates`, derivatives `_gate_grads`).
+`lstm_layer` runs a sequence as one tape record: the input projection is
+one GEMM done before the recurrence, each step runs over the rows still
+live only (packed sequences), pad masking and the backward direction
+are done inside the op, and the recurrent weight gradient of backprop
+through time is one GEMM over all steps. `lstm_step` is one step, for
+decoders whose next input needs the state (attention, greedy decoding).
+The cell composed from generic tape ops lives in `tests/oracles.py` as
+their reference.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
@@ -94,10 +98,6 @@ class Tensor:
     def __repr__(self) -> str:
         tag = f" param={self.name!r}" if self.is_param else ""
         return f"Tensor(shape={self.shape}{tag})"
-
-
-def tensor(data, dtype=np.float32) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype))
 
 
 def param(data, name: str) -> Tensor:
@@ -231,13 +231,6 @@ def scale(a: Tensor, k: float) -> Tensor:
     return out
 
 
-def mul_const(a: Tensor, c: np.ndarray) -> Tensor:
-    """Multiply by a constant array (dropout / pad masks); no grad to `c`."""
-    out = Tensor(a.data * c)
-    _record(out, (a,), lambda g: (g * c,))
-    return out
-
-
 def abs_(a: Tensor) -> Tensor:
     """Elementwise |a| with sign subgradient (0 at 0)."""
     out = Tensor(np.abs(a.data))
@@ -258,23 +251,6 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     # e^a / (1 + e^a) below, with the branch taken by the numerator
     # (e^0 is exactly 1): np.where is several times slower than exp here.
     return np.exp(np.minimum(a, 0)) / (1.0 + np.exp(-np.abs(a)))
-
-
-def sigmoid_(a: Tensor) -> Tensor:
-    ad = a.data
-    out = Tensor(_sigmoid(ad).astype(ad.dtype, copy=False))
-    od = out.data
-    _record(out, (a,), lambda g: (g * od * (1.0 - od),))
-    return out
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
-    ad, bd = a.data, b.data
-    _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-    return out
 
 
 def _gemm_rows(a: np.ndarray, gemm: bool) -> np.ndarray:
@@ -374,20 +350,6 @@ def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
     sizes = [p.shape[axis] for p in parts]
     splits = np.cumsum(sizes)[:-1]
     _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
-    return out
-
-
-def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
-    """Slice along the last axis (used for gate splitting)."""
-    out = Tensor(a.data[..., start:stop].copy())
-    shape = a.shape
-
-    def _bw(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[..., start:stop] = g
-        return (full,)
-
-    _record(out, (a,), _bw)
     return out
 
 
@@ -573,34 +535,31 @@ def attn_combine(weights: Tensor, values: Tensor) -> Tensor:
 # Embedding lookup
 
 
-def embedding_lookup(frozen: np.ndarray, ids: np.ndarray,
-                     trainable: Tensor | None = None,
-                     slots: np.ndarray | None = None) -> Tensor:
-    """Row lookup into a frozen table with optionally trainable rows.
+def embedding_lookup(frozen: np.ndarray, ids: np.ndarray, trainable: Tensor,
+                     slots: np.ndarray) -> Tensor:
+    """Row lookup into a frozen table with some rows trainable.
 
     `slots` maps vocabulary id -> row of `trainable` (-1 = frozen). Only
     trainable rows receive gradient; the frozen table never does.
     """
     ids = np.asarray(ids, dtype=np.int64)
     rows = frozen[ids]
-    if trainable is not None:
-        sl = slots[ids]
-        hit = sl >= 0
+    sl = slots[ids]
+    hit = sl >= 0
+    if hit.any():
+        rows = rows.copy()
+        rows[hit] = trainable.data[sl[hit]]
+    out = Tensor(rows)
+    k = trainable.shape[0]
+
+    def _bw(g):
+        gt = np.zeros((k, g.shape[-1]), dtype=g.dtype)
         if hit.any():
-            rows = rows.copy()
-            rows[hit] = trainable.data[sl[hit]]
-        out = Tensor(rows)
-        k = trainable.shape[0]
+            np.add.at(gt, sl[hit], g[hit])
+        return (gt,)
 
-        def _bw(g):
-            gt = np.zeros((k, g.shape[-1]), dtype=g.dtype)
-            if hit.any():
-                np.add.at(gt, sl[hit], g[hit])
-            return (gt,)
-
-        _record(out, (trainable,), _bw)
-        return out
-    return Tensor(rows)
+    _record(out, (trainable,), _bw)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -635,14 +594,6 @@ class LstmParams:
     wh: Tensor
     b: Tensor
 
-    @property
-    def hidden(self) -> int:
-        return self.wh.shape[1]
-
-    @property
-    def input_dim(self) -> int:
-        return self.wi.shape[1]
-
     def named(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.wi": self.wi, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
 
@@ -657,34 +608,13 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int,
     return LstmParams(wi=wi, wh=wh, b=b)
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
-              params: LstmParams) -> tuple[Tensor, Tensor]:
-    """One step of canonical LSTM gating.
-
-    c' = sigmoid(f) * c + sigmoid(i) * tanh(g); h' = sigmoid(o) * tanh(c').
-    Inputs are (B, D) / (B, H); returns (h', c').
-    """
-    H = params.hidden
-    if x.shape[-1] != params.input_dim or h.shape[-1] != H or c.shape[-1] != H:
-        raise ShapeError(
-            f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape} vs params "
-            f"D={params.input_dim} H={H}")
-    gates = add(linear(x, params.wi, params.b), linear(h, params.wh))
-    i = sigmoid_(slice_last(gates, 0, H))
-    f = sigmoid_(slice_last(gates, H, 2 * H))
-    g = tanh_(slice_last(gates, 2 * H, 3 * H))
-    o = sigmoid_(slice_last(gates, 3 * H, 4 * H))
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh_(c_new))
-    return h_new, c_new
-
-
 def _lstm_gates(z: np.ndarray, c: np.ndarray):
     """The fused gate math of one step, shared by every LSTM path.
 
     z (B, 4H) are the gate pre-activations and c (B, H) the cell state.
     Returns the activations [i, f, g, o] (B, 4H), the new cell state,
-    its tanh, and the new hidden state, by the arithmetic of `lstm_cell`.
+    its tanh, and the new hidden state: c' = sigmoid(f) * c +
+    sigmoid(i) * tanh(g) and h' = sigmoid(o) * tanh(c').
     """
     H = c.shape[-1]
     act = _sigmoid(z)
@@ -695,21 +625,75 @@ def _lstm_gates(z: np.ndarray, c: np.ndarray):
     return act, c_new, tc, o * tc
 
 
+def _gate_grads(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray):
+    """Per unit of the c' gradient, the pre-activation gradients of i, f
+    and g (N, 3, H); per unit of the h' gradient, that of o and the c'
+    gradient (N, H each). Inputs as cached from `_lstm_gates`."""
+    H = c_prev.shape[-1]
+    i, f, gc, o = (acts[:, k * H:(k + 1) * H] for k in range(4))
+    per_dc = np.stack([gc * i * (1.0 - i), c_prev * f * (1.0 - f),
+                       i * (1.0 - gc * gc)], axis=1)
+    per_dh = tanh_c * o * (1.0 - o)
+    dc_from_h = o * (1.0 - tanh_c * tanh_c)
+    return per_dc, per_dh, dc_from_h
+
+
 def _recurrent(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     # h @ w.T, computed as (w @ h.T).T, which OpenBLAS runs about a fifth
     # faster for the (B, H) x (H, 4H) product of a step
     return (w @ h.T).T
 
 
-def lstm_step(gx: np.ndarray, wh: np.ndarray, h: np.ndarray,
-              c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One LSTM step on plain arrays, for decoding; records nothing.
+def lstm_step(gx: Tensor, h: Tensor, c: Tensor, wh: Tensor,
+              rmask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """One LSTM step on `lstm_layer`'s kernel: gx (B, 4H) is the step's
+    input projection with the bias added, h/c (B, H) the state, `rmask`
+    (B, H) a recurrent dropout mask on h. Returns (h', c').
 
-    gx (B, 4H) is the input projection of the step with the bias added,
-    wh (4H, H) the recurrent weights; returns (h', c').
+    Two tape records: c' carries the step's whole backward; h' passes
+    its gradient on to c' and keeps it for the output gate, so backward
+    is complete whichever output a loss reads.
     """
-    _, c_new, _, h_new = _lstm_gates(gx + _recurrent(h, wh), c)
-    return h_new, c_new
+    x, w = gx.data, wh.data
+    if x.ndim != 2 or w.ndim != 2 or w.shape != (x.shape[1], x.shape[1] // 4) \
+            or x.shape[1] % 4:
+        raise ShapeError(f"lstm_step: gx {x.shape} incompatible with wh {w.shape}")
+    B, G = x.shape
+    H = G // 4
+    if h.shape != (B, H) or c.shape != (B, H):
+        raise ShapeError(f"lstm_step: state {h.shape}, {c.shape}, "
+                         f"expected {(B, H)}")
+    h_in = h.data
+    if rmask is not None:
+        rmask = np.asarray(rmask, dtype=x.dtype)
+        if rmask.shape != (B, H):
+            raise ShapeError(f"lstm_step: rmask {rmask.shape}, expected {(B, H)}")
+        h_in = h_in * rmask
+    acts, c_new, tc, h_new = _lstm_gates(x + _recurrent(h_in, w), c.data)
+    h_out, c_out = Tensor(h_new), Tensor(c_new)
+    if _active_tape() is None:
+        return h_out, c_out
+    per_dc, per_dh, dc_from_h = _gate_grads(acts, c.data, tc)
+    f = acts[:, H:2 * H].copy()   # so that backward keeps no view of acts
+    dh_new = [0.0]   # the gradient of h', once its record has run
+
+    def _bw(g):
+        dz = np.empty((B, 4, H), dtype=x.dtype)
+        np.multiply(per_dc, g[:, None, :], out=dz[:, :3])
+        np.multiply(per_dh, dh_new[0], out=dz[:, 3])
+        dz = dz.reshape(B, G)
+        dh = dz @ w
+        if rmask is not None:
+            dh *= rmask
+        return (dz, dh, g * f, dz.T @ h_in)
+
+    def _bw_h(g):
+        dh_new[0] = g
+        return (g * dc_from_h,)
+
+    _record(c_out, (gx, h, c, wh), _bw)
+    _record(h_out, (c_out,), _bw_h)
+    return h_out, c_out
 
 
 def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
@@ -808,13 +792,9 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
         return out
 
     def _bw(g):
-        i, f, gc, o = (acts[:, k * H:(k + 1) * H] for k in range(4))
-        # d(gate pre-activation) per unit of the c' gradient (i, f, g) or
-        # of the h' gradient (o); only dc and dh are left to the loop
-        per_dc = np.stack([gc * i * (1.0 - i), c_prev * f * (1.0 - f),
-                           i * (1.0 - gc * gc)], axis=1)
-        per_dh = tanh_c * o * (1.0 - o)
-        dc_from_h = o * (1.0 - tanh_c * tanh_c)
+        # only dc and dh are left to the loop
+        per_dc, per_dh, dc_from_h = _gate_grads(acts, c_prev, tanh_c)
+        f = acts[:, H:2 * H]
         dz = np.empty((P, 4, H), dtype=acts.dtype)
         dh = np.zeros((B, H), dtype=g.dtype)
         dc = np.zeros((B, H), dtype=g.dtype)

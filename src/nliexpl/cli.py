@@ -244,13 +244,20 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _grid_list(flag: str, raw: str, kind) -> list:
+    try:
+        return [kind(x) for x in raw.split(",")]
+    except ValueError:
+        raise ConfigError(f"bad value for {flag}: {raw!r}") from None
+
+
 def cmd_grid(args) -> int:
     config = _resolved_config(args)
-    decoders = ([int(x) for x in args.decoders.split(",")] if args.decoders
+    decoders = (_grid_list("--decoders", args.decoders, int) if args.decoders
                 else list(DECODER_GRID))
     alphas = [config["training"].get("alpha")]
     if args.alphas:
-        alphas = [float(x) for x in args.alphas.split(",")]
+        alphas = _grid_list("--alphas", args.alphas, float)
     elif variant_class(_variant(config)).takes_alpha:
         alphas = list(ALPHA_GRID)
     configs = [_train_config(config, decoder_hidden=dec, alpha=alpha)

@@ -14,6 +14,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .data import EXPLANATION_LIMIT, SENTENCE_LIMIT
+from .evaluation import EVAL_BATCH_SIZE
 from .training import TrainConfig
 
 
@@ -69,7 +70,7 @@ DEFAULTS = {
               if k in _RUN_DEFAULTS},
     "training": {k: _RUN_DEFAULTS[k] for k in SCHEMA["training"]
                  if k in _RUN_DEFAULTS},
-    "eval": {"batch_size": 64, "expl_at_k_mode": "partial"},
+    "eval": {"batch_size": EVAL_BATCH_SIZE, "expl_at_k_mode": "partial"},
 }
 
 DATA_ROOT_ENV = "NLIEXPL_DATA_ROOT"

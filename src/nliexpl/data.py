@@ -106,7 +106,7 @@ class Vocabulary:
         return hashlib.sha256("\n".join(self.id_to_token).encode()).hexdigest()
 
 
-def build_vocab(corpus, min_count: int = 15) -> Vocabulary:
+def build_vocab(corpus, min_count: int) -> Vocabulary:
     """Vocabulary over token lists; tokens seen < min_count map to <unk>.
 
     Ordering is stable: by descending count, then lexicographic.
@@ -147,12 +147,13 @@ class EmbeddingTable:
         return cls(matrix=m)
 
 
-def load_embeddings(path, vocab: Vocabulary, dim: int = 300) -> EmbeddingTable:
+def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingTable:
     """Read a "token v1 ... v_dim" text file into a |V| x dim table.
 
     In-vocab tokens get their file rows verbatim; everything else,
     including all reserved tokens, gets the zero vector (label words are
-    shadowed by trainable rows inside the models).
+    shadowed by trainable rows inside the models). A row the table
+    keeps must hold finite floats.
     """
     matrix = np.zeros((len(vocab), dim), dtype=np.float32)
     with open(path, encoding="utf-8") as fh:
@@ -173,6 +174,9 @@ def load_embeddings(path, vocab: Vocabulary, dim: int = 300) -> EmbeddingTable:
             except ValueError:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: unparsable float") from None
+            if not np.isfinite(matrix[idx]).all():
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: non-finite value for {token!r}")
     return EmbeddingTable(matrix=matrix)
 
 

@@ -26,6 +26,7 @@ from .data import (ColumnMap, EncodedExample, Example, encode_corpus,
 from .models import ExplainThenPredict, ModelError
 
 BLEU_MAX_N = 4
+EVAL_BATCH_SIZE = 64   # the [eval] batch_size default
 
 
 class EvaluationError(ValueError):
@@ -243,8 +244,9 @@ class EvalOutput:
         return self.n_correct / self.n_tokens
 
 
-def evaluation_pass(model, encoded: list[EncodedExample], batch_size: int = 64,
-                    nll: bool = False, greedy: bool = False, expl_classifier=None,
+def evaluation_pass(model, encoded: list[EncodedExample],
+                    batch_size: int = EVAL_BATCH_SIZE, nll: bool = False,
+                    greedy: bool = False, expl_classifier=None,
                     with_explanations: bool | None = None) -> EvalOutput:
     """One `model.eval_batch` per batch, so each batch is encoded once
     for everything the pass gives: labels whenever the model has a
@@ -278,7 +280,8 @@ def evaluation_pass(model, encoded: list[EncodedExample], batch_size: int = 64,
     return res
 
 
-def predict_all(model, encoded, batch_size=64, expl_classifier=None):
+def predict_all(model, encoded, batch_size=EVAL_BATCH_SIZE,
+                expl_classifier=None):
     """(predicted, gold) labels for every example; a generator without
     a classifier labels by explain-then-predict."""
     if not model.has_classifier and expl_classifier is None:
@@ -290,13 +293,13 @@ def predict_all(model, encoded, batch_size=64, expl_classifier=None):
 
 
 def perplexity(model, encoded: list[EncodedExample],
-               batch_size: int = 64) -> EvalOutput:
+               batch_size: int = EVAL_BATCH_SIZE) -> EvalOutput:
     """Teacher-forced perplexity over the first gold explanations."""
     return evaluation_pass(model, encoded, batch_size, nll=True,
                            with_explanations=True)
 
 
-def generate_all(model, encoded, batch_size=64):
+def generate_all(model, encoded, batch_size=EVAL_BATCH_SIZE):
     """Greedy explanations (token-id lists) and empty flags for every example."""
     res = evaluation_pass(model, encoded, batch_size, greedy=True)
     return res.generated, res.empty
@@ -304,7 +307,8 @@ def generate_all(model, encoded, batch_size=64):
 
 def evaluate_model(model, encoded: list[EncodedExample],
                    examples: list[Example] | None = None, split: str = "valid",
-                   batch_size: int = 64, expl_classifier=None) -> EvalReport:
+                   batch_size: int = EVAL_BATCH_SIZE,
+                   expl_classifier=None) -> EvalReport:
     """Full metric sweep for one model on one split.
 
     Accuracy comes from the model's own classifier, or from the
@@ -338,7 +342,7 @@ def evaluate_model(model, encoded: list[EncodedExample],
 
 
 def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
-                  split: str = "transfer", batch_size: int = 64,
+                  split: str = "transfer", batch_size: int = EVAL_BATCH_SIZE,
                   expl_classifier=None):
     """Out-of-domain evaluation without fine-tuning.
 

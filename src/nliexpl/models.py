@@ -48,6 +48,15 @@ class ModelConfig:
     max_decode_len: int = 40
     dropout: float = 0.5
 
+    def __post_init__(self):
+        sizes = ("embed_dim", "encoder_hidden", "classifier_width",
+                 "decoder_hidden", "max_decode_len")
+        small = [f"{k}={getattr(self, k)}" for k in sizes if getattr(self, k) < 1]
+        if small:
+            raise ModelError(f"sizes must be at least 1: {', '.join(small)}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ModelError(f"dropout must be in [0,1), got {self.dropout}")
+
     @property
     def sentence_dim(self) -> int:
         return 2 * self.encoder_hidden   # bidirectional
@@ -112,7 +121,6 @@ class BiLstmEncoder:
 
     def __init__(self, rng: np.random.Generator, embed_dim: int, hidden: int,
                  prefix: str):
-        self.hidden = hidden
         self.prefix = prefix
         self.fwd = ad.init_lstm(rng, embed_dim, hidden, f"{prefix}.fwd")
         self.bwd = ad.init_lstm(rng, embed_dim, hidden, f"{prefix}.bwd")
@@ -268,16 +276,17 @@ class LstmDecoder:
         return (ad.linear(source, self.w_h0, self.b_h0),
                 ad.linear(source, self.w_c0, self.b_c0))
 
-    def _cond(self, source: ad.Tensor) -> ad.Tensor | None:
-        if self.attention:
-            return None
+    def _cond(self, source: ad.Tensor) -> ad.Tensor:
         return ad.linear(source, self.w_cond, self.b_cond)
 
-    def _attend(self, emb: ad.Tensor, attn_ctx, h: ad.Tensor) -> ad.Tensor:
-        """The attention step input [p_ctx, h_ctx, embedding]."""
+    def _attend_step(self, emb: ad.Tensor, attn_ctx, h: ad.Tensor,
+                     c: ad.Tensor, rmask: np.ndarray | None = None):
+        """One attention step from the state (h, c): the input
+        [p_ctx, h_ctx, embedding] attends with h; returns (h', c')."""
         contexts = [head.step(h, proj1, proj2, mask)[0]
                     for head, proj1, proj2, mask in attn_ctx]
-        return ad.concat([*contexts, emb])
+        gx = ad.linear(ad.concat([*contexts, emb]), self.cell.wi, self.cell.b)
+        return ad.lstm_step(gx, h, c, self.cell.wh, rmask)
 
     def teacher_forced(self, embedding: WordEmbedding, source: ad.Tensor,
                        inputs: np.ndarray, targets: np.ndarray,
@@ -299,9 +308,8 @@ class LstmDecoder:
         if self.attention:
             steps = []
             for s in range(S):
-                x = self._attend(embedding.lookup(inputs[:, s]), attn_ctx, h)
-                h_in = ad.mul_const(h, rmask) if rmask is not None else h
-                h, c = ad.lstm_cell(x, h_in, c, self.cell)
+                h, c = self._attend_step(embedding.lookup(inputs[:, s]),
+                                         attn_ctx, h, c, rmask)
                 steps.append(h)
             hs = ad.stack_steps(steps)
         else:
@@ -325,38 +333,31 @@ class LstmDecoder:
                attn_ctx=None) -> tuple[list[list[int]], list[bool]]:
         """Argmax decoding until <eos> or the length cap; eval mode.
 
-        Steps through the LSTM gate kernel on plain arrays. Returns
-        per-row emitted token ids (exclusive of <eos>) and a flag marking
-        rows that emitted nothing before <eos>.
+        Each step is one `lstm_step`, as in attention teacher forcing.
+        Returns per-row emitted token ids (exclusive of <eos>) and a flag
+        marking rows that emitted nothing before <eos>.
         """
-        B = start_ids.shape[0]
-        h, c = (t.data for t in self._init_state(source))
-        wi, wh = self.cell.wi.data, self.cell.wh.data
+        h, c = self._init_state(source)
         if not self.attention:
             # [embedding, cond] @ wi.T + b with the cond term done once
-            E = embedding.dim
+            E, wi = embedding.dim, self.cell.wi.data
             w_emb = wi[:, :E].T
             per_seq = self._cond(source).data @ wi[:, E:].T + self.cell.b.data
         current = np.asarray(start_ids, dtype=np.int64)
-        emitted: list[list[int]] = [[] for _ in range(B)]
-        done = np.zeros(B, dtype=bool)
+        emitted: list[list[int]] = [[] for _ in current]
+        done = np.zeros(len(current), dtype=bool)
         for _ in range(self.max_len):
             emb = embedding.lookup(current)
             if self.attention:
-                x = self._attend(emb, attn_ctx, ad.Tensor(h))
-                gx = ad.linear(x, self.cell.wi, self.cell.b).data
+                h, c = self._attend_step(emb, attn_ctx, h, c)
             else:
-                gx = emb.data @ w_emb + per_seq
-            h, c = ad.lstm_step(gx, wh, h, c)
-            logits = ad.linear(ad.Tensor(h), self.w_out, self.b_out)
+                h, c = ad.lstm_step(ad.Tensor(emb.data @ w_emb + per_seq),
+                                    h, c, self.cell.wh)
+            logits = ad.linear(h, self.w_out, self.b_out)
             nxt = logits.data.argmax(axis=1)
-            for i in range(B):
-                if done[i]:
-                    continue
-                if nxt[i] == eos_id:
-                    done[i] = True
-                else:
-                    emitted[i].append(int(nxt[i]))
+            for i in np.flatnonzero(~done & (nxt != eos_id)):
+                emitted[i].append(int(nxt[i]))
+            done |= nxt == eos_id
             if done.all():
                 break
             current = nxt
@@ -688,16 +689,13 @@ class AutoEncoder(BaseModel):
         fv, _, _ = self.features(batch)
         logits, preds = classify(self.classifier, fv.f)
         label_loss = self._label_loss(logits, batch.labels)
-        rec_total = None
-        for source, ids, lengths in ((fv.u, batch.premise, batch.premise_len),
-                                     (fv.v, batch.hypothesis,
-                                      batch.hypothesis_len)):
-            inputs, targets, mask = self._reconstruction_rows(ids, lengths)
-            res = self.decoder.teacher_forced(self.embedding, source, inputs,
-                                              targets, mask, train, rng)
-            rec_total = (res.nll_sum if rec_total is None
-                         else ad.add(rec_total, res.nll_sum))
-        rec_loss = ad.scale(rec_total, 1.0 / batch.size)
+        rec = [self.decoder.teacher_forced(
+                   self.embedding, source,
+                   *self._reconstruction_rows(ids, lengths), train, rng).nll_sum
+               for source, ids, lengths in (
+                   (fv.u, batch.premise, batch.premise_len),
+                   (fv.v, batch.hypothesis, batch.hypothesis_len))]
+        rec_loss = ad.scale(ad.add(*rec), 1.0 / batch.size)
         return joint_loss(label_loss, rec_loss, alpha), {
             "preds": preds, "label_loss": float(label_loss.data),
             "expl_loss": float(rec_loss.data)}

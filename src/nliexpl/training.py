@@ -51,6 +51,16 @@ class TrainConfig(ModelConfig):
     weight_decay: float = 0.0          # off unless configured
 
     def __post_init__(self):
+        super().__post_init__()
+        if not (math.isfinite(self.lr) and self.lr >= 0.0):
+            raise TrainingError(f"lr must be finite and >= 0, got {self.lr}")
+        if not 0.0 < self.decay <= 1.0:
+            raise TrainingError(f"decay must be in (0,1], got {self.decay}")
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
+            raise TrainingError(f"clip_norm must be > 0, got {self.clip_norm}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
+            raise TrainingError("weight_decay must be finite and >= 0, "
+                                f"got {self.weight_decay}")
         try:
             takes_alpha = variant_class(self.variant).takes_alpha
         except ModelError as err:

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written from the definitions (brute
 force, full DP matrices, straight-line formula transcriptions) and
-shares no code with the package under test. The one exception is
-`lstm_layer_dense`, the dense LSTM layer kept as the reference of the
-packed one: it shares the step kernels, so the two can be compared bit
-for bit.
+shares no code with the package under test. Two exceptions are kept
+as references of the fused LSTM ops: `lstm_layer_dense`, the dense
+layer the packed one replaced, shares the step kernels, so the two can
+be compared bit for bit; `lstm_cell`, the single step composed from
+generic tape ops (with `sigmoid_` and `slice_last`, which only it
+uses), records through the package's tape.
 """
 
 import math
@@ -13,8 +15,9 @@ from collections import Counter
 
 import numpy as np
 
-from nliexpl.autodiff import (EmptySequenceError, ShapeError, Tensor,
-                              _active_tape, _lstm_gates, _record, _recurrent)
+from nliexpl.autodiff import (EmptySequenceError, LstmParams, ShapeError,
+                              Tensor, _active_tape, _lstm_gates, _record,
+                              _recurrent, _sigmoid, add, linear, mul, tanh_)
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,54 @@ def scalar_lstm_step(x, h, c, wi, wh, b):
     i, f, g, o = sig(pre[0]), sig(pre[1]), math.tanh(pre[2]), sig(pre[3])
     c_new = f * c + i * g
     h_new = o * math.tanh(c_new)
+    return h_new, c_new
+
+
+# ---------------------------------------------------------------------------
+# Composed LSTM cell
+
+
+def sigmoid_(a: Tensor) -> Tensor:
+    ad = a.data
+    out = Tensor(_sigmoid(ad).astype(ad.dtype, copy=False))
+    od = out.data
+    _record(out, (a,), lambda g: (g * od * (1.0 - od),))
+    return out
+
+
+def slice_last(a: Tensor, start: int, stop: int) -> Tensor:
+    """Slice along the last axis (used for gate splitting)."""
+    out = Tensor(a.data[..., start:stop].copy())
+    shape = a.shape
+
+    def _bw(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        full[..., start:stop] = g
+        return (full,)
+
+    _record(out, (a,), _bw)
+    return out
+
+
+def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
+              params: LstmParams) -> tuple[Tensor, Tensor]:
+    """One step of canonical LSTM gating out of generic tape ops.
+
+    c' = sigmoid(f) * c + sigmoid(i) * tanh(g); h' = sigmoid(o) * tanh(c').
+    Inputs are (B, D) / (B, H); returns (h', c').
+    """
+    H = params.wh.shape[1]
+    if x.shape[-1] != params.wi.shape[1] or h.shape[-1] != H or c.shape[-1] != H:
+        raise ShapeError(
+            f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape} vs params "
+            f"D={params.wi.shape[1]} H={H}")
+    gates = add(linear(x, params.wi, params.b), linear(h, params.wh))
+    i = sigmoid_(slice_last(gates, 0, H))
+    f = sigmoid_(slice_last(gates, H, 2 * H))
+    g = tanh_(slice_last(gates, 2 * H, 3 * H))
+    o = sigmoid_(slice_last(gates, 3 * H, 4 * H))
+    c_new = add(mul(f, c), mul(i, g))
+    h_new = mul(o, tanh_(c_new))
     return h_new, c_new
 
 

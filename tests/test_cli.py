@@ -243,6 +243,49 @@ class TestTrainCommand:
         assert "bad value for [training]" in capsys.readouterr().err
         assert not out_root.exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["grid", "--decoders", "x"], "bad value for --decoders: 'x'"),
+        (["grid", "--alphas", "0.5,y"], "bad value for --alphas: '0.5,y'"),
+        (["grid", "--decoders", "0"], "decoder_hidden=0"),
+        (["train", "--decoder", "0"], "decoder_hidden=0"),
+        (["train", "--encoder", "-3"], "encoder_hidden=-3"),
+        (["train", "--set", "model.max_decode_len", "0"], "max_decode_len=0"),
+        (["train", "--set", "training.dropout", "1.5"], "dropout must be in"),
+        (["train", "--set", "training.dropout", "-0.2"], "dropout must be in"),
+        (["train", "--set", "training.lr", "nan"], "lr must be finite"),
+        (["train", "--set", "training.lr", "-0.1"], "lr must be finite"),
+        (["train", "--set", "training.decay", "0"], "decay must be in"),
+        (["train", "--set", "training.decay", "1.5"], "decay must be in"),
+        (["train", "--set", "training.clip_norm", "0"], "clip_norm must be"),
+        (["train", "--set", "training.weight_decay", "inf"],
+         "weight_decay must be finite"),
+    ])
+    def test_malformed_run_setting_exits_1_before_loading(
+            self, tmp_path, toy_config, capsys, monkeypatch, args, message):
+        self._forbid_corpus_loading(monkeypatch)
+        out_root = tmp_path / "runs"
+        code = main([*args, "--config", str(toy_config),
+                     "--out-root", str(out_root)])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not out_root.exists()
+
+    def test_non_finite_embedding_exits_1_before_the_run(self, tmp_path,
+                                                         toy_config, capsys):
+        word = make_examples(24, seed=0)[0].explanations[0][0]
+        vecs = tmp_path / "vecs.txt"
+        vecs.write_text(f"{word} " + " ".join(["0.5"] * 7 + ["nan"]) + "\n")
+        cfg = tmp_path / "emb.ini"
+        cfg.write_text(toy_config.read_text().replace(
+            "[data]\n", f"[data]\nembeddings = {vecs}\n"))
+        out_root = tmp_path / "runs"
+        code = main(["train", "--config", str(cfg),
+                     "--out-root", str(out_root)])
+        assert code == 1
+        assert f"vecs.txt:1: non-finite value for {word!r}" in \
+            capsys.readouterr().err
+        assert not out_root.exists()
+
     @pytest.mark.parametrize("key", ["batch_size", "epochs"])
     def test_empty_value_for_defaulted_key_exits_1(self, tmp_path, toy_config,
                                                    capsys, monkeypatch, key):

@@ -120,6 +120,16 @@ class TestEmbeddings:
         with pytest.raises(D.CorpusFormatError, match=":1"):
             D.load_embeddings(p, v, dim=4)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
+    def test_non_finite_value_reports_line_number(self, tmp_path, value):
+        v = D.build_vocab([["dog"] * 20, ["cat"] * 20], min_count=15)
+        p = tmp_path / "vecs.txt"
+        p.write_text(f"dog 1.0 2.0 3.0 4.0\ncat 1.0 {value} 3.0 4.0\n")
+        with pytest.raises(D.CorpusFormatError,
+                           match=r"vecs\.txt:2: non-finite value for 'cat'"):
+            D.load_embeddings(p, v, dim=4)
+
     def test_random_table_for_synthetic_runs(self):
         v = D.build_vocab([["dog"] * 20], min_count=15)
         t = D.EmbeddingTable.random(v, dim=8, rng=np.random.default_rng(0))

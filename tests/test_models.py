@@ -1,12 +1,16 @@
 """Tests for the architecture zoo."""
 
+import inspect
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from nliexpl import autodiff as ad
 from nliexpl import models as M
 from nliexpl.data import (EmbeddingTable, Vocabulary, build_vocab,
-                          encode_corpus, make_batch)
+                          encode_corpus, make_batch, pad_rows)
 from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
                             build_model, classify, feature_vector, load_model)
 from model_utils import (full_model_grad_check, label_alone, toy_config,
@@ -349,12 +353,23 @@ class TestVariantStructure:
         assert not any(n.startswith("decoder.cond") for n in names)
         assert any(n.startswith("decoder.h0") for n in names)
 
+    @pytest.mark.parametrize("setting", [
+        {"decoder_hidden": 0}, {"embed_dim": -1}, {"max_decode_len": 0},
+        {"dropout": 1.0}, {"dropout": -0.2}, {"dropout": float("nan")}])
+    def test_malformed_config_rejected(self, setting):
+        with pytest.raises(M.ModelError):
+            ModelConfig(variant="pred-expl", **setting)
+
     def test_unknown_variant_rejected(self):
         vocab = Vocabulary(["a"])
         table = EmbeddingTable.random(vocab, 4, np.random.default_rng(0))
         with pytest.raises(M.ModelError, match="unknown variant"):
             build_model(ModelConfig(variant="bert"), vocab, table,
                         np.random.default_rng(0))
+
+
+EXPLAINING = ["pred-expl", "expl-pred-att", "expl-pred-seq2seq",
+              "hyp-to-expl"]
 
 
 class TestDecoding:
@@ -380,7 +395,8 @@ class TestDecoding:
             h, c = dec._init_state(fv.f)
             cond = ad.linear(fv.f, dec.w_cond, dec.b_cond)
             x = ad.concat([emb.lookup(ids), cond])
-            h, c = ad.lstm_cell(x, h, c, dec.cell)
+            h, c = ad.lstm_step(ad.linear(x, dec.cell.wi, dec.cell.b), h, c,
+                                dec.cell.wh)
             return ad.linear(h, dec.w_out, dec.b_out).data
 
         assert not np.allclose(first_logits(0), first_logits(2))
@@ -422,6 +438,55 @@ class TestDecoding:
         assert correct == sum(r[2] for r in rows)
         summed = {name: sum(r[0][name] for r in rows) for name in whole}
         assert max_rel_err(whole, summed) < 1e-4
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("variant", EXPLAINING)
+    def test_greedy_agrees_with_teacher_forcing_on_its_output(self, variant,
+                                                               seed):
+        """Teacher-forced on its own greedy output from the same first
+        word, each row's argmax equals greedy's choice at every position
+        greedy decided: the emitted tokens, plus <eos> where a row
+        stopped before the cap. A capped row decides nothing after its
+        last token, so its forced row has no <eos> (float64)."""
+        model, batch, vocab = toy_setup(variant, n=10, seed=seed, max_len=6,
+                                        dec=6)
+        model.cast_(np.float64)
+        dec, cap = model.decoder, model.cfg.max_decode_len
+        # a larger random output layer varies the picks by row and step;
+        # the <eos> bias then rises until some row stops before the cap
+        rng = np.random.default_rng(seed)
+        dec.w_out.data = rng.normal(size=dec.w_out.shape) * 10
+        for bias in np.arange(0.0, 40.0, 0.05):
+            dec.b_out.data[vocab.eos_id] = bias
+            preds, _, (emitted, _) = model.eval_batch(batch, greedy=True)
+            if min(map(len, emitted)) < cap:
+                break
+        stopped = [len(e) < cap for e in emitted]
+        assert any(stopped) and not all(stopped)
+        ids, lengths = pad_rows([[vocab.bos_id, *e] + [vocab.eos_id] * early
+                                 for e, early in zip(emitted, stopped)])
+        forced = replace(batch, explanation=ids, explanation_len=lengths)
+        source, ctx, _ = model._condition(batch)
+        res = model._teacher_forced(forced, source, ctx, preds, train=False)
+        decided = sum(len(e) for e in emitted) + sum(stopped)
+        assert res.n_tokens == decided
+        assert res.n_correct == decided
+
+    def test_attention_loss_records_two_lstm_steps_per_decoder_step(self):
+        """Each attention decoder step is one fused `lstm_step` (two
+        records); no record comes from a composed-cell op, and every
+        record has one Tensor output and a one-argument backward."""
+        model, batch, _ = toy_setup("expl-pred-att", n=4)
+        with ad.Tape() as tape:
+            model.loss(batch, train=True, rng=np.random.default_rng(0))
+        kinds = Counter(fn.__qualname__.split(".")[0]
+                        for _, _, fn in tape.records)
+        assert kinds["lstm_step"] == 2 * (batch.explanation.shape[1] - 1)
+        assert not kinds.keys() & {"lstm_cell", "slice_last", "sigmoid_",
+                                   "mul_const", "matmul"}
+        for out, _, fn in tape.records:
+            assert isinstance(out, ad.Tensor)
+            assert len(inspect.signature(fn).parameters) == 1
 
     def test_pred_expl_generation_conditions_on_predicted_label(self):
         model, batch, vocab = toy_setup("pred-expl", n=3)

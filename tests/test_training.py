@@ -51,8 +51,8 @@ class TestJointLoss:
             joint_loss(1.0, 1.0, -0.1)
 
     def test_tensor_form(self):
-        a = ad.tensor(np.array(2.0))
-        b = ad.tensor(np.array(10.0))
+        a = ad.Tensor(np.float32(2.0))
+        b = ad.Tensor(np.float32(10.0))
         out = joint_loss(a, b, 0.6)
         np.testing.assert_allclose(float(out.data), 5.2, rtol=1e-6)
 
@@ -104,6 +104,9 @@ class TestTrainConfig:
     def test_bad_alpha_range(self):
         with pytest.raises(TrainingError):
             TrainConfig(variant="pred-expl", alpha=1.5)
+
+    def test_zero_lr_is_a_valid_frozen_run(self):
+        assert TrainConfig(variant="bilstm-max", lr=0.0).lr == 0.0
 
     def test_unknown_variant_rejected_at_construction(self):
         with pytest.raises(TrainingError, match="unknown variant 'bert'"):
