@@ -104,16 +104,17 @@ def param(data, name: str) -> Tensor:
     return Tensor(data, is_param=True, name=name)
 
 
-def uniform_param(rng: np.random.Generator | None, shape, fan_in: int,
-                  name: str, dtype=np.float32) -> Tensor:
-    """Weight init: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
+def uniform_param(rng: np.random.Generator | None, shape, name: str,
+                  dtype=np.float32) -> Tensor:
+    """Weight init: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], where
+    fan_in is the last axis (the input width of a (out, in) weight).
 
     Without a generator the array is left uninitialised, for a skeleton
     whose every parameter is about to be overwritten (a checkpoint load).
     """
     if rng is None:
         return param(np.empty(shape, dtype=dtype), name)
-    bound = 1.0 / np.sqrt(fan_in)
+    bound = 1.0 / np.sqrt(shape[-1])
     return param(rng.uniform(-bound, bound, size=shape).astype(dtype), name)
 
 
@@ -594,14 +595,11 @@ class LstmParams:
     wh: Tensor
     b: Tensor
 
-    def named(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.wi": self.wi, f"{prefix}.wh": self.wh, f"{prefix}.b": self.b}
-
 
 def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int,
               prefix: str, dtype=np.float32) -> LstmParams:
-    wi = uniform_param(rng, (4 * hidden, input_dim), input_dim, f"{prefix}.wi", dtype)
-    wh = uniform_param(rng, (4 * hidden, hidden), hidden, f"{prefix}.wh", dtype)
+    wi = uniform_param(rng, (4 * hidden, input_dim), f"{prefix}.wi", dtype)
+    wh = uniform_param(rng, (4 * hidden, hidden), f"{prefix}.wh", dtype)
     bias = np.zeros(4 * hidden, dtype=dtype)
     bias[hidden:2 * hidden] = 1.0  # forget gate
     b = param(bias, f"{prefix}.b")
@@ -847,7 +845,7 @@ class SgdState:
 
 
 def sgd_step(params: dict[str, Tensor], state: SgdState,
-             clip_norm: float | None = None, weight_decay: float = 0.0) -> None:
+             clip_norm: float | None = None) -> None:
     """In-place p <- p - lr * g on every parameter with a gradient.
 
     Aborts without touching any parameter if a gradient is non-finite.
@@ -865,8 +863,5 @@ def sgd_step(params: dict[str, Tensor], state: SgdState,
                 p.grad = p.grad * factor
     lr = state.lr
     for _, p in live:
-        g = p.grad
-        if weight_decay:
-            g = g + weight_decay * p.data
-        p.data -= (lr * g).astype(p.data.dtype, copy=False)
+        p.data -= (lr * p.grad).astype(p.data.dtype, copy=False)
         p.grad = None

@@ -114,6 +114,12 @@ def _colmap(config: dict) -> ColumnMap:
                         if data.get(f"col_{f.name}")})
 
 
+def _limits(config: dict) -> dict:
+    """The [data] truncation limits, as `encode_corpus` keywords."""
+    return dict(sentence_limit=config["data"]["sentence_limit"],
+                explanation_limit=config["data"]["explanation_limit"])
+
+
 def _load_bundle(config: dict):
     """Corpora -> vocabulary -> embeddings -> encoded splits."""
     data_cfg = config["data"]
@@ -136,8 +142,7 @@ def _load_bundle(config: dict):
         seed = config["training"]["seed"]
         table = EmbeddingTable.random(vocab, dim,
                                       np.random.default_rng([seed, 99]))
-    limits = dict(sentence_limit=data_cfg["sentence_limit"],
-                  explanation_limit=data_cfg["explanation_limit"])
+    limits = _limits(config)
     bundle = TrainData(train=encode_corpus(train_ex, vocab, **limits),
                        valid=encode_corpus(valid_ex, vocab, **limits),
                        vocab=vocab, table=table)
@@ -291,9 +296,7 @@ def cmd_eval(args) -> int:
         expl_clf = load_model(clf_path)
     colmap = _colmap(config)
     examples, skipped = load_corpus(corpus, split=args.split, colmap=colmap)
-    encoded = encode_corpus(examples, model.vocab,
-                            sentence_limit=config["data"]["sentence_limit"],
-                            explanation_limit=config["data"]["explanation_limit"])
+    encoded = encode_corpus(examples, model.vocab, **_limits(config))
     report = evaluate_model(model, encoded, examples, split=args.split,
                             batch_size=config["eval"]["batch_size"],
                             expl_classifier=expl_clf)
@@ -322,7 +325,8 @@ def cmd_generate(args) -> int:
     model = load_model(args.checkpoint)
     report, dumps = transfer_eval(model, corpus, colmap=_colmap(config),
                                   split=args.split,
-                                  batch_size=config["eval"]["batch_size"])
+                                  batch_size=config["eval"]["batch_size"],
+                                  **_limits(config))
     out_path = Path(args.out) if args.out else run_dir / "dumps" / "generated.csv"
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

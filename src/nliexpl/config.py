@@ -35,7 +35,7 @@ def _positive_int(raw: str) -> int:
 
 SCHEMA: dict[str, dict[str, type | object]] = {
     "data": {
-        "train": str, "valid": str, "test": str,
+        "train": str, "valid": str,
         "embeddings": str, "embedding_dim": int, "min_count": int,
         "sentence_limit": int, "explanation_limit": int,
         "col_gold_label": str, "col_premise": str, "col_hypothesis": str,
@@ -47,9 +47,9 @@ SCHEMA: dict[str, dict[str, type | object]] = {
         "classifier_width": int, "max_decode_len": int,
     },
     "training": {
-        "alpha": float, "epochs": _positive_int, "batch_size": _positive_int,
+        "alpha": float, "epochs": int, "batch_size": int,
         "lr": float, "decay": float, "dropout": float, "seed": int,
-        "clip_norm": float, "weight_decay": float,
+        "clip_norm": float,
     },
     "eval": {
         "batch_size": _positive_int, "expl_classifier": str,

@@ -343,8 +343,9 @@ def evaluate_model(model, encoded: list[EncodedExample],
 
 def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
                   split: str = "transfer", batch_size: int = EVAL_BATCH_SIZE,
-                  expl_classifier=None):
-    """Out-of-domain evaluation without fine-tuning.
+                  expl_classifier=None, **limits):
+    """Out-of-domain evaluation without fine-tuning; `limits` are the
+    truncation keywords of `encode_corpus`.
 
     Returns (EvalReport, dump rows); dump rows carry one generated
     explanation per example for explanation-capable variants, ready for
@@ -357,7 +358,7 @@ def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
                          "batches carry no explanations (premise/hypothesis "
                          "pairs only)")
     examples, skipped = load_corpus(corpus_path, split=split, colmap=colmap)
-    encoded = encode_corpus(examples, model.vocab)
+    encoded = encode_corpus(examples, model.vocab, **limits)
     report = EvalReport(provenance={
         "split": split, "variant": model.variant, "corpus": str(corpus_path),
         "vocab_sha256": model.vocab.sha256()})

@@ -82,7 +82,26 @@ def feature_vector(u: ad.Tensor, v: ad.Tensor) -> FeatureVector:
     return FeatureVector(f=f, u=u, v=v)
 
 
-class WordEmbedding:
+class _Part:
+    """Holds model weights. The tensors it holds are the only record of
+    them: `params()` walks the attributes in assignment order and takes
+    each parameter Tensor, the weights of each LSTM cell and, in turn,
+    those of each part, alone or in a list."""
+
+    def params(self) -> dict[str, ad.Tensor]:
+        out: dict[str, ad.Tensor] = {}
+        for value in vars(self).values():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, _Part):
+                    out.update(item.params())
+                elif isinstance(item, ad.LstmParams):
+                    out.update((t.name, t) for t in (item.wi, item.wh, item.b))
+                elif isinstance(item, ad.Tensor) and item.is_param:
+                    out[item.name] = item
+        return out
+
+
+class WordEmbedding(_Part):
     """Frozen pretrained rows plus trainable rows for the label words."""
 
     def __init__(self, table: EmbeddingTable, vocab: Vocabulary,
@@ -95,21 +114,13 @@ class WordEmbedding:
         for slot, vid in enumerate(vocab.label_ids):
             self.slots[vid] = slot
         self.label_rows = ad.uniform_param(
-            rng, (len(vocab.label_ids), self.dim), self.dim,
-            "embedding.label_rows")
+            rng, (len(vocab.label_ids), self.dim), "embedding.label_rows")
 
     def lookup(self, ids: np.ndarray) -> ad.Tensor:
         return ad.embedding_lookup(self.frozen, ids, self.label_rows, self.slots)
 
-    def params(self) -> dict[str, ad.Tensor]:
-        return {self.label_rows.name: self.label_rows}
 
-    def cast_(self, dtype) -> None:
-        self.frozen = self.frozen.astype(dtype)
-        self.label_rows.data = self.label_rows.data.astype(dtype)
-
-
-class BiLstmEncoder:
+class BiLstmEncoder(_Part):
     """Bidirectional LSTM over token ids with masked max-pooling.
 
     Each direction is one input GEMM over the whole (T, B) sequence and
@@ -141,32 +152,23 @@ class BiLstmEncoder:
         u = ad.max_over_time(states, lengths=lengths)
         return u, states
 
-    def params(self) -> dict[str, ad.Tensor]:
-        return {**self.fwd.named(f"{self.prefix}.fwd"),
-                **self.bwd.named(f"{self.prefix}.bwd")}
 
-
-class MlpClassifier:
+class MlpClassifier(_Part):
     """Three affine layers, no nonlinearities, 3 output logits."""
 
     def __init__(self, rng: np.random.Generator, in_dim: int, width: int,
                  prefix: str = "classifier"):
-        self.prefix = prefix
-        self.w1 = ad.uniform_param(rng, (width, in_dim), in_dim, f"{prefix}.l1.w")
+        self.w1 = ad.uniform_param(rng, (width, in_dim), f"{prefix}.l1.w")
         self.b1 = ad.param(np.zeros(width, dtype=np.float32), f"{prefix}.l1.b")
-        self.w2 = ad.uniform_param(rng, (width, width), width, f"{prefix}.l2.w")
+        self.w2 = ad.uniform_param(rng, (width, width), f"{prefix}.l2.w")
         self.b2 = ad.param(np.zeros(width, dtype=np.float32), f"{prefix}.l2.b")
-        self.w3 = ad.uniform_param(rng, (3, width), width, f"{prefix}.l3.w")
+        self.w3 = ad.uniform_param(rng, (3, width), f"{prefix}.l3.w")
         self.b3 = ad.param(np.zeros(3, dtype=np.float32), f"{prefix}.l3.b")
 
     def logits(self, f: ad.Tensor) -> ad.Tensor:
         a1 = ad.linear(f, self.w1, self.b1)
         a2 = ad.linear(a1, self.w2, self.b2)
         return ad.linear(a2, self.w3, self.b3)
-
-    def params(self) -> dict[str, ad.Tensor]:
-        return {t.name: t for t in (self.w1, self.b1, self.w2, self.b2,
-                                    self.w3, self.b3)}
 
 
 def classify(clf: MlpClassifier, f: ad.Tensor) -> tuple[ad.Tensor, np.ndarray]:
@@ -175,7 +177,7 @@ def classify(clf: MlpClassifier, f: ad.Tensor) -> tuple[ad.Tensor, np.ndarray]:
     return logits, logits.data.argmax(axis=1)
 
 
-class AttentionHead:
+class AttentionHead(_Part):
     """One projection head attending over encoder states.
 
     proj1/proj2 transform the states once per sequence; the decoder
@@ -187,15 +189,11 @@ class AttentionHead:
 
     def __init__(self, rng: np.random.Generator, state_dim: int, dec_dim: int,
                  attn_dim: int, prefix: str):
-        self.prefix = prefix
-        self.w1 = ad.uniform_param(rng, (attn_dim, state_dim), state_dim,
-                                   f"{prefix}.w1")
+        self.w1 = ad.uniform_param(rng, (attn_dim, state_dim), f"{prefix}.w1")
         self.b1 = ad.param(np.zeros(attn_dim, dtype=np.float32), f"{prefix}.b1")
-        self.wc = ad.uniform_param(rng, (attn_dim, dec_dim), dec_dim,
-                                   f"{prefix}.wc")
+        self.wc = ad.uniform_param(rng, (attn_dim, dec_dim), f"{prefix}.wc")
         self.bc = ad.param(np.zeros(attn_dim, dtype=np.float32), f"{prefix}.bc")
-        self.w2 = ad.uniform_param(rng, (attn_dim, state_dim), state_dim,
-                                   f"{prefix}.w2")
+        self.w2 = ad.uniform_param(rng, (attn_dim, state_dim), f"{prefix}.w2")
         self.b2 = ad.param(np.zeros(attn_dim, dtype=np.float32), f"{prefix}.b2")
 
     def precompute(self, states: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
@@ -210,10 +208,6 @@ class AttentionHead:
         weights = ad.softmax(scores, mask=real_mask)
         return ad.attn_combine(weights, proj2), weights
 
-    def params(self) -> dict[str, ad.Tensor]:
-        return {t.name: t for t in (self.w1, self.b1, self.wc, self.bc,
-                                    self.w2, self.b2)}
-
 
 @dataclass
 class DecodeResult:
@@ -222,7 +216,7 @@ class DecodeResult:
     n_correct: int
 
 
-class LstmDecoder:
+class LstmDecoder(_Part):
     """LSTM decoder conditioned on a source vector.
 
     h0/c0 are affine projections of the source; in the non-attention
@@ -238,39 +232,27 @@ class LstmDecoder:
     def __init__(self, rng: np.random.Generator, cfg: ModelConfig,
                  source_dim: int, vocab_size: int, attention: bool,
                  prefix: str = "decoder"):
-        self.prefix = prefix
         self.hidden = cfg.decoder_hidden
         self.max_len = cfg.max_decode_len
         self.dropout = cfg.dropout
         self.attention = attention
         H, E = self.hidden, cfg.embed_dim
-        self.w_h0 = ad.uniform_param(rng, (H, source_dim), source_dim,
-                                     f"{prefix}.h0.w")
+        self.w_h0 = ad.uniform_param(rng, (H, source_dim), f"{prefix}.h0.w")
         self.b_h0 = ad.param(np.zeros(H, dtype=np.float32), f"{prefix}.h0.b")
-        self.w_c0 = ad.uniform_param(rng, (H, source_dim), source_dim,
-                                     f"{prefix}.c0.w")
+        self.w_c0 = ad.uniform_param(rng, (H, source_dim), f"{prefix}.c0.w")
         self.b_c0 = ad.param(np.zeros(H, dtype=np.float32), f"{prefix}.c0.b")
         if attention:
             in_dim = 2 * H + E   # [p_ctx, h_ctx, embedding]
         else:
-            self.w_cond = ad.uniform_param(rng, (H, source_dim), source_dim,
+            self.w_cond = ad.uniform_param(rng, (H, source_dim),
                                            f"{prefix}.cond.w")
             self.b_cond = ad.param(np.zeros(H, dtype=np.float32),
                                    f"{prefix}.cond.b")
             in_dim = E + H       # [embedding, source projection]
         self.cell = ad.init_lstm(rng, in_dim, H, f"{prefix}.cell")
-        self.w_out = ad.uniform_param(rng, (vocab_size, H), H, f"{prefix}.out.w")
+        self.w_out = ad.uniform_param(rng, (vocab_size, H), f"{prefix}.out.w")
         self.b_out = ad.param(np.zeros(vocab_size, dtype=np.float32),
                               f"{prefix}.out.b")
-
-    def params(self) -> dict[str, ad.Tensor]:
-        named = [self.w_h0, self.b_h0, self.w_c0, self.b_c0]
-        if not self.attention:
-            named += [self.w_cond, self.b_cond]
-        named += [self.w_out, self.b_out]
-        out = {t.name: t for t in named}
-        out.update(self.cell.named(f"{self.prefix}.cell"))
-        return out
 
     def _init_state(self, source: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         return (ad.linear(source, self.w_h0, self.b_h0),
@@ -380,7 +362,7 @@ def joint_loss(l_label, l_expl, alpha: float):
     return alpha * l_label + (1.0 - alpha) * l_expl
 
 
-class BaseModel:
+class BaseModel(_Part):
     """Builds a variant from the facts its class declares.
 
     Declared per variant:
@@ -415,50 +397,34 @@ class BaseModel:
         self.cfg = cfg
         self.vocab = vocab
         self.embedding = WordEmbedding(table, vocab, rng)
-        self._parts: list = [self.embedding]
         for name in self.sentences:
             encoder = BiLstmEncoder(rng, cfg.embed_dim, cfg.encoder_hidden,
                                     f"{name}_encoder")
             setattr(self, encoder.prefix, encoder)
-            self._parts.append(encoder)
         # f: the feature vector of a sentence pair, else the sentence vector
         f_dim = cfg.feature_dim if len(self.sentences) == 2 else cfg.sentence_dim
         if self.has_classifier:
             self.classifier = MlpClassifier(rng, f_dim, cfg.classifier_width)
-            self._parts.append(self.classifier)
         self.heads: list[AttentionHead] = []
         if self.decodes == "attend":
             self.heads = [AttentionHead(rng, cfg.sentence_dim,
                                         cfg.decoder_hidden, cfg.decoder_hidden,
                                         f"attention.{name}")
                           for name in self.sentences]
-            self._parts += self.heads
         if self.decodes is not None:
             source_dim = (cfg.sentence_dim if self.decodes == "reconstruct"
                           else f_dim)
             self.decoder = LstmDecoder(rng, cfg, source_dim, len(vocab),
                                        attention=self.decodes == "attend")
-            self._parts.append(self.decoder)
 
-    # -- parameter bookkeeping
-
-    def params(self) -> dict[str, ad.Tensor]:
-        out: dict[str, ad.Tensor] = {}
-        for part in self._parts:
-            out.update(part.params())
-        return out
+    # -- parameter bookkeeping (`params()` comes from _Part)
 
     def manifest(self) -> dict:
-        return {
-            "variant": self.variant,
-            "config": asdict(self.cfg),
-            "vocab_sha256": self.vocab.sha256(),
-            "parameters": [{"name": n, "shape": list(p.shape)}
-                           for n, p in self.params().items()],
-        }
+        return {"variant": self.variant, "config": asdict(self.cfg),
+                "vocab_sha256": self.vocab.sha256()}
 
     def cast_(self, dtype) -> None:
-        self.embedding.cast_(dtype)
+        self.embedding.frozen = self.embedding.frozen.astype(dtype)
         for p in self.params().values():
             p.data = p.data.astype(dtype)
 

@@ -48,19 +48,19 @@ class TrainConfig(ModelConfig):
     lr: float = 0.1
     decay: float = 0.99
     clip_norm: float | None = None     # off unless configured
-    weight_decay: float = 0.0          # off unless configured
 
     def __post_init__(self):
         super().__post_init__()
+        small = [f"{k} must be at least 1, got {getattr(self, k)}"
+                 for k in ("epochs", "batch_size") if getattr(self, k) < 1]
+        if small:
+            raise TrainingError("; ".join(small))
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
             raise TrainingError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 < self.decay <= 1.0:
             raise TrainingError(f"decay must be in (0,1], got {self.decay}")
         if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise TrainingError(f"clip_norm must be > 0, got {self.clip_norm}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0.0):
-            raise TrainingError("weight_decay must be finite and >= 0, "
-                                f"got {self.weight_decay}")
         try:
             takes_alpha = variant_class(self.variant).takes_alpha
         except ModelError as err:
@@ -116,12 +116,28 @@ class RunRecord:
         return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
 
 
-def _better(value: float, best: float | None, criterion: str) -> bool:
-    if best is None:
-        return True
-    if criterion == "val-accuracy":
-        return value > best
-    return value < best
+# selection criterion -> (validation metric, sign that makes higher better)
+_CRITERIA = {"val-accuracy": ("val_accuracy", 1.0),
+             "val-perplexity": ("val_perplexity", -1.0)}
+
+
+def _score(value: float | None, criterion: str) -> float:
+    """Selection score, higher is better; a run with no epoch scores -inf."""
+    return -math.inf if value is None else _CRITERIA[criterion][1] * value
+
+
+def _require_explanations(variant: str, data: TrainData) -> None:
+    """Raises TrainingError naming the examples without an explanation
+    when the variant reads or decodes explanations."""
+    if not variant_class(variant).needs_explanations:
+        return
+    for split, examples in (("train", data.train), ("valid", data.valid)):
+        ids = [e.id for e in examples if not e.explanations]
+        if ids:
+            shown = ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
+            raise TrainingError(
+                f"{variant} needs an explanation for every example; "
+                f"{len(ids)} {split} example(s) have none: {shown}")
 
 
 def _validation_metrics(model, valid, batch_size) -> dict:
@@ -144,10 +160,12 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
     mixes the epoch index into the seed. Divergence (non-finite loss or
     gradients) aborts the run, keeping the last good checkpoint.
     """
+    _require_explanations(config.variant, data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    criterion = config.criterion
     record = RunRecord(config=asdict(config), seed=config.seed,
-                       criterion=config.criterion)
+                       criterion=criterion)
     model = build_model(config.model_config(), data.vocab, data.table,
                         np.random.default_rng([config.seed, 0]))
     params = model.params()
@@ -174,8 +192,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                 break
             ad.backward(tape, loss)
             try:
-                ad.sgd_step(params, state, clip_norm=config.clip_norm,
-                            weight_decay=config.weight_decay)
+                ad.sgd_step(params, state, clip_norm=config.clip_norm)
             except ad.GradientError as err:
                 record.aborted = True
                 record.note = f"epoch {epoch}: {err}"
@@ -189,13 +206,13 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                  "train_loss": float(np.mean(epoch_losses))}
         entry.update(_validation_metrics(model, data.valid, config.batch_size))
         record.epochs.append(entry)
-        value = entry["val_accuracy" if config.criterion == "val-accuracy"
-                      else "val_perplexity"]
-        if _better(value, record.best_value, config.criterion):
+        value = entry[_CRITERIA[criterion][0]]
+        if (record.best_value is None or _score(value, criterion)
+                > _score(record.best_value, criterion)):
             record.best_value = value
             record.best_epoch = epoch
             model.save(ckpt_dir, extra_meta={"epoch": epoch,
-                                             "criterion": config.criterion,
+                                             "criterion": criterion,
                                              "criterion_value": value})
             record.checkpoint_path = str(ckpt_dir)
         state.advance_epoch()   # decay once per completed epoch
@@ -223,12 +240,8 @@ def grid_select(configs: list[TrainConfig], data: TrainData,
 
     def sort_key(item):
         rec, cfg = item
-        value = rec.best_value
-        if value is None:   # aborted before any epoch finished
-            value = -math.inf if criterion == "val-accuracy" else math.inf
-        primary = -value if criterion == "val-accuracy" else value
         alpha = cfg.alpha if cfg.alpha is not None else math.inf
-        return (primary, cfg.decoder_hidden, alpha)
+        return (-_score(rec.best_value, criterion), cfg.decoder_hidden, alpha)
 
     best_rec, _ = min(zip(records, configs), key=sort_key)
     return best_rec, records

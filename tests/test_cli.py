@@ -240,7 +240,7 @@ class TestTrainCommand:
         code = main([*args, "--config", str(toy_config),
                      "--out-root", str(out_root)])
         assert code == 1
-        assert "bad value for [training]" in capsys.readouterr().err
+        assert "must be at least 1, got" in capsys.readouterr().err
         assert not out_root.exists()
 
     @pytest.mark.parametrize("args,message", [
@@ -257,8 +257,6 @@ class TestTrainCommand:
         (["train", "--set", "training.decay", "0"], "decay must be in"),
         (["train", "--set", "training.decay", "1.5"], "decay must be in"),
         (["train", "--set", "training.clip_norm", "0"], "clip_norm must be"),
-        (["train", "--set", "training.weight_decay", "inf"],
-         "weight_decay must be finite"),
     ])
     def test_malformed_run_setting_exits_1_before_loading(
             self, tmp_path, toy_config, capsys, monkeypatch, args, message):
@@ -269,6 +267,67 @@ class TestTrainCommand:
         assert code == 1
         assert message in capsys.readouterr().err
         assert not out_root.exists()
+
+    @pytest.mark.parametrize("section,key", [("data", "test"),
+                                             ("training", "weight_decay")])
+    def test_removed_key_is_unknown(self, tmp_path, toy_config, capsys,
+                                    monkeypatch, section, key):
+        self._forbid_corpus_loading(monkeypatch)
+        cfg = tmp_path / "removed.ini"
+        cfg.write_text(toy_config.read_text().replace(
+            f"[{section}]\n", f"[{section}]\n{key} = 0\n"))
+        out_root = tmp_path / "runs"
+        code = main(["train", "--config", str(cfg),
+                     "--out-root", str(out_root)])
+        assert code == 1
+        assert f"unknown config key [{section}] {key}" in \
+            capsys.readouterr().err
+        assert not out_root.exists()
+
+    @staticmethod
+    def _drop_explanation(path, index):
+        """Blanks every explanation of row `index`; returns its id."""
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for col in ("Explanation_1", "Explanation_2", "Explanation_3"):
+            rows[index][col] = ""
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        return rows[index]["pairID"]
+
+    @pytest.mark.parametrize("variant,split", [("pred-expl", "train"),
+                                               ("hyp-to-expl", "valid")])
+    def test_missing_explanation_exits_1_before_training(
+            self, tmp_path, toy_config, corpus, capsys, monkeypatch, variant,
+            split):
+        """A variant that decodes explanations needs one for every example;
+        one without is named, with its split, before any step is taken."""
+        path = corpus[0] if split == "train" else corpus[1]
+        missing = self._drop_explanation(path, 4)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the input was checked")
+
+        monkeypatch.setattr("nliexpl.autodiff.sgd_step", no_step)
+        code = main(["train", "--config", str(toy_config),
+                     "--variant", variant, "--set", "training.alpha",
+                     "0.6" if variant == "pred-expl" else "",
+                     "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"1 {split} example(s) have none: {missing}" in err
+        assert f"{variant} needs an explanation" in err
+
+    def test_missing_explanation_does_not_stop_a_classifier(
+            self, tmp_path, toy_config, corpus):
+        for path in corpus:
+            self._drop_explanation(path, 4)
+        code = main(["train", "--config", str(toy_config),
+                     "--variant", "bilstm-max", "--set", "training.alpha", "",
+                     "--epochs", "1", "--out-root", str(tmp_path / "runs")])
+        assert code == 0
 
     def test_non_finite_embedding_exits_1_before_the_run(self, tmp_path,
                                                          toy_config, capsys):
@@ -335,6 +394,31 @@ class TestEvalAndGenerate:
         assert len(rows) == 9
         assert set(rows[0]) == {"id", "premise", "hypothesis",
                                 "predicted_label", "explanation"}
+
+    def test_generate_applies_configured_truncation(self, tmp_path,
+                                                    toy_config, corpus,
+                                                    trained):
+        """`generate` at [data] sentence_limit = 2 writes what it writes
+        for a corpus whose sentences are cut to two words beforehand."""
+        _, valid = corpus
+        examples = make_examples(9, seed=50, n_explanations=3)
+        for e in examples:
+            e.premise_text = " ".join(e.premise_text.split()[:2])
+            e.hypothesis_text = " ".join(e.hypothesis_text.split()[:2])
+        cut = tmp_path / "cut.csv"
+        write_corpus_csv(cut, examples)
+
+        def generated(corpus_path, *extra):
+            out = tmp_path / f"dump{len(extra)}.csv"
+            assert main(["generate", "--config", str(toy_config), *extra,
+                         "--checkpoint", str(trained),
+                         "--corpus", str(corpus_path), "--out", str(out),
+                         "--out-root", str(tmp_path / "gen-runs")]) == 0
+            return [(r["id"], r["predicted_label"], r["explanation"])
+                    for r in csv.DictReader(out.open())]
+
+        assert generated(valid, "--set", "data.sentence_limit", "2") == \
+            generated(cut)
 
     def test_generate_rejects_expl_to_label(self, tmp_path, toy_config,
                                             corpus, capsys):

@@ -1,14 +1,20 @@
 """Tests for the architecture zoo."""
 
 import inspect
+import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nliexpl import autodiff as ad
 from nliexpl import models as M
+from nliexpl.checkpoint import load_checkpoint, save_checkpoint
 from nliexpl.data import (EmbeddingTable, Vocabulary, build_vocab,
                           encode_corpus, make_batch, pad_rows)
 from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
@@ -17,6 +23,7 @@ from model_utils import (full_model_grad_check, label_alone, toy_config,
                          toy_setup)
 from oracles import max_rel_err, straight_line_attention
 from synth import make_examples
+from variant_digests import PINNED_ENV
 
 
 def t(x, dtype=np.float32):
@@ -320,14 +327,17 @@ class TestVariantStructure:
         h = {n.split(".", 2)[2] for n in names if n.startswith("attention.hypothesis")}
         assert p == h == {"w1", "b1", "wc", "bc", "w2", "b2"}
 
-    def test_pred_expl_manifest(self):
+    def test_pred_expl_manifest(self, tmp_path):
         names, model = self._names("pred-expl")
-        manifest = model.manifest()
-        assert manifest["variant"] == "pred-expl"
+        assert model.manifest()["variant"] == "pred-expl"
         assert any(n.startswith("classifier") for n in names)
         assert any(n.startswith("decoder.cond") for n in names)
-        listed = {p["name"] for p in manifest["parameters"]}
-        assert listed == names
+        model.save(tmp_path / "ckpt")
+        _, manifest = load_checkpoint(tmp_path / "ckpt")
+        trainable = [(e["name"], tuple(e["shape"]))
+                     for e in manifest["tensors"] if e["trainable"]]
+        assert trainable == [(n, p.shape) for n, p in model.params().items()]
+        assert "parameters" not in manifest["meta"]["model"]
 
     def test_autoenc_decoder_is_shared(self, monkeypatch):
         model, batch, _ = toy_setup("autoenc", n=4)
@@ -643,12 +653,52 @@ class TestSaveLoad:
         assert loss_before == loss_after
         assert loaded.param_hash() == model.param_hash()
 
+    @pytest.mark.parametrize("variant", ["pred-expl", "expl-pred-att"])
+    def test_parent_layout_checkpoint_loads(self, tmp_path, variant):
+        """Checkpoints written before the parts listed their own weights
+        hold the decoder cell after its output layer and repeat each
+        trainable name and shape in meta.model.parameters. They load."""
+        model, _, _ = toy_setup(variant, n=3)
+        params = model.params()
+        cell = [n for n in params if n.startswith("decoder.cell.")]
+        order = [n for n in params if n not in cell] + cell
+        assert order != list(params)
+        arrays = {n: params[n].data for n in order}
+        arrays["embedding.frozen"] = model.embedding.frozen
+        listed = [{"name": n, "shape": list(params[n].shape)} for n in order]
+        meta = {"model": {**model.manifest(), "parameters": listed},
+                "vocab_tokens": model.vocab.id_to_token[
+                    model.vocab.reserved_size:]}
+        save_checkpoint(tmp_path / "old", arrays, trainable=set(params),
+                        meta=meta)
+        assert load_model(tmp_path / "old").param_hash() == model.param_hash()
+
     def test_manifest_survives(self, tmp_path):
         model, batch, vocab = toy_setup("expl-pred-att", n=3)
         model.save(tmp_path / "ckpt", extra_meta={"note": "test"})
         loaded = load_model(tmp_path / "ckpt")
         assert loaded.variant == "expl-pred-att"
         assert loaded.vocab.id_to_token == vocab.id_to_token
+
+
+class TestParentParity:
+    def test_every_variant_matches_recorded_digests(self):
+        """Float32, all 8 variants at H = 4 and 16: checkpoint names and
+        shapes, init values, loss, gradients, one SGD step, evaluation
+        outputs and a save/load round trip match what the code computed
+        before the parts listed their own weights (variant_digests.py)."""
+        here = Path(__file__).parent
+        env = {**os.environ, **PINNED_ENV,
+               "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+        proc = subprocess.run([sys.executable, str(here / "variant_digests.py")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        want = json.loads((here / "fixtures" / "variant_digests.json").read_text())
+        assert got.keys() == want.keys()
+        for key, fields in want.items():
+            for name, value in fields.items():
+                assert got[key][name] == value, f"{key}: {name} differs"
 
 
 class TestPaddingInvariance:

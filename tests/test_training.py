@@ -112,6 +112,13 @@ class TestTrainConfig:
         with pytest.raises(TrainingError, match="unknown variant 'bert'"):
             TrainConfig(variant="bert")
 
+    @pytest.mark.parametrize("key,value", [("batch_size", 0), ("epochs", 0),
+                                           ("epochs", -1)])
+    def test_run_length_must_be_positive(self, key, value):
+        with pytest.raises(TrainingError,
+                           match=f"{key} must be at least 1, got {value}"):
+            TrainConfig(variant="bilstm-max", **{key: value})
+
 
 class TestTrain:
     def test_deterministic_loss_curves(self, tmp_path):
@@ -235,6 +242,26 @@ class TestGridSelect:
             zip(records, [big, small]),
             key=lambda item: (item[0].best_value, item[1].decoder_hidden))
         assert ordered[0][1] is small
+
+    @pytest.mark.parametrize("variant,values,want", [
+        ("bilstm-max", [0.7, 0.7, None, 0.5], 1),
+        ("expl-pred-seq2seq", [3.0, 3.0, None, 9.0], 1),
+        ("bilstm-max", [None, None, 0.1, None], 2),
+        ("expl-pred-seq2seq", [None, None], 1),
+    ])
+    def test_selection_direction_and_ties(self, tmp_path, monkeypatch,
+                                          variant, values, want):
+        """Accuracy is maximised and perplexity minimised; a run with no
+        finished epoch loses; ties go to the smaller decoder."""
+        from nliexpl import training as T
+        configs = [toy_train_config(variant, decoder_hidden=d)
+                   for d in (8, 4, 4, 4)[:len(values)]]
+        results = iter(values)
+        monkeypatch.setattr(T, "train", lambda cfg, data, out: RunRecord(
+            config={}, seed=0, criterion=cfg.criterion,
+            best_value=next(results)))
+        best, records = grid_select(configs, None, tmp_path)
+        assert best is records[want]
 
     def test_empty_grid_is_error(self, tmp_path):
         with pytest.raises(TrainingError):

@@ -1,0 +1,87 @@
+"""Digests of what every variant computes at toy sizes, in float32.
+
+For each variant at H = 4 and H = 16: the checkpoint's tensor names and
+shapes, `param_hash` at init, after one SGD step and after a save/load
+round trip, and sha256 digests of the training loss, every gradient and
+the `evaluation_pass` outputs (labels, NLL, token counts, greedy ids).
+
+    python tests/variant_digests.py > digests.json
+
+prints them as JSON. `tests/fixtures/variant_digests.json` holds the
+digests of the code before parameters were collected from the parts
+(commit 0a6486a); `test_models.TestParentParity` runs this script and
+compares. Float32 GEMM and SIMD results depend on the kernels picked,
+so it is run with the pins of `PINNED_ENV`: one OpenBLAS thread,
+Haswell GEMM kernels and no AVX-512 numpy loops.
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell",
+              "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+VARIANTS = ("bilstm-max", "hyp-to-label", "hyp-to-expl", "pred-expl",
+            "expl-pred-seq2seq", "expl-pred-att", "expl-to-label", "autoenc")
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()[:16]
+
+
+def variant_digests(variant: str, hidden: int) -> dict:
+    from nliexpl import autodiff as ad
+    from nliexpl.data import encode_corpus
+    from nliexpl.evaluation import evaluation_pass
+    from nliexpl.models import load_model
+
+    from model_utils import toy_setup
+    from synth import make_examples
+
+    model, batch, vocab = toy_setup(variant, n=6, hidden=hidden, dec=hidden,
+                                    max_len=8)
+    alpha = 0.6 if model.takes_alpha else None
+    out = {"init_hash": model.param_hash()}
+    with ad.Tape() as tape:
+        loss, _ = model.loss(batch, train=True, rng=np.random.default_rng(5),
+                             alpha=alpha)
+    ad.backward(tape, loss)
+    params = model.params()
+    out["loss"] = _digest(np.asarray(loss.data).tobytes())
+    out["grads"] = _digest(*(
+        name.encode() + (b"none" if p.grad is None else p.grad.tobytes())
+        for name, p in sorted(params.items())))
+    ad.sgd_step(params, ad.SgdState(base_lr=0.1))
+    out["step_hash"] = model.param_hash()
+    res = evaluation_pass(model, encode_corpus(make_examples(6, seed=0), vocab),
+                          batch_size=4, nll=model.explains,
+                          greedy=model.explains,
+                          with_explanations=model.needs_explanations)
+    out["eval"] = _digest(res.preds, res.golds, np.float64(res.total_nll).hex(),
+                          res.n_tokens, res.n_correct, res.generated, res.empty)
+    with tempfile.TemporaryDirectory() as tmp:
+        model.save(Path(tmp) / "ckpt")
+        manifest = json.loads((Path(tmp) / "ckpt" / "manifest.json").read_text())
+        out["loaded_hash"] = load_model(Path(tmp) / "ckpt").param_hash()
+    out["tensors"] = sorted(f"{t['name']} {t['shape']} trainable={t['trainable']}"
+                            for t in manifest["tensors"])
+    return out
+
+
+def all_digests() -> dict:
+    return {f"{variant}/H{hidden}": variant_digests(variant, hidden)
+            for variant in VARIANTS for hidden in (4, 16)}
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).parent))
+    json.dump(all_digests(), sys.stdout, indent=1)
+    print()
