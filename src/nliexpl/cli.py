@@ -37,7 +37,8 @@ from .evaluation import (EvaluationError, EvalReport, bleu, evaluate_model,
 from .models import ModelError, load_model, variant_class
 from .quality import filter_example, validate_annotation
 from .training import (ALPHA_GRID, DECODER_GRID, TrainConfig, TrainData,
-                       TrainingError, grid_select, train)
+                       TrainingError, grid_select, require_explanations,
+                       train)
 
 INPUT_ERRORS = (ConfigError, CorpusFormatError, TrainingError, ModelError,
                 CheckpointError, EvaluationError, FileNotFoundError)
@@ -121,7 +122,8 @@ def _limits(config: dict) -> dict:
 
 
 def _load_bundle(config: dict):
-    """Corpora -> vocabulary -> embeddings -> encoded splits."""
+    """Corpora -> vocabulary -> embeddings -> encoded splits; raises
+    TrainingError if the variant needs an explanation an example lacks."""
     data_cfg = config["data"]
     colmap = _colmap(config)
     train_path = resolve_path(data_cfg.get("train"))
@@ -146,6 +148,7 @@ def _load_bundle(config: dict):
     bundle = TrainData(train=encode_corpus(train_ex, vocab, **limits),
                        valid=encode_corpus(valid_ex, vocab, **limits),
                        vocab=vocab, table=table)
+    require_explanations(_variant(config), bundle)
     return bundle, valid_ex, [train_path, valid_path] + (
         [emb_path] if emb_path else [])
 

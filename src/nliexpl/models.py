@@ -156,14 +156,13 @@ class BiLstmEncoder(_Part):
 class MlpClassifier(_Part):
     """Three affine layers, no nonlinearities, 3 output logits."""
 
-    def __init__(self, rng: np.random.Generator, in_dim: int, width: int,
-                 prefix: str = "classifier"):
-        self.w1 = ad.uniform_param(rng, (width, in_dim), f"{prefix}.l1.w")
-        self.b1 = ad.param(np.zeros(width, dtype=np.float32), f"{prefix}.l1.b")
-        self.w2 = ad.uniform_param(rng, (width, width), f"{prefix}.l2.w")
-        self.b2 = ad.param(np.zeros(width, dtype=np.float32), f"{prefix}.l2.b")
-        self.w3 = ad.uniform_param(rng, (3, width), f"{prefix}.l3.w")
-        self.b3 = ad.param(np.zeros(3, dtype=np.float32), f"{prefix}.l3.b")
+    def __init__(self, rng: np.random.Generator, in_dim: int, width: int):
+        self.w1 = ad.uniform_param(rng, (width, in_dim), "classifier.l1.w")
+        self.b1 = ad.param(np.zeros(width, dtype=np.float32), "classifier.l1.b")
+        self.w2 = ad.uniform_param(rng, (width, width), "classifier.l2.w")
+        self.b2 = ad.param(np.zeros(width, dtype=np.float32), "classifier.l2.b")
+        self.w3 = ad.uniform_param(rng, (3, width), "classifier.l3.w")
+        self.b3 = ad.param(np.zeros(3, dtype=np.float32), "classifier.l3.b")
 
     def logits(self, f: ad.Tensor) -> ad.Tensor:
         a1 = ad.linear(f, self.w1, self.b1)
@@ -230,29 +229,28 @@ class LstmDecoder(_Part):
     """
 
     def __init__(self, rng: np.random.Generator, cfg: ModelConfig,
-                 source_dim: int, vocab_size: int, attention: bool,
-                 prefix: str = "decoder"):
+                 source_dim: int, vocab_size: int, attention: bool):
         self.hidden = cfg.decoder_hidden
         self.max_len = cfg.max_decode_len
         self.dropout = cfg.dropout
         self.attention = attention
         H, E = self.hidden, cfg.embed_dim
-        self.w_h0 = ad.uniform_param(rng, (H, source_dim), f"{prefix}.h0.w")
-        self.b_h0 = ad.param(np.zeros(H, dtype=np.float32), f"{prefix}.h0.b")
-        self.w_c0 = ad.uniform_param(rng, (H, source_dim), f"{prefix}.c0.w")
-        self.b_c0 = ad.param(np.zeros(H, dtype=np.float32), f"{prefix}.c0.b")
+        self.w_h0 = ad.uniform_param(rng, (H, source_dim), "decoder.h0.w")
+        self.b_h0 = ad.param(np.zeros(H, dtype=np.float32), "decoder.h0.b")
+        self.w_c0 = ad.uniform_param(rng, (H, source_dim), "decoder.c0.w")
+        self.b_c0 = ad.param(np.zeros(H, dtype=np.float32), "decoder.c0.b")
         if attention:
             in_dim = 2 * H + E   # [p_ctx, h_ctx, embedding]
         else:
             self.w_cond = ad.uniform_param(rng, (H, source_dim),
-                                           f"{prefix}.cond.w")
+                                           "decoder.cond.w")
             self.b_cond = ad.param(np.zeros(H, dtype=np.float32),
-                                   f"{prefix}.cond.b")
+                                   "decoder.cond.b")
             in_dim = E + H       # [embedding, source projection]
-        self.cell = ad.init_lstm(rng, in_dim, H, f"{prefix}.cell")
-        self.w_out = ad.uniform_param(rng, (vocab_size, H), f"{prefix}.out.w")
+        self.cell = ad.init_lstm(rng, in_dim, H, "decoder.cell")
+        self.w_out = ad.uniform_param(rng, (vocab_size, H), "decoder.out.w")
         self.b_out = ad.param(np.zeros(vocab_size, dtype=np.float32),
-                              f"{prefix}.out.b")
+                              "decoder.out.b")
 
     def _init_state(self, source: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
         return (ad.linear(source, self.w_h0, self.b_h0),

@@ -3,9 +3,10 @@ annotation-constraint validation.
 
 An explanation is uninformative when its edit distance to any template,
 instantiated with the full premise/hypothesis, falls strictly below 10
-characters. Distances are computed after normalization (lowercase,
-whitespace runs collapsed, one trailing period stripped) so casing and
-punctuation noise cannot dominate a character-level metric.
+characters, after normalization (lowercase, whitespace runs collapsed,
+one trailing period stripped) so casing and punctuation noise cannot
+dominate. `edit_distance` is exact Levenshtein, bit-parallel (Myers 1999,
+Hyyro 2003); given a `limit`, it is exact below it and `limit` otherwise.
 """
 
 from __future__ import annotations
@@ -116,43 +117,41 @@ def normalize(text: str) -> str:
 
 
 def edit_distance(a: str, b: str, limit: int | None = None) -> int:
-    """Character-level Levenshtein distance with unit costs.
-
-    With `limit`, any true distance >= limit is reported as `limit`
-    (banded early exit; row minima never decrease, so bailing out once a
-    full row sits at or above the limit is sound).
-    """
+    """Character-level Levenshtein distance with unit costs: Myers' bit-
+    parallel algorithm (J. ACM 1999) in Hyyro's 2003 form, on Python ints.
+    With `limit`, any distance >= limit is reported as `limit`; the loop
+    stops once the last cell minus the characters left reaches it, since
+    adjacent cells differ by at most one."""
     if a == b:
         return 0
-    la, lb = len(a), len(b)
-    if limit is not None and abs(la - lb) >= limit:
+    if len(a) < len(b):
+        a, b = b, a
+    m, n = len(a), len(b)
+    limit = m + 1 if limit is None else limit
+    if m - n >= limit:
         return limit
-    if lb > la:
-        a, b, la, lb = b, a, lb, la
-    prev = list(range(lb + 1))
-    for i in range(1, la + 1):
-        ca = a[i - 1]
-        cur = [i] + [0] * lb
-        row_min = i
-        for j in range(1, lb + 1):
-            cost = 0 if ca == b[j - 1] else 1
-            v = prev[j] + 1
-            w = cur[j - 1] + 1
-            if w < v:
-                v = w
-            w = prev[j - 1] + cost
-            if w < v:
-                v = w
-            cur[j] = v
-            if v < row_min:
-                row_min = v
-        if limit is not None and row_min >= limit:
+    peq: dict[str, int] = {}
+    for i, c in enumerate(a):
+        peq[c] = peq.get(c, 0) | 1 << i
+    full, high = (1 << m) - 1, 1 << (m - 1)
+    # bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1; score = D[m][j]
+    pv, mv, score, stop = full, 0, m, limit + n
+    for j, c in enumerate(b, 1):
+        eq = peq.get(c, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & full
+        mh = pv & xh
+        if ph & high:
+            score += 1
+        elif mh & high:
+            score -= 1
+        if score + j >= stop:
             return limit
-        prev = cur
-    d = prev[lb]
-    if limit is not None and d > limit:
-        return limit
-    return d
+        ph = (ph << 1) | 1
+        pv = (mh << 1) | (full & ~(xv | ph))
+        mv = ph & xv
+    return score
 
 
 def instantiate_templates(premise: str, hypothesis: str, label: str) -> list[str]:
@@ -172,21 +171,30 @@ class FilterResult:
     distance: int
 
 
+def _nearest_templates(explanations: list[str], premise: str, hypothesis: str,
+                       label: str, threshold: int):
+    """Yields each explanation's FilterResult: the first template at the
+    minimum distance. Templates are instantiated and normalized once."""
+    templates = [(t, normalize(t))
+                 for t in instantiate_templates(premise, hypothesis, label)]
+    for explanation in explanations:
+        norm_expl = normalize(explanation)
+        best_d, best_t = None, ""
+        for candidate, norm in templates:
+            d = edit_distance(norm_expl, norm, limit=best_d)
+            if best_d is None or d < best_d:
+                best_d, best_t = d, candidate
+                if best_d == 0:
+                    break
+        yield FilterResult(best_d < threshold, best_t, best_d)
+
+
 def is_uninformative(explanation: str, premise: str, hypothesis: str,
                      label: str, threshold: int = FILTER_THRESHOLD) -> FilterResult:
     """True iff the normalized explanation sits strictly below
     `threshold` edits from some instantiated template."""
-    norm_expl = normalize(explanation)
-    best_d: int | None = None
-    best_t = ""
-    for candidate in instantiate_templates(premise, hypothesis, label):
-        d = edit_distance(norm_expl, normalize(candidate), limit=best_d)
-        if best_d is None or d < best_d:
-            best_d, best_t = d, candidate
-            if best_d == 0:
-                break
-    return FilterResult(uninformative=best_d < threshold,
-                        nearest_template=best_t, distance=best_d)
+    return next(_nearest_templates([explanation], premise, hypothesis, label,
+                                   threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +232,14 @@ class ValidationReport:
         return [v.code for v in self.violations]
 
 
-def _pick_words(tokens: list[str], indices: set[int], report, where: str, k: int):
+def _pick_words(tokens: list[str], indices: set[int], flag, where: str):
     words = set()
     for i in sorted(indices):
         if 0 <= i < len(tokens):
             words.add(tokens[i])
         else:
-            report.violations.append(Violation(
-                INVALID_HIGHLIGHT_INDEX,
-                f"explanation {k}: {where} highlight index {i} out of range"))
+            flag(INVALID_HIGHLIGHT_INDEX,
+                 f"{where} highlight index {i} out of range")
     return words
 
 
@@ -248,15 +255,15 @@ def validate_annotation(example) -> ValidationReport:
     """
     report = ValidationReport(example_id=example.id)
     for k, tokens in enumerate(example.explanations):
+        def flag(code: str, message: str) -> None:
+            report.violations.append(Violation(code, f"explanation {k}: {message}"))
+
         if len(tokens) < 3:
-            report.violations.append(Violation(
-                TOO_SHORT, f"explanation {k}: only {len(tokens)} tokens"))
+            flag(TOO_SHORT, f"only {len(tokens)} tokens")
         if tokens == example.premise:
-            report.violations.append(Violation(
-                COPY_OF_PREMISE, f"explanation {k}: copies the premise"))
+            flag(COPY_OF_PREMISE, "copies the premise")
         if tokens == example.hypothesis:
-            report.violations.append(Violation(
-                COPY_OF_HYPOTHESIS, f"explanation {k}: copies the hypothesis"))
+            flag(COPY_OF_HYPOTHESIS, "copies the hypothesis")
 
         p_high = (example.premise_highlights[k]
                   if k < len(example.premise_highlights) else None)
@@ -268,43 +275,27 @@ def validate_annotation(example) -> ValidationReport:
         p_high = p_high or set()
         h_high = h_high or set()
 
-        if example.label == "entailment":
-            if not p_high:
-                report.violations.append(Violation(
-                    MISSING_PREMISE_HIGHLIGHT,
-                    f"explanation {k}: entailment requires a premise highlight"))
-        elif example.label == "contradiction":
-            if not p_high:
-                report.violations.append(Violation(
-                    MISSING_PREMISE_HIGHLIGHT,
-                    f"explanation {k}: contradiction requires a premise highlight"))
-            if not h_high:
-                report.violations.append(Violation(
-                    MISSING_HYPOTHESIS_HIGHLIGHT,
-                    f"explanation {k}: contradiction requires a hypothesis highlight"))
-        elif example.label == "neutral":
-            if not h_high:
-                report.violations.append(Violation(
-                    MISSING_HYPOTHESIS_HIGHLIGHT,
-                    f"explanation {k}: neutral requires a hypothesis highlight"))
-            if p_high:
-                report.violations.append(Violation(
-                    FORBIDDEN_PREMISE_HIGHLIGHT,
-                    f"explanation {k}: neutral must not highlight the premise"))
+        label = example.label
+        if label in ("entailment", "contradiction") and not p_high:
+            flag(MISSING_PREMISE_HIGHLIGHT,
+                 f"{label} requires a premise highlight")
+        if label in ("contradiction", "neutral") and not h_high:
+            flag(MISSING_HYPOTHESIS_HIGHLIGHT,
+                 f"{label} requires a hypothesis highlight")
+        if label == "neutral" and p_high:
+            flag(FORBIDDEN_PREMISE_HIGHLIGHT,
+                 "neutral must not highlight the premise")
 
-        words = _pick_words(example.premise, p_high, report, "premise", k)
-        words |= _pick_words(example.hypothesis, h_high, report, "hypothesis", k)
+        words = _pick_words(example.premise, p_high, flag, "premise")
+        words |= _pick_words(example.hypothesis, h_high, flag, "hypothesis")
         expl_words = set(tokens)
         if words:
             used = len(words & expl_words)
             if used * 2 < len(words):
-                report.violations.append(Violation(
-                    HIGHLIGHTS_UNDERUSED,
-                    f"explanation {k}: uses {used}/{len(words)} highlighted words"))
+                flag(HIGHLIGHTS_UNDERUSED,
+                     f"uses {used}/{len(words)} highlighted words")
         if tokens and not (expl_words - words):
-            report.violations.append(Violation(
-                NO_NON_HIGHLIGHTED_WORD,
-                f"explanation {k}: contains only highlighted words"))
+            flag(NO_NON_HIGHLIGHTED_WORD, "contains only highlighted words")
     return report
 
 
@@ -320,11 +311,7 @@ class FilterRow:
 
 
 def filter_example(example, threshold: int = FILTER_THRESHOLD) -> list[FilterRow]:
-    rows = []
-    for k, text in enumerate(example.explanation_texts):
-        res = is_uninformative(text, example.premise_text,
-                               example.hypothesis_text, example.label,
-                               threshold=threshold)
-        rows.append(FilterRow(example.id, k, res.uninformative,
-                              res.nearest_template, res.distance))
-    return rows
+    results = _nearest_templates(example.explanation_texts, example.premise_text,
+                                 example.hypothesis_text, example.label, threshold)
+    return [FilterRow(example.id, k, r.uninformative, r.nearest_template,
+                      r.distance) for k, r in enumerate(results)]

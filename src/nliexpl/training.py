@@ -126,7 +126,7 @@ def _score(value: float | None, criterion: str) -> float:
     return -math.inf if value is None else _CRITERIA[criterion][1] * value
 
 
-def _require_explanations(variant: str, data: TrainData) -> None:
+def require_explanations(variant: str, data: TrainData) -> None:
     """Raises TrainingError naming the examples without an explanation
     when the variant reads or decodes explanations."""
     if not variant_class(variant).needs_explanations:
@@ -160,7 +160,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
     mixes the epoch index into the seed. Divergence (non-finite loss or
     gradients) aborts the run, keeping the last good checkpoint.
     """
-    _require_explanations(config.variant, data)
+    require_explanations(config.variant, data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     criterion = config.criterion

@@ -320,6 +320,18 @@ class TestTrainCommand:
         assert f"1 {split} example(s) have none: {missing}" in err
         assert f"{variant} needs an explanation" in err
 
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_refused_run_leaves_no_run_directory(self, tmp_path, toy_config,
+                                                 corpus, capsys, command):
+        self._drop_explanation(corpus[0], 4)
+        out_root = tmp_path / "runs"
+        code = main([command, "--config", str(toy_config),
+                     "--variant", "pred-expl", "--set", "training.alpha", "0.6",
+                     "--out-root", str(out_root)])
+        assert code == 1
+        assert "pred-expl needs an explanation" in capsys.readouterr().err
+        assert not out_root.exists()
+
     def test_missing_explanation_does_not_stop_a_classifier(
             self, tmp_path, toy_config, corpus):
         for path in corpus:

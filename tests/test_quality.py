@@ -16,6 +16,34 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 short_text = st.text(alphabet="abcdef ", max_size=12)
 
+# few letters so characters repeat, plus non-ASCII; up to 200 characters
+# so the bit vectors span several 30-bit CPython int digits
+WIDE_ALPHABET = "aab e\u00e9\u00fc\u4e2d"
+long_text = st.integers(0, 200).flatmap(lambda n: st.one_of(
+    st.text(alphabet=WIDE_ALPHABET, min_size=n, max_size=n),
+    st.text(min_size=n, max_size=n)))
+LIMITS = (None, *range(1, 13), 10_000)
+
+
+@st.composite
+def near_pairs(draw):
+    """(a, b) with b a few random edits away from a, so distances fall
+    on both sides of the small limits."""
+    a = draw(long_text)
+    b = list(a)
+    for _ in range(draw(st.integers(0, 14))):
+        i = draw(st.integers(0, len(b)))
+        c = draw(st.sampled_from(WIDE_ALPHABET))
+        op = draw(st.sampled_from("ids"))
+        if op == "i":
+            b.insert(i, c)
+        elif i < len(b):
+            if op == "d":
+                del b[i]
+            else:
+                b[i] = c
+    return a, "".join(b)
+
 
 class TestEditDistance:
     def test_identity(self):
@@ -63,6 +91,16 @@ class TestEditDistance:
     @settings(max_examples=80, deadline=None)
     def test_hypothesis_agrees_with_oracle(self, a, b):
         assert Q.edit_distance(a, b) == levenshtein_full(a, b)
+
+    @given(st.one_of(st.tuples(long_text, long_text), near_pairs()))
+    @settings(max_examples=150, deadline=None)
+    def test_limit_contract_on_long_strings(self, pair):
+        a, b = pair
+        true_d = levenshtein_full(a, b)
+        for limit in LIMITS:
+            want = true_d if limit is None else min(true_d, limit)
+            assert Q.edit_distance(a, b, limit) == want, limit
+            assert Q.edit_distance(b, a, limit) == want, limit
 
 
 class TestNormalize:
@@ -144,6 +182,12 @@ class TestIsUninformative:
         assert res.distance >= 10
         assert not res.uninformative
 
+    def test_first_nearest_template_wins(self):
+        # "<PREMISE>" and "<HYPOTHESIS>" are the first two frames
+        assert Q.is_uninformative("c", "a", "b", "neutral").nearest_template == "a"
+        res = Q.is_uninformative("b", "a", "b", "neutral")
+        assert (res.nearest_template, res.distance) == ("b", 0)
+
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
@@ -180,6 +224,36 @@ class TestIsUninformative:
         rows = Q.filter_example(e)
         assert rows[0].filtered and rows[0].distance == 0
         assert not rows[1].filtered
+
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_filter_example_matches_oracle(self, data):
+        words = st.sampled_from(["a", "b", "dog", "runs", "park", "\u00e9t\u00e9"])
+        premise = " ".join(data.draw(st.lists(words, min_size=1, max_size=6)))
+        hypothesis = " ".join(data.draw(st.lists(words, min_size=1, max_size=6)))
+        label = data.draw(st.sampled_from(["entailment", "neutral",
+                                           "contradiction"]))
+        templates = Q.instantiate_templates(premise, hypothesis, label)
+        # free text, or a template copy a few edits off
+        texts = data.draw(st.lists(st.one_of(
+            st.text(alphabet="adog runs.", max_size=60),
+            st.tuples(st.sampled_from(templates), st.text(max_size=12)).map(
+                lambda tc: tc[0].upper() + tc[1])), min_size=1, max_size=3))
+        e = Example(id="x", premise=premise.split(),
+                    hypothesis=hypothesis.split(), label=label,
+                    explanations=[t.split() for t in texts],
+                    premise_text=premise, hypothesis_text=hypothesis,
+                    explanation_texts=texts)
+        want = []
+        for text in texts:
+            dists = [levenshtein_full(Q.normalize(text), Q.normalize(t))
+                     for t in templates]
+            d = min(dists)
+            want.append((d < Q.FILTER_THRESHOLD, templates[dists.index(d)], d))
+        rows = Q.filter_example(e)
+        assert [(r.filtered, r.nearest_template, r.distance) for r in rows] == want
+        assert [(r.example_id, r.explanation_index) for r in rows] == [
+            ("x", k) for k in range(len(texts))]
 
     def test_filtering_idempotent_on_survivors(self):
         rng = np.random.default_rng(4)
