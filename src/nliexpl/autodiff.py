@@ -13,8 +13,10 @@ and share one fused gate kernel (`_lstm_gates`, derivatives `_gate_grads`).
 one GEMM done before the recurrence, each step runs over the rows still
 live only (packed sequences), pad masking and the backward direction
 are done inside the op, and the recurrent weight gradient of backprop
-through time is one GEMM over all steps. `lstm_step` is one step, for
-decoders whose next input needs the state (attention, greedy decoding).
+through time is one GEMM over all steps. `bilstm_layer` runs both
+directions of an encoder at once, one on a worker thread. `lstm_step`
+is one step, for decoders whose next input needs the state (attention,
+greedy decoding).
 The cell composed from generic tape ops lives in `tests/oracles.py` as
 their reference.
 
@@ -25,7 +27,11 @@ checking replays the same graph in float64 (cast parameters first).
 
 from __future__ import annotations
 
+import itertools
+import os
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,13 +64,7 @@ class NumericsWarning(RuntimeWarning):
     """A probability hit the log floor inside a loss."""
 
 
-_node_counter = 0
-
-
-def _next_id() -> int:
-    global _node_counter
-    _node_counter += 1
-    return _node_counter
+_node_ids = itertools.count(1)   # next() on it is atomic, on any thread
 
 
 class Tensor:
@@ -83,7 +83,7 @@ class Tensor:
             data = np.ascontiguousarray(data)
         self.data = data
         self.grad: np.ndarray | None = None
-        self.node_id = _next_id()
+        self.node_id = next(_node_ids)
         self.is_param = is_param
         self.name = name
 
@@ -136,11 +136,11 @@ class Tape:
         self._done = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack.append(self)
+        _open_tapes.stack.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        _tape_stack.pop()
+        _open_tapes.stack.pop()
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
         if self._done:
@@ -149,11 +149,19 @@ class Tape:
         self._out_ids.add(out.node_id)
 
 
-_tape_stack: list[Tape] = []
+class _OpenTapes(threading.local):
+    """Each thread's open tapes, innermost last: ops record there."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_open_tapes = _OpenTapes()
 
 
 def _active_tape() -> Tape | None:
-    return _tape_stack[-1] if _tape_stack else None
+    stack = _open_tapes.stack
+    return stack[-1] if stack else None
 
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
@@ -267,15 +275,17 @@ def _gemm_rows(a: np.ndarray, gemm: bool) -> np.ndarray:
     return np.concatenate([a, a]) if gemm and a.shape[0] == 1 else a
 
 
-def _flat_matmul(x: np.ndarray, w_t: np.ndarray) -> np.ndarray:
-    """x (..., K) @ w_t (K, N) as one GEMM over the flattened leading axes.
+def _flat_matmul(x: np.ndarray, w_t: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """x (..., K) @ w_t (K, N) as one GEMM over the flattened leading axes,
+    written to `out` if given (one row more for a one-row sequence).
 
     A sequence (x.ndim > 2) that flattens to one row still runs as gemm,
     so that a one-token, one-row sequence rounds like the same row of a
     longer padded one.
     """
     x2 = x.reshape(-1, x.shape[-1])
-    return (_gemm_rows(x2, x.ndim > 2) @ w_t)[:x2.shape[0]]
+    return np.matmul(_gemm_rows(x2, x.ndim > 2), w_t, out=out)[:x2.shape[0]]
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
@@ -694,6 +704,19 @@ def lstm_step(gx: Tensor, h: Tensor, c: Tensor, wh: Tensor,
     return h_out, c_out
 
 
+def _prefix_lengths(mask: np.ndarray | None, T: int, B: int, op: str) -> np.ndarray:
+    """Row lengths of a (T, B) mask that must be a prefix of each row."""
+    if mask is None:
+        return np.full(B, T)
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (T, B):
+        raise ShapeError(f"{op}: mask {mask.shape}, expected {(T, B)}")
+    lengths = mask.sum(axis=0)
+    if not np.array_equal(mask, np.arange(T)[:, None] < lengths):
+        raise MaskError(f"{op}: mask is not a prefix of real steps")
+    return lengths
+
+
 def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
                c0: Tensor | None = None, mask: np.ndarray | None = None,
                reverse: bool = False, rmask: np.ndarray | None = None) -> Tensor:
@@ -711,23 +734,8 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
     had been reversed in place. `rmask` (B, H) is a recurrent dropout
     mask applied to the hidden state entering every step.
 
-    Only real step-rows are computed (Appleyard, Kocisky & Blunsom 2016,
-    packed sequences). The rows are sorted once, stably, by descending
-    length, so the rows live at step t are a prefix of that order; the
-    step's recurrent GEMM and gate math run over that prefix alone, and
-    steps with no live row are skipped. A row waiting for its first real
-    step (the reverse direction) keeps (h0, c0). The backward caches hold
-    the live rows only, one block per step. Backward is backprop through
-    time over the same prefixes; the gradient of wh is one GEMM over all
-    packed rows. When a batch of several rows is down to one live row,
-    that row still runs through gemm (`_gemm_rows`); a one-row batch
-    stays on gemv. A row's float32 states are the same with any number of
-    live rows only where OpenBLAS rounds a gemm of few rows like a large
-    one. Against a 64-row step (OpenBLAS 0.3.31, one thread, x86-64
-    Haswell kernels), the forward product `(wh @ h.T).T` of n rows matches
-    at H = 8, 16, 256 and 512, and differs for n <= 9 at H = 32, n <= 4 at
-    H = 64 and n <= 2 at H = 128; the backward `dz @ wh` differs for
-    n <= 15 at H = 128 and n <= 3 at H = 256.
+    The recurrence is `_lstm_scan`, run here on the calling thread;
+    `bilstm_layer` runs it too, one direction on a worker thread.
     """
     x, w = gx.data, wh.data
     if x.ndim != 3 or w.ndim != 2 or w.shape != (x.shape[2], x.shape[2] // 4) \
@@ -737,24 +745,37 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
     H = G // 4
     if T == 0:
         raise EmptySequenceError("lstm_layer: no timesteps")
-    dtype = x.dtype
     given = [s0 for s0 in (h0, c0) if s0 is not None]
     if any(s0.shape != (B, H) for s0 in given):
         raise ShapeError(f"lstm_layer: initial state {[s0.shape for s0 in given]}, "
                          f"expected {(B, H)}")
-    if mask is None:
-        lengths = np.full(B, T)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (T, B):
-            raise ShapeError(f"lstm_layer: mask {mask.shape}, expected {(T, B)}")
-        lengths = mask.sum(axis=0)
-        if not np.array_equal(mask, np.arange(T)[:, None] < lengths):
-            raise MaskError("lstm_layer: mask is not a prefix of real steps")
+    lengths = _prefix_lengths(mask, T, B, "lstm_layer")
     if rmask is not None:
-        rmask = np.asarray(rmask, dtype=dtype)
+        rmask = np.asarray(rmask, dtype=x.dtype)
         if rmask.shape != (B, H):
             raise ShapeError(f"lstm_layer: rmask {rmask.shape}, expected {(B, H)}")
+    hs = np.zeros((T, B, H), dtype=x.dtype)
+    bptt = _lstm_scan(x, w, *(None if s0 is None else s0.data for s0 in (h0, c0)),
+                      lengths, reverse, rmask, hs, _active_tape() is not None)
+    out = Tensor(hs)
+    if bptt is not None:
+        _record(out, (gx, wh, *given),
+                lambda g: tuple(d for d in bptt(g) if d is not None))
+    return out
+
+
+def _lstm_scan(x: np.ndarray, w: np.ndarray, h0: np.ndarray | None,
+               c0: np.ndarray | None, lengths: np.ndarray, reverse: bool,
+               rmask: np.ndarray | None, hs: np.ndarray, recording: bool):
+    """`lstm_layer` on checked arrays and no tape, so any thread can run
+    it: writes the states into the zeroed `hs` (T, B, H), maybe a view,
+    and returns None or, `recording`, the BPTT g -> (dgx, dwh, dh0, dc0)
+    (None for a state not given). Packed sequences, as in the README:
+    rows sorted once by descending length, each step over the live
+    prefix, several rows always through gemm (`_gemm_rows`)."""
+    T, B, G = x.shape
+    H = G // 4
+    dtype = x.dtype
     order = np.argsort(-lengths, kind="stable")
     live = (lengths > np.arange(T)[:, None]).sum(axis=1)
     steps = np.flatnonzero(live)   # steps with no live row are skipped
@@ -762,12 +783,10 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
         steps = steps[::-1]
     gemm = B > 1
     # states in sorted row order; rows past the live prefix are left alone
-    h, c = (np.zeros((B, H), dtype=dtype) if s0 is None else s0.data[order]
+    h, c = (np.zeros((B, H), dtype=dtype) if s0 is None else s0[order]
             for s0 in (h0, c0))
     rm = None if rmask is None else rmask[order]
-    hs = np.zeros((T, B, H), dtype=dtype)
     # the caches backward reads; with no tape recording nothing reads them
-    recording = _active_tape() is not None
     if recording:
         P = int(live.sum())
         acts = np.empty((P, G), dtype=dtype)
@@ -785,11 +804,10 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
             s += n
         h[:n], c[:n] = h_new, c_new
         hs[t, rows] = h_new
-    out = Tensor(hs)
     if not recording:
-        return out
+        return None
 
-    def _bw(g):
+    def bptt(g):
         # only dc and dh are left to the loop
         per_dc, per_dh, dc_from_h = _gate_grads(acts, c_prev, tanh_c)
         f = acts[:, H:2 * H]
@@ -815,12 +833,87 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
         # (order[:0] keeps the concatenation defined when no row is live)
         dgx[np.repeat(steps, live[steps]),
             np.concatenate([order[:0], *(order[:live[t]] for t in steps)])] = dz
-        dw = dz.T @ h_in
         unsort = np.argsort(order)
-        return (dgx, dw) + tuple(d[unsort] for s0, d in ((h0, dh), (c0, dc))
-                                 if s0 is not None)
+        return dgx, dz.T @ h_in, *(None if s0 is None else d[unsort]
+                                   for s0, d in ((h0, dh), (c0, dc)))
 
-    _record(out, (gx, wh, *given), _bw)
+    return bptt
+
+
+def _new_worker() -> None:
+    """One thread for the life of the process, started on first use; a
+    forked child gets its own, as it inherits the executor but no thread."""
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="nliexpl-bilstm")
+
+
+_new_worker()
+os.register_at_fork(after_in_child=_new_worker)
+
+
+def _at_once(here, there):
+    """(here(), there()), `there` run on the worker; waits for both."""
+    later = _worker.submit(there)
+    try:
+        first = here()
+    finally:
+        second = later.result()
+    return first, second
+
+
+def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
+                 mask: np.ndarray | None = None) -> Tensor:
+    """Both directions of an encoder over x (T, B, D), from zero states,
+    as one tape record: states (T, B, 2H), `fwd` reading each row forward
+    and `bwd` in reverse; `mask` as in `lstm_layer`. Each direction's
+    input GEMM, `_lstm_scan` and gradients run at once with the other's,
+    `bwd` on the worker thread; checks, tensors and the record stay on
+    this one. Bit-identical to `linear`, `lstm_layer` (x2) and `concat`.
+    """
+    xd = x.data
+    H = fwd.wh.shape[-1]
+    if xd.ndim != 3 or any((c.wi.shape, c.wh.shape, c.b.shape) != (
+            (4 * H, xd.shape[-1]), (4 * H, H), (4 * H,)) for c in (fwd, bwd)):
+        raise ShapeError(f"bilstm_layer: x {xd.shape} incompatible with "
+                         f"wi {fwd.wi.shape}, {bwd.wi.shape}")
+    T, B, D = xd.shape
+    if T == 0:
+        raise EmptySequenceError("bilstm_layer: no timesteps")
+    lengths = _prefix_lengths(mask, T, B, "bilstm_layer")
+    recording = _active_tape() is not None
+    dtype = np.result_type(xd, fwd.wi.data)
+    hs = np.zeros((T, B, 2 * H), dtype)
+    # allocated on this thread: memory the worker frees stays in its own
+    # malloc arena, where the rest of the process cannot reuse it
+    gxs = [np.empty((max(T * B, 2), 4 * H), dtype) for _ in range(2)]
+
+    def direction(cell, reverse, out, gx):
+        wi = cell.wi.data
+        gx = _flat_matmul(xd, wi.T, gx)
+        gx += cell.b.data
+        bptt = _lstm_scan(gx.reshape(T, B, 4 * H), cell.wh.data, None, None,
+                          lengths, reverse, None, out, recording)
+
+        def grads(g):
+            dgx, dwh = bptt(g)[:2]
+            dgx = dgx.reshape(-1, 4 * H)
+            return ((dgx @ wi).reshape(xd.shape), dgx.T @ xd.reshape(-1, D), dwh,
+                    dgx.sum(axis=0))
+        return grads
+
+    grads_f, grads_b = _at_once(lambda: direction(fwd, False, hs[..., :H], gxs[0]),
+                                lambda: direction(bwd, True, hs[..., H:], gxs[1]))
+    out = Tensor(hs)
+    if not recording:
+        return out
+
+    def _bw(g):
+        (dx, *dfwd), (dx_bwd, *dbwd) = _at_once(lambda: grads_f(g[..., :H]),
+                                                lambda: grads_b(g[..., H:]))
+        dx += dx_bwd
+        return (dx, *dfwd, *dbwd)
+
+    _record(out, (x, fwd.wi, fwd.wh, fwd.b, bwd.wi, bwd.wh, bwd.b), _bw)
     return out
 
 

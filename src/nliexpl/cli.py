@@ -3,7 +3,8 @@
 Subcommands: filter, validate, train, grid, eval, generate, bleu,
 repr-export. Every invocation creates a run directory named by
 timestamp and seed containing a reproducibility manifest (resolved
-config, argv, and sha256 of every input file); artifacts land in
+config, argv, sha256 of every input file, and the numpy, BLAS and
+thread settings it ran under); artifacts land in
 checkpoints/, reports/, and dumps/ underneath unless an explicit output
 path is given.
 
@@ -17,6 +18,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import fields
@@ -85,12 +87,19 @@ def _start_run(args, config: dict, inputs: list[Path]) -> Path:
         files = sorted(f for f in p.rglob("*") if f.is_file()) if p.is_dir() else [p]
         for f in files:
             hashed[str(f)] = _sha256(f)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "version": __version__,
         "command": args.command,
         "argv": sys.argv[1:],
         "config": config,
         "inputs": hashed,
+        "environment": {   # what float rounding and speed depend on
+            "numpy": np.__version__,
+            "blas": {k: blas.get(k) for k in ("name", "version")},
+            "threads": {k: os.environ.get(k) for k in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()},
     }
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1),
                                            encoding="utf-8")

@@ -123,11 +123,13 @@ class WordEmbedding(_Part):
 class BiLstmEncoder(_Part):
     """Bidirectional LSTM over token ids with masked max-pooling.
 
-    Each direction is one input GEMM over the whole (T, B) sequence and
-    one `lstm_layer`, which runs each step over the rows still real
-    there and outputs zero on pad steps. The backward direction starts
-    each row at its last real token from a zero state, so padding can
-    never leak into real timesteps.
+    Both directions are one `bilstm_layer`, which runs the forward one
+    on the calling thread and the backward one on autodiff's worker
+    thread at the same time: each is one input GEMM over the whole
+    (T, B) sequence and a packed recurrence over the rows still real at
+    each step, with zero output on pad steps. The backward direction
+    starts each row at its last real token from a zero state, so padding
+    can never leak into real timesteps.
     """
 
     def __init__(self, rng: np.random.Generator, embed_dim: int, hidden: int,
@@ -145,10 +147,7 @@ class BiLstmEncoder(_Part):
             raise ad.EmptySequenceError(f"{self.prefix}: all-pad input row")
         emb = embedding.lookup(ids.T)
         real = real_mask(lengths, ids.shape[1]).T
-        halves = [ad.lstm_layer(ad.linear(emb, cell.wi, cell.b), cell.wh,
-                                mask=real, reverse=reverse)
-                  for cell, reverse in ((self.fwd, False), (self.bwd, True))]
-        states = ad.concat(halves)
+        states = ad.bilstm_layer(emb, self.fwd, self.bwd, mask=real)
         u = ad.max_over_time(states, lengths=lengths)
         return u, states
 

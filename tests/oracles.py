@@ -2,12 +2,14 @@
 
 Everything here is deliberately written from the definitions (brute
 force, full DP matrices, straight-line formula transcriptions) and
-shares no code with the package under test. Two exceptions are kept
+shares no code with the package under test. Three exceptions are kept
 as references of the fused LSTM ops: `lstm_layer_dense`, the dense
 layer the packed one replaced, shares the step kernels, so the two can
 be compared bit for bit; `lstm_cell`, the single step composed from
 generic tape ops (with `sigmoid_` and `slice_last`, which only it
-uses), records through the package's tape.
+uses), records through the package's tape; `bilstm_composed`, the
+five-record encoder that `bilstm_layer` replaced, runs the package's
+`linear`, `lstm_layer` and `concat` one after the other on one thread.
 """
 
 import math
@@ -17,7 +19,8 @@ import numpy as np
 
 from nliexpl.autodiff import (EmptySequenceError, LstmParams, ShapeError,
                               Tensor, _active_tape, _lstm_gates, _record,
-                              _recurrent, _sigmoid, add, linear, mul, tanh_)
+                              _recurrent, _sigmoid, add, concat, linear,
+                              lstm_layer, mul, tanh_)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +263,18 @@ def lstm_layer_dense(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
 
     _record(out, (gx, wh, *given), _bw)
     return out
+
+
+def bilstm_composed(x: Tensor, fwd: LstmParams, bwd: LstmParams,
+                    mask: np.ndarray | None = None) -> Tensor:
+    """The encoder's two directions as they ran before `bilstm_layer`,
+    in five tape records: per direction an input `linear` and an
+    `lstm_layer` (the backward one reversed), then `concat` of the two
+    (T, B, H) halves."""
+    halves = [lstm_layer(linear(x, cell.wi, cell.b), cell.wh, mask=mask,
+                         reverse=reverse)
+              for cell, reverse in ((fwd, False), (bwd, True))]
+    return concat(halves)
 
 
 # ---------------------------------------------------------------------------

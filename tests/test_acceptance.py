@@ -149,6 +149,17 @@ def test_criterion_1_gradient_suite():
     wcat = p64((5, 6), "wcat")
     _grad_check(lambda: ad.sum_(ad.tanh_(ad.cond_linear(seq, cond, wcat, bias))),
                 {"seq": seq, "cond": cond, "wcat": wcat, "bias": bias})
+    cells = [ad.init_lstm(rng, 3, 2, d, dtype=np.float64) for d in ("fwd", "bwd")]
+    for cell in cells:
+        cell.wi.data = rng.normal(size=cell.wi.shape) * 0.5
+        cell.wh.data = rng.normal(size=cell.wh.shape) * 0.5
+        cell.b.data = rng.normal(size=cell.b.shape) * 0.5
+    xs = p64((4, 3, 3), "xs")
+    bi_w = rng.normal(size=(4, 3, 4))
+    _grad_check(lambda: ad.sum_(ad.mul(ad.bilstm_layer(xs, *cells, mask=real),
+                                       ad.Tensor(bi_w))),
+                {"xs": xs, **{t.name: t for cell in cells
+                              for t in (cell.wi, cell.wh, cell.b)}})
 
     # -- every model variant end to end (short sequences: saturated
     # states over long sequences produce near-tied max-pool columns

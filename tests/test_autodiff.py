@@ -1,6 +1,9 @@
 """Tests for the tape-based autodiff engine."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
-from oracles import (column_max, lstm_cell, lstm_layer_dense, max_rel_err,
-                     numeric_grad, scalar_lstm_step, sigmoid_, slice_last)
+from oracles import (bilstm_composed, column_max, lstm_cell, lstm_layer_dense,
+                     max_rel_err, numeric_grad, scalar_lstm_step, sigmoid_,
+                     slice_last)
 
 
 def f64(x):
@@ -754,7 +758,239 @@ class TestLstmLayer:
             ad.lstm_layer(f64(np.zeros((0, 2, 8))), f64(np.zeros((8, 2))))
 
 
+def _bilstm_arrays(rng, T, B, D, H):
+    return {"x": rng.normal(size=(T, B, D)),
+            **{f"{d}.{k}": rng.normal(size=shape) * 0.5
+               for d in ("fwd", "bwd")
+               for k, shape in (("wi", (4 * H, D)), ("wh", (4 * H, H)),
+                                ("b", (4 * H,)))}}
+
+
+def _bilstm_params(arrays, dtype):
+    p = {name: ad.param(np.asarray(v, dtype=dtype), name)
+         for name, v in arrays.items()}
+    cells = [ad.LstmParams(p[f"{d}.wi"], p[f"{d}.wh"], p[f"{d}.b"])
+             for d in ("fwd", "bwd")]
+    return p, cells
+
+
+def _bilstm_run(layer, arrays, mask, weights, dtype):
+    """States and the gradients of x and both cells' weights of `layer`
+    under a weighted-sum loss."""
+    p, (fwd, bwd) = _bilstm_params(arrays, dtype)
+    with ad.Tape() as tape:
+        hs = layer(p["x"], fwd, bwd, mask=mask)
+        loss = ad.sum_(ad.mul(hs, ad.Tensor(weights.astype(dtype))))
+    ad.backward(tape, loss)
+    return hs.data, {name: t.grad for name, t in p.items()}
+
+
+class TestBilstmLayer:
+    @pytest.mark.parametrize("case", sorted(PACKING_CASES))
+    def test_matches_composed_directions(self, case):
+        """Against `linear` -> `lstm_layer` x2 -> `concat`: float32 states
+        and all seven gradients bit-equal, float64 within 1e-10."""
+        T, lengths = PACKING_CASES[case]
+        B, D, H = len(lengths), 5, 8
+        lengths = np.array(lengths)
+        mask = (None if (lengths == T).all()
+                else np.arange(T)[:, None] < lengths[None, :])
+        rng = np.random.default_rng(31)
+        arrays = _bilstm_arrays(rng, T, B, D, H)
+        weights = rng.normal(size=(T, B, 2 * H))
+        for dtype in (np.float32, np.float64):
+            hs, grads = _bilstm_run(ad.bilstm_layer, arrays, mask, weights, dtype)
+            hs_ref, grads_ref = _bilstm_run(bilstm_composed, arrays, mask,
+                                            weights, dtype)
+            assert hs.dtype == dtype and len(grads) == 7
+            if dtype == np.float32:
+                np.testing.assert_array_equal(hs, hs_ref)
+                for name in grads:
+                    np.testing.assert_array_equal(grads[name], grads_ref[name],
+                                                  err_msg=name)
+            else:
+                close = dict(rtol=1e-10, atol=1e-10)
+                np.testing.assert_allclose(hs, hs_ref, **close)
+                for name in grads:
+                    np.testing.assert_allclose(grads[name], grads_ref[name],
+                                               err_msg=name, **close)
+
+    def test_matches_composed_directions_random_lengths(self):
+        """float64 states and gradients within 1e-10 of the composition
+        over random batch sizes and row lengths."""
+        rng = np.random.default_rng(32)
+        close = dict(rtol=1e-10, atol=1e-10)
+        for _ in range(12):
+            T, B = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+            lengths = rng.integers(1, T + 1, size=B)
+            mask = np.arange(T)[:, None] < lengths[None, :]
+            arrays = _bilstm_arrays(rng, T, B, 3, 4)
+            weights = rng.normal(size=(T, B, 8))
+            hs, grads = _bilstm_run(ad.bilstm_layer, arrays, mask, weights,
+                                    np.float64)
+            hs_ref, grads_ref = _bilstm_run(bilstm_composed, arrays, mask,
+                                            weights, np.float64)
+            np.testing.assert_allclose(hs, hs_ref, **close)
+            for name in grads:
+                np.testing.assert_allclose(grads[name], grads_ref[name],
+                                           err_msg=name, **close)
+
+    def test_one_tape_record(self):
+        p, (fwd, bwd) = _bilstm_params(
+            _bilstm_arrays(np.random.default_rng(33), 4, 3, 5, 2), np.float64)
+        with ad.Tape() as tape:
+            ad.bilstm_layer(p["x"], fwd, bwd)
+        assert len(tape.records) == 1
+        with ad.Tape() as tape:
+            bilstm_composed(p["x"], fwd, bwd)
+        assert len(tape.records) == 5
+
+    def test_no_backward_caches_without_tape(self):
+        """Forward-only, the peak allocation stays near the two input
+        projections (four times the output) plus the output; a taped
+        run's caches take seven times the output more."""
+        import tracemalloc
+        p, (fwd, bwd) = _bilstm_params(
+            _bilstm_arrays(np.random.default_rng(34), 60, 5, 8, 32), np.float32)
+        peaks = []
+        for taped in (False, True):
+            tape = ad.Tape()
+            tracemalloc.start()
+            try:
+                if taped:
+                    with tape:
+                        hs = ad.bilstm_layer(p["x"], fwd, bwd)
+                else:
+                    hs = ad.bilstm_layer(p["x"], fwd, bwd)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 7 * hs.data.nbytes < peaks[1]
+
+    def test_errors_match_composition_before_any_work(self, monkeypatch):
+        """Shape and mask errors are the composition's types and come
+        from the calling thread before the worker gets anything."""
+        class NoWorker:
+            def submit(self, *args):
+                raise AssertionError("work was sent to the worker")
+
+        monkeypatch.setattr(ad, "_worker", NoWorker())
+        T, B, D, H = 4, 2, 5, 2
+        good = _bilstm_arrays(np.random.default_rng(35), T, B, D, H)
+        hole = np.array([[1, 1], [0, 1], [1, 1], [0, 0]], dtype=bool)
+        cases = [({"fwd.wi": np.zeros((4 * H, D + 1))}, None),
+                 ({"bwd.wh": np.zeros((4 * H, H + 1))}, None),
+                 ({"fwd.b": np.zeros(4 * H + 1)}, None),
+                 ({"x": np.zeros((T, B))}, None),
+                 ({"x": np.zeros((0, B, D))}, None),
+                 ({}, np.ones((T + 1, B), bool)),
+                 ({}, hole)]
+        for change, mask in cases:
+            p, (fwd, bwd) = _bilstm_params({**good, **change}, np.float64)
+            errors = []
+            for layer in (ad.bilstm_layer, bilstm_composed):
+                with pytest.raises(ValueError) as info:
+                    layer(p["x"], fwd, bwd, mask=mask)
+                errors.append(type(info.value))
+            assert errors[0] is errors[1], (change, mask)
+            assert errors[0] in (ad.ShapeError, ad.MaskError,
+                                 ad.EmptySequenceError)
+
+    @pytest.mark.parametrize("in_backward", [False, True])
+    def test_worker_exception_reaches_caller(self, monkeypatch, in_backward):
+        """An exception raised on the worker (the reverse direction) is
+        the one the caller sees, and the worker keeps working after it."""
+        boom = RuntimeError("reverse direction failed")
+        scan = ad._lstm_scan
+
+        def failing(*args):
+            reverse = args[5]
+            bptt = scan(*args)
+            if reverse and not in_backward:
+                raise boom
+            if reverse and bptt is not None:
+                def failing_bptt(g):
+                    raise boom
+                return failing_bptt
+            return bptt
+
+        p, (fwd, bwd) = _bilstm_params(
+            _bilstm_arrays(np.random.default_rng(36), 4, 3, 5, 2), np.float64)
+        monkeypatch.setattr(ad, "_lstm_scan", failing)
+        with pytest.raises(RuntimeError) as info:
+            with ad.Tape() as tape:
+                loss = ad.sum_(ad.bilstm_layer(p["x"], fwd, bwd))
+            ad.backward(tape, loss)
+        assert info.value is boom
+        monkeypatch.setattr(ad, "_lstm_scan", scan)
+        np.testing.assert_array_equal(
+            ad.bilstm_layer(p["x"], fwd, bwd).data,
+            bilstm_composed(p["x"], fwd, bwd).data)
+
+
+    def test_runs_in_a_forked_child(self):
+        """A child forked after the worker started gets a worker of its
+        own instead of waiting forever on the parent's."""
+        import multiprocessing
+        p, (fwd, bwd) = _bilstm_params(
+            _bilstm_arrays(np.random.default_rng(37), 4, 3, 5, 2), np.float64)
+        expected = ad.bilstm_layer(p["x"], fwd, bwd).data
+
+        def child():
+            same = np.array_equal(ad.bilstm_layer(p["x"], fwd, bwd).data, expected)
+            os._exit(0 if same else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+        assert proc.exitcode == 0
+
+
 class TestTapeDiscipline:
+    def test_tape_records_ops_of_its_own_thread_only(self):
+        """A tape open on this thread records nothing an op on another
+        thread does, and a tape opened there records only that thread's."""
+        x = f64_param([2.0], "x")
+        seen = {}
+
+        def other():
+            ad.mul(x, x)
+            with ad.Tape() as inner:
+                ad.mul(x, x)
+            seen["inner"] = len(inner.records)
+
+        with ad.Tape() as tape:
+            worker = threading.Thread(target=other)
+            worker.start()
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert tape.records == []
+            ad.mul(x, x)
+        assert len(tape.records) == 1 and seen["inner"] == 1
+
+    def test_node_ids_unique_across_threads(self):
+        """Tensors made on several threads at once never share an id."""
+        ids = [[] for _ in range(4)]
+
+        def make(out):
+            out.extend(ad.Tensor(np.zeros(1)).node_id for _ in range(3000))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=make, args=(out,)) for out in ids]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        made = [i for out in ids for i in out]
+        assert len(made) == 12000 and len(set(made)) == 12000
+
     def test_backward_twice_is_error(self):
         x = f64_param([2.0], "x")
         with ad.Tape() as tape:

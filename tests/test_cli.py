@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 from dataclasses import fields
 from pathlib import Path
 
@@ -160,6 +161,13 @@ class TestTrainCommand:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["config"]["model"]["variant"] == "pred-expl"
         assert len(manifest["inputs"]) == 2   # train + valid hashes
+        env = manifest["environment"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert env["numpy"] == np.__version__
+        assert env["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert env["threads"] == {k: os.environ.get(k) for k in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        assert env["cpu_count"] == os.cpu_count()
         assert (run_dir / "run.json").exists()
         assert (run_dir / "checkpoints" / "best" / "params.bin").exists()
         assert (run_dir / "reports" / "valid_report.json").exists()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -21,7 +22,7 @@ from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
                             build_model, classify, feature_vector, load_model)
 from model_utils import (full_model_grad_check, label_alone, toy_config,
                          toy_setup)
-from oracles import max_rel_err, straight_line_attention
+from oracles import bilstm_composed, max_rel_err, straight_line_attention
 from synth import make_examples
 from variant_digests import PINNED_ENV
 
@@ -160,6 +161,32 @@ class TestEncoder:
         ids = np.array([[7, 8, 0, 0]], dtype=np.int64)
         _, states = enc.encode(emb, ids, np.array([2]))
         np.testing.assert_array_equal(states.data[2:], 0.0)
+
+    def test_encodes_start_at_most_one_thread(self):
+        vocab, emb, enc = self._encoder_setup()
+        ids = np.array([[7, 8, 9, 7], [8, 9, 0, 0]], dtype=np.int64)
+        before = threading.active_count()
+        for k in range(50):
+            tape = ad.Tape()
+            with tape:
+                u, _ = enc.encode(emb, ids, np.array([4, 2]))
+                loss = ad.sum_(u)
+            if k % 2:
+                ad.backward(tape, loss)
+        assert threading.active_count() <= before + 1
+
+    def test_pred_expl_loss_writes_eight_fewer_records(self, monkeypatch):
+        """Each of the two encodes is one record where the composed
+        directions wrote five."""
+        model, batch, _ = toy_setup("pred-expl")
+        counts = []
+        for layer in (ad.bilstm_layer, bilstm_composed):
+            monkeypatch.setattr(ad, "bilstm_layer", layer)
+            with ad.Tape() as tape:
+                model.loss(batch, train=True, rng=np.random.default_rng(0),
+                           alpha=0.6)
+            counts.append(len(tape.records))
+        assert counts[1] - counts[0] == 8
 
 
 class TestWordEmbedding:
