@@ -9,14 +9,15 @@ decay.
 
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
 and share one fused gate kernel (`_lstm_gates`, derivatives `_gate_grads`).
-`lstm_layer` runs a sequence as one tape record: the input projection is
-one GEMM done before the recurrence, each step runs over the rows still
-live only (packed sequences), pad masking and the backward direction
-are done inside the op, and the recurrent weight gradient of backprop
-through time is one GEMM over all steps. `bilstm_layer` runs both
-directions of an encoder at once, one on a worker thread. `lstm_step`
-is one step, for decoders whose next input needs the state (attention,
-greedy decoding).
+`lstm_layer` runs a sequence from its raw input as one tape record: the
+input projection is one GEMM done before the recurrence (that of a
+`cond` input, the same at every step, once), each step runs over the
+rows still live only (packed sequences), pad masking and the backward
+direction are done inside the op, and the recurrent weight gradient of
+backprop through time is one GEMM over all steps. `bilstm_layer` runs
+both directions of an encoder at once, one on a worker thread; both ops
+run one direction core (`_lstm_direction`). `lstm_step` is one step, for
+decoders whose next input needs the state (attention, greedy decoding).
 The cell composed from generic tape ops lives in `tests/oracles.py` as
 their reference.
 
@@ -270,7 +271,7 @@ def _gemm_rows(a: np.ndarray, gemm: bool) -> np.ndarray:
     repeated to two rows; the caller keeps the first n rows of the result.
     A row then rounds as in a two-row gemm, which is not always as in a
     large one: OpenBLAS takes a small-matrix sgemm path for products of
-    few rows (see `lstm_layer` for the sizes where this shows).
+    few rows (the README lists the sizes where this shows).
     """
     return np.concatenate([a, a]) if gemm and a.shape[0] == 1 else a
 
@@ -313,43 +314,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         return (gx, gw, g2.sum(axis=0))
 
     inputs = (x, w) if b is None else (x, w, b)
-    _record(out, inputs, _bw)
-    return out
-
-
-def cond_linear(x: Tensor, cond: Tensor, w: Tensor,
-                b: Tensor | None = None) -> Tensor:
-    """y[t] = [x[t], cond] @ w.T + b for every step t of a sequence.
-
-    x is (T, B, D); cond (B, C) is the same at every step, so its product
-    with the last C columns of w (out, D + C) is computed once and
-    broadcast over T.
-    """
-    xd, cd, wd = x.data, cond.data, w.data
-    if (xd.ndim != 3 or cd.ndim != 2 or wd.ndim != 2 or cd.shape[0] != xd.shape[1]
-            or xd.shape[2] + cd.shape[1] != wd.shape[1]):
-        raise ShapeError(f"cond_linear: x {xd.shape}, cond {cd.shape} "
-                         f"incompatible with w {wd.shape}")
-    if b is not None and b.shape != (wd.shape[0],):
-        raise ShapeError(f"cond_linear: bias {b.shape} incompatible with w {wd.shape}")
-    T, B, D = xd.shape
-    n = wd.shape[0]
-    wx, wc = wd[:, :D], wd[:, D:]
-    per_seq = cd @ wc.T
-    if b is not None:
-        per_seq += b.data
-    y = _flat_matmul(xd, wx.T).reshape(T, B, n)
-    y += per_seq
-    out = Tensor(y)
-
-    def _bw(g):
-        g2 = g.reshape(-1, n)
-        gs = g.sum(axis=0)
-        gw = np.concatenate([g2.T @ xd.reshape(-1, D), gs.T @ cd], axis=1)
-        grads = ((g2 @ wx).reshape(xd.shape), gs @ wc, gw)
-        return grads if b is None else grads + (gs.sum(axis=0),)
-
-    inputs = (x, cond, w) if b is None else (x, cond, w, b)
     _record(out, inputs, _bw)
     return out
 
@@ -704,27 +668,54 @@ def lstm_step(gx: Tensor, h: Tensor, c: Tensor, wh: Tensor,
     return h_out, c_out
 
 
-def _prefix_lengths(mask: np.ndarray | None, T: int, B: int, op: str) -> np.ndarray:
-    """Row lengths of a (T, B) mask that must be a prefix of each row."""
+def _check_lstm(op: str, x: Tensor, cells, mask: np.ndarray | None,
+                cond: Tensor | None = None, h0: Tensor | None = None,
+                c0: Tensor | None = None, rmask: np.ndarray | None = None):
+    """The checks of an LSTM sequence op: x (T, B, D) with T > 0; each
+    cell's wi (4H, D + C), wh (4H, H) and b (4H,), C being the width of
+    `cond` (B, C) or 0; h0, c0 and `rmask` (B, H); `mask` (T, B) True on
+    a prefix of each row's steps (otherwise MaskError). Returns the row
+    lengths and `rmask` as an array of the states' dtype."""
+    xd = x.data
+    H = cells[0].wh.shape[-1]
+    C = 0 if cond is None else cond.shape[-1]
+    if xd.ndim != 3 or (cond is not None and cond.shape != (xd.shape[1], C)) \
+            or any((c.wi.shape, c.wh.shape, c.b.shape) != (
+                (4 * H, xd.shape[-1] + C), (4 * H, H), (4 * H,)) for c in cells):
+        raise ShapeError(f"{op}: x {xd.shape}, cond {cond and cond.shape} "
+                         f"incompatible with wi {[c.wi.shape for c in cells]}, "
+                         f"wh {[c.wh.shape for c in cells]}")
+    T, B, _ = xd.shape
+    if T == 0:
+        raise EmptySequenceError(f"{op}: no timesteps")
+    if rmask is not None:
+        rmask = np.asarray(rmask, dtype=np.result_type(xd, cells[0].wi.data))
+    bad = [f"{name} {s.shape}" for name, s in (("h0", h0), ("c0", c0), ("rmask", rmask))
+           if s is not None and s.shape != (B, H)]
+    if bad:
+        raise ShapeError(f"{op}: {', '.join(bad)}, expected {(B, H)}")
     if mask is None:
-        return np.full(B, T)
+        return np.full(B, T), rmask
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != (T, B):
         raise ShapeError(f"{op}: mask {mask.shape}, expected {(T, B)}")
     lengths = mask.sum(axis=0)
     if not np.array_equal(mask, np.arange(T)[:, None] < lengths):
         raise MaskError(f"{op}: mask is not a prefix of real steps")
-    return lengths
+    return lengths, rmask
 
 
-def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
+def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
                c0: Tensor | None = None, mask: np.ndarray | None = None,
-               reverse: bool = False, rmask: np.ndarray | None = None) -> Tensor:
-    """An LSTM over a whole sequence as one tape record.
+               cond: Tensor | None = None, reverse: bool = False,
+               rmask: np.ndarray | None = None) -> Tensor:
+    """An LSTM over a whole sequence x (T, B, D) as one tape record.
 
-    gx (T, B, 4H) holds each step's input projection x_t @ wi.T + b, wh
-    (4H, H) the recurrent weights, h0/c0 (B, H) the initial state (None
-    is a zero state). Returns the hidden states (T, B, H).
+    Step t's gate input is x_t @ wi.T + b, one GEMM for all steps. With
+    `cond` (B, C), the same at every step (a decoder's source), step t
+    reads [x_t, cond]: wi is (4H, D + C) and the product of cond with
+    its last C columns is computed once. h0/c0 (B, H) are the initial
+    state (None is a zero state). Returns the hidden states (T, B, H).
 
     `mask` (T, B) is True on each row's real steps, which must be a
     prefix: `mask[t, b]` is `t < lengths[b]` (otherwise MaskError);
@@ -734,48 +725,50 @@ def lstm_layer(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
     had been reversed in place. `rmask` (B, H) is a recurrent dropout
     mask applied to the hidden state entering every step.
 
-    The recurrence is `_lstm_scan`, run here on the calling thread;
+    The work is `_lstm_direction`, run here on the calling thread;
     `bilstm_layer` runs it too, one direction on a worker thread.
     """
-    x, w = gx.data, wh.data
-    if x.ndim != 3 or w.ndim != 2 or w.shape != (x.shape[2], x.shape[2] // 4) \
-            or x.shape[2] % 4:
-        raise ShapeError(f"lstm_layer: gx {x.shape} incompatible with wh {w.shape}")
-    T, B, G = x.shape
-    H = G // 4
-    if T == 0:
-        raise EmptySequenceError("lstm_layer: no timesteps")
-    given = [s0 for s0 in (h0, c0) if s0 is not None]
-    if any(s0.shape != (B, H) for s0 in given):
-        raise ShapeError(f"lstm_layer: initial state {[s0.shape for s0 in given]}, "
-                         f"expected {(B, H)}")
-    lengths = _prefix_lengths(mask, T, B, "lstm_layer")
-    if rmask is not None:
-        rmask = np.asarray(rmask, dtype=x.dtype)
-        if rmask.shape != (B, H):
-            raise ShapeError(f"lstm_layer: rmask {rmask.shape}, expected {(B, H)}")
-    hs = np.zeros((T, B, H), dtype=x.dtype)
-    bptt = _lstm_scan(x, w, *(None if s0 is None else s0.data for s0 in (h0, c0)),
-                      lengths, reverse, rmask, hs, _active_tape() is not None)
+    lengths, rmask = _check_lstm("lstm_layer", x, [cell], mask, cond, h0, c0, rmask)
+    T, B, _ = x.shape
+    hs = np.zeros((T, B, cell.wh.shape[1]), np.result_type(x.data, cell.wi.data))
+    grads = _lstm_direction(x.data, cell, lengths, hs, _active_tape() is not None,
+                            reverse, *(None if t is None else t.data
+                                       for t in (h0, c0, cond)), rmask)
     out = Tensor(hs)
-    if bptt is not None:
-        _record(out, (gx, wh, *given),
-                lambda g: tuple(d for d in bptt(g) if d is not None))
+    if grads is not None:
+        inputs = (x, cell.wi, cell.wh, cell.b, h0, c0, cond)
+        _record(out, tuple(t for t in inputs if t is not None),
+                lambda g: tuple(d for d in grads(g) if d is not None))
     return out
 
 
-def _lstm_scan(x: np.ndarray, w: np.ndarray, h0: np.ndarray | None,
-               c0: np.ndarray | None, lengths: np.ndarray, reverse: bool,
-               rmask: np.ndarray | None, hs: np.ndarray, recording: bool):
+def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
+                    hs: np.ndarray, recording: bool, reverse: bool = False,
+                    h0: np.ndarray | None = None, c0: np.ndarray | None = None,
+                    cond: np.ndarray | None = None,
+                    rmask: np.ndarray | None = None,
+                    gx: np.ndarray | None = None):
     """`lstm_layer` on checked arrays and no tape, so any thread can run
-    it: writes the states into the zeroed `hs` (T, B, H), maybe a view,
-    and returns None or, `recording`, the BPTT g -> (dgx, dwh, dh0, dc0)
-    (None for a state not given). Packed sequences, as in the README:
-    rows sorted once by descending length, each step over the live
-    prefix, several rows always through gemm (`_gemm_rows`)."""
-    T, B, G = x.shape
-    H = G // 4
-    dtype = x.dtype
+    it. The input GEMM of x (T, B, D) with wi's first D columns goes to
+    the buffer `gx` if given (as `_flat_matmul`), plus b, or plus
+    `cond @ wi[:, D:].T + b` once per sequence. The recurrence writes the
+    states into the zeroed `hs` (T, B, H), maybe a view, on packed
+    sequences as in the README: rows sorted once by descending length,
+    each step over the live prefix, several rows always through gemm
+    (`_gemm_rows`). Returns None or, `recording`, g -> the gradients of
+    (x, wi, wh, b, h0, c0, cond), None for an input not given."""
+    T, B, D = x.shape
+    wi, w = cell.wi.data, cell.wh.data
+    G, H = w.shape
+    wx = wi[:, :D]
+    gx = _flat_matmul(x, wx.T, gx).reshape(T, B, G)
+    if cond is None:
+        gx += cell.b.data
+    else:
+        per_seq = cond @ wi[:, D:].T
+        per_seq += cell.b.data
+        gx += per_seq
+    dtype = gx.dtype
     order = np.argsort(-lengths, kind="stable")
     live = (lengths > np.arange(T)[:, None]).sum(axis=1)
     steps = np.flatnonzero(live)   # steps with no live row are skipped
@@ -796,7 +789,7 @@ def _lstm_scan(x: np.ndarray, w: np.ndarray, h0: np.ndarray | None,
         n = live[t]
         rows = order[:n]
         h_t = h[:n] if rm is None else h[:n] * rm[:n]
-        z = x[t, rows] + _recurrent(_gemm_rows(h_t, gemm), w)[:n]
+        z = gx[t, rows] + _recurrent(_gemm_rows(h_t, gemm), w)[:n]
         a_t, c_new, tc_t, h_new = _lstm_gates(z, c[:n])
         if recording:
             acts[s:s + n], c_prev[s:s + n], tanh_c[s:s + n], h_in[s:s + n] = \
@@ -807,7 +800,7 @@ def _lstm_scan(x: np.ndarray, w: np.ndarray, h0: np.ndarray | None,
     if not recording:
         return None
 
-    def bptt(g):
+    def grads(g):
         # only dc and dh are left to the loop
         per_dc, per_dh, dc_from_h = _gate_grads(acts, c_prev, tanh_c)
         f = acts[:, H:2 * H]
@@ -834,10 +827,17 @@ def _lstm_scan(x: np.ndarray, w: np.ndarray, h0: np.ndarray | None,
         dgx[np.repeat(steps, live[steps]),
             np.concatenate([order[:0], *(order[:live[t]] for t in steps)])] = dz
         unsort = np.argsort(order)
-        return dgx, dz.T @ h_in, *(None if s0 is None else d[unsort]
-                                   for s0, d in ((h0, dh), (c0, dc)))
+        dh0, dc0 = (None if s0 is None else d[unsort]
+                    for s0, d in ((h0, dh), (c0, dc)))
+        g2 = dgx.reshape(-1, G)
+        dx, dwi, dwh = (g2 @ wx).reshape(x.shape), g2.T @ x.reshape(-1, D), dz.T @ h_in
+        if cond is None:
+            return dx, dwi, dwh, g2.sum(axis=0), dh0, dc0, None
+        gs = dgx.sum(axis=0)   # the cond term's gradient, summed over steps
+        return (dx, np.concatenate([dwi, gs.T @ cond], axis=1), dwh,
+                gs.sum(axis=0), dh0, dc0, gs @ wi[:, D:])
 
-    return bptt
+    return grads
 
 
 def _new_worker() -> None:
@@ -865,51 +865,32 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
                  mask: np.ndarray | None = None) -> Tensor:
     """Both directions of an encoder over x (T, B, D), from zero states,
     as one tape record: states (T, B, 2H), `fwd` reading each row forward
-    and `bwd` in reverse; `mask` as in `lstm_layer`. Each direction's
-    input GEMM, `_lstm_scan` and gradients run at once with the other's,
-    `bwd` on the worker thread; checks, tensors and the record stay on
-    this one. Bit-identical to `linear`, `lstm_layer` (x2) and `concat`.
+    and `bwd` in reverse; `mask` as in `lstm_layer`. Each direction is
+    `_lstm_direction` and runs at once with the other, `bwd` on the
+    worker thread; checks, tensors and the record stay on this one.
+    Bit-identical to `linear`, `lstm_layer` (x2) and `concat`.
     """
-    xd = x.data
-    H = fwd.wh.shape[-1]
-    if xd.ndim != 3 or any((c.wi.shape, c.wh.shape, c.b.shape) != (
-            (4 * H, xd.shape[-1]), (4 * H, H), (4 * H,)) for c in (fwd, bwd)):
-        raise ShapeError(f"bilstm_layer: x {xd.shape} incompatible with "
-                         f"wi {fwd.wi.shape}, {bwd.wi.shape}")
-    T, B, D = xd.shape
-    if T == 0:
-        raise EmptySequenceError("bilstm_layer: no timesteps")
-    lengths = _prefix_lengths(mask, T, B, "bilstm_layer")
+    lengths, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), mask)
+    T, B, _ = x.shape
+    H = fwd.wh.shape[1]
     recording = _active_tape() is not None
-    dtype = np.result_type(xd, fwd.wi.data)
+    dtype = np.result_type(x.data, fwd.wi.data)
     hs = np.zeros((T, B, 2 * H), dtype)
     # allocated on this thread: memory the worker frees stays in its own
     # malloc arena, where the rest of the process cannot reuse it
     gxs = [np.empty((max(T * B, 2), 4 * H), dtype) for _ in range(2)]
-
-    def direction(cell, reverse, out, gx):
-        wi = cell.wi.data
-        gx = _flat_matmul(xd, wi.T, gx)
-        gx += cell.b.data
-        bptt = _lstm_scan(gx.reshape(T, B, 4 * H), cell.wh.data, None, None,
-                          lengths, reverse, None, out, recording)
-
-        def grads(g):
-            dgx, dwh = bptt(g)[:2]
-            dgx = dgx.reshape(-1, 4 * H)
-            return ((dgx @ wi).reshape(xd.shape), dgx.T @ xd.reshape(-1, D), dwh,
-                    dgx.sum(axis=0))
-        return grads
-
-    grads_f, grads_b = _at_once(lambda: direction(fwd, False, hs[..., :H], gxs[0]),
-                                lambda: direction(bwd, True, hs[..., H:], gxs[1]))
+    grads_f, grads_b = _at_once(
+        lambda: _lstm_direction(x.data, fwd, lengths, hs[..., :H], recording,
+                                gx=gxs[0]),
+        lambda: _lstm_direction(x.data, bwd, lengths, hs[..., H:], recording,
+                                reverse=True, gx=gxs[1]))
     out = Tensor(hs)
     if not recording:
         return out
 
     def _bw(g):
-        (dx, *dfwd), (dx_bwd, *dbwd) = _at_once(lambda: grads_f(g[..., :H]),
-                                                lambda: grads_b(g[..., H:]))
+        (dx, *dfwd), (dx_bwd, *dbwd) = _at_once(lambda: grads_f(g[..., :H])[:4],
+                                                lambda: grads_b(g[..., H:])[:4])
         dx += dx_bwd
         return (dx, *dfwd, *dbwd)
 

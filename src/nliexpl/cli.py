@@ -39,8 +39,7 @@ from .evaluation import (EvaluationError, EvalReport, bleu, evaluate_model,
 from .models import ModelError, load_model, variant_class
 from .quality import filter_example, validate_annotation
 from .training import (ALPHA_GRID, DECODER_GRID, TrainConfig, TrainData,
-                       TrainingError, grid_select, require_explanations,
-                       train)
+                       TrainingError, check_splits, grid_select, train)
 
 INPUT_ERRORS = (ConfigError, CorpusFormatError, TrainingError, ModelError,
                 CheckpointError, EvaluationError, FileNotFoundError)
@@ -132,7 +131,8 @@ def _limits(config: dict) -> dict:
 
 def _load_bundle(config: dict):
     """Corpora -> vocabulary -> embeddings -> encoded splits; raises
-    TrainingError if the variant needs an explanation an example lacks."""
+    TrainingError if a split encodes to nothing or the variant needs an
+    explanation an example lacks."""
     data_cfg = config["data"]
     colmap = _colmap(config)
     train_path = resolve_path(data_cfg.get("train"))
@@ -157,7 +157,7 @@ def _load_bundle(config: dict):
     bundle = TrainData(train=encode_corpus(train_ex, vocab, **limits),
                        valid=encode_corpus(valid_ex, vocab, **limits),
                        vocab=vocab, table=table)
-    require_explanations(_variant(config), bundle)
+    check_splits(_variant(config), bundle)
     return bundle, valid_ex, [train_path, valid_path] + (
         [emb_path] if emb_path else [])
 
@@ -196,12 +196,11 @@ def cmd_filter(args) -> int:
         for e in examples:
             rows = filter_example(e, threshold=args.threshold)
             codes = ";".join(validate_annotation(e).codes())
-            if not any(r.filtered for r in rows):
+            if not any(r.uninformative for r in rows):
                 survivor_ids.add(e.id)
-            for r in rows:
-                writer.writerow([r.example_id, r.explanation_index,
-                                 int(r.filtered), r.nearest_template,
-                                 r.distance, codes])
+            for k, r in enumerate(rows):
+                writer.writerow([e.id, k, int(r.uninformative),
+                                 r.nearest_template, r.distance, codes])
     with open(path, encoding="utf-8", newline="") as src, \
             open(survivors_path, "w", newline="", encoding="utf-8") as dst:
         reader = csv.DictReader(src)

@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .data import EXPLANATION_LIMIT, SENTENCE_LIMIT
-from .evaluation import EVAL_BATCH_SIZE
+from .evaluation import EVAL_BATCH_SIZE, EXPL_AT_K_MODES
 from .training import TrainConfig
 
 
@@ -31,6 +31,12 @@ def _positive_int(raw: str) -> int:
     if value < 1:
         raise ValueError(raw)
     return value
+
+
+def _expl_at_k_mode(raw: str) -> str:
+    if raw not in EXPL_AT_K_MODES:
+        raise ValueError(raw)
+    return raw
 
 
 SCHEMA: dict[str, dict[str, type | object]] = {
@@ -53,7 +59,7 @@ SCHEMA: dict[str, dict[str, type | object]] = {
     },
     "eval": {
         "batch_size": _positive_int, "expl_classifier": str,
-        "annotations": str, "expl_at_k_mode": str,
+        "annotations": str, "expl_at_k_mode": _expl_at_k_mode,
     },
 }
 

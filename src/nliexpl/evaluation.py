@@ -161,6 +161,9 @@ def load_annotations(path) -> list[AnnotationRecord]:
     return records
 
 
+EXPL_AT_K_MODES = ("partial", "strict")
+
+
 def expl_at_k(records: list[AnnotationRecord],
               mode: str = "partial") -> float | None:
     """Explanation correctness over the label-correct subset, x100.
@@ -169,7 +172,7 @@ def expl_at_k(records: list[AnnotationRecord],
     34.68); "strict" counts only full scores. Returns None when no
     record has a correct label (undefined).
     """
-    if mode not in ("partial", "strict"):
+    if mode not in EXPL_AT_K_MODES:
         raise EvaluationError(f"unknown mode {mode!r}")
     subset = [r for r in records if r.predicted_label_correct]
     if not subset:

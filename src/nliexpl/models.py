@@ -272,12 +272,12 @@ class LstmDecoder(_Part):
                        target_mask: np.ndarray, train: bool,
                        rng: np.random.Generator | None = None,
                        attn_ctx=None) -> DecodeResult:
-        """Without attention the whole sequence is one input GEMM (the
-        source term once per sequence) and one `lstm_layer`, which skips
-        the pad steps of `target_mask` (their NLL rows are masked out);
-        with it, each step attends with the previous hidden state. Either
-        way the output projection, softmax and NLL run once over all S*B
-        rows."""
+        """Without attention the whole sequence is one `lstm_layer`,
+        which takes the source term as `cond` (its product with the cell's
+        input weights once per sequence) and skips the pad steps of
+        `target_mask` (their NLL rows are masked out); with it, each step
+        attends with the previous hidden state. Either way the output
+        projection, softmax and NLL run once over all S*B rows."""
         B, S = inputs.shape
         h, c = self._init_state(source)
         rmask = None
@@ -292,9 +292,8 @@ class LstmDecoder(_Part):
                 steps.append(h)
             hs = ad.stack_steps(steps)
         else:
-            gx = ad.cond_linear(embedding.lookup(inputs.T), self._cond(source),
-                                self.cell.wi, self.cell.b)
-            hs = ad.lstm_layer(gx, self.cell.wh, h, c, mask=target_mask.T,
+            hs = ad.lstm_layer(embedding.lookup(inputs.T), self.cell, h, c,
+                               mask=target_mask.T, cond=self._cond(source),
                                rmask=rmask)
         rows = ad.reshape(hs, (S * B, self.hidden))
         probs = ad.softmax(ad.linear(rows, self.w_out, self.b_out),

@@ -299,19 +299,7 @@ def validate_annotation(example) -> ValidationReport:
     return report
 
 
-@dataclass
-class FilterRow:
-    """One explanation's filtering outcome, for the report CSV."""
-
-    example_id: str
-    explanation_index: int
-    filtered: bool
-    nearest_template: str
-    distance: int
-
-
-def filter_example(example, threshold: int = FILTER_THRESHOLD) -> list[FilterRow]:
-    results = _nearest_templates(example.explanation_texts, example.premise_text,
-                                 example.hypothesis_text, example.label, threshold)
-    return [FilterRow(example.id, k, r.uninformative, r.nearest_template,
-                      r.distance) for k, r in enumerate(results)]
+def filter_example(example, threshold: int = FILTER_THRESHOLD) -> list[FilterResult]:
+    """Each explanation's FilterResult, in the example's order."""
+    return list(_nearest_templates(example.explanation_texts, example.premise_text,
+                                   example.hypothesis_text, example.label, threshold))

@@ -126,13 +126,16 @@ def _score(value: float | None, criterion: str) -> float:
     return -math.inf if value is None else _CRITERIA[criterion][1] * value
 
 
-def require_explanations(variant: str, data: TrainData) -> None:
-    """Raises TrainingError naming the examples without an explanation
-    when the variant reads or decodes explanations."""
-    if not variant_class(variant).needs_explanations:
-        return
+def check_splits(variant: str, data: TrainData) -> None:
+    """Raises TrainingError naming a split that encoded to no example,
+    or the examples without an explanation when the variant reads or
+    decodes explanations."""
+    explains = variant_class(variant).needs_explanations
     for split, examples in (("train", data.train), ("valid", data.valid)):
-        ids = [e.id for e in examples if not e.explanations]
+        if not examples:
+            raise TrainingError(f"the {split} split has no example with both "
+                                "a premise and a hypothesis")
+        ids = [e.id for e in examples if explains and not e.explanations]
         if ids:
             shown = ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
             raise TrainingError(
@@ -160,7 +163,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
     mixes the epoch index into the seed. Divergence (non-finite loss or
     gradients) aborts the run, keeping the last good checkpoint.
     """
-    require_explanations(config.variant, data)
+    check_splits(config.variant, data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     criterion = config.criterion

@@ -9,7 +9,8 @@ be compared bit for bit; `lstm_cell`, the single step composed from
 generic tape ops (with `sigmoid_` and `slice_last`, which only it
 uses), records through the package's tape; `bilstm_composed`, the
 five-record encoder that `bilstm_layer` replaced, runs the package's
-`linear`, `lstm_layer` and `concat` one after the other on one thread.
+`linear`, `lstm_layer` (its input projection the identity,
+`gate_input_cell`) and `concat` one after the other on one thread.
 """
 
 import math
@@ -265,14 +266,25 @@ def lstm_layer_dense(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
     return out
 
 
+def gate_input_cell(wh: Tensor) -> LstmParams:
+    """A cell with recurrent weights `wh` (4H, H) whose input projection
+    is the identity with a zero bias, so that `lstm_layer(gx, cell)`
+    runs on given gate inputs gx (T, B, 4H): multiplying by 1 and adding
+    0s is exact in any float dtype, and the gradient of gx is that of
+    the gate inputs."""
+    G = wh.shape[0]
+    return LstmParams(wi=Tensor(np.eye(G, dtype=wh.dtype)), wh=wh,
+                      b=Tensor(np.zeros(G, dtype=wh.dtype)))
+
+
 def bilstm_composed(x: Tensor, fwd: LstmParams, bwd: LstmParams,
                     mask: np.ndarray | None = None) -> Tensor:
     """The encoder's two directions as they ran before `bilstm_layer`,
     in five tape records: per direction an input `linear` and an
-    `lstm_layer` (the backward one reversed), then `concat` of the two
-    (T, B, H) halves."""
-    halves = [lstm_layer(linear(x, cell.wi, cell.b), cell.wh, mask=mask,
-                         reverse=reverse)
+    `lstm_layer` on its gate inputs (the backward one reversed), then
+    `concat` of the two (T, B, H) halves."""
+    halves = [lstm_layer(linear(x, cell.wi, cell.b), gate_input_cell(cell.wh),
+                         mask=mask, reverse=reverse)
               for cell, reverse in ((fwd, False), (bwd, True))]
     return concat(halves)
 

@@ -134,21 +134,19 @@ def test_criterion_1_gradient_suite():
     for read in (0, 1):   # a loss on h' alone, then on c' alone
         _grad_check(lambda: ad.sum_(ad.tanh_(step(h0, c0)[read])), step_params)
 
-    gx = p64((4, 3, 8), "gx")
-    wh = p64((8, 2), "wh", scale=0.5)
-    h0, c0 = p64((3, 2), "h0"), p64((3, 2), "c0")
+    seq_cell = ad.LstmParams(p64((8, 4 + 2), "wi", scale=0.5),
+                             p64((8, 2), "wh", scale=0.5), p64((8,), "b", scale=0.5))
+    x_seq = p64((4, 3, 4), "x_seq")
+    h0, c0, cond = p64((3, 2), "h0"), p64((3, 2), "c0"), p64((3, 2), "cond")
     real = np.arange(4)[:, None] < np.array([1, 4, 3])[None, :]
     drop_h = ad.dropout_mask(np.random.default_rng(6), (3, 2), 0.5, np.float64)
     out_w = rng.normal(size=(4, 3, 2))
     for reverse in (False, True):
         _grad_check(lambda: ad.sum_(ad.mul(ad.lstm_layer(
-            gx, wh, h0, c0, mask=real, reverse=reverse, rmask=drop_h),
-            ad.Tensor(out_w))),
-            {"gx": gx, "wh": wh, "h0": h0, "c0": c0})
-    cond = p64((3, 2), "cond")
-    wcat = p64((5, 6), "wcat")
-    _grad_check(lambda: ad.sum_(ad.tanh_(ad.cond_linear(seq, cond, wcat, bias))),
-                {"seq": seq, "cond": cond, "wcat": wcat, "bias": bias})
+            x_seq, seq_cell, h0, c0, mask=real, cond=cond, reverse=reverse,
+            rmask=drop_h), ad.Tensor(out_w))),
+            {"x_seq": x_seq, "cond": cond, "wi": seq_cell.wi, "wh": seq_cell.wh,
+             "b": seq_cell.b, "h0": h0, "c0": c0})
     cells = [ad.init_lstm(rng, 3, 2, d, dtype=np.float64) for d in ("fwd", "bwd")]
     for cell in cells:
         cell.wi.data = rng.normal(size=cell.wi.shape) * 0.5

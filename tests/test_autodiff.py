@@ -1,9 +1,13 @@
 """Tests for the tape-based autodiff engine."""
 
+import ast
+import inspect
+import itertools
 import math
 import os
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
-from oracles import (bilstm_composed, column_max, lstm_cell, lstm_layer_dense,
-                     max_rel_err, numeric_grad, scalar_lstm_step, sigmoid_,
-                     slice_last)
+from oracles import (bilstm_composed, column_max, gate_input_cell, lstm_cell,
+                     lstm_layer_dense, max_rel_err, numeric_grad,
+                     scalar_lstm_step, sigmoid_, slice_last)
 
 
 def f64(x):
@@ -108,18 +112,6 @@ class TestAffine:
         x3 = f64_param(rng.normal(size=(2, 5, 4)), "x3")
         check_op_gradient(lambda: ad.sum_(ad.tanh_(ad.linear(x3, w, b))),
                           {"w": w, "b": b, "x3": x3})
-
-    def test_cond_linear_matches_linear_on_concatenated_input(self):
-        rng = np.random.default_rng(41)
-        x = rng.normal(size=(4, 3, 2))
-        cond = rng.normal(size=(3, 5))
-        w = f64(rng.normal(size=(6, 7)))
-        b = f64(rng.normal(size=6))
-        cat = np.concatenate([x, np.broadcast_to(cond, (4, 3, 5))], axis=2)
-        np.testing.assert_allclose(ad.cond_linear(f64(x), f64(cond), w, b).data,
-                                   ad.linear(f64(cat), w, b).data, rtol=1e-12)
-        with pytest.raises(ad.ShapeError):
-            ad.cond_linear(f64(x), f64(cond[:, :4]), w, b)
 
     def test_concat_slice_gradients(self):
         rng = np.random.default_rng(4)
@@ -501,6 +493,12 @@ class TestLstmCell:
             np.testing.assert_array_equal(a.data, b.data)
 
 
+def _gx_layer(gx, wh, *args, **kw):
+    """`lstm_layer` on given gate inputs gx (T, B, 4H), the signature of
+    `lstm_layer_dense`."""
+    return ad.lstm_layer(gx, gate_input_cell(wh), *args, **kw)
+
+
 def _cell_scan(gx, wh, h0, c0, lengths, reverse, rmask):
     """Reference for `lstm_layer`: the composed `lstm_cell`, run row by
     row over each row's real prefix (read backwards for `reverse`), with
@@ -583,8 +581,8 @@ class TestLstmLayer:
         p = {"gx": f64_param(gx, "gx"), "wh": f64_param(wh, "wh"),
              "h0": f64_param(h0, "h0"), "c0": f64_param(c0, "c0")}
         with ad.Tape() as tape:
-            hs = ad.lstm_layer(p["gx"], p["wh"], p["h0"], p["c0"], mask=real,
-                               reverse=reverse, rmask=rmask)
+            hs = _gx_layer(p["gx"], p["wh"], p["h0"], p["c0"], mask=real,
+                           reverse=reverse, rmask=rmask)
             loss = ad.sum_(ad.mul(hs, f64(weights)))
         ad.backward(tape, loss)
 
@@ -629,9 +627,9 @@ class TestLstmLayer:
                 weights = rng.normal(size=(T, B, H))
                 runs = {(layer, dtype): _layer_run(layer, arrays, mask, reverse,
                                                    rmask, weights, dtype)
-                        for layer in (ad.lstm_layer, lstm_layer_dense)
+                        for layer in (_gx_layer, lstm_layer_dense)
                         for dtype in (np.float64, np.float32)}
-                hs, grads = runs[ad.lstm_layer, np.float64]
+                hs, grads = runs[_gx_layer, np.float64]
                 hs_ref, grads_ref = runs[lstm_layer_dense, np.float64]
                 close = dict(rtol=1e-10, atol=1e-10)
                 np.testing.assert_allclose(hs, hs_ref, **close)
@@ -640,7 +638,7 @@ class TestLstmLayer:
                     np.testing.assert_allclose(grads[name], grads_ref[name],
                                                err_msg=name, **close)
                 np.testing.assert_array_equal(
-                    runs[ad.lstm_layer, np.float32][0],
+                    runs[_gx_layer, np.float32][0],
                     runs[lstm_layer_dense, np.float32][0])
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -650,23 +648,25 @@ class TestLstmLayer:
         """Forward and backward each feed the recurrent GEMM every real
         step-row once and no pad row, plus a repeated row at each step
         where one row of several is left live (the gemm rule); a one-row
-        batch has no repeats."""
+        batch has no repeats. (The input GEMM, the one operand D wide,
+        is not counted.)"""
         fed = []
         gemm_rows = ad._gemm_rows
+        T, B, D, H = 8, len(lengths), 3, 4
 
         def counting(a, gemm):
             rows = gemm_rows(a, gemm)
-            fed.append(rows.shape[0])
+            if a.shape[1] != D:
+                fed.append(rows.shape[0])
             return rows
 
         monkeypatch.setattr(ad, "_gemm_rows", counting)
         rng = np.random.default_rng(27)
-        T, B, H = 8, len(lengths), 4
         mask = np.arange(T)[:, None] < np.array(lengths)[None, :]
-        gx = f64_param(rng.normal(size=(T, B, 4 * H)), "gx")
-        wh = f64_param(rng.normal(size=(4 * H, H)), "wh")
+        x = f64_param(rng.normal(size=(T, B, D)), "x")
+        cell = ad.init_lstm(rng, D, H, "cell", dtype=np.float64)
         with ad.Tape() as tape:
-            loss = ad.sum_(ad.lstm_layer(gx, wh, mask=mask, reverse=reverse))
+            loss = ad.sum_(ad.lstm_layer(x, cell, mask=mask, reverse=reverse))
         forward = sum(fed)
         ad.backward(tape, loss)
         backward = sum(fed) - forward
@@ -678,7 +678,7 @@ class TestLstmLayer:
         late = np.array([[0, 1], [1, 1], [1, 0], [0, 0]], dtype=bool)
         for mask in (hole, late):
             with pytest.raises(ad.MaskError, match="not a prefix"):
-                ad.lstm_layer(gx, wh, mask=mask)
+                _gx_layer(gx, wh, mask=mask)
 
     def test_padding_never_changes_real_steps(self):
         rng = np.random.default_rng(22)
@@ -688,9 +688,9 @@ class TestLstmLayer:
         pads = rng.normal(size=(2, 1, 4 * H))
         padded = np.concatenate([gx, pads]).astype(np.float32)
         for reverse in (False, True):
-            short = ad.lstm_layer(f32(gx), wh, reverse=reverse)
-            long = ad.lstm_layer(f32(padded), wh, reverse=reverse,
-                                 mask=np.arange(5)[:, None] < np.array([[3]]))
+            short = _gx_layer(f32(gx), wh, reverse=reverse)
+            long = _gx_layer(f32(padded), wh, reverse=reverse,
+                             mask=np.arange(5)[:, None] < np.array([[3]]))
             np.testing.assert_array_equal(long.data[:3], short.data)
             np.testing.assert_array_equal(long.data[3:], 0.0)
 
@@ -709,27 +709,36 @@ class TestLstmLayer:
                  if dropout else None)
         kw = dict(mask=mask, reverse=reverse, rmask=rmask)
         with ad.Tape() as tape:
-            taped = ad.lstm_layer(gx, wh, h0, c0, **kw)
+            taped = _gx_layer(gx, wh, h0, c0, **kw)
         assert len(tape.records) == 1
-        untaped = ad.lstm_layer(gx, wh, h0, c0, **kw)
+        untaped = _gx_layer(gx, wh, h0, c0, **kw)
         assert untaped.data.dtype == np.float32
         np.testing.assert_array_equal(untaped.data, taped.data)
 
     def test_no_backward_caches_without_tape(self):
-        """The caches (acts, c_prev, tanh_c, h_in) take six times the
-        output; forward-only, the peak allocation stays near the output."""
+        """Forward-only, the peak allocation stays near the input
+        projection (four times the output) plus the output; a taped
+        run's caches (acts, c_prev, tanh_c, h_in) take seven times the
+        output more."""
         import tracemalloc
         rng = np.random.default_rng(25)
-        T, B, H = 40, 5, 8
-        gx = f32(rng.normal(size=(T, B, 4 * H)))
-        wh = f32(rng.normal(size=(4 * H, H)))
-        tracemalloc.start()
-        try:
-            hs = ad.lstm_layer(gx, wh)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * hs.data.nbytes
+        T, B, H = 60, 8, 32
+        x = f32(rng.normal(size=(T, B, 3)))
+        cell = ad.init_lstm(rng, 3, H, "cell")
+        peaks = []
+        for taped in (False, True):
+            tape = ad.Tape()
+            tracemalloc.start()
+            try:
+                if taped:
+                    with tape:
+                        hs = ad.lstm_layer(x, cell)
+                else:
+                    hs = ad.lstm_layer(x, cell)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 8 * hs.data.nbytes < peaks[1]
 
     def test_step_kernel_matches_cell(self):
         rng = np.random.default_rng(23)
@@ -743,19 +752,90 @@ class TestLstmLayer:
         np.testing.assert_allclose(c2.data, c_ref.data, rtol=1e-12, atol=1e-14)
 
     def test_one_tape_record(self):
-        gx = f64_param(np.zeros((6, 2, 8)), "gx")
+        """The input projection, the cond term and the recurrence are one
+        record, whose inputs are x, the cell and whatever else is given."""
+        rng = np.random.default_rng(28)
+        cell = ad.init_lstm(rng, 5, 2, "cell", dtype=np.float64)
+        x, h0, c0, cond = (f64(rng.normal(size=shape)) for shape in
+                           ((6, 3, 3), (3, 2), (3, 2), (3, 2)))
         with ad.Tape() as tape:
-            ad.lstm_layer(gx, f64(np.zeros((8, 2))), reverse=True)
-        assert len(tape.records) == 1
+            ad.lstm_layer(x, cell, h0, c0, cond=cond, reverse=True)
+        assert [inputs for _, inputs, _ in tape.records] == [
+            (x, cell.wi, cell.wh, cell.b, h0, c0, cond)]
+        wide = f64(rng.normal(size=(6, 3, 5)))
+        with ad.Tape() as tape:
+            ad.lstm_layer(wide, cell, c0=c0)
+        assert [inputs for _, inputs, _ in tape.records] == [
+            (wide, cell.wi, cell.wh, cell.b, c0)]
 
     def test_shape_errors(self):
-        gx = f64(np.zeros((3, 2, 8)))
-        with pytest.raises(ad.ShapeError):
-            ad.lstm_layer(gx, f64(np.zeros((8, 3))))
-        with pytest.raises(ad.ShapeError):
-            ad.lstm_layer(gx, f64(np.zeros((8, 2))), mask=np.ones((2, 3), bool))
+        rng = np.random.default_rng(29)
+        cell = ad.init_lstm(rng, 3, 2, "cell", dtype=np.float64)
+        x, state = f64(np.zeros((3, 2, 3))), f64(np.zeros((2, 2)))
+        calls = [lambda: ad.lstm_layer(f64(np.zeros((3, 2, 4))), cell),
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 3))), cell),
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell,
+                                       cond=f64(np.zeros((2, 2)))),
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell,
+                                       cond=f64(np.zeros((3, 1)))),
+                 lambda: ad.lstm_layer(x, cell, f64(np.zeros((2, 3))), state),
+                 lambda: ad.lstm_layer(x, cell, state, f64(np.zeros((1, 2)))),
+                 lambda: ad.lstm_layer(x, cell, rmask=np.ones((2, 3))),
+                 lambda: ad.lstm_layer(x, cell, mask=np.ones((2, 3), bool))]
+        for call in calls:
+            with pytest.raises(ad.ShapeError):
+                call()
         with pytest.raises(ad.EmptySequenceError):
-            ad.lstm_layer(f64(np.zeros((0, 2, 8))), f64(np.zeros((8, 2))))
+            ad.lstm_layer(f64(np.zeros((0, 2, 3))), cell)
+
+    def test_cond_matches_linear_on_concatenated_input(self):
+        """With `cond`, against `linear` over the explicitly concatenated
+        [x_t, cond] feeding the dense layer: states and the gradients of
+        x, cond, wi, wh, b, h0 and c0 within 1e-10 (float64), for every
+        packing case, both directions, with and without h0/c0 and
+        recurrent dropout."""
+        rng = np.random.default_rng(30)
+        D, C, H = 3, 2, 4
+        close = dict(rtol=1e-10, atol=1e-10)
+        for T, lengths in PACKING_CASES.values():
+            B = len(lengths)
+            mask = (None if min(lengths) == T
+                    else np.arange(T)[:, None] < np.array(lengths)[None, :])
+            for reverse, given, dropout in itertools.product((False, True),
+                                                             repeat=3):
+                arrays = {"x": rng.normal(size=(T, B, D)),
+                          "cond": rng.normal(size=(B, C)),
+                          "wi": rng.normal(size=(4 * H, D + C)) * 0.5,
+                          "wh": rng.normal(size=(4 * H, H)) * 0.5,
+                          "b": rng.normal(size=4 * H) * 0.5}
+                if given:
+                    arrays.update(h0=rng.normal(size=(B, H)),
+                                  c0=rng.normal(size=(B, H)))
+                rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float64)
+                         if dropout else None)
+                weights = ad.Tensor(rng.normal(size=(T, B, H)))
+                runs = []
+                for fused in (True, False):
+                    p = {k: f64_param(v, k) for k, v in arrays.items()}
+                    cell = ad.LstmParams(p["wi"], p["wh"], p["b"])
+                    kw = dict(mask=mask, reverse=reverse, rmask=rmask)
+                    with ad.Tape() as tape:
+                        if fused:
+                            hs = ad.lstm_layer(p["x"], cell, p.get("h0"),
+                                               p.get("c0"), cond=p["cond"], **kw)
+                        else:
+                            cat = ad.concat([p["x"], ad.stack_steps([p["cond"]] * T)])
+                            hs = lstm_layer_dense(ad.linear(cat, p["wi"], p["b"]),
+                                                  p["wh"], p.get("h0"),
+                                                  p.get("c0"), **kw)
+                        loss = ad.sum_(ad.mul(hs, weights))
+                    ad.backward(tape, loss)
+                    runs.append((hs.data, {k: t.grad for k, t in p.items()}))
+                (hs, grads), (hs_ref, grads_ref) = runs
+                np.testing.assert_allclose(hs, hs_ref, **close)
+                for name in arrays:
+                    np.testing.assert_allclose(grads[name], grads_ref[name],
+                                               err_msg=name, **close)
 
 
 def _bilstm_arrays(rng, T, B, D, H):
@@ -901,28 +981,27 @@ class TestBilstmLayer:
         """An exception raised on the worker (the reverse direction) is
         the one the caller sees, and the worker keeps working after it."""
         boom = RuntimeError("reverse direction failed")
-        scan = ad._lstm_scan
+        direction = ad._lstm_direction
 
-        def failing(*args):
-            reverse = args[5]
-            bptt = scan(*args)
-            if reverse and not in_backward:
+        def failing(*args, **kw):
+            grads = direction(*args, **kw)
+            if kw.get("reverse") and not in_backward:
                 raise boom
-            if reverse and bptt is not None:
-                def failing_bptt(g):
+            if kw.get("reverse") and grads is not None:
+                def failing_grads(g):
                     raise boom
-                return failing_bptt
-            return bptt
+                return failing_grads
+            return grads
 
         p, (fwd, bwd) = _bilstm_params(
             _bilstm_arrays(np.random.default_rng(36), 4, 3, 5, 2), np.float64)
-        monkeypatch.setattr(ad, "_lstm_scan", failing)
+        monkeypatch.setattr(ad, "_lstm_direction", failing)
         with pytest.raises(RuntimeError) as info:
             with ad.Tape() as tape:
                 loss = ad.sum_(ad.bilstm_layer(p["x"], fwd, bwd))
             ad.backward(tape, loss)
         assert info.value is boom
-        monkeypatch.setattr(ad, "_lstm_scan", scan)
+        monkeypatch.setattr(ad, "_lstm_direction", direction)
         np.testing.assert_array_equal(
             ad.bilstm_layer(p["x"], fwd, bwd).data,
             bilstm_composed(p["x"], fwd, bwd).data)
@@ -1168,3 +1247,36 @@ class TestDeterminism:
         l2, g2 = run()
         assert l1 == l2
         np.testing.assert_array_equal(g1, g2)
+
+
+class TestNoDeadOps:
+    def test_every_public_op_is_used_by_the_package(self):
+        """Every public function and class of `nliexpl.autodiff` other
+        than an exception is read by another module under `nliexpl`, so
+        an op that a fused one replaces cannot stay behind. A re-export
+        from `__init__` is not a use."""
+        package = Path(ad.__file__).parent
+        used = set()
+        for path in package.glob("*.py"):
+            if path.name in ("autodiff.py", "__init__.py"):
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            aliases = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    for name in node.names:
+                        if node.module == "autodiff":
+                            used.add(name.name)
+                        elif node.module is None and name.name == "autodiff":
+                            aliases.add(name.asname or name.name)
+            used |= {node.attr for node in ast.walk(tree)
+                     if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name)
+                     and node.value.id in aliases}
+        public = {name for name, obj in vars(ad).items()
+                  if not name.startswith("_")
+                  and getattr(obj, "__module__", None) == ad.__name__
+                  and (inspect.isfunction(obj) or inspect.isclass(obj)
+                       and not issubclass(obj, BaseException))}
+        assert public >= {"lstm_layer", "bilstm_layer", "Tensor"}
+        assert sorted(public - used) == []

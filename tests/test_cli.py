@@ -13,6 +13,7 @@ from nliexpl import cli
 from nliexpl.cli import main
 from nliexpl.config import (SCHEMA, ConfigError, apply_override, empty_config,
                             load_config)
+from nliexpl.evaluation import EXPL_AT_K_MODES
 from nliexpl.training import TrainConfig
 from synth import make_examples, write_corpus_csv
 
@@ -82,6 +83,25 @@ class TestConfigFile:
         assert config["training"]["lr"] == 0.05
         with pytest.raises(ConfigError):
             apply_override(config, "training.nope", "1")
+
+    def test_expl_at_k_mode_is_one_of_the_modes(self, tmp_path, toy_config,
+                                                corpus, capsys):
+        """Every mode `expl_at_k` accepts parses, any other value is a
+        ConfigError, and `eval` refuses it before loading anything."""
+        config = load_config(toy_config)
+        for mode in EXPL_AT_K_MODES:
+            apply_override(config, "eval.expl_at_k_mode", mode)
+            assert config["eval"]["expl_at_k_mode"] == mode
+        with pytest.raises(ConfigError, match="expl_at_k_mode"):
+            apply_override(config, "eval.expl_at_k_mode", "bogus")
+        code = main(["eval", "--config", str(toy_config),
+                     "--checkpoint", str(tmp_path / "no-checkpoint"),
+                     "--corpus", str(corpus[1]),
+                     "--set", "eval.expl_at_k_mode", "bogus",
+                     "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert ("bad value for [eval] expl_at_k_mode: 'bogus'"
+                in capsys.readouterr().err)
 
 
 class TestFilterCommand:
@@ -338,6 +358,32 @@ class TestTrainCommand:
                      "--out-root", str(out_root)])
         assert code == 1
         assert "pred-expl needs an explanation" in capsys.readouterr().err
+        assert not out_root.exists()
+
+    @pytest.mark.parametrize("split", ["train", "valid"])
+    def test_split_that_encodes_to_nothing_exits_1_before_the_run(
+            self, tmp_path, toy_config, corpus, capsys, monkeypatch, split):
+        """Rows with an empty hypothesis are dropped at encoding; a split
+        left with none is named and refused before a run directory is
+        made or a step is taken."""
+        path = corpus[0] if split == "train" else corpus[1]
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows({**row, "Sentence2": ""} for row in rows)
+
+        def no_step(*args, **kwargs):
+            raise AssertionError("a step ran before the input was checked")
+
+        monkeypatch.setattr("nliexpl.autodiff.sgd_step", no_step)
+        out_root = tmp_path / "runs"
+        code = main(["train", "--config", str(toy_config),
+                     "--out-root", str(out_root)])
+        assert code == 1
+        assert (f"the {split} split has no example with both a premise and "
+                "a hypothesis") in capsys.readouterr().err
         assert not out_root.exists()
 
     def test_missing_explanation_does_not_stop_a_classifier(

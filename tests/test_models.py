@@ -525,6 +525,23 @@ class TestDecoding:
             assert isinstance(out, ad.Tensor)
             assert len(inspect.signature(fn).parameters) == 1
 
+    @pytest.mark.parametrize("variant,alpha,records,sequences", [
+        ("hyp-to-expl", None, 14, 1), ("pred-expl", 0.6, 31, 1),
+        ("expl-pred-seq2seq", None, 21, 1), ("autoenc", 0.6, 42, 2)])
+    def test_decoded_sequence_is_one_record(self, variant, alpha, records,
+                                            sequences):
+        """Without attention, teacher forcing's input projection, source
+        term and recurrence are one `lstm_layer` record per decoded
+        sequence, which pins each toy loss's record count."""
+        model, batch, _ = toy_setup(variant)
+        with ad.Tape() as tape:
+            model.loss(batch, train=True, rng=np.random.default_rng(0),
+                       alpha=alpha)
+        kinds = Counter(fn.__qualname__.split(".")[0]
+                        for _, _, fn in tape.records)
+        assert kinds["lstm_layer"] == sequences
+        assert len(tape.records) == records
+
     def test_pred_expl_generation_conditions_on_predicted_label(self):
         model, batch, vocab = toy_setup("pred-expl", n=3)
         _, _, preds = model.generate(batch)

@@ -222,8 +222,8 @@ class TestIsUninformative:
                     explanation_texts=["a dog runs implies an animal moves",
                                        "dogs are animals and running is moving"])
         rows = Q.filter_example(e)
-        assert rows[0].filtered and rows[0].distance == 0
-        assert not rows[1].filtered
+        assert rows[0].uninformative and rows[0].distance == 0
+        assert not rows[1].uninformative
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
@@ -251,9 +251,8 @@ class TestIsUninformative:
             d = min(dists)
             want.append((d < Q.FILTER_THRESHOLD, templates[dists.index(d)], d))
         rows = Q.filter_example(e)
-        assert [(r.filtered, r.nearest_template, r.distance) for r in rows] == want
-        assert [(r.example_id, r.explanation_index) for r in rows] == [
-            ("x", k) for k in range(len(texts))]
+        assert [(r.uninformative, r.nearest_template, r.distance)
+                for r in rows] == want
 
     def test_filtering_idempotent_on_survivors(self):
         rng = np.random.default_rng(4)
