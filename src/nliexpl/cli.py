@@ -291,6 +291,11 @@ def cmd_grid(args) -> int:
     }
     (run_dir / "reports" / "grid.json").write_text(json.dumps(summary, indent=1))
     print(f"grid summary: {run_dir / 'reports' / 'grid.json'}")
+    if best.checkpoint_path is None:
+        notes = "; ".join(f"grid{i:02d}: {r.note}"
+                          for i, r in enumerate(records) if r.aborted)
+        print(f"aborted: no run kept a checkpoint ({notes})", file=sys.stderr)
+        return 2
     print(f"best {best.criterion}={best.best_value} "
           f"decoder={best.config['decoder_hidden']} alpha={best.config['alpha']}")
     return 0

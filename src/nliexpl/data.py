@@ -153,9 +153,10 @@ def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingTable:
     In-vocab tokens get their file rows verbatim; everything else,
     including all reserved tokens, gets the zero vector (label words are
     shadowed by trainable rows inside the models). A row the table
-    keeps must hold finite floats.
+    keeps must hold finite floats and its token appear on no other line.
     """
     matrix = np.zeros((len(vocab), dim), dtype=np.float32)
+    line_of: dict[int, int] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -169,6 +170,11 @@ def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingTable:
             idx = vocab.token_to_id.get(token)
             if idx is None or idx < vocab.reserved_size:
                 continue
+            if idx in line_of:
+                raise CorpusFormatError(
+                    f"{path}:{lineno}: token {token!r} repeated (first on "
+                    f"line {line_of[idx]})")
+            line_of[idx] = lineno
             try:
                 matrix[idx] = np.array(parts[1:], dtype=np.float32)
             except ValueError:

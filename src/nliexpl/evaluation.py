@@ -149,15 +149,36 @@ class AnnotationRecord:
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
-    """Annotation CSV columns: id, predicted_label_correct, k, n."""
+    """Annotation CSV columns: id, predicted_label_correct, k, n; one
+    row per example id."""
     records = []
+    first_row: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(AnnotationRecord(
-                example_id=row["id"],
-                predicted_label_correct=row["predicted_label_correct"].strip()
-                .lower() in ("1", "true", "yes"),
-                k=int(row["k"]), n=int(row["n"])))
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("id", "predicted_label_correct", "k", "n")
+                   if c not in (reader.fieldnames or [])]
+        if missing:
+            raise EvaluationError(f"{path}:1: missing columns {missing}")
+        for rownum, row in enumerate(reader, start=2):
+            example_id = row["id"]
+            if example_id in first_row:
+                raise EvaluationError(
+                    f"{path}: example id {example_id!r} repeated on rows "
+                    f"{first_row[example_id]} and {rownum}")
+            first_row[example_id] = rownum
+            try:
+                k, n = int(row["k"]), int(row["n"])
+            except (TypeError, ValueError):
+                raise EvaluationError(
+                    f"{path}:{rownum}: k and n must be integers, got "
+                    f"{row['k']!r} and {row['n']!r}") from None
+            correct = (row["predicted_label_correct"] or "").strip().lower()
+            try:
+                records.append(AnnotationRecord(
+                    example_id=example_id, k=k, n=n,
+                    predicted_label_correct=correct in ("1", "true", "yes")))
+            except EvaluationError as err:
+                raise EvaluationError(f"{path}:{rownum}: {err}") from None
     return records
 
 

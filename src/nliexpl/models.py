@@ -17,9 +17,10 @@ Variants:
   autoenc             classifier + shared decoder reconstructing both
                       input sentences from their own representations
 
-Every fact about a variant lives only on its class. `BaseModel` builds
-each variant from those facts and derives what training, evaluation and
-the CLI read from them.
+Every fact about a variant lives only on its class, which declares
+those facts and nothing else. `BaseModel` builds each variant from them
+and derives all its behaviour: the loss, teacher forcing, greedy
+decoding and what training, evaluation and the CLI read.
 """
 
 from __future__ import annotations
@@ -167,12 +168,6 @@ class MlpClassifier(_Part):
         a1 = ad.linear(f, self.w1, self.b1)
         a2 = ad.linear(a1, self.w2, self.b2)
         return ad.linear(a2, self.w3, self.b3)
-
-
-def classify(clf: MlpClassifier, f: ad.Tensor) -> tuple[ad.Tensor, np.ndarray]:
-    """Logits plus argmax labels (ties resolve to the lowest class id)."""
-    logits = clf.logits(f)
-    return logits, logits.data.argmax(axis=1)
 
 
 class AttentionHead(_Part):
@@ -358,6 +353,11 @@ def joint_loss(l_label, l_expl, alpha: float):
     return alpha * l_label + (1.0 - alpha) * l_expl
 
 
+def wrap_rows(vocab: Vocabulary, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Pads each id row as <bos> row <eos>; returns (ids, lengths)."""
+    return pad_rows([[vocab.bos_id, *row, vocab.eos_id] for row in rows])
+
+
 class BaseModel(_Part):
     """Builds a variant from the facts its class declares.
 
@@ -369,8 +369,11 @@ class BaseModel(_Part):
 
     Derived once per class (see `__init_subclass__`): `explains`,
     `needs_explanations`, `takes_alpha` and the selection `criterion`.
-    Parameters are initialized in the order embedding label rows,
-    encoders, classifier, attention heads, decoder.
+    Derived per call from the same facts: the loss, the decoder's first
+    word (the label word with a classifier, else <bos>), perplexity and
+    generation; a variant class defines no method. Parameters are
+    initialized in the order embedding label rows, encoders, classifier,
+    attention heads, decoder.
     """
 
     variant = "base"
@@ -441,18 +444,21 @@ class BaseModel(_Part):
 
     # -- shared forward pieces
 
-    def _encode(self, batch: Batch, name: str) -> tuple[ad.Tensor, ad.Tensor]:
+    @staticmethod
+    def _rows(batch: Batch, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, lengths) of one of the batch's sentences."""
         ids = getattr(batch, name)
         if ids is None:
             raise ModelError(f"batch carries no {name}s")
-        return getattr(self, f"{name}_encoder").encode(
-            self.embedding, ids, getattr(batch, f"{name}_len"))
+        return ids, getattr(batch, f"{name}_len")
 
     def features(self, batch: Batch):
         """Encodes the declared sentences; returns (fv, *states), one
         states tensor per sentence. fv.f is [u, v, |u-v|, u*v] for a
         sentence pair and the sentence vector itself for one sentence."""
-        encoded = [self._encode(batch, name) for name in self.sentences]
+        encoded = [getattr(self, f"{name}_encoder").encode(
+                       self.embedding, *self._rows(batch, name))
+                   for name in self.sentences]
         vectors = [u for u, _ in encoded]
         if len(vectors) == 2:
             fv = feature_vector(*vectors)
@@ -460,45 +466,76 @@ class BaseModel(_Part):
             fv = FeatureVector(f=vectors[0], u=vectors[0], v=None)
         return (fv, *(states for _, states in encoded))
 
-    def _label_loss(self, logits: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
-        probs = ad.softmax(logits)
-        per_row = ad.nll_rows(probs, labels)
-        return ad.scale(ad.sum_(per_row), 1.0 / labels.shape[0])
-
     def _condition(self, batch: Batch):
-        """(decoder source, attention context or None, logits or None)."""
+        """(feature vector, attention context (empty without heads),
+        logits or None)."""
         fv, *states = self.features(batch)
         logits = self.classifier.logits(fv.f) if self.has_classifier else None
-        ctx = None
-        if self.heads:
-            ctx = []
-            for head, name, seq in zip(self.heads, self.sentences, states):
-                proj1, proj2 = head.precompute(seq)
-                ctx.append((head, proj1, proj2,
-                            real_mask(getattr(batch, f"{name}_len"),
-                                      getattr(batch, name).shape[1])))
-        return fv.f, ctx, logits
+        ctx = []
+        for head, name, seq in zip(self.heads, self.sentences, states):
+            ids, lengths = self._rows(batch, name)
+            ctx.append((head, *head.precompute(seq),
+                        real_mask(lengths, ids.shape[1])))
+        return fv, ctx, logits
 
-    def _label_vocab_ids(self, label_classes: np.ndarray) -> np.ndarray:
-        return np.array([self.vocab.label_vocab_id(int(c))
-                         for c in label_classes], dtype=np.int64)
+    def _first_words(self, classes: np.ndarray | None, size: int) -> np.ndarray:
+        """The decoder's first input: the label word of each class, or
+        <bos> when there are no classes."""
+        if classes is None:
+            return np.full(size, self.vocab.bos_id, dtype=np.int64)
+        return np.array([self.vocab.label_vocab_id(c) for c in classes])
 
-    def _teacher_forced(self, batch: Batch, source: ad.Tensor, ctx,
-                        label_classes: np.ndarray | None, train: bool,
-                        rng: np.random.Generator | None = None):
-        """Decodes the first gold explanation; given label classes, their
-        label words replace <bos> as the first input."""
-        expl = batch.explanation
-        if expl is None:
-            raise ModelError("batch carries no explanations")
-        inputs = expl[:, :-1].copy()
-        if label_classes is not None:
-            inputs[:, 0] = self._label_vocab_ids(label_classes)
-        targets = expl[:, 1:]
-        mask = real_mask(batch.explanation_len - 1, targets.shape[1])
+    def _teacher_forced(self, source: ad.Tensor, ids: np.ndarray,
+                        lengths: np.ndarray, classes: np.ndarray | None,
+                        train: bool, rng: np.random.Generator | None = None,
+                        ctx=None) -> DecodeResult:
+        """Decodes padded <bos> ... <eos> rows from `source`, with the
+        first word of `classes` in place of <bos> as the first input."""
+        inputs = ids[:, :-1].copy()
+        inputs[:, 0] = self._first_words(classes, len(ids))
+        mask = real_mask(lengths - 1, ids.shape[1] - 1)
         return self.decoder.teacher_forced(self.embedding, source, inputs,
-                                           targets, mask, train, rng,
+                                           ids[:, 1:], mask, train, rng,
                                            attn_ctx=ctx)
+
+    def _reconstruction_rows(self, batch: Batch, name: str):
+        """A sentence as <bos> sentence <eos> rows, cut to the decode cap."""
+        cap = self.cfg.max_decode_len
+        ids, lengths = self._rows(batch, name)
+        return wrap_rows(self.vocab, [row[:min(n, cap)]
+                                      for row, n in zip(ids, lengths)])
+
+    def loss(self, batch: Batch, train: bool = True,
+             rng: np.random.Generator | None = None,
+             alpha: float | None = None) -> tuple[ad.Tensor, dict]:
+        """The label loss with a classifier; with a decoder, the summed
+        teacher-forced NLL over the batch size (the first gold explanation
+        from f and the gold label word, or the premise from u and the
+        hypothesis from v); with both, `joint_loss`."""
+        fv, ctx, logits = self._condition(batch)
+        info = {}
+        if logits is not None:
+            per_row = ad.nll_rows(ad.softmax(logits), batch.labels)
+            label_loss = ad.scale(ad.sum_(per_row), 1.0 / batch.size)
+            info["preds"] = logits.data.argmax(axis=1)
+            if self.decodes is None:
+                return label_loss, info
+        if self.decodes == "reconstruct":
+            nll = ad.add(*(self._teacher_forced(
+                               u, *self._reconstruction_rows(batch, name),
+                               None, train, rng).nll_sum
+                           for u, name in ((fv.u, "premise"),
+                                           (fv.v, "hypothesis"))))
+        else:
+            classes = None if logits is None else batch.labels
+            nll = self._teacher_forced(fv.f, *self._rows(batch, "explanation"),
+                                       classes, train, rng, ctx).nll_sum
+        expl_loss = ad.scale(nll, 1.0 / batch.size)
+        if logits is None:
+            return expl_loss, info
+        info.update(label_loss=float(label_loss.data),
+                    expl_loss=float(expl_loss.data))
+        return joint_loss(label_loss, expl_loss, alpha), info
 
     def eval_batch(self, batch: Batch, nll: bool = False, greedy: bool = False,
                    use_gold_label: bool = False):
@@ -509,18 +546,18 @@ class BaseModel(_Part):
         with `use_gold_label`)."""
         if (nll or greedy) and not self.explains:
             raise ModelError(f"{self.variant} does not explain")
-        source, ctx, logits = self._condition(batch)
+        fv, ctx, logits = self._condition(batch)
         preds = None if logits is None else logits.data.argmax(axis=1)
         scored = generated = None
         if nll:
             classes = batch.labels if use_gold_label and preds is not None else preds
-            res = self._teacher_forced(batch, source, ctx, classes, train=False)
+            res = self._teacher_forced(fv.f, *self._rows(batch, "explanation"),
+                                       classes, False, ctx=ctx)
             scored = float(res.nll_sum.data), res.n_tokens, res.n_correct
         if greedy:
-            start = (np.full(batch.size, self.vocab.bos_id, dtype=np.int64)
-                     if preds is None else self._label_vocab_ids(preds))
-            generated = self.decoder.greedy(self.embedding, source, start,
-                                            self.vocab.eos_id, attn_ctx=ctx)
+            generated = self.decoder.greedy(
+                self.embedding, fv.f, self._first_words(preds, batch.size),
+                self.vocab.eos_id, attn_ctx=ctx)
         return preds, scored, generated
 
     def predict_labels(self, batch: Batch) -> np.ndarray:
@@ -528,43 +565,11 @@ class BaseModel(_Part):
             raise ModelError(f"{self.variant} has no classifier")
         return self.eval_batch(batch)[0]
 
-    # -- classifier variants; explaining and reconstructing ones override loss
-
-    def loss(self, batch: Batch, train: bool = True,
-             rng: np.random.Generator | None = None,
-             alpha: float | None = None) -> tuple[ad.Tensor, dict]:
-        logits, preds = classify(self.classifier, self.features(batch)[0].f)
-        return self._label_loss(logits, batch.labels), {"preds": preds}
-
-
-class Explainer(BaseModel):
-    """Shared teacher-forced loss and the perplexity and generation views
-    of the explaining variants. With a classifier, the explanation starts
-    from the label word (gold at training time, predicted at test time)
-    and the loss is the alpha-weighted joint loss."""
-
-    def loss(self, batch, train=True, rng=None, alpha=None):
-        source, ctx, logits = self._condition(batch)
-        classes = None
-        if logits is not None:
-            label_loss = self._label_loss(logits, batch.labels)
-            classes = batch.labels   # gold label word at training time
-        res = self._teacher_forced(batch, source, ctx, classes, train, rng)
-        expl_loss = ad.scale(res.nll_sum, 1.0 / batch.size)
-        info = {"tokens": res.n_tokens, "correct": res.n_correct}
-        if logits is None:
-            info["nll_sum"] = float(res.nll_sum.data)
-            return expl_loss, info
-        info.update(preds=logits.data.argmax(axis=1),
-                    label_loss=float(label_loss.data),
-                    expl_loss=float(expl_loss.data))
-        return joint_loss(label_loss, expl_loss, alpha), info
-
-    def explanation_nll(self, batch, use_gold_label=False):
+    def explanation_nll(self, batch: Batch, use_gold_label: bool = False):
         """(summed NLL, tokens, correct tokens) for perplexity."""
         return self.eval_batch(batch, nll=True, use_gold_label=use_gold_label)[1]
 
-    def generate(self, batch):
+    def generate(self, batch: Batch):
         """Greedy explanations; a classifier variant also returns the
         labels it conditioned them on."""
         preds, _, (expl, empty) = self.eval_batch(batch, greedy=True)
@@ -587,7 +592,7 @@ class HypClassifier(BaseModel):
     has_classifier = True
 
 
-class HypExplainer(Explainer):
+class HypExplainer(BaseModel):
     """Hypothesis-only explanation generator."""
 
     variant = "hyp-to-expl"
@@ -595,7 +600,7 @@ class HypExplainer(Explainer):
     decodes = "explain"
 
 
-class PredictExplain(Explainer):
+class PredictExplain(BaseModel):
     """Classify from f, then decode an explanation conditioned on the
     label word (gold at training time, predicted at test time)."""
 
@@ -605,7 +610,7 @@ class PredictExplain(Explainer):
     decodes = "explain"
 
 
-class ExplainSeq2Seq(Explainer):
+class ExplainSeq2Seq(BaseModel):
     """pred-expl without the classifier and without the label token."""
 
     variant = "expl-pred-seq2seq"
@@ -613,7 +618,7 @@ class ExplainSeq2Seq(Explainer):
     decodes = "explain"
 
 
-class ExplainAttention(Explainer):
+class ExplainAttention(BaseModel):
     """Attention variant: two separate, structurally identical heads
     attend over premise and hypothesis states while decoding."""
 
@@ -638,29 +643,6 @@ class AutoEncoder(BaseModel):
     sentences = ("premise", "hypothesis")
     has_classifier = True
     decodes = "reconstruct"
-
-    def _reconstruction_rows(self, ids: np.ndarray, lengths: np.ndarray):
-        cap = self.cfg.max_decode_len
-        mat, lens = pad_rows([
-            np.concatenate(([self.vocab.bos_id], row[:min(int(n), cap)],
-                            [self.vocab.eos_id]))
-            for row, n in zip(ids, lengths)])
-        return mat[:, :-1], mat[:, 1:], real_mask(lens - 1, mat.shape[1] - 1)
-
-    def loss(self, batch, train=True, rng=None, alpha=None):
-        fv, _, _ = self.features(batch)
-        logits, preds = classify(self.classifier, fv.f)
-        label_loss = self._label_loss(logits, batch.labels)
-        rec = [self.decoder.teacher_forced(
-                   self.embedding, source,
-                   *self._reconstruction_rows(ids, lengths), train, rng).nll_sum
-               for source, ids, lengths in (
-                   (fv.u, batch.premise, batch.premise_len),
-                   (fv.v, batch.hypothesis, batch.hypothesis_len))]
-        rec_loss = ad.scale(ad.add(*rec), 1.0 / batch.size)
-        return joint_loss(label_loss, rec_loss, alpha), {
-            "preds": preds, "label_loss": float(label_loss.data),
-            "expl_loss": float(rec_loss.data)}
 
 
 class ExplainThenPredict:
@@ -691,9 +673,7 @@ class ExplainThenPredict:
         classified from the bare <bos><eos> pair and flagged.
         """
         expl, empty = generated or self.generator.generate(batch)[:2]
-        vocab = self.generator.vocab
-        ids, lengths = pad_rows([[vocab.bos_id, *e, vocab.eos_id]
-                                 for e in expl])
+        ids, lengths = wrap_rows(self.generator.vocab, expl)
         wrapped = replace(batch, explanation=ids, explanation_len=lengths)
         return self.expl_classifier.predict_labels(wrapped), expl, empty
 

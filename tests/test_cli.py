@@ -448,6 +448,18 @@ class TestEvalAndGenerate:
         assert report["accuracy"] is not None
         assert report["perplexity"] >= 1.0
 
+    def test_eval_rejects_bad_annotations(self, tmp_path, toy_config, corpus,
+                                          trained, capsys):
+        _, valid = corpus
+        ann = tmp_path / "ann.csv"
+        ann.write_text("id,predicted_label_correct,k,n\na,1,x,1\n")
+        code = main(["eval", "--config", str(toy_config),
+                     "--checkpoint", str(trained), "--corpus", str(valid),
+                     "--annotations", str(ann),
+                     "--out-root", str(tmp_path / "eval-runs")])
+        assert code == 1
+        assert "ann.csv:2: k and n must be integers" in capsys.readouterr().err
+
     def test_generate_dump(self, tmp_path, toy_config, corpus, trained):
         _, valid = corpus
         out = tmp_path / "dump.csv"
@@ -718,6 +730,22 @@ seed = 1
         summary = json.loads((run_dir / "reports" / "grid.json").read_text())
         assert [r["config"]["alpha"] for r in summary["runs"]] == [0.3, 0.7]
         assert {r["config"]["decoder_hidden"] for r in summary["runs"]} == {4}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_every_run_diverging_exits_2(self, tmp_path, corpus, capsys):
+        cfg = self._config(tmp_path, corpus, "expl-pred-seq2seq")
+        out_root = tmp_path / "runs"
+        code = main(["grid", "--config", str(cfg), "--decoders", "4,6",
+                     "--set", "training.lr", "1e30",
+                     "--out-root", str(out_root)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no run kept a checkpoint" in err
+        assert "grid00: " in err and "grid01: " in err
+        (run_dir,) = run_dirs(out_root)
+        summary = json.loads((run_dir / "reports" / "grid.json").read_text())
+        assert summary["best"]["checkpoint"] is None
+        assert all(r["aborted"] for r in summary["runs"])
 
 
 class TestRunSettings:

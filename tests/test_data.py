@@ -113,6 +113,22 @@ class TestEmbeddings:
         with pytest.raises(D.CorpusFormatError, match=":2"):
             D.load_embeddings(p, v, dim=4)
 
+    def test_repeated_token_names_both_lines(self, tmp_path):
+        v = D.build_vocab([["dog"] * 20, ["cat"] * 20], min_count=15)
+        p = tmp_path / "vecs.txt"
+        p.write_text("cat 1 2 3 4\ndog 0 0 0 0\ncat 3 4 5 6\n")
+        with pytest.raises(D.CorpusFormatError,
+                           match=r"vecs\.txt:3: token 'cat' repeated "
+                                 r"\(first on line 1\)"):
+            D.load_embeddings(p, v, dim=4)
+
+    def test_repeated_out_of_vocab_token_is_skipped(self, tmp_path):
+        v = D.build_vocab([["dog"] * 20], min_count=15)
+        p = tmp_path / "vecs.txt"
+        p.write_text("owl 1 2 3 4\ndog 1 1 1 1\nowl 3 4 5 6\n")
+        table = D.load_embeddings(p, v, dim=4)
+        np.testing.assert_array_equal(table.matrix[v.token_to_id["dog"]], 1.0)
+
     def test_unparsable_float_reports_line_number(self, tmp_path):
         v = D.build_vocab([["dog"] * 20], min_count=15)
         p = tmp_path / "vecs.txt"

@@ -253,6 +253,26 @@ class TestExplAtK:
         assert records[0].score == 0.5
         assert records[1].predicted_label_correct is False
 
+    @pytest.mark.parametrize("body,match", [
+        ("id,predicted_label_correct,k,n\na,true,1,1\nb,true,one,2\n",
+         r"ann\.csv:3: k and n must be integers, got 'one' and '2'"),
+        ("id,predicted_label_correct,k,n\na,true,1,1\nb,true,1\n",
+         r"ann\.csv:3: k and n must be integers"),
+        ("id,predicted_label_correct,k,n\na,true,1,1.5\n",
+         r"ann\.csv:2: k and n must be integers"),
+        ("id,predicted_label_correct,k,n\na,1,5,3\n",
+         r"ann\.csv:2: a: bad partial score 5/3"),
+        ("id,predicted_label_correct,k\na,true,1\n",
+         r"ann\.csv:1: missing columns \['n'\]"),
+        ("id,predicted_label_correct,k,n\na,1,1,1\na,1,1,1\nb,0,1,1\n",
+         r"ann\.csv: example id 'a' repeated on rows 2 and 3"),
+    ])
+    def test_bad_csv_names_file_and_row(self, tmp_path, body, match):
+        path = tmp_path / "ann.csv"
+        path.write_text(body)
+        with pytest.raises(E.EvaluationError, match=match):
+            E.load_annotations(path)
+
 
 class TestEvaluateModel:
     def test_classifier_report(self):

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from nliexpl.checkpoint import load_checkpoint, save_checkpoint
 from nliexpl.data import (EmbeddingTable, Vocabulary, build_vocab,
                           encode_corpus, make_batch, pad_rows)
 from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
-                            build_model, classify, feature_vector, load_model)
+                            build_model, feature_vector, load_model)
 from model_utils import (full_model_grad_check, label_alone, toy_config,
                          toy_setup)
 from oracles import bilstm_composed, max_rel_err, straight_line_attention
@@ -65,25 +64,26 @@ class TestFeatureVector:
 
 
 class TestClassifier:
-    def _zero_clf(self, in_dim=4, width=3):
-        rng = np.random.default_rng(0)
-        clf = M.MlpClassifier(rng, in_dim, width)
-        for p in clf.params().values():
+    @staticmethod
+    def _biased_model(bias):
+        """bilstm-max with zero classifier weights: the output bias alone
+        sets every row's logits."""
+        model, batch, _ = toy_setup("bilstm-max", n=2)
+        for p in model.classifier.params().values():
             p.data = np.zeros_like(p.data)
-        return clf
+        model.classifier.b3.data = np.array(bias, dtype=np.float32)
+        return model, batch
 
     def test_zero_weights_bias_decides(self):
-        clf = self._zero_clf()
-        clf.b3.data = np.array([0.5, 0.2, 0.2], dtype=np.float32)
-        logits, preds = classify(clf, t(np.ones((2, 4))))
+        model, batch = self._biased_model([0.5, 0.2, 0.2])
+        _, _, logits = model._condition(batch)
         np.testing.assert_allclose(logits.data, [[0.5, 0.2, 0.2]] * 2)
-        assert (preds == 0).all()
+        assert (model.predict_labels(batch) == 0).all()
 
     def test_tie_breaks_to_lowest_class_index(self):
-        clf = self._zero_clf()
-        clf.b3.data = np.array([0.3, 0.3, 0.3], dtype=np.float32)
-        _, preds = classify(clf, t(np.ones((1, 4))))
-        assert preds[0] == 0
+        model, batch = self._biased_model([0.3, 0.3, 0.3])
+        assert (model.predict_labels(batch) == 0).all()
+        assert (model.loss(batch, train=False)[1]["preds"] == 0).all()
 
     def test_composition_equals_collapsed_affine(self):
         rng = np.random.default_rng(2)
@@ -319,7 +319,28 @@ def test_variant_fact_table(variant, classifier, explains, needs_expl, alpha,
     assert {p for p in prefixes if p.endswith("_encoder")} == \
         {f"{s}_encoder" for s in sentences}
     assert ("classifier" in prefixes) == classifier
-    assert hasattr(model, "generate") == explains
+
+
+@pytest.mark.parametrize("variant", [row[0] for row in VARIANT_FACTS
+                                     if not row[2]])
+def test_non_explaining_variant_refuses_explanations(variant):
+    model, batch, _ = toy_setup(variant, n=3)
+    for call in (lambda: model.generate(batch),
+                 lambda: model.explanation_nll(batch),
+                 lambda: model.eval_batch(batch, nll=True),
+                 lambda: model.eval_batch(batch, greedy=True)):
+        with pytest.raises(M.ModelError, match="does not explain"):
+            call()
+
+
+def test_variant_classes_only_declare_facts():
+    """All behaviour is derived on BaseModel: each variant class
+    subclasses it directly and defines no function of its own."""
+    for cls in M.VARIANTS.values():
+        assert cls.__bases__ == (M.BaseModel,), cls.__name__
+        own = [name for name, value in vars(cls).items()
+               if callable(value) or isinstance(value, (classmethod, property))]
+        assert not own, f"{cls.__name__} defines {own}"
 
 
 class TestVariantStructure:
@@ -459,9 +480,10 @@ class TestDecoding:
             for p in params.values():
                 p.grad = None
             with ad.Tape() as tape:
-                source, ctx, _ = model._condition(b)
-                res = model._teacher_forced(b, source, ctx, b.labels,
-                                            train=False)
+                fv, ctx, _ = model._condition(b)
+                res = model._teacher_forced(fv.f, b.explanation,
+                                            b.explanation_len, b.labels,
+                                            train=False, ctx=ctx)
             ad.backward(tape, res.nll_sum)
             grads = {name: np.zeros_like(p.data) if p.grad is None
                      else p.grad.copy() for name, p in params.items()}
@@ -502,9 +524,9 @@ class TestDecoding:
         assert any(stopped) and not all(stopped)
         ids, lengths = pad_rows([[vocab.bos_id, *e] + [vocab.eos_id] * early
                                  for e, early in zip(emitted, stopped)])
-        forced = replace(batch, explanation=ids, explanation_len=lengths)
-        source, ctx, _ = model._condition(batch)
-        res = model._teacher_forced(forced, source, ctx, preds, train=False)
+        fv, ctx, _ = model._condition(batch)
+        res = model._teacher_forced(fv.f, ids, lengths, preds, train=False,
+                                    ctx=ctx)
         decided = sum(len(e) for e in emitted) + sum(stopped)
         assert res.n_tokens == decided
         assert res.n_correct == decided
