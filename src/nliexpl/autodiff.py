@@ -12,14 +12,14 @@ and share one fused gate kernel (`_lstm_gates`, derivatives `_gate_grads`).
 `lstm_layer` runs a sequence from its raw input as one tape record: the
 input projection is one GEMM done before the recurrence (that of a
 `cond` input, the same at every step, once), each step runs over the
-rows still live only (packed sequences), pad masking and the backward
-direction are done inside the op, and the recurrent weight gradient of
-backprop through time is one GEMM over all steps. `bilstm_layer` runs
-both directions of an encoder at once, one on a worker thread; both ops
-run one direction core (`_lstm_direction`). `lstm_step` is one step, for
-decoders whose next input needs the state (attention, greedy decoding).
-The cell composed from generic tape ops lives in `tests/oracles.py` as
-their reference.
+rows still live only (packed sequences: a row's length is its only
+record of padding), the backward direction is done inside the op, and
+the recurrent weight gradient of backprop through time is one GEMM over
+all steps. `bilstm_layer` runs both directions of an encoder at once,
+one on a worker thread; both ops run one direction core
+(`_lstm_direction`). `lstm_step` is one step, for decoders whose next
+input needs the state (attention, greedy decoding). The cell composed
+from generic tape ops lives in `tests/oracles.py` as their reference.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
@@ -49,8 +49,7 @@ class EmptySequenceError(ValueError):
 
 
 class MaskError(ValueError):
-    """A mask is unusable: a softmax row with no unmasked position, or a
-    sequence mask whose real steps are not a prefix of each row."""
+    """A softmax mask leaves a row with no unmasked position."""
 
 
 class TapeError(RuntimeError):
@@ -376,14 +375,11 @@ def softmax(logits: Tensor, mask: np.ndarray | None = None,
     return out
 
 
-def nll_rows(probs: Tensor, targets: np.ndarray,
-             mask: np.ndarray | None = None) -> Tensor:
+def nll_rows(probs: Tensor, targets: np.ndarray) -> Tensor:
     """-log probs[i, targets[i]] per row, clamped at the log floor.
 
     Probabilities below the floor are flagged with a NumericsWarning and
-    contribute zero gradient (the clamp is flat there). Rows where
-    `mask` is falsy produce exactly 0 loss and no gradient (used for
-    padded targets).
+    contribute zero gradient (the clamp is flat there).
     """
     p = probs.data
     if p.ndim != 2:
@@ -393,9 +389,6 @@ def nll_rows(probs: Tensor, targets: np.ndarray,
         raise ShapeError(f"nll_rows: targets {targets.shape} vs probs {p.shape}")
     rows = np.arange(p.shape[0])
     picked = p[rows, targets]
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        picked = np.where(mask, picked, 1.0)
     clamped = np.maximum(picked, LOG_FLOOR)
     if (picked < LOG_FLOOR).any():
         warnings.warn("probability clamped at log floor", NumericsWarning,
@@ -403,8 +396,6 @@ def nll_rows(probs: Tensor, targets: np.ndarray,
     out = Tensor((-np.log(clamped)).astype(p.dtype, copy=False))
     shape = p.shape
     live = picked >= LOG_FLOOR
-    if mask is not None:
-        live = live & mask
 
     def _bw(g):
         full = np.zeros(shape, dtype=g.dtype)
@@ -415,10 +406,26 @@ def nll_rows(probs: Tensor, targets: np.ndarray,
     return out
 
 
-def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape))
-    old = a.shape
-    _record(out, (a,), lambda g: (g.reshape(old),))
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows `rows` of x (..., d) with its leading axes flattened to (N, d):
+    a (T, B, d) sequence's row t * B + b is step t of batch row b. `rows`
+    are distinct indices in [0, N) (otherwise ShapeError). Returns
+    (len(rows), d); backward scatters the gradient into zeros of x's
+    shape."""
+    flat = x.data.reshape(-1, x.shape[-1])
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or len(np.unique(rows)) < len(rows) \
+            or ((rows < 0) | (rows >= len(flat))).any():
+        raise ShapeError(f"take_rows: rows must be distinct indices in "
+                         f"[0, {len(flat)})")
+    out = Tensor(flat[rows])
+
+    def _bw(g):
+        full = np.zeros(flat.shape, dtype=g.dtype)
+        full[rows] = g
+        return (full.reshape(x.shape),)
+
+    _record(out, (x,), _bw)
     return out
 
 
@@ -668,14 +675,14 @@ def lstm_step(gx: Tensor, h: Tensor, c: Tensor, wh: Tensor,
     return h_out, c_out
 
 
-def _check_lstm(op: str, x: Tensor, cells, mask: np.ndarray | None,
+def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
                 cond: Tensor | None = None, h0: Tensor | None = None,
                 c0: Tensor | None = None, rmask: np.ndarray | None = None):
     """The checks of an LSTM sequence op: x (T, B, D) with T > 0; each
     cell's wi (4H, D + C), wh (4H, H) and b (4H,), C being the width of
-    `cond` (B, C) or 0; h0, c0 and `rmask` (B, H); `mask` (T, B) True on
-    a prefix of each row's steps (otherwise MaskError). Returns the row
-    lengths and `rmask` as an array of the states' dtype."""
+    `cond` (B, C) or 0; h0, c0 and `rmask` (B, H); `lengths` (B,)
+    integers in [0, T]. Returns the lengths (all T if None) as int64 and
+    `rmask` as an array of the states' dtype."""
     xd = x.data
     H = cells[0].wh.shape[-1]
     C = 0 if cond is None else cond.shape[-1]
@@ -694,19 +701,16 @@ def _check_lstm(op: str, x: Tensor, cells, mask: np.ndarray | None,
            if s is not None and s.shape != (B, H)]
     if bad:
         raise ShapeError(f"{op}: {', '.join(bad)}, expected {(B, H)}")
-    if mask is None:
-        return np.full(B, T), rmask
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (T, B):
-        raise ShapeError(f"{op}: mask {mask.shape}, expected {(T, B)}")
-    lengths = mask.sum(axis=0)
-    if not np.array_equal(mask, np.arange(T)[:, None] < lengths):
-        raise MaskError(f"{op}: mask is not a prefix of real steps")
-    return lengths, rmask
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
+    if lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer) \
+            or (lengths < 0).any() or (lengths > T).any():
+        raise ShapeError(f"{op}: lengths {lengths.dtype} {lengths.shape}, "
+                         f"expected ({B},) integers in [0, {T}]")
+    return lengths.astype(np.int64, copy=False), rmask
 
 
 def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
-               c0: Tensor | None = None, mask: np.ndarray | None = None,
+               c0: Tensor | None = None, lengths: np.ndarray | None = None,
                cond: Tensor | None = None, reverse: bool = False,
                rmask: np.ndarray | None = None) -> Tensor:
     """An LSTM over a whole sequence x (T, B, D) as one tape record.
@@ -717,18 +721,19 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     its last C columns is computed once. h0/c0 (B, H) are the initial
     state (None is a zero state). Returns the hidden states (T, B, H).
 
-    `mask` (T, B) is True on each row's real steps, which must be a
-    prefix: `mask[t, b]` is `t < lengths[b]` (otherwise MaskError);
-    None means every row has length T. Pad steps output 0. With
-    `reverse` the steps run from T-1 down to 0, so each row's real
-    prefix is read backwards starting from (h0, c0), exactly as if it
-    had been reversed in place. `rmask` (B, H) is a recurrent dropout
-    mask applied to the hidden state entering every step.
+    Row b's real steps are t < `lengths[b]`, `lengths` being (B,)
+    integers in [0, T] (otherwise ShapeError); None means all T. Pad
+    steps output 0 and cost nothing. With `reverse` the steps run from
+    T-1 down to 0, so each row's real prefix is read backwards starting
+    from (h0, c0), exactly as if it had been reversed in place. `rmask`
+    (B, H) is a recurrent dropout mask applied to the hidden state
+    entering every step.
 
     The work is `_lstm_direction`, run here on the calling thread;
     `bilstm_layer` runs it too, one direction on a worker thread.
     """
-    lengths, rmask = _check_lstm("lstm_layer", x, [cell], mask, cond, h0, c0, rmask)
+    lengths, rmask = _check_lstm("lstm_layer", x, [cell], lengths, cond, h0,
+                                 c0, rmask)
     T, B, _ = x.shape
     hs = np.zeros((T, B, cell.wh.shape[1]), np.result_type(x.data, cell.wi.data))
     grads = _lstm_direction(x.data, cell, lengths, hs, _active_tape() is not None,
@@ -862,15 +867,15 @@ def _at_once(here, there):
 
 
 def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
-                 mask: np.ndarray | None = None) -> Tensor:
+                 lengths: np.ndarray | None = None) -> Tensor:
     """Both directions of an encoder over x (T, B, D), from zero states,
     as one tape record: states (T, B, 2H), `fwd` reading each row forward
-    and `bwd` in reverse; `mask` as in `lstm_layer`. Each direction is
+    and `bwd` in reverse; `lengths` as in `lstm_layer`. Each direction is
     `_lstm_direction` and runs at once with the other, `bwd` on the
     worker thread; checks, tensors and the record stay on this one.
     Bit-identical to `linear`, `lstm_layer` (x2) and `concat`.
     """
-    lengths, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), mask)
+    lengths, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), lengths)
     T, B, _ = x.shape
     H = fwd.wh.shape[1]
     recording = _active_tape() is not None

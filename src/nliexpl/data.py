@@ -91,13 +91,10 @@ class Vocabulary:
     def encode(self, tokens: list[str]) -> list[int]:
         return [self.token_to_id.get(t, self.unk_id) for t in tokens]
 
-    def decode(self, ids, skip_special: bool = True) -> list[str]:
-        out = []
-        for i in ids:
-            if skip_special and i in (self.pad_id, self.bos_id, self.eos_id):
-                continue
-            out.append(self.id_to_token[int(i)])
-        return out
+    def decode(self, ids) -> list[str]:
+        """The tokens of `ids`, without <pad>, <bos> and <eos>."""
+        return [self.id_to_token[int(i)] for i in ids
+                if i not in (self.pad_id, self.bos_id, self.eos_id)]
 
     def label_vocab_id(self, label_class: int) -> int:
         return self.label_ids[label_class]

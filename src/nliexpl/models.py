@@ -143,14 +143,9 @@ class BiLstmEncoder(_Part):
                lengths: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
         """Returns (u, states): u is (B, 2H); states is (T, B, 2H) with
         forward/backward halves aligned per original position."""
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if (lengths < 1).any():
-            raise ad.EmptySequenceError(f"{self.prefix}: all-pad input row")
-        emb = embedding.lookup(ids.T)
-        real = real_mask(lengths, ids.shape[1]).T
-        states = ad.bilstm_layer(emb, self.fwd, self.bwd, mask=real)
-        u = ad.max_over_time(states, lengths=lengths)
-        return u, states
+        states = ad.bilstm_layer(embedding.lookup(ids.T), self.fwd, self.bwd,
+                                 lengths)
+        return ad.max_over_time(states, lengths=lengths), states
 
 
 class MlpClassifier(_Part):
@@ -264,15 +259,16 @@ class LstmDecoder(_Part):
 
     def teacher_forced(self, embedding: WordEmbedding, source: ad.Tensor,
                        inputs: np.ndarray, targets: np.ndarray,
-                       target_mask: np.ndarray, train: bool,
+                       lengths: np.ndarray, train: bool,
                        rng: np.random.Generator | None = None,
                        attn_ctx=None) -> DecodeResult:
-        """Without attention the whole sequence is one `lstm_layer`,
-        which takes the source term as `cond` (its product with the cell's
-        input weights once per sequence) and skips the pad steps of
-        `target_mask` (their NLL rows are masked out); with it, each step
-        attends with the previous hidden state. Either way the output
-        projection, softmax and NLL run once over all S*B rows."""
+        """Row b's first `lengths[b]` steps of (B, S) `inputs` are real.
+        Without attention the whole sequence is one `lstm_layer`, which
+        takes the source term as `cond` (its product with the cell's
+        input weights once per sequence) and skips the pad steps; with
+        it, each step attends with the previous hidden state. Either way
+        the output projection, softmax and NLL run once over the real
+        (t, b) state rows only, gathered in time-major order."""
         B, S = inputs.shape
         h, c = self._init_state(source)
         rmask = None
@@ -288,18 +284,14 @@ class LstmDecoder(_Part):
             hs = ad.stack_steps(steps)
         else:
             hs = ad.lstm_layer(embedding.lookup(inputs.T), self.cell, h, c,
-                               mask=target_mask.T, cond=self._cond(source),
-                               rmask=rmask)
-        rows = ad.reshape(hs, (S * B, self.hidden))
-        probs = ad.softmax(ad.linear(rows, self.w_out, self.b_out),
-                           overwrite=True)
-        flat_targets = targets.T.reshape(-1)
-        flat_mask = target_mask.T.reshape(-1)
-        nll = ad.nll_rows(probs, flat_targets, mask=flat_mask)
-        hits = probs.data.argmax(axis=1) == flat_targets
-        return DecodeResult(nll_sum=ad.sum_(nll),
-                            n_tokens=int(target_mask.sum()),
-                            n_correct=int((hits & flat_mask).sum()))
+                               lengths, cond=self._cond(source), rmask=rmask)
+        real = np.flatnonzero(np.arange(S)[:, None] < lengths)   # t * B + b
+        probs = ad.softmax(ad.linear(ad.take_rows(hs, real), self.w_out,
+                                     self.b_out), overwrite=True)
+        gold = targets.T.reshape(-1)[real]
+        hits = int((probs.data.argmax(axis=1) == gold).sum())
+        return DecodeResult(nll_sum=ad.sum_(ad.nll_rows(probs, gold)),
+                            n_tokens=len(real), n_correct=hits)
 
     def greedy(self, embedding: WordEmbedding, source: ad.Tensor,
                start_ids: np.ndarray, eos_id: int,
@@ -493,9 +485,8 @@ class BaseModel(_Part):
         first word of `classes` in place of <bos> as the first input."""
         inputs = ids[:, :-1].copy()
         inputs[:, 0] = self._first_words(classes, len(ids))
-        mask = real_mask(lengths - 1, ids.shape[1] - 1)
         return self.decoder.teacher_forced(self.embedding, source, inputs,
-                                           ids[:, 1:], mask, train, rng,
+                                           ids[:, 1:], lengths - 1, train, rng,
                                            attn_ctx=ctx)
 
     def _reconstruction_rows(self, batch: Batch, name: str):
@@ -699,19 +690,25 @@ def build_model(cfg: ModelConfig, vocab: Vocabulary, table: EmbeddingTable,
 
 
 def load_model(path) -> BaseModel:
-    """Rebuild a model from a self-contained checkpoint directory."""
+    """Rebuild a model from a self-contained checkpoint directory, which
+    must hold exactly the tensors of the model its meta describes."""
     arrays, manifest = load_checkpoint(path)
-    meta = manifest["meta"]
-    cfg = ModelConfig(**meta["model"]["config"])
-    vocab = Vocabulary(meta["vocab_tokens"])
-    if vocab.sha256() != meta["model"]["vocab_sha256"]:
+    try:
+        meta = manifest["meta"]
+        cfg = ModelConfig(**meta["model"]["config"])
+        vocab = Vocabulary(meta["vocab_tokens"])
+        vocab_hash = meta["model"]["vocab_sha256"]
+        table = EmbeddingTable(matrix=arrays.pop("embedding.frozen"))
+    except (KeyError, TypeError, ValueError) as err:
+        raise ModelError(f"malformed checkpoint {path}: {err!r}") from None
+    if vocab.sha256() != vocab_hash:
         raise ModelError(f"vocabulary hash mismatch in {path}")
-    table = EmbeddingTable(matrix=arrays.pop("embedding.frozen"))
     model = build_model(cfg, vocab, table, None)   # every array overwritten below
     params = model.params()
-    missing = set(params) - set(arrays)
-    if missing:
-        raise ModelError(f"checkpoint missing parameters: {sorted(missing)}")
+    if arrays.keys() != params.keys():
+        raise ModelError(f"{path} does not hold a {cfg.variant} model: missing "
+                         f"{sorted(params.keys() - arrays.keys())}, extra "
+                         f"{sorted(arrays.keys() - params.keys())}")
     for name, p in params.items():
         if tuple(arrays[name].shape) != p.shape:
             raise ModelError(f"shape mismatch for {name}")

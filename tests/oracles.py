@@ -2,15 +2,18 @@
 
 Everything here is deliberately written from the definitions (brute
 force, full DP matrices, straight-line formula transcriptions) and
-shares no code with the package under test. Three exceptions are kept
-as references of the fused LSTM ops: `lstm_layer_dense`, the dense
+shares no code with the package under test. Four exceptions are kept
+as references of fused or packed paths: `lstm_layer_dense`, the dense
 layer the packed one replaced, shares the step kernels, so the two can
 be compared bit for bit; `lstm_cell`, the single step composed from
 generic tape ops (with `sigmoid_` and `slice_last`, which only it
 uses), records through the package's tape; `bilstm_composed`, the
 five-record encoder that `bilstm_layer` replaced, runs the package's
 `linear`, `lstm_layer` (its input projection the identity,
-`gate_input_cell`) and `concat` one after the other on one thread.
+`gate_input_cell`) and `concat` one after the other on one thread;
+`teacher_forced_dense`, the decoder's teacher forcing before it gathered
+its real target rows, runs a decoder's own recurrence and then scores
+all S * B rows (with its own `reshape` and masked `nll_rows_masked`).
 """
 
 import math
@@ -18,10 +21,12 @@ from collections import Counter
 
 import numpy as np
 
-from nliexpl.autodiff import (EmptySequenceError, LstmParams, ShapeError,
-                              Tensor, _active_tape, _lstm_gates, _record,
-                              _recurrent, _sigmoid, add, concat, linear,
-                              lstm_layer, mul, tanh_)
+from nliexpl.autodiff import (LOG_FLOOR, EmptySequenceError, LstmParams,
+                              ShapeError, Tensor, _active_tape, _lstm_gates,
+                              _record, _recurrent, _sigmoid, add, concat,
+                              dropout_mask, linear, lstm_layer, mul, softmax,
+                              stack_steps, sum_, tanh_)
+from nliexpl.models import DecodeResult
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +157,11 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
 
 
 def lstm_layer_dense(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
-                     c0: Tensor | None = None, mask: np.ndarray | None = None,
+                     c0: Tensor | None = None, lengths: np.ndarray | None = None,
                      reverse: bool = False,
                      rmask: np.ndarray | None = None) -> Tensor:
-    """The dense `lstm_layer` that the packed one replaced, verbatim:
+    """The dense `lstm_layer` that the packed one replaced, verbatim but
+    for taking row `lengths` (B,) and making its (T, B) mask from them:
     every step runs over all B rows and pad steps blend the state
     through with 0/1 masks. The packed layer must match its float32
     forward states bit for bit.
@@ -193,8 +199,8 @@ def lstm_layer_dense(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
     h, c = (np.zeros((B, H), dtype=dtype) if s0 is None else s0.data
             for s0 in (h0, c0))
     keep = None
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
+    if lengths is not None:
+        mask = np.arange(T)[:, None] < np.asarray(lengths)
         if mask.shape != (T, B):
             raise ShapeError(f"lstm_layer: mask {mask.shape}, expected {(T, B)}")
         # 0/1 blends instead of np.where, which is slow; exact for the
@@ -278,15 +284,82 @@ def gate_input_cell(wh: Tensor) -> LstmParams:
 
 
 def bilstm_composed(x: Tensor, fwd: LstmParams, bwd: LstmParams,
-                    mask: np.ndarray | None = None) -> Tensor:
+                    lengths: np.ndarray | None = None) -> Tensor:
     """The encoder's two directions as they ran before `bilstm_layer`,
     in five tape records: per direction an input `linear` and an
     `lstm_layer` on its gate inputs (the backward one reversed), then
     `concat` of the two (T, B, H) halves."""
     halves = [lstm_layer(linear(x, cell.wi, cell.b), gate_input_cell(cell.wh),
-                         mask=mask, reverse=reverse)
+                         lengths=lengths, reverse=reverse)
               for cell, reverse in ((fwd, False), (bwd, True))]
     return concat(halves)
+
+
+# ---------------------------------------------------------------------------
+# Dense teacher forcing
+
+
+def reshape(a: Tensor, shape) -> Tensor:
+    out = Tensor(a.data.reshape(shape))
+    old = a.shape
+    _record(out, (a,), lambda g: (g.reshape(old),))
+    return out
+
+
+def nll_rows_masked(probs: Tensor, targets: np.ndarray,
+                    mask: np.ndarray) -> Tensor:
+    """`nll_rows` as it was with a row mask: rows where `mask` is falsy
+    produce exactly 0 loss and no gradient (padded targets)."""
+    p = probs.data
+    rows = np.arange(p.shape[0])
+    mask = np.asarray(mask, dtype=bool)
+    picked = np.where(mask, p[rows, targets], 1.0)
+    clamped = np.maximum(picked, LOG_FLOOR)
+    out = Tensor((-np.log(clamped)).astype(p.dtype, copy=False))
+    live = (picked >= LOG_FLOOR) & mask
+
+    def _bw(g):
+        full = np.zeros(p.shape, dtype=g.dtype)
+        full[rows, targets] = np.where(live, -g / clamped, 0.0)
+        return (full,)
+
+    _record(out, (probs,), _bw)
+    return out
+
+
+def teacher_forced_dense(decoder, embedding, source: Tensor,
+                         inputs: np.ndarray, targets: np.ndarray,
+                         lengths: np.ndarray, train: bool, rng=None,
+                         attn_ctx=None) -> DecodeResult:
+    """`LstmDecoder.teacher_forced` as it was before it gathered the real
+    target rows, with the same signature: the decoder's recurrence, then
+    the output projection, softmax and NLL over all S * B time-major
+    rows, the pad rows' NLL zeroed by a mask."""
+    B, S = inputs.shape
+    target_mask = np.arange(S)[None, :] < lengths[:, None]
+    h, c = decoder._init_state(source)
+    rmask = None
+    if train and decoder.dropout > 0.0:
+        rmask = dropout_mask(rng, (B, decoder.hidden), decoder.dropout,
+                             embedding.frozen.dtype)
+    if decoder.attention:
+        steps = []
+        for s in range(S):
+            h, c = decoder._attend_step(embedding.lookup(inputs[:, s]),
+                                        attn_ctx, h, c, rmask)
+            steps.append(h)
+        hs = stack_steps(steps)
+    else:
+        hs = lstm_layer(embedding.lookup(inputs.T), decoder.cell, h, c,
+                        lengths, cond=decoder._cond(source), rmask=rmask)
+    rows = reshape(hs, (S * B, decoder.hidden))
+    probs = softmax(linear(rows, decoder.w_out, decoder.b_out), overwrite=True)
+    flat_targets = targets.T.reshape(-1)
+    flat_mask = target_mask.T.reshape(-1)
+    nll = nll_rows_masked(probs, flat_targets, flat_mask)
+    hits = probs.data.argmax(axis=1) == flat_targets
+    return DecodeResult(nll_sum=sum_(nll), n_tokens=int(target_mask.sum()),
+                        n_correct=int((hits & flat_mask).sum()))
 
 
 # ---------------------------------------------------------------------------

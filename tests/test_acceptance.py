@@ -91,8 +91,13 @@ def test_criterion_1_gradient_suite():
     _grad_check(lambda: ad.sum_(ad.nll_rows(ad.softmax(sm), np.array([1, 4, 2]))),
                 {"sm": sm})
     ce = p64((6,), "ce")
-    _grad_check(lambda: ad.reshape(ad.nll_rows(
-        ad.reshape(ad.softmax(ce), (1, 6)), np.array([3])), ()), {"ce": ce})
+    _grad_check(lambda: ad.sum_(ad.nll_rows(
+        ad.take_rows(ad.softmax(ce), np.array([0])), np.array([3]))), {"ce": ce})
+    # the real rows of a (T, B, d) sequence, as teacher forcing takes them
+    seq_sm = p64((3, 2, 5), "seq_sm")
+    _grad_check(lambda: ad.sum_(ad.nll_rows(ad.softmax(ad.take_rows(
+        seq_sm, np.array([0, 1, 3, 4]))), np.array([4, 0, 2, 1]))),
+        {"seq_sm": seq_sm})
 
     seq = p64((5, 3, 4), "seq")
     lengths = np.array([2, 5, 3])
@@ -138,12 +143,12 @@ def test_criterion_1_gradient_suite():
                              p64((8, 2), "wh", scale=0.5), p64((8,), "b", scale=0.5))
     x_seq = p64((4, 3, 4), "x_seq")
     h0, c0, cond = p64((3, 2), "h0"), p64((3, 2), "c0"), p64((3, 2), "cond")
-    real = np.arange(4)[:, None] < np.array([1, 4, 3])[None, :]
+    seq_lengths = np.array([1, 4, 3])
     drop_h = ad.dropout_mask(np.random.default_rng(6), (3, 2), 0.5, np.float64)
     out_w = rng.normal(size=(4, 3, 2))
     for reverse in (False, True):
         _grad_check(lambda: ad.sum_(ad.mul(ad.lstm_layer(
-            x_seq, seq_cell, h0, c0, mask=real, cond=cond, reverse=reverse,
+            x_seq, seq_cell, h0, c0, seq_lengths, cond=cond, reverse=reverse,
             rmask=drop_h), ad.Tensor(out_w))),
             {"x_seq": x_seq, "cond": cond, "wi": seq_cell.wi, "wh": seq_cell.wh,
              "b": seq_cell.b, "h0": h0, "c0": c0})
@@ -154,7 +159,7 @@ def test_criterion_1_gradient_suite():
         cell.b.data = rng.normal(size=cell.b.shape) * 0.5
     xs = p64((4, 3, 3), "xs")
     bi_w = rng.normal(size=(4, 3, 4))
-    _grad_check(lambda: ad.sum_(ad.mul(ad.bilstm_layer(xs, *cells, mask=real),
+    _grad_check(lambda: ad.sum_(ad.mul(ad.bilstm_layer(xs, *cells, seq_lengths),
                                        ad.Tensor(bi_w))),
                 {"xs": xs, **{t.name: t for cell in cells
                               for t in (cell.wi, cell.wh, cell.b)}})

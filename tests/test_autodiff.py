@@ -219,6 +219,28 @@ class TestCrossEntropy:
         check_op_gradient(loss, {"x": x})
 
 
+class TestTakeRows:
+    def test_time_major_rows_and_scatter_back(self):
+        """Row t * B + b of a (T, B, d) sequence is x[t, b]; the gradient
+        of each taken row lands in its cell and every other cell is 0."""
+        x = f64_param(np.arange(24.0).reshape(4, 3, 2), "x")
+        rows = np.array([5, 0, 10])
+        with ad.Tape() as tape:
+            out = ad.take_rows(x, rows)
+            loss = ad.sum_(ad.mul(out, f64(np.arange(6.0).reshape(3, 2))))
+        np.testing.assert_array_equal(out.data, [x.data[1, 2], x.data[0, 0],
+                                                 x.data[3, 1]])
+        ad.backward(tape, loss)
+        expected = np.zeros((4, 3, 2))
+        expected[1, 2], expected[0, 0], expected[3, 1] = [0, 1], [2, 3], [4, 5]
+        np.testing.assert_array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("rows", [[0, 3, 0], [12], [-1], [[0, 1]]])
+    def test_rejects_repeated_or_outside_rows(self, rows):
+        with pytest.raises(ad.ShapeError):
+            ad.take_rows(f64(np.zeros((4, 3, 2))), np.array(rows))
+
+
 class TestMaxOverTime:
     def test_basic(self):
         out = ad.max_over_time(f64([[1.0, 5.0], [3.0, 2.0]]))
@@ -525,7 +547,7 @@ def _cell_scan(gx, wh, h0, c0, lengths, reverse, rmask):
 
 
 # (T, row lengths) for the packed-versus-dense comparison; a batch whose
-# rows all have length T runs with no mask
+# rows all have length T runs with no lengths given
 PACKING_CASES = {
     "one-row-of-length-1": (5, [5, 1, 3, 2]),
     "equal-lengths": (6, [4, 4, 4]),
@@ -536,13 +558,13 @@ PACKING_CASES = {
 }
 
 
-def _layer_run(layer, arrays, mask, reverse, rmask, weights, dtype):
+def _layer_run(layer, arrays, lengths, reverse, rmask, weights, dtype):
     """States and input gradients of `layer` under a weighted-sum loss;
     `arrays` holds gx, wh and optionally h0, c0."""
     p = {name: ad.param(np.asarray(v, dtype=dtype), name)
          for name, v in arrays.items()}
     with ad.Tape() as tape:
-        hs = layer(p["gx"], p["wh"], p.get("h0"), p.get("c0"), mask=mask,
+        hs = layer(p["gx"], p["wh"], p.get("h0"), p.get("c0"), lengths=lengths,
                    reverse=reverse,
                    rmask=None if rmask is None else rmask.astype(dtype))
         loss = ad.sum_(ad.mul(hs, ad.Tensor(weights.astype(dtype))))
@@ -566,7 +588,6 @@ class TestLstmLayer:
         rmask = (ad.dropout_mask(np.random.default_rng(3), (B, H), 0.5, np.float64)
                  if dropout else None)
         weights = rng.normal(size=(T, B, H))
-        real = np.arange(T)[:, None] < lengths[None, :]
 
         leaves, w_ref, starts, outs, ref_tape = _cell_scan(
             gx, wh, h0, c0, lengths, reverse, rmask)
@@ -581,7 +602,7 @@ class TestLstmLayer:
         p = {"gx": f64_param(gx, "gx"), "wh": f64_param(wh, "wh"),
              "h0": f64_param(h0, "h0"), "c0": f64_param(c0, "c0")}
         with ad.Tape() as tape:
-            hs = _gx_layer(p["gx"], p["wh"], p["h0"], p["c0"], mask=real,
+            hs = _gx_layer(p["gx"], p["wh"], p["h0"], p["c0"], lengths=lengths,
                            reverse=reverse, rmask=rmask)
             loss = ad.sum_(ad.mul(hs, f64(weights)))
         ad.backward(tape, loss)
@@ -611,9 +632,7 @@ class TestLstmLayer:
         within 1e-10, float32 states bit-equal."""
         T, lengths = PACKING_CASES[case]
         B, H = len(lengths), 8
-        lengths = np.array(lengths)
-        mask = (None if (lengths == T).all()
-                else np.arange(T)[:, None] < lengths[None, :])
+        lengths = None if min(lengths) == T else np.array(lengths)
         rng = np.random.default_rng(26)
         for given in (False, True):
             for dropout in (False, True):
@@ -625,8 +644,9 @@ class TestLstmLayer:
                 rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float64)
                          if dropout else None)
                 weights = rng.normal(size=(T, B, H))
-                runs = {(layer, dtype): _layer_run(layer, arrays, mask, reverse,
-                                                   rmask, weights, dtype)
+                runs = {(layer, dtype): _layer_run(layer, arrays, lengths,
+                                                   reverse, rmask, weights,
+                                                   dtype)
                         for layer in (_gx_layer, lstm_layer_dense)
                         for dtype in (np.float64, np.float32)}
                 hs, grads = runs[_gx_layer, np.float64]
@@ -662,23 +682,15 @@ class TestLstmLayer:
 
         monkeypatch.setattr(ad, "_gemm_rows", counting)
         rng = np.random.default_rng(27)
-        mask = np.arange(T)[:, None] < np.array(lengths)[None, :]
         x = f64_param(rng.normal(size=(T, B, D)), "x")
         cell = ad.init_lstm(rng, D, H, "cell", dtype=np.float64)
         with ad.Tape() as tape:
-            loss = ad.sum_(ad.lstm_layer(x, cell, mask=mask, reverse=reverse))
+            loss = ad.sum_(ad.lstm_layer(x, cell, lengths=np.array(lengths),
+                                         reverse=reverse))
         forward = sum(fed)
         ad.backward(tape, loss)
         backward = sum(fed) - forward
         assert forward == backward == sum(lengths) + extra
-
-    def test_rejects_non_prefix_mask(self):
-        gx, wh = f64(np.zeros((4, 2, 8))), f64(np.zeros((8, 2)))
-        hole = np.array([[1, 1], [0, 1], [1, 1], [0, 0]], dtype=bool)
-        late = np.array([[0, 1], [1, 1], [1, 0], [0, 0]], dtype=bool)
-        for mask in (hole, late):
-            with pytest.raises(ad.MaskError, match="not a prefix"):
-                _gx_layer(gx, wh, mask=mask)
 
     def test_padding_never_changes_real_steps(self):
         rng = np.random.default_rng(22)
@@ -690,7 +702,7 @@ class TestLstmLayer:
         for reverse in (False, True):
             short = _gx_layer(f32(gx), wh, reverse=reverse)
             long = _gx_layer(f32(padded), wh, reverse=reverse,
-                             mask=np.arange(5)[:, None] < np.array([[3]]))
+                             lengths=np.array([3]))
             np.testing.assert_array_equal(long.data[:3], short.data)
             np.testing.assert_array_equal(long.data[3:], 0.0)
 
@@ -704,10 +716,10 @@ class TestLstmLayer:
         gx = f32(rng.normal(size=(T, B, 4 * H)))
         wh, h0, c0 = (f32(rng.normal(size=shape))
                       for shape in ((4 * H, H), (B, H), (B, H)))
-        mask = np.arange(T)[:, None] < np.array([[6, 1, 3, 6, 2]])
         rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float32)
                  if dropout else None)
-        kw = dict(mask=mask, reverse=reverse, rmask=rmask)
+        kw = dict(lengths=np.array([6, 1, 3, 6, 2]), reverse=reverse,
+                  rmask=rmask)
         with ad.Tape() as tape:
             taped = _gx_layer(gx, wh, h0, c0, **kw)
         assert len(tape.records) == 1
@@ -780,8 +792,12 @@ class TestLstmLayer:
                                        cond=f64(np.zeros((3, 1)))),
                  lambda: ad.lstm_layer(x, cell, f64(np.zeros((2, 3))), state),
                  lambda: ad.lstm_layer(x, cell, state, f64(np.zeros((1, 2)))),
-                 lambda: ad.lstm_layer(x, cell, rmask=np.ones((2, 3))),
-                 lambda: ad.lstm_layer(x, cell, mask=np.ones((2, 3), bool))]
+                 lambda: ad.lstm_layer(x, cell, rmask=np.ones((2, 3)))]
+        # lengths (B,) = (2,) integers in [0, T] = [0, 3]
+        calls += [lambda lengths=lengths: ad.lstm_layer(x, cell, lengths=lengths)
+                  for lengths in (np.array([3]), np.array([[3, 3]]),
+                                  np.array([3.0, 2.0]), np.array([True, True]),
+                                  np.array([-1, 2]), np.array([2, 4]))]
         for call in calls:
             with pytest.raises(ad.ShapeError):
                 call()
@@ -799,8 +815,7 @@ class TestLstmLayer:
         close = dict(rtol=1e-10, atol=1e-10)
         for T, lengths in PACKING_CASES.values():
             B = len(lengths)
-            mask = (None if min(lengths) == T
-                    else np.arange(T)[:, None] < np.array(lengths)[None, :])
+            lengths = None if min(lengths) == T else np.array(lengths)
             for reverse, given, dropout in itertools.product((False, True),
                                                              repeat=3):
                 arrays = {"x": rng.normal(size=(T, B, D)),
@@ -818,7 +833,7 @@ class TestLstmLayer:
                 for fused in (True, False):
                     p = {k: f64_param(v, k) for k, v in arrays.items()}
                     cell = ad.LstmParams(p["wi"], p["wh"], p["b"])
-                    kw = dict(mask=mask, reverse=reverse, rmask=rmask)
+                    kw = dict(lengths=lengths, reverse=reverse, rmask=rmask)
                     with ad.Tape() as tape:
                         if fused:
                             hs = ad.lstm_layer(p["x"], cell, p.get("h0"),
@@ -854,12 +869,12 @@ def _bilstm_params(arrays, dtype):
     return p, cells
 
 
-def _bilstm_run(layer, arrays, mask, weights, dtype):
+def _bilstm_run(layer, arrays, lengths, weights, dtype):
     """States and the gradients of x and both cells' weights of `layer`
     under a weighted-sum loss."""
     p, (fwd, bwd) = _bilstm_params(arrays, dtype)
     with ad.Tape() as tape:
-        hs = layer(p["x"], fwd, bwd, mask=mask)
+        hs = layer(p["x"], fwd, bwd, lengths=lengths)
         loss = ad.sum_(ad.mul(hs, ad.Tensor(weights.astype(dtype))))
     ad.backward(tape, loss)
     return hs.data, {name: t.grad for name, t in p.items()}
@@ -872,15 +887,14 @@ class TestBilstmLayer:
         and all seven gradients bit-equal, float64 within 1e-10."""
         T, lengths = PACKING_CASES[case]
         B, D, H = len(lengths), 5, 8
-        lengths = np.array(lengths)
-        mask = (None if (lengths == T).all()
-                else np.arange(T)[:, None] < lengths[None, :])
+        lengths = None if min(lengths) == T else np.array(lengths)
         rng = np.random.default_rng(31)
         arrays = _bilstm_arrays(rng, T, B, D, H)
         weights = rng.normal(size=(T, B, 2 * H))
         for dtype in (np.float32, np.float64):
-            hs, grads = _bilstm_run(ad.bilstm_layer, arrays, mask, weights, dtype)
-            hs_ref, grads_ref = _bilstm_run(bilstm_composed, arrays, mask,
+            hs, grads = _bilstm_run(ad.bilstm_layer, arrays, lengths, weights,
+                                    dtype)
+            hs_ref, grads_ref = _bilstm_run(bilstm_composed, arrays, lengths,
                                             weights, dtype)
             assert hs.dtype == dtype and len(grads) == 7
             if dtype == np.float32:
@@ -903,12 +917,11 @@ class TestBilstmLayer:
         for _ in range(12):
             T, B = int(rng.integers(1, 8)), int(rng.integers(1, 6))
             lengths = rng.integers(1, T + 1, size=B)
-            mask = np.arange(T)[:, None] < lengths[None, :]
             arrays = _bilstm_arrays(rng, T, B, 3, 4)
             weights = rng.normal(size=(T, B, 8))
-            hs, grads = _bilstm_run(ad.bilstm_layer, arrays, mask, weights,
+            hs, grads = _bilstm_run(ad.bilstm_layer, arrays, lengths, weights,
                                     np.float64)
-            hs_ref, grads_ref = _bilstm_run(bilstm_composed, arrays, mask,
+            hs_ref, grads_ref = _bilstm_run(bilstm_composed, arrays, lengths,
                                             weights, np.float64)
             np.testing.assert_allclose(hs, hs_ref, **close)
             for name in grads:
@@ -948,7 +961,7 @@ class TestBilstmLayer:
         assert peaks[0] < 7 * hs.data.nbytes < peaks[1]
 
     def test_errors_match_composition_before_any_work(self, monkeypatch):
-        """Shape and mask errors are the composition's types and come
+        """Shape and lengths errors are the composition's types and come
         from the calling thread before the worker gets anything."""
         class NoWorker:
             def submit(self, *args):
@@ -957,24 +970,24 @@ class TestBilstmLayer:
         monkeypatch.setattr(ad, "_worker", NoWorker())
         T, B, D, H = 4, 2, 5, 2
         good = _bilstm_arrays(np.random.default_rng(35), T, B, D, H)
-        hole = np.array([[1, 1], [0, 1], [1, 1], [0, 0]], dtype=bool)
         cases = [({"fwd.wi": np.zeros((4 * H, D + 1))}, None),
                  ({"bwd.wh": np.zeros((4 * H, H + 1))}, None),
                  ({"fwd.b": np.zeros(4 * H + 1)}, None),
                  ({"x": np.zeros((T, B))}, None),
                  ({"x": np.zeros((0, B, D))}, None),
-                 ({}, np.ones((T + 1, B), bool)),
-                 ({}, hole)]
-        for change, mask in cases:
+                 ({}, np.full(B + 1, T)),
+                 ({}, np.array([T, 1.5])),
+                 ({}, np.array([T, -1])),
+                 ({}, np.array([T + 1, 1]))]
+        for change, lengths in cases:
             p, (fwd, bwd) = _bilstm_params({**good, **change}, np.float64)
             errors = []
             for layer in (ad.bilstm_layer, bilstm_composed):
                 with pytest.raises(ValueError) as info:
-                    layer(p["x"], fwd, bwd, mask=mask)
+                    layer(p["x"], fwd, bwd, lengths=lengths)
                 errors.append(type(info.value))
-            assert errors[0] is errors[1], (change, mask)
-            assert errors[0] in (ad.ShapeError, ad.MaskError,
-                                 ad.EmptySequenceError)
+            assert errors[0] is errors[1], (change, lengths)
+            assert errors[0] in (ad.ShapeError, ad.EmptySequenceError)
 
     @pytest.mark.parametrize("in_backward", [False, True])
     def test_worker_exception_reaches_caller(self, monkeypatch, in_backward):

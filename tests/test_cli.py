@@ -574,6 +574,23 @@ class TestEvalAndGenerate:
                      "--out-root", str(tmp_path / "rr")])
         assert code == 1
 
+    def test_malformed_checkpoint_exits_1(self, tmp_path, toy_config, trained,
+                                          capsys):
+        """A checkpoint whose meta has lost its vocabulary is an input
+        error that names the missing key."""
+        from nliexpl.checkpoint import load_checkpoint, save_checkpoint
+        arrays, manifest = load_checkpoint(trained)
+        del manifest["meta"]["vocab_tokens"]
+        broken = save_checkpoint(tmp_path / "broken", arrays,
+                                 meta=manifest["meta"])
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("a dog runs\n")
+        code = main(["repr-export", "--config", str(toy_config),
+                     "--checkpoint", str(broken), "--sentences", str(sentences),
+                     "--out-root", str(tmp_path / "rr")])
+        assert code == 1
+        assert "vocab_tokens" in capsys.readouterr().err
+
 
 class TestExplainThenPredictCommand:
     """`eval --expl-classifier` on untrained checkpoints of a generator

@@ -196,7 +196,7 @@ class TestEncodeExample:
         v = _vocab_for(examples)
         for e in examples:
             enc = D.encode_example(e, v)
-            assert v.decode(enc.premise, skip_special=True) == e.premise
+            assert v.decode(enc.premise) == e.premise
             assert v.decode(enc.explanations[0]) == e.explanations[0]
 
     def test_unknown_tokens_become_unk(self):

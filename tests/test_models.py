@@ -21,7 +21,8 @@ from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
                             build_model, feature_vector, load_model)
 from model_utils import (full_model_grad_check, label_alone, toy_config,
                          toy_setup)
-from oracles import bilstm_composed, max_rel_err, straight_line_attention
+from oracles import (bilstm_composed, max_rel_err, straight_line_attention,
+                     teacher_forced_dense)
 from synth import make_examples
 from variant_digests import PINNED_ENV
 
@@ -498,6 +499,49 @@ class TestDecoding:
         summed = {name: sum(r[0][name] for r in rows) for name in whole}
         assert max_rel_err(whole, summed) < 1e-4
 
+    @pytest.mark.parametrize("variant,alpha", [
+        ("pred-expl", 0.6), ("expl-pred-att", None), ("hyp-to-expl", None),
+        ("autoenc", 0.6)])
+    def test_real_rows_match_dense_oracle(self, monkeypatch, variant, alpha):
+        """Scoring the gathered real target rows against the dense path
+        that scored all S * B rows and zeroed the pad ones: each decoded
+        sequence's NLL sum, token and correct counts, the training loss
+        (recurrent dropout on) and every gradient agree (float64, 1e-10)."""
+        model, batch, _ = toy_setup(variant, n=8, hidden=5, dec=6)
+        assert len(set(batch.explanation_len)) > 1
+        model.cast_(np.float64)
+        params = model.params()
+        runs = []
+        for forced in (M.LstmDecoder.teacher_forced, teacher_forced_dense):
+            results = []
+
+            def spy(self, *args, forced=forced, **kw):
+                results.append(forced(self, *args, **kw))
+                return results[-1]
+
+            monkeypatch.setattr(M.LstmDecoder, "teacher_forced", spy)
+            with ad.Tape() as tape:
+                loss, _ = model.loss(batch, train=True,
+                                     rng=np.random.default_rng(4), alpha=alpha)
+            ad.backward(tape, loss)
+            grads = {name: p.grad for name, p in params.items()}
+            for p in params.values():
+                p.grad = None
+            runs.append((float(loss.data), grads,
+                         [(float(r.nll_sum.data), r.n_tokens, r.n_correct)
+                          for r in results]))
+        (loss, grads, seqs), (loss_ref, grads_ref, seqs_ref) = runs
+        close = dict(rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(loss, loss_ref, **close)
+        assert len(seqs) == len(seqs_ref) == (2 if variant == "autoenc" else 1)
+        for (nll, *counts), (nll_ref, *counts_ref) in zip(seqs, seqs_ref):
+            np.testing.assert_allclose(nll, nll_ref, **close)
+            assert counts == counts_ref
+        assert grads.keys() == grads_ref.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], grads_ref[name],
+                                       err_msg=name, **close)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("variant", EXPLAINING)
     def test_greedy_agrees_with_teacher_forcing_on_its_output(self, variant,
@@ -739,6 +783,30 @@ class TestSaveLoad:
                         meta=meta)
         assert load_model(tmp_path / "old").param_hash() == model.param_hash()
 
+    @pytest.mark.parametrize("edit,named", [
+        (lambda arrays, meta: arrays.pop("embedding.frozen"), "embedding.frozen"),
+        (lambda arrays, meta: meta.pop("vocab_tokens"), "vocab_tokens"),
+        (lambda arrays, meta: meta["model"]["config"].update(colour="blue"),
+         "colour"),
+        (lambda arrays, meta: arrays.update(stray=np.zeros(3, np.float32)),
+         "stray"),
+        (lambda arrays, meta: meta["model"]["config"].update(
+            variant="bilstm-max"), "decoder.cell.wi")],
+        ids=["no-frozen-table", "no-vocab-tokens", "unknown-config-key",
+             "extra-tensor", "variant-without-decoder"])
+    def test_malformed_checkpoint_rejected(self, tmp_path, edit, named):
+        """A checkpoint that does not hold exactly the model its meta
+        describes is a ModelError naming the key or tensors at fault;
+        a pred-expl checkpoint relabelled bilstm-max would otherwise
+        load without its decoder."""
+        model, _, _ = toy_setup("pred-expl", n=3)
+        model.save(tmp_path / "ckpt")
+        arrays, manifest = load_checkpoint(tmp_path / "ckpt")
+        edit(arrays, manifest["meta"])
+        save_checkpoint(tmp_path / "edited", arrays, meta=manifest["meta"])
+        with pytest.raises(M.ModelError, match=named):
+            load_model(tmp_path / "edited")
+
     def test_manifest_survives(self, tmp_path):
         model, batch, vocab = toy_setup("expl-pred-att", n=3)
         model.save(tmp_path / "ckpt", extra_meta={"note": "test"})
@@ -751,8 +819,8 @@ class TestParentParity:
     def test_every_variant_matches_recorded_digests(self):
         """Float32, all 8 variants at H = 4 and 16: checkpoint names and
         shapes, init values, loss, gradients, one SGD step, evaluation
-        outputs and a save/load round trip match what the code computed
-        before the parts listed their own weights (variant_digests.py)."""
+        outputs and a save/load round trip match the recorded digests
+        (variant_digests.py)."""
         here = Path(__file__).parent
         env = {**os.environ, **PINNED_ENV,
                "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
@@ -769,10 +837,16 @@ class TestParentParity:
 
 class TestPaddingInvariance:
     @pytest.mark.parametrize("variant", ["bilstm-max", "pred-expl",
-                                         "expl-pred-att"])
+                                         "expl-pred-att", "hyp-to-expl"])
     def test_extra_padding_changes_nothing(self, variant):
-        model, batch, vocab = toy_setup(variant, n=4)
-        alpha = 0.6 if variant == "pred-expl" else None
+        """Pad columns on every sentence, 60 on the explanation, change
+        no bit of the loss, the explanation NLL or the generations
+        (float32). At this size, scoring every padded target row and
+        zeroing the pad ones changed the loss or NLL of each explaining
+        variant: the sums ran over more rows."""
+        model, batch, vocab = toy_setup(variant, n=24, seed=8, hidden=16,
+                                        dec=16)
+        alpha = 0.6 if model.takes_alpha else None
 
         def widen(ids, extra=4):
             pad = np.zeros((ids.shape[0], extra), dtype=np.int64)
@@ -782,11 +856,13 @@ class TestPaddingInvariance:
             ids=batch.ids, premise=widen(batch.premise),
             premise_len=batch.premise_len, hypothesis=widen(batch.hypothesis),
             hypothesis_len=batch.hypothesis_len, labels=batch.labels,
-            explanation=batch.explanation, explanation_len=batch.explanation_len)
+            explanation=widen(batch.explanation, 60),
+            explanation_len=batch.explanation_len)
         l1 = float(model.loss(batch, train=False, alpha=alpha)[0].data)
         l2 = float(model.loss(padded, train=False, alpha=alpha)[0].data)
         assert l1 == l2
-        if variant != "bilstm-max":
+        if model.explains:
+            assert model.explanation_nll(batch) == model.explanation_nll(padded)
             g1 = model.generate(batch)[0]
             g2 = model.generate(padded)[0]
             assert g1 == g2

@@ -8,11 +8,15 @@ the `evaluation_pass` outputs (labels, NLL, token counts, greedy ids).
     python tests/variant_digests.py > digests.json
 
 prints them as JSON. `tests/fixtures/variant_digests.json` holds the
-digests of the code before parameters were collected from the parts
-(commit 0a6486a); `test_models.TestParentParity` runs this script and
-compares. Float32 GEMM and SIMD results depend on the kernels picked,
-so it is run with the pins of `PINNED_ENV`: one OpenBLAS thread,
-Haswell GEMM kernels and no AVX-512 numpy loops.
+digests recorded when teacher forcing began scoring only the real
+target rows, which moved the float32 bits of the explaining variants
+(the NLL and output-head gradients sum fewer rows), after the float64
+differential test against `oracles.teacher_forced_dense` passed.
+`test_models.TestParentParity` runs this script and compares; a change
+that moves the digests passes such a test against the code it replaces
+before they are recorded again. Float32 GEMM and SIMD results depend
+on the kernels picked, so it is run with the pins of `PINNED_ENV`: one
+OpenBLAS thread, Haswell GEMM kernels and no AVX-512 numpy loops.
 """
 
 import hashlib
