@@ -2,24 +2,23 @@
 
 Implements exactly the operations the model zoo needs: affine maps
 (one GEMM over all leading axes), elementwise arithmetic and tanh,
-masked softmax, max-over-time pooling, concatenation, attention
-contractions, embedding lookup with partially trainable rows, dropout,
-a fused LSTM layer and step, and plain SGD with per-epoch learning-rate
-decay.
+softmax, max-over-time pooling, concatenation, row gathering, embedding
+lookup with partially trainable rows, dropout, two fused LSTM ops, and
+plain SGD with per-epoch learning-rate decay.
 
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
-and share one fused gate kernel (`_lstm_gates`, derivatives `_gate_grads`).
-`lstm_layer` runs a sequence from its raw input as one tape record: the
-input projection is one GEMM done before the recurrence (that of a
-`cond` input, the same at every step, once), each step runs over the
-rows still live only (packed sequences: a row's length is its only
-record of padding), the backward direction is done inside the op, and
-the recurrent weight gradient of backprop through time is one GEMM over
-all steps. `bilstm_layer` runs both directions of an encoder at once,
-one on a worker thread; both ops run one direction core
-(`_lstm_direction`). `lstm_step` is one step, for decoders whose next
-input needs the state (attention, greedy decoding). The cell composed
-from generic tape ops lives in `tests/oracles.py` as their reference.
+and share one step (`_lstm_step`) on one fused gate kernel. `lstm_layer`
+runs a sequence from its raw input as one tape record: one input GEMM
+before the recurrence, each step over the rows still live only (packed
+sequences: a row's length is its only record of padding), and backprop
+through time inside the op. A decoder's `cond` joins the gate input
+once per sequence (a source vector) or at every step as attention read
+from the previous hidden state (`Attention`, `_Contexts`), whose
+backward joins the same BPTT loop. `bilstm_layer` runs both directions
+of an encoder at once, one on a worker thread, on the same direction
+core (`_lstm_direction`); greedy decoding runs the same step on arrays
+(`lstm_stepper`). The cell and the attention decoder composed from
+generic tape ops live in `tests/oracles.py` as their references.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
@@ -46,10 +45,6 @@ class ShapeError(ValueError):
 
 class EmptySequenceError(ValueError):
     """A time-indexed op received zero timesteps."""
-
-
-class MaskError(ValueError):
-    """A softmax mask leaves a row with no unmasked position."""
 
 
 class TapeError(RuntimeError):
@@ -338,31 +333,17 @@ def sum_(a: Tensor) -> Tensor:
 # Softmax and losses
 
 
-def softmax(logits: Tensor, mask: np.ndarray | None = None,
-            overwrite: bool = False) -> Tensor:
-    """Row-wise stable softmax; masked positions get exactly 0.
+def softmax(logits: Tensor, overwrite: bool = False) -> Tensor:
+    """Row-wise stable softmax of `logits`, 1-D (n,) or 2-D (rows, n).
 
-    `logits` is 1-D (n,) or 2-D (rows, n); `mask` is a boolean array of
-    the same shape, True on positions allowed to receive mass. Every row
-    must keep at least one unmasked position. With `overwrite`, the
-    result is computed in the buffer of `logits`, which the caller must
-    not read afterwards (neither backward pass needs it); for large
-    vocabularies this keeps one (rows, n) array live instead of two.
+    With `overwrite`, the result is computed in the buffer of `logits`,
+    which the caller must not read afterwards (neither backward pass
+    needs it); for large vocabularies this keeps one (rows, n) array live
+    instead of two.
     """
     x = logits.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError(f"softmax: mask {mask.shape} vs logits {x.shape}")
-        if not mask.any(axis=-1).all():
-            raise MaskError("softmax: a row has all positions masked")
-        neg = np.finfo(x.dtype).min
-        x = np.where(mask, x, neg)
-        overwrite = True   # x is already a private copy
     e = np.subtract(x, x.max(axis=-1, keepdims=True), out=x if overwrite else None)
     np.exp(e, out=e)
-    if mask is not None:
-        e[~mask] = 0.0
     e /= e.sum(axis=-1, keepdims=True)
     out = Tensor(e.astype(logits.dtype, copy=False))
     sd = out.data
@@ -433,15 +414,6 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
 # Sequence ops
 
 
-def stack_steps(steps: list[Tensor]) -> Tensor:
-    """Stack T same-shape tensors along a new leading time axis."""
-    if not steps:
-        raise EmptySequenceError("stack_steps: no timesteps")
-    out = Tensor(np.stack([s.data for s in steps], axis=0))
-    _record(out, tuple(steps), lambda g: tuple(g[t] for t in range(len(steps))))
-    return out
-
-
 def max_over_time(seq: Tensor, lengths: np.ndarray | None = None) -> Tensor:
     """Per-dimension max over the leading time axis.
 
@@ -475,41 +447,6 @@ def max_over_time(seq: Tensor, lengths: np.ndarray | None = None) -> Tensor:
         return (full,)
 
     _record(out, (seq,), _bw)
-    return out
-
-
-def attn_scores(query: Tensor, keys: Tensor) -> Tensor:
-    """Dot products of one query per batch row with all timestep keys.
-
-    query (B, A), keys (T, B, A) -> scores (B, T).
-    """
-    q, k = query.data, keys.data
-    if q.ndim != 2 or k.ndim != 3 or k.shape[1:] != q.shape:
-        raise ShapeError(f"attn_scores: query {q.shape} vs keys {k.shape}")
-    out = Tensor(np.einsum("ba,tba->bt", q, k, optimize=True))
-
-    def _bw(g):
-        gq = np.einsum("bt,tba->ba", g, k, optimize=True)
-        gk = np.einsum("bt,ba->tba", g, q, optimize=True)
-        return (gq, gk)
-
-    _record(out, (query, keys), _bw)
-    return out
-
-
-def attn_combine(weights: Tensor, values: Tensor) -> Tensor:
-    """Weighted sum of timestep values: (B,T) x (T,B,A) -> (B,A)."""
-    w, v = weights.data, values.data
-    if w.ndim != 2 or v.ndim != 3 or (v.shape[0], v.shape[1]) != (w.shape[1], w.shape[0]):
-        raise ShapeError(f"attn_combine: weights {w.shape} vs values {v.shape}")
-    out = Tensor(np.einsum("bt,tba->ba", w, v, optimize=True))
-
-    def _bw(g):
-        gw = np.einsum("ba,tba->bt", g, v, optimize=True)
-        gv = np.einsum("bt,ba->tba", w, g, optimize=True)
-        return (gw, gv)
-
-    _record(out, (weights, values), _bw)
     return out
 
 
@@ -623,103 +560,182 @@ def _recurrent(h: np.ndarray, w: np.ndarray) -> np.ndarray:
     return (w @ h.T).T
 
 
-def lstm_step(gx: Tensor, h: Tensor, c: Tensor, wh: Tensor,
-              rmask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
-    """One LSTM step on `lstm_layer`'s kernel: gx (B, 4H) is the step's
-    input projection with the bias added, h/c (B, H) the state, `rmask`
-    (B, H) a recurrent dropout mask on h. Returns (h', c').
+@dataclass
+class Attention:
+    """One attention head, as part of a decoder's `cond` (`lstm_layer`):
+    keys and values (T_k, B, A) project an encoded sentence once per
+    sequence, whose row b is real at t < lengths[b] ((B,) integers in
+    [1, T_k]); wc (A, H) and bc (A,) make each step's query from the
+    decoder's previous hidden state."""
 
-    Two tape records: c' carries the step's whole backward; h' passes
-    its gradient on to c' and keeps it for the output gate, so backward
-    is complete whichever output a loss reads.
-    """
-    x, w = gx.data, wh.data
-    if x.ndim != 2 or w.ndim != 2 or w.shape != (x.shape[1], x.shape[1] // 4) \
-            or x.shape[1] % 4:
-        raise ShapeError(f"lstm_step: gx {x.shape} incompatible with wh {w.shape}")
-    B, G = x.shape
-    H = G // 4
-    if h.shape != (B, H) or c.shape != (B, H):
-        raise ShapeError(f"lstm_step: state {h.shape}, {c.shape}, "
-                         f"expected {(B, H)}")
-    h_in = h.data
-    if rmask is not None:
-        rmask = np.asarray(rmask, dtype=x.dtype)
-        if rmask.shape != (B, H):
-            raise ShapeError(f"lstm_step: rmask {rmask.shape}, expected {(B, H)}")
-        h_in = h_in * rmask
-    acts, c_new, tc, h_new = _lstm_gates(x + _recurrent(h_in, w), c.data)
-    h_out, c_out = Tensor(h_new), Tensor(c_new)
-    if _active_tape() is None:
-        return h_out, c_out
-    per_dc, per_dh, dc_from_h = _gate_grads(acts, c.data, tc)
-    f = acts[:, H:2 * H].copy()   # so that backward keeps no view of acts
-    dh_new = [0.0]   # the gradient of h', once its record has run
+    wc: Tensor
+    bc: Tensor
+    keys: Tensor
+    values: Tensor
+    lengths: np.ndarray
 
-    def _bw(g):
-        dz = np.empty((B, 4, H), dtype=x.dtype)
-        np.multiply(per_dc, g[:, None, :], out=dz[:, :3])
-        np.multiply(per_dh, dh_new[0], out=dz[:, 3])
-        dz = dz.reshape(B, G)
-        dh = dz @ w
-        if rmask is not None:
-            dh *= rmask
-        return (dz, dh, g * f, dz.T @ h_in)
 
-    def _bw_h(g):
-        dh_new[0] = g
-        return (g * dc_from_h,)
+def _cond_width(cond) -> int:
+    """The number of wi's columns that `cond` (see `lstm_layer`) reads."""
+    if isinstance(cond, list):
+        return sum(a.values.shape[-1] for a in cond)
+    return 0 if cond is None else cond.shape[-1]
 
-    _record(c_out, (gx, h, c, wh), _bw)
-    _record(h_out, (c_out,), _bw_h)
-    return h_out, c_out
+
+class _Contexts:
+    """The attention term of an LSTM's gate input (Bahdanau, Cho & Bengio
+    2015): each head's context of the previous hidden state h (before
+    dropout), times the heads' columns w (4H, C) of wi. Rows are held in
+    `order`: a step over n rows reads the first n of every array. With
+    `recording`, `backward` takes the cached steps in reverse and sums the
+    gradients of w and of each head's wc, bc, keys and values in `grads`."""
+
+    def __init__(self, heads: list[Attention], w: np.ndarray,
+                 order: np.ndarray, recording: bool):
+        self.w, self.heads, self.steps = w, [], [] if recording else None
+        for a in heads:
+            keys, values = (t.data.transpose(1, 0, 2)[order]   # (B, T_k, A)
+                            for t in (a.keys, a.values))
+            pad = np.arange(keys.shape[1]) >= np.asarray(a.lengths)[order, None]
+            self.heads.append((a.wc.data, a.bc.data, keys, values, pad))
+        if recording:
+            self.grads = [np.zeros_like(w)] + [
+                np.zeros_like(arr) for head in self.heads for arr in head[:4]]
+
+    def attend(self, h: np.ndarray):
+        """For the states h (n, H) of the first n rows: the contexts
+        (n, C) of all heads side by side, and each head's (query (n, A),
+        weights (n, T_k)); a pad key's weight is exactly 0."""
+        contexts, qa = [], []
+        for wc, bc, keys, values, pad in self.heads:
+            q = np.tanh(h @ wc.T + bc)
+            s = np.einsum("ba,bta->bt", q, keys[:len(h)])
+            s[pad[:len(h)]] = -np.inf
+            a = np.exp(s - s.max(axis=1, keepdims=True))
+            a /= a.sum(axis=1, keepdims=True)
+            contexts.append(np.einsum("bt,bta->ba", a, values[:len(h)]))
+            qa.append((q, a))
+        return np.concatenate(contexts, axis=1), qa
+
+    def term(self, h: np.ndarray) -> np.ndarray:
+        """The gate term (n, 4H) of the states h (n, H) of the first n rows."""
+        ctx, qa = self.attend(h)
+        if self.steps is not None:   # h may be a view of a state the caller updates
+            self.steps.append((h.copy(), ctx, qa))
+        return ctx @ self.w.T
+
+    def backward(self, dz: np.ndarray) -> np.ndarray:
+        """The gradient of the states h (n, H) that the last step not yet
+        taken back read, from its gate gradient dz (n, 4H)."""
+        h, ctx, qa = self.steps.pop()
+        n, lo = len(h), 0
+        dctx = dz @ self.w
+        self.grads[0] += dz.T @ ctx
+        dh = np.zeros_like(h)
+        for k, ((wc, _, keys, values, _), (q, a)) in enumerate(zip(self.heads, qa)):
+            dwc, dbc, dkeys, dvalues = self.grads[1 + 4 * k:5 + 4 * k]
+            dc = dctx[:, lo:lo + values.shape[2]]
+            lo += values.shape[2]
+            da = np.einsum("ba,bta->bt", dc, values[:n])
+            dvalues[:n] += a[:, :, None] * dc[:, None, :]
+            ds = a * (da - (a * da).sum(axis=1, keepdims=True))
+            dkeys[:n] += ds[:, :, None] * q[:, None, :]
+            dpre = np.einsum("bt,bta->ba", ds, keys[:n]) * (1.0 - q * q)
+            dwc += dpre.T @ h
+            dbc += dpre.sum(axis=0)
+            dh += dpre @ wc
+        return dh
+
+
+def _gate_terms(cell: LstmParams, cond, order: np.ndarray, recording: bool):
+    """How `cond` (see `lstm_layer`) joins a step's gate input: wi's
+    columns for the input x_t, the term added at every step (b, plus a
+    cond Tensor's product with its columns), and `_Contexts` or None."""
+    wi, b = cell.wi.data, cell.b.data
+    C = _cond_width(cond)
+    if isinstance(cond, Tensor):
+        per_seq = cond.data @ wi[:, -C:].T
+        per_seq += b
+        return wi[:, :-C], per_seq, None
+    return (wi[:, C:], b,
+            None if cond is None else _Contexts(cond, wi[:, :C], order, recording))
+
+
+def _lstm_step(gx_t: np.ndarray, h: np.ndarray, c: np.ndarray, w: np.ndarray,
+               rm: np.ndarray | None, ctx: _Contexts | None, gemm: bool):
+    """The step every LSTM path runs, over the first n = len(gx_t) rows
+    of the state h, c (B, H): gate input gx_t (n, 4H), plus h's recurrent
+    term through the dropout mask `rm`, plus the attention term `ctx` of
+    h, then the gates. Returns the h the recurrent GEMM read and
+    `_lstm_gates`' outputs."""
+    n = len(gx_t)
+    h_t = h[:n] if rm is None else h[:n] * rm[:n]
+    z = gx_t + _recurrent(_gemm_rows(h_t, gemm), w)[:n]
+    if ctx is not None:
+        z += ctx.term(h[:n])
+    return h_t, _lstm_gates(z, c[:n])
+
+
+def _check_lengths(op: str, lengths, B: int, low: int, high: int) -> np.ndarray:
+    lengths = np.asarray(lengths)
+    if lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer) \
+            or (lengths < low).any() or (lengths > high).any():
+        raise ShapeError(f"{op}: lengths {lengths.dtype} {lengths.shape}, "
+                         f"expected ({B},) integers in [{low}, {high}]")
+    return lengths.astype(np.int64, copy=False)
 
 
 def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
-                cond: Tensor | None = None, h0: Tensor | None = None,
-                c0: Tensor | None = None, rmask: np.ndarray | None = None):
+                cond=None, h0: Tensor | None = None, c0: Tensor | None = None,
+                rmask: np.ndarray | None = None):
     """The checks of an LSTM sequence op: x (T, B, D) with T > 0; each
-    cell's wi (4H, D + C), wh (4H, H) and b (4H,), C being the width of
-    `cond` (B, C) or 0; h0, c0 and `rmask` (B, H); `lengths` (B,)
-    integers in [0, T]. Returns the lengths (all T if None) as int64 and
-    `rmask` as an array of the states' dtype."""
+    cell's wi (4H, D + C), wh (4H, H) and b (4H,), C being `cond`'s
+    width; a cond Tensor (B, C), or `Attention` heads as documented;
+    h0, c0 and `rmask` (B, H); `lengths` (B,) integers in [0, T].
+    Returns the lengths (all T if None) as int64 and `rmask` as an array
+    of the states' dtype."""
     xd = x.data
     H = cells[0].wh.shape[-1]
-    C = 0 if cond is None else cond.shape[-1]
-    if xd.ndim != 3 or (cond is not None and cond.shape != (xd.shape[1], C)) \
+    C = _cond_width(cond)
+    if xd.ndim != 3 or (isinstance(cond, Tensor) and cond.shape != (xd.shape[1], C)) \
             or any((c.wi.shape, c.wh.shape, c.b.shape) != (
                 (4 * H, xd.shape[-1] + C), (4 * H, H), (4 * H,)) for c in cells):
-        raise ShapeError(f"{op}: x {xd.shape}, cond {cond and cond.shape} "
+        raise ShapeError(f"{op}: x {xd.shape}, cond of width {C} "
                          f"incompatible with wi {[c.wi.shape for c in cells]}, "
                          f"wh {[c.wh.shape for c in cells]}")
     T, B, _ = xd.shape
     if T == 0:
         raise EmptySequenceError(f"{op}: no timesteps")
+    for k, a in enumerate(cond if isinstance(cond, list) else []):
+        A, name = a.keys.shape[-1], f"{op}: attention head {k}"
+        if a.keys.data.ndim != 3 or a.keys.shape[1] != B or a.values.shape != \
+                a.keys.shape or (a.wc.shape, a.bc.shape) != ((A, H), (A,)):
+            raise ShapeError(f"{name}: keys, values, wc, bc "
+                             f"{[t.shape for t in (a.keys, a.values, a.wc, a.bc)]}, "
+                             f"expected (T_k, {B}, A) twice, (A, {H}), (A,)")
+        _check_lengths(name, a.lengths, B, 1, a.keys.shape[0])
     if rmask is not None:
         rmask = np.asarray(rmask, dtype=np.result_type(xd, cells[0].wi.data))
     bad = [f"{name} {s.shape}" for name, s in (("h0", h0), ("c0", c0), ("rmask", rmask))
            if s is not None and s.shape != (B, H)]
     if bad:
         raise ShapeError(f"{op}: {', '.join(bad)}, expected {(B, H)}")
-    lengths = np.full(B, T) if lengths is None else np.asarray(lengths)
-    if lengths.shape != (B,) or not np.issubdtype(lengths.dtype, np.integer) \
-            or (lengths < 0).any() or (lengths > T).any():
-        raise ShapeError(f"{op}: lengths {lengths.dtype} {lengths.shape}, "
-                         f"expected ({B},) integers in [0, {T}]")
-    return lengths.astype(np.int64, copy=False), rmask
+    return _check_lengths(op, np.full(B, T) if lengths is None else lengths,
+                          B, 0, T), rmask
 
 
 def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
                c0: Tensor | None = None, lengths: np.ndarray | None = None,
-               cond: Tensor | None = None, reverse: bool = False,
-               rmask: np.ndarray | None = None) -> Tensor:
+               cond: Tensor | list[Attention] | None = None,
+               reverse: bool = False, rmask: np.ndarray | None = None) -> Tensor:
     """An LSTM over a whole sequence x (T, B, D) as one tape record.
 
-    Step t's gate input is x_t @ wi.T + b, one GEMM for all steps. With
-    `cond` (B, C), the same at every step (a decoder's source), step t
-    reads [x_t, cond]: wi is (4H, D + C) and the product of cond with
-    its last C columns is computed once. h0/c0 (B, H) are the initial
-    state (None is a zero state). Returns the hidden states (T, B, H).
+    Step t's gate input is x_t @ wi.T + b, one GEMM for all steps, plus
+    the term of `cond`, what a decoder reads besides its input: with a
+    Tensor (B, C) (its source) step t reads [x_t, cond], the product with
+    wi's last C columns made once; with `Attention` heads it reads [each
+    head's context of the previous hidden state, x_t]. h0/c0 (B, H) are
+    the initial state (None is a zero state). Returns the states (T, B, H).
 
     Row b's real steps are t < `lengths[b]`, `lengths` being (B,)
     integers in [0, T] (otherwise ShapeError); None means all T. Pad
@@ -727,7 +743,7 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     T-1 down to 0, so each row's real prefix is read backwards starting
     from (h0, c0), exactly as if it had been reversed in place. `rmask`
     (B, H) is a recurrent dropout mask applied to the hidden state
-    entering every step.
+    entering every step's recurrent term.
 
     The work is `_lstm_direction`, run here on the calling thread;
     `bilstm_layer` runs it too, one direction on a worker thread.
@@ -738,43 +754,57 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     hs = np.zeros((T, B, cell.wh.shape[1]), np.result_type(x.data, cell.wi.data))
     grads = _lstm_direction(x.data, cell, lengths, hs, _active_tape() is not None,
                             reverse, *(None if t is None else t.data
-                                       for t in (h0, c0, cond)), rmask)
+                                       for t in (h0, c0)), cond, rmask)
     out = Tensor(hs)
     if grads is not None:
-        inputs = (x, cell.wi, cell.wh, cell.b, h0, c0, cond)
+        inputs = (x, cell.wi, cell.wh, cell.b, h0, c0, *(
+            [t for a in cond for t in (a.wc, a.bc, a.keys, a.values)]
+            if isinstance(cond, list) else [cond]))
         _record(out, tuple(t for t in inputs if t is not None),
                 lambda g: tuple(d for d in grads(g) if d is not None))
     return out
 
 
+def lstm_stepper(cell: LstmParams, h0: Tensor, c0: Tensor,
+                 cond: Tensor | list[Attention]):
+    """Greedy decoding's recurrence, with no tape: returns step(x_t),
+    which runs `lstm_layer`'s step (`_lstm_step`, `cond` read alike) for
+    one input x_t (B, D) on all B rows from the state it keeps (h0/c0 at
+    first) and returns the new hidden state (B, H)."""
+    state = [h0.data, c0.data]
+    wx, per_seq, ctx = _gate_terms(cell, cond, np.arange(len(state[0])), False)
+
+    def step(x_t: np.ndarray) -> np.ndarray:
+        _, (_, c, _, h) = _lstm_step(x_t @ wx.T + per_seq, *state, cell.wh.data,
+                                     None, ctx, len(x_t) > 1)
+        state[:] = h, c
+        return h
+
+    return step
+
+
 def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
                     hs: np.ndarray, recording: bool, reverse: bool = False,
                     h0: np.ndarray | None = None, c0: np.ndarray | None = None,
-                    cond: np.ndarray | None = None,
-                    rmask: np.ndarray | None = None,
+                    cond=None, rmask: np.ndarray | None = None,
                     gx: np.ndarray | None = None):
-    """`lstm_layer` on checked arrays and no tape, so any thread can run
-    it. The input GEMM of x (T, B, D) with wi's first D columns goes to
-    the buffer `gx` if given (as `_flat_matmul`), plus b, or plus
-    `cond @ wi[:, D:].T + b` once per sequence. The recurrence writes the
-    states into the zeroed `hs` (T, B, H), maybe a view, on packed
-    sequences as in the README: rows sorted once by descending length,
-    each step over the live prefix, several rows always through gemm
-    (`_gemm_rows`). Returns None or, `recording`, g -> the gradients of
-    (x, wi, wh, b, h0, c0, cond), None for an input not given."""
+    """`lstm_layer` on checked arrays (`cond` as given) and no tape, so
+    any thread can run it. The input GEMM of x (T, B, D) goes to the
+    buffer `gx` if given (as `_flat_matmul`), plus `_gate_terms`' term.
+    The recurrence writes the states into the zeroed `hs` (T, B, H),
+    maybe a view, on packed sequences as in the README: rows sorted once
+    by descending length, each step over the live prefix, several rows
+    always through gemm (`_gemm_rows`). Returns None or, `recording`,
+    g -> the gradients of (x, wi, wh, b, h0, c0, then cond's tensors),
+    None for an input not given."""
     T, B, D = x.shape
     wi, w = cell.wi.data, cell.wh.data
     G, H = w.shape
-    wx = wi[:, :D]
-    gx = _flat_matmul(x, wx.T, gx).reshape(T, B, G)
-    if cond is None:
-        gx += cell.b.data
-    else:
-        per_seq = cond @ wi[:, D:].T
-        per_seq += cell.b.data
-        gx += per_seq
-    dtype = gx.dtype
     order = np.argsort(-lengths, kind="stable")
+    wx, per_seq, ctx = _gate_terms(cell, cond, order, recording)
+    gx = _flat_matmul(x, wx.T, gx).reshape(T, B, G)
+    gx += per_seq
+    dtype = gx.dtype
     live = (lengths > np.arange(T)[:, None]).sum(axis=1)
     steps = np.flatnonzero(live)   # steps with no live row are skipped
     if reverse:
@@ -793,9 +823,8 @@ def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
     for t in steps:
         n = live[t]
         rows = order[:n]
-        h_t = h[:n] if rm is None else h[:n] * rm[:n]
-        z = gx[t, rows] + _recurrent(_gemm_rows(h_t, gemm), w)[:n]
-        a_t, c_new, tc_t, h_new = _lstm_gates(z, c[:n])
+        h_t, (a_t, c_new, tc_t, h_new) = _lstm_step(gx[t, rows], h, c, w, rm,
+                                                    ctx, gemm)
         if recording:
             acts[s:s + n], c_prev[s:s + n], tanh_c[s:s + n], h_in[s:s + n] = \
                 a_t, c[:n], tc_t, h_t
@@ -824,6 +853,8 @@ def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
             dh_next = (_gemm_rows(dz[blk].reshape(n, G), gemm) @ w)[:n]
             if rm is not None:
                 dh_next *= rm[:n]
+            if ctx is not None:
+                dh_next += ctx.backward(dz[blk].reshape(n, G))
             dh[:n] = dh_next
             dc[:n] = dc_new * f[blk]
         dz = dz.reshape(P, G)
@@ -835,12 +866,17 @@ def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
         dh0, dc0 = (None if s0 is None else d[unsort]
                     for s0, d in ((h0, dh), (c0, dc)))
         g2 = dgx.reshape(-1, G)
-        dx, dwi, dwh = (g2 @ wx).reshape(x.shape), g2.T @ x.reshape(-1, D), dz.T @ h_in
-        if cond is None:
-            return dx, dwi, dwh, g2.sum(axis=0), dh0, dc0, None
-        gs = dgx.sum(axis=0)   # the cond term's gradient, summed over steps
-        return (dx, np.concatenate([dwi, gs.T @ cond], axis=1), dwh,
-                gs.sum(axis=0), dh0, dc0, gs @ wi[:, D:])
+        dx, dwx, dwh = (g2 @ wx).reshape(x.shape), g2.T @ x.reshape(-1, D), dz.T @ h_in
+        if isinstance(cond, Tensor):
+            gs = dgx.sum(axis=0)   # the cond term's gradient, summed over steps
+            return (dx, np.concatenate([dwx, gs.T @ cond.data], axis=1), dwh,
+                    gs.sum(axis=0), dh0, dc0, gs @ wi[:, D:])
+        if ctx is None:
+            return dx, dwx, dwh, g2.sum(axis=0), dh0, dc0, None
+        dw, *dheads = (d if d.ndim < 3 else d[unsort].transpose(1, 0, 2)
+                       for d in ctx.grads)   # keys and values in batch order
+        return (dx, np.concatenate([dw, dwx], axis=1), dwh, g2.sum(axis=0),
+                dh0, dc0, *dheads)
 
     return grads
 

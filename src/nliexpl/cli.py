@@ -41,6 +41,11 @@ from .quality import filter_example, validate_annotation
 from .training import (ALPHA_GRID, DECODER_GRID, TrainConfig, TrainData,
                        TrainingError, check_splits, grid_select, train)
 
+# Commands that run a model: they warn when neither BLAS thread variable
+# is set, since an encoder's concurrent directions then compete for cores.
+MODEL_COMMANDS = ("train", "grid", "eval", "generate", "repr-export")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
 INPUT_ERRORS = (ConfigError, CorpusFormatError, TrainingError, ModelError,
                 CheckpointError, EvaluationError, FileNotFoundError)
 
@@ -475,6 +480,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in MODEL_COMMANDS and not any(map(os.environ.get,
+                                                      BLAS_THREAD_VARS)):
+        print("warning: neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is "
+              "set; see 'BLAS threads' in README.md", file=sys.stderr)
     try:
         return args.fn(args)
     except INPUT_ERRORS as err:

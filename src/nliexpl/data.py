@@ -367,11 +367,6 @@ class Batch:
         return len(self.ids)
 
 
-def real_mask(lengths: np.ndarray, width: int) -> np.ndarray:
-    """(B, width) mask, True exactly on the first lengths[b] positions."""
-    return np.arange(width)[None, :] < lengths[:, None]
-
-
 def pad_rows(rows: list, pad_id: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Right-pads id rows into one (B, T) matrix; returns (ids, lengths)."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)

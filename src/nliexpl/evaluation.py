@@ -224,10 +224,6 @@ class EvalReport:
             "bleu": self.bleu, "expl_at_k": self.expl_at_k,
             "counts": self.counts, "provenance": self.provenance}, indent=1)
 
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
-
     def table(self) -> str:
         def fmt(v, scale=1.0):
             return "-" if v is None else f"{v * scale:.4f}"

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import Batch, EmbeddingTable, Vocabulary, pad_rows, real_mask
+from .data import Batch, EmbeddingTable, Vocabulary, pad_rows
 
 
 class ModelError(RuntimeError):
@@ -168,11 +168,11 @@ class MlpClassifier(_Part):
 class AttentionHead(_Part):
     """One projection head attending over encoder states.
 
-    proj1/proj2 transform the states once per sequence; the decoder
-    state is projected per step and dotted against proj1 to produce the
-    masked softmax weights; the context is the weighted sum of proj2.
-    Pads are masked, so scoring behaves exactly as if every sentence
-    were padded out to the fixed attention width.
+    proj1/proj2 transform the states once per sequence, as the keys and
+    values of an `autodiff.Attention` over the row's real tokens; at each
+    step the decoder's state, projected through wc/bc, scores the keys,
+    and their softmax weighs the values into the context. Pads get weight
+    0 exactly, as if every sentence were padded out to any width.
     """
 
     def __init__(self, rng: np.random.Generator, state_dim: int, dec_dim: int,
@@ -184,17 +184,10 @@ class AttentionHead(_Part):
         self.w2 = ad.uniform_param(rng, (attn_dim, state_dim), f"{prefix}.w2")
         self.b2 = ad.param(np.zeros(attn_dim, dtype=np.float32), f"{prefix}.b2")
 
-    def precompute(self, states: ad.Tensor) -> tuple[ad.Tensor, ad.Tensor]:
+    def precompute(self, states: ad.Tensor, lengths: np.ndarray) -> ad.Attention:
         proj1 = ad.tanh_(ad.linear(states, self.w1, self.b1))
         proj2 = ad.tanh_(ad.linear(states, self.w2, self.b2))
-        return proj1, proj2
-
-    def step(self, h_dec: ad.Tensor, proj1: ad.Tensor, proj2: ad.Tensor,
-             real_mask: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
-        projc = ad.tanh_(ad.linear(h_dec, self.wc, self.bc))
-        scores = ad.attn_scores(projc, proj1)
-        weights = ad.softmax(scores, mask=real_mask)
-        return ad.attn_combine(weights, proj2), weights
+        return ad.Attention(self.wc, self.bc, proj1, proj2, lengths)
 
 
 @dataclass
@@ -211,8 +204,8 @@ class LstmDecoder(_Part):
     configuration a third projection of the source is concatenated to
     the word embedding at every timestep. In the attention
     configuration the per-step input is [p_ctx, h_ctx, embedding]: one
-    context per (head, proj1, proj2, real-token mask) entry of
-    `attn_ctx`, in entry order.
+    context per `autodiff.Attention` head of `attn_ctx`, in order. That
+    projection or those heads are the `cond` of the decoder's LSTM.
     Recurrent (variational) dropout draws one mask per sequence and
     applies it to the hidden state entering each step, training only.
     """
@@ -245,17 +238,9 @@ class LstmDecoder(_Part):
         return (ad.linear(source, self.w_h0, self.b_h0),
                 ad.linear(source, self.w_c0, self.b_c0))
 
-    def _cond(self, source: ad.Tensor) -> ad.Tensor:
-        return ad.linear(source, self.w_cond, self.b_cond)
-
-    def _attend_step(self, emb: ad.Tensor, attn_ctx, h: ad.Tensor,
-                     c: ad.Tensor, rmask: np.ndarray | None = None):
-        """One attention step from the state (h, c): the input
-        [p_ctx, h_ctx, embedding] attends with h; returns (h', c')."""
-        contexts = [head.step(h, proj1, proj2, mask)[0]
-                    for head, proj1, proj2, mask in attn_ctx]
-        gx = ad.linear(ad.concat([*contexts, emb]), self.cell.wi, self.cell.b)
-        return ad.lstm_step(gx, h, c, self.cell.wh, rmask)
+    def _cond(self, source: ad.Tensor, attn_ctx):
+        return (attn_ctx if self.attention
+                else ad.linear(source, self.w_cond, self.b_cond))
 
     def teacher_forced(self, embedding: WordEmbedding, source: ad.Tensor,
                        inputs: np.ndarray, targets: np.ndarray,
@@ -263,28 +248,20 @@ class LstmDecoder(_Part):
                        rng: np.random.Generator | None = None,
                        attn_ctx=None) -> DecodeResult:
         """Row b's first `lengths[b]` steps of (B, S) `inputs` are real.
-        Without attention the whole sequence is one `lstm_layer`, which
-        takes the source term as `cond` (its product with the cell's
-        input weights once per sequence) and skips the pad steps; with
-        it, each step attends with the previous hidden state. Either way
-        the output projection, softmax and NLL run once over the real
-        (t, b) state rows only, gathered in time-major order."""
+        The whole sequence is one `lstm_layer`, which skips the pad steps
+        and takes the source projection (once per sequence) or the heads
+        (read at each step from the previous state) as `cond`. The output
+        projection, softmax and NLL then run once over the real (t, b)
+        state rows only, gathered in time-major order."""
         B, S = inputs.shape
         h, c = self._init_state(source)
         rmask = None
         if train and self.dropout > 0.0:
             rmask = ad.dropout_mask(rng, (B, self.hidden), self.dropout,
                                     embedding.frozen.dtype)
-        if self.attention:
-            steps = []
-            for s in range(S):
-                h, c = self._attend_step(embedding.lookup(inputs[:, s]),
-                                         attn_ctx, h, c, rmask)
-                steps.append(h)
-            hs = ad.stack_steps(steps)
-        else:
-            hs = ad.lstm_layer(embedding.lookup(inputs.T), self.cell, h, c,
-                               lengths, cond=self._cond(source), rmask=rmask)
+        hs = ad.lstm_layer(embedding.lookup(inputs.T), self.cell, h, c,
+                           lengths, cond=self._cond(source, attn_ctx),
+                           rmask=rmask)
         real = np.flatnonzero(np.arange(S)[:, None] < lengths)   # t * B + b
         probs = ad.softmax(ad.linear(ad.take_rows(hs, real), self.w_out,
                                      self.b_out), overwrite=True)
@@ -298,28 +275,21 @@ class LstmDecoder(_Part):
                attn_ctx=None) -> tuple[list[list[int]], list[bool]]:
         """Argmax decoding until <eos> or the length cap; eval mode.
 
-        Each step is one `lstm_step`, as in attention teacher forcing.
-        Returns per-row emitted token ids (exclusive of <eos>) and a flag
-        marking rows that emitted nothing before <eos>.
+        One loop for both configurations: each step is teacher forcing's
+        LSTM step on arrays (`autodiff.lstm_stepper`), then the output
+        projection. Returns per-row emitted token ids (exclusive of
+        <eos>) and a flag marking rows that emitted nothing before <eos>.
         """
-        h, c = self._init_state(source)
-        if not self.attention:
-            # [embedding, cond] @ wi.T + b with the cond term done once
-            E, wi = embedding.dim, self.cell.wi.data
-            w_emb = wi[:, :E].T
-            per_seq = self._cond(source).data @ wi[:, E:].T + self.cell.b.data
+        step = ad.lstm_stepper(self.cell, *self._init_state(source),
+                               self._cond(source, attn_ctx))
+        w_out, b_out = self.w_out.data.T, self.b_out.data
         current = np.asarray(start_ids, dtype=np.int64)
         emitted: list[list[int]] = [[] for _ in current]
         done = np.zeros(len(current), dtype=bool)
         for _ in range(self.max_len):
-            emb = embedding.lookup(current)
-            if self.attention:
-                h, c = self._attend_step(emb, attn_ctx, h, c)
-            else:
-                h, c = ad.lstm_step(ad.Tensor(emb.data @ w_emb + per_seq),
-                                    h, c, self.cell.wh)
-            logits = ad.linear(h, self.w_out, self.b_out)
-            nxt = logits.data.argmax(axis=1)
+            logits = step(embedding.lookup(current).data) @ w_out
+            logits += b_out
+            nxt = logits.argmax(axis=1)
             for i in np.flatnonzero(~done & (nxt != eos_id)):
                 emitted[i].append(int(nxt[i]))
             done |= nxt == eos_id
@@ -414,11 +384,6 @@ class BaseModel(_Part):
         return {"variant": self.variant, "config": asdict(self.cfg),
                 "vocab_sha256": self.vocab.sha256()}
 
-    def cast_(self, dtype) -> None:
-        self.embedding.frozen = self.embedding.frozen.astype(dtype)
-        for p in self.params().values():
-            p.data = p.data.astype(dtype)
-
     def param_hash(self) -> str:
         h = hashlib.sha256()
         for name, p in sorted(self.params().items()):
@@ -463,11 +428,8 @@ class BaseModel(_Part):
         logits or None)."""
         fv, *states = self.features(batch)
         logits = self.classifier.logits(fv.f) if self.has_classifier else None
-        ctx = []
-        for head, name, seq in zip(self.heads, self.sentences, states):
-            ids, lengths = self._rows(batch, name)
-            ctx.append((head, *head.precompute(seq),
-                        real_mask(lengths, ids.shape[1])))
+        ctx = [head.precompute(seq, self._rows(batch, name)[1])
+               for head, name, seq in zip(self.heads, self.sentences, states)]
         return fv, ctx, logits
 
     def _first_words(self, classes: np.ndarray | None, size: int) -> np.ndarray:

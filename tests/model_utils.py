@@ -1,10 +1,13 @@
-"""Shared builders for toy-scale model tests."""
+"""Shared builders and helpers for toy-scale model tests."""
+
+import json
 
 import numpy as np
 
 from nliexpl import autodiff as ad
 from nliexpl.data import (Batch, EmbeddingTable, build_vocab, encode_corpus,
                           make_batch)
+from nliexpl.evaluation import EvalReport
 from nliexpl.models import ModelConfig, build_model
 from oracles import max_rel_err, numeric_grad
 from synth import make_examples
@@ -52,9 +55,22 @@ def label_alone(clf, token_ids):
     return int(clf.predict_labels(batch)[0])
 
 
+def cast_model(model, dtype):
+    """Every parameter and the frozen embedding table of `model` in
+    `dtype`, in place (float64 for the gradient checks)."""
+    model.embedding.frozen = model.embedding.frozen.astype(dtype)
+    for p in model.params().values():
+        p.data = p.data.astype(dtype)
+
+
+def report_from_json(text):
+    """The `EvalReport` that `EvalReport.to_json` wrote as `text`."""
+    return EvalReport(**json.loads(text))
+
+
 def full_model_grad_check(model, batch, alpha=None, eps=1e-3, tol=1e-4):
     """Finite-difference check of every parameter of a model (float64)."""
-    model.cast_(np.float64)
+    cast_model(model, np.float64)
     params = model.params()
     for p in params.values():
         p.grad = None

@@ -2,7 +2,7 @@
 
 Everything here is deliberately written from the definitions (brute
 force, full DP matrices, straight-line formula transcriptions) and
-shares no code with the package under test. Four exceptions are kept
+shares no code with the package under test. Some exceptions are kept
 as references of fused or packed paths: `lstm_layer_dense`, the dense
 layer the packed one replaced, shares the step kernels, so the two can
 be compared bit for bit; `lstm_cell`, the single step composed from
@@ -13,7 +13,12 @@ five-record encoder that `bilstm_layer` replaced, runs the package's
 `gate_input_cell`) and `concat` one after the other on one thread;
 `teacher_forced_dense`, the decoder's teacher forcing before it gathered
 its real target rows, runs a decoder's own recurrence and then scores
-all S * B rows (with its own `reshape` and masked `nll_rows_masked`).
+all S * B rows (with its own `reshape` and masked `nll_rows_masked`);
+its attention path and `greedy_composed` are the attention decoder as
+it ran before its steps joined `lstm_layer`: one `lstm_step` (two tape
+records on the gate kernels) per step, fed by `attend_step`, which
+composes each head's context from generic tape ops and the ops only it
+used (`attn_scores`, `softmax_masked`, `attn_combine`, `stack_steps`).
 """
 
 import math
@@ -22,10 +27,10 @@ from collections import Counter
 import numpy as np
 
 from nliexpl.autodiff import (LOG_FLOOR, EmptySequenceError, LstmParams,
-                              ShapeError, Tensor, _active_tape, _lstm_gates,
-                              _record, _recurrent, _sigmoid, add, concat,
-                              dropout_mask, linear, lstm_layer, mul, softmax,
-                              stack_steps, sum_, tanh_)
+                              ShapeError, Tensor, _active_tape, _gate_grads,
+                              _lstm_gates, _record, _recurrent, _sigmoid, add,
+                              concat, dropout_mask, linear, lstm_layer, mul,
+                              softmax, sum_, tanh_)
 from nliexpl.models import DecodeResult
 
 
@@ -327,14 +332,162 @@ def nll_rows_masked(probs: Tensor, targets: np.ndarray,
     return out
 
 
+# ---------------------------------------------------------------------------
+# Composed attention decoder
+
+
+def stack_steps(steps: list[Tensor]) -> Tensor:
+    """Stack T same-shape tensors along a new leading time axis."""
+    if not steps:
+        raise EmptySequenceError("stack_steps: no timesteps")
+    out = Tensor(np.stack([s.data for s in steps], axis=0))
+    _record(out, tuple(steps), lambda g: tuple(g[t] for t in range(len(steps))))
+    return out
+
+
+def attn_scores(query: Tensor, keys: Tensor) -> Tensor:
+    """Dot products of one query per batch row with all timestep keys.
+
+    query (B, A), keys (T, B, A) -> scores (B, T).
+    """
+    q, k = query.data, keys.data
+    if q.ndim != 2 or k.ndim != 3 or k.shape[1:] != q.shape:
+        raise ShapeError(f"attn_scores: query {q.shape} vs keys {k.shape}")
+    out = Tensor(np.einsum("ba,tba->bt", q, k, optimize=True))
+
+    def _bw(g):
+        gq = np.einsum("bt,tba->ba", g, k, optimize=True)
+        gk = np.einsum("bt,ba->tba", g, q, optimize=True)
+        return (gq, gk)
+
+    _record(out, (query, keys), _bw)
+    return out
+
+
+def attn_combine(weights: Tensor, values: Tensor) -> Tensor:
+    """Weighted sum of timestep values: (B,T) x (T,B,A) -> (B,A)."""
+    w, v = weights.data, values.data
+    if w.ndim != 2 or v.ndim != 3 or (v.shape[0], v.shape[1]) != (w.shape[1], w.shape[0]):
+        raise ShapeError(f"attn_combine: weights {w.shape} vs values {v.shape}")
+    out = Tensor(np.einsum("bt,tba->ba", w, v, optimize=True))
+
+    def _bw(g):
+        gw = np.einsum("ba,tba->bt", g, v, optimize=True)
+        gv = np.einsum("bt,ba->tba", w, g, optimize=True)
+        return (gw, gv)
+
+    _record(out, (weights, values), _bw)
+    return out
+
+
+def softmax_masked(logits: Tensor, mask: np.ndarray) -> Tensor:
+    """Row-wise stable softmax where masked positions get exactly 0.
+
+    `mask` is a boolean array of the logits' shape, True on positions
+    allowed to receive mass; a row with none is a ValueError.
+    """
+    x = logits.data
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != x.shape:
+        raise ShapeError(f"softmax: mask {mask.shape} vs logits {x.shape}")
+    if not mask.any(axis=-1).all():
+        raise ValueError("softmax: a row has all positions masked")
+    e = np.where(mask, x, np.finfo(x.dtype).min)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e[~mask] = 0.0
+    e /= e.sum(axis=-1, keepdims=True)
+    out = Tensor(e.astype(logits.dtype, copy=False))
+    sd = out.data
+
+    def _bw(g):
+        inner = (g * sd).sum(axis=-1, keepdims=True)
+        return (sd * (g - inner),)
+
+    _record(out, (logits,), _bw)
+    return out
+
+
+def lstm_step(gx: Tensor, h: Tensor, c: Tensor, wh: Tensor,
+              rmask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """One LSTM step on the package's gate kernels: gx (B, 4H) is the
+    step's input projection with the bias added, h/c (B, H) the state,
+    `rmask` (B, H) a recurrent dropout mask on h. Returns (h', c').
+
+    Two tape records: c' carries the step's whole backward; h' passes
+    its gradient on to c' and keeps it for the output gate, so backward
+    is complete whichever output a loss reads.
+    """
+    x, w = gx.data, wh.data
+    if x.ndim != 2 or w.ndim != 2 or w.shape != (x.shape[1], x.shape[1] // 4) \
+            or x.shape[1] % 4:
+        raise ShapeError(f"lstm_step: gx {x.shape} incompatible with wh {w.shape}")
+    B, G = x.shape
+    H = G // 4
+    if h.shape != (B, H) or c.shape != (B, H):
+        raise ShapeError(f"lstm_step: state {h.shape}, {c.shape}, "
+                         f"expected {(B, H)}")
+    h_in = h.data
+    if rmask is not None:
+        rmask = np.asarray(rmask, dtype=x.dtype)
+        if rmask.shape != (B, H):
+            raise ShapeError(f"lstm_step: rmask {rmask.shape}, expected {(B, H)}")
+        h_in = h_in * rmask
+    acts, c_new, tc, h_new = _lstm_gates(x + _recurrent(h_in, w), c.data)
+    h_out, c_out = Tensor(h_new), Tensor(c_new)
+    if _active_tape() is None:
+        return h_out, c_out
+    per_dc, per_dh, dc_from_h = _gate_grads(acts, c.data, tc)
+    f = acts[:, H:2 * H].copy()   # so that backward keeps no view of acts
+    dh_new = [0.0]   # the gradient of h', once its record has run
+
+    def _bw(g):
+        dz = np.empty((B, 4, H), dtype=x.dtype)
+        np.multiply(per_dc, g[:, None, :], out=dz[:, :3])
+        np.multiply(per_dh, dh_new[0], out=dz[:, 3])
+        dz = dz.reshape(B, G)
+        dh = dz @ w
+        if rmask is not None:
+            dh *= rmask
+        return (dz, dh, g * f, dz.T @ h_in)
+
+    def _bw_h(g):
+        dh_new[0] = g
+        return (g * dc_from_h,)
+
+    _record(c_out, (gx, h, c, wh), _bw)
+    _record(h_out, (c_out,), _bw_h)
+    return h_out, c_out
+
+
+def head_step(head, h: Tensor) -> tuple[Tensor, Tensor]:
+    """One attention head (an `autodiff.Attention`) read from the decoder
+    state h (B, H): (context (B, A), weights (B, T_k))."""
+    query = tanh_(linear(h, head.wc, head.bc))
+    width = head.keys.shape[0]
+    real = np.arange(width)[None, :] < np.asarray(head.lengths)[:, None]
+    weights = softmax_masked(attn_scores(query, head.keys), real)
+    return attn_combine(weights, head.values), weights
+
+
+def attend_step(decoder, emb: Tensor, heads, h: Tensor, c: Tensor,
+                rmask: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """One attention decoder step from the state (h, c): the input
+    [p_ctx, h_ctx, embedding] attends with h; returns (h', c')."""
+    contexts = [head_step(head, h)[0] for head in heads]
+    gx = linear(concat([*contexts, emb]), decoder.cell.wi, decoder.cell.b)
+    return lstm_step(gx, h, c, decoder.cell.wh, rmask)
+
+
 def teacher_forced_dense(decoder, embedding, source: Tensor,
                          inputs: np.ndarray, targets: np.ndarray,
                          lengths: np.ndarray, train: bool, rng=None,
                          attn_ctx=None) -> DecodeResult:
     """`LstmDecoder.teacher_forced` as it was before it gathered the real
-    target rows, with the same signature: the decoder's recurrence, then
-    the output projection, softmax and NLL over all S * B time-major
-    rows, the pad rows' NLL zeroed by a mask."""
+    target rows, with the same signature: the decoder's recurrence (with
+    attention, one `attend_step` per step over all B rows), then the
+    output projection, softmax and NLL over all S * B time-major rows,
+    the pad rows' NLL zeroed by a mask."""
     B, S = inputs.shape
     target_mask = np.arange(S)[None, :] < lengths[:, None]
     h, c = decoder._init_state(source)
@@ -345,13 +498,14 @@ def teacher_forced_dense(decoder, embedding, source: Tensor,
     if decoder.attention:
         steps = []
         for s in range(S):
-            h, c = decoder._attend_step(embedding.lookup(inputs[:, s]),
-                                        attn_ctx, h, c, rmask)
+            h, c = attend_step(decoder, embedding.lookup(inputs[:, s]),
+                               attn_ctx, h, c, rmask)
             steps.append(h)
         hs = stack_steps(steps)
     else:
         hs = lstm_layer(embedding.lookup(inputs.T), decoder.cell, h, c,
-                        lengths, cond=decoder._cond(source), rmask=rmask)
+                        lengths, cond=decoder._cond(source, attn_ctx),
+                        rmask=rmask)
     rows = reshape(hs, (S * B, decoder.hidden))
     probs = softmax(linear(rows, decoder.w_out, decoder.b_out), overwrite=True)
     flat_targets = targets.T.reshape(-1)
@@ -360,6 +514,26 @@ def teacher_forced_dense(decoder, embedding, source: Tensor,
     hits = probs.data.argmax(axis=1) == flat_targets
     return DecodeResult(nll_sum=sum_(nll), n_tokens=int(target_mask.sum()),
                         n_correct=int((hits & flat_mask).sum()))
+
+
+def greedy_composed(decoder, embedding, source: Tensor, start_ids,
+                    eos_id: int, attn_ctx=None):
+    """`LstmDecoder.greedy` of the attention decoder as it was, with the
+    same signature: one `attend_step` per step, then the output layer."""
+    h, c = decoder._init_state(source)
+    current = np.asarray(start_ids, dtype=np.int64)
+    emitted = [[] for _ in current]
+    done = np.zeros(len(current), dtype=bool)
+    for _ in range(decoder.max_len):
+        h, c = attend_step(decoder, embedding.lookup(current), attn_ctx, h, c)
+        nxt = linear(h, decoder.w_out, decoder.b_out).data.argmax(axis=1)
+        for i in np.flatnonzero(~done & (nxt != eos_id)):
+            emitted[i].append(int(nxt[i]))
+        done |= nxt == eos_id
+        if done.all():
+            break
+        current = nxt
+    return emitted, [len(e) == 0 for e in emitted]
 
 
 # ---------------------------------------------------------------------------

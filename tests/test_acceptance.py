@@ -5,6 +5,8 @@ Each test prints one `[acceptance] criterion N PASS` line (visible with
 asserted inside the tests themselves.
 """
 
+import ast
+import inspect
 import json
 import time
 from pathlib import Path
@@ -44,100 +46,81 @@ def _report(n, message, t0, budget=None):
 
 
 def _grad_check(build_loss, params, tol=1e-4):
+    """Finite differences of one loss; returns the names of the ops its
+    tape recorded (the `__qualname__` prefix of each backward function)."""
     for p in params.values():
         p.grad = None
     with ad.Tape() as tape:
         loss = build_loss()
+    ops = {fn.__qualname__.split(".")[0] for _, _, fn in tape.records}
     ad.backward(tape, loss)
     analytic = {n: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                 for n, p in params.items()}
     numeric = numeric_grad(lambda: float(build_loss().data), params, eps=1e-3)
     err = max_rel_err(analytic, numeric)
     assert err < tol, f"max rel err {err:.3e}"
+    return ops
 
 
-def test_criterion_1_gradient_suite():
-    """Every op and every variant matches finite differences (<1e-4)."""
-    t0 = time.monotonic()
+def _op_level_checks():
+    """Criterion 1's op-level finite-difference checks (float64
+    parameters throughout); returns the names of the ops they recorded."""
     rng = np.random.default_rng(0)
+    ops = set()
+
+    def check(build_loss, params):
+        ops.update(_grad_check(build_loss, params))
 
     def p64(shape, name, scale=0.7):
         return ad.param(rng.normal(size=shape) * scale, name)
 
-    # -- op-level checks (float64 parameters throughout)
     a = p64((3, 4), "a")
     b = p64((3, 4), "b")
-    _grad_check(lambda: ad.sum_(ad.add(a, b)), {"a": a, "b": b})
-    _grad_check(lambda: ad.sum_(ad.mul(ad.sub(a, b), a)), {"a": a, "b": b})
-    _grad_check(lambda: ad.sum_(ad.scale(ad.abs_(a), 1.7)), {"a": a})
-    _grad_check(lambda: ad.sum_(ad.tanh_(a)), {"a": a})
+    check(lambda: ad.sum_(ad.add(a, b)), {"a": a, "b": b})
+    check(lambda: ad.sum_(ad.mul(ad.sub(a, b), a)), {"a": a, "b": b})
+    check(lambda: ad.sum_(ad.scale(ad.abs_(a), 1.7)), {"a": a})
+    check(lambda: ad.sum_(ad.tanh_(a)), {"a": a})
 
     m1 = p64((3, 4), "m1")
     m2 = p64((2, 4), "m2")
-    _grad_check(lambda: ad.sum_(ad.linear(m1, m2)), {"m1": m1, "m2": m2})
+    check(lambda: ad.sum_(ad.linear(m1, m2)), {"m1": m1, "m2": m2})
     w = p64((5, 4), "w")
     bias = p64((5,), "bias")
-    _grad_check(lambda: ad.sum_(ad.tanh_(ad.linear(a, w, bias))),
-                {"a": a, "w": w, "bias": bias})
-    _grad_check(lambda: ad.sum_(ad.mul(ad.concat([a, b]), ad.concat([b, a]))),
-                {"a": a, "b": b})
+    check(lambda: ad.sum_(ad.tanh_(ad.linear(a, w, bias))),
+          {"a": a, "w": w, "bias": bias})
+    check(lambda: ad.sum_(ad.mul(ad.concat([a, b]), ad.concat([b, a]))),
+          {"a": a, "b": b})
 
     sm = p64((3, 5), "sm")
-    mask = np.array([[True] * 5, [True, True, False, True, True],
-                     [False, True, True, True, False]])
     weights = rng.normal(size=(3, 5))
-    _grad_check(lambda: ad.sum_(ad.mul(ad.softmax(sm, mask=mask),
-                                       ad.Tensor(weights))), {"sm": sm})
-    _grad_check(lambda: ad.sum_(ad.nll_rows(ad.softmax(sm), np.array([1, 4, 2]))),
-                {"sm": sm})
+    check(lambda: ad.sum_(ad.mul(ad.softmax(sm), ad.Tensor(weights))),
+          {"sm": sm})
+    check(lambda: ad.sum_(ad.nll_rows(ad.softmax(sm), np.array([1, 4, 2]))),
+          {"sm": sm})
     ce = p64((6,), "ce")
-    _grad_check(lambda: ad.sum_(ad.nll_rows(
+    check(lambda: ad.sum_(ad.nll_rows(
         ad.take_rows(ad.softmax(ce), np.array([0])), np.array([3]))), {"ce": ce})
     # the real rows of a (T, B, d) sequence, as teacher forcing takes them
     seq_sm = p64((3, 2, 5), "seq_sm")
-    _grad_check(lambda: ad.sum_(ad.nll_rows(ad.softmax(ad.take_rows(
+    check(lambda: ad.sum_(ad.nll_rows(ad.softmax(ad.take_rows(
         seq_sm, np.array([0, 1, 3, 4]))), np.array([4, 0, 2, 1]))),
         {"seq_sm": seq_sm})
 
     seq = p64((5, 3, 4), "seq")
     lengths = np.array([2, 5, 3])
-    _grad_check(lambda: ad.sum_(ad.max_over_time(seq, lengths=lengths)),
-                {"seq": seq})
-    q = p64((3, 4), "q")
-    _grad_check(lambda: ad.sum_(ad.attn_combine(
-        ad.softmax(ad.attn_scores(q, seq)), seq)), {"q": q, "seq": seq})
-
-    steps = [p64((2, 3), f"s{i}") for i in range(3)]
-    _grad_check(lambda: ad.sum_(ad.max_over_time(ad.stack_steps(steps))),
-                {f"s{i}": s for i, s in enumerate(steps)})
+    check(lambda: ad.sum_(ad.max_over_time(seq, lengths=lengths)),
+          {"seq": seq})
+    check(lambda: ad.sum_(ad.max_over_time(seq)), {"seq": seq})
 
     frozen = rng.normal(size=(7, 4))
     rows = p64((2, 4), "rows")
     slots = np.array([-1, 0, -1, 1, -1, -1, -1])
     ids = np.array([1, 3, 0, 3])
-    _grad_check(lambda: ad.sum_(ad.tanh_(ad.embedding_lookup(
+    check(lambda: ad.sum_(ad.tanh_(ad.embedding_lookup(
         frozen, ids, rows, slots))), {"rows": rows})
 
     drop = ad.dropout_mask(np.random.default_rng(5), (3, 4), 0.5, np.float64)
-    _grad_check(lambda: ad.sum_(ad.mul(a, ad.Tensor(drop))), {"a": a})
-
-    lstm = ad.init_lstm(rng, 3, 2, "cell", dtype=np.float64)
-    lstm.wi.data = rng.normal(size=lstm.wi.shape) * 0.5
-    lstm.wh.data = rng.normal(size=lstm.wh.shape) * 0.5
-    x = p64((2, 3), "x")
-    h0, c0 = p64((2, 2), "h0"), p64((2, 2), "c0")
-    drop_step = ad.dropout_mask(np.random.default_rng(7), (2, 2), 0.5,
-                                np.float64)
-
-    def step(h, c):
-        return ad.lstm_step(ad.linear(x, lstm.wi, lstm.b), h, c, lstm.wh,
-                            drop_step)
-
-    step_params = {"x": x, "wi": lstm.wi, "wh": lstm.wh, "b": lstm.b,
-                   "h0": h0, "c0": c0}
-    _grad_check(lambda: ad.sum_(ad.mul(*step(*step(h0, c0)))), step_params)
-    for read in (0, 1):   # a loss on h' alone, then on c' alone
-        _grad_check(lambda: ad.sum_(ad.tanh_(step(h0, c0)[read])), step_params)
+    check(lambda: ad.sum_(ad.mul(a, ad.Tensor(drop))), {"a": a})
 
     seq_cell = ad.LstmParams(p64((8, 4 + 2), "wi", scale=0.5),
                              p64((8, 2), "wh", scale=0.5), p64((8,), "b", scale=0.5))
@@ -147,11 +130,28 @@ def test_criterion_1_gradient_suite():
     drop_h = ad.dropout_mask(np.random.default_rng(6), (3, 2), 0.5, np.float64)
     out_w = rng.normal(size=(4, 3, 2))
     for reverse in (False, True):
-        _grad_check(lambda: ad.sum_(ad.mul(ad.lstm_layer(
+        check(lambda: ad.sum_(ad.mul(ad.lstm_layer(
             x_seq, seq_cell, h0, c0, seq_lengths, cond=cond, reverse=reverse,
             rmask=drop_h), ad.Tensor(out_w))),
             {"x_seq": x_seq, "cond": cond, "wi": seq_cell.wi, "wh": seq_cell.wh,
              "b": seq_cell.b, "h0": h0, "c0": c0})
+    # the attention decoder's op: two heads whose rows' key lengths
+    # differ, a decoded row of length 1, recurrent dropout on
+    heads = [ad.Attention(p64((2, 2), f"wc{k}"), p64((2,), f"bc{k}"),
+                          p64((width, 3, 2), f"keys{k}"),
+                          p64((width, 3, 2), f"values{k}"), key_lengths)
+             for k, (width, key_lengths) in enumerate(
+                 [(4, np.array([4, 1, 2])), (3, np.array([2, 3, 1]))])]
+    att_cell = ad.LstmParams(p64((8, 2 * 2 + 4), "att_wi", scale=0.5),
+                             p64((8, 2), "att_wh", scale=0.5),
+                             p64((8,), "att_b", scale=0.5))
+    check(lambda: ad.sum_(ad.mul(ad.lstm_layer(
+        x_seq, att_cell, h0, c0, seq_lengths, cond=heads, rmask=drop_h),
+        ad.Tensor(out_w))),
+        {"x_seq": x_seq, "wi": att_cell.wi, "wh": att_cell.wh, "b": att_cell.b,
+         "h0": h0, "c0": c0, **{t.name: t for head in heads
+                                for t in (head.wc, head.bc, head.keys,
+                                          head.values)}})
     cells = [ad.init_lstm(rng, 3, 2, d, dtype=np.float64) for d in ("fwd", "bwd")]
     for cell in cells:
         cell.wi.data = rng.normal(size=cell.wi.shape) * 0.5
@@ -159,10 +159,35 @@ def test_criterion_1_gradient_suite():
         cell.b.data = rng.normal(size=cell.b.shape) * 0.5
     xs = p64((4, 3, 3), "xs")
     bi_w = rng.normal(size=(4, 3, 4))
-    _grad_check(lambda: ad.sum_(ad.mul(ad.bilstm_layer(xs, *cells, seq_lengths),
-                                       ad.Tensor(bi_w))),
-                {"xs": xs, **{t.name: t for cell in cells
-                              for t in (cell.wi, cell.wh, cell.b)}})
+    check(lambda: ad.sum_(ad.mul(ad.bilstm_layer(xs, *cells, seq_lengths),
+                                 ad.Tensor(bi_w))),
+          {"xs": xs, **{t.name: t for cell in cells
+                        for t in (cell.wi, cell.wh, cell.b)}})
+    return ops
+
+
+def _recording_ops():
+    """The public functions of `autodiff` whose bodies call `_record`."""
+    tree = ast.parse(inspect.getsource(ad))
+    return {node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+            and any(isinstance(call, ast.Call)
+                    and getattr(call.func, "id", None) == "_record"
+                    for call in ast.walk(node))}
+
+
+def test_criterion_1_checks_every_tape_op():
+    """Criterion 1's op-level checks record every public op that writes
+    to the tape, so a new op cannot go unchecked."""
+    recording = _recording_ops()
+    assert {"linear", "lstm_layer", "bilstm_layer", "take_rows"} <= recording
+    assert sorted(recording - _op_level_checks()) == []
+
+
+def test_criterion_1_gradient_suite():
+    """Every op and every variant matches finite differences (<1e-4)."""
+    t0 = time.monotonic()
+    _op_level_checks()
 
     # -- every model variant end to end (short sequences: saturated
     # states over long sequences produce near-tied max-pool columns
@@ -222,8 +247,9 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
 
 
 def test_criterion_3_attention_oracle():
-    """Two AttentionHead steps equal a straight-line transcription on 100
-    inputs."""
+    """The attention both greedy decoding and teacher forcing run at each
+    step (`autodiff._Contexts.attend`) equals a straight-line
+    transcription on 100 inputs of two heads."""
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     for trial in range(100):
@@ -237,14 +263,11 @@ def test_criterion_3_attention_oracle():
         h_p = rng.normal(size=(tp, 1, sd)).astype(np.float32)
         h_h = rng.normal(size=(th, 1, sd)).astype(np.float32)
         h_dec = rng.normal(size=(1, dd)).astype(np.float32)
-        p_mask = np.zeros((1, tp), bool)
-        p_mask[0, :rng.integers(1, tp + 1)] = True
-        h_mask = np.zeros((1, th), bool)
-        h_mask[0, :rng.integers(1, th + 1)] = True
-        proj_p = head_p.precompute(ad.Tensor(h_p))
-        proj_h = head_h.precompute(ad.Tensor(h_h))
-        p_ctx, w_p = head_p.step(ad.Tensor(h_dec), *proj_p, p_mask)
-        h_ctx, w_h = head_h.step(ad.Tensor(h_dec), *proj_h, h_mask)
+        lp, lh = int(rng.integers(1, tp + 1)), int(rng.integers(1, th + 1))
+        heads = [head_p.precompute(ad.Tensor(h_p), np.array([lp])),
+                 head_h.precompute(ad.Tensor(h_h), np.array([lh]))]
+        ctx, [(_, w_p), (_, w_h)] = ad._Contexts(
+            heads, None, np.arange(1), False).attend(h_dec)
         weights = {
             "w1_p": head_p.w1.data, "b1_p": head_p.b1.data,
             "wc_p": head_p.wc.data, "bc_p": head_p.bc.data,
@@ -255,11 +278,12 @@ def test_criterion_3_attention_oracle():
         }
         exp_p, exp_h, exp_wp, exp_wh = straight_line_attention(
             h_p[:, 0].astype(np.float64), h_h[:, 0].astype(np.float64),
-            h_dec[0].astype(np.float64), weights, p_mask[0], h_mask[0])
-        np.testing.assert_allclose(p_ctx.data[0], exp_p, atol=1e-5)
-        np.testing.assert_allclose(h_ctx.data[0], exp_h, atol=1e-5)
-        np.testing.assert_allclose(w_p.data[0], exp_wp, atol=1e-5)
-        np.testing.assert_allclose(w_h.data[0], exp_wh, atol=1e-5)
+            h_dec[0].astype(np.float64), weights, np.arange(tp) < lp,
+            np.arange(th) < lh)
+        np.testing.assert_allclose(ctx[0, :adim], exp_p, atol=1e-5)
+        np.testing.assert_allclose(ctx[0, adim:], exp_h, atol=1e-5)
+        np.testing.assert_allclose(w_p[0], exp_wp, atol=1e-5)
+        np.testing.assert_allclose(w_h[0], exp_wh, atol=1e-5)
     _report(3, "100 random attention steps match the independent "
                "implementation to 1e-5", t0, budget=10)
 

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
 from oracles import (bilstm_composed, column_max, gate_input_cell, lstm_cell,
-                     lstm_layer_dense, max_rel_err, numeric_grad,
-                     scalar_lstm_step, sigmoid_, slice_last)
+                     lstm_layer_dense, lstm_step, max_rel_err, numeric_grad,
+                     scalar_lstm_step, sigmoid_, slice_last, stack_steps)
 
 
 def f64(x):
@@ -131,13 +131,19 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data, [1 / 3] * 3)
 
     def test_two_term_closed_form_with_mask(self):
-        # mask position 2 of [1, 2, 3]: remaining mass is the two-term
-        # logistic split 1/(1+e) and e/(1+e)
+        """Attention weights are a softmax over a row's real keys: scores
+        [1, 2, 3] with key length 2 split as the two-term logistic
+        1/(1+e) and e/(1+e), and the pad key gets exactly 0."""
         e = math.e
-        out = ad.softmax(f64([1.0, 2.0, 3.0]), mask=np.array([True, True, False]))
-        np.testing.assert_allclose(out.data, [1 / (1 + e), e / (1 + e), 0.0],
+        # query tanh(atanh(0.5)) = 0.5 against keys 2, 4, 6
+        head = ad.Attention(wc=f64(np.zeros((1, 1))), bc=f64([math.atanh(0.5)]),
+                            keys=f64(np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1)),
+                            values=f64(np.zeros((3, 1, 1))), lengths=np.array([2]))
+        _, [(_, w)] = ad._Contexts([head], None, np.arange(1), False).attend(
+            np.zeros((1, 1)))
+        np.testing.assert_allclose(w[0], [1 / (1 + e), e / (1 + e), 0.0],
                                    rtol=1e-12)
-        assert out.data[2] == 0.0
+        assert w[0, 2] == 0.0
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8),
            st.floats(-30, 30))
@@ -155,15 +161,28 @@ class TestSoftmax:
         assert (out > 0).all()
 
     def test_all_masked_is_error(self):
-        with pytest.raises(ad.MaskError):
-            ad.softmax(f64([1.0, 2.0]), mask=np.array([False, False]))
+        """An attention row with no real key (key length 0), or more real
+        keys than positions, is a ShapeError."""
+        cell = ad.init_lstm(np.random.default_rng(0), 2 + 3, 2, "cell",
+                            dtype=np.float64)
+        for lengths in ([0, 2], [2, 3]):
+            head = ad.Attention(f64(np.zeros((2, 2))), f64(np.zeros(2)),
+                                f64(np.zeros((2, 2, 2))), f64(np.zeros((2, 2, 2))),
+                                np.array(lengths))
+            with pytest.raises(ad.ShapeError, match="attention head 0"):
+                ad.lstm_layer(f64(np.zeros((4, 2, 3))), cell,
+                              f64(np.zeros((2, 2))), f64(np.zeros((2, 2))),
+                              cond=[head])
 
     def test_rowwise_mask_zeroes_exactly(self):
-        logits = f64(np.arange(6, dtype=np.float64).reshape(2, 3))
-        mask = np.array([[True, False, True], [True, True, True]])
-        out = ad.softmax(logits, mask=mask).data
-        assert out[0, 1] == 0.0
-        np.testing.assert_allclose(out.sum(axis=1), [1.0, 1.0], atol=1e-12)
+        rng = np.random.default_rng(41)
+        head = ad.Attention(f64(rng.normal(size=(2, 3))), f64(np.zeros(2)),
+                            f64(rng.normal(size=(3, 2, 2))),
+                            f64(rng.normal(size=(3, 2, 2))), np.array([1, 3]))
+        _, [(_, w)] = ad._Contexts([head], None, np.arange(2), False).attend(
+            rng.normal(size=(2, 3)))
+        assert (w[0, 1:] == 0.0).all()
+        np.testing.assert_allclose(w.sum(axis=1), [1.0, 1.0], atol=1e-12)
 
     def test_overwrite_gives_identical_values_in_the_logits_buffer(self):
         rng = np.random.default_rng(42)
@@ -177,12 +196,10 @@ class TestSoftmax:
     def test_gradient(self):
         rng = np.random.default_rng(5)
         x = f64_param(rng.normal(size=(3, 5)), "x")
-        mask = np.ones((3, 5), dtype=bool)
-        mask[1, 2] = False
         w = rng.normal(size=(3, 5))
 
         def loss():
-            return ad.sum_(ad.mul(ad.softmax(x, mask=mask), f64(w)))
+            return ad.sum_(ad.mul(ad.softmax(x), f64(w)))
 
         check_op_gradient(loss, {"x": x})
 
@@ -295,22 +312,33 @@ class TestMaxOverTime:
 
 class TestSequenceOps:
     def test_stack_steps(self):
+        """The composed attention reference's stacking op (oracles)."""
         steps = [f64(np.full((2, 3), t, dtype=float)) for t in range(4)]
-        stacked = ad.stack_steps(steps)
+        stacked = stack_steps(steps)
         assert stacked.shape == (4, 2, 3)
         np.testing.assert_allclose(stacked.data[:, 1, 0], [0, 1, 2, 3])
 
     def test_attention_contractions_gradient(self):
+        """The attention term's scores, weights and contexts inside
+        `lstm_layer`: finite differences of the query weights, keys and
+        values of one head, rows of several key lengths."""
         rng = np.random.default_rng(11)
-        q = f64_param(rng.normal(size=(2, 3)), "q")
-        k = f64_param(rng.normal(size=(5, 2, 3)), "k")
-        v = f64_param(rng.normal(size=(5, 2, 3)), "v")
+        p = {"wc": f64_param(rng.normal(size=(3, 2)), "wc"),
+             "bc": f64_param(rng.normal(size=3), "bc"),
+             "keys": f64_param(rng.normal(size=(5, 2, 3)), "keys"),
+             "values": f64_param(rng.normal(size=(5, 2, 3)), "values")}
+        head = ad.Attention(p["wc"], p["bc"], p["keys"], p["values"],
+                            np.array([5, 2]))
+        cell = ad.LstmParams(f64(rng.normal(size=(8, 3 + 1)) * 0.5),
+                             f64(rng.normal(size=(8, 2)) * 0.5), f64(np.zeros(8)))
+        x, h0 = f64(rng.normal(size=(3, 2, 1))), f64(rng.normal(size=(2, 2)))
+        w = rng.normal(size=(3, 2, 2))
 
         def loss():
-            w = ad.softmax(ad.attn_scores(q, k))
-            return ad.sum_(ad.attn_combine(w, v))
+            return ad.sum_(ad.mul(ad.lstm_layer(x, cell, h0, h0, cond=[head]),
+                                  f64(w)))
 
-        check_op_gradient(loss, {"q": q, "k": k, "v": v})
+        check_op_gradient(loss, p)
 
 
 class TestEmbedding:
@@ -348,8 +376,21 @@ class TestEmbedding:
 
 
 def _fused_step(x, h, c, params, rmask=None):
-    return ad.lstm_step(ad.linear(x, params.wi, params.b), h, c, params.wh,
-                        rmask)
+    return lstm_step(ad.linear(x, params.wi, params.b), h, c, params.wh, rmask)
+
+
+def _array_step(x, h, c, params):
+    """(h', c') of the step every LSTM path runs (`autodiff._lstm_step`)."""
+    _, (_, c2, _, h2) = ad._lstm_step(
+        x.data @ params.wi.data.T + params.b.data, h.data, c.data,
+        params.wh.data, None, None, len(x.data) > 1)
+    return h2, c2
+
+
+def _both_steps(x, h, c, params):
+    """(h', c') arrays of the reference step, then of `_array_step`."""
+    h_ref, c_ref = _fused_step(x, h, c, params)
+    return [(h_ref.data, c_ref.data), _array_step(x, h, c, params)]
 
 
 def _composed_step(x, h, c, params, rmask=None):
@@ -385,17 +426,19 @@ def _step_setup(seed, B=3, D=3, H=2, dropout=False):
 
 
 class TestLstmCell:
-    """`lstm_step`, the single-step op, against the gate formulas, the
-    composed cell of the oracle file and finite differences."""
+    """`lstm_step`, the step of the composed attention decoder that the
+    attention op is checked against (oracles), against the gate formulas,
+    the composed cell and finite differences; the value checks also run
+    the step every LSTM path of the package runs (`_lstm_step`)."""
 
     def test_all_zero_weights_give_zero_hidden(self):
         H, D = 3, 2
         zeros = lambda *s: ad.param(np.zeros(s, dtype=np.float64), "z")
         params = ad.LstmParams(wi=zeros(4 * H, D), wh=zeros(4 * H, H), b=zeros(4 * H))
         x, h, c = f64(np.zeros((1, D))), f64(np.zeros((1, H))), f64(np.zeros((1, H)))
-        h2, c2 = _fused_step(x, h, c, params)
-        np.testing.assert_allclose(h2.data, 0.0)
-        np.testing.assert_allclose(c2.data, 0.0)
+        for h2, c2 in _both_steps(x, h, c, params):
+            np.testing.assert_allclose(h2, 0.0)
+            np.testing.assert_allclose(c2, 0.0)
 
     def test_saturated_gates_pass_input_through(self):
         # H=1: big biases force i~1, f~0, o~1; candidate g = tanh(x)
@@ -406,12 +449,13 @@ class TestLstmCell:
         params = ad.LstmParams(wi=f64_param(wi, "wi"), wh=f64_param(wh, "wh"),
                                b=f64_param(b, "b"))
         for x_val in (-1.2, 0.4, 2.0):
-            h2, c2 = _fused_step(f64([[x_val]]), f64([[0.3]]), f64([[0.9]]), params)
             exp_h, exp_c = scalar_lstm_step(x_val, 0.3, 0.9,
                                             wi[:, 0], wh[:, 0], b)
-            np.testing.assert_allclose(c2.data.item(), exp_c, rtol=1e-12)
-            np.testing.assert_allclose(h2.data.item(), exp_h, rtol=1e-12)
-            np.testing.assert_allclose(c2.data.item(), math.tanh(x_val), atol=1e-6)
+            for h2, c2 in _both_steps(f64([[x_val]]), f64([[0.3]]),
+                                      f64([[0.9]]), params):
+                np.testing.assert_allclose(c2.item(), exp_c, rtol=1e-12)
+                np.testing.assert_allclose(h2.item(), exp_h, rtol=1e-12)
+                np.testing.assert_allclose(c2.item(), math.tanh(x_val), atol=1e-6)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(13)
@@ -420,10 +464,11 @@ class TestLstmCell:
         b = rng.normal(size=4)
         params = ad.LstmParams(wi=f64_param(wi, "wi"), wh=f64_param(wh, "wh"),
                                b=f64_param(b, "b"))
-        h2, c2 = _fused_step(f64([[0.7]]), f64([[-0.2]]), f64([[0.5]]), params)
         exp_h, exp_c = scalar_lstm_step(0.7, -0.2, 0.5, wi[:, 0], wh[:, 0], b)
-        np.testing.assert_allclose(h2.data.item(), exp_h, rtol=1e-12)
-        np.testing.assert_allclose(c2.data.item(), exp_c, rtol=1e-12)
+        for h2, c2 in _both_steps(f64([[0.7]]), f64([[-0.2]]), f64([[0.5]]),
+                                  params):
+            np.testing.assert_allclose(h2.item(), exp_h, rtol=1e-12)
+            np.testing.assert_allclose(c2.item(), exp_c, rtol=1e-12)
 
     def test_forget_bias_initialized_to_one(self):
         rng = np.random.default_rng(14)
@@ -441,10 +486,10 @@ class TestLstmCell:
                          (f64(np.zeros((2, 16))), state, f64(np.zeros((2, 3)))),
                          (f64(np.zeros((3, 2, 16))), state, state)):
             with pytest.raises(ad.ShapeError):
-                ad.lstm_step(gx, h, c, wh)
+                lstm_step(gx, h, c, wh)
         with pytest.raises(ad.ShapeError, match="rmask"):
-            ad.lstm_step(f64(np.zeros((2, 16))), state, state, wh,
-                         rmask=np.ones((1, 4)))
+            lstm_step(f64(np.zeros((2, 16))), state, state, wh,
+                      rmask=np.ones((1, 4)))
 
     def test_gradient_matches_finite_differences(self):
         """Two chained steps with recurrent dropout, both outputs read."""
@@ -495,7 +540,7 @@ class TestLstmCell:
         lstm = ad.LstmParams(wi=params["wi"], wh=params["wh"], b=params["b"])
         gx = ad.linear(params["x"], lstm.wi, lstm.b)
         with ad.Tape() as tape:
-            h, c = ad.lstm_step(gx, params["h0"], params["c0"], lstm.wh, rmask)
+            h, c = lstm_step(gx, params["h0"], params["c0"], lstm.wh, rmask)
         assert [out for out, _, _ in tape.records] == [c, h]
         assert [inputs for _, inputs, _ in tape.records] == [
             (gx, params["h0"], params["c0"], lstm.wh), (c,)]
@@ -508,8 +553,8 @@ class TestLstmCell:
                           ((B, 4 * H), (B, H), (B, H), (4 * H, H)))
         rmask = ad.dropout_mask(rng, (B, H), 0.5, np.float32)
         with ad.Tape():
-            taped = ad.lstm_step(gx, h0, c0, wh, rmask)
-        untaped = ad.lstm_step(gx, h0, c0, wh, rmask)
+            taped = lstm_step(gx, h0, c0, wh, rmask)
+        untaped = lstm_step(gx, h0, c0, wh, rmask)
         for a, b in zip(taped, untaped):
             assert b.data.dtype == np.float32
             np.testing.assert_array_equal(a.data, b.data)
@@ -753,15 +798,16 @@ class TestLstmLayer:
         assert peaks[0] < 8 * hs.data.nbytes < peaks[1]
 
     def test_step_kernel_matches_cell(self):
+        """The step every LSTM path runs (`_lstm_step`) against the
+        composed cell."""
         rng = np.random.default_rng(23)
         params = ad.init_lstm(rng, input_dim=3, hidden=4, prefix="cell",
                               dtype=np.float64)
         x, h, c = (f64(rng.normal(size=(2, n))) for n in (3, 4, 4))
         h_ref, c_ref = lstm_cell(x, h, c, params)
-        gx = ad.linear(x, params.wi, params.b)
-        h2, c2 = ad.lstm_step(gx, h, c, params.wh)
-        np.testing.assert_allclose(h2.data, h_ref.data, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(c2.data, c_ref.data, rtol=1e-12, atol=1e-14)
+        h2, c2 = _array_step(x, h, c, params)
+        np.testing.assert_allclose(h2, h_ref.data, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(c2, c_ref.data, rtol=1e-12, atol=1e-14)
 
     def test_one_tape_record(self):
         """The input projection, the cond term and the recurrence are one
@@ -839,7 +885,7 @@ class TestLstmLayer:
                             hs = ad.lstm_layer(p["x"], cell, p.get("h0"),
                                                p.get("c0"), cond=p["cond"], **kw)
                         else:
-                            cat = ad.concat([p["x"], ad.stack_steps([p["cond"]] * T)])
+                            cat = ad.concat([p["x"], stack_steps([p["cond"]] * T)])
                             hs = lstm_layer_dense(ad.linear(cat, p["wi"], p["b"]),
                                                   p["wh"], p.get("h0"),
                                                   p.get("c0"), **kw)
@@ -851,6 +897,107 @@ class TestLstmLayer:
                 for name in arrays:
                     np.testing.assert_allclose(grads[name], grads_ref[name],
                                                err_msg=name, **close)
+
+
+def _attention_arrays(rng, T, B, D, H, widths=(4, 3), A=2):
+    """Arrays of an attention `lstm_layer`: x (T, B, D), a cell reading
+    [contexts, x] and heads over `widths` keys with random key lengths."""
+    arrays = {"x": rng.normal(size=(T, B, D)),
+              "wi": rng.normal(size=(4 * H, A * len(widths) + D)) * 0.5,
+              "wh": rng.normal(size=(4 * H, H)) * 0.5,
+              "b": rng.normal(size=4 * H) * 0.5,
+              "h0": rng.normal(size=(B, H)), "c0": rng.normal(size=(B, H))}
+    for k, width in enumerate(widths):
+        arrays.update({f"wc{k}": rng.normal(size=(A, H)),
+                       f"bc{k}": rng.normal(size=A),
+                       f"keys{k}": rng.normal(size=(width, B, A)),
+                       f"values{k}": rng.normal(size=(width, B, A))})
+    key_lengths = [rng.integers(1, width + 1, size=B) for width in widths]
+    return arrays, key_lengths
+
+
+def _attention_inputs(arrays, key_lengths, dtype):
+    """(x, cell, h0, c0, heads, every tensor by name) of `arrays`."""
+    p = {name: ad.param(np.asarray(v, dtype=dtype), name)
+         for name, v in arrays.items()}
+    heads = [ad.Attention(p[f"wc{k}"], p[f"bc{k}"], p[f"keys{k}"],
+                          p[f"values{k}"], lengths)
+             for k, lengths in enumerate(key_lengths)]
+    return (p["x"], ad.LstmParams(p["wi"], p["wh"], p["b"]), p["h0"], p["c0"],
+            heads, p)
+
+
+class TestAttentionLayer:
+    """`lstm_layer` with `Attention` heads as its `cond`: the attention
+    decoder's teacher forcing. Its values and gradients are checked
+    against the composed decoder in test_models and by finite
+    differences in criterion 1."""
+
+    def test_one_tape_record(self):
+        """The whole sequence is one record, whose inputs are x, the
+        cell, h0, c0 and each head's wc, bc, keys and values."""
+        arrays, key_lengths = _attention_arrays(np.random.default_rng(40),
+                                                5, 3, 2, 4)
+        x, cell, h0, c0, heads, _ = _attention_inputs(arrays, key_lengths,
+                                                      np.float64)
+        with ad.Tape() as tape:
+            ad.lstm_layer(x, cell, h0, c0, np.array([5, 1, 3]), cond=heads)
+        assert [inputs for _, inputs, _ in tape.records] == [
+            (x, cell.wi, cell.wh, cell.b, h0, c0,
+             *(t for a in heads for t in (a.wc, a.bc, a.keys, a.values)))]
+
+    @pytest.mark.parametrize("dropout", [False, True])
+    def test_same_states_with_and_without_tape(self, dropout):
+        """Without a tape the backward caches are skipped; the states
+        must not change by a bit (float32, mixed lengths)."""
+        rng = np.random.default_rng(42)
+        arrays, key_lengths = _attention_arrays(rng, 6, 5, 3, 8)
+        x, cell, h0, c0, heads, _ = _attention_inputs(arrays, key_lengths,
+                                                      np.float32)
+        rmask = (ad.dropout_mask(rng, (5, 8), 0.5, np.float32)
+                 if dropout else None)
+        kw = dict(lengths=np.array([6, 1, 3, 6, 2]), cond=heads, rmask=rmask)
+        with ad.Tape() as tape:
+            taped = ad.lstm_layer(x, cell, h0, c0, **kw)
+        assert len(tape.records) == 1
+        untaped = ad.lstm_layer(x, cell, h0, c0, **kw)
+        assert untaped.data.dtype == np.float32
+        np.testing.assert_array_equal(untaped.data, taped.data)
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_stepper_runs_the_layers_step(self, attention):
+        """Greedy decoding's `lstm_stepper`, fed a sequence one step at a
+        time, gives `lstm_layer`'s states bit for bit when every row is
+        real (float32), with either kind of `cond`."""
+        rng = np.random.default_rng(43)
+        T, B, D, H = 5, 4, 3, 8
+        arrays, key_lengths = _attention_arrays(rng, T, B, D, H)
+        x, cell, h0, c0, heads, _ = _attention_inputs(arrays, key_lengths,
+                                                      np.float32)
+        cond = heads
+        if not attention:
+            cond = f32(rng.normal(size=(B, 2)))
+            cell = ad.LstmParams(f32(rng.normal(size=(4 * H, D + 2))),
+                                 cell.wh, cell.b)
+        states = ad.lstm_layer(x, cell, h0, c0, cond=cond).data
+        step = ad.lstm_stepper(cell, h0, c0, cond)
+        for t in range(T):
+            np.testing.assert_array_equal(step(x.data[t]), states[t])
+
+    def test_shape_errors(self):
+        rng = np.random.default_rng(44)
+        arrays, key_lengths = _attention_arrays(rng, 4, 2, 3, 2)
+        for name, shape in (("keys0", (4, 3, 2)), ("values1", (3, 2, 1)),
+                            ("wc0", (2, 3)), ("bc1", (3,)), ("keys1", (2, 2))):
+            x, cell, h0, c0, heads, _ = _attention_inputs(
+                {**arrays, name: np.zeros(shape)}, key_lengths, np.float64)
+            with pytest.raises(ad.ShapeError):
+                ad.lstm_layer(x, cell, h0, c0, cond=heads)
+        for lengths in (np.array([1]), np.array([1.0, 2.0])):
+            x, cell, h0, c0, heads, _ = _attention_inputs(
+                arrays, [lengths, key_lengths[1]], np.float64)
+            with pytest.raises(ad.ShapeError, match="attention head 0"):
+                ad.lstm_layer(x, cell, h0, c0, cond=heads)
 
 
 def _bilstm_arrays(rng, T, B, D, H):

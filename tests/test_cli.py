@@ -774,3 +774,51 @@ class TestRunSettings:
         config = empty_config()
         config["model"]["variant"] = "expl-pred-seq2seq"
         assert cli._train_config(config) == TrainConfig(variant="expl-pred-seq2seq")
+
+
+class TestBlasThreadWarning:
+    """A command that runs a model warns once on stderr when neither BLAS
+    thread variable is set, and leaves the environment as it found it."""
+
+    MISSING = {"train": [], "grid": [],
+               "eval": ["--checkpoint", "none", "--corpus", "none.csv"],
+               "generate": ["--checkpoint", "none", "--corpus", "none.csv"],
+               "repr-export": ["--checkpoint", "none", "--sentences", "none"],
+               "bleu": ["--candidates", "none", "--references", "none"],
+               "filter": ["--input", "none.csv"]}
+
+    def _stderr(self, command, tmp_path, capsys):
+        code = main([command, *self.MISSING[command],
+                     "--out-root", str(tmp_path / "runs")])
+        assert code == 1   # every input above is missing
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", cli.MODEL_COMMANDS)
+    def test_model_command_warns_once(self, command, tmp_path, monkeypatch,
+                                      capsys):
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        err = self._stderr(command, tmp_path, capsys)
+        assert err.count("warning: neither OPENBLAS_NUM_THREADS nor "
+                         "OMP_NUM_THREADS is set") == 1
+        assert "'BLAS threads' in README.md" in err
+        assert not any(var in os.environ for var in cli.BLAS_THREAD_VARS)
+
+    @pytest.mark.parametrize("var", ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_either_variable_silences_it(self, var, tmp_path, monkeypatch,
+                                         capsys):
+        for other in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(var, "1")
+        assert "BLAS" not in self._stderr("train", tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", ["bleu", "filter"])
+    def test_other_commands_do_not_warn(self, command, tmp_path, monkeypatch,
+                                        capsys):
+        for var in cli.BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        assert "BLAS" not in self._stderr(command, tmp_path, capsys)
+
+    def test_readme_has_the_named_paragraph(self):
+        readme = Path(__file__).parents[1] / "README.md"
+        assert "\n### BLAS threads\n" in readme.read_text(encoding="utf-8")

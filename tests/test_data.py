@@ -247,7 +247,8 @@ class TestBatching:
     def test_pad_mask_complementary_to_lengths(self):
         enc, v = self._encoded(30)
         for batch in D.iterate_batches(enc, 8):
-            real = D.real_mask(batch.premise_len, batch.premise.shape[1])
+            width = batch.premise.shape[1]
+            real = np.arange(width)[None, :] < batch.premise_len[:, None]
             for i, ln in enumerate(batch.premise_len):
                 assert real[i, :ln].all()
                 assert not real[i, ln:].any()

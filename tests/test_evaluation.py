@@ -13,7 +13,7 @@ from nliexpl.data import encode_corpus, iterate_batches, load_corpus
 from nliexpl.models import (BiLstmEncoder, ExplainThenPredict, LstmDecoder,
                             ModelError)
 from nliexpl.training import _validation_metrics
-from model_utils import toy_setup
+from model_utils import report_from_json, toy_setup
 from oracles import brute_force_bleu
 from synth import make_examples
 
@@ -301,7 +301,7 @@ class TestEvaluateModel:
         report = E.EvalReport(accuracy=50.0, bleu=0.25,
                               counts={"examples": 4},
                               provenance={"split": "valid"})
-        clone = E.EvalReport.from_json(report.to_json())
+        clone = report_from_json(report.to_json())
         assert clone == report
         assert "accuracy" in report.table()
 

@@ -19,10 +19,10 @@ from nliexpl.data import (EmbeddingTable, Vocabulary, build_vocab,
                           encode_corpus, make_batch, pad_rows)
 from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
                             build_model, feature_vector, load_model)
-from model_utils import (full_model_grad_check, label_alone, toy_config,
-                         toy_setup)
-from oracles import (bilstm_composed, max_rel_err, straight_line_attention,
-                     teacher_forced_dense)
+from model_utils import (cast_model, full_model_grad_check, label_alone,
+                         toy_config, toy_setup)
+from oracles import (bilstm_composed, greedy_composed, max_rel_err,
+                     straight_line_attention, teacher_forced_dense)
 from synth import make_examples
 from variant_digests import PINNED_ENV
 
@@ -214,6 +214,17 @@ class TestWordEmbedding:
         np.testing.assert_array_equal(emb.frozen, frozen_before)
 
 
+def attend(pairs, h):
+    """The contexts and each head's weights of the attention that every
+    decoder step runs (`autodiff._Contexts.attend`), for (head, states,
+    key lengths) triples and decoder states h; also the heads."""
+    heads = [head.precompute(t(states), np.asarray(lengths))
+             for head, states, lengths in pairs]
+    ctx, qa = ad._Contexts(heads, None, np.arange(len(h)), False).attend(
+        np.asarray(h, dtype=np.float32))
+    return ctx, [w for _, w in qa], heads
+
+
 class TestAttention:
     def _setup(self, state_dim=4, dec_dim=3, attn_dim=3, seed=0):
         rng = np.random.default_rng(seed)
@@ -224,23 +235,20 @@ class TestAttention:
     def test_single_real_token_gets_weight_one(self):
         head_p, _ = self._setup()
         rng = np.random.default_rng(1)
-        states = t(rng.normal(size=(3, 1, 4)))
-        proj1, proj2 = head_p.precompute(states)
-        mask = np.array([[True, False, False]])
-        ctx, w = head_p.step(t(rng.normal(size=(1, 3))), proj1, proj2, mask)
-        np.testing.assert_allclose(w.data, [[1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(ctx.data[0], proj2.data[0, 0], atol=1e-7)
+        states = rng.normal(size=(3, 1, 4))
+        ctx, [w], [head] = attend([(head_p, states, [1])],
+                                  rng.normal(size=(1, 3)))
+        np.testing.assert_allclose(w, [[1.0, 0.0, 0.0]])
+        np.testing.assert_allclose(ctx[0], head.values.data[0, 0], atol=1e-7)
 
     def test_identical_states_give_uniform_weights(self):
         head_p, _ = self._setup()
         rng = np.random.default_rng(2)
         one = rng.normal(size=(1, 1, 4))
-        states = t(np.repeat(one, 5, axis=0))
-        proj1, proj2 = head_p.precompute(states)
-        mask = np.array([[True, True, True, True, False]])
-        _, w = head_p.step(t(rng.normal(size=(1, 3))), proj1, proj2, mask)
-        np.testing.assert_allclose(w.data[0, :4], 0.25, atol=1e-6)
-        assert w.data[0, 4] == 0.0
+        states = np.repeat(one, 5, axis=0)
+        _, [w], _ = attend([(head_p, states, [4])], rng.normal(size=(1, 3)))
+        np.testing.assert_allclose(w[0, :4], 0.25, atol=1e-6)
+        assert w[0, 4] == 0.0
 
     def test_heads_share_shapes_not_weights(self):
         head_p, head_h = self._setup()
@@ -256,12 +264,8 @@ class TestAttention:
         h_p = rng.normal(size=(Tp, 1, 6)).astype(np.float32)
         h_h = rng.normal(size=(Th, 1, 6)).astype(np.float32)
         h_dec = rng.normal(size=(1, 4)).astype(np.float32)
-        p_mask = np.array([[True, True, True, False, False]])
-        h_mask = np.array([[True, True, True, True]])
-        proj_p = head_p.precompute(t(h_p))
-        proj_h = head_h.precompute(t(h_h))
-        p_ctx, w_p = head_p.step(t(h_dec), *proj_p, p_mask)
-        h_ctx, w_h = head_h.step(t(h_dec), *proj_h, h_mask)
+        ctx, (w_p, w_h), _ = attend([(head_p, h_p, [3]), (head_h, h_h, [4])],
+                                    h_dec)
         weights = {
             "w1_p": head_p.w1.data, "b1_p": head_p.b1.data,
             "wc_p": head_p.wc.data, "bc_p": head_p.bc.data,
@@ -272,21 +276,20 @@ class TestAttention:
         }
         exp_p, exp_h, exp_wp, exp_wh = straight_line_attention(
             h_p[:, 0, :].astype(np.float64), h_h[:, 0, :].astype(np.float64),
-            h_dec[0].astype(np.float64), weights, p_mask[0], h_mask[0])
-        np.testing.assert_allclose(p_ctx.data[0], exp_p, atol=1e-5)
-        np.testing.assert_allclose(h_ctx.data[0], exp_h, atol=1e-5)
-        np.testing.assert_allclose(w_p.data[0], exp_wp, atol=1e-5)
-        np.testing.assert_allclose(w_h.data[0], exp_wh, atol=1e-5)
+            h_dec[0].astype(np.float64), weights, np.arange(Tp) < 3,
+            np.arange(Th) < 4)
+        np.testing.assert_allclose(ctx[0, :5], exp_p, atol=1e-5)
+        np.testing.assert_allclose(ctx[0, 5:], exp_h, atol=1e-5)
+        np.testing.assert_allclose(w_p[0], exp_wp, atol=1e-5)
+        np.testing.assert_allclose(w_h[0], exp_wh, atol=1e-5)
 
     def test_pad_positions_get_exact_zero_weight(self):
         head_p, _ = self._setup()
         rng = np.random.default_rng(5)
-        states = t(rng.normal(size=(6, 2, 4)))
-        proj1, proj2 = head_p.precompute(states)
-        mask = np.array([[True] * 3 + [False] * 3, [True] * 6])
-        _, w = head_p.step(t(rng.normal(size=(2, 3))), proj1, proj2, mask)
-        assert (w.data[0, 3:] == 0.0).all()
-        np.testing.assert_allclose(w.data.sum(axis=1), [1.0, 1.0], atol=1e-6)
+        states = rng.normal(size=(6, 2, 4))
+        _, [w], _ = attend([(head_p, states, [3, 6])], rng.normal(size=(2, 3)))
+        assert (w[0, 3:] == 0.0).all()
+        np.testing.assert_allclose(w.sum(axis=1), [1.0, 1.0], atol=1e-6)
 
 
 # One row per variant: classifier, explains, needs explanations in its
@@ -451,12 +454,9 @@ class TestDecoding:
         def first_logits(label_class):
             ids = np.full(batch.size, vocab.label_vocab_id(label_class),
                           dtype=np.int64)
-            h, c = dec._init_state(fv.f)
-            cond = ad.linear(fv.f, dec.w_cond, dec.b_cond)
-            x = ad.concat([emb.lookup(ids), cond])
-            h, c = ad.lstm_step(ad.linear(x, dec.cell.wi, dec.cell.b), h, c,
-                                dec.cell.wh)
-            return ad.linear(h, dec.w_out, dec.b_out).data
+            step = ad.lstm_stepper(dec.cell, *dec._init_state(fv.f),
+                                   dec._cond(fv.f, None))
+            return step(emb.lookup(ids).data) @ dec.w_out.data.T
 
         assert not np.allclose(first_logits(0), first_logits(2))
 
@@ -474,7 +474,7 @@ class TestDecoding:
         tolerance of the finite-difference suite)."""
         model, batch, vocab = toy_setup("pred-expl", n=5)
         assert len(set(batch.explanation_len)) > 1
-        model.cast_(np.float64)
+        cast_model(model, np.float64)
         params = model.params()
 
         def forced(b):
@@ -509,7 +509,7 @@ class TestDecoding:
         (recurrent dropout on) and every gradient agree (float64, 1e-10)."""
         model, batch, _ = toy_setup(variant, n=8, hidden=5, dec=6)
         assert len(set(batch.explanation_len)) > 1
-        model.cast_(np.float64)
+        cast_model(model, np.float64)
         params = model.params()
         runs = []
         for forced in (M.LstmDecoder.teacher_forced, teacher_forced_dense):
@@ -553,7 +553,7 @@ class TestDecoding:
         last token, so its forced row has no <eos> (float64)."""
         model, batch, vocab = toy_setup(variant, n=10, seed=seed, max_len=6,
                                         dec=6)
-        model.cast_(np.float64)
+        cast_model(model, np.float64)
         dec, cap = model.decoder, model.cfg.max_decode_len
         # a larger random output layer varies the picks by row and step;
         # the <eos> bias then rises until some row stops before the cap
@@ -575,30 +575,17 @@ class TestDecoding:
         assert res.n_tokens == decided
         assert res.n_correct == decided
 
-    def test_attention_loss_records_two_lstm_steps_per_decoder_step(self):
-        """Each attention decoder step is one fused `lstm_step` (two
-        records); no record comes from a composed-cell op, and every
-        record has one Tensor output and a one-argument backward."""
-        model, batch, _ = toy_setup("expl-pred-att", n=4)
-        with ad.Tape() as tape:
-            model.loss(batch, train=True, rng=np.random.default_rng(0))
-        kinds = Counter(fn.__qualname__.split(".")[0]
-                        for _, _, fn in tape.records)
-        assert kinds["lstm_step"] == 2 * (batch.explanation.shape[1] - 1)
-        assert not kinds.keys() & {"lstm_cell", "slice_last", "sigmoid_",
-                                   "mul_const", "matmul"}
-        for out, _, fn in tape.records:
-            assert isinstance(out, ad.Tensor)
-            assert len(inspect.signature(fn).parameters) == 1
-
     @pytest.mark.parametrize("variant,alpha,records,sequences", [
         ("hyp-to-expl", None, 14, 1), ("pred-expl", 0.6, 31, 1),
-        ("expl-pred-seq2seq", None, 21, 1), ("autoenc", 0.6, 42, 2)])
+        ("expl-pred-seq2seq", None, 21, 1), ("expl-pred-att", None, 28, 1),
+        ("autoenc", 0.6, 42, 2)])
     def test_decoded_sequence_is_one_record(self, variant, alpha, records,
                                             sequences):
-        """Without attention, teacher forcing's input projection, source
-        term and recurrence are one `lstm_layer` record per decoded
-        sequence, which pins each toy loss's record count."""
+        """Teacher forcing's input projection, source term (attention
+        included) and recurrence are one `lstm_layer` record per decoded
+        sequence, which pins each toy loss's record count whatever its
+        length. No record comes from a composed-cell op, and every record
+        has one Tensor output and a one-argument backward."""
         model, batch, _ = toy_setup(variant)
         with ad.Tape() as tape:
             model.loss(batch, train=True, rng=np.random.default_rng(0),
@@ -607,6 +594,58 @@ class TestDecoding:
                         for _, _, fn in tape.records)
         assert kinds["lstm_layer"] == sequences
         assert len(tape.records) == records
+        assert not kinds.keys() & {"lstm_cell", "lstm_step", "slice_last",
+                                   "sigmoid_", "stack_steps"}
+        for out, _, fn in tape.records:
+            assert isinstance(out, ad.Tensor)
+            assert len(inspect.signature(fn).parameters) == 1
+
+    def test_attention_matches_composed_reference(self, monkeypatch):
+        """The attention decoder's one `lstm_layer` against its composed
+        reference (one `lstm_step` and the heads' generic tape ops per
+        step over all rows, `oracles.teacher_forced_dense`), with the
+        heads' key lengths varying by row and a decoded row of length 1:
+        the training loss (recurrent dropout on), every gradient, the NLL
+        with its token and correct-token counts (float64, 1e-10), and the
+        greedy ids of `oracles.greedy_composed`."""
+        model, batch, vocab = toy_setup("expl-pred-att", n=8, hidden=5, dec=6,
+                                        max_len=7)
+        cast_model(model, np.float64)
+        rng = np.random.default_rng(11)
+        for name in ("premise", "hypothesis"):
+            ids, lengths = getattr(batch, name), rng.integers(1, 7, size=8)
+            ids[np.arange(ids.shape[1]) >= lengths[:, None]] = vocab.pad_id
+            setattr(batch, f"{name}_len", lengths)
+        batch.explanation_len[2] = 2   # <bos> w: one decoded step
+        batch.explanation[2, 2:] = vocab.pad_id
+        assert len(set(batch.premise_len)) > 1
+        params = model.params()
+        runs = []
+        for forced, greedy in ((M.LstmDecoder.teacher_forced, M.LstmDecoder.greedy),
+                               (teacher_forced_dense, greedy_composed)):
+            monkeypatch.setattr(M.LstmDecoder, "teacher_forced", forced)
+            monkeypatch.setattr(M.LstmDecoder, "greedy", greedy)
+            with ad.Tape() as tape:
+                loss, _ = model.loss(batch, train=True,
+                                     rng=np.random.default_rng(4))
+            ad.backward(tape, loss)
+            grads = {name: p.grad for name, p in params.items()}
+            for p in params.values():
+                p.grad = None
+            _, scored, generated = model.eval_batch(batch, nll=True,
+                                                    greedy=True)
+            runs.append((float(loss.data), grads, scored, generated))
+        (loss, grads, scored, generated), (loss_ref, grads_ref, scored_ref,
+                                           generated_ref) = runs
+        close = dict(rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(loss, loss_ref, **close)
+        assert grads.keys() == grads_ref.keys()
+        for name in grads:
+            np.testing.assert_allclose(grads[name], grads_ref[name],
+                                       err_msg=name, **close)
+        np.testing.assert_allclose(scored[0], scored_ref[0], **close)
+        assert scored[1:] == scored_ref[1:]
+        assert generated == generated_ref
 
     def test_pred_expl_generation_conditions_on_predicted_label(self):
         model, batch, vocab = toy_setup("pred-expl", n=3)
@@ -694,13 +733,11 @@ class TestPipeline:
         # no matter what the decoder state is
         rng = np.random.default_rng(9)
         head = AttentionHead(rng, 4, 3, 3, "attention.premise")
-        states = t(rng.normal(size=(1, 1, 4)))
-        proj1, proj2 = head.precompute(states)
-        mask = np.array([[True]])
-        ctx1, _ = head.step(t(rng.normal(size=(1, 3))), proj1, proj2, mask)
-        ctx2, _ = head.step(t(rng.normal(size=(1, 3))), proj1, proj2, mask)
-        np.testing.assert_allclose(ctx1.data, ctx2.data, atol=1e-7)
-        np.testing.assert_allclose(ctx1.data[0], proj2.data[0, 0], atol=1e-7)
+        states = rng.normal(size=(1, 1, 4))
+        ctx1, _, [att] = attend([(head, states, [1])], rng.normal(size=(1, 3)))
+        ctx2, _, _ = attend([(head, states, [1])], rng.normal(size=(1, 3)))
+        np.testing.assert_allclose(ctx1, ctx2, atol=1e-7)
+        np.testing.assert_allclose(ctx1[0], att.values.data[0, 0], atol=1e-7)
 
 
 class TestRecurrentDropout:

@@ -9,7 +9,7 @@ from nliexpl.evaluation import label_accuracy, perplexity, predict_all
 from nliexpl.models import build_model, load_model
 from nliexpl.training import (RunRecord, TrainConfig, TrainData, TrainingError,
                               grid_select, joint_loss, train)
-from model_utils import toy_setup
+from model_utils import cast_model, toy_setup
 from synth import make_examples
 
 
@@ -60,7 +60,7 @@ class TestJointLoss:
         # grads at alpha equal the weighted sum of grads at alpha=1 and 0
         model, batch, _ = toy_setup("pred-expl", n=4, hidden=3, embed=4,
                                     dec=3, width=4)
-        model.cast_(np.float64)
+        cast_model(model, np.float64)
         params = model.params()
 
         def grads_at(alpha):

@@ -11,7 +11,12 @@ prints them as JSON. `tests/fixtures/variant_digests.json` holds the
 digests recorded when teacher forcing began scoring only the real
 target rows, which moved the float32 bits of the explaining variants
 (the NLL and output-head gradients sum fewer rows), after the float64
-differential test against `oracles.teacher_forced_dense` passed.
+differential test against `oracles.teacher_forced_dense` passed. The
+`expl-pred-att` entries were recorded again when its steps joined
+`lstm_layer`, after the float64 differential test against the composed
+attention decoder passed: the embedding's and the contexts' parts of
+the gate input are now two GEMMs, which round float32 differently from
+one GEMM over the concatenated input.
 `test_models.TestParentParity` runs this script and compares; a change
 that moves the digests passes such a test against the code it replaces
 before they are recorded again. Float32 GEMM and SIMD results depend
