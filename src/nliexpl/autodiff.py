@@ -15,14 +15,20 @@ through time inside the op. A decoder's `cond` joins the gate input
 once per sequence (a source vector) or at every step as attention read
 from the previous hidden state (`Attention`, `_Contexts`), whose
 backward joins the same BPTT loop. `bilstm_layer` runs both directions
-of an encoder at once, one on a worker thread, on the same direction
-core (`_lstm_direction`); greedy decoding runs the same step on arrays
-(`lstm_stepper`). The cell and the attention decoder composed from
-generic tape ops live in `tests/oracles.py` as their references.
+of an encoder at once on the same direction core (`_lstm_direction`);
+greedy decoding runs the same step on arrays (`lstm_stepper`). The cell
+and the attention decoder composed from generic tape ops live in
+`tests/oracles.py` as their references.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
 checking replays the same graph in float64 (cast parameters first).
+
+One worker thread (`_worker`) is the second CPU core: it runs
+`bilstm_layer`'s reverse direction, one column half of a large float32
+`linear` (`_split_matmul`), and the weight gradients that `backward`
+defers while this thread carries the input gradients down the tape.
+Every result is bit-identical to running it all on one thread.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import itertools
 import os
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +176,18 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Populates `.grad` on every parameter reachable from `loss` and frees
     the gradient buffers of non-parameter intermediates.
+
+    A backward function may return a gradient as a zero-argument
+    callable instead of an array: a weight gradient, which nothing in
+    the pass reads. For a parameter it runs on the worker thread while
+    this one carries the input gradients on down the tape (the B/W split
+    of Qi et al. 2024, arXiv:2401.10241); for any other input it runs
+    here at once. At the end this thread takes the ones the worker has
+    not started, latest first, while the worker works from the front. A
+    parameter's contributions are summed in record order whichever
+    thread made them, so every bit is as if all ran here. The pass waits
+    for all of them before it returns or raises; the first exception of
+    a deferred one (in record order) is raised unchanged.
     """
     if tape._done:
         raise TapeError("backward already ran on this tape")
@@ -179,23 +197,71 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
 
     loss.grad = np.ones_like(loss.data)
-    for out, inputs, backward_fn in reversed(tape.records):
-        g = out.grad
-        if g is None:
-            continue
-        grads = backward_fn(g)
-        for t, gi in zip(inputs, grads):
-            if gi is None:
+    # a parameter's contributions from its first deferred one on, in record
+    # order: arrays and `_Deferred`s, the latter also in `queued`
+    later: dict[Tensor, list] = {}
+    queued: list[_Deferred] = []
+    try:
+        for out, inputs, backward_fn in reversed(tape.records):
+            g = out.grad
+            if g is None:
                 continue
+            grads = backward_fn(g)
+            for t, gi in zip(inputs, grads):
+                if gi is None:
+                    continue
+                if callable(gi):
+                    if t.is_param:
+                        queued.append(_Deferred(gi))
+                        later.setdefault(t, []).append(queued[-1])
+                        continue
+                    gi = gi()
+                if t in later:
+                    later[t].append(gi)
+                else:
+                    t.grad = gi if t.grad is None else t.grad + gi
+            if not out.is_param:
+                out.grad = None
+    finally:
+        for task in reversed(queued):
+            task.steal()
+        wait([task.future for task in queued])
+    for t, parts in later.items():
+        for gi in parts:
+            if isinstance(gi, _Deferred):
+                gi = gi.future.result()
             t.grad = gi if t.grad is None else t.grad + gi
-        if not out.is_param:
-            out.grad = None
     for out, inputs, _ in tape.records:
         for t in inputs:
             if not t.is_param:
                 t.grad = None
     tape._done = True
     tape.records.clear()  # frees saved activations
+
+
+class _Deferred:
+    """A deferred gradient (see `backward`): queued on the worker when
+    made; its value or exception ends up in `future`. Whichever thread
+    runs it lets go of `fn` first, and with it the operands."""
+
+    __slots__ = ("fn", "future")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.future = _worker.submit(self._run)
+
+    def _run(self):
+        fn, self.fn = self.fn, None
+        return fn()
+
+    def steal(self) -> None:
+        """Run it on this thread if the worker has not started it."""
+        if self.future.cancel():
+            self.future = Future()
+            try:
+                self.future.set_result(self._run())
+            except Exception as exc:
+                self.future.set_exception(exc)
 
 
 # ---------------------------------------------------------------------------
@@ -283,26 +349,59 @@ def _flat_matmul(x: np.ndarray, w_t: np.ndarray,
     return np.matmul(_gemm_rows(x2, x.ndim > 2), w_t, out=out)[:x2.shape[0]]
 
 
+# `_matmul` splits a float32 GEMM in two when each half is at least this
+# many rows by this many output columns. With the worker on the other of
+# two CPUs (one BLAS thread), the benchmark's 817 x 512 x 3129 output head
+# took 27.2 ms as one GEMM and 13.8 ms split, its 64 x 4096 x 512 source
+# projections 4.2 and 2.3 ms, and 64 x 512 x 512 broke even (medians of
+# 40 interleaved calls). Split float32 products of 19 rows or more
+# matched one GEMM bit for bit on all of some 5000 shapes tried (OpenBLAS
+# 0.3.31), products of 18 rows or fewer and some float64 ones did not.
+_SPLIT_MIN = 64
+
+
+def _split_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a (n, K) @ b (K, N) in two halves by output columns, the second on
+    the worker, both written into one array made here."""
+    y = np.empty((len(a), b.shape[1]), np.result_type(a, b))
+    half = b.shape[1] // 2
+    _at_once(lambda: np.matmul(a, b[:, :half], out=y[:, :half]),
+             lambda: np.matmul(a, b[:, half:], out=y[:, half:]))
+    return y
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, gemm: bool = False) -> np.ndarray:
+    """a (n, K) @ b (K, N): `_split_matmul` for a float32 product of
+    `_SPLIT_MIN` rows and twice as many columns or more, else one GEMM
+    (with `gemm`, a one-row `a` runs as gemm, see `_gemm_rows`)."""
+    if len(a) >= _SPLIT_MIN and b.shape[1] >= 2 * _SPLIT_MIN \
+            and a.dtype == b.dtype == np.float32:
+        return _split_matmul(a, b)
+    return np.matmul(_gemm_rows(a, gemm), b)[:len(a)]
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w.T + b with w of shape (out, in); x may be (..., in).
 
-    Leading axes are flattened, so a (T, B, in) sequence is one GEMM.
+    Leading axes are flattened, so a (T, B, in) sequence is one GEMM;
+    it and the input gradient's GEMM split over both threads when large
+    (`_matmul`). Backward defers the weight gradient (see `backward`).
     """
     if w.data.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: x {x.shape} incompatible with w {w.shape}")
     if b is not None and b.shape != (w.shape[0],):
         raise ShapeError(f"linear: bias {b.shape} incompatible with w {w.shape}")
     xd, wd = x.data, w.data
-    y = _flat_matmul(xd, wd.T)
+    x2 = xd.reshape(-1, wd.shape[1])
+    y = _matmul(x2, wd.T, gemm=xd.ndim > 2)
     if b is not None:
         y += b.data
     out = Tensor(y.reshape(xd.shape[:-1] + (wd.shape[0],)))
 
     def _bw(g):
         g2 = g.reshape(-1, wd.shape[0])
-        x2 = xd.reshape(-1, wd.shape[1])
-        gx = (g2 @ wd).reshape(xd.shape)
-        gw = g2.T @ x2
+        gx = _matmul(g2, wd).reshape(xd.shape)
+        gw = lambda: g2.T @ x2   # noqa: E731 (deferred, see `backward`)
         if b is None:
             return (gx, gw)
         return (gx, gw, g2.sum(axis=0))
@@ -746,7 +845,8 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     entering every step's recurrent term.
 
     The work is `_lstm_direction`, run here on the calling thread;
-    `bilstm_layer` runs it too, one direction on a worker thread.
+    `bilstm_layer` runs it too, one direction on the worker thread.
+    Backward defers the gradients of wi and wh (see `backward`).
     """
     lengths, rmask = _check_lstm("lstm_layer", x, [cell], lengths, cond, h0,
                                  c0, rmask)
@@ -866,26 +966,33 @@ def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
         dh0, dc0 = (None if s0 is None else d[unsort]
                     for s0, d in ((h0, dh), (c0, dc)))
         g2 = dgx.reshape(-1, G)
-        dx, dwx, dwh = (g2 @ wx).reshape(x.shape), g2.T @ x.reshape(-1, D), dz.T @ h_in
+        dx = (g2 @ wx).reshape(x.shape)
+        # the weight gradients wi's and wh's are deferred (see `backward`)
+        dwx = lambda: g2.T @ x.reshape(-1, D)   # noqa: E731
+        dwh = lambda: dz.T @ h_in   # noqa: E731
         if isinstance(cond, Tensor):
             gs = dgx.sum(axis=0)   # the cond term's gradient, summed over steps
-            return (dx, np.concatenate([dwx, gs.T @ cond.data], axis=1), dwh,
-                    gs.sum(axis=0), dh0, dc0, gs @ wi[:, D:])
+            return (dx, lambda: np.concatenate([dwx(), gs.T @ cond.data], axis=1),
+                    dwh, gs.sum(axis=0), dh0, dc0, gs @ wi[:, D:])
         if ctx is None:
             return dx, dwx, dwh, g2.sum(axis=0), dh0, dc0, None
         dw, *dheads = (d if d.ndim < 3 else d[unsort].transpose(1, 0, 2)
                        for d in ctx.grads)   # keys and values in batch order
-        return (dx, np.concatenate([dw, dwx], axis=1), dwh, g2.sum(axis=0),
-                dh0, dc0, *dheads)
+        return (dx, lambda: np.concatenate([dw, dwx()], axis=1), dwh,
+                g2.sum(axis=0), dh0, dc0, *dheads)
 
     return grads
 
 
 def _new_worker() -> None:
-    """One thread for the life of the process, started on first use; a
-    forked child gets its own, as it inherits the executor but no thread."""
+    """The second core's thread, one for the life of the process, started
+    on first use: it runs `bilstm_layer`'s reverse direction, one half of
+    a split `linear` and the weight gradients `backward` defers, in the
+    order they come. Nothing it runs may give it work, or both would
+    wait on each other. A forked child gets its own, as it inherits the
+    executor but no thread."""
     global _worker
-    _worker = ThreadPoolExecutor(1, thread_name_prefix="nliexpl-bilstm")
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="nliexpl-second-core")
 
 
 _new_worker()
@@ -893,13 +1000,19 @@ os.register_at_fork(after_in_child=_new_worker)
 
 
 def _at_once(here, there):
-    """(here(), there()), `there` run on the worker; waits for both."""
+    """(here(), there()), `there` on the worker if it gets to it while
+    here() runs; if it is still queued (behind weight gradients that
+    `backward` deferred) it runs here after here(). Waits for both; an
+    exception of either reaches the caller unchanged, the worker's
+    first."""
     later = _worker.submit(there)
     try:
         first = here()
-    finally:
-        second = later.result()
-    return first, second
+    except BaseException:
+        if not later.cancel():
+            later.result()
+        raise
+    return first, there() if later.cancel() else later.result()
 
 
 def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
@@ -930,8 +1043,12 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
         return out
 
     def _bw(g):
-        (dx, *dfwd), (dx_bwd, *dbwd) = _at_once(lambda: grads_f(g[..., :H])[:4],
-                                                lambda: grads_b(g[..., H:])[:4])
+        # each direction makes its own weight gradients: both threads are
+        # busy here already, and deferred they ran slower with a higher
+        # peak RSS (benchmark pairs)
+        (dx, *dfwd), (dx_bwd, *dbwd) = _at_once(
+            lambda: [d() if callable(d) else d for d in grads_f(g[..., :H])[:4]],
+            lambda: [d() if callable(d) else d for d in grads_b(g[..., H:])[:4]])
         dx += dx_bwd
         return (dx, *dfwd, *dbwd)
 

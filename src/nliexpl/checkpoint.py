@@ -47,22 +47,23 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray],
         shutil.rmtree(stale, ignore_errors=True)
     partial.mkdir(parents=True)
     entries = []
-    chunks = []
     offset = 0
-    for name, arr in arrays.items():
-        data = np.ascontiguousarray(arr, dtype=_DTYPE)
-        entries.append({
-            "name": name,
-            "shape": list(arr.shape),
-            "offset": offset,
-            "trainable": trainable is None or name in trainable,
-        })
-        chunks.append(data.tobytes())
-        offset += data.nbytes
-    manifest = {"format": FORMAT_TAG, "dtype": "<f4", "blob_bytes": offset,
-                "tensors": entries, "meta": meta or {}}
     try:
-        (partial / BLOB_NAME).write_bytes(b"".join(chunks))
+        # each tensor goes to the file through a memoryview of its own
+        # buffer: no bytes copy of it, and none of the whole blob
+        with open(partial / BLOB_NAME, "wb") as blob:
+            for name, arr in arrays.items():
+                data = np.ascontiguousarray(arr, dtype=_DTYPE)
+                entries.append({
+                    "name": name,
+                    "shape": list(arr.shape),
+                    "offset": offset,
+                    "trainable": trainable is None or name in trainable,
+                })
+                blob.write(memoryview(data))
+                offset += data.nbytes
+        manifest = {"format": FORMAT_TAG, "dtype": "<f4", "blob_bytes": offset,
+                    "tensors": entries, "meta": meta or {}}
         (partial / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=1, sort_keys=False), encoding="utf-8")
     except BaseException:

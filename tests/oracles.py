@@ -19,10 +19,15 @@ it ran before its steps joined `lstm_layer`: one `lstm_step` (two tape
 records on the gate kernels) per step, fed by `attend_step`, which
 composes each head's context from generic tape ops and the ops only it
 used (`attn_scores`, `softmax_masked`, `attn_combine`, `stack_steps`).
+`backward_in_line` is the backward pass as it ran before weight
+gradients left the calling thread: every gradient made when its record
+is taken back and summed into `.grad` at once; `InlineExecutor` stands in
+for the worker thread and runs what it is given at once.
 """
 
 import math
 from collections import Counter
+from concurrent.futures import Future
 
 import numpy as np
 
@@ -32,6 +37,43 @@ from nliexpl.autodiff import (LOG_FLOOR, EmptySequenceError, LstmParams,
                               concat, dropout_mask, linear, lstm_layer, mul,
                               softmax, sum_, tanh_)
 from nliexpl.models import DecodeResult
+
+
+# ---------------------------------------------------------------------------
+# Backward pass on one thread
+
+
+def backward_in_line(tape, loss):
+    """`autodiff.backward` with no deferral: each record's gradients,
+    deferred ones called at once, summed into `.grad` in record order."""
+    loss.grad = np.ones_like(loss.data)
+    for out, inputs, backward_fn in reversed(tape.records):
+        if out.grad is None:
+            continue
+        for t, gi in zip(inputs, backward_fn(out.grad)):
+            if gi is None:
+                continue
+            gi = gi() if callable(gi) else gi
+            t.grad = gi if t.grad is None else t.grad + gi
+        if not out.is_param:
+            out.grad = None
+    for out, inputs, _ in tape.records:
+        for t in inputs:
+            if not t.is_param:
+                t.grad = None
+    tape.records.clear()
+
+
+class InlineExecutor:
+    """A stand-in for `autodiff._worker` that runs each task in `submit`."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        try:
+            done.set_result(fn(*args))
+        except Exception as exc:
+            done.set_exception(exc)
+        return done
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import math
 import os
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
-from oracles import (bilstm_composed, column_max, gate_input_cell, lstm_cell,
-                     lstm_layer_dense, lstm_step, max_rel_err, numeric_grad,
-                     scalar_lstm_step, sigmoid_, slice_last, stack_steps)
+from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
+                     column_max, gate_input_cell, lstm_cell, lstm_layer_dense,
+                     lstm_step, max_rel_err, numeric_grad, scalar_lstm_step,
+                     sigmoid_, slice_last, stack_steps)
 
 
 def f64(x):
@@ -1185,6 +1187,197 @@ class TestBilstmLayer:
         if proc.is_alive():
             proc.kill()
         assert proc.exitcode == 0
+
+
+class TestSecondCore:
+    """What runs on the worker besides `bilstm_layer`'s reverse direction:
+    one half of a large `linear` forward, and the weight gradients that
+    `backward` defers."""
+
+    M = ad._SPLIT_MIN
+
+    @pytest.mark.parametrize("rows,n_in,n_out", [
+        (817, 512, 3110), (817, 512, 3129), (817, 3129, 512), (M, 512, 4096),
+        (M, 64, 2 * M), (M, 300, 2 * M + 1), (M, 4096, 512), (M, 3, 3 * M + 5)])
+    def test_split_equals_one_gemm(self, rows, n_in, n_out):
+        """The output head's forward and input-gradient shapes on the
+        benchmark (V 3110 and 3129), the source projections' input
+        gradient, and the smallest products that split: bit for bit the
+        unsplit GEMM, with the right operand a weight's transpose (the
+        forward) or a weight (the input gradient)."""
+        rng = np.random.default_rng(rows + n_out)
+        x = rng.normal(size=(rows, n_in)).astype(np.float32)
+        for w in (rng.normal(size=(n_out, n_in)).astype(np.float32).T,
+                  rng.normal(size=(n_in, n_out)).astype(np.float32)):
+            np.testing.assert_array_equal(ad._split_matmul(x, w), x @ w)
+
+    @pytest.mark.parametrize("x_shape,w_shape,dtype,splits", [
+        ((2, 512), (3129, 512), np.float32, False),
+        ((3, 512), (3129, 512), np.float32, False),
+        ((M - 1, 8), (3129, 8), np.float32, False),
+        ((3129, 8), (2 * M - 1, 8), np.float32, False),
+        ((M, 8), (2 * M, 8), np.float64, False),
+        ((M, 8), (2 * M, 8), np.float32, True),
+        ((4, M // 4, 8), (2 * M, 8), np.float32, True)])
+    def test_linear_splits_only_large_float32_products(
+            self, monkeypatch, x_shape, w_shape, dtype, splits):
+        """Few rows or outputs never split (up to 18 rows a column half
+        can round differently), nor float64 products; `_SPLIT_MIN` rows
+        and twice as many outputs do. The values and gradients are those
+        of the one-GEMM path either way."""
+        split, calls = ad._split_matmul, []
+        monkeypatch.setattr(ad, "_split_matmul",
+                            lambda *a: calls.append(a) or split(*a))
+        rng = np.random.default_rng(61)
+        arrays = [rng.normal(size=s).astype(dtype)
+                  for s in (x_shape, w_shape, w_shape[:1])]
+        runs = []
+        for split_min in (ad._SPLIT_MIN, 10 ** 9):
+            monkeypatch.setattr(ad, "_SPLIT_MIN", split_min)
+            x, w, b = (ad.param(a, name) for a, name in zip(arrays, "xwb"))
+            with ad.Tape() as tape:
+                y = ad.linear(x, w, b)
+                loss = ad.sum_(ad.mul(y, y))
+            ad.backward(tape, loss)
+            runs.append([y.data, x.grad, w.grad, b.grad])
+        assert len(calls) == splits
+        for a, c in zip(*runs):
+            np.testing.assert_array_equal(a, c)
+
+    @staticmethod
+    def _losses(n_tasks, work, boom_at=None):
+        """A tape whose backward defers `n_tasks` weight gradients of
+        parameters w0, w1, ...; the one at `boom_at` raises. Each records
+        its index in `done` when it finishes."""
+        done, ws = [], [ad.param(np.ones(3), f"w{k}") for k in range(n_tasks)]
+
+        def task(k):
+            def run():
+                work()
+                if k == boom_at:
+                    raise RuntimeError(f"task {k} failed")
+                done.append(k)
+                return np.full(3, float(k))
+            return run
+
+        with ad.Tape() as tape:
+            parts = []
+            for k, w in enumerate(ws):
+                parts.append(ad.Tensor(np.zeros(1)))
+                ad._record(parts[-1], (w,), lambda g, k=k: (task(k),))
+            loss = ad.sum_(ad.concat(parts))
+        return tape, loss, ws, done
+
+    def test_deferred_exception_reaches_caller_after_the_rest(self):
+        """A deferred weight gradient that raises: backward raises that
+        exception unchanged once every other deferred task has finished,
+        and the worker keeps working."""
+        n = 8
+        tape, loss, ws, done = self._losses(n, lambda: time.sleep(0.01), boom_at=2)
+        with pytest.raises(RuntimeError, match="task 2 failed"):
+            ad.backward(tape, loss)
+        assert sorted(done) == [k for k in range(n) if k != 2]
+        assert ad._worker.submit(lambda: 7).result(timeout=30) == 7
+
+    def test_backward_leaves_no_work_pending(self):
+        """When backward returns, every deferred task has run: a task
+        given to the worker next is the only one in its queue."""
+        n = 8
+        tape, loss, ws, done = self._losses(n, lambda: time.sleep(0.01))
+        ad.backward(tape, loss)
+        assert sorted(done) == list(range(n))
+        assert ad._worker._work_queue.empty()
+        assert ad._worker.submit(lambda: threading.current_thread().name).result(
+            timeout=30).startswith("nliexpl-second-core")
+        for k, w in enumerate(ws):
+            np.testing.assert_array_equal(w.grad, np.full(3, float(k)))
+
+    def test_contributions_fold_in_record_order(self, monkeypatch):
+        """A parameter read by records whose gradients are, in record
+        order, deferred and not, in float32 values whose sum depends on
+        the order: its gradient is the straight-line fold, on the worker
+        or with an executor that runs everything at once."""
+        vals = np.float32([1e8, 1.0, -1e8, 3.0, 0.5, -7.0, 1e-3])
+        grads = []
+        for run in ("worker", "inline executor", "in line"):
+            if run == "inline executor":
+                monkeypatch.setattr(ad, "_worker", InlineExecutor())
+            w = ad.param(np.zeros(1, dtype=np.float32), "w")
+            with ad.Tape() as tape:
+                parts = []
+                for k, v in enumerate(vals):
+                    out = ad.Tensor(np.zeros(1, dtype=np.float32))
+                    contribution = np.full(1, v)
+                    # odd records defer their contribution
+                    ad._record(out, (w,), (lambda g, c=contribution: (lambda: c,))
+                               if k % 2 else (lambda g, c=contribution: (c,)))
+                    parts.append(out)
+                loss = ad.sum_(ad.concat(parts))
+            (backward_in_line if run == "in line" else ad.backward)(tape, loss)
+            grads.append(w.grad)
+        expected = np.float32(0)
+        for v in vals[::-1]:
+            expected = np.float32(expected + v)
+        assert grads[0][0] == grads[1][0] == grads[2][0] == expected
+
+    def test_fold_survives_fast_thread_switching(self):
+        """Many deferred gradients of one shared weight and of separate
+        ones, with the interpreter switching threads as often as it can:
+        every gradient is the one-thread pass's, bit for bit, each time."""
+        rng = np.random.default_rng(63)
+        xs = [rng.normal(size=(3, 4)).astype(np.float32) for _ in range(40)]
+        shared = rng.normal(size=(5, 4)).astype(np.float32)
+        own = [rng.normal(size=(5, 5)).astype(np.float32) for _ in xs]
+
+        def grads(backward):
+            w = ad.param(shared, "shared")
+            ws = [ad.param(a, f"own{k}") for k, a in enumerate(own)]
+            with ad.Tape() as tape:
+                loss = None
+                for x, wk in zip(xs, ws):
+                    y = ad.linear(ad.linear(ad.Tensor(x), w), wk)
+                    term = ad.sum_(ad.mul(y, y))
+                    loss = term if loss is None else ad.add(loss, term)
+            backward(tape, loss)
+            return [w.grad] + [wk.grad for wk in ws]
+
+        expected = grads(backward_in_line)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                for a, b in zip(grads(ad.backward), expected):
+                    np.testing.assert_array_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_non_parameter_gradients_are_not_deferred(self, monkeypatch):
+        """Only a parameter's gradient goes to the worker: the gradient of
+        a non-parameter input is made at once, since the pass reads it."""
+        class NoWorker:
+            def submit(self, *args):
+                raise AssertionError("work was sent to the worker")
+
+        monkeypatch.setattr(ad, "_worker", NoWorker())
+        rng = np.random.default_rng(62)
+        x, w = (ad.Tensor(rng.normal(size=s)) for s in ((4, 3), (5, 3)))
+        with ad.Tape() as tape:
+            loss = ad.sum_(ad.linear(ad.tanh_(x), w))
+        ad.backward(tape, loss)
+        assert x.grad is None and w.grad is None
+
+    def test_split_waits_behind_no_deferred_work(self):
+        """`_at_once` runs `there` on the calling thread when the worker
+        is still busy with earlier work, instead of waiting behind it."""
+        gate = threading.Event()
+        blocker = ad._worker.submit(gate.wait, 10)
+        try:
+            here, there = ad._at_once(lambda: threading.get_ident(),
+                                      lambda: threading.get_ident())
+            assert here == there == threading.get_ident()
+        finally:
+            gate.set()
+            blocker.result(timeout=30)
 
 
 class TestTapeDiscipline:

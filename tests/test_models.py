@@ -21,8 +21,9 @@ from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
                             build_model, feature_vector, load_model)
 from model_utils import (cast_model, full_model_grad_check, label_alone,
                          toy_config, toy_setup)
-from oracles import (bilstm_composed, greedy_composed, max_rel_err,
-                     straight_line_attention, teacher_forced_dense)
+from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
+                     greedy_composed, max_rel_err, straight_line_attention,
+                     teacher_forced_dense)
 from synth import make_examples
 from variant_digests import PINNED_ENV
 
@@ -651,6 +652,83 @@ class TestDecoding:
         model, batch, vocab = toy_setup("pred-expl", n=3)
         _, _, preds = model.generate(batch)
         np.testing.assert_array_equal(preds, model.predict_labels(batch))
+
+
+class TestBothThreads:
+    """A pred-expl loss large enough that `linear` splits the output head
+    over both threads and backward defers weight gradients to the
+    worker: the float32 loss and every gradient are those of one thread."""
+
+    @staticmethod
+    def _setup():
+        examples = make_examples(40, seed=3)
+        # words no sentence uses, so that the output head splits
+        unused = [[f"unused{k}" for k in range(2 * ad._SPLIT_MIN)]]
+        vocab = build_vocab([e.premise for e in examples]
+                            + [e.hypothesis for e in examples]
+                            + [e.explanations[0] for e in examples] + unused,
+                            min_count=1)
+        cfg = toy_config("pred-expl", hidden=8, embed=6, dec=8, width=8)
+        rng = np.random.default_rng(4)
+        model = build_model(cfg, vocab, EmbeddingTable.random(vocab, 6, rng), rng)
+        batch = make_batch(encode_corpus(examples, vocab), with_explanations=True)
+        return model, batch
+
+    def test_fold_order_does_not_depend_on_the_worker(self, monkeypatch):
+        """Against the same run with an executor that runs each task as
+        it is given, and against the pass with nothing deferred
+        (`backward_in_line`), bit for bit; the label-word rows, read by
+        three lookups, included."""
+        model, batch = self._setup()
+        params = model.params()
+        split, deferred = ad._split_matmul, ad._Deferred
+        counts = {"split": 0, "deferred": 0}
+
+        def counted_split(*args):
+            counts["split"] += 1
+            return split(*args)
+
+        class Counted(deferred):
+            def __init__(self, fn):
+                counts["deferred"] += 1
+                super().__init__(fn)
+
+        monkeypatch.setattr(ad, "_split_matmul", counted_split)
+        monkeypatch.setattr(ad, "_Deferred", Counted)
+
+        def run(backward):
+            for p in params.values():
+                p.grad = None
+            with ad.Tape() as tape:
+                loss, _ = model.loss(batch, train=True, alpha=0.6,
+                                     rng=np.random.default_rng(5))
+            reads = sum(any(t is model.embedding.label_rows for t in inputs)
+                        for _, inputs, _ in tape.records)
+            backward(tape, loss)
+            return reads, [loss.data] + [p.grad for p in params.values()]
+
+        reads, on_worker = run(ad.backward)
+        assert reads == 3
+        assert counts["split"] == 1 and counts["deferred"] >= 8
+        monkeypatch.setattr(ad, "_worker", InlineExecutor())
+        for backward in (ad.backward, backward_in_line):
+            _, other = run(backward)
+            assert len(other) == len(on_worker)
+            for a, b in zip(on_worker, other):
+                assert a.dtype == np.float32
+                np.testing.assert_array_equal(a, b)
+
+    def test_greedy_and_small_evals_never_split(self, monkeypatch):
+        """Greedy decoding (arrays, no `linear`) and evaluation at toy
+        sizes stay on the one-GEMM path."""
+        def no_split(*args):
+            raise AssertionError("a product was split")
+
+        monkeypatch.setattr(ad, "_split_matmul", no_split)
+        model, batch, _ = toy_setup("pred-expl", n=12)
+        model.generate(batch)
+        model.explanation_nll(batch, use_gold_label=True)
+        model.predict_labels(batch)
 
 
 class TestPipeline:
