@@ -9,16 +9,16 @@ plain SGD with per-epoch learning-rate decay.
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
 and share one step (`_lstm_step`) on one fused gate kernel. `lstm_layer`
 runs a sequence from its raw input as one tape record: one input GEMM
-before the recurrence, each step over the rows still live only (packed
-sequences: a row's length is its only record of padding), and backprop
-through time inside the op. A decoder's `cond` joins the gate input
-once per sequence (a source vector) or at every step as attention read
-from the previous hidden state (`Attention`, `_Contexts`), whose
-backward joins the same BPTT loop. `bilstm_layer` runs both directions
-of an encoder at once on the same direction core (`_lstm_direction`);
-greedy decoding runs the same step on arrays (`lstm_stepper`). The cell
-and the attention decoder composed from generic tape ops live in
-`tests/oracles.py` as their references.
+and each step over real step-rows only (packed sequences: a row's length
+is its only record of padding), and backprop through time inside the
+op. A decoder's `cond` joins the gate input once per sequence (a source
+vector) or at every step as attention read from the previous hidden
+state (`Attention`, `_Contexts`), whose backward joins the same BPTT
+loop. `bilstm_layer` runs both directions of an encoder at once on the
+same direction core (`_lstm_direction`); greedy decoding runs the same
+step on arrays (`lstm_stepper`). The cell and the attention decoder
+composed from generic tape ops live in `tests/oracles.py` as their
+references.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
@@ -334,19 +334,6 @@ def _gemm_rows(a: np.ndarray, gemm: bool) -> np.ndarray:
     few rows (the README lists the sizes where this shows).
     """
     return np.concatenate([a, a]) if gemm and a.shape[0] == 1 else a
-
-
-def _flat_matmul(x: np.ndarray, w_t: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
-    """x (..., K) @ w_t (K, N) as one GEMM over the flattened leading axes,
-    written to `out` if given (one row more for a one-row sequence).
-
-    A sequence (x.ndim > 2) that flattens to one row still runs as gemm,
-    so that a one-token, one-row sequence rounds like the same row of a
-    longer padded one.
-    """
-    x2 = x.reshape(-1, x.shape[-1])
-    return np.matmul(_gemm_rows(x2, x.ndim > 2), w_t, out=out)[:x2.shape[0]]
 
 
 # `_matmul` splits a float32 GEMM in two when each half is at least this
@@ -685,16 +672,21 @@ class _Contexts:
     """The attention term of an LSTM's gate input (Bahdanau, Cho & Bengio
     2015): each head's context of the previous hidden state h (before
     dropout), times the heads' columns w (4H, C) of wi. Rows are held in
-    `order`: a step over n rows reads the first n of every array. With
-    `recording`, `backward` takes the cached steps in reverse and sums the
-    gradients of w and of each head's wc, bc, keys and values in `grads`."""
+    `order`: a step over n rows reads the first n of every array (views of
+    keys and values in place when `order` is the identity, as in greedy
+    decoding). With `recording`, `backward` takes the cached steps in
+    reverse and sums the gradients of w and of each head's wc, bc, keys
+    and values in `grads`."""
 
     def __init__(self, heads: list[Attention], w: np.ndarray,
                  order: np.ndarray, recording: bool):
         self.w, self.heads, self.steps = w, [], [] if recording else None
+        in_place = (order == np.arange(len(order))).all()
         for a in heads:
-            keys, values = (t.data.transpose(1, 0, 2)[order]   # (B, T_k, A)
+            keys, values = (t.data.transpose(1, 0, 2)   # (B, T_k, A)
                             for t in (a.keys, a.values))
+            if not in_place:
+                keys, values = keys[order], values[order]
             pad = np.arange(keys.shape[1]) >= np.asarray(a.lengths)[order, None]
             self.heads.append((a.wc.data, a.bc.data, keys, values, pad))
         if recording:
@@ -791,8 +783,8 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
     cell's wi (4H, D + C), wh (4H, H) and b (4H,), C being `cond`'s
     width; a cond Tensor (B, C), or `Attention` heads as documented;
     h0, c0 and `rmask` (B, H); `lengths` (B,) integers in [0, T].
-    Returns the lengths (all T if None) as int64 and `rmask` as an array
-    of the states' dtype."""
+    Returns the packed layout of the lengths (all T if None; `_packing`),
+    x's real step-rows in it and `rmask` as an array of the states' dtype."""
     xd = x.data
     H = cells[0].wh.shape[-1]
     C = _cond_width(cond)
@@ -819,8 +811,9 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
            if s is not None and s.shape != (B, H)]
     if bad:
         raise ShapeError(f"{op}: {', '.join(bad)}, expected {(B, H)}")
-    return _check_lengths(op, np.full(B, T) if lengths is None else lengths,
-                          B, 0, T), rmask
+    pack = _packing(_check_lengths(
+        op, np.full(B, T) if lengths is None else lengths, B, 0, T), T)
+    return pack, xd[pack[2]], rmask
 
 
 def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
@@ -829,30 +822,31 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
                reverse: bool = False, rmask: np.ndarray | None = None) -> Tensor:
     """An LSTM over a whole sequence x (T, B, D) as one tape record.
 
-    Step t's gate input is x_t @ wi.T + b, one GEMM for all steps, plus
-    the term of `cond`, what a decoder reads besides its input: with a
-    Tensor (B, C) (its source) step t reads [x_t, cond], the product with
-    wi's last C columns made once; with `Attention` heads it reads [each
-    head's context of the previous hidden state, x_t]. h0/c0 (B, H) are
-    the initial state (None is a zero state). Returns the states (T, B, H).
+    Step t's gate input is x_t @ wi.T + b, one GEMM for the real rows
+    of all steps, plus the term of `cond`, what a decoder reads besides
+    its input: with a Tensor (B, C) (its source) step t reads [x_t,
+    cond], the product with wi's last C columns made once; with
+    `Attention` heads it reads [each head's context of the previous
+    hidden state, x_t]. h0/c0 (B, H) are the initial state (None is a
+    zero state). Returns the states (T, B, H).
 
     Row b's real steps are t < `lengths[b]`, `lengths` being (B,)
     integers in [0, T] (otherwise ShapeError); None means all T. Pad
-    steps output 0 and cost nothing. With `reverse` the steps run from
-    T-1 down to 0, so each row's real prefix is read backwards starting
-    from (h0, c0), exactly as if it had been reversed in place. `rmask`
-    (B, H) is a recurrent dropout mask applied to the hidden state
-    entering every step's recurrent term.
+    steps output 0, cost nothing and change no bit of anything else.
+    With `reverse` the steps run from T-1 down to 0, so each row's real
+    prefix is read backwards starting from (h0, c0), exactly as if it had
+    been reversed in place. `rmask` (B, H) is a recurrent dropout mask
+    applied to the hidden state entering every step's recurrent term.
 
     The work is `_lstm_direction`, run here on the calling thread;
     `bilstm_layer` runs it too, one direction on the worker thread.
     Backward defers the gradients of wi and wh (see `backward`).
     """
-    lengths, rmask = _check_lstm("lstm_layer", x, [cell], lengths, cond, h0,
-                                 c0, rmask)
-    T, B, _ = x.shape
-    hs = np.zeros((T, B, cell.wh.shape[1]), np.result_type(x.data, cell.wi.data))
-    grads = _lstm_direction(x.data, cell, lengths, hs, _active_tape() is not None,
+    pack, xp, rmask = _check_lstm("lstm_layer", x, [cell], lengths, cond, h0,
+                                  c0, rmask)
+    hs = np.zeros(x.shape[:2] + cell.wh.shape[1:],
+                  np.result_type(x.data, cell.wi.data))
+    grads = _lstm_direction(xp, pack, cell, hs, _active_tape() is not None,
                             reverse, *(None if t is None else t.data
                                        for t in (h0, c0)), cond, rmask)
     out = Tensor(hs)
@@ -883,29 +877,40 @@ def lstm_stepper(cell: LstmParams, h0: Tensor, c0: Tensor,
     return step
 
 
-def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
-                    hs: np.ndarray, recording: bool, reverse: bool = False,
+def _packing(lengths: np.ndarray, T: int):
+    """The packed layout of T steps of rows with `lengths`: the row order
+    by descending length (stable); live[t], how many rows (a prefix of
+    that order) are real at step t; and the (steps, rows) index of the P
+    = sum(lengths) real step-rows, step t's live prefix in block t."""
+    order = np.argsort(-lengths, kind="stable")
+    live = (lengths > np.arange(T)[:, None]).sum(axis=1)
+    steps, k = np.nonzero(np.arange(len(lengths)) < live[:, None])
+    return order, live, (steps, order[k])
+
+
+def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
+                    recording: bool, reverse: bool = False,
                     h0: np.ndarray | None = None, c0: np.ndarray | None = None,
                     cond=None, rmask: np.ndarray | None = None,
                     gx: np.ndarray | None = None):
     """`lstm_layer` on checked arrays (`cond` as given) and no tape, so
-    any thread can run it. The input GEMM of x (T, B, D) goes to the
-    buffer `gx` if given (as `_flat_matmul`), plus `_gate_terms`' term.
-    The recurrence writes the states into the zeroed `hs` (T, B, H),
-    maybe a view, on packed sequences as in the README: rows sorted once
-    by descending length, each step over the live prefix, several rows
-    always through gemm (`_gemm_rows`). Returns None or, `recording`,
-    g -> the gradients of (x, wi, wh, b, h0, c0, then cond's tensors),
-    None for an input not given."""
-    T, B, D = x.shape
+    any thread can run it, on packed sequences as in the README: every
+    (P, ...) array here, from x's real step-rows xp (P, D) on, is in the
+    layout `pack` (`_packing`). xp's input GEMM (always gemm, see
+    `_gemm_rows`) goes to the buffer `gx` if given (max(P, 2) rows), and
+    each step adds `_gate_terms`' term to its block. The recurrence
+    writes the states into the zeroed `hs` (T, B, H), maybe a view.
+    Returns None or, `recording`, g -> the gradients of (x, wi, wh, b,
+    h0, c0, then cond's tensors), None for an input not given."""
+    order, live, index = pack
+    (P, D), (G, H), B = xp.shape, cell.wh.shape, len(order)
     wi, w = cell.wi.data, cell.wh.data
-    G, H = w.shape
-    order = np.argsort(-lengths, kind="stable")
     wx, per_seq, ctx = _gate_terms(cell, cond, order, recording)
-    gx = _flat_matmul(x, wx.T, gx).reshape(T, B, G)
-    gx += per_seq
+    a = _gemm_rows(xp, True)
+    gx = np.matmul(a, wx.T, out=None if gx is None else gx[:len(a)])[:P]
+    per_row = np.broadcast_to(per_seq, (B, G))[order]   # in sorted row order
     dtype = gx.dtype
-    live = (lengths > np.arange(T)[:, None]).sum(axis=1)
+    ends = np.cumsum(live)   # block t is rows ends[t] - live[t] to ends[t]
     steps = np.flatnonzero(live)   # steps with no live row are skipped
     if reverse:
         steps = steps[::-1]
@@ -916,21 +921,17 @@ def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
     rm = None if rmask is None else rmask[order]
     # the caches backward reads; with no tape recording nothing reads them
     if recording:
-        P = int(live.sum())
         acts = np.empty((P, G), dtype=dtype)
         c_prev, tanh_c, h_in = (np.empty((P, H), dtype=dtype) for _ in range(3))
-        s = 0
     for t in steps:
         n = live[t]
-        rows = order[:n]
-        h_t, (a_t, c_new, tc_t, h_new) = _lstm_step(gx[t, rows], h, c, w, rm,
-                                                    ctx, gemm)
+        blk = slice(ends[t] - n, ends[t])
+        h_t, (a_t, c_new, tc_t, h_new) = _lstm_step(gx[blk] + per_row[:n], h, c,
+                                                    w, rm, ctx, gemm)
         if recording:
-            acts[s:s + n], c_prev[s:s + n], tanh_c[s:s + n], h_in[s:s + n] = \
-                a_t, c[:n], tc_t, h_t
-            s += n
+            acts[blk], c_prev[blk], tanh_c[blk], h_in[blk] = a_t, c[:n], tc_t, h_t
         h[:n], c[:n] = h_new, c_new
-        hs[t, rows] = h_new
+        hs[t, order[:n]] = h_new
     if not recording:
         return None
 
@@ -941,11 +942,9 @@ def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
         dz = np.empty((P, 4, H), dtype=acts.dtype)
         dh = np.zeros((B, H), dtype=g.dtype)
         dc = np.zeros((B, H), dtype=g.dtype)
-        end = P
         for t in steps[::-1]:
             n = live[t]
-            blk = slice(end - n, end)
-            end -= n
+            blk = slice(ends[t] - n, ends[t])
             dh_new = g[t, order[:n]] + dh[:n]
             dc_new = dc[:n] + dh_new * dc_from_h[blk]
             np.multiply(per_dc[blk], dc_new[:, None, :], out=dz[blk, :3])
@@ -957,29 +956,28 @@ def _lstm_direction(x: np.ndarray, cell: LstmParams, lengths: np.ndarray,
                 dh_next += ctx.backward(dz[blk].reshape(n, G))
             dh[:n] = dh_next
             dc[:n] = dc_new * f[blk]
-        dz = dz.reshape(P, G)
-        dgx = np.zeros((T, B, G), dtype=dz.dtype)
-        # (order[:0] keeps the concatenation defined when no row is live)
-        dgx[np.repeat(steps, live[steps]),
-            np.concatenate([order[:0], *(order[:live[t]] for t in steps)])] = dz
+        dz = dz.reshape(P, G)   # the gradient of the gate inputs gx
         unsort = np.argsort(order)
         dh0, dc0 = (None if s0 is None else d[unsort]
                     for s0, d in ((h0, dh), (c0, dc)))
-        g2 = dgx.reshape(-1, G)
-        dx = (g2 @ wx).reshape(x.shape)
+        dx = np.zeros(hs.shape[:2] + (D,), dz.dtype)
+        dx[index] = dz @ wx
         # the weight gradients wi's and wh's are deferred (see `backward`)
-        dwx = lambda: g2.T @ x.reshape(-1, D)   # noqa: E731
+        dwx = lambda: dz.T @ xp   # noqa: E731
         dwh = lambda: dz.T @ h_in   # noqa: E731
         if isinstance(cond, Tensor):
-            gs = dgx.sum(axis=0)   # the cond term's gradient, summed over steps
+            gs = np.zeros((B, G), dtype=dz.dtype)   # the cond term's gradient
+            for t in steps:   # summed over each row's steps, then unsorted
+                gs[:live[t]] += dz[ends[t] - live[t]:ends[t]]
+            gs = gs[unsort]
             return (dx, lambda: np.concatenate([dwx(), gs.T @ cond.data], axis=1),
                     dwh, gs.sum(axis=0), dh0, dc0, gs @ wi[:, D:])
         if ctx is None:
-            return dx, dwx, dwh, g2.sum(axis=0), dh0, dc0, None
+            return dx, dwx, dwh, dz.sum(axis=0), dh0, dc0, None
         dw, *dheads = (d if d.ndim < 3 else d[unsort].transpose(1, 0, 2)
                        for d in ctx.grads)   # keys and values in batch order
         return (dx, lambda: np.concatenate([dw, dwx()], axis=1), dwh,
-                g2.sum(axis=0), dh0, dc0, *dheads)
+                dz.sum(axis=0), dh0, dc0, *dheads)
 
     return grads
 
@@ -1021,10 +1019,12 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     as one tape record: states (T, B, 2H), `fwd` reading each row forward
     and `bwd` in reverse; `lengths` as in `lstm_layer`. Each direction is
     `_lstm_direction` and runs at once with the other, `bwd` on the
-    worker thread; checks, tensors and the record stay on this one.
-    Bit-identical to `linear`, `lstm_layer` (x2) and `concat`.
+    worker thread; checks, tensors and the record stay on this one. Both
+    read one gather of x's real step-rows. States and wh's gradients are
+    those of `linear`, `lstm_layer` (x2) and `concat` bit for bit (x, wi
+    and b sum the real step-rows only).
     """
-    lengths, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), lengths)
+    pack, xp, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), lengths)
     T, B, _ = x.shape
     H = fwd.wh.shape[1]
     recording = _active_tape() is not None
@@ -1032,11 +1032,11 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     hs = np.zeros((T, B, 2 * H), dtype)
     # allocated on this thread: memory the worker frees stays in its own
     # malloc arena, where the rest of the process cannot reuse it
-    gxs = [np.empty((max(T * B, 2), 4 * H), dtype) for _ in range(2)]
+    gxs = [np.empty((max(len(xp), 2), 4 * H), dtype) for _ in range(2)]
     grads_f, grads_b = _at_once(
-        lambda: _lstm_direction(x.data, fwd, lengths, hs[..., :H], recording,
+        lambda: _lstm_direction(xp, pack, fwd, hs[..., :H], recording,
                                 gx=gxs[0]),
-        lambda: _lstm_direction(x.data, bwd, lengths, hs[..., H:], recording,
+        lambda: _lstm_direction(xp, pack, bwd, hs[..., H:], recording,
                                 reverse=True, gx=gxs[1]))
     out = Tensor(hs)
     if not recording:

@@ -126,11 +126,11 @@ class BiLstmEncoder(_Part):
 
     Both directions are one `bilstm_layer`, which runs the forward one
     on the calling thread and the backward one on autodiff's worker
-    thread at the same time: each is one input GEMM over the whole
-    (T, B) sequence and a packed recurrence over the rows still real at
-    each step, with zero output on pad steps. The backward direction
-    starts each row at its last real token from a zero state, so padding
-    can never leak into real timesteps.
+    thread at the same time: each is one input GEMM over the real
+    step-rows of the (T, B) sequence and a packed recurrence over the
+    rows still real at each step, with zero output on pad steps. The
+    backward direction starts each row at its last real token from a
+    zero state, so padding can never leak into real timesteps.
     """
 
     def __init__(self, rng: np.random.Generator, embed_dim: int, hidden: int,

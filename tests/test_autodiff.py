@@ -715,8 +715,8 @@ class TestLstmLayer:
         """Forward and backward each feed the recurrent GEMM every real
         step-row once and no pad row, plus a repeated row at each step
         where one row of several is left live (the gemm rule); a one-row
-        batch has no repeats. (The input GEMM, the one operand D wide,
-        is not counted.)"""
+        batch has no repeats. The input GEMMs, with the one operand D
+        wide, are counted by `test_input_gemms_read_real_rows_only`."""
         fed = []
         gemm_rows = ad._gemm_rows
         T, B, D, H = 8, len(lengths), 3, 4
@@ -738,6 +738,46 @@ class TestLstmLayer:
         ad.backward(tape, loss)
         backward = sum(fed) - forward
         assert forward == backward == sum(lengths) + extra
+
+    @pytest.mark.parametrize("directions", ["forward", "reverse", "both"])
+    @pytest.mark.parametrize("lengths", [[6, 2, 3, 2, 1], [3], [0, 1, 0]])
+    def test_input_gemms_read_real_rows_only(self, directions, lengths):
+        """The input GEMM and both of its gradient GEMMs (of x and of wi)
+        read every real step-row once and no pad row, plus the repeated
+        row of a one-row product (the gemm rule), in each direction. The
+        products are seen through an ndarray subclass that x and wi are
+        views of, so every product with either is recorded."""
+        products = []
+
+        class Seen(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kw):
+                if ufunc is np.matmul:
+                    products.append(tuple(a.shape for a in inputs))
+                inputs = tuple(a.view(np.ndarray) if isinstance(a, Seen) else a
+                               for a in inputs)
+                return getattr(ufunc, method)(*inputs, **kw)
+
+        T, B, D, H = 8, len(lengths), 3, 4
+        G, P = 4 * H, sum(lengths)
+        rng = np.random.default_rng(27)
+        x = f64_param(rng.normal(size=(T, B, D)), "x")
+        cells = [ad.init_lstm(rng, D, H, f"cell{k}", dtype=np.float64)
+                 for k in range(2)]
+        for t in (x, *(cell.wi for cell in cells)):
+            t.data = t.data.view(Seen)
+        with ad.Tape() as tape:
+            if directions == "both":
+                hs = ad.bilstm_layer(x, *cells, lengths=np.array(lengths))
+            else:
+                hs = ad.lstm_layer(x, cells[0], lengths=np.array(lengths),
+                                   reverse=directions == "reverse")
+            loss = ad.sum_(hs)
+        forward = len(products)
+        ad.backward(tape, loss)
+        n = 2 if directions == "both" else 1
+        assert products[:forward] == [((P + (P == 1), D), (D, G))] * n
+        assert sorted(products[forward:]) == sorted(
+            [((P, G), (G, D)), ((G, P), (P, D))] * n)
 
     def test_padding_never_changes_real_steps(self):
         rng = np.random.default_rng(22)
@@ -900,6 +940,154 @@ class TestLstmLayer:
                     np.testing.assert_allclose(grads[name], grads_ref[name],
                                                err_msg=name, **close)
 
+    @pytest.mark.parametrize("kind", ["none", "tensor", "attention"])
+    def test_matches_padded_projection(self, kind):
+        """Against the input projection of all T * B step-rows: `linear`
+        of x, bias included, feeding a cell whose x columns of wi are the
+        identity and whose bias is 0, cond's columns as they are. States
+        and every gradient (x, wi, wh, b, h0, c0 and cond's tensors)
+        within 1e-10 (float64), for every packing case, both directions,
+        with and without recurrent dropout, with no cond, a cond Tensor or
+        attention heads."""
+        rng = np.random.default_rng(38)
+        D, C, H = 3, 2, 4
+        G = 4 * H
+        close = dict(rtol=1e-10, atol=1e-10)
+        for T, lengths in PACKING_CASES.values():
+            B = len(lengths)
+            lengths = None if min(lengths) == T else np.array(lengths)
+            for reverse, dropout in itertools.product((False, True), repeat=2):
+                key_lengths = []
+                if kind == "attention":
+                    arrays, key_lengths = _attention_arrays(rng, T, B, D, H)
+                else:
+                    arrays = {"x": rng.normal(size=(T, B, D)),
+                              "wi": rng.normal(size=(4 * H, D + C * (
+                                  kind == "tensor"))) * 0.5,
+                              "wh": rng.normal(size=(4 * H, H)) * 0.5,
+                              "b": rng.normal(size=4 * H) * 0.5,
+                              "h0": rng.normal(size=(B, H)),
+                              "c0": rng.normal(size=(B, H))}
+                    if kind == "tensor":
+                        arrays["cond"] = rng.normal(size=(B, C))
+                width = arrays["wi"].shape[1]
+                xs = slice(width - D, width) if kind == "attention" else slice(0, D)
+                rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float64)
+                         if dropout else None)
+                weights = ad.Tensor(rng.normal(size=(T, B, H)))
+                runs = []
+                for packed in (True, False):
+                    x, cell, h0, c0, heads, p = _attention_inputs(
+                        arrays, key_lengths, np.float64)
+                    cond = heads if kind == "attention" else p.get("cond")
+                    kw = dict(lengths=lengths, cond=cond, reverse=reverse,
+                              rmask=rmask)
+                    if not packed:
+                        wi = arrays["wi"]
+                        wx = f64_param(wi[:, xs], "wx")
+                        eye = f64_param(np.concatenate(
+                            [wi[:, :xs.start], np.eye(G), wi[:, xs.stop:]],
+                            axis=1), "eye")
+                        ref = ad.LstmParams(eye, cell.wh, f64(np.zeros(G)))
+                    with ad.Tape() as tape:
+                        if packed:
+                            hs = ad.lstm_layer(x, cell, h0, c0, **kw)
+                        else:
+                            hs = ad.lstm_layer(ad.linear(x, wx, cell.b), ref,
+                                               h0, c0, **kw)
+                        loss = ad.sum_(ad.mul(hs, weights))
+                    ad.backward(tape, loss)
+                    grads = {k: t.grad for k, t in p.items()}
+                    if not packed:
+                        grads["wi"] = np.concatenate(
+                            [eye.grad[:, :xs.start], wx.grad,
+                             eye.grad[:, xs.start + G:]], axis=1)
+                    runs.append((hs.data, grads))
+                (hs, grads), (hs_ref, grads_ref) = runs
+                np.testing.assert_allclose(hs, hs_ref, **close)
+                assert grads.keys() == grads_ref.keys() == arrays.keys()
+                for name in grads:
+                    np.testing.assert_allclose(grads[name], grads_ref[name],
+                                               err_msg=name, **close)
+
+
+class TestPadSteps:
+    """Pad steps appended to a batch change no bit of what the LSTM ops
+    compute: the input projection and its gradients, like the recurrence,
+    read the real step-rows only (float32, at the benchmark's encoder
+    input width)."""
+
+    T, B, D, H, EXTRA = 25, 64, 300, 128, 6
+
+    def _runs(self, layer, arrays):
+        """States and gradients of `layer(p)` under a weighted-sum loss,
+        on x as given and on x with EXTRA pad steps of noise appended
+        (whose loss weights are noise too)."""
+        rng = np.random.default_rng(46)
+        noise = rng.normal(size=(self.EXTRA, self.B, self.D)).astype(np.float32)
+        weights = rng.normal(size=(self.T + self.EXTRA, self.B, 2 * self.H))
+        runs = []
+        for extra in (0, self.EXTRA):
+            p = {k: ad.param(np.asarray(v, dtype=np.float32), k)
+                 for k, v in arrays.items()}
+            p["x"].data = np.concatenate([p["x"].data, noise[:extra]])
+            w = weights[:self.T + extra].astype(np.float32)
+            with ad.Tape() as tape:
+                hs = layer(p)
+                loss = ad.sum_(ad.mul(hs, ad.Tensor(w[..., :hs.shape[-1]])))
+            ad.backward(tape, loss)
+            runs.append((hs.data, {k: t.grad for k, t in p.items()}))
+        return runs
+
+    def _lengths(self):
+        lengths = np.random.default_rng(47).integers(1, self.T + 1, size=self.B)
+        lengths[0] = self.T
+        return lengths
+
+    def _assert_same(self, runs):
+        (hs, grads), (hs_pad, grads_pad) = runs
+        np.testing.assert_array_equal(hs_pad[:self.T], hs)
+        np.testing.assert_array_equal(hs_pad[self.T:], 0.0)
+        np.testing.assert_array_equal(grads_pad["x"][self.T:], 0.0)
+        grads_pad["x"] = grads_pad["x"][:self.T]
+        assert grads.keys() == grads_pad.keys()
+        for name in grads:
+            np.testing.assert_array_equal(grads_pad[name], grads[name],
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("cond", [False, True])
+    def test_lstm_layer(self, cond):
+        rng = np.random.default_rng(45)
+        T, B, D, H, C = self.T, self.B, self.D, self.H, 32
+        cell = ad.init_lstm(rng, D + C * cond, H, "cell")
+        arrays = {"x": rng.normal(size=(T, B, D)), "wi": cell.wi.data,
+                  "wh": cell.wh.data, "b": cell.b.data,
+                  "h0": rng.normal(size=(B, H)) * 0.5,
+                  "c0": rng.normal(size=(B, H)) * 0.5}
+        if cond:
+            arrays["cond"] = rng.normal(size=(B, C))
+        lengths = self._lengths()
+        self._assert_same(self._runs(lambda p: ad.lstm_layer(
+            p["x"], ad.LstmParams(p["wi"], p["wh"], p["b"]), p["h0"], p["c0"],
+            lengths=lengths, cond=p.get("cond")), arrays))
+
+    def test_bilstm_layer(self):
+        rng = np.random.default_rng(48)
+        T, B, D, H = self.T, self.B, self.D, self.H
+        cells = [ad.init_lstm(rng, D, H, d) for d in ("fwd", "bwd")]
+        arrays = {"x": rng.normal(size=(T, B, D)),
+                  **{f"{k}.{d}": getattr(cell, k).data
+                     for d, cell in zip(("fwd", "bwd"), cells)
+                     for k in ("wi", "wh", "b")}}
+        lengths = self._lengths()
+
+        def layer(p):
+            return ad.bilstm_layer(p["x"], *(ad.LstmParams(
+                p[f"wi.{d}"], p[f"wh.{d}"], p[f"b.{d}"]) for d in ("fwd", "bwd")),
+                lengths=lengths)
+
+        self._assert_same(self._runs(layer, arrays))
+
 
 def _attention_arrays(rng, T, B, D, H, widths=(4, 3), A=2):
     """Arrays of an attention `lstm_layer`: x (T, B, D), a cell reading
@@ -986,6 +1174,19 @@ class TestAttentionLayer:
         for t in range(T):
             np.testing.assert_array_equal(step(x.data[t]), states[t])
 
+    def test_contexts_read_batch_order_in_place(self):
+        """Rows held in batch order (greedy decoding) read the heads' keys
+        and values in place; any other order reads sorted copies."""
+        arrays, key_lengths = _attention_arrays(np.random.default_rng(49),
+                                                3, 4, 2, 4)
+        *_, heads, _ = _attention_inputs(arrays, key_lengths, np.float32)
+        for order, in_place in ((np.arange(4), True),
+                                (np.array([1, 0, 2, 3]), False)):
+            ctx = ad._Contexts(heads, None, order, False)
+            for a, (_, _, keys, values, _) in zip(heads, ctx.heads):
+                assert np.shares_memory(keys, a.keys.data) is in_place
+                assert np.shares_memory(values, a.values.data) is in_place
+
     def test_shape_errors(self):
         rng = np.random.default_rng(44)
         arrays, key_lengths = _attention_arrays(rng, 4, 2, 3, 2)
@@ -1033,7 +1234,10 @@ class TestBilstmLayer:
     @pytest.mark.parametrize("case", sorted(PACKING_CASES))
     def test_matches_composed_directions(self, case):
         """Against `linear` -> `lstm_layer` x2 -> `concat`: float32 states
-        and all seven gradients bit-equal, float64 within 1e-10."""
+        and both wh gradients bit-equal, the gradients of x, wi and b
+        within float32 rounding (they sum the real step-rows only, in
+        packed order, where `linear` sums all T * B rows), and float64
+        states and all seven gradients within 1e-10."""
         T, lengths = PACKING_CASES[case]
         B, D, H = len(lengths), 5, 8
         lengths = None if min(lengths) == T else np.array(lengths)
@@ -1049,8 +1253,14 @@ class TestBilstmLayer:
             if dtype == np.float32:
                 np.testing.assert_array_equal(hs, hs_ref)
                 for name in grads:
-                    np.testing.assert_array_equal(grads[name], grads_ref[name],
-                                                  err_msg=name)
+                    if name.endswith(".wh"):
+                        np.testing.assert_array_equal(
+                            grads[name], grads_ref[name], err_msg=name)
+                    else:
+                        eps = 4 * np.finfo(np.float32).eps
+                        np.testing.assert_allclose(
+                            grads[name], grads_ref[name], err_msg=name,
+                            rtol=eps, atol=eps)
             else:
                 close = dict(rtol=1e-10, atol=1e-10)
                 np.testing.assert_allclose(hs, hs_ref, **close)

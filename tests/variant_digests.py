@@ -16,7 +16,12 @@ differential test against `oracles.teacher_forced_dense` passed. The
 `lstm_layer`, after the float64 differential test against the composed
 attention decoder passed: the embedding's and the contexts' parts of
 the gate input are now two GEMMs, which round float32 differently from
-one GEMM over the concatenated input.
+one GEMM over the concatenated input. All were recorded again when the
+LSTM input projection began reading the real step-rows only, after the
+float64 differential test against the projection of all step-rows
+passed: the gradients of wi and b now sum the real step-rows alone, and
+those of a reverse direction's wh in step order (the packed layout both
+directions share); losses and evaluation outputs did not move.
 `test_models.TestParentParity` runs this script and compares; a change
 that moves the digests passes such a test against the code it replaces
 before they are recorded again. Float32 GEMM and SIMD results depend
