@@ -26,9 +26,11 @@ checking replays the same graph in float64 (cast parameters first).
 
 One worker thread (`_worker`) is the second CPU core: it runs
 `bilstm_layer`'s reverse direction, one column half of a large float32
-`linear` (`_split_matmul`), and the weight gradients that `backward`
-defers while this thread carries the input gradients down the tape.
-Every result is bit-identical to running it all on one thread.
+`linear` (`_split_matmul`), the weight gradients that `backward` defers
+while this thread carries the input gradients down the tape, and greedy
+decoding's next state term while this thread runs the output head
+(`lstm_stepper`). Every result is bit-identical to running it all on
+one thread.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import os
 import threading
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,6 +265,16 @@ class _Deferred:
                 self.future.set_result(self._run())
             except Exception as exc:
                 self.future.set_exception(exc)
+
+    def result(self):
+        """Its value, made on this thread if the worker has not started it."""
+        self.steal()
+        return self.future.result()
+
+    def drop(self) -> None:
+        """Cancel it if the worker has not started it, else wait for it."""
+        if not self.future.cancel():
+            wait([self.future])
 
 
 # ---------------------------------------------------------------------------
@@ -752,18 +765,33 @@ def _gate_terms(cell: LstmParams, cond, order: np.ndarray, recording: bool):
             None if cond is None else _Contexts(cond, wi[:, :C], order, recording))
 
 
+def _state_term(h: np.ndarray, w: np.ndarray, ctx: _Contexts | None,
+                gemm: bool) -> np.ndarray:
+    """The last term of a step's gate input (`_lstm_step`), made from the
+    state h (n, H) alone: the attention term of `ctx`, else the recurrent
+    term h @ w.T."""
+    if ctx is not None:
+        return ctx.term(h)
+    return _recurrent(_gemm_rows(h, gemm), w)[:len(h)]
+
+
 def _lstm_step(gx_t: np.ndarray, h: np.ndarray, c: np.ndarray, w: np.ndarray,
-               rm: np.ndarray | None, ctx: _Contexts | None, gemm: bool):
+               rm: np.ndarray | None, ctx: _Contexts | None, gemm: bool,
+               ahead=None):
     """The step every LSTM path runs, over the first n = len(gx_t) rows
-    of the state h, c (B, H): gate input gx_t (n, 4H), plus h's recurrent
-    term through the dropout mask `rm`, plus the attention term `ctx` of
-    h, then the gates. Returns the h the recurrent GEMM read and
-    `_lstm_gates`' outputs."""
+    of the state h, c (B, H): z = (gate input gx_t (n, 4H) + h's
+    recurrent term through the dropout mask `rm`) + the attention term
+    `ctx` of h, the recurrent term being last without `ctx`; then the
+    gates. `ahead`, if given, returns that last term (`_state_term`)
+    made elsewhere (greedy decoding starts it early, `lstm_stepper`); it
+    is called where the term joins the sum. Returns the h the recurrent
+    GEMM read and `_lstm_gates`' outputs."""
     n = len(gx_t)
     h_t = h[:n] if rm is None else h[:n] * rm[:n]
-    z = gx_t + _recurrent(_gemm_rows(h_t, gemm), w)[:n]
     if ctx is not None:
-        z += ctx.term(h[:n])
+        gx_t = gx_t + _recurrent(_gemm_rows(h_t, gemm), w)[:n]
+    z = gx_t + (_state_term(h_t if ctx is None else h[:n], w, ctx, gemm)
+                if ahead is None else ahead())
     return h_t, _lstm_gates(z, c[:n])
 
 
@@ -859,22 +887,44 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     return out
 
 
+@contextmanager
 def lstm_stepper(cell: LstmParams, h0: Tensor, c0: Tensor,
                  cond: Tensor | list[Attention]):
-    """Greedy decoding's recurrence, with no tape: returns step(x_t),
-    which runs `lstm_layer`'s step (`_lstm_step`, `cond` read alike) for
-    one input x_t (B, D) on all B rows from the state it keeps (h0/c0 at
-    first) and returns the new hidden state (B, H)."""
+    """Greedy decoding's recurrence, with no tape: a context that yields
+    step(x_t), which runs `lstm_layer`'s step (`_lstm_step`, `cond` read
+    alike) for one input x_t (B, D) on all B rows from the state it keeps
+    (h0/c0 at first) and returns the new hidden state (B, H).
+
+    As soon as a state h is made, the worker starts the next step's term
+    of h alone (`_state_term`: the heads' attention term, else the
+    recurrent term) while the caller uses h and makes the next input's
+    product x_t @ wx.T (and, with heads, the recurrent term). The next
+    step takes the term there, or makes it itself if the worker has not
+    started it; the sum and so every bit are those of one thread. On
+    leaving the context the last one is cancelled or waited for. It gives
+    the worker work, so it must never run inside a worker task.
+    """
     state = [h0.data, c0.data]
     wx, per_seq, ctx = _gate_terms(cell, cond, np.arange(len(state[0])), False)
+    w, gemm = cell.wh.data, len(state[0]) > 1
+
+    def start(h):
+        return _Deferred(lambda: _state_term(h, w, ctx, gemm))
+
+    ahead = [start(state[0])]
 
     def step(x_t: np.ndarray) -> np.ndarray:
-        _, (_, c, _, h) = _lstm_step(x_t @ wx.T + per_seq, *state, cell.wh.data,
-                                     None, ctx, len(x_t) > 1)
+        gx = (_gemm_rows(x_t, True) @ wx.T)[:len(x_t)]   # as `lstm_layer`'s
+        _, (_, c, _, h) = _lstm_step(gx + per_seq, *state, w, None, ctx, gemm,
+                                     ahead[0].result)
         state[:] = h, c
+        ahead[0] = start(h)
         return h
 
-    return step
+    try:
+        yield step
+    finally:
+        ahead[0].drop()
 
 
 def _packing(lengths: np.ndarray, T: int):
@@ -985,7 +1035,8 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
 def _new_worker() -> None:
     """The second core's thread, one for the life of the process, started
     on first use: it runs `bilstm_layer`'s reverse direction, one half of
-    a split `linear` and the weight gradients `backward` defers, in the
+    a split `linear`, the weight gradients `backward` defers and the
+    state term of greedy decoding's next step (`lstm_stepper`), in the
     order they come. Nothing it runs may give it work, or both would
     wait on each other. A forked child gets its own, as it inherits the
     executor but no thread."""

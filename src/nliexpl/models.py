@@ -276,26 +276,27 @@ class LstmDecoder(_Part):
         """Argmax decoding until <eos> or the length cap; eval mode.
 
         One loop for both configurations: each step is teacher forcing's
-        LSTM step on arrays (`autodiff.lstm_stepper`), then the output
+        LSTM step on arrays (`autodiff.lstm_stepper`, whose worker makes
+        the next step's state term meanwhile), then the output
         projection. Returns per-row emitted token ids (exclusive of
         <eos>) and a flag marking rows that emitted nothing before <eos>.
         """
-        step = ad.lstm_stepper(self.cell, *self._init_state(source),
-                               self._cond(source, attn_ctx))
         w_out, b_out = self.w_out.data.T, self.b_out.data
         current = np.asarray(start_ids, dtype=np.int64)
         emitted: list[list[int]] = [[] for _ in current]
         done = np.zeros(len(current), dtype=bool)
-        for _ in range(self.max_len):
-            logits = step(embedding.lookup(current).data) @ w_out
-            logits += b_out
-            nxt = logits.argmax(axis=1)
-            for i in np.flatnonzero(~done & (nxt != eos_id)):
-                emitted[i].append(int(nxt[i]))
-            done |= nxt == eos_id
-            if done.all():
-                break
-            current = nxt
+        with ad.lstm_stepper(self.cell, *self._init_state(source),
+                             self._cond(source, attn_ctx)) as step:
+            for _ in range(self.max_len):
+                logits = step(embedding.lookup(current).data) @ w_out
+                logits += b_out
+                nxt = logits.argmax(axis=1)
+                for i in np.flatnonzero(~done & (nxt != eos_id)):
+                    emitted[i].append(int(nxt[i]))
+                done |= nxt == eos_id
+                if done.all():
+                    break
+                current = nxt
         return emitted, [len(e) == 0 for e in emitted]
 
 

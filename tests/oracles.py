@@ -19,6 +19,8 @@ it ran before its steps joined `lstm_layer`: one `lstm_step` (two tape
 records on the gate kernels) per step, fed by `attend_step`, which
 composes each head's context from generic tape ops and the ops only it
 used (`attn_scores`, `softmax_masked`, `attn_combine`, `stack_steps`).
+`greedy_serial` is greedy decoding as it ran on one thread, on the
+package's gate kernels, before the worker made each step's state term.
 `backward_in_line` is the backward pass as it ran before weight
 gradients left the calling thread: every gradient made when its record
 is taken back and summed into `.grad` at once; `InlineExecutor` stands in
@@ -33,9 +35,9 @@ import numpy as np
 
 from nliexpl.autodiff import (LOG_FLOOR, EmptySequenceError, LstmParams,
                               ShapeError, Tensor, _active_tape, _gate_grads,
-                              _lstm_gates, _record, _recurrent, _sigmoid, add,
-                              concat, dropout_mask, linear, lstm_layer, mul,
-                              softmax, sum_, tanh_)
+                              _gate_terms, _gemm_rows, _lstm_gates, _record,
+                              _recurrent, _sigmoid, add, concat, dropout_mask,
+                              linear, lstm_layer, mul, softmax, sum_, tanh_)
 from nliexpl.models import DecodeResult
 
 
@@ -576,6 +578,39 @@ def greedy_composed(decoder, embedding, source: Tensor, start_ids,
             break
         current = nxt
     return emitted, [len(e) == 0 for e in emitted]
+
+
+def greedy_serial(decoder, embedding, source: Tensor, start_ids, eos_id: int,
+                  attn_ctx=None):
+    """`LstmDecoder.greedy` as it ran on one thread, with the same
+    signature, returning also the final state (h, c): each step's gate
+    input x_t @ wx.T + the per-sequence term, plus the recurrent term,
+    plus the heads' attention term, in that order, then the gates and
+    the output head h @ w_out.T."""
+    h, c = (t.data for t in decoder._init_state(source))
+    wx, per_seq, ctx = _gate_terms(decoder.cell, decoder._cond(source, attn_ctx),
+                                   np.arange(len(h)), False)
+    wh, b_out = decoder.cell.wh.data, decoder.b_out.data
+    w_out = decoder.w_out.data.T
+    current = np.asarray(start_ids, dtype=np.int64)
+    emitted = [[] for _ in current]
+    done = np.zeros(len(current), dtype=bool)
+    for _ in range(decoder.max_len):
+        z = embedding.lookup(current).data @ wx.T + per_seq
+        z = z + _recurrent(_gemm_rows(h, len(h) > 1), wh)[:len(h)]
+        if ctx is not None:
+            z += ctx.term(h)
+        _, c, _, h = _lstm_gates(z, c)
+        logits = h @ w_out
+        logits += b_out
+        nxt = logits.argmax(axis=1)
+        for i in np.flatnonzero(~done & (nxt != eos_id)):
+            emitted[i].append(int(nxt[i]))
+        done |= nxt == eos_id
+        if done.all():
+            break
+        current = nxt
+    return emitted, [len(e) == 0 for e in emitted], (h, c)
 
 
 # ---------------------------------------------------------------------------

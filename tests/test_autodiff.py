@@ -1155,24 +1155,32 @@ class TestAttentionLayer:
         np.testing.assert_array_equal(untaped.data, taped.data)
 
     @pytest.mark.parametrize("attention", [False, True])
-    def test_stepper_runs_the_layers_step(self, attention):
+    def test_stepper_runs_the_layers_step(self, attention, monkeypatch):
         """Greedy decoding's `lstm_stepper`, fed a sequence one step at a
         time, gives `lstm_layer`'s states bit for bit when every row is
-        real (float32), with either kind of `cond`."""
-        rng = np.random.default_rng(43)
-        T, B, D, H = 5, 4, 3, 8
-        arrays, key_lengths = _attention_arrays(rng, T, B, D, H)
-        x, cell, h0, c0, heads, _ = _attention_inputs(arrays, key_lengths,
-                                                      np.float32)
-        cond = heads
-        if not attention:
-            cond = f32(rng.normal(size=(B, 2)))
-            cell = ad.LstmParams(f32(rng.normal(size=(4 * H, D + 2))),
-                                 cell.wh, cell.b)
-        states = ad.lstm_layer(x, cell, h0, c0, cond=cond).data
-        step = ad.lstm_stepper(cell, h0, c0, cond)
-        for t in range(T):
-            np.testing.assert_array_equal(step(x.data[t]), states[t])
+        real (float32), with either kind of `cond`, for one row (the gemv
+        path) and several, its state terms made on the worker or by an
+        executor that runs each task as it is given."""
+        for B, inline in itertools.product((4, 1), (False, True)):
+            rng = np.random.default_rng(43)
+            T, D, H = 5, 3, 8
+            arrays, key_lengths = _attention_arrays(rng, T, B, D, H)
+            x, cell, h0, c0, heads, _ = _attention_inputs(arrays, key_lengths,
+                                                          np.float32)
+            cond = heads
+            if not attention:
+                cond = f32(rng.normal(size=(B, 2)))
+                cell = ad.LstmParams(f32(rng.normal(size=(4 * H, D + 2))),
+                                     cell.wh, cell.b)
+            states = ad.lstm_layer(x, cell, h0, c0, cond=cond).data
+            with monkeypatch.context() as m:
+                if inline:
+                    m.setattr(ad, "_worker", InlineExecutor())
+                with ad.lstm_stepper(cell, h0, c0, cond) as step:
+                    for t in range(T):
+                        np.testing.assert_array_equal(
+                            step(x.data[t]), states[t],
+                            err_msg=f"B={B} inline={inline}")
 
     def test_contexts_read_batch_order_in_place(self):
         """Rows held in batch order (greedy decoding) read the heads' keys

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -22,8 +23,8 @@ from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
 from model_utils import (cast_model, full_model_grad_check, label_alone,
                          toy_config, toy_setup)
 from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
-                     greedy_composed, max_rel_err, straight_line_attention,
-                     teacher_forced_dense)
+                     greedy_composed, greedy_serial, max_rel_err,
+                     straight_line_attention, teacher_forced_dense)
 from synth import make_examples
 from variant_digests import PINNED_ENV
 
@@ -455,9 +456,9 @@ class TestDecoding:
         def first_logits(label_class):
             ids = np.full(batch.size, vocab.label_vocab_id(label_class),
                           dtype=np.int64)
-            step = ad.lstm_stepper(dec.cell, *dec._init_state(fv.f),
-                                   dec._cond(fv.f, None))
-            return step(emb.lookup(ids).data) @ dec.w_out.data.T
+            with ad.lstm_stepper(dec.cell, *dec._init_state(fv.f),
+                                 dec._cond(fv.f, None)) as step:
+                return step(emb.lookup(ids).data) @ dec.w_out.data.T
 
         assert not np.allclose(first_logits(0), first_logits(2))
 
@@ -729,6 +730,124 @@ class TestBothThreads:
         model.generate(batch)
         model.explanation_nll(batch, use_gold_label=True)
         model.predict_labels(batch)
+
+
+class TestGreedyOnBothThreads:
+    """Greedy decoding hands each step's state term to the worker while
+    this thread runs the output head: the ids and states are those of the
+    serial loop, and no work is left behind however the loop ends."""
+
+    @staticmethod
+    def _greedy_args(variant, max_len):
+        """A float32 decoder of width 64 and greedy's arguments for a
+        32-row batch (its heads as `attn_ctx`)."""
+        model, batch, vocab = toy_setup(variant, n=32, seed=6, hidden=16,
+                                        embed=8, dec=64, width=8,
+                                        max_len=max_len)
+        fv, ctx, logits = model._condition(batch)
+        preds = None if logits is None else logits.data.argmax(axis=1)
+        starts = model._first_words(preds, batch.size)
+        assert model.decoder.hidden == 64 and len(starts) == 32
+        return model.decoder, (model.embedding, fv.f, starts, vocab.eos_id), ctx
+
+    @pytest.mark.parametrize("variant", ["pred-expl", "expl-pred-att"])
+    def test_matches_serial_reference(self, variant, monkeypatch):
+        """Ids, empty flags and the final h and c equal those of the loop
+        as it ran on one thread (`oracles.greedy_serial`), bit for bit."""
+        dec, args, ctx = self._greedy_args(variant, max_len=12)
+        assert dec.attention is (variant == "expl-pred-att")
+        gates, last = ad._lstm_gates, []
+
+        def spy(z, c):
+            out = gates(z, c)
+            last[:] = out[1], out[3]
+            return out
+
+        monkeypatch.setattr(ad, "_lstm_gates", spy)
+        emitted, empty = dec.greedy(*args, attn_ctx=ctx)
+        emitted_ref, empty_ref, (h_ref, c_ref) = greedy_serial(
+            dec, *args, attn_ctx=ctx)
+        assert (emitted, empty) == (emitted_ref, empty_ref)
+        assert max(map(len, emitted)) > 1
+        c, h = last
+        assert h.dtype == c.dtype == np.float32
+        np.testing.assert_array_equal(h, h_ref)
+        np.testing.assert_array_equal(c, c_ref)
+
+    def test_same_under_fast_thread_switching(self):
+        """With the interpreter switching threads as often as it can, the
+        ids are the serial loop's every time."""
+        dec, args, ctx = self._greedy_args("expl-pred-att", max_len=8)
+        expected = greedy_serial(dec, *args, attn_ctx=ctx)[:2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert dec.greedy(*args, attn_ctx=ctx) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("worker", ["slow", "busy"])
+    @pytest.mark.parametrize("exit_by", ["length cap", "<eos>", "exception"])
+    def test_leaves_no_work_pending(self, exit_by, worker, monkeypatch):
+        """Every task greedy gives the worker is done or cancelled when it
+        returns, whether it stops at the length cap, when every row has
+        emitted <eos> or on an exception raised between steps; with the
+        worker slow (each task still running when its result is due) or
+        busy (every task still queued, so this thread takes it)."""
+        dec, (embedding, *args), ctx = self._greedy_args("expl-pred-att",
+                                                         max_len=6)
+        eos = args[-1]
+        if exit_by == "<eos>":   # every row emits <eos> at once
+            dec.b_out.data[:] = -10.0
+            dec.b_out.data[eos] = 10.0
+        else:                    # no row ever does
+            dec.b_out.data[eos] = -10.0
+        lookups = []
+
+        class Embedding:
+            def lookup(self, ids):
+                lookups.append(ids)
+                if exit_by == "exception" and len(lookups) == 3:
+                    raise RuntimeError("between steps")
+                return embedding.lookup(ids)
+
+        futures, real = [], ad._worker
+
+        class Recording:
+            def submit(self, fn, *a):
+                futures.append(real.submit(fn, *a))
+                return futures[-1]
+
+        term = ad._state_term
+
+        def slow_term(*a):
+            if threading.current_thread().name.startswith("nliexpl-second-core"):
+                time.sleep(0.02)
+            return term(*a)
+
+        monkeypatch.setattr(ad, "_worker", Recording())
+        monkeypatch.setattr(ad, "_state_term", slow_term)
+        gate = threading.Event()
+        blocker = real.submit(gate.wait, 30) if worker == "busy" else None
+        try:
+            if exit_by == "exception":
+                with pytest.raises(RuntimeError, match="between steps"):
+                    dec.greedy(Embedding(), *args, attn_ctx=ctx)
+            else:
+                generated = dec.greedy(Embedding(), *args, attn_ctx=ctx)
+            assert futures and all(f.done() for f in futures)
+            if worker == "busy":
+                assert all(f.cancelled() for f in futures)
+        finally:
+            gate.set()
+            if blocker is not None:
+                blocker.result(timeout=30)
+        assert len(lookups) == {"length cap": 6, "<eos>": 1,
+                                "exception": 3}[exit_by]
+        if exit_by != "exception":
+            assert generated == greedy_serial(dec, embedding, *args,
+                                              attn_ctx=ctx)[:2]
 
 
 class TestPipeline:
