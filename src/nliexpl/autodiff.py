@@ -16,9 +16,10 @@ vector) or at every step as attention read from the previous hidden
 state (`Attention`, `_Contexts`), whose backward joins the same BPTT
 loop. `bilstm_layer` runs both directions of an encoder at once on the
 same direction core (`_lstm_direction`); greedy decoding runs the same
-step on arrays (`lstm_stepper`). The cell and the attention decoder
-composed from generic tape ops live in `tests/oracles.py` as their
-references.
+step on arrays (`lstm_stepper`). Every row product of `linear` and the
+LSTM ops runs as gemm, a one-row one too (`_gemm_rows`). The cell and
+the attention decoder composed from generic tape ops live in
+`tests/oracles.py` as their references.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
@@ -29,8 +30,8 @@ One worker thread (`_worker`) is the second CPU core: it runs
 `linear` (`_split_matmul`), the weight gradients that `backward` defers
 while this thread carries the input gradients down the tape, and greedy
 decoding's next state term while this thread runs the output head
-(`lstm_stepper`). Every result is bit-identical to running it all on
-one thread.
+(`lstm_stepper`), each handed to it as a `_Deferred`. Every result is
+bit-identical to running it all on one thread.
 """
 
 from __future__ import annotations
@@ -243,9 +244,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
 
 class _Deferred:
-    """A deferred gradient (see `backward`): queued on the worker when
-    made; its value or exception ends up in `future`. Whichever thread
-    runs it lets go of `fn` first, and with it the operands."""
+    """The one hand-off to the worker (deferred gradients, `_at_once`,
+    `lstm_stepper`): queued there when made; its value or exception ends
+    up in `future`. Whichever thread runs it lets go of `fn` first, and
+    with it the operands."""
 
     __slots__ = ("fn", "future")
 
@@ -336,17 +338,17 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(a, 0)) / (1.0 + np.exp(-np.abs(a)))
 
 
-def _gemm_rows(a: np.ndarray, gemm: bool) -> np.ndarray:
-    """The row operand `a` (n, K) of a product that must run as gemm.
-
-    numpy sends a one-row product to gemv, whose sums round differently
-    from the same row inside a gemm. With `gemm`, a one-row `a` is
-    repeated to two rows; the caller keeps the first n rows of the result.
-    A row then rounds as in a two-row gemm, which is not always as in a
-    large one: OpenBLAS takes a small-matrix sgemm path for products of
-    few rows (the README lists the sizes where this shows).
+def _gemm_rows(a: np.ndarray) -> np.ndarray:
+    """The row operand `a` (n, K) of a product, as gemm runs it: the one
+    product rule, which every row product of `linear` and the LSTM ops
+    (not the attention heads') follows at any batch size. numpy sends a
+    one-row product to gemv, whose sums round differently from the same
+    row inside a gemm, so a one-row `a` is repeated to two rows; the
+    caller keeps the first n rows of the result. A row then rounds as in
+    a two-row gemm, which is not always as in a large one: OpenBLAS takes
+    a small-matrix sgemm path for products of few rows (README).
     """
-    return np.concatenate([a, a]) if gemm and a.shape[0] == 1 else a
+    return np.concatenate([a, a]) if len(a) == 1 else a
 
 
 # `_matmul` splits a float32 GEMM in two when each half is at least this
@@ -370,22 +372,23 @@ def _split_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, gemm: bool = False) -> np.ndarray:
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a (n, K) @ b (K, N): `_split_matmul` for a float32 product of
-    `_SPLIT_MIN` rows and twice as many columns or more, else one GEMM
-    (with `gemm`, a one-row `a` runs as gemm, see `_gemm_rows`)."""
+    `_SPLIT_MIN` rows and twice as many columns or more, else one gemm
+    (`_gemm_rows`)."""
     if len(a) >= _SPLIT_MIN and b.shape[1] >= 2 * _SPLIT_MIN \
             and a.dtype == b.dtype == np.float32:
         return _split_matmul(a, b)
-    return np.matmul(_gemm_rows(a, gemm), b)[:len(a)]
+    return (_gemm_rows(a) @ b)[:len(a)]
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """y = x @ w.T + b with w of shape (out, in); x may be (..., in).
 
     Leading axes are flattened, so a (T, B, in) sequence is one GEMM;
-    it and the input gradient's GEMM split over both threads when large
-    (`_matmul`). Backward defers the weight gradient (see `backward`).
+    it and the input gradient's GEMM are `_matmul`'s: split over both
+    threads when large, a one-row x run as gemm. Backward defers the
+    weight gradient (see `backward`).
     """
     if w.data.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: x {x.shape} incompatible with w {w.shape}")
@@ -393,7 +396,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"linear: bias {b.shape} incompatible with w {w.shape}")
     xd, wd = x.data, w.data
     x2 = xd.reshape(-1, wd.shape[1])
-    y = _matmul(x2, wd.T, gemm=xd.ndim > 2)
+    y = _matmul(x2, wd.T)
     if b is not None:
         y += b.data
     out = Tensor(y.reshape(xd.shape[:-1] + (wd.shape[0],)))
@@ -654,9 +657,10 @@ def _gate_grads(acts: np.ndarray, c_prev: np.ndarray, tanh_c: np.ndarray):
 
 
 def _recurrent(h: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # h @ w.T, computed as (w @ h.T).T, which OpenBLAS runs about a fifth
-    # faster for the (B, H) x (H, 4H) product of a step
-    return (w @ h.T).T
+    # h @ w.T as gemm (`_gemm_rows`), computed as (w @ h.T).T, which
+    # OpenBLAS runs about a fifth faster for the (B, H) x (H, 4H) product
+    # of a step
+    return (w @ _gemm_rows(h).T).T[:len(h)]
 
 
 @dataclass
@@ -758,39 +762,36 @@ def _gate_terms(cell: LstmParams, cond, order: np.ndarray, recording: bool):
     wi, b = cell.wi.data, cell.b.data
     C = _cond_width(cond)
     if isinstance(cond, Tensor):
-        per_seq = cond.data @ wi[:, -C:].T
+        per_seq = (_gemm_rows(cond.data) @ wi[:, -C:].T)[:len(cond.data)]
         per_seq += b
         return wi[:, :-C], per_seq, None
     return (wi[:, C:], b,
             None if cond is None else _Contexts(cond, wi[:, :C], order, recording))
 
 
-def _state_term(h: np.ndarray, w: np.ndarray, ctx: _Contexts | None,
-                gemm: bool) -> np.ndarray:
+def _state_term(h: np.ndarray, w: np.ndarray,
+                ctx: _Contexts | None) -> np.ndarray:
     """The last term of a step's gate input (`_lstm_step`), made from the
     state h (n, H) alone: the attention term of `ctx`, else the recurrent
-    term h @ w.T."""
-    if ctx is not None:
-        return ctx.term(h)
-    return _recurrent(_gemm_rows(h, gemm), w)[:len(h)]
+    term h @ w.T (`_recurrent`)."""
+    return _recurrent(h, w) if ctx is None else ctx.term(h)
 
 
 def _lstm_step(gx_t: np.ndarray, h: np.ndarray, c: np.ndarray, w: np.ndarray,
-               rm: np.ndarray | None, ctx: _Contexts | None, gemm: bool,
-               ahead=None):
+               rm: np.ndarray | None, ctx: _Contexts | None, ahead=None):
     """The step every LSTM path runs, over the first n = len(gx_t) rows
     of the state h, c (B, H): z = (gate input gx_t (n, 4H) + h's
     recurrent term through the dropout mask `rm`) + the attention term
-    `ctx` of h, the recurrent term being last without `ctx`; then the
-    gates. `ahead`, if given, returns that last term (`_state_term`)
-    made elsewhere (greedy decoding starts it early, `lstm_stepper`); it
-    is called where the term joins the sum. Returns the h the recurrent
-    GEMM read and `_lstm_gates`' outputs."""
+    `ctx` of h, the recurrent term (`_recurrent`) being last without
+    `ctx`; then the gates. `ahead`, if given, returns that last term
+    (`_state_term`) made elsewhere (greedy decoding starts it early,
+    `lstm_stepper`); it is called where the term joins the sum. Returns
+    the h the recurrent GEMM read and `_lstm_gates`' outputs."""
     n = len(gx_t)
     h_t = h[:n] if rm is None else h[:n] * rm[:n]
     if ctx is not None:
-        gx_t = gx_t + _recurrent(_gemm_rows(h_t, gemm), w)[:n]
-    z = gx_t + (_state_term(h_t if ctx is None else h[:n], w, ctx, gemm)
+        gx_t = gx_t + _recurrent(h_t, w)
+    z = gx_t + (_state_term(h_t if ctx is None else h[:n], w, ctx)
                 if ahead is None else ahead())
     return h_t, _lstm_gates(z, c[:n])
 
@@ -896,26 +897,27 @@ def lstm_stepper(cell: LstmParams, h0: Tensor, c0: Tensor,
     (h0/c0 at first) and returns the new hidden state (B, H).
 
     As soon as a state h is made, the worker starts the next step's term
-    of h alone (`_state_term`: the heads' attention term, else the
-    recurrent term) while the caller uses h and makes the next input's
-    product x_t @ wx.T (and, with heads, the recurrent term). The next
-    step takes the term there, or makes it itself if the worker has not
+    of h alone (a `_Deferred` of `_state_term`: the heads' attention
+    term, else the recurrent term) while the caller uses h and makes the
+    next input's product x_t @ wx.T (and, with heads, the recurrent
+    term); every row product is gemm, as in `lstm_layer`. The next step
+    takes the term there, or makes it itself if the worker has not
     started it; the sum and so every bit are those of one thread. On
-    leaving the context the last one is cancelled or waited for. It gives
-    the worker work, so it must never run inside a worker task.
+    leaving the context the last one is dropped. It gives the worker
+    work, so it must never run inside a worker task.
     """
     state = [h0.data, c0.data]
     wx, per_seq, ctx = _gate_terms(cell, cond, np.arange(len(state[0])), False)
-    w, gemm = cell.wh.data, len(state[0]) > 1
+    w = cell.wh.data
 
     def start(h):
-        return _Deferred(lambda: _state_term(h, w, ctx, gemm))
+        return _Deferred(lambda: _state_term(h, w, ctx))
 
     ahead = [start(state[0])]
 
     def step(x_t: np.ndarray) -> np.ndarray:
-        gx = (_gemm_rows(x_t, True) @ wx.T)[:len(x_t)]   # as `lstm_layer`'s
-        _, (_, c, _, h) = _lstm_step(gx + per_seq, *state, w, None, ctx, gemm,
+        gx = (_gemm_rows(x_t) @ wx.T)[:len(x_t)]   # as `lstm_layer`'s
+        _, (_, c, _, h) = _lstm_step(gx + per_seq, *state, w, None, ctx,
                                      ahead[0].result)
         state[:] = h, c
         ahead[0] = start(h)
@@ -946,9 +948,9 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
     """`lstm_layer` on checked arrays (`cond` as given) and no tape, so
     any thread can run it, on packed sequences as in the README: every
     (P, ...) array here, from x's real step-rows xp (P, D) on, is in the
-    layout `pack` (`_packing`). xp's input GEMM (always gemm, see
-    `_gemm_rows`) goes to the buffer `gx` if given (max(P, 2) rows), and
-    each step adds `_gate_terms`' term to its block. The recurrence
+    layout `pack` (`_packing`); every row product is gemm (`_gemm_rows`).
+    xp's input GEMM goes to the buffer `gx` if given (max(P, 2) rows),
+    and each step adds `_gate_terms`' term to its block. The recurrence
     writes the states into the zeroed `hs` (T, B, H), maybe a view.
     Returns None or, `recording`, g -> the gradients of (x, wi, wh, b,
     h0, c0, then cond's tensors), None for an input not given."""
@@ -956,7 +958,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
     (P, D), (G, H), B = xp.shape, cell.wh.shape, len(order)
     wi, w = cell.wi.data, cell.wh.data
     wx, per_seq, ctx = _gate_terms(cell, cond, order, recording)
-    a = _gemm_rows(xp, True)
+    a = _gemm_rows(xp)
     gx = np.matmul(a, wx.T, out=None if gx is None else gx[:len(a)])[:P]
     per_row = np.broadcast_to(per_seq, (B, G))[order]   # in sorted row order
     dtype = gx.dtype
@@ -964,7 +966,6 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
     steps = np.flatnonzero(live)   # steps with no live row are skipped
     if reverse:
         steps = steps[::-1]
-    gemm = B > 1
     # states in sorted row order; rows past the live prefix are left alone
     h, c = (np.zeros((B, H), dtype=dtype) if s0 is None else s0[order]
             for s0 in (h0, c0))
@@ -977,7 +978,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
         n = live[t]
         blk = slice(ends[t] - n, ends[t])
         h_t, (a_t, c_new, tc_t, h_new) = _lstm_step(gx[blk] + per_row[:n], h, c,
-                                                    w, rm, ctx, gemm)
+                                                    w, rm, ctx)
         if recording:
             acts[blk], c_prev[blk], tanh_c[blk], h_in[blk] = a_t, c[:n], tc_t, h_t
         h[:n], c[:n] = h_new, c_new
@@ -999,7 +1000,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
             dc_new = dc[:n] + dh_new * dc_from_h[blk]
             np.multiply(per_dc[blk], dc_new[:, None, :], out=dz[blk, :3])
             np.multiply(per_dh[blk], dh_new, out=dz[blk, 3])
-            dh_next = (_gemm_rows(dz[blk].reshape(n, G), gemm) @ w)[:n]
+            dh_next = (_gemm_rows(dz[blk].reshape(n, G)) @ w)[:n]
             if rm is not None:
                 dh_next *= rm[:n]
             if ctx is not None:
@@ -1011,7 +1012,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
         dh0, dc0 = (None if s0 is None else d[unsort]
                     for s0, d in ((h0, dh), (c0, dc)))
         dx = np.zeros(hs.shape[:2] + (D,), dz.dtype)
-        dx[index] = dz @ wx
+        dx[index] = (_gemm_rows(dz) @ wx)[:P]
         # the weight gradients wi's and wh's are deferred (see `backward`)
         dwx = lambda: dz.T @ xp   # noqa: E731
         dwh = lambda: dz.T @ h_in   # noqa: E731
@@ -1021,7 +1022,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
                 gs[:live[t]] += dz[ends[t] - live[t]:ends[t]]
             gs = gs[unsort]
             return (dx, lambda: np.concatenate([dwx(), gs.T @ cond.data], axis=1),
-                    dwh, gs.sum(axis=0), dh0, dc0, gs @ wi[:, D:])
+                    dwh, gs.sum(axis=0), dh0, dc0, (_gemm_rows(gs) @ wi[:, D:])[:B])
         if ctx is None:
             return dx, dwx, dwh, dz.sum(axis=0), dh0, dc0, None
         dw, *dheads = (d if d.ndim < 3 else d[unsort].transpose(1, 0, 2)
@@ -1049,19 +1050,15 @@ os.register_at_fork(after_in_child=_new_worker)
 
 
 def _at_once(here, there):
-    """(here(), there()), `there` on the worker if it gets to it while
-    here() runs; if it is still queued (behind weight gradients that
-    `backward` deferred) it runs here after here(). Waits for both; an
-    exception of either reaches the caller unchanged, the worker's
-    first."""
-    later = _worker.submit(there)
+    """(here(), there()), `there` a `_Deferred`: on the worker if it gets
+    to it while here() runs, else here after here() (it may be queued
+    behind weight gradients that `backward` deferred). Waits for both;
+    here()'s exception, else there()'s, reaches the caller unchanged."""
+    later = _Deferred(there)
     try:
-        first = here()
-    except BaseException:
-        if not later.cancel():
-            later.result()
-        raise
-    return first, there() if later.cancel() else later.result()
+        return here(), later.result()
+    finally:
+        later.drop()
 
 
 def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,

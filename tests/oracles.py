@@ -35,7 +35,7 @@ import numpy as np
 
 from nliexpl.autodiff import (LOG_FLOOR, EmptySequenceError, LstmParams,
                               ShapeError, Tensor, _active_tape, _gate_grads,
-                              _gate_terms, _gemm_rows, _lstm_gates, _record,
+                              _gate_terms, _lstm_gates, _record,
                               _recurrent, _sigmoid, add, concat, dropout_mask,
                               linear, lstm_layer, mul, softmax, sum_, tanh_)
 from nliexpl.models import DecodeResult
@@ -597,7 +597,7 @@ def greedy_serial(decoder, embedding, source: Tensor, start_ids, eos_id: int,
     done = np.zeros(len(current), dtype=bool)
     for _ in range(decoder.max_len):
         z = embedding.lookup(current).data @ wx.T + per_seq
-        z = z + _recurrent(_gemm_rows(h, len(h) > 1), wh)[:len(h)]
+        z = z + _recurrent(h, wh)
         if ctx is not None:
             z += ctx.term(h)
         _, c, _, h = _lstm_gates(z, c)

@@ -381,11 +381,25 @@ def _fused_step(x, h, c, params, rmask=None):
     return lstm_step(ad.linear(x, params.wi, params.b), h, c, params.wh, rmask)
 
 
+def _product_probe(products):
+    """An ndarray subclass whose views append the operand shapes of every
+    matmul that reads one of them to `products`."""
+    class Seen(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kw):
+            if ufunc is np.matmul:
+                products.append(tuple(a.shape for a in inputs))
+            inputs = tuple(a.view(np.ndarray) if isinstance(a, Seen) else a
+                           for a in inputs)
+            return getattr(ufunc, method)(*inputs, **kw)
+
+    return Seen
+
+
 def _array_step(x, h, c, params):
     """(h', c') of the step every LSTM path runs (`autodiff._lstm_step`)."""
     _, (_, c2, _, h2) = ad._lstm_step(
         x.data @ params.wi.data.T + params.b.data, h.data, c.data,
-        params.wh.data, None, None, len(x.data) > 1)
+        params.wh.data, None, None)
     return h2, c2
 
 
@@ -709,35 +723,28 @@ class TestLstmLayer:
                     runs[lstm_layer_dense, np.float32][0])
 
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("lengths,extra", [([6, 2, 3, 2, 1], 3), ([3], 0)])
-    def test_recurrent_gemm_runs_live_rows_only(self, monkeypatch, reverse,
-                                                lengths, extra):
+    @pytest.mark.parametrize("lengths,extra", [([6, 2, 3, 2, 1], 3), ([3], 3)])
+    def test_recurrent_gemm_runs_live_rows_only(self, reverse, lengths, extra):
         """Forward and backward each feed the recurrent GEMM every real
         step-row once and no pad row, plus a repeated row at each step
-        where one row of several is left live (the gemm rule); a one-row
-        batch has no repeats. The input GEMMs, with the one operand D
-        wide, are counted by `test_input_gemms_read_real_rows_only`."""
-        fed = []
-        gemm_rows = ad._gemm_rows
+        where one row is live (the gemm rule), a one-row batch's steps
+        included. The products are seen through an ndarray subclass that
+        wh is a view of: forward (wh @ h.T).T, whose rows are h.T's
+        columns, and backward dz @ wh. The input GEMMs are counted by
+        `test_input_gemms_read_real_rows_only`."""
+        products = []
         T, B, D, H = 8, len(lengths), 3, 4
-
-        def counting(a, gemm):
-            rows = gemm_rows(a, gemm)
-            if a.shape[1] != D:
-                fed.append(rows.shape[0])
-            return rows
-
-        monkeypatch.setattr(ad, "_gemm_rows", counting)
         rng = np.random.default_rng(27)
         x = f64_param(rng.normal(size=(T, B, D)), "x")
         cell = ad.init_lstm(rng, D, H, "cell", dtype=np.float64)
+        cell.wh.data = cell.wh.data.view(_product_probe(products))
         with ad.Tape() as tape:
             loss = ad.sum_(ad.lstm_layer(x, cell, lengths=np.array(lengths),
                                          reverse=reverse))
-        forward = sum(fed)
+        forward = [b[1] for _, b in products]
         ad.backward(tape, loss)
-        backward = sum(fed) - forward
-        assert forward == backward == sum(lengths) + extra
+        backward = [a[0] for a, _ in products[len(forward):]]
+        assert sum(forward) == sum(backward) == sum(lengths) + extra
 
     @pytest.mark.parametrize("directions", ["forward", "reverse", "both"])
     @pytest.mark.parametrize("lengths", [[6, 2, 3, 2, 1], [3], [0, 1, 0]])
@@ -748,15 +755,7 @@ class TestLstmLayer:
         products are seen through an ndarray subclass that x and wi are
         views of, so every product with either is recorded."""
         products = []
-
-        class Seen(np.ndarray):
-            def __array_ufunc__(self, ufunc, method, *inputs, **kw):
-                if ufunc is np.matmul:
-                    products.append(tuple(a.shape for a in inputs))
-                inputs = tuple(a.view(np.ndarray) if isinstance(a, Seen) else a
-                               for a in inputs)
-                return getattr(ufunc, method)(*inputs, **kw)
-
+        Seen = _product_probe(products)
         T, B, D, H = 8, len(lengths), 3, 4
         G, P = 4 * H, sum(lengths)
         rng = np.random.default_rng(27)
@@ -777,7 +776,60 @@ class TestLstmLayer:
         n = 2 if directions == "both" else 1
         assert products[:forward] == [((P + (P == 1), D), (D, G))] * n
         assert sorted(products[forward:]) == sorted(
-            [((P, G), (G, D)), ((G, P), (P, D))] * n)
+            [((P + (P == 1), G), (G, D)), ((G, P), (P, D))] * n)
+
+    def test_one_row_products_run_as_gemm(self):
+        """At B = 1 no product reaches numpy with a one-row row operand
+        (or a one-column column operand, as the recurrent term's (w @
+        h.T).T has): each runs as a two-row gemm (`_gemm_rows`). Checked
+        for `linear` on 2-D and 3-D input (forward and input gradient),
+        `lstm_layer` with a cond Tensor, `bilstm_layer` with one real
+        step-row and one `lstm_stepper` step, through an ndarray subclass
+        that every input and weight is a view of."""
+        products = []
+        Seen = _product_probe(products)
+        T, D, H, C = 4, 3, 4, 2
+        rng = np.random.default_rng(29)
+
+        def seen(*tensors):
+            for t in tensors:
+                t.data = t.data.view(Seen)
+            return tensors
+
+        def cell():
+            c = ad.init_lstm(rng, D + C, H, "cell", dtype=np.float64)
+            seen(c.wi, c.wh)
+            return c
+
+        w, b = seen(f64_param(rng.normal(size=(5, D)), "w"),
+                    f64_param(rng.normal(size=5), "b"))
+        x, x3, seq, cond, h0, c0 = seen(
+            *(f64_param(rng.normal(size=shape), name) for name, shape in (
+                ("x", (1, D)), ("x3", (1, 1, D)), ("seq", (T, 1, D)),
+                ("cond", (1, C)), ("h0", (1, H)), ("c0", (1, H)))))
+        enc = [ad.init_lstm(rng, D, H, f"enc{k}", dtype=np.float64)
+               for k in range(2)]
+        seen(*(t for c in enc for t in (c.wi, c.wh)))
+        dec = cell()
+        taped = {
+            "linear 2-D": lambda: ad.linear(x, w, b),
+            "linear 3-D": lambda: ad.linear(x3, w, b),
+            "lstm_layer": lambda: ad.lstm_layer(seq, dec, h0, c0, np.array([3]),
+                                                cond),
+            "bilstm_layer": lambda: ad.bilstm_layer(seq, *enc, np.array([1])),
+        }
+        for name, op in taped.items():
+            with ad.Tape() as tape:
+                loss = ad.sum_(op())
+            ad.backward(tape, loss)
+            assert products, name
+            assert all(a[0] > 1 and b[-1] > 1 for a, b in products), \
+                (name, products)
+            products.clear()
+        with ad.lstm_stepper(dec, h0, c0, cond) as step:
+            step(seq.data[0])
+        assert products
+        assert all(a[0] > 1 and b[-1] > 1 for a, b in products), products
 
     def test_padding_never_changes_real_steps(self):
         rng = np.random.default_rng(22)
