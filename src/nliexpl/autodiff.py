@@ -331,13 +331,6 @@ def tanh_(a: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid(a: np.ndarray) -> np.ndarray:
-    # Stable two-branch form, 1 / (1 + e^-a) for a >= 0 and
-    # e^a / (1 + e^a) below, with the branch taken by the numerator
-    # (e^0 is exactly 1): np.where is several times slower than exp here.
-    return np.exp(np.minimum(a, 0)) / (1.0 + np.exp(-np.abs(a)))
-
-
 def _gemm_rows(a: np.ndarray) -> np.ndarray:
     """The row operand `a` (n, K) of a product, as gemm runs it: the one
     product rule, which every row product of `linear` and the LSTM ops
@@ -629,14 +622,18 @@ def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int,
 def _lstm_gates(z: np.ndarray, c: np.ndarray):
     """The fused gate math of one step, shared by every LSTM path.
 
-    z (B, 4H) are the gate pre-activations and c (B, H) the cell state.
-    Returns the activations [i, f, g, o] (B, 4H), the new cell state,
-    its tanh, and the new hidden state: c' = sigmoid(f) * c +
-    sigmoid(i) * tanh(g) and h' = sigmoid(o) * tanh(c').
+    z (B, 4H) are the gate pre-activations, overwritten, and c (B, H) the
+    cell state. Returns the activations [i, f, g, o] (B, 4H) in z's
+    buffer, the new cell state, its tanh, and the new hidden state:
+    c' = sigmoid(f) * c + sigmoid(i) * tanh(g) and h' = sigmoid(o) *
+    tanh(c'). One tanh pass makes all four, sigmoid(x) being
+    0.5 * tanh(x / 2) + 0.5 (halving is exact, as are g's * 1 and + 0).
     """
     H = c.shape[-1]
-    act = _sigmoid(z)
-    act[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+    half = np.repeat(np.array([0.5, 0.5, 1.0, 0.5], z.dtype), H)
+    act = np.tanh(np.multiply(z, half, out=z), out=z)
+    act *= half
+    act += 1.0 - half
     i, f, g, o = (act[:, k * H:(k + 1) * H] for k in range(4))
     c_new = f * c + i * g
     tc = np.tanh(c_new)

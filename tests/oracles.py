@@ -19,6 +19,8 @@ it ran before its steps joined `lstm_layer`: one `lstm_step` (two tape
 records on the gate kernels) per step, fed by `attend_step`, which
 composes each head's context from generic tape ops and the ops only it
 used (`attn_scores`, `softmax_masked`, `attn_combine`, `stack_steps`).
+`lstm_gates_two_exp` is the gate kernel as it ran before its one tanh
+pass, on the two-exp sigmoid (`sigmoid_two_exp`) that `sigmoid_` uses.
 `greedy_serial` is greedy decoding as it ran on one thread, on the
 package's gate kernels, before the worker made each step's state term.
 `backward_in_line` is the backward pass as it ran before weight
@@ -36,7 +38,7 @@ import numpy as np
 from nliexpl.autodiff import (LOG_FLOOR, EmptySequenceError, LstmParams,
                               ShapeError, Tensor, _active_tape, _gate_grads,
                               _gate_terms, _lstm_gates, _record,
-                              _recurrent, _sigmoid, add, concat, dropout_mask,
+                              _recurrent, add, concat, dropout_mask,
                               linear, lstm_layer, mul, softmax, sum_, tanh_)
 from nliexpl.models import DecodeResult
 
@@ -154,12 +156,36 @@ def scalar_lstm_step(x, h, c, wi, wh, b):
 
 
 # ---------------------------------------------------------------------------
+# Two-exp gate kernel
+
+
+def sigmoid_two_exp(a: np.ndarray) -> np.ndarray:
+    """The logistic function in its stable two-branch form, 1 / (1 +
+    e^-a) for a >= 0 and e^a / (1 + e^a) below, with the branch taken by
+    the numerator (e^0 is exactly 1)."""
+    return np.exp(np.minimum(a, 0)) / (1.0 + np.exp(-np.abs(a)))
+
+
+def lstm_gates_two_exp(z: np.ndarray, c: np.ndarray):
+    """`autodiff._lstm_gates` as it ran before its one tanh pass: the
+    sigmoid of all 4H columns in two exp passes, then tanh over the g
+    block. Same arguments and outputs; z is left as it is."""
+    H = c.shape[-1]
+    act = sigmoid_two_exp(z)
+    act[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+    i, f, g, o = (act[:, k * H:(k + 1) * H] for k in range(4))
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    return act, c_new, tc, o * tc
+
+
+# ---------------------------------------------------------------------------
 # Composed LSTM cell
 
 
 def sigmoid_(a: Tensor) -> Tensor:
     ad = a.data
-    out = Tensor(_sigmoid(ad).astype(ad.dtype, copy=False))
+    out = Tensor(sigmoid_two_exp(ad).astype(ad.dtype, copy=False))
     od = out.data
     _record(out, (a,), lambda g: (g * od * (1.0 - od),))
     return out

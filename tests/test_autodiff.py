@@ -8,6 +8,7 @@ import os
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +19,8 @@ from hypothesis import strategies as st
 from nliexpl import autodiff as ad
 from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
                      column_max, gate_input_cell, lstm_cell, lstm_layer_dense,
-                     lstm_step, max_rel_err, numeric_grad, scalar_lstm_step,
-                     sigmoid_, slice_last, stack_steps)
+                     lstm_gates_two_exp, lstm_step, max_rel_err, numeric_grad,
+                     scalar_lstm_step, sigmoid_, slice_last, stack_steps)
 
 
 def f64(x):
@@ -890,6 +891,24 @@ class TestLstmLayer:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 8 * hs.data.nbytes < peaks[1]
+
+    def test_gate_pass_matches_two_exp_kernel(self):
+        """The gate kernel against the two-exp one it replaced
+        (`oracles.lstm_gates_two_exp`) in float64, within 1e-10 on the
+        activations, c', tanh c' and h': random z, z = 0, and z up to
+        +-60 where the gates saturate; no RuntimeWarning."""
+        rng = np.random.default_rng(31)
+        n, H = 16, 8
+        zs = [rng.normal(scale=3.0, size=(n, 4 * H)), np.zeros((n, 4 * H)),
+              rng.uniform(-60.0, 60.0, size=(n, 4 * H)),
+              np.tile([60.0, -60.0], (n, 2 * H))]
+        c = rng.normal(size=(n, H))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for z in zs:
+                got = ad._lstm_gates(z.copy(), c)
+                for a, b in zip(got, lstm_gates_two_exp(z, c)):
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
     def test_step_kernel_matches_cell(self):
         """The step every LSTM path runs (`_lstm_step`) against the

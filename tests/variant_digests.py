@@ -21,7 +21,12 @@ LSTM input projection began reading the real step-rows only, after the
 float64 differential test against the projection of all step-rows
 passed: the gradients of wi and b now sum the real step-rows alone, and
 those of a reverse direction's wh in step order (the packed layout both
-directions share); losses and evaluation outputs did not move.
+directions share); losses and evaluation outputs did not move. They
+were recorded again when the gate kernel became one tanh pass (sigmoid
+as 0.5 tanh(x/2) + 0.5), after the float64 differential test against
+the two-exp kernel (`oracles.lstm_gates_two_exp`) passed at 1e-10: the
+gradients, and so the parameters after a step, moved in every variant;
+losses and evaluation outputs did not.
 `test_models.TestParentParity` runs this script and compares; a change
 that moves the digests passes such a test against the code it replaces
 before they are recorded again. Float32 GEMM and SIMD results depend
