@@ -333,8 +333,9 @@ def evaluate_model(model, encoded: list[EncodedExample],
 
     Accuracy comes from the model's own classifier, or from the
     explain-then-predict pipeline for generator-only variants (when an
-    explanation classifier is supplied). BLEU scores greedy generations
-    against gold explanations 1-2 of the raw examples.
+    explanation classifier is supplied). Perplexity needs every example
+    explained; BLEU scores the greedy generations of the examples that
+    have gold explanations in `examples` against their first two.
     """
     report = EvalReport(provenance={
         "split": split, "variant": model.variant,
@@ -349,15 +350,14 @@ def evaluate_model(model, encoded: list[EncodedExample],
         report.perplexity = ppl.perplexity
         report.counts["explanation_tokens"] = ppl.n_tokens
         report.provenance["perplexity_total_nll"] = ppl.total_nll
-        by_id = {e.id: e for e in examples or ()}
-        generated = generate_all(model, encoded, batch_size)[0] if by_id else []
-        pairs = [(model.vocab.decode(gen), by_id[enc.id].explanations[:2])
-                 for enc, gen in zip(encoded, generated)
-                 if enc.id in by_id and by_id[enc.id].explanations]
-        if pairs:
-            cands, refs = zip(*pairs)
-            report.bleu = bleu(list(cands), list(refs))
-            report.counts["bleu_candidates"] = len(pairs)
+    by_id = {e.id: e for e in examples or ()}
+    referenced = [enc for enc in encoded
+            if enc.id in by_id and by_id[enc.id].explanations]
+    if model.explains and referenced:
+        generated = generate_all(model, referenced, batch_size)[0]
+        report.bleu = bleu([model.vocab.decode(gen) for gen in generated],
+                           [by_id[enc.id].explanations[:2] for enc in referenced])
+        report.counts["bleu_candidates"] = len(referenced)
     return report
 
 

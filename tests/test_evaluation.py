@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,6 +305,24 @@ class TestEvaluateModel:
         clone = report_from_json(report.to_json())
         assert clone == report
         assert "accuracy" in report.table()
+
+    def test_bleu_scores_the_explained_examples(self):
+        """One example without explanations leaves perplexity out, as it
+        needs every example explained, but not BLEU: that scores the
+        others' generations against their references."""
+        model, _, vocab = toy_setup("pred-expl", n=6, seed=1)
+        examples = make_examples(6, seed=1)
+        examples[2] = replace(examples[2], explanations=[],
+                              explanation_texts=[])
+        encoded = encode_corpus(examples, vocab)
+        report = E.evaluate_model(model, encoded, examples, batch_size=3)
+        assert len(encoded) == 6 and report.perplexity is None
+        rest = [enc for enc in encoded if enc.id != examples[2].id]
+        assert report.counts["bleu_candidates"] == len(rest) == 5
+        by_id = {e.id: e for e in examples}
+        cands = [vocab.decode(g) for g in E.generate_all(model, rest, 3)[0]]
+        assert report.bleu == E.bleu(
+            cands, [by_id[enc.id].explanations[:2] for enc in rest])
 
     def test_evaluation_is_deterministic(self):
         model, _, vocab = toy_setup("pred-expl", n=6, seed=1)
