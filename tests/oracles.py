@@ -37,9 +37,9 @@ import numpy as np
 
 from nliexpl.autodiff import (LOG_FLOOR, EmptySequenceError, LstmParams,
                               ShapeError, Tensor, _active_tape, _gate_grads,
-                              _gate_terms, _lstm_gates, _record,
-                              _recurrent, add, concat, dropout_mask,
-                              linear, lstm_layer, mul, softmax, sum_, tanh_)
+                              _gate_terms, _lstm_gates, _record, _recurrent,
+                              add, concat, dropout_mask, linear, lstm_layer,
+                              mul, softmax, sum_, tanh_)
 from nliexpl.models import DecodeResult
 
 

@@ -797,10 +797,11 @@ class TestLstmLayer:
                 t.data = t.data.view(Seen)
             return tensors
 
-        def cell():
-            c = ad.init_lstm(rng, D + C, H, "cell", dtype=np.float64)
-            seen(c.wi, c.wh)
-            return c
+        def only_gemm(name):
+            assert products, name
+            assert all(a[0] > 1 and b[-1] > 1 for a, b in products), \
+                (name, products)
+            products.clear()
 
         w, b = seen(f64_param(rng.normal(size=(5, D)), "w"),
                     f64_param(rng.normal(size=5), "b"))
@@ -808,10 +809,9 @@ class TestLstmLayer:
             *(f64_param(rng.normal(size=shape), name) for name, shape in (
                 ("x", (1, D)), ("x3", (1, 1, D)), ("seq", (T, 1, D)),
                 ("cond", (1, C)), ("h0", (1, H)), ("c0", (1, H)))))
-        enc = [ad.init_lstm(rng, D, H, f"enc{k}", dtype=np.float64)
-               for k in range(2)]
-        seen(*(t for c in enc for t in (c.wi, c.wh)))
-        dec = cell()
+        dec, *enc = (ad.init_lstm(rng, D + C * (k == 0), H, f"cell{k}",
+                                  dtype=np.float64) for k in range(3))
+        seen(*(t for cell in (dec, *enc) for t in (cell.wi, cell.wh)))
         taped = {
             "linear 2-D": lambda: ad.linear(x, w, b),
             "linear 3-D": lambda: ad.linear(x3, w, b),
@@ -823,14 +823,10 @@ class TestLstmLayer:
             with ad.Tape() as tape:
                 loss = ad.sum_(op())
             ad.backward(tape, loss)
-            assert products, name
-            assert all(a[0] > 1 and b[-1] > 1 for a, b in products), \
-                (name, products)
-            products.clear()
+            only_gemm(name)
         with ad.lstm_stepper(dec, h0, c0, cond) as step:
             step(seq.data[0])
-        assert products
-        assert all(a[0] > 1 and b[-1] > 1 for a, b in products), products
+        only_gemm("lstm_stepper")
 
     def test_padding_never_changes_real_steps(self):
         rng = np.random.default_rng(22)
