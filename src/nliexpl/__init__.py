@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .autodiff import (SgdState, Tape, Tensor, backward, max_over_time,
-                       sgd_step, softmax)
+                       sgd_step)
 from .data import (Batch, ColumnMap, EmbeddingTable, Example, Vocabulary,
                    build_vocab, encode_corpus, encode_example, iterate_batches,
                    load_corpus, load_embeddings, tokenize)
@@ -20,7 +20,6 @@ from .training import (RunRecord, TrainConfig, TrainData, grid_select,
 
 __all__ = [
     "SgdState", "Tape", "Tensor", "backward", "max_over_time", "sgd_step",
-    "softmax",
     "Batch", "ColumnMap", "EmbeddingTable", "Example", "Vocabulary",
     "build_vocab", "encode_corpus", "encode_example", "iterate_batches",
     "load_corpus", "load_embeddings", "tokenize",

@@ -2,9 +2,10 @@
 
 Implements exactly the operations the model zoo needs: affine maps
 (one GEMM over all leading axes), elementwise arithmetic and tanh,
-softmax, max-over-time pooling, concatenation, row gathering, embedding
-lookup with partially trainable rows, dropout, two fused LSTM ops, and
-plain SGD with per-epoch learning-rate decay.
+one fused softmax cross-entropy (`cross_entropy_rows`, forward and
+backward in the logits' buffer), max-over-time pooling, concatenation,
+row gathering, embedding lookup with partially trainable rows, dropout,
+two fused LSTM ops, and plain SGD with per-epoch learning-rate decay.
 
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
 and share one step (`_lstm_step`) on one fused gate kernel. `lstm_layer`
@@ -425,60 +426,47 @@ def sum_(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Softmax and losses
+# Loss
 
 
-def softmax(logits: Tensor, overwrite: bool = False) -> Tensor:
-    """Row-wise stable softmax of `logits`, 1-D (n,) or 2-D (rows, n).
+def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """-log softmax(logits)[i, targets[i]] for each row i of logits
+    (N, V): the (N,) per-row NLL, clamped at the log floor, as one tape
+    record.
 
-    With `overwrite`, the result is computed in the buffer of `logits`,
-    which the caller must not read afterwards (neither backward pass
-    needs it); for large vocabularies this keeps one (rows, n) array live
-    instead of two.
+    The row-wise stable softmax is computed in the buffer of `logits`,
+    which holds the probabilities afterwards: read the logits themselves
+    (an argmax) before the call, and pass only logits whose producer's
+    backward does not read them (`linear`'s does not). Target
+    probabilities below the floor raise one NumericsWarning naming how
+    many, and their rows get zero gradient (the clamp is flat there).
+    Backward makes the logits' gradient g_i * (p_i - onehot(targets[i]))
+    in that same buffer.
     """
-    x = logits.data
-    e = np.subtract(x, x.max(axis=-1, keepdims=True), out=x if overwrite else None)
-    np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
-    out = Tensor(e.astype(logits.dtype, copy=False))
-    sd = out.data
-
-    def _bw(g):
-        inner = (g * sd).sum(axis=-1, keepdims=True)
-        return (sd * (g - inner),)
-
-    _record(out, (logits,), _bw)
-    return out
-
-
-def nll_rows(probs: Tensor, targets: np.ndarray) -> Tensor:
-    """-log probs[i, targets[i]] per row, clamped at the log floor.
-
-    Probabilities below the floor are flagged with a NumericsWarning and
-    contribute zero gradient (the clamp is flat there).
-    """
-    p = probs.data
+    p = logits.data
     if p.ndim != 2:
-        raise ShapeError(f"nll_rows: probs must be 2-D, got {p.shape}")
+        raise ShapeError(f"cross_entropy_rows: logits must be 2-D, got {p.shape}")
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != (p.shape[0],):
-        raise ShapeError(f"nll_rows: targets {targets.shape} vs probs {p.shape}")
+        raise ShapeError(f"cross_entropy_rows: targets {targets.shape} "
+                         f"vs logits {p.shape}")
+    np.subtract(p, p.max(axis=1, keepdims=True), out=p)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
     rows = np.arange(p.shape[0])
     picked = p[rows, targets]
-    clamped = np.maximum(picked, LOG_FLOOR)
-    if (picked < LOG_FLOOR).any():
-        warnings.warn("probability clamped at log floor", NumericsWarning,
-                      stacklevel=2)
-    out = Tensor((-np.log(clamped)).astype(p.dtype, copy=False))
-    shape = p.shape
-    live = picked >= LOG_FLOOR
+    clamped = picked < LOG_FLOOR
+    if clamped.any():
+        warnings.warn(f"{clamped.sum()} of {len(p)} target probabilities "
+                      f"clamped at the log floor", NumericsWarning, stacklevel=2)
+    out = Tensor(-np.log(np.maximum(picked, LOG_FLOOR)))
 
     def _bw(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        full[rows, targets] = np.where(live, -g / clamped, 0.0)
-        return (full,)
+        p[rows, targets] -= 1.0
+        np.multiply(p, np.where(clamped, 0.0, g)[:, None], out=p)
+        return (p,)
 
-    _record(out, (probs,), _bw)
+    _record(out, (logits,), _bw)
     return out
 
 

@@ -251,8 +251,9 @@ class LstmDecoder(_Part):
         The whole sequence is one `lstm_layer`, which skips the pad steps
         and takes the source projection (once per sequence) or the heads
         (read at each step from the previous state) as `cond`. The output
-        projection, softmax and NLL then run once over the real (t, b)
-        state rows only, gathered in time-major order."""
+        projection and the fused softmax NLL (`cross_entropy_rows`) then
+        run once over the real (t, b) state rows only, gathered in
+        time-major order."""
         B, S = inputs.shape
         h, c = self._init_state(source)
         rmask = None
@@ -263,12 +264,13 @@ class LstmDecoder(_Part):
                            lengths, cond=self._cond(source, attn_ctx),
                            rmask=rmask)
         real = np.flatnonzero(np.arange(S)[:, None] < lengths)   # t * B + b
-        probs = ad.softmax(ad.linear(ad.take_rows(hs, real), self.w_out,
-                                     self.b_out), overwrite=True)
+        logits = ad.linear(ad.take_rows(hs, real), self.w_out, self.b_out)
         gold = targets.T.reshape(-1)[real]
-        hits = int((probs.data.argmax(axis=1) == gold).sum())
-        return DecodeResult(nll_sum=ad.sum_(ad.nll_rows(probs, gold)),
-                            n_tokens=len(real), n_correct=hits)
+        nll = ad.cross_entropy_rows(logits, gold)
+        # the argmax of the probabilities the loss left in the logits' buffer
+        hits = int((logits.data.argmax(axis=1) == gold).sum())
+        return DecodeResult(nll_sum=ad.sum_(nll), n_tokens=len(real),
+                            n_correct=hits)
 
     def greedy(self, embedding: WordEmbedding, source: ad.Tensor,
                start_ids: np.ndarray, eos_id: int,
@@ -469,9 +471,10 @@ class BaseModel(_Part):
         fv, ctx, logits = self._condition(batch)
         info = {}
         if logits is not None:
-            per_row = ad.nll_rows(ad.softmax(logits), batch.labels)
-            label_loss = ad.scale(ad.sum_(per_row), 1.0 / batch.size)
+            # before the loss overwrites the logits with probabilities
             info["preds"] = logits.data.argmax(axis=1)
+            per_row = ad.cross_entropy_rows(logits, batch.labels)
+            label_loss = ad.scale(ad.sum_(per_row), 1.0 / batch.size)
             if self.decodes is None:
                 return label_loss, info
         if self.decodes == "reconstruct":

@@ -23,6 +23,8 @@ used (`attn_scores`, `softmax_masked`, `attn_combine`, `stack_steps`).
 pass, on the two-exp sigmoid (`sigmoid_two_exp`) that `sigmoid_` uses.
 `greedy_serial` is greedy decoding as it ran on one thread, on the
 package's gate kernels, before the worker made each step's state term.
+`nll_rows` after `softmax`, two tape records, is the loss as it ran
+before `cross_entropy_rows` fused them.
 `backward_in_line` is the backward pass as it ran before weight
 gradients left the calling thread: every gradient made when its record
 is taken back and summed into `.grad` at once; `InlineExecutor` stands in
@@ -30,16 +32,18 @@ for the worker thread and runs what it is given at once.
 """
 
 import math
+import warnings
 from collections import Counter
 from concurrent.futures import Future
 
 import numpy as np
 
 from nliexpl.autodiff import (LOG_FLOOR, EmptySequenceError, LstmParams,
-                              ShapeError, Tensor, _active_tape, _gate_grads,
-                              _gate_terms, _lstm_gates, _record, _recurrent,
-                              add, concat, dropout_mask, linear, lstm_layer,
-                              mul, softmax, sum_, tanh_)
+                              NumericsWarning, ShapeError, Tensor,
+                              _active_tape, _gate_grads, _gate_terms,
+                              _lstm_gates, _record, _recurrent, add, concat,
+                              dropout_mask, linear, lstm_layer, mul, sum_,
+                              tanh_)
 from nliexpl.models import DecodeResult
 
 
@@ -371,6 +375,56 @@ def bilstm_composed(x: Tensor, fwd: LstmParams, bwd: LstmParams,
 
 
 # ---------------------------------------------------------------------------
+# Softmax and NLL composed
+
+
+def softmax(logits: Tensor) -> Tensor:
+    """Row-wise stable softmax of `logits`, 1-D (n,) or 2-D (rows, n)."""
+    x = logits.data
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    out = Tensor(e)
+
+    def _bw(g):
+        inner = (g * e).sum(axis=-1, keepdims=True)
+        return (e * (g - inner),)
+
+    _record(out, (logits,), _bw)
+    return out
+
+
+def nll_rows(probs: Tensor, targets: np.ndarray) -> Tensor:
+    """-log probs[i, targets[i]] per row, clamped at the log floor.
+
+    Probabilities below the floor are flagged with a NumericsWarning and
+    contribute zero gradient (the clamp is flat there).
+    """
+    p = probs.data
+    if p.ndim != 2:
+        raise ShapeError(f"nll_rows: probs must be 2-D, got {p.shape}")
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (p.shape[0],):
+        raise ShapeError(f"nll_rows: targets {targets.shape} vs probs {p.shape}")
+    rows = np.arange(p.shape[0])
+    picked = p[rows, targets]
+    clamped = np.maximum(picked, LOG_FLOOR)
+    if (picked < LOG_FLOOR).any():
+        warnings.warn("probability clamped at log floor", NumericsWarning,
+                      stacklevel=2)
+    out = Tensor((-np.log(clamped)).astype(p.dtype, copy=False))
+    live = picked >= LOG_FLOOR
+
+    def _bw(g):
+        full = np.zeros(p.shape, dtype=g.dtype)
+        full[rows, targets] = np.where(live, -g / clamped, 0.0)
+        return (full,)
+
+    _record(out, (probs,), _bw)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Dense teacher forcing
 
 
@@ -577,7 +631,7 @@ def teacher_forced_dense(decoder, embedding, source: Tensor,
                         lengths, cond=decoder._cond(source, attn_ctx),
                         rmask=rmask)
     rows = reshape(hs, (S * B, decoder.hidden))
-    probs = softmax(linear(rows, decoder.w_out, decoder.b_out), overwrite=True)
+    probs = softmax(linear(rows, decoder.w_out, decoder.b_out))
     flat_targets = targets.T.reshape(-1)
     flat_mask = target_mask.T.reshape(-1)
     nll = nll_rows_masked(probs, flat_targets, flat_mask)

@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 from nliexpl import autodiff as ad
 from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
                      column_max, gate_input_cell, lstm_cell, lstm_layer_dense,
-                     lstm_gates_two_exp, lstm_step, max_rel_err, numeric_grad,
-                     scalar_lstm_step, sigmoid_, slice_last, stack_steps)
+                     lstm_gates_two_exp, lstm_step, max_rel_err, nll_rows,
+                     numeric_grad, scalar_lstm_step, sigmoid_, slice_last,
+                     softmax, stack_steps)
 
 
 def f64(x):
@@ -128,10 +129,21 @@ class TestAffine:
         check_op_gradient(loss, {"a": a, "b": b})
 
 
+def fresh(x):
+    """x as a new tensor on the tape: `cross_entropy_rows` overwrites its
+    logits, so a check that calls it again needs logits of its own."""
+    return ad.scale(x, 1.0)
+
+
 class TestSoftmax:
+    """The softmax of `cross_entropy_rows`, left in the logits' buffer,
+    and the attention heads' softmax over a row's real keys."""
+
     def test_uniform_on_equal_logits(self):
-        out = ad.softmax(f64([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3)
+        logits = f64([[0.0, 0.0, 0.0]])
+        loss = ad.cross_entropy_rows(logits, np.array([1]))
+        np.testing.assert_allclose(logits.data, [[1 / 3] * 3])
+        np.testing.assert_allclose(loss.data, [math.log(3)], rtol=1e-12)
 
     def test_two_term_closed_form_with_mask(self):
         """Attention weights are a softmax over a row's real keys: scores
@@ -152,16 +164,19 @@ class TestSoftmax:
            st.floats(-30, 30))
     @settings(max_examples=60, deadline=None)
     def test_shift_invariance(self, logits, c):
-        base = ad.softmax(f64(logits)).data
-        shifted = ad.softmax(f64([v + c for v in logits])).data
-        np.testing.assert_allclose(base, shifted, atol=1e-6)
+        base, shifted = f64([logits]), f64([[v + c for v in logits]])
+        top = np.array([np.argmax(logits)])   # never clamped
+        losses = [ad.cross_entropy_rows(t, top).data for t in (base, shifted)]
+        np.testing.assert_allclose(base.data, shifted.data, atol=1e-6)
+        np.testing.assert_allclose(*losses, atol=1e-6)
 
     @given(st.lists(st.floats(-50, 50), min_size=1, max_size=12))
     @settings(max_examples=60, deadline=None)
     def test_sums_to_one(self, logits):
-        out = ad.softmax(f64(logits)).data
-        assert abs(out.sum() - 1.0) < 1e-6
-        assert (out > 0).all()
+        t = f64([logits])
+        ad.cross_entropy_rows(t, np.array([np.argmax(logits)]))
+        assert abs(t.data.sum() - 1.0) < 1e-6
+        assert (t.data > 0).all()
 
     def test_all_masked_is_error(self):
         """An attention row with no real key (key length 0), or more real
@@ -188,45 +203,83 @@ class TestSoftmax:
         np.testing.assert_allclose(w.sum(axis=1), [1.0, 1.0], atol=1e-12)
 
     def test_overwrite_gives_identical_values_in_the_logits_buffer(self):
+        """The probabilities are the composed softmax's bit for bit
+        (float32), in the array the logits came in."""
         rng = np.random.default_rng(42)
         logits = rng.normal(size=(4, 6)).astype(np.float32)
-        expected = ad.softmax(ad.Tensor(logits.copy())).data
+        expected = softmax(ad.Tensor(logits.copy())).data
         t = ad.Tensor(logits)
-        out = ad.softmax(t, overwrite=True)
-        np.testing.assert_array_equal(out.data, expected)
-        assert np.shares_memory(out.data, logits)
+        ad.cross_entropy_rows(t, np.array([0, 5, 2, 2]))
+        assert t.data is logits
+        np.testing.assert_array_equal(logits, expected)
 
     def test_gradient(self):
+        """Finite differences with a different upstream gradient per row."""
+        rng = np.random.default_rng(5)
+        x = f64_param(rng.normal(size=(3, 5)), "x")
+        w = rng.normal(size=3)
+
+        def loss():
+            return ad.sum_(ad.mul(ad.cross_entropy_rows(fresh(x),
+                                                        np.array([4, 0, 2])),
+                                  f64(w)))
+
+        check_op_gradient(loss, {"x": x})
+
+    def test_composed_reference_gradient(self):
+        """The reference softmax (`oracles.softmax`) under finite
+        differences, with an arbitrary gradient on every probability."""
         rng = np.random.default_rng(5)
         x = f64_param(rng.normal(size=(3, 5)), "x")
         w = rng.normal(size=(3, 5))
 
         def loss():
-            return ad.sum_(ad.mul(ad.softmax(x), f64(w)))
+            return ad.sum_(ad.mul(softmax(x), f64(w)))
 
         check_op_gradient(loss, {"x": x})
 
 
 class TestCrossEntropy:
     def test_certain_prediction_is_zero(self):
-        loss = ad.nll_rows(f64([[1.0, 0.0, 0.0]]), np.array([0]))
+        # exp(-1000) is 0 in float64: the gold class holds all the mass
+        loss = ad.cross_entropy_rows(f64([[0.0, -1e3, -1e3]]), np.array([0]))
         assert float(loss.data[0]) == 0.0
 
     def test_uniform_four_way(self):
-        loss = ad.nll_rows(f64([[0.25] * 4]), np.array([2]))
+        loss = ad.cross_entropy_rows(f64([[0.3] * 4]), np.array([2]))
         np.testing.assert_allclose(float(loss.data[0]), math.log(4), rtol=1e-12)
 
     def test_sequence_sum_three_halves(self):
         # three timesteps at gold-token probability 0.5 sum to 3*ln 2
-        probs = f64(np.full((3, 2), 0.5))
-        steps = ad.nll_rows(probs, np.array([0, 1, 0]))
+        steps = ad.cross_entropy_rows(f64(np.full((3, 2), -1.5)),
+                                      np.array([0, 1, 0]))
         total = ad.sum_(steps)
         np.testing.assert_allclose(float(total.data), 3 * math.log(2), rtol=1e-12)
 
     def test_zero_probability_clamped_and_flagged(self):
         with pytest.warns(ad.NumericsWarning):
-            loss = ad.nll_rows(f64([[1.0, 0.0]]), np.array([1]))
+            loss = ad.cross_entropy_rows(f64([[0.0, -1e3]]), np.array([1]))
         np.testing.assert_allclose(float(loss.data[0]), -math.log(ad.LOG_FLOOR))
+
+    @pytest.mark.parametrize("clamped", [[1], [0, 3, 4], [0, 1, 2, 3, 4, 5]])
+    def test_one_warning_counts_the_clamped_rows(self, clamped):
+        """k clamped rows of 6 raise one NumericsWarning that names k, and
+        get exactly zero gradient; the other rows do not."""
+        rng = np.random.default_rng(7)
+        logits = rng.normal(size=(6, 4))
+        targets = np.array([3, 1, 0, 2, 2, 1])
+        logits[clamped, targets[clamped]] = -1e3
+        x = f64_param(logits, "x")
+        with ad.Tape() as tape, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            loss = ad.sum_(ad.cross_entropy_rows(fresh(x), targets))
+        assert [str(w.message) for w in caught] == [
+            f"{len(clamped)} of 6 target probabilities clamped at the log floor"]
+        assert caught[0].category is ad.NumericsWarning
+        ad.backward(tape, loss)
+        live = np.setdiff1d(np.arange(6), clamped)
+        assert (x.grad[clamped] == 0.0).all()
+        assert (x.grad[live] != 0.0).all()
 
     def test_gradient_through_softmax(self):
         rng = np.random.default_rng(6)
@@ -234,9 +287,76 @@ class TestCrossEntropy:
         targets = np.array([1, 0, 5, 2])
 
         def loss():
-            return ad.sum_(ad.nll_rows(ad.softmax(x), targets))
+            return ad.sum_(ad.cross_entropy_rows(fresh(x), targets))
 
         check_op_gradient(loss, {"x": x})
+
+    def test_shape_errors(self):
+        with pytest.raises(ad.ShapeError, match="2-D"):
+            ad.cross_entropy_rows(f64([0.0, 1.0]), np.array([0]))
+        with pytest.raises(ad.ShapeError, match="targets"):
+            ad.cross_entropy_rows(f64([[0.0, 1.0]]), np.array([0, 1]))
+
+    @pytest.mark.parametrize("case", ["clamped", "three-way", "sequence-rows"])
+    def test_matches_composed_reference(self, case):
+        """Against `oracles.nll_rows` after `oracles.softmax` (float64,
+        1e-10): the per-row NLL and the logits' gradient under a
+        different upstream gradient per row, for a batch with a clamped
+        row, V = 3, and the real rows of a (T, B, V) sequence gathered by
+        `take_rows` as teacher forcing gathers them."""
+        rng = np.random.default_rng(8)
+        if case == "sequence-rows":
+            x = f64_param(rng.normal(size=(4, 3, 7)) * 3, "x")
+            rows = np.array([0, 1, 2, 3, 5, 6, 9])   # t * B + b
+
+            def logits():
+                return ad.take_rows(x, rows)
+        else:
+            x = f64_param(rng.normal(size=(5, 7 if case == "clamped" else 3)) * 3,
+                          "x")
+
+            def logits():
+                return fresh(x)
+        n = len(logits().data)
+        targets = rng.integers(0, x.shape[-1], size=n)
+        if case == "clamped":
+            x.data[2, targets[2]] = -1e3
+        weights = f64(rng.normal(size=n))
+        runs = []
+        for per_row in (ad.cross_entropy_rows,
+                        lambda t, y: nll_rows(softmax(t), y)):
+            with ad.Tape() as tape, warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                nll = per_row(logits(), targets)
+                loss = ad.sum_(ad.mul(nll, weights))
+            assert len(caught) == (case == "clamped")
+            values = nll.data.copy()
+            ad.backward(tape, loss)
+            runs.append((values, x.grad))
+            x.grad = None
+        (values, grad), (values_ref, grad_ref) = runs
+        np.testing.assert_allclose(values, values_ref, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-10, atol=1e-10)
+        if case == "clamped":
+            assert (grad.reshape(n, -1)[2] == 0.0).all()
+
+    def test_float32_values_and_argmax_match_composed_reference(self):
+        """In float32, at the benchmark's output-head width, the per-row
+        NLL is the composed reference's bit for bit, and so is the count
+        of rows whose probabilities' argmax (left in the logits' buffer)
+        is the target, as teacher forcing counts correct tokens."""
+        rng = np.random.default_rng(9)
+        logits = (rng.normal(size=(300, 3129)) * 4).astype(np.float32)
+        targets = np.where(rng.random(300) < 0.3, logits.argmax(axis=1),
+                           rng.integers(0, 3129, size=300))
+        probs_ref = softmax(ad.Tensor(logits.copy()))
+        nll_ref = nll_rows(probs_ref, targets).data
+        t = ad.Tensor(logits)
+        nll = ad.cross_entropy_rows(t, targets).data
+        assert nll.dtype == np.float32
+        np.testing.assert_array_equal(nll, nll_ref)
+        hits = (t.data.argmax(axis=1) == targets).sum()
+        assert hits == (probs_ref.data.argmax(axis=1) == targets).sum() > 0
 
 
 class TestTakeRows:

@@ -23,8 +23,8 @@ from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
 from model_utils import (cast_model, full_model_grad_check, label_alone,
                          toy_config, toy_setup)
 from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
-                     greedy_composed, greedy_serial, max_rel_err,
-                     straight_line_attention, teacher_forced_dense)
+                     greedy_composed, greedy_serial, max_rel_err, nll_rows,
+                     softmax, straight_line_attention, teacher_forced_dense)
 from synth import make_examples
 from variant_digests import PINNED_ENV
 
@@ -87,6 +87,19 @@ class TestClassifier:
         model, batch = self._biased_model([0.3, 0.3, 0.3])
         assert (model.predict_labels(batch) == 0).all()
         assert (model.loss(batch, train=False)[1]["preds"] == 0).all()
+
+    def test_labels_read_the_logits_not_the_probabilities(self):
+        """Logits 0.1 and the next float32 up have equal probabilities in
+        float32 (argmax 0) but distinct logits (argmax 1): the training
+        loss takes its predictions from the logits, as `predict_labels`
+        does, before its loss op overwrites them with probabilities."""
+        bias = [0.1, np.nextafter(np.float32(0.1), np.float32(1)), -3.0]
+        probs = softmax(t([bias])).data[0]
+        assert probs[0] == probs[1]
+        model, batch = self._biased_model(bias)
+        preds = model.loss(batch, train=False)[1]["preds"]
+        np.testing.assert_array_equal(preds, model.predict_labels(batch))
+        assert (preds == 1).all()
 
     def test_composition_equals_collapsed_affine(self):
         rng = np.random.default_rng(2)
@@ -544,6 +557,28 @@ class TestDecoding:
             np.testing.assert_allclose(grads[name], grads_ref[name],
                                        err_msg=name, **close)
 
+    @pytest.mark.parametrize("variant", ["pred-expl", "expl-pred-att"])
+    def test_float32_nll_and_hits_match_composed_loss(self, monkeypatch,
+                                                      variant):
+        """Teacher forcing's NLL sum and correct-token count (float32) are
+        those of the composed reference loss (`oracles.nll_rows` after
+        `oracles.softmax`) on the same logits, bit for bit."""
+        model, batch, vocab = toy_setup(variant, n=8, hidden=5, dec=6)
+        # every row's last target, <eos>, is then its argmax
+        model.decoder.b_out.data[vocab.eos_id] = 5.0
+        fused, refs = ad.cross_entropy_rows, []
+
+        def spy(logits, targets):
+            probs = softmax(ad.Tensor(logits.data.copy()))
+            refs.append((float(ad.sum_(nll_rows(probs, targets)).data),
+                         int((probs.data.argmax(axis=1) == targets).sum())))
+            return fused(logits, targets)
+
+        monkeypatch.setattr(ad, "cross_entropy_rows", spy)
+        _, (nll, _, correct), _ = model.eval_batch(batch, nll=True)
+        assert refs == [(nll, correct)]
+        assert correct > 0
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("variant", EXPLAINING)
     def test_greedy_agrees_with_teacher_forcing_on_its_output(self, variant,
@@ -578,9 +613,9 @@ class TestDecoding:
         assert res.n_correct == decided
 
     @pytest.mark.parametrize("variant,alpha,records,sequences", [
-        ("hyp-to-expl", None, 14, 1), ("pred-expl", 0.6, 31, 1),
-        ("expl-pred-seq2seq", None, 21, 1), ("expl-pred-att", None, 28, 1),
-        ("autoenc", 0.6, 42, 2)])
+        ("hyp-to-expl", None, 13, 1), ("pred-expl", 0.6, 29, 1),
+        ("expl-pred-seq2seq", None, 20, 1), ("expl-pred-att", None, 27, 1),
+        ("autoenc", 0.6, 39, 2)])
     def test_decoded_sequence_is_one_record(self, variant, alpha, records,
                                             sequences):
         """Teacher forcing's input projection, source term (attention

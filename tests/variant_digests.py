@@ -26,7 +26,14 @@ were recorded again when the gate kernel became one tanh pass (sigmoid
 as 0.5 tanh(x/2) + 0.5), after the float64 differential test against
 the two-exp kernel (`oracles.lstm_gates_two_exp`) passed at 1e-10: the
 gradients, and so the parameters after a step, moved in every variant;
-losses and evaluation outputs did not.
+losses and evaluation outputs did not. They were recorded again when
+the softmax and NLL records became one op (`cross_entropy_rows`),
+after the float64 differential test against the composed pair
+(`oracles.softmax`, `oracles.nll_rows`) passed at 1e-10: its logits'
+gradient is g * (p - onehot), rounded once, where the pair rounded
+-g / p at the target and then the softmax backward, so gradients and
+parameters after a step moved in every variant; losses and evaluation
+outputs did not.
 `test_models.TestParentParity` runs this script and compares; a change
 that moves the digests passes such a test against the code it replaces
 before they are recorded again. Float32 GEMM and SIMD results depend
