@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .autodiff import (SgdState, Tape, Tensor, backward, max_over_time,
-                       sgd_step)
+from .autodiff import SgdState, Tape, Tensor, backward, sgd_step
 from .data import (Batch, ColumnMap, EmbeddingTable, Example, Vocabulary,
                    build_vocab, encode_corpus, encode_example, iterate_batches,
                    load_corpus, load_embeddings, tokenize)
@@ -19,7 +18,7 @@ from .training import (RunRecord, TrainConfig, TrainData, grid_select,
                        joint_loss, train)
 
 __all__ = [
-    "SgdState", "Tape", "Tensor", "backward", "max_over_time", "sgd_step",
+    "SgdState", "Tape", "Tensor", "backward", "sgd_step",
     "Batch", "ColumnMap", "EmbeddingTable", "Example", "Vocabulary",
     "build_vocab", "encode_corpus", "encode_example", "iterate_batches",
     "load_corpus", "load_embeddings", "tokenize",

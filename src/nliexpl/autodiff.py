@@ -3,9 +3,9 @@
 Implements exactly the operations the model zoo needs: affine maps
 (one GEMM over all leading axes), elementwise arithmetic and tanh,
 one fused softmax cross-entropy (`cross_entropy_rows`, forward and
-backward in the logits' buffer), max-over-time pooling, concatenation,
-row gathering, embedding lookup with partially trainable rows, dropout,
-two fused LSTM ops, and plain SGD with per-epoch learning-rate decay.
+backward in the logits' buffer), concatenation, row gathering,
+embedding lookup with partially trainable rows, dropout, two fused LSTM
+ops, and plain SGD with per-epoch learning-rate decay.
 
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
 and share one step (`_lstm_step`) on one fused gate kernel. `lstm_layer`
@@ -16,11 +16,13 @@ op. A decoder's `cond` joins the gate input once per sequence (a source
 vector) or at every step as attention read from the previous hidden
 state (`Attention`, `_Contexts`), whose backward joins the same BPTT
 loop. `bilstm_layer` runs both directions of an encoder at once on the
-same direction core (`_lstm_direction`); greedy decoding runs the same
+same direction core (`_lstm_direction`), each max-pooling its states
+over every row's real steps as it goes; greedy decoding runs the same
 step on arrays (`lstm_stepper`). Every row product of `linear` and the
 LSTM ops runs as gemm, a one-row one too (`_gemm_rows`). The cell and
-the attention decoder composed from generic tape ops live in
-`tests/oracles.py` as their references.
+the attention decoder composed from generic tape ops, and the pooling
+as the separate op it was, live in `tests/oracles.py` as their
+references.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
@@ -37,7 +39,6 @@ bit-identical to running it all on one thread.
 
 from __future__ import annotations
 
-import itertools
 import os
 import threading
 import warnings
@@ -70,9 +71,6 @@ class NumericsWarning(RuntimeWarning):
     """A probability hit the log floor inside a loss."""
 
 
-_node_ids = itertools.count(1)   # next() on it is atomic, on any thread
-
-
 class Tensor:
     """Dense array with an optional gradient slot.
 
@@ -81,7 +79,7 @@ class Tensor:
     dtype of its inputs.
     """
 
-    __slots__ = ("data", "grad", "node_id", "is_param", "name")
+    __slots__ = ("data", "grad", "is_param", "name")
 
     def __init__(self, data, is_param: bool = False, name: str = ""):
         data = np.asarray(data)
@@ -89,7 +87,6 @@ class Tensor:
             data = np.ascontiguousarray(data)
         self.data = data
         self.grad: np.ndarray | None = None
-        self.node_id = next(_node_ids)
         self.is_param = is_param
         self.name = name
 
@@ -138,7 +135,6 @@ class Tape:
 
     def __init__(self):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
-        self._out_ids: set[int] = set()
         self._done = False
 
     def __enter__(self) -> "Tape":
@@ -152,7 +148,6 @@ class Tape:
         if self._done:
             raise TapeError("tape already consumed by backward; use a fresh tape")
         self.records.append((out, inputs, backward_fn))
-        self._out_ids.add(out.node_id)
 
 
 class _OpenTapes(threading.local):
@@ -196,7 +191,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if tape._done:
         raise TapeError("backward already ran on this tape")
-    if loss.node_id not in tape._out_ids:
+    if not any(out is loss for out, _, _ in tape.records):
         raise TapeError("loss was not produced by a forward pass on this tape")
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
@@ -490,46 +485,6 @@ def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
         return (full.reshape(x.shape),)
 
     _record(out, (x,), _bw)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Sequence ops
-
-
-def max_over_time(seq: Tensor, lengths: np.ndarray | None = None) -> Tensor:
-    """Per-dimension max over the leading time axis.
-
-    `seq` is (T, d) or (T, B, d). With `lengths` (B,), only timesteps
-    t < lengths[b] participate for row b. Backward routes the gradient
-    to the first maximal timestep per dimension.
-    """
-    x = seq.data
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"max_over_time: expected (T,d) or (T,B,d), got {x.shape}")
-    T = x.shape[0]
-    if T == 0:
-        raise EmptySequenceError("max_over_time: empty sequence")
-    if lengths is None:
-        masked = x
-    else:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        if x.ndim != 3 or lengths.shape != (x.shape[1],):
-            raise ShapeError("max_over_time: lengths must be (B,) with (T,B,d) input")
-        if (lengths < 1).any():
-            raise EmptySequenceError("max_over_time: a row has zero real timesteps")
-        valid = (np.arange(T)[:, None] < lengths[None, :])  # (T,B)
-        masked = np.where(valid[..., None], x, -np.inf)
-    idx = masked.argmax(axis=0)  # first occurrence on ties
-    out = Tensor(np.take_along_axis(x, idx[None], axis=0)[0])
-    shape = x.shape
-
-    def _bw(g):
-        full = np.zeros(shape, dtype=g.dtype)
-        np.put_along_axis(full, idx[None], g[None], axis=0)
-        return (full,)
-
-    _record(out, (seq,), _bw)
     return out
 
 
@@ -929,7 +884,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
                     recording: bool, reverse: bool = False,
                     h0: np.ndarray | None = None, c0: np.ndarray | None = None,
                     cond=None, rmask: np.ndarray | None = None,
-                    gx: np.ndarray | None = None):
+                    gx: np.ndarray | None = None, pool=None):
     """`lstm_layer` on checked arrays (`cond` as given) and no tape, so
     any thread can run it, on packed sequences as in the README: every
     (P, ...) array here, from x's real step-rows xp (P, D) on, is in the
@@ -937,6 +892,10 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
     xp's input GEMM goes to the buffer `gx` if given (max(P, 2) rows),
     and each step adds `_gate_terms`' term to its block. The recurrence
     writes the states into the zeroed `hs` (T, B, H), maybe a view.
+    `pool`, if given, is (run, at), both (B, H) in sorted row order:
+    `run`, filled with -inf, gets each row's max over its real steps (a
+    NaN wins), and `at` (None when not recording) the step it came
+    from, the earliest on ties, as `np.argmax` picks.
     Returns None or, `recording`, g -> the gradients of (x, wi, wh, b,
     h0, c0, then cond's tensors), None for an input not given."""
     order, live, index = pack
@@ -968,6 +927,14 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
             acts[blk], c_prev[blk], tanh_c[blk], h_in[blk] = a_t, c[:n], tc_t, h_t
         h[:n], c[:n] = h_new, c_new
         hs[t, order[:n]] = h_new
+        if pool is not None:
+            run = pool[0][:n]
+            # the earliest maximal step must win a tie: the forward
+            # direction meets it first, the reverse one last
+            new = (h_new >= run if reverse else h_new > run) | np.isnan(h_new)
+            np.copyto(run, h_new, where=new)
+            if recording:
+                np.copyto(pool[1][:n], t, where=new)
     if not recording:
         return None
 
@@ -1047,18 +1014,26 @@ def _at_once(here, there):
 
 
 def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
-                 lengths: np.ndarray | None = None) -> Tensor:
-    """Both directions of an encoder over x (T, B, D), from zero states,
-    as one tape record: states (T, B, 2H), `fwd` reading each row forward
-    and `bwd` in reverse; `lengths` as in `lstm_layer`. Each direction is
-    `_lstm_direction` and runs at once with the other, `bwd` on the
-    worker thread; checks, tensors and the record stay on this one. Both
-    read one gather of x's real step-rows. States and wh's gradients are
-    those of `linear`, `lstm_layer` (x2) and `concat` bit for bit (x, wi
-    and b sum the real step-rows only).
+                 lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """Both directions of an encoder over x (T, B, D), from zero states:
+    (pooled, states). states (T, B, 2H) has `fwd` reading each row
+    forward and `bwd` in reverse; pooled (B, 2H) is each row's
+    per-dimension max over its real steps. `lengths` is as in
+    `lstm_layer`, but a row with none raises EmptySequenceError. Each
+    direction is `_lstm_direction`, pooling as it steps, and runs at once
+    with the other, `bwd` on the worker thread; checks, tensors and the
+    records stay on this one. Both read one gather of x's real step-rows.
+    States and wh's gradients are those of `linear`, `lstm_layer` (x2)
+    and `concat` bit for bit (x, wi and b sum the real step-rows only).
+    Two tape records, the states' and then the pooled vector's, whose
+    backward routes each gradient to the earliest maximal step of its
+    row, as `np.argmax` finds it.
     """
     pack, xp, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), lengths)
+    order, live, _ = pack
     T, B, _ = x.shape
+    if live[0] < B:
+        raise EmptySequenceError("bilstm_layer: a row has zero real timesteps")
     H = fwd.wh.shape[1]
     recording = _active_tape() is not None
     dtype = np.result_type(x.data, fwd.wi.data)
@@ -1066,14 +1041,19 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     # allocated on this thread: memory the worker frees stays in its own
     # malloc arena, where the rest of the process cannot reuse it
     gxs = [np.empty((max(len(xp), 2), 4 * H), dtype) for _ in range(2)]
+    run = np.full((B, 2 * H), -np.inf, dtype)   # in sorted row order
+    at = np.zeros((B, 2 * H), np.intp) if recording else None
+    pools = [(run[:, half], None if at is None else at[:, half])
+             for half in (slice(None, H), slice(H, None))]
     grads_f, grads_b = _at_once(
         lambda: _lstm_direction(xp, pack, fwd, hs[..., :H], recording,
-                                gx=gxs[0]),
+                                gx=gxs[0], pool=pools[0]),
         lambda: _lstm_direction(xp, pack, bwd, hs[..., H:], recording,
-                                reverse=True, gx=gxs[1]))
-    out = Tensor(hs)
+                                reverse=True, gx=gxs[1], pool=pools[1]))
+    unsort = np.argsort(order)
+    out, pooled = Tensor(hs), Tensor(run[unsort])
     if not recording:
-        return out
+        return pooled, out
 
     def _bw(g):
         # each direction makes its own weight gradients: both threads are
@@ -1085,8 +1065,16 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
         dx += dx_bwd
         return (dx, *dfwd, *dbwd)
 
+    at = at[unsort]
+
+    def _pool_bw(g):
+        full = np.zeros(hs.shape, dtype=g.dtype)
+        np.put_along_axis(full, at[None], g[None], axis=0)
+        return (full,)
+
     _record(out, (x, fwd.wi, fwd.wh, fwd.b, bwd.wi, bwd.wh, bwd.b), _bw)
-    return out
+    _record(pooled, (out,), _pool_bw)
+    return pooled, out
 
 
 # ---------------------------------------------------------------------------

@@ -309,12 +309,12 @@ def cmd_grid(args) -> int:
 def cmd_eval(args) -> int:
     config = _resolved_config(args)
     corpus = resolve_path(args.corpus)
-    run_dir = _start_run(args, config, [corpus, Path(args.checkpoint)])
-    model = load_model(args.checkpoint)
-    expl_clf = None
     clf_path = args.expl_classifier or config["eval"].get("expl_classifier")
-    if clf_path:
-        expl_clf = load_model(clf_path)
+    ann_path = resolve_path(args.annotations or config["eval"].get("annotations"))
+    run_dir = _start_run(args, config, [corpus, Path(args.checkpoint),
+                                        clf_path and Path(clf_path), ann_path])
+    model = load_model(args.checkpoint)
+    expl_clf = load_model(clf_path) if clf_path else None
     colmap = _colmap(config)
     examples, skipped = load_corpus(corpus, split=args.split, colmap=colmap)
     encoded = encode_corpus(examples, model.vocab, **_limits(config))
@@ -322,9 +322,8 @@ def cmd_eval(args) -> int:
                             batch_size=config["eval"]["batch_size"],
                             expl_classifier=expl_clf)
     report.counts["skipped_rows"] = skipped
-    ann_path = args.annotations or config["eval"].get("annotations")
     if ann_path:
-        records = load_annotations(resolve_path(ann_path))
+        records = load_annotations(ann_path)
         report.expl_at_k = expl_at_k(records, config["eval"]["expl_at_k_mode"])
         report.provenance["expl_at_k_mode"] = config["eval"]["expl_at_k_mode"]
     if args.inter_annotator:

@@ -367,11 +367,11 @@ def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
     """Out-of-domain evaluation without fine-tuning; `limits` are the
     truncation keywords of `encode_corpus`.
 
-    Returns (EvalReport, dump rows); dump rows carry one generated
-    explanation per example for explanation-capable variants, ready for
-    human annotation. No parameter is updated. A model that reads
-    explanations (expl-to-label) is rejected with ModelError: the corpus
-    is run from its premises and hypotheses alone.
+    Returns (EvalReport, dump rows): one row per example, ready for
+    human annotation, whose explanation is the greedy one for a variant
+    that explains and empty for any other. No parameter is updated. A
+    model that reads explanations (expl-to-label) is rejected with
+    ModelError: the corpus is run from its premises and hypotheses alone.
     """
     if "explanation" in model.sentences:
         raise ModelError(f"{model.variant} reads explanations, and transfer "
@@ -394,6 +394,7 @@ def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
     dumps = [{"id": enc.id, "premise": by_id[enc.id].premise_text,
               "hypothesis": by_id[enc.id].hypothesis_text,
               "predicted_label": res.preds[i] if can_label else None,
-              "explanation": " ".join(model.vocab.decode(gen))}
-             for i, (enc, gen) in enumerate(zip(encoded, res.generated))]
+              "explanation": " ".join(model.vocab.decode(res.generated[i]))
+              if model.explains else ""}
+             for i, enc in enumerate(encoded)]
     return report, dumps

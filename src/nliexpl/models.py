@@ -122,15 +122,16 @@ class WordEmbedding(_Part):
 
 
 class BiLstmEncoder(_Part):
-    """Bidirectional LSTM over token ids with masked max-pooling.
+    """Bidirectional LSTM over token ids, max-pooled over real steps.
 
-    Both directions are one `bilstm_layer`, which runs the forward one
-    on the calling thread and the backward one on autodiff's worker
-    thread at the same time: each is one input GEMM over the real
-    step-rows of the (T, B) sequence and a packed recurrence over the
-    rows still real at each step, with zero output on pad steps. The
-    backward direction starts each row at its last real token from a
-    zero state, so padding can never leak into real timesteps.
+    Both directions and the pooling are one `bilstm_layer`, which runs
+    the forward direction on the calling thread and the backward one on
+    autodiff's worker thread at the same time: each is one input GEMM
+    over the real step-rows of the (T, B) sequence and a packed
+    recurrence over the rows still real at each step, keeping its
+    running max as it goes, with zero output on pad steps. The backward
+    direction starts each row at its last real token from a zero state,
+    so padding can never leak into real timesteps or the pooled vector.
     """
 
     def __init__(self, rng: np.random.Generator, embed_dim: int, hidden: int,
@@ -143,9 +144,8 @@ class BiLstmEncoder(_Part):
                lengths: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
         """Returns (u, states): u is (B, 2H); states is (T, B, 2H) with
         forward/backward halves aligned per original position."""
-        states = ad.bilstm_layer(embedding.lookup(ids.T), self.fwd, self.bwd,
-                                 lengths)
-        return ad.max_over_time(states, lengths=lengths), states
+        return ad.bilstm_layer(embedding.lookup(ids.T), self.fwd, self.bwd,
+                               lengths)
 
 
 class MlpClassifier(_Part):

@@ -8,9 +8,10 @@ layer the packed one replaced, shares the step kernels, so the two can
 be compared bit for bit; `lstm_cell`, the single step composed from
 generic tape ops (with `sigmoid_` and `slice_last`, which only it
 uses), records through the package's tape; `bilstm_composed`, the
-five-record encoder that `bilstm_layer` replaced, runs the package's
+six-record encoder that `bilstm_layer` replaced, runs the package's
 `linear`, `lstm_layer` (its input projection the identity,
-`gate_input_cell`) and `concat` one after the other on one thread;
+`gate_input_cell`), `concat` and `max_over_time` one after the other on
+one thread;
 `teacher_forced_dense`, the decoder's teacher forcing before it gathered
 its real target rows, runs a decoder's own recurrence and then scores
 all S * B rows (with its own `reshape` and masked `nll_rows_masked`);
@@ -24,7 +25,9 @@ pass, on the two-exp sigmoid (`sigmoid_two_exp`) that `sigmoid_` uses.
 `greedy_serial` is greedy decoding as it ran on one thread, on the
 package's gate kernels, before the worker made each step's state term.
 `nll_rows` after `softmax`, two tape records, is the loss as it ran
-before `cross_entropy_rows` fused them.
+before `cross_entropy_rows` fused them; `max_over_time`, the encoder's
+pooling as it ran before `bilstm_layer` pooled as it stepped, is the
+reference of `bilstm_layer`'s pooled output.
 `backward_in_line` is the backward pass as it ran before weight
 gradients left the calling thread: every gradient made when its record
 is taken back and summed into `.grad` at once; `InlineExecutor` stands in
@@ -124,6 +127,42 @@ def max_rel_err(analytic, numeric, floor=0.1):
 
 # ---------------------------------------------------------------------------
 # Pooling
+
+
+def max_over_time(seq: Tensor, lengths: np.ndarray | None = None) -> Tensor:
+    """Per-dimension max over the leading time axis.
+
+    `seq` is (T, d) or (T, B, d). With `lengths` (B,), only timesteps
+    t < lengths[b] participate for row b. Backward routes the gradient
+    to the first maximal timestep per dimension.
+    """
+    x = seq.data
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"max_over_time: expected (T,d) or (T,B,d), got {x.shape}")
+    T = x.shape[0]
+    if T == 0:
+        raise EmptySequenceError("max_over_time: empty sequence")
+    if lengths is None:
+        masked = x
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if x.ndim != 3 or lengths.shape != (x.shape[1],):
+            raise ShapeError("max_over_time: lengths must be (B,) with (T,B,d) input")
+        if (lengths < 1).any():
+            raise EmptySequenceError("max_over_time: a row has zero real timesteps")
+        valid = (np.arange(T)[:, None] < lengths[None, :])  # (T,B)
+        masked = np.where(valid[..., None], x, -np.inf)
+    idx = masked.argmax(axis=0)  # first occurrence on ties
+    out = Tensor(np.take_along_axis(x, idx[None], axis=0)[0])
+    shape = x.shape
+
+    def _bw(g):
+        full = np.zeros(shape, dtype=g.dtype)
+        np.put_along_axis(full, idx[None], g[None], axis=0)
+        return (full,)
+
+    _record(out, (seq,), _bw)
+    return out
 
 
 def column_max(seq):
@@ -363,15 +402,16 @@ def gate_input_cell(wh: Tensor) -> LstmParams:
 
 
 def bilstm_composed(x: Tensor, fwd: LstmParams, bwd: LstmParams,
-                    lengths: np.ndarray | None = None) -> Tensor:
-    """The encoder's two directions as they ran before `bilstm_layer`,
-    in five tape records: per direction an input `linear` and an
-    `lstm_layer` on its gate inputs (the backward one reversed), then
-    `concat` of the two (T, B, H) halves."""
+                    lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+    """The encoder as it ran before `bilstm_layer`, in six tape records:
+    per direction an input `linear` and an `lstm_layer` on its gate
+    inputs (the backward one reversed), `concat` of the two (T, B, H)
+    halves, then `max_over_time`. Returns (pooled, states)."""
     halves = [lstm_layer(linear(x, cell.wi, cell.b), gate_input_cell(cell.wh),
                          lengths=lengths, reverse=reverse)
               for cell, reverse in ((fwd, False), (bwd, True))]
-    return concat(halves)
+    states = concat(halves)
+    return max_over_time(states, lengths), states
 
 
 # ---------------------------------------------------------------------------

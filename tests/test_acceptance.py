@@ -109,12 +109,6 @@ def _op_level_checks():
         seq_sm, np.array([0, 1, 3, 4])), np.array([4, 0, 2, 1]))),
         {"seq_sm": seq_sm})
 
-    seq = p64((5, 3, 4), "seq")
-    lengths = np.array([2, 5, 3])
-    check(lambda: ad.sum_(ad.max_over_time(seq, lengths=lengths)),
-          {"seq": seq})
-    check(lambda: ad.sum_(ad.max_over_time(seq)), {"seq": seq})
-
     frozen = rng.normal(size=(7, 4))
     rows = p64((2, 4), "rows")
     slots = np.array([-1, 0, -1, 1, -1, -1, -1])
@@ -162,10 +156,18 @@ def _op_level_checks():
         cell.b.data = rng.normal(size=cell.b.shape) * 0.5
     xs = p64((4, 3, 3), "xs")
     bi_w = rng.normal(size=(4, 3, 4))
-    check(lambda: ad.sum_(ad.mul(ad.bilstm_layer(xs, *cells, seq_lengths),
-                                 ad.Tensor(bi_w))),
-          {"xs": xs, **{t.name: t for cell in cells
-                        for t in (cell.wi, cell.wh, cell.b)}})
+    pool_w = rng.normal(size=(3, 4))
+
+    def encoder_loss(lengths):
+        # reads both outputs, the pooled vector and the states
+        pooled, states = ad.bilstm_layer(xs, *cells, lengths)
+        return ad.add(ad.sum_(ad.mul(pooled, ad.Tensor(pool_w))),
+                      ad.sum_(ad.mul(states, ad.Tensor(bi_w))))
+
+    for lengths in (seq_lengths, None):
+        check(lambda: encoder_loss(lengths),
+              {"xs": xs, **{t.name: t for cell in cells
+                            for t in (cell.wi, cell.wh, cell.b)}})
     return ops
 
 

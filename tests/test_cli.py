@@ -473,6 +473,27 @@ class TestEvalAndGenerate:
         assert set(rows[0]) == {"id", "premise", "hypothesis",
                                 "predicted_label", "explanation"}
 
+    @pytest.mark.parametrize("variant", ["bilstm-max", "hyp-to-label",
+                                         "autoenc"])
+    def test_generate_dump_of_a_model_that_does_not_explain(
+            self, tmp_path, toy_config, corpus, variant, capsys):
+        """A classifier with no explanation to give still gets one row
+        per example: its label and an empty explanation."""
+        _, valid = corpus
+        examples = make_examples(9, seed=50, n_explanations=3)
+        ckpt = TestExplainThenPredictCommand._save(tmp_path / "m", variant,
+                                                   examples)
+        out = tmp_path / "dump.csv"
+        assert main(["generate", "--config", str(toy_config),
+                     "--checkpoint", str(ckpt), "--corpus", str(valid),
+                     "--out", str(out),
+                     "--out-root", str(tmp_path / "gen-runs")]) == 0
+        assert "(9 rows)" in capsys.readouterr().out
+        rows = list(csv.DictReader(out.open()))
+        assert [r["id"] for r in rows] == [e.id for e in examples]
+        assert {r["predicted_label"] for r in rows} <= {"0", "1", "2"}
+        assert all(r["explanation"] == "" for r in rows)
+
     def test_generate_applies_configured_truncation(self, tmp_path,
                                                     toy_config, corpus,
                                                     trained):
@@ -629,6 +650,32 @@ class TestExplainThenPredictCommand:
         (run_dir,) = run_dirs(tmp_path / "runs")
         report = json.loads((run_dir / "reports" / "eval_report.json").read_text())
         assert report["accuracy"] is not None
+
+    def test_manifest_hashes_the_classifier_and_annotations(
+            self, tmp_path, toy_config, corpus):
+        """Every input file is in the manifest with its sha256: the
+        classifier checkpoint (from the flag or from [eval]) and the
+        annotations CSV as well as the checkpoint and the corpus."""
+        ann = tmp_path / "ann.csv"
+        ann.write_text("id,predicted_label_correct,k,n\na,1,1,2\n")
+        examples = make_examples(9, seed=50, n_explanations=3)
+        gen = self._save(tmp_path / "gen", "expl-pred-seq2seq", examples)
+        clf = self._save(tmp_path / "clf", "expl-to-label", examples)
+        _, valid = corpus
+        for k, how in enumerate((["--expl-classifier", str(clf),
+                                  "--annotations", str(ann)],
+                                 ["--set", "eval.expl_classifier", str(clf),
+                                  "--set", "eval.annotations", str(ann)])):
+            root = tmp_path / f"runs{k}"
+            assert main(["eval", "--config", str(toy_config), *how,
+                         "--checkpoint", str(gen), "--corpus", str(valid),
+                         "--out-root", str(root)]) == 0
+            (run_dir,) = run_dirs(root)
+            inputs = json.loads((run_dir / "manifest.json").read_text())["inputs"]
+            files = [valid, ann] + [f for d in (gen, clf)
+                                    for f in sorted(Path(d).rglob("*"))
+                                    if f.is_file()]
+            assert inputs == {str(f): cli._sha256(f) for f in files}
 
     def test_pair_classifier_exits_1(self, tmp_path, toy_config, corpus,
                                      capsys):

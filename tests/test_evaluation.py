@@ -429,15 +429,17 @@ def _reference_transfer(model, clf, path, batch_size):
         preds = _labels_by_batch(model, clf, batches)
         report.accuracy = E.label_accuracy(
             preds, np.concatenate([b.labels for b in batches]))
-    dumps = []
+    # one row per example; a model that does not explain gives ""
+    texts = [""] * len(encoded)
     if model.explains:
-        generated = [g for b in batches for g in model.generate(b)[0]]
-        by_id = {e.id: e for e in examples}
-        dumps = [{"id": enc.id, "premise": by_id[enc.id].premise_text,
-                  "hypothesis": by_id[enc.id].hypothesis_text,
-                  "predicted_label": None if preds is None else int(preds[i]),
-                  "explanation": " ".join(model.vocab.decode(gen))}
-                 for i, (enc, gen) in enumerate(zip(encoded, generated))]
+        texts = [" ".join(model.vocab.decode(g))
+                 for b in batches for g in model.generate(b)[0]]
+    by_id = {e.id: e for e in examples}
+    dumps = [{"id": enc.id, "premise": by_id[enc.id].premise_text,
+              "hypothesis": by_id[enc.id].hypothesis_text,
+              "predicted_label": None if preds is None else int(preds[i]),
+              "explanation": text}
+             for i, (enc, text) in enumerate(zip(encoded, texts, strict=True))]
     return report, dumps
 
 

@@ -192,8 +192,8 @@ class TestEncoder:
         assert threading.active_count() <= before + 1
 
     def test_pred_expl_loss_writes_eight_fewer_records(self, monkeypatch):
-        """Each of the two encodes is one record where the composed
-        directions wrote five."""
+        """Each of the two encodes is two records (states, then the
+        pooled vector) where the composed encoder wrote six."""
         model, batch, _ = toy_setup("pred-expl")
         counts = []
         for layer in (ad.bilstm_layer, bilstm_composed):
