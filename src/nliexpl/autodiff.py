@@ -3,25 +3,26 @@
 Implements exactly the operations the model zoo needs: affine maps
 (one GEMM over all leading axes), elementwise arithmetic and tanh,
 one fused softmax cross-entropy (`cross_entropy_rows`, forward and
-backward in the logits' buffer), concatenation, row gathering,
-embedding lookup with partially trainable rows, dropout, two fused LSTM
-ops, and plain SGD with per-epoch learning-rate decay.
+backward in the logits' buffer), concatenation, embedding lookup with
+partially trainable rows, dropout, two fused LSTM ops, and plain SGD
+with per-epoch learning-rate decay.
 
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
 and share one step (`_lstm_step`) on one fused gate kernel. `lstm_layer`
 runs a sequence from its raw input as one tape record: one input GEMM
 and each step over real step-rows only (packed sequences: a row's length
-is its only record of padding), and backprop through time inside the
-op. A decoder's `cond` joins the gate input once per sequence (a source
-vector) or at every step as attention read from the previous hidden
-state (`Attention`, `_Contexts`), whose backward joins the same BPTT
-loop. `bilstm_layer` runs both directions of an encoder at once on the
-same direction core (`_lstm_direction`), each max-pooling its states
-over every row's real steps as it goes; greedy decoding runs the same
-step on arrays (`lstm_stepper`). Every row product of `linear` and the
-LSTM ops runs as gemm, a one-row one too (`_gemm_rows`). The cell and
-the attention decoder composed from generic tape ops, and the pooling
-as the separate op it was, live in `tests/oracles.py` as their
+is its only record of padding), whose states are all it returns, and
+backprop through time inside the op. A decoder's `cond` joins the gate
+input once per sequence (a source vector) or at every step as attention
+read from the previous hidden state (`Attention`, `_Contexts`), whose
+backward joins the same BPTT loop. `bilstm_layer` runs both directions
+of an encoder at once on the same direction core (`_lstm_direction`),
+each max-pooling its states over every row's real steps as it goes;
+greedy decoding runs the same step on arrays (`lstm_stepper`). Every
+row product of `linear` and the LSTM ops runs as gemm, a one-row one
+too (`_gemm_rows`). The cell and the attention decoder composed from
+generic tape ops, the pooling as the separate op it was and the gather
+of the decoder's real step-rows live in `tests/oracles.py` as their
 references.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
@@ -465,29 +466,6 @@ def cross_entropy_rows(logits: Tensor, targets: np.ndarray) -> Tensor:
     return out
 
 
-def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
-    """Rows `rows` of x (..., d) with its leading axes flattened to (N, d):
-    a (T, B, d) sequence's row t * B + b is step t of batch row b. `rows`
-    are distinct indices in [0, N) (otherwise ShapeError). Returns
-    (len(rows), d); backward scatters the gradient into zeros of x's
-    shape."""
-    flat = x.data.reshape(-1, x.shape[-1])
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.ndim != 1 or len(np.unique(rows)) < len(rows) \
-            or ((rows < 0) | (rows >= len(flat))).any():
-        raise ShapeError(f"take_rows: rows must be distinct indices in "
-                         f"[0, {len(flat)})")
-    out = Tensor(flat[rows])
-
-    def _bw(g):
-        full = np.zeros(flat.shape, dtype=g.dtype)
-        full[rows] = g
-        return (full.reshape(x.shape),)
-
-    _record(out, (x,), _bw)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Embedding lookup
 
@@ -782,7 +760,7 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
         raise ShapeError(f"{op}: {', '.join(bad)}, expected {(B, H)}")
     pack = _packing(_check_lengths(
         op, np.full(B, T) if lengths is None else lengths, B, 0, T), T)
-    return pack, xd[pack[2]], rmask
+    return pack, xd.reshape(T * B, -1)[pack[2]], rmask
 
 
 def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
@@ -797,11 +775,14 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     cond], the product with wi's last C columns made once; with
     `Attention` heads it reads [each head's context of the previous
     hidden state, x_t]. h0/c0 (B, H) are the initial state (None is a
-    zero state). Returns the states (T, B, H).
+    zero state). Returns the states (P, H) of the P real step-rows (t, b)
+    in time-major order, as `np.flatnonzero(np.arange(T)[:, None] <
+    lengths)` lists them.
 
     Row b's real steps are t < `lengths[b]`, `lengths` being (B,)
     integers in [0, T] (otherwise ShapeError); None means all T. Pad
-    steps output 0, cost nothing and change no bit of anything else.
+    steps have no output row, cost nothing and change no bit of anything
+    else.
     With `reverse` the steps run from T-1 down to 0, so each row's real
     prefix is read backwards starting from (h0, c0), exactly as if it had
     been reversed in place. `rmask` (B, H) is a recurrent dropout mask
@@ -813,9 +794,10 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     """
     pack, xp, rmask = _check_lstm("lstm_layer", x, [cell], lengths, cond, h0,
                                   c0, rmask)
-    hs = np.zeros(x.shape[:2] + cell.wh.shape[1:],
+    hs = np.empty((len(xp), cell.wh.shape[1]),
                   np.result_type(x.data, cell.wi.data))
-    grads = _lstm_direction(xp, pack, cell, hs, _active_tape() is not None,
+    rank = np.argsort(np.argsort(pack[2]))   # each packed row's time-major row
+    grads = _lstm_direction(xp, pack, cell, hs, rank, _active_tape() is not None,
                             reverse, *(None if t is None else t.data
                                        for t in (h0, c0)), cond, rmask)
     out = Tensor(hs)
@@ -872,16 +854,17 @@ def lstm_stepper(cell: LstmParams, h0: Tensor, c0: Tensor,
 def _packing(lengths: np.ndarray, T: int):
     """The packed layout of T steps of rows with `lengths`: the row order
     by descending length (stable); live[t], how many rows (a prefix of
-    that order) are real at step t; and the (steps, rows) index of the P
-    = sum(lengths) real step-rows, step t's live prefix in block t."""
+    that order) are real at step t; and the flat index t * B + b of the
+    P = sum(lengths) real step-rows (t, b), step t's live prefix in
+    block t."""
     order = np.argsort(-lengths, kind="stable")
     live = (lengths > np.arange(T)[:, None]).sum(axis=1)
     steps, k = np.nonzero(np.arange(len(lengths)) < live[:, None])
-    return order, live, (steps, order[k])
+    return order, live, steps * len(lengths) + order[k]
 
 
-def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
-                    recording: bool, reverse: bool = False,
+def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
+                    dest: np.ndarray, recording: bool, reverse: bool = False,
                     h0: np.ndarray | None = None, c0: np.ndarray | None = None,
                     cond=None, rmask: np.ndarray | None = None,
                     gx: np.ndarray | None = None, pool=None):
@@ -891,7 +874,9 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
     layout `pack` (`_packing`); every row product is gemm (`_gemm_rows`).
     xp's input GEMM goes to the buffer `gx` if given (max(P, 2) rows),
     and each step adds `_gate_terms`' term to its block. The recurrence
-    writes the states into the zeroed `hs` (T, B, H), maybe a view.
+    writes packed step-row k's state into row dest[k] of the 2-D `out`,
+    maybe a view, and backward reads its gradient from row dest[k] of
+    g: one write rule, whatever layout the caller returns.
     `pool`, if given, is (run, at), both (B, H) in sorted row order:
     `run`, filled with -inf, gets each row's max over its real steps (a
     NaN wins), and `at` (None when not recording) the step it came
@@ -899,7 +884,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
     Returns None or, `recording`, g -> the gradients of (x, wi, wh, b,
     h0, c0, then cond's tensors), None for an input not given."""
     order, live, index = pack
-    (P, D), (G, H), B = xp.shape, cell.wh.shape, len(order)
+    (P, D), (G, H), B, T = xp.shape, cell.wh.shape, len(order), len(live)
     wi, w = cell.wi.data, cell.wh.data
     wx, per_seq, ctx = _gate_terms(cell, cond, order, recording)
     a = _gemm_rows(xp)
@@ -926,7 +911,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
         if recording:
             acts[blk], c_prev[blk], tanh_c[blk], h_in[blk] = a_t, c[:n], tc_t, h_t
         h[:n], c[:n] = h_new, c_new
-        hs[t, order[:n]] = h_new
+        out[dest[blk]] = h_new
         if pool is not None:
             run = pool[0][:n]
             # the earliest maximal step must win a tie: the forward
@@ -948,7 +933,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
         for t in steps[::-1]:
             n = live[t]
             blk = slice(ends[t] - n, ends[t])
-            dh_new = g[t, order[:n]] + dh[:n]
+            dh_new = g[dest[blk]] + dh[:n]
             dc_new = dc[:n] + dh_new * dc_from_h[blk]
             np.multiply(per_dc[blk], dc_new[:, None, :], out=dz[blk, :3])
             np.multiply(per_dh[blk], dh_new, out=dz[blk, 3])
@@ -963,8 +948,8 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, hs: np.ndarray,
         unsort = np.argsort(order)
         dh0, dc0 = (None if s0 is None else d[unsort]
                     for s0, d in ((h0, dh), (c0, dc)))
-        dx = np.zeros(hs.shape[:2] + (D,), dz.dtype)
-        dx[index] = (_gemm_rows(dz) @ wx)[:P]
+        dx = np.zeros((T, B, D), dz.dtype)
+        dx.reshape(T * B, D)[index] = (_gemm_rows(dz) @ wx)[:P]
         # the weight gradients wi's and wh's are deferred (see `backward`)
         dwx = lambda: dz.T @ xp   # noqa: E731
         dwh = lambda: dz.T @ h_in   # noqa: E731
@@ -1022,15 +1007,17 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     `lstm_layer`, but a row with none raises EmptySequenceError. Each
     direction is `_lstm_direction`, pooling as it steps, and runs at once
     with the other, `bwd` on the worker thread; checks, tensors and the
-    records stay on this one. Both read one gather of x's real step-rows.
-    States and wh's gradients are those of `linear`, `lstm_layer` (x2)
-    and `concat` bit for bit (x, wi and b sum the real step-rows only).
+    records stay on this one. Both read one gather of x's real step-rows
+    and write their states at t * B + b of the states seen as (T * B,
+    2H), pad steps 0. States and wh's gradients are those of `linear`
+    and `lstm_layer` (x2), side by side, bit for bit (x, wi and b sum the
+    real step-rows only).
     Two tape records, the states' and then the pooled vector's, whose
     backward routes each gradient to the earliest maximal step of its
     row, as `np.argmax` finds it.
     """
     pack, xp, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), lengths)
-    order, live, _ = pack
+    order, live, index = pack
     T, B, _ = x.shape
     if live[0] < B:
         raise EmptySequenceError("bilstm_layer: a row has zero real timesteps")
@@ -1038,6 +1025,7 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     recording = _active_tape() is not None
     dtype = np.result_type(x.data, fwd.wi.data)
     hs = np.zeros((T, B, 2 * H), dtype)
+    rows = hs.reshape(T * B, 2 * H)   # row t * B + b is step t of row b
     # allocated on this thread: memory the worker frees stays in its own
     # malloc arena, where the rest of the process cannot reuse it
     gxs = [np.empty((max(len(xp), 2), 4 * H), dtype) for _ in range(2)]
@@ -1046,9 +1034,9 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     pools = [(run[:, half], None if at is None else at[:, half])
              for half in (slice(None, H), slice(H, None))]
     grads_f, grads_b = _at_once(
-        lambda: _lstm_direction(xp, pack, fwd, hs[..., :H], recording,
+        lambda: _lstm_direction(xp, pack, fwd, rows[:, :H], index, recording,
                                 gx=gxs[0], pool=pools[0]),
-        lambda: _lstm_direction(xp, pack, bwd, hs[..., H:], recording,
+        lambda: _lstm_direction(xp, pack, bwd, rows[:, H:], index, recording,
                                 reverse=True, gx=gxs[1], pool=pools[1]))
     unsort = np.argsort(order)
     out, pooled = Tensor(hs), Tensor(run[unsort])
@@ -1059,9 +1047,10 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
         # each direction makes its own weight gradients: both threads are
         # busy here already, and deferred they ran slower with a higher
         # peak RSS (benchmark pairs)
+        g = g.reshape(T * B, 2 * H)
         (dx, *dfwd), (dx_bwd, *dbwd) = _at_once(
-            lambda: [d() if callable(d) else d for d in grads_f(g[..., :H])[:4]],
-            lambda: [d() if callable(d) else d for d in grads_b(g[..., H:])[:4]])
+            lambda: [d() if callable(d) else d for d in grads_f(g[:, :H])[:4]],
+            lambda: [d() if callable(d) else d for d in grads_b(g[:, H:])[:4]])
         dx += dx_bwd
         return (dx, *dfwd, *dbwd)
 

@@ -43,7 +43,7 @@ SCHEMA: dict[str, dict[str, type | object]] = {
     "data": {
         "train": str, "valid": str,
         "embeddings": str, "embedding_dim": int, "min_count": int,
-        "sentence_limit": int, "explanation_limit": int,
+        "sentence_limit": _positive_int, "explanation_limit": _positive_int,
         "col_gold_label": str, "col_premise": str, "col_hypothesis": str,
         "col_explanations": _strlist, "col_premise_highlights": _strlist,
         "col_hypothesis_highlights": _strlist, "col_id": str,

@@ -148,9 +148,14 @@ class AnnotationRecord:
         return self.k / self.n
 
 
+_FLAGS = {"1": True, "true": True, "yes": True,
+          "0": False, "false": False, "no": False}
+
+
 def load_annotations(path) -> list[AnnotationRecord]:
     """Annotation CSV columns: id, predicted_label_correct, k, n; one
-    row per example id."""
+    row per example id. The flag is 1/true/yes or 0/false/no, in any
+    case."""
     records = []
     first_row: dict[str, int] = {}
     with open(path, encoding="utf-8", newline="") as fh:
@@ -172,11 +177,16 @@ def load_annotations(path) -> list[AnnotationRecord]:
                 raise EvaluationError(
                     f"{path}:{rownum}: k and n must be integers, got "
                     f"{row['k']!r} and {row['n']!r}") from None
-            correct = (row["predicted_label_correct"] or "").strip().lower()
+            flag = row["predicted_label_correct"]
+            correct = _FLAGS.get((flag or "").strip().lower())
+            if correct is None:
+                raise EvaluationError(
+                    f"{path}:{rownum}: predicted_label_correct must be one of "
+                    f"1/true/yes/0/false/no, got {flag!r}")
             try:
                 records.append(AnnotationRecord(
                     example_id=example_id, k=k, n=n,
-                    predicted_label_correct=correct in ("1", "true", "yes")))
+                    predicted_label_correct=correct))
             except EvaluationError as err:
                 raise EvaluationError(f"{path}:{rownum}: {err}") from None
     return records

@@ -250,10 +250,10 @@ class LstmDecoder(_Part):
         """Row b's first `lengths[b]` steps of (B, S) `inputs` are real.
         The whole sequence is one `lstm_layer`, which skips the pad steps
         and takes the source projection (once per sequence) or the heads
-        (read at each step from the previous state) as `cond`. The output
-        projection and the fused softmax NLL (`cross_entropy_rows`) then
-        run once over the real (t, b) state rows only, gathered in
-        time-major order."""
+        (read at each step from the previous state) as `cond`. It returns
+        the states of the real (t, b) step-rows only, in time-major order,
+        and the output projection and the fused softmax NLL
+        (`cross_entropy_rows`) run once over them."""
         B, S = inputs.shape
         h, c = self._init_state(source)
         rmask = None
@@ -263,13 +263,12 @@ class LstmDecoder(_Part):
         hs = ad.lstm_layer(embedding.lookup(inputs.T), self.cell, h, c,
                            lengths, cond=self._cond(source, attn_ctx),
                            rmask=rmask)
-        real = np.flatnonzero(np.arange(S)[:, None] < lengths)   # t * B + b
-        logits = ad.linear(ad.take_rows(hs, real), self.w_out, self.b_out)
-        gold = targets.T.reshape(-1)[real]
+        logits = ad.linear(hs, self.w_out, self.b_out)
+        gold = targets.T[np.arange(S)[:, None] < lengths]   # in hs's row order
         nll = ad.cross_entropy_rows(logits, gold)
         # the argmax of the probabilities the loss left in the logits' buffer
         hits = int((logits.data.argmax(axis=1) == gold).sum())
-        return DecodeResult(nll_sum=ad.sum_(nll), n_tokens=len(real),
+        return DecodeResult(nll_sum=ad.sum_(nll), n_tokens=len(gold),
                             n_correct=hits)
 
     def greedy(self, embedding: WordEmbedding, source: ad.Tensor,

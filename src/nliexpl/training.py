@@ -178,7 +178,6 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
     for epoch in range(config.epochs):
         drop_rng = np.random.default_rng([config.seed, 1, epoch])
         epoch_losses = []
-        arrived = True
         for batch in iterate_batches(data.train, config.batch_size,
                                      seed=config.seed, epoch=epoch,
                                      shuffle=True,
@@ -188,22 +187,18 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                                      alpha=config.alpha)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
-                record.aborted = True
                 record.note = f"non-finite loss at epoch {epoch}"
-                log.error("%s; keeping last good checkpoint", record.note)
-                arrived = False
                 break
             ad.backward(tape, loss)
             try:
                 ad.sgd_step(params, state, clip_norm=config.clip_norm)
             except ad.GradientError as err:
-                record.aborted = True
                 record.note = f"epoch {epoch}: {err}"
-                log.error("%s; keeping last good checkpoint", record.note)
-                arrived = False
                 break
             epoch_losses.append(loss_val)
-        if not arrived:
+        if record.note:   # either abort above
+            record.aborted = True
+            log.error("%s; keeping last good checkpoint", record.note)
             break
         entry = {"epoch": epoch, "lr": state.lr,
                  "train_loss": float(np.mean(epoch_losses))}

@@ -5,16 +5,20 @@ force, full DP matrices, straight-line formula transcriptions) and
 shares no code with the package under test. Some exceptions are kept
 as references of fused or packed paths: `lstm_layer_dense`, the dense
 layer the packed one replaced, shares the step kernels, so the two can
-be compared bit for bit; `lstm_cell`, the single step composed from
-generic tape ops (with `sigmoid_` and `slice_last`, which only it
-uses), records through the package's tape; `bilstm_composed`, the
-six-record encoder that `bilstm_layer` replaced, runs the package's
-`linear`, `lstm_layer` (its input projection the identity,
-`gate_input_cell`), `concat` and `max_over_time` one after the other on
-one thread;
+be compared bit for bit; `take_rows`, the gather teacher forcing ran
+before `lstm_layer` returned only the real step-rows, takes a (T, B, H)
+reference's real rows in that op's order, and `dense_steps` scatters
+the op's rows back into the (T, B, H) layout; `lstm_cell`, the single
+step composed from generic tape ops (with `sigmoid_` and `slice_last`,
+which only it uses), records through the package's tape;
+`bilstm_composed`, the six-record encoder that `bilstm_layer` replaced,
+runs the package's `linear`, `lstm_layer` (its input projection the
+identity, `gate_input_cell`), `dense_steps` and `max_over_time` one
+after the other on one thread;
 `teacher_forced_dense`, the decoder's teacher forcing before it gathered
-its real target rows, runs a decoder's own recurrence and then scores
-all S * B rows (with its own `reshape` and masked `nll_rows_masked`);
+its real target rows, runs a decoder's own recurrence (`lstm_layer`'s
+rows scattered by `dense_steps`) and then scores all S * B rows (with
+its own `reshape` and masked `nll_rows_masked`);
 its attention path and `greedy_composed` are the attention decoder as
 it ran before its steps joined `lstm_layer`: one `lstm_step` (two tape
 records on the gate kernels) per step, fed by `attend_step`, which
@@ -176,6 +180,49 @@ def column_max(seq):
             if v > out[it.multi_index]:
                 out[it.multi_index] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# Row layouts
+
+
+def take_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows `rows` of x (..., d) with its leading axes flattened to (N, d):
+    a (T, B, d) sequence's row t * B + b is step t of batch row b. `rows`
+    are distinct indices in [0, N) (otherwise ShapeError). Returns
+    (len(rows), d); backward scatters the gradient into zeros of x's
+    shape."""
+    flat = x.data.reshape(-1, x.shape[-1])
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.ndim != 1 or len(np.unique(rows)) < len(rows) \
+            or ((rows < 0) | (rows >= len(flat))).any():
+        raise ShapeError(f"take_rows: rows must be distinct indices in "
+                         f"[0, {len(flat)})")
+    out = Tensor(flat[rows])
+
+    def _bw(g):
+        full = np.zeros(flat.shape, dtype=g.dtype)
+        full[rows] = g
+        return (full.reshape(x.shape),)
+
+    _record(out, (x,), _bw)
+    return out
+
+
+def dense_steps(parts: list[Tensor], real: np.ndarray) -> Tensor:
+    """LSTM states (P, d_k) of the P real step-rows in time-major order,
+    as `lstm_layer` returns them, side by side in the (T, B, sum d_k)
+    layout it returned before: row i of each part at the i-th True cell
+    of `real` (T, B), pad steps 0. One tape record; backward gathers
+    each part's rows."""
+    widths = [p.shape[-1] for p in parts]
+    out = np.zeros(real.shape + (sum(widths),), parts[0].dtype)
+    out[real] = np.concatenate([p.data for p in parts], axis=1)
+    splits = np.cumsum(widths)[:-1]
+    result = Tensor(out)
+    _record(result, tuple(parts),
+            lambda g: tuple(np.split(g[real], splits, axis=1)))
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +452,16 @@ def bilstm_composed(x: Tensor, fwd: LstmParams, bwd: LstmParams,
                     lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """The encoder as it ran before `bilstm_layer`, in six tape records:
     per direction an input `linear` and an `lstm_layer` on its gate
-    inputs (the backward one reversed), `concat` of the two (T, B, H)
-    halves, then `max_over_time`. Returns (pooled, states)."""
+    inputs (the backward one reversed), the two halves side by side in
+    the (T, B, 2H) layout (`dense_steps`, where `concat` joined the two
+    (T, B, H) halves `lstm_layer` returned), then `max_over_time`.
+    Returns (pooled, states)."""
     halves = [lstm_layer(linear(x, cell.wi, cell.b), gate_input_cell(cell.wh),
                          lengths=lengths, reverse=reverse)
               for cell, reverse in ((fwd, False), (bwd, True))]
-    states = concat(halves)
+    T, B = x.shape[:2]
+    real = np.arange(T)[:, None] < (np.full(B, T) if lengths is None else lengths)
+    states = dense_steps(halves, real)
     return max_over_time(states, lengths), states
 
 
@@ -667,9 +718,10 @@ def teacher_forced_dense(decoder, embedding, source: Tensor,
             steps.append(h)
         hs = stack_steps(steps)
     else:
-        hs = lstm_layer(embedding.lookup(inputs.T), decoder.cell, h, c,
-                        lengths, cond=decoder._cond(source, attn_ctx),
-                        rmask=rmask)
+        hs = dense_steps([lstm_layer(embedding.lookup(inputs.T), decoder.cell,
+                                     h, c, lengths,
+                                     cond=decoder._cond(source, attn_ctx),
+                                     rmask=rmask)], target_mask.T)
     rows = reshape(hs, (S * B, decoder.hidden))
     probs = softmax(linear(rows, decoder.w_out, decoder.b_out))
     flat_targets = targets.T.reshape(-1)

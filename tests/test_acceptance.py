@@ -100,14 +100,9 @@ def _op_level_checks():
     check(lambda: ad.sum_(ad.mul(ad.cross_entropy_rows(
         ad.linear(a, w, bias), np.array([0, 3, 4])), ad.Tensor(weights))),
         {"a": a, "w": w, "bias": bias})
-    ce = p64((6,), "ce")
-    check(lambda: ad.sum_(ad.cross_entropy_rows(
-        ad.take_rows(ce, np.array([0])), np.array([3]))), {"ce": ce})
-    # the real rows of a (T, B, d) sequence, as teacher forcing takes them
-    seq_sm = p64((3, 2, 5), "seq_sm")
-    check(lambda: ad.sum_(ad.cross_entropy_rows(ad.take_rows(
-        seq_sm, np.array([0, 1, 3, 4])), np.array([4, 0, 2, 1]))),
-        {"seq_sm": seq_sm})
+    ce = p64((1, 6), "ce")
+    check(lambda: ad.sum_(ad.cross_entropy_rows(ad.scale(ce, 1.0),
+                                                np.array([3]))), {"ce": ce})
 
     frozen = rng.normal(size=(7, 4))
     rows = p64((2, 4), "rows")
@@ -125,13 +120,21 @@ def _op_level_checks():
     h0, c0, cond = p64((3, 2), "h0"), p64((3, 2), "c0"), p64((3, 2), "cond")
     seq_lengths = np.array([1, 4, 3])
     drop_h = ad.dropout_mask(np.random.default_rng(6), (3, 2), 0.5, np.float64)
-    out_w = rng.normal(size=(4, 3, 2))
+    # one weight per real step-row (t, b), in `lstm_layer`'s row order
+    out_w = rng.normal(size=(4, 3, 2))[np.arange(4)[:, None] < seq_lengths]
     for reverse in (False, True):
         check(lambda: ad.sum_(ad.mul(ad.lstm_layer(
             x_seq, seq_cell, h0, c0, seq_lengths, cond=cond, reverse=reverse,
             rmask=drop_h), ad.Tensor(out_w))),
             {"x_seq": x_seq, "cond": cond, "wi": seq_cell.wi, "wh": seq_cell.wh,
              "b": seq_cell.b, "h0": h0, "c0": c0})
+    # teacher forcing: the output head and the loss read the op's real
+    # step-rows as it returns them
+    head_w = p64((5, 2), "head_w")
+    check(lambda: ad.sum_(ad.cross_entropy_rows(ad.linear(ad.lstm_layer(
+        x_seq, seq_cell, h0, c0, seq_lengths, cond=cond, rmask=drop_h), head_w),
+        np.array([4, 0, 2, 1, 3, 3, 0, 2]))),
+        {"x_seq": x_seq, "cond": cond, "wh": seq_cell.wh, "head_w": head_w})
     # the attention decoder's op: two heads whose rows' key lengths
     # differ, a decoded row of length 1, recurrent dropout on
     heads = [ad.Attention(p64((2, 2), f"wc{k}"), p64((2,), f"bc{k}"),
@@ -185,7 +188,8 @@ def test_criterion_1_checks_every_tape_op():
     """Criterion 1's op-level checks record every public op that writes
     to the tape, so a new op cannot go unchecked."""
     recording = _recording_ops()
-    assert {"linear", "lstm_layer", "bilstm_layer", "take_rows"} <= recording
+    assert {"linear", "lstm_layer", "bilstm_layer",
+            "cross_entropy_rows"} <= recording
     assert sorted(recording - _op_level_checks()) == []
 
 

@@ -21,7 +21,7 @@ from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
                      column_max, gate_input_cell, lstm_cell, lstm_layer_dense,
                      lstm_gates_two_exp, lstm_step, max_over_time, max_rel_err,
                      nll_rows, numeric_grad, scalar_lstm_step, sigmoid_,
-                     slice_last, softmax, stack_steps)
+                     slice_last, softmax, stack_steps, take_rows)
 
 
 def f64(x):
@@ -303,14 +303,14 @@ class TestCrossEntropy:
         1e-10): the per-row NLL and the logits' gradient under a
         different upstream gradient per row, for a batch with a clamped
         row, V = 3, and the real rows of a (T, B, V) sequence gathered by
-        `take_rows` as teacher forcing gathers them."""
+        `oracles.take_rows`, as teacher forcing gathered them."""
         rng = np.random.default_rng(8)
         if case == "sequence-rows":
             x = f64_param(rng.normal(size=(4, 3, 7)) * 3, "x")
             rows = np.array([0, 1, 2, 3, 5, 6, 9])   # t * B + b
 
             def logits():
-                return ad.take_rows(x, rows)
+                return take_rows(x, rows)
         else:
             x = f64_param(rng.normal(size=(5, 7 if case == "clamped" else 3)) * 3,
                           "x")
@@ -360,13 +360,15 @@ class TestCrossEntropy:
 
 
 class TestTakeRows:
+    """The gather of the references' real step-rows (oracles)."""
+
     def test_time_major_rows_and_scatter_back(self):
         """Row t * B + b of a (T, B, d) sequence is x[t, b]; the gradient
         of each taken row lands in its cell and every other cell is 0."""
         x = f64_param(np.arange(24.0).reshape(4, 3, 2), "x")
         rows = np.array([5, 0, 10])
         with ad.Tape() as tape:
-            out = ad.take_rows(x, rows)
+            out = take_rows(x, rows)
             loss = ad.sum_(ad.mul(out, f64(np.arange(6.0).reshape(3, 2))))
         np.testing.assert_array_equal(out.data, [x.data[1, 2], x.data[0, 0],
                                                  x.data[3, 1]])
@@ -378,7 +380,7 @@ class TestTakeRows:
     @pytest.mark.parametrize("rows", [[0, 3, 0], [12], [-1], [[0, 1]]])
     def test_rejects_repeated_or_outside_rows(self, rows):
         with pytest.raises(ad.ShapeError):
-            ad.take_rows(f64(np.zeros((4, 3, 2))), np.array(rows))
+            take_rows(f64(np.zeros((4, 3, 2))), np.array(rows))
 
 
 class TestMaxOverTime:
@@ -457,7 +459,7 @@ class TestSequenceOps:
         cell = ad.LstmParams(f64(rng.normal(size=(8, 3 + 1)) * 0.5),
                              f64(rng.normal(size=(8, 2)) * 0.5), f64(np.zeros(8)))
         x, h0 = f64(rng.normal(size=(3, 2, 1))), f64(rng.normal(size=(2, 2)))
-        w = rng.normal(size=(3, 2, 2))
+        w = rng.normal(size=(3, 2, 2)).reshape(6, 2)   # one per (t, b)
 
         def loss():
             return ad.sum_(ad.mul(ad.lstm_layer(x, cell, h0, h0, cond=[head]),
@@ -740,6 +742,22 @@ PACKING_CASES = {
     "one-row-batch-length-T": (3, [3]),
     "last-live-row-alone": (6, [6, 2, 3, 2]),
 }
+# `lstm_layer` also takes a row of length 0, which an encoder refuses
+LAYER_CASES = {**PACKING_CASES, "a-row-of-length-0": (5, [3, 0, 5, 1])}
+
+
+def _real_rows(T, B, lengths):
+    """The flat index t * B + b of the real step-rows (t, b), in the
+    time-major order of `lstm_layer`'s output rows."""
+    return np.flatnonzero(np.arange(T)[:, None]
+                          < (np.full(B, T) if lengths is None else lengths))
+
+
+def _dense_real_rows(gx, wh, *args, lengths=None, **kw):
+    """`lstm_layer_dense` gathered at the real step-rows (`take_rows`)."""
+    T, B = gx.shape[:2]
+    return take_rows(lstm_layer_dense(gx, wh, *args, lengths=lengths, **kw),
+                     _real_rows(T, B, lengths))
 
 
 def _layer_run(layer, arrays, lengths, reverse, rmask, weights, dtype):
@@ -785,17 +803,19 @@ class TestLstmLayer:
 
         p = {"gx": f64_param(gx, "gx"), "wh": f64_param(wh, "wh"),
              "h0": f64_param(h0, "h0"), "c0": f64_param(c0, "c0")}
+        real = _real_rows(T, B, lengths)
         with ad.Tape() as tape:
             hs = _gx_layer(p["gx"], p["wh"], p["h0"], p["c0"], lengths=lengths,
                            reverse=reverse, rmask=rmask)
-            loss = ad.sum_(ad.mul(hs, f64(weights)))
+            loss = ad.sum_(ad.mul(hs, f64(weights.reshape(T * B, H)[real])))
         ad.backward(tape, loss)
 
         close = dict(rtol=1e-10, atol=1e-10)
         expected = np.zeros((T, B, H))
         for (t, b), h in outs.items():
             expected[t, b] = h.data[0]
-        np.testing.assert_allclose(hs.data, expected, **close)
+        np.testing.assert_allclose(hs.data, expected.reshape(T * B, H)[real],
+                                   **close)
         ref_dgx = np.zeros_like(gx)
         for t in range(T):
             for b in range(B):
@@ -808,13 +828,14 @@ class TestLstmLayer:
         np.testing.assert_allclose(
             p["c0"].grad, np.concatenate([c.grad for _, c in starts]), **close)
 
-    @pytest.mark.parametrize("case", sorted(PACKING_CASES))
+    @pytest.mark.parametrize("case", sorted(LAYER_CASES))
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_dense_oracle(self, case, reverse):
-        """The packed layer against the dense one it replaced, with and
-        without h0/c0 and recurrent dropout: float64 states and gradients
-        within 1e-10, float32 states bit-equal."""
-        T, lengths = PACKING_CASES[case]
+        """The packed layer against the dense one it replaced, gathered at
+        the real step-rows, with and without h0/c0 and recurrent dropout:
+        float64 states and gradients within 1e-10, float32 states
+        bit-equal."""
+        T, lengths = LAYER_CASES[case]
         B, H = len(lengths), 8
         lengths = None if min(lengths) == T else np.array(lengths)
         rng = np.random.default_rng(26)
@@ -827,14 +848,15 @@ class TestLstmLayer:
                                   c0=rng.normal(size=(B, H)))
                 rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float64)
                          if dropout else None)
-                weights = rng.normal(size=(T, B, H))
+                weights = rng.normal(size=(T, B, H)).reshape(T * B, H)[
+                    _real_rows(T, B, lengths)]
                 runs = {(layer, dtype): _layer_run(layer, arrays, lengths,
                                                    reverse, rmask, weights,
                                                    dtype)
-                        for layer in (_gx_layer, lstm_layer_dense)
+                        for layer in (_gx_layer, _dense_real_rows)
                         for dtype in (np.float64, np.float32)}
                 hs, grads = runs[_gx_layer, np.float64]
-                hs_ref, grads_ref = runs[lstm_layer_dense, np.float64]
+                hs_ref, grads_ref = runs[_dense_real_rows, np.float64]
                 close = dict(rtol=1e-10, atol=1e-10)
                 np.testing.assert_allclose(hs, hs_ref, **close)
                 assert grads.keys() == grads_ref.keys()
@@ -843,7 +865,7 @@ class TestLstmLayer:
                                                err_msg=name, **close)
                 np.testing.assert_array_equal(
                     runs[_gx_layer, np.float32][0],
-                    runs[lstm_layer_dense, np.float32][0])
+                    runs[_dense_real_rows, np.float32][0])
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("lengths,extra", [([6, 2, 3, 2, 1], 3), ([3], 3)])
@@ -968,8 +990,7 @@ class TestLstmLayer:
             short = _gx_layer(f32(gx), wh, reverse=reverse)
             long = _gx_layer(f32(padded), wh, reverse=reverse,
                              lengths=np.array([3]))
-            np.testing.assert_array_equal(long.data[:3], short.data)
-            np.testing.assert_array_equal(long.data[3:], 0.0)
+            np.testing.assert_array_equal(long.data, short.data)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("dropout", [False, True])
@@ -1090,14 +1111,15 @@ class TestLstmLayer:
 
     def test_cond_matches_linear_on_concatenated_input(self):
         """With `cond`, against `linear` over the explicitly concatenated
-        [x_t, cond] feeding the dense layer: states and the gradients of
-        x, cond, wi, wh, b, h0 and c0 within 1e-10 (float64), for every
-        packing case, both directions, with and without h0/c0 and
-        recurrent dropout."""
+        [x_t, cond] feeding the dense layer, gathered at the real
+        step-rows: states and the gradients of x, cond, wi, wh, b, h0 and
+        c0 within 1e-10 (float64), for every packing case and a row of
+        length 0, both directions, with and without h0/c0 and recurrent
+        dropout."""
         rng = np.random.default_rng(30)
         D, C, H = 3, 2, 4
         close = dict(rtol=1e-10, atol=1e-10)
-        for T, lengths in PACKING_CASES.values():
+        for T, lengths in LAYER_CASES.values():
             B = len(lengths)
             lengths = None if min(lengths) == T else np.array(lengths)
             for reverse, given, dropout in itertools.product((False, True),
@@ -1112,7 +1134,9 @@ class TestLstmLayer:
                                   c0=rng.normal(size=(B, H)))
                 rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float64)
                          if dropout else None)
-                weights = ad.Tensor(rng.normal(size=(T, B, H)))
+                real = _real_rows(T, B, lengths)
+                weights = ad.Tensor(rng.normal(size=(T, B, H)).reshape(
+                    T * B, H)[real])
                 runs = []
                 for fused in (True, False):
                     p = {k: f64_param(v, k) for k, v in arrays.items()}
@@ -1124,9 +1148,9 @@ class TestLstmLayer:
                                                p.get("c0"), cond=p["cond"], **kw)
                         else:
                             cat = ad.concat([p["x"], stack_steps([p["cond"]] * T)])
-                            hs = lstm_layer_dense(ad.linear(cat, p["wi"], p["b"]),
-                                                  p["wh"], p.get("h0"),
-                                                  p.get("c0"), **kw)
+                            hs = take_rows(lstm_layer_dense(
+                                ad.linear(cat, p["wi"], p["b"]), p["wh"],
+                                p.get("h0"), p.get("c0"), **kw), real)
                         loss = ad.sum_(ad.mul(hs, weights))
                     ad.backward(tape, loss)
                     runs.append((hs.data, {k: t.grad for k, t in p.items()}))
@@ -1142,14 +1166,14 @@ class TestLstmLayer:
         of x, bias included, feeding a cell whose x columns of wi are the
         identity and whose bias is 0, cond's columns as they are. States
         and every gradient (x, wi, wh, b, h0, c0 and cond's tensors)
-        within 1e-10 (float64), for every packing case, both directions,
-        with and without recurrent dropout, with no cond, a cond Tensor or
-        attention heads."""
+        within 1e-10 (float64), for every packing case and a row of
+        length 0, both directions, with and without recurrent dropout,
+        with no cond, a cond Tensor or attention heads."""
         rng = np.random.default_rng(38)
         D, C, H = 3, 2, 4
         G = 4 * H
         close = dict(rtol=1e-10, atol=1e-10)
-        for T, lengths in PACKING_CASES.values():
+        for T, lengths in LAYER_CASES.values():
             B = len(lengths)
             lengths = None if min(lengths) == T else np.array(lengths)
             for reverse, dropout in itertools.product((False, True), repeat=2):
@@ -1170,7 +1194,8 @@ class TestLstmLayer:
                 xs = slice(width - D, width) if kind == "attention" else slice(0, D)
                 rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float64)
                          if dropout else None)
-                weights = ad.Tensor(rng.normal(size=(T, B, H)))
+                weights = ad.Tensor(rng.normal(size=(T, B, H)).reshape(
+                    T * B, H)[_real_rows(T, B, lengths)])
                 runs = []
                 for packed in (True, False):
                     x, cell, h0, c0, heads, p = _attention_inputs(
@@ -1234,6 +1259,8 @@ class TestPadSteps:
             with ad.Tape() as tape:
                 out = layer(p)
                 pooled, hs = out if isinstance(out, tuple) else (None, out)
+                if hs.data.ndim == 2:   # `lstm_layer`'s real step-rows
+                    w = w[np.arange(len(w))[:, None] < self._lengths()]
                 loss = ad.sum_(ad.mul(hs, ad.Tensor(w[..., :hs.shape[-1]])))
                 if pooled is not None:
                     loss = ad.add(loss, ad.sum_(ad.mul(pooled, pool_w)))
@@ -1251,8 +1278,10 @@ class TestPadSteps:
 
     def _assert_same(self, runs):
         (hs, grads), (hs_pad, grads_pad) = runs
-        np.testing.assert_array_equal(hs_pad[:self.T], hs)
-        np.testing.assert_array_equal(hs_pad[self.T:], 0.0)
+        if hs.ndim == 3:   # `bilstm_layer`'s states, 0 on pad steps
+            np.testing.assert_array_equal(hs_pad[self.T:], 0.0)
+            hs_pad = hs_pad[:self.T]
+        np.testing.assert_array_equal(hs_pad, hs)
         np.testing.assert_array_equal(grads_pad["x"][self.T:], 0.0)
         grads_pad["x"] = grads_pad["x"][:self.T]
         assert grads.keys() == grads_pad.keys()
@@ -1377,7 +1406,8 @@ class TestAttentionLayer:
                 cond = f32(rng.normal(size=(B, 2)))
                 cell = ad.LstmParams(f32(rng.normal(size=(4 * H, D + 2))),
                                      cell.wh, cell.b)
-            states = ad.lstm_layer(x, cell, h0, c0, cond=cond).data
+            states = ad.lstm_layer(x, cell, h0, c0, cond=cond).data.reshape(
+                T, B, H)   # every row real: row t * B + b is (t, b)
             with monkeypatch.context() as m:
                 if inline:
                     m.setattr(ad, "_worker", InlineExecutor())

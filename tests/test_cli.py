@@ -285,6 +285,14 @@ class TestTrainCommand:
         (["train", "--set", "training.decay", "0"], "decay must be in"),
         (["train", "--set", "training.decay", "1.5"], "decay must be in"),
         (["train", "--set", "training.clip_norm", "0"], "clip_norm must be"),
+        (["train", "--set", "data.sentence_limit", "-1"],
+         "bad value for [data] sentence_limit: '-1'"),
+        (["train", "--set", "data.explanation_limit", "0"],
+         "bad value for [data] explanation_limit: '0'"),
+        (["train", "--set", "data.sentence_limit", "0"],
+         "bad value for [data] sentence_limit: '0'"),
+        (["train", "--set", "data.explanation_limit", "-1"],
+         "bad value for [data] explanation_limit: '-1'"),
     ])
     def test_malformed_run_setting_exits_1_before_loading(
             self, tmp_path, toy_config, capsys, monkeypatch, args, message):

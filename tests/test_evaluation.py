@@ -249,10 +249,14 @@ class TestExplAtK:
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text("id,predicted_label_correct,k,n\n"
-                        "a,true,1,2\nb,false,0,1\n")
+                        "a,true,1,2\nb,false,0,1\n" + "".join(
+                            f"r{i},{flag},1,1\n" for i, flag in enumerate(
+                                ["1", "TRUE", " Yes ", "0", "No"])))
         records = E.load_annotations(path)
         assert records[0].score == 0.5
-        assert records[1].predicted_label_correct is False
+        # the flag is 1/true/yes or 0/false/no in any case
+        assert [r.predicted_label_correct for r in records] == [
+            True, False, True, True, True, False, False]
 
     @pytest.mark.parametrize("body,match", [
         ("id,predicted_label_correct,k,n\na,true,1,1\nb,true,one,2\n",
@@ -267,6 +271,13 @@ class TestExplAtK:
          r"ann\.csv:1: missing columns \['n'\]"),
         ("id,predicted_label_correct,k,n\na,1,1,1\na,1,1,1\nb,0,1,1\n",
          r"ann\.csv: example id 'a' repeated on rows 2 and 3"),
+        ("id,predicted_label_correct,k,n\na,banana,1,1\nb,,1,1\nc,1,1,1\n",
+         r"ann\.csv:2: predicted_label_correct must be one of "
+         r"1/true/yes/0/false/no, got 'banana'"),
+        ("id,predicted_label_correct,k,n\na,YES,1,1\nb,,1,1\nc,1,1,1\n",
+         r"ann\.csv:3: predicted_label_correct .* got ''"),
+        ("id,predicted_label_correct,k,n\na,No,1,1\nb,True,1,1\nc,2,1,1\n",
+         r"ann\.csv:4: predicted_label_correct .* got '2'"),
     ])
     def test_bad_csv_names_file_and_row(self, tmp_path, body, match):
         path = tmp_path / "ann.csv"

@@ -613,16 +613,18 @@ class TestDecoding:
         assert res.n_correct == decided
 
     @pytest.mark.parametrize("variant,alpha,records,sequences", [
-        ("hyp-to-expl", None, 13, 1), ("pred-expl", 0.6, 29, 1),
-        ("expl-pred-seq2seq", None, 20, 1), ("expl-pred-att", None, 27, 1),
-        ("autoenc", 0.6, 39, 2)])
+        ("hyp-to-expl", None, 12, 1), ("pred-expl", 0.6, 28, 1),
+        ("expl-pred-seq2seq", None, 19, 1), ("expl-pred-att", None, 26, 1),
+        ("autoenc", 0.6, 37, 2)])
     def test_decoded_sequence_is_one_record(self, variant, alpha, records,
                                             sequences):
         """Teacher forcing's input projection, source term (attention
         included) and recurrence are one `lstm_layer` record per decoded
         sequence, which pins each toy loss's record count whatever its
-        length. No record comes from a composed-cell op, and every record
-        has one Tensor output and a one-argument backward."""
+        length; its real step-rows go straight to the output head, with
+        no gather record between. No record comes from a composed-cell
+        op, and every record has one Tensor output and a one-argument
+        backward."""
         model, batch, _ = toy_setup(variant)
         with ad.Tape() as tape:
             model.loss(batch, train=True, rng=np.random.default_rng(0),
@@ -632,7 +634,7 @@ class TestDecoding:
         assert kinds["lstm_layer"] == sequences
         assert len(tape.records) == records
         assert not kinds.keys() & {"lstm_cell", "lstm_step", "slice_last",
-                                   "sigmoid_", "stack_steps"}
+                                   "sigmoid_", "stack_steps", "take_rows"}
         for out, _, fn in tape.records:
             assert isinstance(out, ad.Tensor)
             assert len(inspect.signature(fn).parameters) == 1

@@ -184,6 +184,28 @@ class TestTrain:
         assert "non-finite" in rec.note
         assert rec.checkpoint_path is None  # nothing good to keep
 
+    def test_gradient_error_aborts_with_note(self, tmp_path, monkeypatch):
+        """A GradientError from `sgd_step` at epoch 1 aborts the run: its
+        note names the epoch and the error, and epoch 0's checkpoint and
+        run.json are kept."""
+        step = ad.sgd_step
+
+        def failing(params, state, clip_norm=None):
+            if state.epoch == 1:
+                raise ad.GradientError("non-finite gradient in ['w']")
+            step(params, state, clip_norm=clip_norm)
+
+        monkeypatch.setattr(ad, "sgd_step", failing)
+        cfg = toy_train_config("bilstm-max", epochs=3)
+        rec = train(cfg, toy_data(), tmp_path / "run")
+        assert rec.aborted
+        assert rec.note == "epoch 1: non-finite gradient in ['w']"
+        assert [e["epoch"] for e in rec.epochs] == [0] and rec.best_epoch == 0
+        load_model(rec.checkpoint_path)
+        loaded = RunRecord.load(tmp_path / "run" / "run.json")
+        assert (loaded.aborted, loaded.note) == (True, rec.note)
+        assert len(loaded.epochs) == 1
+
     def test_teacher_forced_loss_decreases_on_one_example(self, tmp_path):
         # 50 steps of SGD on a single example: final loss below initial
         data = toy_data(n_train=2, n_valid=2)
