@@ -9,10 +9,13 @@ with per-epoch learning-rate decay.
 
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
 and share one step (`_lstm_step`) on one fused gate kernel. `lstm_layer`
-runs a sequence from its raw input as one tape record: one input GEMM
-and each step over real step-rows only (packed sequences: a row's length
-is its only record of padding), whose states are all it returns, and
-backprop through time inside the op. A decoder's `cond` joins the gate
+runs a sequence from its raw input as one tape record: the input
+projection and each step over real step-rows only (packed sequences: a
+row's length is its only record of padding), whose states are all it
+returns, and backprop through time inside the op. The projection runs a
+chunk of whole steps at a time, just ahead of them, into one buffer of
+bounded size (`_gate_inputs`), so a forward pass never holds the gate
+input of the whole sequence. A decoder's `cond` joins the gate
 input once per sequence (a source vector) or at every step as attention
 read from the previous hidden state (`Attention`, `_Contexts`), whose
 backward joins the same BPTT loop. `bilstm_layer` runs both directions
@@ -769,15 +772,15 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
                reverse: bool = False, rmask: np.ndarray | None = None) -> Tensor:
     """An LSTM over a whole sequence x (T, B, D) as one tape record.
 
-    Step t's gate input is x_t @ wi.T + b, one GEMM for the real rows
-    of all steps, plus the term of `cond`, what a decoder reads besides
-    its input: with a Tensor (B, C) (its source) step t reads [x_t,
-    cond], the product with wi's last C columns made once; with
-    `Attention` heads it reads [each head's context of the previous
-    hidden state, x_t]. h0/c0 (B, H) are the initial state (None is a
-    zero state). Returns the states (P, H) of the P real step-rows (t, b)
-    in time-major order, as `np.flatnonzero(np.arange(T)[:, None] <
-    lengths)` lists them.
+    Step t's gate input is x_t @ wi.T + b, projected for the real rows
+    of several steps at a time (`_gate_inputs`), plus the term of `cond`,
+    what a decoder reads besides its input: with a Tensor (B, C) (its
+    source) step t reads [x_t, cond], the product with wi's last C
+    columns made once; with `Attention` heads it reads [each head's
+    context of the previous hidden state, x_t]. h0/c0 (B, H) are the
+    initial state (None is a zero state). Returns the states (P, H) of
+    the P real step-rows (t, b) in time-major order, as
+    `np.flatnonzero(np.arange(T)[:, None] < lengths)` lists them.
 
     Row b's real steps are t < `lengths[b]`, `lengths` being (B,)
     integers in [0, T] (otherwise ShapeError); None means all T. Pad
@@ -794,12 +797,14 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     """
     pack, xp, rmask = _check_lstm("lstm_layer", x, [cell], lengths, cond, h0,
                                   c0, rmask)
-    hs = np.empty((len(xp), cell.wh.shape[1]),
-                  np.result_type(x.data, cell.wi.data))
+    dtype = np.result_type(x.data, cell.wi.data)
+    hs = np.empty((len(xp), cell.wh.shape[1]), dtype)
     rank = np.argsort(np.argsort(pack[2]))   # each packed row's time-major row
-    grads = _lstm_direction(xp, pack, cell, hs, rank, _active_tape() is not None,
-                            reverse, *(None if t is None else t.data
-                                       for t in (h0, c0)), cond, rmask)
+    gx = _gx_buffer(len(xp), x.shape[1], cell.wi.shape[0], dtype)
+    grads = _lstm_direction(xp, pack, cell, hs, rank, gx,
+                            _active_tape() is not None, reverse,
+                            *(None if t is None else t.data for t in (h0, c0)),
+                            cond, rmask)
     out = Tensor(hs)
     if grads is not None:
         inputs = (x, cell.wi, cell.wh, cell.b, h0, c0, *(
@@ -863,17 +868,70 @@ def _packing(lengths: np.ndarray, T: int):
     return order, live, steps * len(lengths) + order[k]
 
 
+# `_lstm_direction` projects its input in chunks of whole steps' blocks of
+# at least this many rows (all of P if fewer), the short rest joining the
+# last chunk, so a direction holds at most 2 * _CHUNK_ROWS + B rows of gate
+# input, not P. A chunk of 256 rows or more rounded every row as the one
+# GEMM over all P rows did, bit for bit: no mismatch at any K of 1 to 812
+# and N of 8 to 2048 output columns tried, float32 and float64, at chunks
+# of 256 to 600 rows (OpenBLAS 0.3.31, one thread); chunks of 8 or 16 rows
+# did not, at 84 of those shapes (K = 32 among them).
+_CHUNK_ROWS = 256
+
+
+def _gx_buffer(P: int, B: int, G: int, dtype) -> np.ndarray:
+    """A buffer that holds the largest input-projection chunk
+    (`_gate_inputs`) of P real step-rows of B rows, G gates wide: at
+    least two rows, as a one-row product runs as two (`_gemm_rows`)."""
+    return np.empty((max(min(P, 2 * _CHUNK_ROWS + B), 2), G), dtype)
+
+
+def _chunk_stops(counts: np.ndarray) -> list[int]:
+    """Where each input-projection chunk ends, for steps of `counts` real
+    rows each in the order they run: a chunk closes once it holds
+    `_CHUNK_ROWS` rows, unless the steps after it hold fewer, which then
+    join it."""
+    rest = np.cumsum(counts[::-1])[::-1]   # the rows of steps k on
+    stops, rows = [], 0
+    for k, n in enumerate(counts):
+        if rows >= _CHUNK_ROWS and rest[k] >= _CHUNK_ROWS:
+            stops.append(k)
+            rows = 0
+        rows += n
+    return stops + [len(counts)] if len(counts) else []
+
+
+def _gate_inputs(xp: np.ndarray, wx: np.ndarray, live: np.ndarray,
+                 steps: np.ndarray, gx: np.ndarray):
+    """Yields (t, xp's block of step t @ wx.T) for each step t of `steps`,
+    in the order given. The blocks are projected whole, in that order, a
+    chunk (`_chunk_stops`) at a time just ahead of its steps, into the
+    buffer `gx` (`_gx_buffer`), which the next chunk overwrites."""
+    ends = np.cumsum(live)   # block t is rows ends[t] - live[t] to ends[t]
+    start = 0
+    for stop in _chunk_stops(live[steps]):
+        first, last = sorted((steps[start], steps[stop - 1]))
+        lo = ends[first] - live[first]
+        chunk = _gemm_rows(xp[lo:ends[last]])
+        y = np.matmul(chunk, wx.T, out=gx[:len(chunk)])
+        for t in steps[start:stop]:
+            yield t, y[ends[t] - live[t] - lo:ends[t] - lo]
+        start = stop
+
+
 def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
-                    dest: np.ndarray, recording: bool, reverse: bool = False,
-                    h0: np.ndarray | None = None, c0: np.ndarray | None = None,
-                    cond=None, rmask: np.ndarray | None = None,
-                    gx: np.ndarray | None = None, pool=None):
+                    dest: np.ndarray, gx: np.ndarray, recording: bool,
+                    reverse: bool = False, h0: np.ndarray | None = None,
+                    c0: np.ndarray | None = None, cond=None,
+                    rmask: np.ndarray | None = None, pool=None):
     """`lstm_layer` on checked arrays (`cond` as given) and no tape, so
     any thread can run it, on packed sequences as in the README: every
     (P, ...) array here, from x's real step-rows xp (P, D) on, is in the
     layout `pack` (`_packing`); every row product is gemm (`_gemm_rows`).
-    xp's input GEMM goes to the buffer `gx` if given (max(P, 2) rows),
-    and each step adds `_gate_terms`' term to its block. The recurrence
+    xp's input projection runs in chunks of whole steps' blocks, in the
+    order the steps run, into the buffer `gx` (`_gx_buffer`, made by the
+    caller; `_gate_inputs`), and each step adds `_gate_terms`' term to
+    its block; backward needs none of it. The recurrence
     writes packed step-row k's state into row dest[k] of the 2-D `out`,
     maybe a view, and backward reads its gradient from row dest[k] of
     g: one write rule, whatever layout the caller returns.
@@ -887,8 +945,6 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
     (P, D), (G, H), B, T = xp.shape, cell.wh.shape, len(order), len(live)
     wi, w = cell.wi.data, cell.wh.data
     wx, per_seq, ctx = _gate_terms(cell, cond, order, recording)
-    a = _gemm_rows(xp)
-    gx = np.matmul(a, wx.T, out=None if gx is None else gx[:len(a)])[:P]
     per_row = np.broadcast_to(per_seq, (B, G))[order]   # in sorted row order
     dtype = gx.dtype
     ends = np.cumsum(live)   # block t is rows ends[t] - live[t] to ends[t]
@@ -903,10 +959,10 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
     if recording:
         acts = np.empty((P, G), dtype=dtype)
         c_prev, tanh_c, h_in = (np.empty((P, H), dtype=dtype) for _ in range(3))
-    for t in steps:
+    for t, gx_t in _gate_inputs(xp, wx, live, steps, gx):
         n = live[t]
         blk = slice(ends[t] - n, ends[t])
-        h_t, (a_t, c_new, tc_t, h_new) = _lstm_step(gx[blk] + per_row[:n], h, c,
+        h_t, (a_t, c_new, tc_t, h_new) = _lstm_step(gx_t + per_row[:n], h, c,
                                                     w, rm, ctx)
         if recording:
             acts[blk], c_prev[blk], tanh_c[blk], h_in[blk] = a_t, c[:n], tc_t, h_t
@@ -1006,9 +1062,10 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     per-dimension max over its real steps. `lengths` is as in
     `lstm_layer`, but a row with none raises EmptySequenceError. Each
     direction is `_lstm_direction`, pooling as it steps, and runs at once
-    with the other, `bwd` on the worker thread; checks, tensors and the
-    records stay on this one. Both read one gather of x's real step-rows
-    and write their states at t * B + b of the states seen as (T * B,
+    with the other, `bwd` on the worker thread; checks, tensors, the
+    records and both directions' input-projection buffers (`_gx_buffer`)
+    stay on this one. Both read one gather of x's real step-rows and
+    write their states at t * B + b of the states seen as (T * B,
     2H), pad steps 0. States and wh's gradients are those of `linear`
     and `lstm_layer` (x2), side by side, bit for bit (x, wi and b sum the
     real step-rows only).
@@ -1028,16 +1085,16 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     rows = hs.reshape(T * B, 2 * H)   # row t * B + b is step t of row b
     # allocated on this thread: memory the worker frees stays in its own
     # malloc arena, where the rest of the process cannot reuse it
-    gxs = [np.empty((max(len(xp), 2), 4 * H), dtype) for _ in range(2)]
+    gxs = [_gx_buffer(len(xp), B, 4 * H, dtype) for _ in range(2)]
     run = np.full((B, 2 * H), -np.inf, dtype)   # in sorted row order
     at = np.zeros((B, 2 * H), np.intp) if recording else None
     pools = [(run[:, half], None if at is None else at[:, half])
              for half in (slice(None, H), slice(H, None))]
     grads_f, grads_b = _at_once(
-        lambda: _lstm_direction(xp, pack, fwd, rows[:, :H], index, recording,
-                                gx=gxs[0], pool=pools[0]),
-        lambda: _lstm_direction(xp, pack, bwd, rows[:, H:], index, recording,
-                                reverse=True, gx=gxs[1], pool=pools[1]))
+        lambda: _lstm_direction(xp, pack, fwd, rows[:, :H], index, gxs[0],
+                                recording, pool=pools[0]),
+        lambda: _lstm_direction(xp, pack, bwd, rows[:, H:], index, gxs[1],
+                                recording, reverse=True, pool=pools[1]))
     unsort = np.argsort(order)
     out, pooled = Tensor(hs), Tensor(run[unsort])
     if not recording:

@@ -103,13 +103,16 @@ class _Part:
 
 
 class WordEmbedding(_Part):
-    """Frozen pretrained rows plus trainable rows for the label words."""
+    """Frozen pretrained rows plus trainable rows for the label words.
+
+    A float32 table is taken as it is, not copied: a loaded model's frozen
+    rows stay a view into its checkpoint blob (nothing writes to them)."""
 
     def __init__(self, table: EmbeddingTable, vocab: Vocabulary,
                  rng: np.random.Generator):
         if table.matrix.shape[0] != len(vocab):
             raise ModelError("embedding table does not match vocabulary size")
-        self.frozen = table.matrix.astype(np.float32)
+        self.frozen = np.asarray(table.matrix, dtype=np.float32)
         self.dim = table.matrix.shape[1]
         self.slots = np.full(len(vocab), -1, dtype=np.int64)
         for slot, vid in enumerate(vocab.label_ids):

@@ -1015,9 +1015,9 @@ class TestLstmLayer:
 
     def test_no_backward_caches_without_tape(self):
         """Forward-only, the peak allocation stays near the input
-        projection (four times the output) plus the output; a taped
-        run's caches (acts, c_prev, tanh_c, h_in) take seven times the
-        output more."""
+        projection's chunk buffer plus the output (here T * B = 480 rows
+        are one chunk, four times the output); a taped run's caches
+        (acts, c_prev, tanh_c, h_in) take seven times the output more."""
         import tracemalloc
         rng = np.random.default_rng(25)
         T, B, H = 60, 8, 32
@@ -1555,9 +1555,10 @@ class TestBilstmLayer:
         assert len(tape.records) == 6
 
     def test_no_backward_caches_without_tape(self):
-        """Forward-only, the peak allocation stays near the two input
-        projections (four times the output) plus the output; a taped
-        run's caches take seven times the output more."""
+        """Forward-only, the peak allocation stays near the two
+        directions' input-projection chunk buffers plus the output (here
+        T * B = 300 rows are one chunk, two buffers being four times the
+        output); a taped run's caches take seven times the output more."""
         import tracemalloc
         p, (fwd, bwd) = _bilstm_params(
             _bilstm_arrays(np.random.default_rng(34), 60, 5, 8, 32), np.float32)
@@ -1718,6 +1719,134 @@ class TestBilstmPooling:
         for name in runs[0]:
             np.testing.assert_array_equal(runs[0][name], runs[1][name],
                                           err_msg=name)
+
+
+class TestInputChunks:
+    """The LSTM ops project their input a chunk of whole steps at a time
+    (`_gate_inputs`), into one buffer per direction (`_gx_buffer`): no
+    bit of any output or gradient depends on where the chunks end, and
+    what a forward-only run allocates does not grow with the sequence."""
+
+    T, B, D = 48, 24, 16
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 40), min_size=1, max_size=120))
+    def test_chunks_hold_whole_steps_and_fit_the_buffer(self, counts):
+        """For steps of `counts` real rows each, the chunks run over the
+        steps in order; each holds `_CHUNK_ROWS` rows or more unless it is
+        the only one, and each fits the buffer made for the largest."""
+        counts = np.array(counts)
+        stops = ad._chunk_stops(counts)
+        assert stops[-1] == len(counts) and stops == sorted(set(stops))
+        rows = [counts[a:b].sum() for a, b in zip([0] + stops, stops)]
+        assert len(rows) == 1 or min(rows) >= ad._CHUNK_ROWS
+        buffer = ad._gx_buffer(counts.sum(), counts.max(), 4, np.float32)
+        assert max(rows) <= len(buffer)
+
+    def _lengths(self, rng):
+        lengths = rng.integers(3 * self.T // 4, self.T + 1, size=self.B)
+        lengths[0] = self.T
+        return lengths
+
+    @staticmethod
+    def _chunked_and_whole(monkeypatch, run):
+        """run() as it is, every direction in three chunks or more, and
+        with `_CHUNK_ROWS` raised past P, every direction in one chunk;
+        asserts that every output and gradient is bit-equal."""
+        chunks, stops = [], ad._chunk_stops
+
+        def counted(counts):
+            chunks.append(len(stops(counts)))
+            return stops(counts)
+
+        monkeypatch.setattr(ad, "_chunk_stops", counted)
+        runs = []
+        for chunk_rows, expected in ((ad._CHUNK_ROWS, range(3, 10 ** 9)),
+                                     (10 ** 9, [1])):
+            monkeypatch.setattr(ad, "_CHUNK_ROWS", chunk_rows)
+            chunks.clear()
+            runs.append(run())
+            assert chunks and all(n in expected for n in chunks), chunks
+        (out, grads), (out_whole, grads_whole) = runs
+        np.testing.assert_array_equal(out, out_whole)
+        assert grads.keys() == grads_whole.keys()
+        for name in grads:
+            assert grads[name] is not None, name
+            np.testing.assert_array_equal(grads[name], grads_whole[name],
+                                          err_msg=name)
+
+    @pytest.mark.parametrize("H", [8, 32, 128])
+    @pytest.mark.parametrize("case", ["plain", "reverse", "rmask", "cond",
+                                      "attention"])
+    def test_lstm_layer(self, monkeypatch, case, H):
+        """States and every gradient of `lstm_layer` (float32)."""
+        rng = np.random.default_rng(53)
+        T, B, D = self.T, self.B, self.D
+        arrays, key_lengths = _attention_arrays(rng, T, B, D, H)
+        if case != "attention":
+            C = 5 if case == "cond" else 0
+            arrays = {k: arrays[k] for k in ("x", "wh", "b", "h0", "c0")}
+            arrays["wi"] = rng.normal(size=(4 * H, D + C)) * 0.5
+            if C:
+                arrays["cond"] = rng.normal(size=(B, C))
+            key_lengths = []
+        lengths = self._lengths(rng)
+        rmask = ad.dropout_mask(rng, (B, H), 0.5) if case == "rmask" else None
+        weights = ad.Tensor(rng.normal(size=(lengths.sum(), H)).astype(np.float32))
+
+        def run():
+            x, cell, h0, c0, heads, p = _attention_inputs(arrays, key_lengths,
+                                                          np.float32)
+            with ad.Tape() as tape:
+                hs = ad.lstm_layer(x, cell, h0, c0, lengths,
+                                   cond=heads or p.get("cond"),
+                                   reverse=case == "reverse", rmask=rmask)
+                loss = ad.sum_(ad.mul(hs, weights))
+            ad.backward(tape, loss)
+            return hs.data, {k: t.grad for k, t in p.items()}
+
+        self._chunked_and_whole(monkeypatch, run)
+
+    @pytest.mark.parametrize("H", [8, 32, 128])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_bilstm_layer(self, monkeypatch, ties, H):
+        """States, the pooled vector and all seven gradients of
+        `bilstm_layer` (float32); with all-zero weights every pooled
+        dimension ties over all of a row's steps."""
+        rng = np.random.default_rng(54)
+        arrays = _bilstm_arrays(rng, self.T, self.B, self.D, H)
+        if ties:
+            arrays.update({k: np.zeros_like(v) for k, v in arrays.items()
+                           if k != "x"})
+        lengths = self._lengths(rng)
+        weights = (rng.normal(size=(self.T, self.B, 2 * H)),
+                   rng.normal(size=(self.B, 2 * H)))
+        self._chunked_and_whole(monkeypatch, lambda: _bilstm_run(
+            ad.bilstm_layer, arrays, lengths, weights, np.float32))
+
+    @pytest.mark.parametrize("T", [60, 480])
+    def test_forward_memory_stays_under_two_buffers(self, T):
+        """Without a tape, the peak allocation of `lstm_layer` and of
+        `bilstm_layer`, less their outputs, stays under two chunk buffers
+        (`_gx_buffer`) per direction, the same at T = 480 as at 60 (B = 8,
+        H = 32): there, one projection of all P rows alone would take
+        over seven."""
+        import tracemalloc
+        B, D, H = 8, 3, 32
+        rng = np.random.default_rng(55)
+        x = f32(rng.normal(size=(T, B, D)))
+        cells = [ad.init_lstm(rng, D, H, name) for name in ("fwd", "bwd")]
+        buffer = min(T * B, 2 * ad._CHUNK_ROWS + B) * 4 * H * 4   # bytes
+        for directions, op in ((1, lambda: (ad.lstm_layer(x, cells[0]),)),
+                               (2, lambda: ad.bilstm_layer(x, *cells))):
+            tracemalloc.start()
+            try:
+                outs = op()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            extra = peak - sum(t.data.nbytes for t in outs)
+            assert extra < 2 * directions * buffer, (directions, extra / buffer)
 
 
 class TestSecondCore:

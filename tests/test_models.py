@@ -1078,6 +1078,21 @@ class TestSaveLoad:
         with pytest.raises(M.ModelError, match=named):
             load_model(tmp_path / "edited")
 
+    def test_frozen_table_is_a_view_of_the_blob(self, tmp_path):
+        """A loaded model's frozen embedding table is not copied: it lies
+        in the checkpoint blob that every parameter is a view into
+        (`load_checkpoint`), and holds the saved rows."""
+        model, _, _ = toy_setup("pred-expl", n=3)
+        model.save(tmp_path / "ckpt")
+        loaded = load_model(tmp_path / "ckpt")
+        blobs = {id(p.data.base): p.data.base for p in loaded.params().values()}
+        assert len(blobs) == 1
+        (blob,) = blobs.values()
+        assert loaded.embedding.frozen.dtype == np.float32
+        assert np.shares_memory(loaded.embedding.frozen, blob)
+        np.testing.assert_array_equal(loaded.embedding.frozen,
+                                      model.embedding.frozen)
+
     def test_manifest_survives(self, tmp_path):
         model, batch, vocab = toy_setup("expl-pred-att", n=3)
         model.save(tmp_path / "ckpt", extra_meta={"note": "test"})

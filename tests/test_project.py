@@ -1,8 +1,13 @@
 """Checks on the project files around the package."""
 
+import importlib
 import re
 import tomllib
 from pathlib import Path
+
+import pytest
+
+import nliexpl
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +37,29 @@ def test_workflow_runs_the_declared_python_floor():
     floor = _project()["project"]["requires-python"]
     assert floor.startswith(">=")
     assert re.findall(r'python-version: "([^"]+)"', _workflow()) == [floor[2:]]
+
+
+def test_declared_version_and_console_script(capsys):
+    """pyproject's version is the package's `__version__`, and its
+    `nliexpl` script names `nliexpl.cli:main`, whose `--version` exits 0
+    printing that version."""
+    project = _project()["project"]
+    assert project["version"] == nliexpl.__version__
+    assert project["scripts"] == {"nliexpl": "nliexpl.cli:main"}
+    module, name = project["scripts"]["nliexpl"].split(":")
+    main = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == nliexpl.__version__
+
+
+def test_workflow_installs_the_package_and_runs_its_script():
+    """The workflow installs the package and runs its console script
+    before it checks that the checkout is clean, and git ignores what
+    the install leaves in the checkout."""
+    workflow = _workflow()
+    install = workflow.index("python -m pip install --no-deps . && nliexpl --version")
+    assert install < workflow.index("name: No files left behind")
+    ignored = (ROOT / ".gitignore").read_text(encoding="utf-8").split()
+    assert "build/" in ignored and "*.egg-info/" in ignored
