@@ -8,25 +8,23 @@ partially trainable rows, dropout, two fused LSTM ops, and plain SGD
 with per-epoch learning-rate decay.
 
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
-and share one step (`_lstm_step`) on one fused gate kernel. `lstm_layer`
-runs a sequence from its raw input as one tape record: the input
-projection and each step over real step-rows only (packed sequences: a
-row's length is its only record of padding), whose states are all it
-returns, and backprop through time inside the op. The projection runs a
-chunk of whole steps at a time, just ahead of them, into one buffer of
-bounded size (`_gate_inputs`), so a forward pass never holds the gate
-input of the whole sequence. A decoder's `cond` joins the gate
-input once per sequence (a source vector) or at every step as attention
-read from the previous hidden state (`Attention`, `_Contexts`), whose
-backward joins the same BPTT loop. `bilstm_layer` runs both directions
-of an encoder at once on the same direction core (`_lstm_direction`),
-each max-pooling its states over every row's real steps as it goes;
-greedy decoding runs the same step on arrays (`lstm_stepper`). Every
-row product of `linear` and the LSTM ops runs as gemm, a one-row one
-too (`_gemm_rows`). The cell and the attention decoder composed from
-generic tape ops, the pooling as the separate op it was and the gather
-of the decoder's real step-rows live in `tests/oracles.py` as their
-references.
+and share one step (`_lstm_step`) on one fused gate kernel. Each runs a
+sequence from its raw input over real step-rows only (packed sequences:
+a row's length is its only record of padding), projected a chunk of
+whole steps at a time into one buffer of bounded size (`_gate_inputs`),
+with backprop through time inside the op, and returns the states of
+those P rows alone, in time-major order. A decoder's `cond` joins
+`lstm_layer`'s gate input once per sequence (a source vector) or at
+every step as attention over an encoder's state rows, read from the
+previous hidden state (`Attention`, `_Contexts`), whose backward joins
+the same BPTT loop. `bilstm_layer` runs both directions of an encoder at
+once on the same direction core (`_lstm_direction`), each max-pooling
+its states as it goes; greedy decoding runs the same step on arrays
+(`lstm_stepper`). Every row product of `linear` and the LSTM ops runs
+as gemm, a one-row one too (`_gemm_rows`). The cell and the attention
+decoder composed from generic tape ops, the pooling as the separate op
+it was and the moves between the padded (T, B, width) layout and the
+rows live in `tests/oracles.py` as their references.
 
 Forward passes record onto an explicit :class:`Tape`; `backward` walks
 the tape once in reverse. Production paths run in float32; gradient
@@ -587,10 +585,10 @@ def _recurrent(h: np.ndarray, w: np.ndarray) -> np.ndarray:
 @dataclass
 class Attention:
     """One attention head, as part of a decoder's `cond` (`lstm_layer`):
-    keys and values (T_k, B, A) project an encoded sentence once per
-    sequence, whose row b is real at t < lengths[b] ((B,) integers in
-    [1, T_k]); wc (A, H) and bc (A,) make each step's query from the
-    decoder's previous hidden state."""
+    keys and values (sum(lengths), A) project an encoded sentence once
+    per sequence, whose rows are its real steps (t, b), t < lengths[b]
+    ((B,) integers of at least 1), in `bilstm_layer`'s order; wc (A, H)
+    and bc (A,) make each step's query from the decoder's last state."""
 
     wc: Tensor
     bc: Tensor
@@ -610,22 +608,25 @@ class _Contexts:
     """The attention term of an LSTM's gate input (Bahdanau, Cho & Bengio
     2015): each head's context of the previous hidden state h (before
     dropout), times the heads' columns w (4H, C) of wi. Rows are held in
-    `order`: a step over n rows reads the first n of every array (views of
-    keys and values in place when `order` is the identity, as in greedy
-    decoding). With `recording`, `backward` takes the cached steps in
-    reverse and sums the gradients of w and of each head's wc, bc, keys
-    and values in `grads`."""
+    `order`: a head's key and value rows are scattered once into zeros
+    (B, T_k, A), T_k its longest length, row i holding row order[i]'s
+    steps (at `rows`), and a step over n rows reads the first n of every
+    array. With `recording`, `backward` takes the cached steps in reverse
+    and sums the gradients of w and of each head's wc, bc, keys and
+    values (in that layout) in `grads`."""
 
     def __init__(self, heads: list[Attention], w: np.ndarray,
                  order: np.ndarray, recording: bool):
-        self.w, self.heads, self.steps = w, [], [] if recording else None
-        in_place = (order == np.arange(len(order))).all()
+        self.w, self.heads, self.rows = w, [], []
+        self.steps = [] if recording else None
         for a in heads:
-            keys, values = (t.data.transpose(1, 0, 2)   # (B, T_k, A)
-                            for t in (a.keys, a.values))
-            if not in_place:
-                keys, values = keys[order], values[order]
-            pad = np.arange(keys.shape[1]) >= np.asarray(a.lengths)[order, None]
+            lengths = np.asarray(a.lengths)
+            t, b = np.nonzero(np.arange(lengths.max())[:, None] < lengths)
+            self.rows.append((np.argsort(order)[b], t))
+            keys, values = (np.zeros((len(order), lengths.max(), x.shape[1]),
+                                     x.dtype) for x in (a.keys.data, a.values.data))
+            keys[self.rows[-1]], values[self.rows[-1]] = a.keys.data, a.values.data
+            pad = np.arange(lengths.max()) >= lengths[order, None]
             self.heads.append((a.wc.data, a.bc.data, keys, values, pad))
         if recording:
             self.grads = [np.zeros_like(w)] + [
@@ -749,12 +750,12 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
         raise EmptySequenceError(f"{op}: no timesteps")
     for k, a in enumerate(cond if isinstance(cond, list) else []):
         A, name = a.keys.shape[-1], f"{op}: attention head {k}"
-        if a.keys.data.ndim != 3 or a.keys.shape[1] != B or a.values.shape != \
-                a.keys.shape or (a.wc.shape, a.bc.shape) != ((A, H), (A,)):
+        P = len(a.keys.data) if a.keys.data.ndim == 2 else 0
+        if not P or a.values.shape != a.keys.shape or (a.wc.shape, a.bc.shape) \
+                != ((A, H), (A,)) or _check_lengths(name, a.lengths, B, 1, P).sum() != P:
             raise ShapeError(f"{name}: keys, values, wc, bc "
                              f"{[t.shape for t in (a.keys, a.values, a.wc, a.bc)]}, "
-                             f"expected (T_k, {B}, A) twice, (A, {H}), (A,)")
-        _check_lengths(name, a.lengths, B, 1, a.keys.shape[0])
+                             f"expected (sum(lengths), A) twice, (A, {H}), (A,)")
     if rmask is not None:
         rmask = np.asarray(rmask, dtype=np.result_type(xd, cells[0].wi.data))
     bad = [f"{name} {s.shape}" for name, s in (("h0", h0), ("c0", c0), ("rmask", rmask))
@@ -799,9 +800,8 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
                                   c0, rmask)
     dtype = np.result_type(x.data, cell.wi.data)
     hs = np.empty((len(xp), cell.wh.shape[1]), dtype)
-    rank = np.argsort(np.argsort(pack[2]))   # each packed row's time-major row
     gx = _gx_buffer(len(xp), x.shape[1], cell.wi.shape[0], dtype)
-    grads = _lstm_direction(xp, pack, cell, hs, rank, gx,
+    grads = _lstm_direction(xp, pack, cell, hs, gx,
                             _active_tape() is not None, reverse,
                             *(None if t is None else t.data for t in (h0, c0)),
                             cond, rmask)
@@ -859,13 +859,16 @@ def lstm_stepper(cell: LstmParams, h0: Tensor, c0: Tensor,
 def _packing(lengths: np.ndarray, T: int):
     """The packed layout of T steps of rows with `lengths`: the row order
     by descending length (stable); live[t], how many rows (a prefix of
-    that order) are real at step t; and the flat index t * B + b of the
+    that order) are real at step t; the flat index t * B + b of the
     P = sum(lengths) real step-rows (t, b), step t's live prefix in
-    block t."""
+    block t; and each one's time-major rank, its row in the ops' output
+    (real step-rows in t * B + b order)."""
     order = np.argsort(-lengths, kind="stable")
-    live = (lengths > np.arange(T)[:, None]).sum(axis=1)
+    real = lengths > np.arange(T)[:, None]
+    live = real.sum(axis=1)
     steps, k = np.nonzero(np.arange(len(lengths)) < live[:, None])
-    return order, live, steps * len(lengths) + order[k]
+    index = steps * len(lengths) + order[k]
+    return order, live, index, (np.cumsum(real) - 1)[index]
 
 
 # `_lstm_direction` projects its input in chunks of whole steps' blocks of
@@ -920,10 +923,9 @@ def _gate_inputs(xp: np.ndarray, wx: np.ndarray, live: np.ndarray,
 
 
 def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
-                    dest: np.ndarray, gx: np.ndarray, recording: bool,
-                    reverse: bool = False, h0: np.ndarray | None = None,
-                    c0: np.ndarray | None = None, cond=None,
-                    rmask: np.ndarray | None = None, pool=None):
+                    gx: np.ndarray, recording: bool, reverse: bool = False,
+                    h0: np.ndarray | None = None, c0: np.ndarray | None = None,
+                    cond=None, rmask: np.ndarray | None = None, pool=None):
     """`lstm_layer` on checked arrays (`cond` as given) and no tape, so
     any thread can run it, on packed sequences as in the README: every
     (P, ...) array here, from x's real step-rows xp (P, D) on, is in the
@@ -931,17 +933,16 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
     xp's input projection runs in chunks of whole steps' blocks, in the
     order the steps run, into the buffer `gx` (`_gx_buffer`, made by the
     caller; `_gate_inputs`), and each step adds `_gate_terms`' term to
-    its block; backward needs none of it. The recurrence
-    writes packed step-row k's state into row dest[k] of the 2-D `out`,
-    maybe a view, and backward reads its gradient from row dest[k] of
-    g: one write rule, whatever layout the caller returns.
+    its block; backward needs none of it. The recurrence writes packed
+    step-row k's state into row rank[k] (`_packing`) of `out` (P, H),
+    maybe a column view, and backward reads its gradient there in g.
     `pool`, if given, is (run, at), both (B, H) in sorted row order:
     `run`, filled with -inf, gets each row's max over its real steps (a
-    NaN wins), and `at` (None when not recording) the step it came
-    from, the earliest on ties, as `np.argmax` picks.
+    NaN wins), and `at` (None when not recording) the output row it came
+    from, the earliest step's on ties, as `np.argmax` picks.
     Returns None or, `recording`, g -> the gradients of (x, wi, wh, b,
     h0, c0, then cond's tensors), None for an input not given."""
-    order, live, index = pack
+    order, live, index, rank = pack
     (P, D), (G, H), B, T = xp.shape, cell.wh.shape, len(order), len(live)
     wi, w = cell.wi.data, cell.wh.data
     wx, per_seq, ctx = _gate_terms(cell, cond, order, recording)
@@ -967,7 +968,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
         if recording:
             acts[blk], c_prev[blk], tanh_c[blk], h_in[blk] = a_t, c[:n], tc_t, h_t
         h[:n], c[:n] = h_new, c_new
-        out[dest[blk]] = h_new
+        out[rank[blk]] = h_new
         if pool is not None:
             run = pool[0][:n]
             # the earliest maximal step must win a tie: the forward
@@ -975,7 +976,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
             new = (h_new >= run if reverse else h_new > run) | np.isnan(h_new)
             np.copyto(run, h_new, where=new)
             if recording:
-                np.copyto(pool[1][:n], t, where=new)
+                np.copyto(pool[1][:n], rank[blk, None], where=new)
     if not recording:
         return None
 
@@ -989,7 +990,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
         for t in steps[::-1]:
             n = live[t]
             blk = slice(ends[t] - n, ends[t])
-            dh_new = g[dest[blk]] + dh[:n]
+            dh_new = g[rank[blk]] + dh[:n]
             dc_new = dc[:n] + dh_new * dc_from_h[blk]
             np.multiply(per_dc[blk], dc_new[:, None, :], out=dz[blk, :3])
             np.multiply(per_dh[blk], dh_new, out=dz[blk, 3])
@@ -1018,8 +1019,8 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
                     dwh, gs.sum(axis=0), dh0, dc0, (_gemm_rows(gs) @ wi[:, D:])[:B])
         if ctx is None:
             return dx, dwx, dwh, dz.sum(axis=0), dh0, dc0, None
-        dw, *dheads = (d if d.ndim < 3 else d[unsort].transpose(1, 0, 2)
-                       for d in ctx.grads)   # keys and values in batch order
+        dw, *dheads = (d if d.ndim < 3 else d[ctx.rows[(k - 1) // 4]]   # to rows
+                       for k, d in enumerate(ctx.grads))
         return (dx, lambda: np.concatenate([dw, dwx()], axis=1), dwh,
                 dz.sum(axis=0), dh0, dc0, *dheads)
 
@@ -1057,32 +1058,31 @@ def _at_once(here, there):
 def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
                  lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
     """Both directions of an encoder over x (T, B, D), from zero states:
-    (pooled, states). states (T, B, 2H) has `fwd` reading each row
-    forward and `bwd` in reverse; pooled (B, 2H) is each row's
-    per-dimension max over its real steps. `lengths` is as in
-    `lstm_layer`, but a row with none raises EmptySequenceError. Each
-    direction is `_lstm_direction`, pooling as it steps, and runs at once
-    with the other, `bwd` on the worker thread; checks, tensors, the
-    records and both directions' input-projection buffers (`_gx_buffer`)
-    stay on this one. Both read one gather of x's real step-rows and
-    write their states at t * B + b of the states seen as (T * B,
-    2H), pad steps 0. States and wh's gradients are those of `linear`
-    and `lstm_layer` (x2), side by side, bit for bit (x, wi and b sum the
-    real step-rows only).
+    (pooled, states). states (P, 2H) are the real step-rows in
+    `lstm_layer`'s order, `fwd` reading each row forward in the first H
+    columns and `bwd` in reverse in the last H; pooled (B, 2H) is each
+    row's per-dimension max over its real steps. `lengths` is as in `lstm_layer`, but a row with none raises
+    EmptySequenceError. Each direction is `_lstm_direction`, pooling as
+    it steps, and runs at once with the other, `bwd` on the worker
+    thread; checks, tensors, the records and both directions'
+    input-projection buffers (`_gx_buffer`) stay on this one. Both read
+    one gather of x's real step-rows and write their column half of the
+    states at each row's time-major rank. States and wh's gradients are
+    those of `linear` and `lstm_layer` (x2), side by side, bit for bit
+    (x, wi and b sum the real step-rows only).
     Two tape records, the states' and then the pooled vector's, whose
     backward routes each gradient to the earliest maximal step of its
     row, as `np.argmax` finds it.
     """
     pack, xp, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), lengths)
-    order, live, index = pack
-    T, B, _ = x.shape
+    order, live = pack[:2]
+    B = x.shape[1]
     if live[0] < B:
         raise EmptySequenceError("bilstm_layer: a row has zero real timesteps")
     H = fwd.wh.shape[1]
     recording = _active_tape() is not None
     dtype = np.result_type(x.data, fwd.wi.data)
-    hs = np.zeros((T, B, 2 * H), dtype)
-    rows = hs.reshape(T * B, 2 * H)   # row t * B + b is step t of row b
+    hs = np.empty((len(xp), 2 * H), dtype)
     # allocated on this thread: memory the worker frees stays in its own
     # malloc arena, where the rest of the process cannot reuse it
     gxs = [_gx_buffer(len(xp), B, 4 * H, dtype) for _ in range(2)]
@@ -1091,10 +1091,10 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     pools = [(run[:, half], None if at is None else at[:, half])
              for half in (slice(None, H), slice(H, None))]
     grads_f, grads_b = _at_once(
-        lambda: _lstm_direction(xp, pack, fwd, rows[:, :H], index, gxs[0],
-                                recording, pool=pools[0]),
-        lambda: _lstm_direction(xp, pack, bwd, rows[:, H:], index, gxs[1],
-                                recording, reverse=True, pool=pools[1]))
+        lambda: _lstm_direction(xp, pack, fwd, hs[:, :H], gxs[0], recording,
+                                pool=pools[0]),
+        lambda: _lstm_direction(xp, pack, bwd, hs[:, H:], gxs[1], recording,
+                                reverse=True, pool=pools[1]))
     unsort = np.argsort(order)
     out, pooled = Tensor(hs), Tensor(run[unsort])
     if not recording:
@@ -1104,18 +1104,15 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
         # each direction makes its own weight gradients: both threads are
         # busy here already, and deferred they ran slower with a higher
         # peak RSS (benchmark pairs)
-        g = g.reshape(T * B, 2 * H)
         (dx, *dfwd), (dx_bwd, *dbwd) = _at_once(
             lambda: [d() if callable(d) else d for d in grads_f(g[:, :H])[:4]],
             lambda: [d() if callable(d) else d for d in grads_b(g[:, H:])[:4]])
         dx += dx_bwd
         return (dx, *dfwd, *dbwd)
 
-    at = at[unsort]
-
     def _pool_bw(g):
         full = np.zeros(hs.shape, dtype=g.dtype)
-        np.put_along_axis(full, at[None], g[None], axis=0)
+        np.put_along_axis(full, at[unsort], g, axis=0)   # `at` holds rows
         return (full,)
 
     _record(out, (x, fwd.wi, fwd.wh, fwd.b, bwd.wi, bwd.wh, bwd.b), _bw)

@@ -276,21 +276,27 @@ class EvalOutput:
 
 def evaluation_pass(model, encoded: list[EncodedExample],
                     batch_size: int = EVAL_BATCH_SIZE, nll: bool = False,
-                    greedy: bool = False, expl_classifier=None,
-                    with_explanations: bool | None = None) -> EvalOutput:
+                    greedy: bool = False, expl_classifier=None) -> EvalOutput:
     """One `model.eval_batch` per batch, so each batch is encoded once
     for everything the pass gives: labels whenever the model has a
     classifier, teacher-forced NLL with `nll`, greedy explanations with
     `greedy`. A generator without a classifier, given `expl_classifier`,
-    labels by explain-then-predict on the same greedy output."""
+    labels by explain-then-predict on the same greedy output. Batches
+    carry explanations only when the pass reads them (the NLL, or a model
+    that encodes them); EvaluationError names any example without one."""
     pipe = None
     if expl_classifier is not None and not model.has_classifier:
         pipe = ExplainThenPredict(model, expl_classifier)
     res = EvalOutput()
     if not (nll or greedy or pipe is not None or model.has_classifier):
         return res
+    explained = nll or "explanation" in model.sentences
+    if explained and (ids := [e.id for e in encoded if not e.explanations]):
+        raise EvaluationError(f"{model.variant} needs an explanation for every "
+                              f"example; {len(ids)} have none: {', '.join(ids[:5])}"
+                              f"{', ...' if len(ids) > 5 else ''}")
     for batch in iterate_batches(encoded, batch_size,
-                                 with_explanations=with_explanations):
+                                 with_explanations=explained):
         preds, scored, generated = model.eval_batch(
             batch, nll=nll, greedy=greedy or pipe is not None)
         if pipe is not None:
@@ -325,8 +331,7 @@ def predict_all(model, encoded, batch_size=EVAL_BATCH_SIZE,
 def perplexity(model, encoded: list[EncodedExample],
                batch_size: int = EVAL_BATCH_SIZE) -> EvalOutput:
     """Teacher-forced perplexity over the first gold explanations."""
-    return evaluation_pass(model, encoded, batch_size, nll=True,
-                           with_explanations=True)
+    return evaluation_pass(model, encoded, batch_size, nll=True)
 
 
 def generate_all(model, encoded, batch_size=EVAL_BATCH_SIZE):
@@ -396,8 +401,7 @@ def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
     report.counts["skipped_rows"] = skipped
     can_label = model.has_classifier or expl_classifier is not None
     res = evaluation_pass(model, encoded, batch_size, greedy=model.explains,
-                          expl_classifier=expl_classifier,
-                          with_explanations=False)
+                          expl_classifier=expl_classifier)
     if can_label:
         report.accuracy = label_accuracy(res.preds, res.golds)
     by_id = {e.id: e for e in examples}

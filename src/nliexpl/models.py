@@ -129,12 +129,11 @@ class BiLstmEncoder(_Part):
 
     Both directions and the pooling are one `bilstm_layer`, which runs
     the forward direction on the calling thread and the backward one on
-    autodiff's worker thread at the same time: each is one input GEMM
-    over the real step-rows of the (T, B) sequence and a packed
-    recurrence over the rows still real at each step, keeping its
-    running max as it goes, with zero output on pad steps. The backward
-    direction starts each row at its last real token from a zero state,
-    so padding can never leak into real timesteps or the pooled vector.
+    autodiff's worker thread at the same time: each is a packed
+    recurrence over the real step-rows of the (T, B) sequence, keeping
+    its running max as it goes; pad steps have no output row. The
+    backward direction starts each row at its last real token from a
+    zero state, so padding never reaches a state or the pooled vector.
     """
 
     def __init__(self, rng: np.random.Generator, embed_dim: int, hidden: int,
@@ -145,8 +144,8 @@ class BiLstmEncoder(_Part):
 
     def encode(self, embedding: WordEmbedding, ids: np.ndarray,
                lengths: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
-        """Returns (u, states): u is (B, 2H); states is (T, B, 2H) with
-        forward/backward halves aligned per original position."""
+        """Returns (u, states): u is (B, 2H); states (P, 2H) are the P
+        real step-rows in time-major order, forward half first."""
         return ad.bilstm_layer(embedding.lookup(ids.T), self.fwd, self.bwd,
                                lengths)
 
@@ -171,11 +170,11 @@ class MlpClassifier(_Part):
 class AttentionHead(_Part):
     """One projection head attending over encoder states.
 
-    proj1/proj2 transform the states once per sequence, as the keys and
-    values of an `autodiff.Attention` over the row's real tokens; at each
-    step the decoder's state, projected through wc/bc, scores the keys,
-    and their softmax weighs the values into the context. Pads get weight
-    0 exactly, as if every sentence were padded out to any width.
+    proj1/proj2 transform the encoder's real step-rows once per
+    sequence, as the keys and values of an `autodiff.Attention`; at each
+    step the decoder's state, projected through wc/bc, scores a row's
+    keys, and their softmax weighs its values into the context. No pad
+    step is projected or weighed.
     """
 
     def __init__(self, rng: np.random.Generator, state_dim: int, dec_dim: int,

@@ -144,8 +144,7 @@ def check_splits(variant: str, data: TrainData) -> None:
 
 
 def _validation_metrics(model, valid, batch_size) -> dict:
-    res = evaluation_pass(model, valid, batch_size, nll=model.explains,
-                          with_explanations=model.needs_explanations)
+    res = evaluation_pass(model, valid, batch_size, nll=model.explains)
     metrics: dict = {}
     if model.has_classifier:
         metrics["val_accuracy"] = label_accuracy(res.preds, res.golds)

@@ -7,14 +7,16 @@ as references of fused or packed paths: `lstm_layer_dense`, the dense
 layer the packed one replaced, shares the step kernels, so the two can
 be compared bit for bit; `take_rows`, the gather teacher forcing ran
 before `lstm_layer` returned only the real step-rows, takes a (T, B, H)
-reference's real rows in that op's order, and `dense_steps` scatters
-the op's rows back into the (T, B, H) layout; `lstm_cell`, the single
+reference's real rows in the order both LSTM ops return them, and
+`dense_steps` scatters the ops' rows back into the (T, B, H) layout;
+`lstm_cell`, the single
 step composed from generic tape ops (with `sigmoid_` and `slice_last`,
 which only it uses), records through the package's tape;
 `bilstm_composed`, the six-record encoder that `bilstm_layer` replaced,
 runs the package's `linear`, `lstm_layer` (its input projection the
 identity, `gate_input_cell`), `dense_steps` and `max_over_time` one
-after the other on one thread;
+after the other on one thread and returns its states in the (T, B, 2H)
+layout `bilstm_layer` returned before it returned its real step-rows;
 `teacher_forced_dense`, the decoder's teacher forcing before it gathered
 its real target rows, runs a decoder's own recurrence (`lstm_layer`'s
 rows scattered by `dense_steps`) and then scores all S * B rows (with
@@ -23,7 +25,10 @@ its attention path and `greedy_composed` are the attention decoder as
 it ran before its steps joined `lstm_layer`: one `lstm_step` (two tape
 records on the gate kernels) per step, fed by `attend_step`, which
 composes each head's context from generic tape ops and the ops only it
-used (`attn_scores`, `softmax_masked`, `attn_combine`, `stack_steps`).
+used (`attn_scores`, `softmax_masked`, `attn_combine`, `stack_steps`),
+over each head's key and value rows scattered into (T_k, B, A)
+(`dense_head`, the layout the heads took before the encoder returned
+its rows).
 `lstm_gates_two_exp` is the gate kernel as it ran before its one tanh
 pass, on the two-exp sigmoid (`sigmoid_two_exp`) that `sigmoid_` uses.
 `greedy_serial` is greedy decoding as it ran on one thread, on the
@@ -42,6 +47,7 @@ import math
 import warnings
 from collections import Counter
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 
@@ -675,9 +681,20 @@ def lstm_step(gx: Tensor, h: Tensor, c: Tensor, wh: Tensor,
     return h_out, c_out
 
 
+def dense_head(head):
+    """An `autodiff.Attention` head with its key and value rows in the
+    (T_k, B, A) layout the composed attention reads (`dense_steps`, pad
+    steps 0), T_k the longest key length."""
+    lengths = np.asarray(head.lengths)
+    real = np.arange(lengths.max())[:, None] < lengths
+    return replace(head, keys=dense_steps([head.keys], real),
+                   values=dense_steps([head.values], real))
+
+
 def head_step(head, h: Tensor) -> tuple[Tensor, Tensor]:
-    """One attention head (an `autodiff.Attention`) read from the decoder
-    state h (B, H): (context (B, A), weights (B, T_k))."""
+    """One attention head (an `autodiff.Attention`, its keys and values
+    as `dense_head` lays them out) read from the decoder state h (B, H):
+    (context (B, A), weights (B, T_k))."""
     query = tanh_(linear(h, head.wc, head.bc))
     width = head.keys.shape[0]
     real = np.arange(width)[None, :] < np.asarray(head.lengths)[:, None]
@@ -711,10 +728,11 @@ def teacher_forced_dense(decoder, embedding, source: Tensor,
         rmask = dropout_mask(rng, (B, decoder.hidden), decoder.dropout,
                              embedding.frozen.dtype)
     if decoder.attention:
+        heads = [dense_head(a) for a in attn_ctx]
         steps = []
         for s in range(S):
             h, c = attend_step(decoder, embedding.lookup(inputs[:, s]),
-                               attn_ctx, h, c, rmask)
+                               heads, h, c, rmask)
             steps.append(h)
         hs = stack_steps(steps)
     else:
@@ -740,8 +758,9 @@ def greedy_composed(decoder, embedding, source: Tensor, start_ids,
     current = np.asarray(start_ids, dtype=np.int64)
     emitted = [[] for _ in current]
     done = np.zeros(len(current), dtype=bool)
+    heads = [dense_head(a) for a in attn_ctx]
     for _ in range(decoder.max_len):
-        h, c = attend_step(decoder, embedding.lookup(current), attn_ctx, h, c)
+        h, c = attend_step(decoder, embedding.lookup(current), heads, h, c)
         nxt = linear(h, decoder.w_out, decoder.b_out).data.argmax(axis=1)
         for i in np.flatnonzero(~done & (nxt != eos_id)):
             emitted[i].append(int(nxt[i]))

@@ -136,12 +136,13 @@ def _op_level_checks():
         np.array([4, 0, 2, 1, 3, 3, 0, 2]))),
         {"x_seq": x_seq, "cond": cond, "wh": seq_cell.wh, "head_w": head_w})
     # the attention decoder's op: two heads whose rows' key lengths
-    # differ, a decoded row of length 1, recurrent dropout on
+    # differ, a decoded row of length 1, recurrent dropout on; a head's
+    # keys and values are one row per real key step
     heads = [ad.Attention(p64((2, 2), f"wc{k}"), p64((2,), f"bc{k}"),
-                          p64((width, 3, 2), f"keys{k}"),
-                          p64((width, 3, 2), f"values{k}"), key_lengths)
-             for k, (width, key_lengths) in enumerate(
-                 [(4, np.array([4, 1, 2])), (3, np.array([2, 3, 1]))])]
+                          p64((key_lengths.sum(), 2), f"keys{k}"),
+                          p64((key_lengths.sum(), 2), f"values{k}"), key_lengths)
+             for k, key_lengths in enumerate([np.array([4, 1, 2]),
+                                              np.array([2, 3, 1])])]
     att_cell = ad.LstmParams(p64((8, 2 * 2 + 4), "att_wi", scale=0.5),
                              p64((8, 2), "att_wh", scale=0.5),
                              p64((8,), "att_b", scale=0.5))
@@ -162,10 +163,12 @@ def _op_level_checks():
     pool_w = rng.normal(size=(3, 4))
 
     def encoder_loss(lengths):
-        # reads both outputs, the pooled vector and the states
+        # reads both outputs, the pooled vector and the states, whose
+        # weights are bi_w's at the real step-rows
         pooled, states = ad.bilstm_layer(xs, *cells, lengths)
+        real = np.arange(4)[:, None] < (np.full(3, 4) if lengths is None else lengths)
         return ad.add(ad.sum_(ad.mul(pooled, ad.Tensor(pool_w))),
-                      ad.sum_(ad.mul(states, ad.Tensor(bi_w))))
+                      ad.sum_(ad.mul(states, ad.Tensor(bi_w[real]))))
 
     for lengths in (seq_lengths, None):
         check(lambda: encoder_loss(lengths),
@@ -258,7 +261,9 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
 def test_criterion_3_attention_oracle():
     """The attention both greedy decoding and teacher forcing run at each
     step (`autodiff._Contexts.attend`) equals a straight-line
-    transcription on 100 inputs of two heads."""
+    transcription on 100 inputs of two heads, each over two rows: one of
+    a random length, one as long as the widest, so that the first may
+    have pad steps."""
     t0 = time.monotonic()
     rng = np.random.default_rng(42)
     for trial in range(100):
@@ -269,14 +274,16 @@ def test_criterion_3_attention_oracle():
         th = int(rng.integers(1, 8))
         head_p = AttentionHead(rng, sd, dd, adim, "attention.premise")
         head_h = AttentionHead(rng, sd, dd, adim, "attention.hypothesis")
-        h_p = rng.normal(size=(tp, 1, sd)).astype(np.float32)
-        h_h = rng.normal(size=(th, 1, sd)).astype(np.float32)
-        h_dec = rng.normal(size=(1, dd)).astype(np.float32)
-        lp, lh = int(rng.integers(1, tp + 1)), int(rng.integers(1, th + 1))
-        heads = [head_p.precompute(ad.Tensor(h_p), np.array([lp])),
-                 head_h.precompute(ad.Tensor(h_h), np.array([lh]))]
+        h_p = rng.normal(size=(tp, 2, sd)).astype(np.float32)
+        h_h = rng.normal(size=(th, 2, sd)).astype(np.float32)
+        h_dec = rng.normal(size=(2, dd)).astype(np.float32)
+        lp = np.array([rng.integers(1, tp + 1), tp])
+        lh = np.array([rng.integers(1, th + 1), th])
+        # the encoder's states: the real step-rows, time-major
+        heads = [head_p.precompute(ad.Tensor(h_p[np.arange(tp)[:, None] < lp]), lp),
+                 head_h.precompute(ad.Tensor(h_h[np.arange(th)[:, None] < lh]), lh)]
         ctx, [(_, w_p), (_, w_h)] = ad._Contexts(
-            heads, None, np.arange(1), False).attend(h_dec)
+            heads, None, np.arange(2), False).attend(h_dec)
         weights = {
             "w1_p": head_p.w1.data, "b1_p": head_p.b1.data,
             "wc_p": head_p.wc.data, "bc_p": head_p.bc.data,
@@ -285,14 +292,15 @@ def test_criterion_3_attention_oracle():
             "wc_h": head_h.wc.data, "bc_h": head_h.bc.data,
             "w2_h": head_h.w2.data, "b2_h": head_h.b2.data,
         }
-        exp_p, exp_h, exp_wp, exp_wh = straight_line_attention(
-            h_p[:, 0].astype(np.float64), h_h[:, 0].astype(np.float64),
-            h_dec[0].astype(np.float64), weights, np.arange(tp) < lp,
-            np.arange(th) < lh)
-        np.testing.assert_allclose(ctx[0, :adim], exp_p, atol=1e-5)
-        np.testing.assert_allclose(ctx[0, adim:], exp_h, atol=1e-5)
-        np.testing.assert_allclose(w_p[0], exp_wp, atol=1e-5)
-        np.testing.assert_allclose(w_h[0], exp_wh, atol=1e-5)
+        for b in range(2):
+            exp_p, exp_h, exp_wp, exp_wh = straight_line_attention(
+                h_p[:, b].astype(np.float64), h_h[:, b].astype(np.float64),
+                h_dec[b].astype(np.float64), weights, np.arange(tp) < lp[b],
+                np.arange(th) < lh[b])
+            np.testing.assert_allclose(ctx[b, :adim], exp_p, atol=1e-5)
+            np.testing.assert_allclose(ctx[b, adim:], exp_h, atol=1e-5)
+            np.testing.assert_allclose(w_p[b], exp_wp, atol=1e-5)
+            np.testing.assert_allclose(w_h[b], exp_wh, atol=1e-5)
     _report(3, "100 random attention steps match the independent "
                "implementation to 1e-5", t0, budget=10)
 
@@ -522,8 +530,9 @@ def test_criterion_9_determinism(tmp_path):
 
 
 def test_criterion_10_padding_invariance_fuzz():
-    """1,000 random examples: padding never changes u, v, labels, or
-    decoded sequences."""
+    """1,000 random examples: padding never changes u, v, the encoder
+    states (the real step-rows only, in both), labels, or decoded
+    sequences."""
     t0 = time.monotonic()
     model, _, vocab = toy_setup("pred-expl", n=6, seed=13, hidden=5, embed=6,
                                 dec=5, width=6, max_len=12)
@@ -543,18 +552,20 @@ def test_criterion_10_padding_invariance_fuzz():
                           hypothesis=ids_h[None, :],
                           hypothesis_len=np.array([lh]),
                           labels=np.array([0]))
-            fv, _, _ = model.features(batch)
+            fv, *states = model.features(batch)
             expl, _, preds = model.generate(batch)
-            return fv.u.data.copy(), fv.v.data.copy(), int(preds[0]), expl[0]
+            return (fv.u.data.copy(), fv.v.data.copy(), [s.data for s in states],
+                    int(preds[0]), expl[0])
 
-        u1, v1, lab1, dec1 = one(prem, hyp)
-        u2, v2, lab2, dec2 = one(
+        u1, v1, states1, lab1, dec1 = one(prem, hyp)
+        u2, v2, states2, lab2, dec2 = one(
             np.concatenate([prem, np.zeros(extra, dtype=np.int64)]),
             np.concatenate([hyp, np.zeros(extra, dtype=np.int64)]))
         assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
+        assert all(np.array_equal(*pair) for pair in zip(states1, states2))
         assert lab1 == lab2
         assert dec1 == dec2
         checked += 1
     assert checked == 1000
     _report(10, "1,000 padded/unpadded example pairs give identical u, v, "
-                "labels, and decoded sequences", t0)
+                "encoder states, labels, and decoded sequences", t0)

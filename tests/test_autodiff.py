@@ -18,10 +18,11 @@ from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
 from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
-                     column_max, gate_input_cell, lstm_cell, lstm_layer_dense,
-                     lstm_gates_two_exp, lstm_step, max_over_time, max_rel_err,
-                     nll_rows, numeric_grad, scalar_lstm_step, sigmoid_,
-                     slice_last, softmax, stack_steps, take_rows)
+                     column_max, dense_steps, gate_input_cell, lstm_cell,
+                     lstm_layer_dense, lstm_gates_two_exp, lstm_step,
+                     max_over_time, max_rel_err, nll_rows, numeric_grad,
+                     scalar_lstm_step, sigmoid_, slice_last, softmax,
+                     stack_steps, take_rows)
 
 
 def f64(x):
@@ -147,15 +148,17 @@ class TestSoftmax:
 
     def test_two_term_closed_form_with_mask(self):
         """Attention weights are a softmax over a row's real keys: scores
-        [1, 2, 3] with key length 2 split as the two-term logistic
-        1/(1+e) and e/(1+e), and the pad key gets exactly 0."""
+        [1, 2] of a row of key length 2 split as the two-term logistic
+        1/(1+e) and e/(1+e), and the pad key (row 1 has 3) gets exactly
+        0."""
         e = math.e
-        # query tanh(atanh(0.5)) = 0.5 against keys 2, 4, 6
+        # query tanh(atanh(0.5)) = 0.5 against row 0's keys 2, 4; key rows
+        # in time-major order (t, b): (0, 0), (0, 1), (1, 0), (1, 1), (2, 1)
         head = ad.Attention(wc=f64(np.zeros((1, 1))), bc=f64([math.atanh(0.5)]),
-                            keys=f64(np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1)),
-                            values=f64(np.zeros((3, 1, 1))), lengths=np.array([2]))
-        _, [(_, w)] = ad._Contexts([head], None, np.arange(1), False).attend(
-            np.zeros((1, 1)))
+                            keys=f64(np.array([2.0, 1.0, 4.0, 1.0, 1.0])[:, None]),
+                            values=f64(np.zeros((5, 1))), lengths=np.array([2, 3]))
+        _, [(_, w)] = ad._Contexts([head], None, np.arange(2), False).attend(
+            np.zeros((2, 1)))
         np.testing.assert_allclose(w[0], [1 / (1 + e), e / (1 + e), 0.0],
                                    rtol=1e-12)
         assert w[0, 2] == 0.0
@@ -180,12 +183,12 @@ class TestSoftmax:
 
     def test_all_masked_is_error(self):
         """An attention row with no real key (key length 0), or more real
-        keys than positions, is a ShapeError."""
+        keys than key rows, is a ShapeError."""
         cell = ad.init_lstm(np.random.default_rng(0), 2 + 3, 2, "cell",
                             dtype=np.float64)
-        for lengths in ([0, 2], [2, 3]):
+        for lengths in ([0, 4], [2, 3]):
             head = ad.Attention(f64(np.zeros((2, 2))), f64(np.zeros(2)),
-                                f64(np.zeros((2, 2, 2))), f64(np.zeros((2, 2, 2))),
+                                f64(np.zeros((4, 2))), f64(np.zeros((4, 2))),
                                 np.array(lengths))
             with pytest.raises(ad.ShapeError, match="attention head 0"):
                 ad.lstm_layer(f64(np.zeros((4, 2, 3))), cell,
@@ -195,8 +198,8 @@ class TestSoftmax:
     def test_rowwise_mask_zeroes_exactly(self):
         rng = np.random.default_rng(41)
         head = ad.Attention(f64(rng.normal(size=(2, 3))), f64(np.zeros(2)),
-                            f64(rng.normal(size=(3, 2, 2))),
-                            f64(rng.normal(size=(3, 2, 2))), np.array([1, 3]))
+                            f64(rng.normal(size=(4, 2))),
+                            f64(rng.normal(size=(4, 2))), np.array([1, 3]))
         _, [(_, w)] = ad._Contexts([head], None, np.arange(2), False).attend(
             rng.normal(size=(2, 3)))
         assert (w[0, 1:] == 0.0).all()
@@ -452,8 +455,8 @@ class TestSequenceOps:
         rng = np.random.default_rng(11)
         p = {"wc": f64_param(rng.normal(size=(3, 2)), "wc"),
              "bc": f64_param(rng.normal(size=3), "bc"),
-             "keys": f64_param(rng.normal(size=(5, 2, 3)), "keys"),
-             "values": f64_param(rng.normal(size=(5, 2, 3)), "values")}
+             "keys": f64_param(rng.normal(size=(7, 3)), "keys"),
+             "values": f64_param(rng.normal(size=(7, 3)), "values")}
         head = ad.Attention(p["wc"], p["bc"], p["keys"], p["values"],
                             np.array([5, 2]))
         cell = ad.LstmParams(f64(rng.normal(size=(8, 3 + 1)) * 0.5),
@@ -772,6 +775,23 @@ def _layer_run(layer, arrays, lengths, reverse, rmask, weights, dtype):
         loss = ad.sum_(ad.mul(hs, ad.Tensor(weights.astype(dtype))))
     ad.backward(tape, loss)
     return hs.data, {name: t.grad for name, t in p.items()}
+
+
+class TestPacking:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 12), min_size=1, max_size=24),
+           st.integers(0, 3))
+    def test_rank_is_the_double_argsort(self, lengths, extra):
+        """Each packed row's time-major rank (`_packing`) equals the
+        double argsort of the flat indices, zero-length rows included,
+        and is that row's place among the real step-rows in t * B + b
+        order."""
+        lengths = np.array(lengths)
+        T = max(int(lengths.max()) + extra, 1)
+        _, _, index, rank = ad._packing(lengths, T)
+        np.testing.assert_array_equal(rank, np.argsort(np.argsort(index)))
+        np.testing.assert_array_equal(_real_rows(T, len(lengths), lengths)[rank],
+                                      index)
 
 
 class TestLstmLayer:
@@ -1259,8 +1279,7 @@ class TestPadSteps:
             with ad.Tape() as tape:
                 out = layer(p)
                 pooled, hs = out if isinstance(out, tuple) else (None, out)
-                if hs.data.ndim == 2:   # `lstm_layer`'s real step-rows
-                    w = w[np.arange(len(w))[:, None] < self._lengths()]
+                w = w[np.arange(len(w))[:, None] < self._lengths()]   # real rows
                 loss = ad.sum_(ad.mul(hs, ad.Tensor(w[..., :hs.shape[-1]])))
                 if pooled is not None:
                     loss = ad.add(loss, ad.sum_(ad.mul(pooled, pool_w)))
@@ -1278,9 +1297,6 @@ class TestPadSteps:
 
     def _assert_same(self, runs):
         (hs, grads), (hs_pad, grads_pad) = runs
-        if hs.ndim == 3:   # `bilstm_layer`'s states, 0 on pad steps
-            np.testing.assert_array_equal(hs_pad[self.T:], 0.0)
-            hs_pad = hs_pad[:self.T]
         np.testing.assert_array_equal(hs_pad, hs)
         np.testing.assert_array_equal(grads_pad["x"][self.T:], 0.0)
         grads_pad["x"] = grads_pad["x"][:self.T]
@@ -1325,7 +1341,8 @@ class TestPadSteps:
 
 def _attention_arrays(rng, T, B, D, H, widths=(4, 3), A=2):
     """Arrays of an attention `lstm_layer`: x (T, B, D), a cell reading
-    [contexts, x] and heads over `widths` keys with random key lengths."""
+    [contexts, x] and heads over up to `widths` keys with random key
+    lengths, their keys and values the real rows (sum(lengths), A)."""
     arrays = {"x": rng.normal(size=(T, B, D)),
               "wi": rng.normal(size=(4 * H, A * len(widths) + D)) * 0.5,
               "wh": rng.normal(size=(4 * H, H)) * 0.5,
@@ -1337,6 +1354,9 @@ def _attention_arrays(rng, T, B, D, H, widths=(4, 3), A=2):
                        f"keys{k}": rng.normal(size=(width, B, A)),
                        f"values{k}": rng.normal(size=(width, B, A))})
     key_lengths = [rng.integers(1, width + 1, size=B) for width in widths]
+    for k, (width, lengths) in enumerate(zip(widths, key_lengths)):
+        for name in (f"keys{k}", f"values{k}"):
+            arrays[name] = arrays[name][np.arange(width)[:, None] < lengths]
     return arrays, key_lengths
 
 
@@ -1417,26 +1437,36 @@ class TestAttentionLayer:
                             step(x.data[t]), states[t],
                             err_msg=f"B={B} inline={inline}")
 
-    def test_contexts_read_batch_order_in_place(self):
-        """Rows held in batch order (greedy decoding) read the heads' keys
-        and values in place; any other order reads sorted copies."""
+    def test_contexts_scatter_rows_in_their_order(self):
+        """Each head's key and value rows land once in zeros (B, T_k, A),
+        row i holding batch row order[i]'s real steps, T_k its longest
+        length, at the places `rows` lists, where the op gathers their
+        gradients back."""
         arrays, key_lengths = _attention_arrays(np.random.default_rng(49),
                                                 3, 4, 2, 4)
         *_, heads, _ = _attention_inputs(arrays, key_lengths, np.float32)
-        for order, in_place in ((np.arange(4), True),
-                                (np.array([1, 0, 2, 3]), False)):
+        for order in (np.arange(4), np.array([1, 0, 3, 2])):
             ctx = ad._Contexts(heads, None, order, False)
-            for a, (_, _, keys, values, _) in zip(heads, ctx.heads):
-                assert np.shares_memory(keys, a.keys.data) is in_place
-                assert np.shares_memory(values, a.values.data) is in_place
+            for a, lengths, head, rows in zip(heads, key_lengths, ctx.heads,
+                                              ctx.rows):
+                real = np.arange(lengths.max())[:, None] < lengths
+                for t, arr in zip((a.keys, a.values), head[2:4]):
+                    dense = np.zeros(real.shape + (2,), np.float32)
+                    dense[real] = t.data   # (T_k, B, A), pad steps 0
+                    np.testing.assert_array_equal(
+                        arr, dense.transpose(1, 0, 2)[order])
+                    np.testing.assert_array_equal(arr[rows], t.data)
 
     def test_shape_errors(self):
         rng = np.random.default_rng(44)
         arrays, key_lengths = _attention_arrays(rng, 4, 2, 3, 2)
-        for name, shape in (("keys0", (4, 3, 2)), ("values1", (3, 2, 1)),
-                            ("wc0", (2, 3)), ("bc1", (3,)), ("keys1", (2, 2))):
+        rows = key_lengths[1].sum()
+        for change in ({"keys0": (4, 2, 2), "values0": (4, 2, 2)},   # padded
+                       {"values1": (rows, 1)}, {"wc0": (2, 3)}, {"bc1": (3,)},
+                       {"keys1": (rows + 1, 2), "values1": (rows + 1, 2)}):
             x, cell, h0, c0, heads, _ = _attention_inputs(
-                {**arrays, name: np.zeros(shape)}, key_lengths, np.float64)
+                {**arrays, **{k: np.zeros(v) for k, v in change.items()}},
+                key_lengths, np.float64)
             with pytest.raises(ad.ShapeError):
                 ad.lstm_layer(x, cell, h0, c0, cond=heads)
         for lengths in (np.array([1]), np.array([1.0, 2.0])):
@@ -1464,11 +1494,14 @@ def _bilstm_params(arrays, dtype):
 
 def _bilstm_run(layer, arrays, lengths, weights, dtype):
     """States and the gradients of x and both cells' weights of `layer`
-    under a weighted-sum loss of its states and, with `weights` a pair
+    under a weighted-sum loss of its states (P, 2H) (weights drawn as
+    (T, B, 2H), taken at the real step-rows) and, with `weights` a pair
     (states', pooled's), of its pooled vector too; with a pair, the
     pooled vector is returned in the gradients as "pooled"."""
     p, (fwd, bwd) = _bilstm_params(arrays, dtype)
     w_states, w_pooled = weights if isinstance(weights, tuple) else (weights, None)
+    T, B, width = w_states.shape
+    w_states = w_states.reshape(T * B, width)[_real_rows(T, B, lengths)]
     with ad.Tape() as tape:
         pooled, hs = layer(p["x"], fwd, bwd, lengths=lengths)
         loss = ad.sum_(ad.mul(hs, ad.Tensor(w_states.astype(dtype))))
@@ -1482,16 +1515,23 @@ def _bilstm_run(layer, arrays, lengths, weights, dtype):
     return hs.data, grads
 
 
+def _composed_rows(x, fwd, bwd, lengths=None):
+    """`bilstm_composed` with its (T, B, 2H) states taken at the real
+    step-rows (`take_rows`), in `bilstm_layer`'s order."""
+    pooled, states = bilstm_composed(x, fwd, bwd, lengths)
+    return pooled, take_rows(states, _real_rows(*x.shape[:2], lengths))
+
+
 class TestBilstmLayer:
     @pytest.mark.parametrize("case", sorted(PACKING_CASES))
     def test_matches_composed_directions(self, case):
         """Against `linear` -> `lstm_layer` x2 -> `concat` ->
-        `max_over_time`, under a loss of both outputs: float32 states,
-        pooled vector and both wh gradients bit-equal, the gradients of
-        x, wi and b within float32 rounding (they sum the real step-rows
-        only, in packed order, where `linear` sums all T * B rows), and
-        float64 states, pooled vector and all seven gradients within
-        1e-10."""
+        `max_over_time` (`_composed_rows`), under a loss of both outputs:
+        float32 and float64 states bit-equal, float32 pooled vector and
+        both wh gradients bit-equal, the float32 gradients of x, wi and b
+        within float32 rounding (they sum the real step-rows only, in
+        packed order, where `linear` sums all T * B rows), and the
+        float64 pooled vector and all seven gradients within 1e-10."""
         T, lengths = PACKING_CASES[case]
         B, D, H = len(lengths), 5, 8
         lengths = None if min(lengths) == T else np.array(lengths)
@@ -1501,11 +1541,12 @@ class TestBilstmLayer:
         for dtype in (np.float32, np.float64):
             hs, grads = _bilstm_run(ad.bilstm_layer, arrays, lengths, weights,
                                     dtype)
-            hs_ref, grads_ref = _bilstm_run(bilstm_composed, arrays, lengths,
+            hs_ref, grads_ref = _bilstm_run(_composed_rows, arrays, lengths,
                                             weights, dtype)
             assert hs.dtype == dtype and len(grads) == 8
+            assert hs.shape == (sum(PACKING_CASES[case][1]), 2 * H)
+            np.testing.assert_array_equal(hs, hs_ref)
             if dtype == np.float32:
-                np.testing.assert_array_equal(hs, hs_ref)
                 for name in grads:
                     if name.endswith(".wh") or name == "pooled":
                         np.testing.assert_array_equal(
@@ -1517,7 +1558,6 @@ class TestBilstmLayer:
                             rtol=eps, atol=eps)
             else:
                 close = dict(rtol=1e-10, atol=1e-10)
-                np.testing.assert_allclose(hs, hs_ref, **close)
                 for name in grads:
                     np.testing.assert_allclose(grads[name], grads_ref[name],
                                                err_msg=name, **close)
@@ -1534,7 +1574,7 @@ class TestBilstmLayer:
             weights = rng.normal(size=(T, B, 8))
             hs, grads = _bilstm_run(ad.bilstm_layer, arrays, lengths, weights,
                                     np.float64)
-            hs_ref, grads_ref = _bilstm_run(bilstm_composed, arrays, lengths,
+            hs_ref, grads_ref = _bilstm_run(_composed_rows, arrays, lengths,
                                             weights, np.float64)
             np.testing.assert_allclose(hs, hs_ref, **close)
             for name in grads:
@@ -1634,7 +1674,7 @@ class TestBilstmLayer:
         assert info.value is boom
         monkeypatch.setattr(ad, "_lstm_direction", direction)
         for out, ref in zip(ad.bilstm_layer(p["x"], fwd, bwd),
-                            bilstm_composed(p["x"], fwd, bwd)):
+                            _composed_rows(p["x"], fwd, bwd)):
             np.testing.assert_array_equal(out.data, ref.data)
 
 
@@ -1660,10 +1700,12 @@ class TestBilstmLayer:
 
 
 def _pooled_by_oracle(x, fwd, bwd, lengths=None):
-    """`bilstm_layer`'s states, pooled by `max_over_time` (oracles)
-    instead of by the op itself."""
+    """`bilstm_layer`'s states, pooled by `max_over_time` (oracles) of
+    their (T, B, 2H) layout (`dense_steps`) instead of by the op itself."""
     _, states = ad.bilstm_layer(x, fwd, bwd, lengths=lengths)
-    return max_over_time(states, lengths), states
+    T, B = x.shape[:2]
+    real = np.arange(T)[:, None] < (np.full(B, T) if lengths is None else lengths)
+    return max_over_time(dense_steps([states], real), lengths), states
 
 
 class TestBilstmPooling:
@@ -2256,33 +2298,50 @@ class TestDeterminism:
 
 
 class TestNoDeadOps:
-    def test_every_public_op_is_used_by_the_package(self):
-        """Every public function and class of `nliexpl.autodiff` other
-        than an exception is read by another module under `nliexpl`, so
-        an op that a fused one replaces cannot stay behind. A re-export
-        from `__init__` is not a use."""
-        package = Path(ad.__file__).parent
-        used = set()
-        for path in package.glob("*.py"):
-            if path.name in ("autodiff.py", "__init__.py"):
+    def test_every_module_level_name_is_used_by_the_package(self):
+        """Every module-level function and class of every `nliexpl`
+        module, private ones included, other than an exception, is read
+        by the package outside its own definition or named in
+        `nliexpl.__all__`, so a helper or op that a change leaves unused
+        cannot stay behind. Tests and re-exports from `__init__` are not
+        uses."""
+        import importlib
+
+        import nliexpl
+        defined, used = [], set()
+        for path in sorted(Path(nliexpl.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
                 continue
+            module = path.stem
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            aliases = set()
-            for node in ast.walk(tree):
-                if isinstance(node, ast.ImportFrom) and node.level == 1:
-                    for name in node.names:
-                        if node.module == "autodiff":
-                            used.add(name.name)
-                        elif node.module is None and name.name == "autodiff":
-                            aliases.add(name.asname or name.name)
-            used |= {node.attr for node in ast.walk(tree)
-                     if isinstance(node, ast.Attribute)
-                     and isinstance(node.value, ast.Name)
-                     and node.value.id in aliases}
-        public = {name for name, obj in vars(ad).items()
-                  if not name.startswith("_")
-                  and getattr(obj, "__module__", None) == ad.__name__
-                  and (inspect.isfunction(obj) or inspect.isclass(obj)
-                       and not issubclass(obj, BaseException))}
-        assert public >= {"lstm_layer", "bilstm_layer", "Tensor"}
-        assert sorted(public - used) == []
+            # what each relative import binds here: (module, name), or
+            # (module, None) for a module
+            bound = {a.asname or a.name: (node.module, a.name) if node.module
+                     else (a.name, None)
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) and node.level == 1
+                     for a in node.names}
+            for top in tree.body:
+                own = (module, getattr(top, "name", None))
+                if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                    defined.append(own)
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        ref = bound.get(node.id, (module, node.id))
+                    elif isinstance(node, ast.Attribute) \
+                            and isinstance(node.value, ast.Name) \
+                            and bound.get(node.value.id, (0, 0))[1] is None:
+                        ref = (bound[node.value.id][0], node.attr)
+                    else:
+                        continue
+                    if ref != own:
+                        used.add(ref)
+        dead = []
+        for module, name in defined:
+            obj = getattr(importlib.import_module(f"nliexpl.{module}"), name)
+            if (module, name) not in used and getattr(nliexpl, name, None) is not obj \
+                    and not (inspect.isclass(obj) and issubclass(obj, BaseException)):
+                dead.append(f"{module}.{name}")
+        assert {("autodiff", "lstm_layer"), ("autodiff", "_packing"),
+                ("models", "BiLstmEncoder")} <= set(defined)
+        assert dead == []

@@ -456,6 +456,23 @@ class TestEvalAndGenerate:
         assert report["accuracy"] is not None
         assert report["perplexity"] >= 1.0
 
+    def test_eval_names_an_example_without_explanation(self, tmp_path,
+                                                       toy_config, corpus,
+                                                       capsys):
+        """expl-to-label labels the gold explanations, so `eval` names an
+        example that has none and exits 1."""
+        _, valid = corpus
+        missing = TestTrainCommand._drop_explanation(valid, 2)
+        ckpt = TestExplainThenPredictCommand._save(
+            tmp_path / "clf", "expl-to-label",
+            make_examples(9, seed=50, n_explanations=3))
+        code = main(["eval", "--config", str(toy_config),
+                     "--checkpoint", str(ckpt), "--corpus", str(valid),
+                     "--out-root", str(tmp_path / "eval-runs")])
+        assert code == 1
+        assert ("expl-to-label needs an explanation for every example; "
+                f"1 have none: {missing}") in capsys.readouterr().err
+
     def test_eval_rejects_bad_annotations(self, tmp_path, toy_config, corpus,
                                           trained, capsys):
         _, valid = corpus

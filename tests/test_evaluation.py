@@ -488,6 +488,29 @@ class TestOnePass:
         assert report.to_json() == ref_report.to_json()
         assert dumps == ref_dumps
 
+    @pytest.mark.parametrize("variant", ["pred-expl", "expl-to-label"])
+    def test_batches_carry_explanations_only_when_read(self, monkeypatch,
+                                                       variant):
+        """A pass pads the gold explanations into its batches for the NLL
+        or for a model that encodes them, never just for labels or
+        greedy output; an example without one is then named."""
+        import nliexpl.data as D
+        model, _, _, encoded = _pass_setup(variant)
+        made, make = [], D.make_batch
+        monkeypatch.setattr(D, "make_batch", lambda chunk, with_expl: (
+            made.append(with_expl), make(chunk, with_expl))[1])
+        reads = variant == "expl-to-label"
+        E.predict_all(model, encoded, 3)
+        assert made == [reads] * 3
+        if model.explains:
+            made.clear()
+            E.generate_all(model, encoded, 3)
+            E.perplexity(model, encoded, 3)
+            assert made == [False] * 3 + [True] * 3
+        bare = replace(encoded[4], explanations=[])
+        with pytest.raises(E.EvaluationError, match=f"1 have none: {bare.id}$"):
+            E.evaluation_pass(model, [*encoded[:4], bare], 3, nll=model.explains)
+
     @staticmethod
     def _count_calls(monkeypatch):
         counts = Counter()

@@ -148,7 +148,8 @@ class TestEncoder:
         vocab, emb, enc = self._encoder_setup()
         ids = np.array([[vocab.token_to_id["dog"]]])
         u, states = enc.encode(emb, ids, np.array([1]))
-        np.testing.assert_array_equal(u.data, states.data[0])
+        assert states.shape == u.shape == (1, 6)   # the one real step-row
+        np.testing.assert_array_equal(u.data, states.data)
 
     def test_padding_leaves_u_unchanged(self):
         vocab, emb, enc = self._encoder_setup()
@@ -163,8 +164,10 @@ class TestEncoder:
         ids = np.array([[7, 8, 9, 7], [8, 9, 0, 0]], dtype=np.int64)
         lengths = np.array([4, 2])
         u, states = enc.encode(emb, ids, lengths)
+        _, row = np.nonzero(np.arange(4)[:, None] < lengths)   # time-major
         for b in range(2):
-            real = states.data[:lengths[b], b, :]
+            real = states.data[row == b]
+            assert len(real) == lengths[b]
             np.testing.assert_allclose(u.data[b], real.max(axis=0), atol=0)
 
     def test_all_pad_row_is_error(self):
@@ -172,11 +175,13 @@ class TestEncoder:
         with pytest.raises(ad.EmptySequenceError):
             enc.encode(emb, np.zeros((1, 3), dtype=np.int64), np.array([0]))
 
-    def test_pad_states_are_zero(self):
+    def test_pad_steps_have_no_state_row(self):
         vocab, emb, enc = self._encoder_setup()
         ids = np.array([[7, 8, 0, 0]], dtype=np.int64)
         _, states = enc.encode(emb, ids, np.array([2]))
-        np.testing.assert_array_equal(states.data[2:], 0.0)
+        _, unpadded = enc.encode(emb, ids[:, :2], np.array([2]))
+        assert states.shape == (2, 6)
+        np.testing.assert_array_equal(states.data, unpadded.data)
 
     def test_encodes_start_at_most_one_thread(self):
         vocab, emb, enc = self._encoder_setup()
@@ -231,9 +236,13 @@ class TestWordEmbedding:
 
 def attend(pairs, h):
     """The contexts and each head's weights of the attention that every
-    decoder step runs (`autodiff._Contexts.attend`), for (head, states,
-    key lengths) triples and decoder states h; also the heads."""
-    heads = [head.precompute(t(states), np.asarray(lengths))
+    decoder step runs (`autodiff._Contexts.attend`), for (head, states
+    (T, B, d), key lengths) triples and decoder states h, each head
+    reading the real step-rows of its states as the encoder returns
+    them; also the heads."""
+    heads = [head.precompute(t(states[np.arange(len(states))[:, None]
+                                      < np.asarray(lengths)]),
+                             np.asarray(lengths))
              for head, states, lengths in pairs]
     ctx, qa = ad._Contexts(heads, None, np.arange(len(h)), False).attend(
         np.asarray(h, dtype=np.float32))
@@ -250,18 +259,19 @@ class TestAttention:
     def test_single_real_token_gets_weight_one(self):
         head_p, _ = self._setup()
         rng = np.random.default_rng(1)
-        states = rng.normal(size=(3, 1, 4))
-        ctx, [w], [head] = attend([(head_p, states, [1])],
-                                  rng.normal(size=(1, 3)))
-        np.testing.assert_allclose(w, [[1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(ctx[0], head.values.data[0, 0], atol=1e-7)
+        states = rng.normal(size=(3, 2, 4))   # row 1 is 3 long
+        ctx, [w], [head] = attend([(head_p, states, [1, 3])],
+                                  rng.normal(size=(2, 3)))
+        np.testing.assert_allclose(w[0], [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(ctx[0], head.values.data[0], atol=1e-7)
 
     def test_identical_states_give_uniform_weights(self):
         head_p, _ = self._setup()
         rng = np.random.default_rng(2)
         one = rng.normal(size=(1, 1, 4))
-        states = np.repeat(one, 5, axis=0)
-        _, [w], _ = attend([(head_p, states, [4])], rng.normal(size=(1, 3)))
+        states = np.repeat(np.concatenate([one, rng.normal(size=(1, 1, 4))],
+                                          axis=1), 5, axis=0)   # row 1 is 5 long
+        _, [w], _ = attend([(head_p, states, [4, 5])], rng.normal(size=(2, 3)))
         np.testing.assert_allclose(w[0, :4], 0.25, atol=1e-6)
         assert w[0, 4] == 0.0
 
@@ -273,13 +283,15 @@ class TestAttention:
             assert pp is not ph
 
     def test_matches_straight_line_oracle(self):
+        """Two rows each: row 0's premise has pad steps, row 1's none."""
         rng = np.random.default_rng(3)
         head_p, head_h = self._setup(state_dim=6, dec_dim=4, attn_dim=5, seed=4)
         Tp, Th = 5, 4
-        h_p = rng.normal(size=(Tp, 1, 6)).astype(np.float32)
-        h_h = rng.normal(size=(Th, 1, 6)).astype(np.float32)
-        h_dec = rng.normal(size=(1, 4)).astype(np.float32)
-        ctx, (w_p, w_h), _ = attend([(head_p, h_p, [3]), (head_h, h_h, [4])],
+        h_p = rng.normal(size=(Tp, 2, 6)).astype(np.float32)
+        h_h = rng.normal(size=(Th, 2, 6)).astype(np.float32)
+        h_dec = rng.normal(size=(2, 4)).astype(np.float32)
+        lp, lh = [3, 5], [4, 2]
+        ctx, (w_p, w_h), _ = attend([(head_p, h_p, lp), (head_h, h_h, lh)],
                                     h_dec)
         weights = {
             "w1_p": head_p.w1.data, "b1_p": head_p.b1.data,
@@ -289,14 +301,15 @@ class TestAttention:
             "wc_h": head_h.wc.data, "bc_h": head_h.bc.data,
             "w2_h": head_h.w2.data, "b2_h": head_h.b2.data,
         }
-        exp_p, exp_h, exp_wp, exp_wh = straight_line_attention(
-            h_p[:, 0, :].astype(np.float64), h_h[:, 0, :].astype(np.float64),
-            h_dec[0].astype(np.float64), weights, np.arange(Tp) < 3,
-            np.arange(Th) < 4)
-        np.testing.assert_allclose(ctx[0, :5], exp_p, atol=1e-5)
-        np.testing.assert_allclose(ctx[0, 5:], exp_h, atol=1e-5)
-        np.testing.assert_allclose(w_p[0], exp_wp, atol=1e-5)
-        np.testing.assert_allclose(w_h[0], exp_wh, atol=1e-5)
+        for b in range(2):
+            exp_p, exp_h, exp_wp, exp_wh = straight_line_attention(
+                h_p[:, b, :].astype(np.float64), h_h[:, b, :].astype(np.float64),
+                h_dec[b].astype(np.float64), weights, np.arange(Tp) < lp[b],
+                np.arange(Th) < lh[b])
+            np.testing.assert_allclose(ctx[b, :5], exp_p, atol=1e-5)
+            np.testing.assert_allclose(ctx[b, 5:], exp_h, atol=1e-5)
+            np.testing.assert_allclose(w_p[b], exp_wp, atol=1e-5)
+            np.testing.assert_allclose(w_h[b], exp_wh, atol=1e-5)
 
     def test_pad_positions_get_exact_zero_weight(self):
         head_p, _ = self._setup()
@@ -971,7 +984,7 @@ class TestPipeline:
         ctx1, _, [att] = attend([(head, states, [1])], rng.normal(size=(1, 3)))
         ctx2, _, _ = attend([(head, states, [1])], rng.normal(size=(1, 3)))
         np.testing.assert_allclose(ctx1, ctx2, atol=1e-7)
-        np.testing.assert_allclose(ctx1[0], att.values.data[0, 0], atol=1e-7)
+        np.testing.assert_allclose(ctx1[0], att.values.data[0], atol=1e-7)
 
 
 class TestRecurrentDropout:
@@ -1126,10 +1139,10 @@ class TestPaddingInvariance:
                                          "expl-pred-att", "hyp-to-expl"])
     def test_extra_padding_changes_nothing(self, variant):
         """Pad columns on every sentence, 60 on the explanation, change
-        no bit of the loss, the explanation NLL or the generations
-        (float32). At this size, scoring every padded target row and
-        zeroing the pad ones changed the loss or NLL of each explaining
-        variant: the sums ran over more rows."""
+        no bit of the loss, any parameter's gradient, the explanation NLL
+        or the generations (float32). At this size, scoring every padded
+        target row and zeroing the pad ones changed the loss or NLL of
+        each explaining variant: the sums ran over more rows."""
         model, batch, vocab = toy_setup(variant, n=24, seed=8, hidden=16,
                                         dec=16)
         alpha = 0.6 if model.takes_alpha else None
@@ -1144,9 +1157,21 @@ class TestPaddingInvariance:
             hypothesis_len=batch.hypothesis_len, labels=batch.labels,
             explanation=widen(batch.explanation, 60),
             explanation_len=batch.explanation_len)
-        l1 = float(model.loss(batch, train=False, alpha=alpha)[0].data)
-        l2 = float(model.loss(padded, train=False, alpha=alpha)[0].data)
+        def loss_and_grads(b):
+            with ad.Tape() as tape:
+                loss = model.loss(b, train=False, alpha=alpha)[0]
+            ad.backward(tape, loss)
+            grads = {name: p.grad for name, p in model.params().items()}
+            for p in model.params().values():
+                p.grad = None
+            return float(loss.data), grads
+
+        (l1, grads), (l2, grads_padded) = map(loss_and_grads, (batch, padded))
         assert l1 == l2
+        for name, g in grads.items():
+            assert (g is None) == (grads_padded[name] is None), name
+            if g is not None:
+                np.testing.assert_array_equal(grads_padded[name], g, err_msg=name)
         if model.explains:
             assert model.explanation_nll(batch) == model.explanation_nll(padded)
             g1 = model.generate(batch)[0]

@@ -89,8 +89,7 @@ def variant_digests(variant: str, hidden: int) -> dict:
     out["step_hash"] = model.param_hash()
     res = evaluation_pass(model, encode_corpus(make_examples(6, seed=0), vocab),
                           batch_size=4, nll=model.explains,
-                          greedy=model.explains,
-                          with_explanations=model.needs_explanations)
+                          greedy=model.explains)
     out["eval"] = _digest(res.preds, res.golds, np.float64(res.total_nll).hex(),
                           res.n_tokens, res.n_correct, res.generated, res.empty)
     with tempfile.TemporaryDirectory() as tmp:
