@@ -179,52 +179,46 @@ def backward(tape: Tape, loss: Tensor) -> None:
     Populates `.grad` on every parameter reachable from `loss` and frees
     the gradient buffers of non-parameter intermediates.
 
+    The walk pops the records off the tape, last first, and lets go of
+    each as soon as its gradients are routed, so its saved activations
+    die before the earlier records run (as PyTorch's autograd frees saved
+    tensors unless asked to retain the graph). The tape is consumed once
+    the walk starts: a pass that raises partway drops the records it has
+    not reached, and another call raises TapeError.
+
     A backward function may return a gradient as a zero-argument
     callable instead of an array: a weight gradient, which nothing in
     the pass reads. For a parameter it runs on the worker thread while
     this one carries the input gradients on down the tape (the B/W split
-    of Qi et al. 2024, arXiv:2401.10241); for any other input it runs
-    here at once. At the end this thread takes the ones the worker has
-    not started, latest first, while the worker works from the front. A
-    parameter's contributions are summed in record order whichever
-    thread made them, so every bit is as if all ran here. The pass waits
-    for all of them before it returns or raises; the first exception of
-    a deferred one (in record order) is raised unchanged.
+    of Qi et al. 2024, arXiv:2401.10241), holding its operands until it
+    has run; for any other input it runs here at once. At the end this
+    thread takes the ones the worker has not started, latest first, while
+    the worker works from the front. A parameter's contributions are
+    summed in record order whichever thread made them, so every bit is as
+    if all ran here. The pass waits for all of them before it returns or
+    raises; the first exception of a deferred one (in record order) is
+    raised unchanged.
     """
     if tape._done:
         raise TapeError("backward already ran on this tape")
-    if not any(out is loss for out, _, _ in tape.records):
+    records = tape.records
+    if not any(out is loss for out, _, _ in records):
         raise TapeError("loss was not produced by a forward pass on this tape")
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
 
+    leaves = _unproduced(records)
+    tape._done = True
     loss.grad = np.ones_like(loss.data)
     # a parameter's contributions from its first deferred one on, in record
     # order: arrays and `_Deferred`s, the latter also in `queued`
     later: dict[Tensor, list] = {}
     queued: list[_Deferred] = []
     try:
-        for out, inputs, backward_fn in reversed(tape.records):
-            g = out.grad
-            if g is None:
-                continue
-            grads = backward_fn(g)
-            for t, gi in zip(inputs, grads):
-                if gi is None:
-                    continue
-                if callable(gi):
-                    if t.is_param:
-                        queued.append(_Deferred(gi))
-                        later.setdefault(t, []).append(queued[-1])
-                        continue
-                    gi = gi()
-                if t in later:
-                    later[t].append(gi)
-                else:
-                    t.grad = gi if t.grad is None else t.grad + gi
-            if not out.is_param:
-                out.grad = None
+        while records:
+            _route(*records.pop(), later, queued)
     finally:
+        records.clear()
         for task in reversed(queued):
             task.steal()
         wait([task.future for task in queued])
@@ -233,12 +227,41 @@ def backward(tape: Tape, loss: Tensor) -> None:
             if isinstance(gi, _Deferred):
                 gi = gi.future.result()
             t.grad = gi if t.grad is None else t.grad + gi
-    for out, inputs, _ in tape.records:
-        for t in inputs:
-            if not t.is_param:
-                t.grad = None
-    tape._done = True
-    tape.records.clear()  # frees saved activations
+    for t in leaves:
+        t.grad = None
+
+
+def _unproduced(records) -> set[Tensor]:
+    """The non-parameter inputs of `records` that no record produced:
+    the only gradients left for `backward` to clear at its end."""
+    produced = {out for out, _, _ in records}
+    return {t for _, inputs, _ in records for t in inputs
+            if not t.is_param and t not in produced}
+
+
+def _route(out: Tensor, inputs: tuple[Tensor, ...], backward_fn,
+           later: dict, queued: list) -> None:
+    """One step of `backward`: run a record's backward function and route
+    its gradients into `.grad`, `later` and `queued`. The record, its
+    gradients and all it saved die when this returns."""
+    g = out.grad
+    if g is None:
+        return
+    for t, gi in zip(inputs, backward_fn(g)):
+        if gi is None:
+            continue
+        if callable(gi):
+            if t.is_param:
+                queued.append(_Deferred(gi))
+                later.setdefault(t, []).append(queued[-1])
+                continue
+            gi = gi()
+        if t in later:
+            later[t].append(gi)
+        else:
+            t.grad = gi if t.grad is None else t.grad + gi
+    if not out.is_param:
+        out.grad = None
 
 
 class _Deferred:

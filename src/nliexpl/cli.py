@@ -31,8 +31,8 @@ from .checkpoint import CheckpointError
 from .config import (ConfigError, apply_override, empty_config, load_config,
                      resolve_path, set_value)
 from .data import (ColumnMap, CorpusFormatError, EmbeddingTable, build_vocab,
-                   encode_corpus, load_corpus, load_embeddings, pad_rows,
-                   row_id, tokenize)
+                   encode_corpus, load_corpus, load_embeddings, open_text,
+                   pad_rows, row_id, tokenize)
 from .evaluation import (EvaluationError, EvalReport, bleu, evaluate_model,
                          expl_at_k, inter_annotator_bleu, load_annotations,
                          transfer_eval)
@@ -108,6 +108,12 @@ def _start_run(args, config: dict, inputs: list[Path]) -> Path:
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1),
                                            encoding="utf-8")
     return run_dir
+
+
+def _lines(path) -> list[str]:
+    """The lines of the UTF-8 text file `path`, without their endings."""
+    with open_text(path) as fh:
+        return fh.read().splitlines()
 
 
 def _resolved_config(args) -> dict:
@@ -206,7 +212,7 @@ def cmd_filter(args) -> int:
             for k, r in enumerate(rows):
                 writer.writerow([e.id, k, int(r.uninformative),
                                  r.nearest_template, r.distance, codes])
-    with open(path, encoding="utf-8", newline="") as src, \
+    with open_text(path, newline="") as src, \
             open(survivors_path, "w", newline="", encoding="utf-8") as dst:
         reader = csv.DictReader(src)
         writer = csv.DictWriter(dst, fieldnames=reader.fieldnames)
@@ -365,10 +371,8 @@ def cmd_bleu(args) -> int:
     cand_path = resolve_path(args.candidates)
     ref_paths = [resolve_path(p) for p in args.references]
     _start_run(args, config, [cand_path] + ref_paths)
-    cands = [line.split() for line in
-             Path(cand_path).read_text(encoding="utf-8").splitlines()]
-    ref_files = [Path(p).read_text(encoding="utf-8").splitlines()
-                 for p in ref_paths]
+    cands = [line.split() for line in _lines(cand_path)]
+    ref_files = [_lines(p) for p in ref_paths]
     if any(len(lines) != len(cands) for lines in ref_files):
         raise EvaluationError("reference files must align with candidates")
     refs = [[lines[i].split() for lines in ref_files]
@@ -384,8 +388,7 @@ def cmd_repr_export(args) -> int:
     run_dir = _start_run(args, config, [sent_path, Path(args.checkpoint)])
     model = load_model(args.checkpoint)
     encoder = getattr(model, f"{model.sentences[0]}_encoder")
-    lines = Path(sent_path).read_text(encoding="utf-8").splitlines()
-    sentences = [tokenize(line) for line in lines if line.strip()]
+    sentences = [tokenize(line) for line in _lines(sent_path) if line.strip()]
     if not sentences:
         raise EvaluationError(f"{sent_path}: no sentences to encode")
     size = config["eval"]["batch_size"]

@@ -21,6 +21,7 @@ import hashlib
 import logging
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +41,32 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+(?=n't)|n't|'(?:s|re|ve|d|ll|m)|[a-z0-9]+|[^\s
 
 class CorpusFormatError(ValueError):
     """Input file violates the documented corpus/embedding format."""
+
+
+@contextmanager
+def open_text(path, error: type[Exception] = CorpusFormatError,
+              newline: str | None = None):
+    """`path` opened as UTF-8 text for reading. Bytes that are not UTF-8
+    raise `error` naming the file and the line that holds them."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as err:
+            raise error(f"{path}:{_undecodable_line(path)}: not UTF-8 text "
+                        f"({err.reason})") from None
+
+
+def _undecodable_line(path) -> int | str:
+    """The number of the first line of `path` that is not UTF-8 (no
+    newline byte occurs inside a UTF-8 character, so each line decodes
+    alone), else "?"."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return lineno
+    return "?"
 
 
 def tokenize(text: str) -> list[str]:
@@ -154,7 +181,7 @@ def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingTable:
     """
     matrix = np.zeros((len(vocab), dim), dtype=np.float32)
     line_of: dict[int, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -246,19 +273,25 @@ def load_corpus(path, split: str = "train",
     Rows whose gold label is outside the 3-way set are skipped and
     counted rather than rejected, so transfer corpora with extra labels
     load cleanly. A repeated example id is an error, whichever rows
-    carry it: evaluation and the filter match outputs to rows by id.
+    carry it: evaluation and the filter match outputs to rows by id. So
+    is a row with more cells than the header, and bytes that are not
+    UTF-8.
     """
     colmap = colmap or ColumnMap()
     examples: list[Example] = []
     skipped = 0
     first_row: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         for col in (colmap.gold_label, colmap.premise, colmap.hypothesis):
             if col not in header:
                 raise CorpusFormatError(f"{path}: missing required column {col!r}")
         for rownum, row in enumerate(reader, start=2):
+            if None in row:   # DictReader's key for cells past the header
+                raise CorpusFormatError(
+                    f"{path}: row {rownum} has {len(header) + len(row[None])} "
+                    f"cells, more than the header's {len(header)}")
             example_id = row_id(row, colmap.id, rownum)
             if example_id in first_row:
                 raise CorpusFormatError(
@@ -394,15 +427,15 @@ def make_batch(chunk: list[EncodedExample], with_explanations: bool) -> Batch:
 
 
 def iterate_batches(encoded: list[EncodedExample], batch_size: int = 64,
-                    seed: int = 0, epoch: int = 0, shuffle: bool = False,
-                    with_explanations: bool | None = None):
+                    seed: int = 0, epoch: int = 0, shuffle: bool = False, *,
+                    with_explanations: bool):
     """Deterministic batch stream; the final partial batch is emitted.
+    Each batch carries every example's first explanation if
+    `with_explanations` (`make_batch`).
 
     Shuffled order mixes the epoch index into the seed so every epoch
     permutes differently yet reproducibly.
     """
-    if with_explanations is None:
-        with_explanations = all(e.explanations for e in encoded)
     order = np.arange(len(encoded))
     if shuffle:
         order = np.random.default_rng([seed, epoch]).permutation(len(encoded))

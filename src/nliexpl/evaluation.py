@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (ColumnMap, EncodedExample, Example, encode_corpus,
-                   iterate_batches, load_corpus)
+                   iterate_batches, load_corpus, open_text)
 from .models import ExplainThenPredict, ModelError
 
 BLEU_MAX_N = 4
@@ -158,7 +158,7 @@ def load_annotations(path) -> list[AnnotationRecord]:
     case."""
     records = []
     first_row: dict[str, int] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path, EvaluationError, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ("id", "predicted_label_correct", "k", "n")
                    if c not in (reader.fieldnames or [])]

@@ -392,7 +392,7 @@ class BaseModel(_Part):
         h = hashlib.sha256()
         for name, p in sorted(self.params().items()):
             h.update(name.encode())
-            h.update(np.ascontiguousarray(p.data).tobytes())
+            h.update(np.ascontiguousarray(p.data))
         return h.hexdigest()
 
     def save(self, path, extra_meta: dict | None = None) -> None:

@@ -239,7 +239,8 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
     for epoch in range(cfg.epochs):
         drop_rng = np.random.default_rng([cfg.seed, 1, epoch])
         for batch in iterate_batches(encoded, cfg.batch_size, seed=cfg.seed,
-                                     epoch=epoch, shuffle=True):
+                                     epoch=epoch, shuffle=True,
+                                     with_explanations=True):
             with ad.Tape() as tape:
                 loss, _ = model.loss(batch, train=True, rng=drop_rng,
                                      alpha=cfg.alpha)
@@ -437,7 +438,8 @@ def test_criterion_7_expl_to_label_directional():
             drop_rng = np.random.default_rng([cfg.seed, 1, epoch])
             for batch in iterate_batches(enc_train, cfg.batch_size,
                                          seed=cfg.seed, epoch=epoch,
-                                         shuffle=True):
+                                         shuffle=True,
+                                         with_explanations=True):
                 with ad.Tape() as tape:
                     loss, _ = model.loss(batch, train=True, rng=drop_rng)
                 ad.backward(tape, loss)

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
+from model_utils import toy_setup
 from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
                      column_max, dense_steps, gate_input_cell, lstm_cell,
                      lstm_layer_dense, lstm_gates_two_exp, lstm_step,
@@ -2195,6 +2197,109 @@ class TestTapeDiscipline:
         x = f64_param([1.0], "x")
         y = ad.mul(x, x)
         assert y.grad is None  # forward-only path
+
+
+def _closure_value(fn, name):
+    """What the free variable `name` holds in the closure of `fn`, or of
+    a function that closure holds, searched depth first."""
+    cells = dict(zip(fn.__code__.co_freevars, fn.__closure__ or ()))
+    if name in cells:
+        return cells[name].cell_contents
+    for cell in cells.values():
+        if inspect.isfunction(cell.cell_contents):
+            found = _closure_value(cell.cell_contents, name)
+            if found is not None:
+                return found
+    return None
+
+
+class TestBackwardReleases:
+    """`backward` pops each record and lets go of it once its gradients
+    are routed, so what a late record saved dies before the earlier
+    records run, on a pred-expl loss."""
+
+    @staticmethod
+    def _pred_expl_loss():
+        model, batch, vocab = toy_setup("pred-expl", n=8, hidden=6, embed=5,
+                                        dec=6, width=6)
+        with ad.Tape() as tape:
+            loss, _ = model.loss(batch, train=True, alpha=0.6,
+                                 rng=np.random.default_rng(5))
+        return model, tape, loss, len(vocab)
+
+    @staticmethod
+    def _late_saved_refs(tape, V):
+        """Weak references to the decoder's logits buffer, which only its
+        loss record and the output head's record hold, and to the acts
+        cache of the decoder's LSTM record."""
+        kinds = [fn.__qualname__.split(".")[0] for _, _, fn in tape.records]
+        head = max(k for k, kind in enumerate(kinds) if kind == "cross_entropy_rows")
+        decoder = max(k for k, kind in enumerate(kinds) if kind == "lstm_layer")
+        logits = tape.records[head][1][0].data
+        acts = _closure_value(tape.records[decoder][2], "acts")
+        assert logits.shape[1] == V and acts.ndim == 2
+        return [weakref.ref(logits), weakref.ref(acts)]
+
+    def test_late_saved_arrays_die_before_the_first_record_runs(self):
+        model, tape, loss, V = self._pred_expl_loss()
+        refs = self._late_saved_refs(tape, V)
+        assert all(r() is not None for r in refs)
+        out, inputs, first = tape.records[0]
+        seen = []
+
+        def probe(g):
+            seen.append([r() is None for r in refs])
+            return first(g)
+
+        tape.records[0] = (out, inputs, probe)
+        ad.backward(tape, loss)
+        assert seen == [[True, True]]
+
+    def test_gradients_equal_a_walk_that_keeps_every_record(self):
+        """Every parameter gradient bit for bit that of
+        `backward_in_line`, which keeps the records to the end."""
+        grads = []
+        for backward in (ad.backward, backward_in_line):
+            model, tape, loss, _ = self._pred_expl_loss()
+            backward(tape, loss)
+            grads.append({n: p.grad for n, p in model.params().items()})
+        assert grads[0].keys() == grads[1].keys()
+        for name, g in grads[0].items():
+            assert g.dtype == np.float32, name
+            np.testing.assert_array_equal(g, grads[1][name], err_msg=name)
+
+    def test_raise_partway_leaves_the_tape_consumed(self, monkeypatch):
+        """A backward function that raises after weight gradients were
+        deferred: backward raises it once those have finished, drops the
+        records it did not reach, and a second call raises TapeError."""
+        made = []
+
+        class Tracked(ad._Deferred):
+            def __init__(self, fn):
+                super().__init__(fn)
+                made.append(self)
+
+        monkeypatch.setattr(ad, "_Deferred", Tracked)
+        rng = np.random.default_rng(64)
+        x = f64(rng.normal(size=(4, 3)))
+        w1, w2 = (f64_param(rng.normal(size=(3, 3)), n) for n in ("w1", "w2"))
+        with ad.Tape() as tape:
+            h = ad.tanh_(ad.linear(x, w1))
+            y = ad.linear(h, w2)
+            loss = ad.sum_(ad.mul(y, y))
+        kinds = [fn.__qualname__.split(".")[0] for _, _, fn in tape.records]
+        assert kinds[:2] == ["linear", "tanh_"]
+
+        def boom(g):
+            raise RuntimeError("boom")
+
+        tape.records[1] = tape.records[1][:2] + (boom,)
+        with pytest.raises(RuntimeError, match="boom"):
+            ad.backward(tape, loss)
+        assert made and all(task.future.done() for task in made)
+        assert tape.records == [] and w1.grad is None
+        with pytest.raises(ad.TapeError, match="already ran"):
+            ad.backward(tape, loss)
 
 
 class TestDropout:

@@ -612,6 +612,18 @@ class TestEvalAndGenerate:
         assert code == 1
         assert "bad value for [eval] batch_size" in capsys.readouterr().err
 
+    def test_sentences_not_utf8_exits_1(self, tmp_path, toy_config, trained,
+                                        capsys):
+        sentences = tmp_path / "s.txt"
+        sentences.write_bytes(b"a dog runs\na \xe9t\xe9 cat\n")
+        out = tmp_path / "m.txt"
+        code = main(["repr-export", "--config", str(toy_config),
+                     "--checkpoint", str(trained), "--sentences", str(sentences),
+                     "--out", str(out), "--out-root", str(tmp_path / "rr")])
+        assert code == 1
+        assert f"{sentences}:2: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_sentences_file_is_error(self, tmp_path, toy_config, trained):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
@@ -737,6 +749,69 @@ class TestBleuCommand:
                      "--references", str(tmp_path / "ref.txt"),
                      "--out-root", str(tmp_path / "runs")])
         assert code == 1
+
+
+def _spoil_line(path, lineno, bad=b"\xff"):
+    """Put a byte that is not UTF-8 at the start of line `lineno`."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[lineno - 1] = bad + lines[lineno - 1]
+    path.write_bytes(b"".join(lines))
+
+
+class TestMalformedInput:
+    """Bytes that are not UTF-8, or a corpus row with more cells than the
+    header, exit 1 naming the file, and no report or survivors file is
+    written."""
+
+    @staticmethod
+    def _corpus_run(tmp_path, command):
+        outs = {"--out": tmp_path / "report.csv"}
+        if command == "filter":
+            outs["--survivors"] = tmp_path / "survivors.csv"
+        argv = [command, "--input", str(tmp_path / "c.csv"),
+                "--out-root", str(tmp_path / "runs")]
+        for flag, path in outs.items():
+            argv += [flag, str(path)]
+        return main(argv), outs.values()
+
+    @pytest.mark.parametrize("command", ["filter", "validate"])
+    @pytest.mark.parametrize("lineno", [3, 180])
+    def test_corpus_not_utf8_exits_1(self, tmp_path, capsys, command, lineno):
+        """The line is exact also far past the reader's first chunk."""
+        corpus = tmp_path / "c.csv"
+        write_corpus_csv(corpus, make_examples(200, seed=4))
+        assert corpus.stat().st_size > 8 * 1024
+        _spoil_line(corpus, lineno)
+        code, outs = self._corpus_run(tmp_path, command)
+        assert code == 1
+        assert f"error: {corpus}:{lineno}: not UTF-8 text" in capsys.readouterr().err
+        assert not any(p.exists() for p in outs)
+
+    @pytest.mark.parametrize("command", ["filter", "validate"])
+    def test_row_longer_than_header_exits_1(self, tmp_path, capsys, command):
+        corpus = tmp_path / "c.csv"
+        write_corpus_csv(corpus, make_examples(3, seed=5))
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].rstrip("\r\n") + ",extra\r\n"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        code, outs = self._corpus_run(tmp_path, command)
+        assert code == 1
+        assert (f"error: {corpus}: row 3 has 8 cells, more than the header's 7"
+                in capsys.readouterr().err)
+        assert not any(p.exists() for p in outs)
+
+    @pytest.mark.parametrize("spoiled", ["cand.txt", "ref.txt"])
+    def test_bleu_file_not_utf8_exits_1(self, tmp_path, capsys, spoiled):
+        (tmp_path / "cand.txt").write_text("a b\nc d\n")
+        (tmp_path / "ref.txt").write_text("a b\nc d\n")
+        _spoil_line(tmp_path / spoiled, 2, bad=b"\xc3(")
+        code = main(["bleu", "--candidates", str(tmp_path / "cand.txt"),
+                     "--references", str(tmp_path / "ref.txt"),
+                     "--out-root", str(tmp_path / "runs")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert f"error: {tmp_path / spoiled}:2: not UTF-8 text" in captured.err
+        assert "bleu" not in captured.out
 
 
 class TestDataRootEnvVar:

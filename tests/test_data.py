@@ -136,6 +136,14 @@ class TestEmbeddings:
         with pytest.raises(D.CorpusFormatError, match=":1"):
             D.load_embeddings(p, v, dim=4)
 
+    def test_bytes_not_utf8_report_line_number(self, tmp_path):
+        v = D.build_vocab([["dog"] * 20], min_count=15)
+        p = tmp_path / "vecs.txt"
+        p.write_bytes(b"dog 1 2 3 4\ncaf\xe9 1 2 3 4\n")
+        with pytest.raises(D.CorpusFormatError,
+                           match=r"vecs\.txt:2: not UTF-8 text"):
+            D.load_embeddings(p, v, dim=4)
+
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e39"])
     def test_non_finite_value_reports_line_number(self, tmp_path, value):
@@ -222,40 +230,51 @@ class TestBatching:
         v = _vocab_for(examples)
         return D.encode_corpus(examples, v), v
 
+    @staticmethod
+    def _ids(enc, *args, **kw):
+        """Each batch's example ids, the batches without explanations."""
+        return [b.ids for b in D.iterate_batches(enc, *args, **kw,
+                                                 with_explanations=False)]
+
     def test_batch_sizes_130(self):
         enc, _ = self._encoded(130)
-        sizes = [b.size for b in D.iterate_batches(enc, batch_size=64)]
-        assert sizes == [64, 64, 2]
+        assert [len(ids) for ids in self._ids(enc, batch_size=64)] == [64, 64, 2]
+
+    def test_explanations_only_when_asked(self):
+        enc, _ = self._encoded(10)
+        for flag in (True, False):
+            for b in D.iterate_batches(enc, 4, with_explanations=flag):
+                assert (b.explanation is not None) == flag
+                assert (b.explanation_len is not None) == flag
+        with pytest.raises(TypeError, match="with_explanations"):
+            D.iterate_batches(enc, 4)
 
     def test_same_seed_identical_order(self):
         enc, _ = self._encoded(100)
-        a = [b.ids for b in D.iterate_batches(enc, 16, seed=9, epoch=0, shuffle=True)]
-        b = [b.ids for b in D.iterate_batches(enc, 16, seed=9, epoch=0, shuffle=True)]
+        a = self._ids(enc, 16, seed=9, epoch=0, shuffle=True)
+        b = self._ids(enc, 16, seed=9, epoch=0, shuffle=True)
         assert a == b
 
     def test_adjacent_seeds_differ(self):
         enc, _ = self._encoded(1000)
-        a = [i for b in D.iterate_batches(enc, 64, seed=5, shuffle=True) for i in b.ids]
-        b = [i for b in D.iterate_batches(enc, 64, seed=6, shuffle=True) for i in b.ids]
+        a = sum(self._ids(enc, 64, seed=5, shuffle=True), [])
+        b = sum(self._ids(enc, 64, seed=6, shuffle=True), [])
         assert a != b
         assert sorted(a) == sorted(b)
 
     def test_epoch_mixes_into_seed(self):
         enc, _ = self._encoded(200)
-        e0 = [i for b in D.iterate_batches(enc, 64, seed=5, epoch=0, shuffle=True)
-              for i in b.ids]
-        e1 = [i for b in D.iterate_batches(enc, 64, seed=5, epoch=1, shuffle=True)
-              for i in b.ids]
+        e0 = sum(self._ids(enc, 64, seed=5, epoch=0, shuffle=True), [])
+        e1 = sum(self._ids(enc, 64, seed=5, epoch=1, shuffle=True), [])
         assert e0 != e1
 
     def test_eval_order_stable_unshuffled(self):
         enc, _ = self._encoded(50)
-        ids = [i for b in D.iterate_batches(enc, 16) for i in b.ids]
-        assert ids == [e.id for e in enc]
+        assert sum(self._ids(enc, 16), []) == [e.id for e in enc]
 
     def test_pad_mask_complementary_to_lengths(self):
         enc, v = self._encoded(30)
-        for batch in D.iterate_batches(enc, 8):
+        for batch in D.iterate_batches(enc, 8, with_explanations=False):
             width = batch.premise.shape[1]
             real = np.arange(width)[None, :] < batch.premise_len[:, None]
             for i, ln in enumerate(batch.premise_len):
@@ -267,7 +286,7 @@ class TestBatching:
 
     def test_lengths_bounded_by_width(self):
         enc, _ = self._encoded(40)
-        for batch in D.iterate_batches(enc, 7):
+        for batch in D.iterate_batches(enc, 7, with_explanations=True):
             assert (batch.premise_len <= batch.premise.shape[1]).all()
             assert (batch.explanation_len <= batch.explanation.shape[1]).all()
 

@@ -286,6 +286,14 @@ class TestExplAtK:
             E.load_annotations(path)
 
 
+    def test_bytes_not_utf8_name_file_and_line(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_bytes(b"id,predicted_label_correct,k,n\na,1,1,1\n"
+                         b"b\xff,0,1,1\n")
+        with pytest.raises(E.EvaluationError,
+                           match=r"ann\.csv:3: not UTF-8 text"):
+            E.load_annotations(path)
+
 class TestEvaluateModel:
     def test_classifier_report(self):
         model, _, vocab = toy_setup("bilstm-max", n=8)
@@ -398,8 +406,8 @@ def _labels_by_batch(model, clf, batches):
 
 def _reference_report(model, clf, encoded, examples, batch_size):
     """evaluate_model rebuilt from separate per-batch calls of the views,
-    one loop per metric."""
-    batches = list(iterate_batches(encoded, batch_size))
+    one loop per metric; every batch carries the gold explanations."""
+    batches = list(iterate_batches(encoded, batch_size, with_explanations=True))
     report = E.EvalReport(provenance={
         "split": "valid", "variant": model.variant,
         "reference_policy": "gold explanations 1-2",
