@@ -6,6 +6,11 @@ tensor's name, shape, trainable flag, and byte offset) and `params.bin`
 Save -> load round-trips bit-exactly. Loading checks that the manifest
 entries tile the blob exactly: in order, without gaps or overlaps.
 
+Loading maps the blob as a private copy-on-write mapping rather than
+reading it: pages come from the page cache when first touched, every
+tensor is a writable view of the one mapping, and a write stays in the
+process and never reaches the file.
+
 A save writes both files into a temporary sibling directory and renames
 it into place, so an interrupted save leaves the previous checkpoint or
 none, never one save's blob beside another save's manifest.
@@ -77,10 +82,11 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray],
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a checkpoint directory; returns (arrays, manifest dict).
+    """Load a checkpoint directory; returns (arrays, manifest dict).
 
-    The blob is read once into one writable float32 array and every
-    tensor is a view into it, so loading touches its bytes only once.
+    Every tensor is a writable view of one copy-on-write mapping of the
+    blob (`_map_blob`): loading copies no tensor bytes, and writes to
+    the arrays never reach `params.bin`.
     """
     path = Path(path)
     mpath = path / MANIFEST_NAME
@@ -115,11 +121,32 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     if end != blob_bytes:
         raise CheckpointError(
             f"{mpath}: tensors cover {end} of {blob_bytes} blob bytes")
-    blob = np.fromfile(bpath, dtype=_DTYPE)
+    blob = _map_blob(bpath, blob_bytes)
     size = _DTYPE.itemsize
     arrays = {name: blob[offset // size:stop // size].reshape(shape)
               for name, (shape, offset, stop) in spans.items()}
     return arrays, manifest
+
+
+def _map_blob(bpath: Path, nbytes: int) -> np.ndarray:
+    """The first `nbytes` of `bpath` as a writable float32 array over a
+    private copy-on-write mapping (`mmap.ACCESS_COPY`).
+
+    The program's own saves write a new file and rename it into place,
+    so a mapped model keeps its values; another process rewriting or
+    truncating the file in place under it is not supported.
+    """
+    if not nbytes:
+        return np.empty(0, _DTYPE)   # an empty file cannot be mapped
+    # imported here, as numpy.memmap does, so that programs which never
+    # load a checkpoint do not load the module
+    import mmap
+    with open(bpath, "rb") as fh:   # the mapping keeps its own descriptor
+        try:
+            mapped = mmap.mmap(fh.fileno(), nbytes, access=mmap.ACCESS_COPY)
+        except ValueError:   # the file shrank since its size was checked
+            raise CheckpointError(f"{bpath} changed while loading") from None
+    return np.frombuffer(mapped, dtype=_DTYPE)
 
 
 def _is_count(value) -> bool:

@@ -13,7 +13,7 @@ import os
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .data import EXPLANATION_LIMIT, SENTENCE_LIMIT
+from .data import EXPLANATION_LIMIT, SENTENCE_LIMIT, open_text
 from .evaluation import EVAL_BATCH_SIZE, EXPL_AT_K_MODES
 from .training import TrainConfig
 
@@ -89,9 +89,13 @@ def empty_config() -> dict[str, dict]:
 def load_config(path) -> dict[str, dict]:
     """Parse and validate a config file against the schema."""
     parser = configparser.ConfigParser(interpolation=None)
-    read = parser.read(path, encoding="utf-8")
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    try:
+        with open_text(path, ConfigError) as fh:
+            parser.read_file(fh)
+    except OSError:
+        raise ConfigError(f"cannot read config file {path}") from None
+    except configparser.Error as err:   # no section header, a repeated key
+        raise ConfigError(" ".join(str(err).split())) from None
     config = empty_config()
     for section in parser.sections():
         if section not in SCHEMA:

@@ -165,6 +165,11 @@ def load_annotations(path) -> list[AnnotationRecord]:
         if missing:
             raise EvaluationError(f"{path}:1: missing columns {missing}")
         for rownum, row in enumerate(reader, start=2):
+            if None in row:   # DictReader's key for cells past the header
+                width = len(reader.fieldnames)
+                raise EvaluationError(
+                    f"{path}:{rownum}: {width + len(row[None])} cells, more "
+                    f"than the header's {width}")
             example_id = row["id"]
             if example_id in first_row:
                 raise EvaluationError(

@@ -1,12 +1,17 @@
 """Checkpoint round-trip and format tests."""
 
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from nliexpl import autodiff as ad
 from nliexpl.checkpoint import (CheckpointError, load_checkpoint,
                                 save_checkpoint)
+from nliexpl.models import load_model
+from model_utils import toy_setup
 
 
 @pytest.fixture
@@ -144,3 +149,82 @@ def test_directory_with_other_files_is_not_replaced(tmp_path, arrays):
     with pytest.raises(CheckpointError, match="more than a checkpoint"):
         save_checkpoint(target, arrays)
     assert (target / "notes.txt").read_text() == "keep me"
+
+
+# Loading maps params.bin copy-on-write: the arrays are private to the
+# process and copy nothing when loaded.
+
+def _param_bytes(model):
+    return {name: p.data.tobytes() for name, p in model.params().items()}
+
+
+def test_loaded_model_keeps_its_values_when_the_checkpoint_is_replaced(
+        tmp_path):
+    model, _, _ = toy_setup("pred-expl", n=3)
+    model.save(tmp_path / "ckpt")
+    loaded = load_model(tmp_path / "ckpt")
+    before = _param_bytes(loaded)
+    frozen = loaded.embedding.frozen.tobytes()
+    for p in model.params().values():
+        p.data += 1.0
+    model.embedding.frozen += 1.0
+    model.save(tmp_path / "ckpt")
+    assert _param_bytes(load_model(tmp_path / "ckpt")) != before
+    assert _param_bytes(loaded) == before
+    assert loaded.embedding.frozen.tobytes() == frozen
+
+
+def test_in_place_step_stays_out_of_the_file(tmp_path):
+    model, _, _ = toy_setup("pred-expl", n=3)
+    model.save(tmp_path / "ckpt")
+    blob_path = tmp_path / "ckpt" / "params.bin"
+    on_disk = blob_path.read_bytes()
+    loaded = load_model(tmp_path / "ckpt")
+    params = loaded.params()
+    before = _param_bytes(loaded)
+    for p in params.values():
+        p.grad = np.ones_like(p.data)
+    ad.sgd_step(params, ad.SgdState(base_lr=0.5))
+    assert all(_param_bytes(loaded)[name] != before[name] for name in params)
+    assert blob_path.read_bytes() == on_disk
+    assert _param_bytes(load_model(tmp_path / "ckpt")) == before
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="needs /proc/self/fd to count open descriptors")
+def test_dropped_loads_leave_no_descriptor_open(tmp_path, arrays):
+    """Each mapping holds a duplicate of the blob's descriptor until the
+    arrays viewing it are gone."""
+    save_checkpoint(tmp_path / "ckpt", arrays)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    for _ in range(200):
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
+        del loaded
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_all_zero_size_tensors_load_writable(tmp_path):
+    empty = {"a": np.zeros((0, 3), np.float32), "b": np.zeros(0, np.float32)}
+    save_checkpoint(tmp_path / "ckpt", empty)
+    assert (tmp_path / "ckpt" / "params.bin").stat().st_size == 0
+    loaded, _ = load_checkpoint(tmp_path / "ckpt")
+    for name, arr in empty.items():
+        assert loaded[name].shape == arr.shape
+        assert loaded[name].dtype == np.float32
+        assert loaded[name].flags.writeable
+
+
+def test_load_copies_no_tensor_bytes(tmp_path):
+    """numpy reports its data buffers to tracemalloc, so a load that read
+    the 16 MB blob into memory would show here."""
+    big = {"w": np.arange(4 << 20, dtype=np.float32).reshape(1024, -1)}
+    save_checkpoint(tmp_path / "ckpt", big)
+    tracemalloc.start()
+    try:
+        loaded, _ = load_checkpoint(tmp_path / "ckpt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert loaded["w"].flags.writeable
+    assert loaded["w"].tobytes() == big["w"].tobytes()

@@ -77,6 +77,33 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="unknown config section"):
             load_config(bad)
 
+    def test_missing_file_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read config file"):
+            load_config(tmp_path / "nope.ini")
+
+    def test_config_not_utf8_exits_1(self, tmp_path, toy_config, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes(toy_config.read_bytes() + b"# caf\xff\n")
+        line = cfg.read_bytes().count(b"\n")
+        code = main(["train", "--config", str(cfg),
+                     "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert f"{cfg}:{line}: not UTF-8 text" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("text, where", [
+        ("variant = pred-expl\n", "malformed.ini', line: 1"),
+        ("[model]\nvariant = pred-expl\nvariant = pred-expl\n",
+         "malformed.ini' [line 3]"),
+    ])
+    def test_malformed_config_exits_1(self, tmp_path, capsys, text, where):
+        cfg = tmp_path / "malformed.ini"
+        cfg.write_text(text)
+        code = main(["train", "--config", str(cfg),
+                     "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert where in capsys.readouterr().err
+
     def test_override(self, toy_config):
         config = load_config(toy_config)
         apply_override(config, "training.lr", "0.05")
@@ -484,6 +511,19 @@ class TestEvalAndGenerate:
                      "--out-root", str(tmp_path / "eval-runs")])
         assert code == 1
         assert "ann.csv:2: k and n must be integers" in capsys.readouterr().err
+
+    def test_eval_rejects_annotation_row_past_the_header(
+            self, tmp_path, toy_config, corpus, trained, capsys):
+        _, valid = corpus
+        ann = tmp_path / "ann.csv"
+        ann.write_text("id,predicted_label_correct,k,n\na,1,1,1,extra\n")
+        code = main(["eval", "--config", str(toy_config),
+                     "--checkpoint", str(trained), "--corpus", str(valid),
+                     "--annotations", str(ann),
+                     "--out-root", str(tmp_path / "eval-runs")])
+        assert code == 1
+        assert ("ann.csv:2: 5 cells, more than the header's 4"
+                in capsys.readouterr().err)
 
     def test_generate_dump(self, tmp_path, toy_config, corpus, trained):
         _, valid = corpus

@@ -263,6 +263,8 @@ class TestExplAtK:
          r"ann\.csv:3: k and n must be integers, got 'one' and '2'"),
         ("id,predicted_label_correct,k,n\na,true,1,1\nb,true,1\n",
          r"ann\.csv:3: k and n must be integers"),
+        ("id,predicted_label_correct,k,n\na,1,1,1,extra\n",
+         r"ann\.csv:2: 5 cells, more than the header's 4"),
         ("id,predicted_label_correct,k,n\na,true,1,1.5\n",
          r"ann\.csv:2: k and n must be integers"),
         ("id,predicted_label_correct,k,n\na,1,5,3\n",
