@@ -19,9 +19,10 @@ every step as attention over an encoder's state rows, read from the
 previous hidden state (`Attention`, `_Contexts`), whose backward joins
 the same BPTT loop. `bilstm_layer` runs both directions of an encoder at
 once on the same direction core (`_lstm_direction`), each max-pooling
-its states as it goes; greedy decoding runs the same step on arrays
-(`lstm_stepper`). Every row product of `linear` and the LSTM ops runs
-as gemm, a one-row one too (`_gemm_rows`). The cell and the attention
+as it goes, in one record that makes states only for attention to read;
+greedy decoding runs the same step on arrays (`lstm_stepper`). Every row
+product of `linear` and the LSTM ops runs as gemm, a one-row one too
+(`_gemm_rows`). The cell and the attention
 decoder composed from generic tape ops, the pooling as the separate op
 it was and the moves between the padded (T, B, width) layout and the
 rows live in `tests/oracles.py` as their references.
@@ -137,6 +138,7 @@ class Tape:
 
     def __init__(self):
         self.records: list[tuple[Tensor, tuple[Tensor, ...], object]] = []
+        self.also: dict[Tensor, Tensor] = {}   # out -> another output (`_route`)
         self._done = False
 
     def __enter__(self) -> "Tape":
@@ -167,10 +169,13 @@ def _active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> None:
+def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn,
+            also: Tensor | None = None) -> None:
     t = _active_tape()
     if t is not None:
         t.record(out, inputs, backward_fn)
+        if also is not None:
+            t.also[out] = also
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
@@ -207,7 +212,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     if loss.data.size != 1:
         raise ShapeError(f"loss must be scalar, got shape {loss.shape}")
 
-    leaves = _unproduced(records)
+    leaves = _unproduced(records, tape.also)
     tape._done = True
     loss.grad = np.ones_like(loss.data)
     # a parameter's contributions from its first deferred one on, in record
@@ -216,9 +221,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
     queued: list[_Deferred] = []
     try:
         while records:
-            _route(*records.pop(), later, queued)
+            _route(*records.pop(), later, queued, tape.also)
     finally:
         records.clear()
+        tape.also.clear()
         for task in reversed(queued):
             task.steal()
         wait([task.future for task in queued])
@@ -231,23 +237,24 @@ def backward(tape: Tape, loss: Tensor) -> None:
         t.grad = None
 
 
-def _unproduced(records) -> set[Tensor]:
+def _unproduced(records, also: dict) -> set[Tensor]:
     """The non-parameter inputs of `records` that no record produced:
     the only gradients left for `backward` to clear at its end."""
-    produced = {out for out, _, _ in records}
+    produced = {out for out, _, _ in records} | set(also.values())
     return {t for _, inputs, _ in records for t in inputs
             if not t.is_param and t not in produced}
 
 
 def _route(out: Tensor, inputs: tuple[Tensor, ...], backward_fn,
-           later: dict, queued: list) -> None:
+           later: dict, queued: list, also: dict) -> None:
     """One step of `backward`: run a record's backward function and route
-    its gradients into `.grad`, `later` and `queued`. The record, its
-    gradients and all it saved die when this returns."""
-    g = out.grad
-    if g is None:
+    its gradients into `.grad`, `later` and `queued`, if its out or the
+    other output its backward reads (`Tape.also`) has a gradient. The
+    record, its gradients and all it saved die when this returns."""
+    other = also.pop(out, out)
+    if out.grad is None and other.grad is None:
         return
-    for t, gi in zip(inputs, backward_fn(g)):
+    for t, gi in zip(inputs, backward_fn(out.grad)):
         if gi is None:
             continue
         if callable(gi):
@@ -260,8 +267,9 @@ def _route(out: Tensor, inputs: tuple[Tensor, ...], backward_fn,
             later[t].append(gi)
         else:
             t.grad = gi if t.grad is None else t.grad + gi
-    if not out.is_param:
-        out.grad = None
+    for t in (out, other):
+        if not t.is_param:
+            t.grad = None
 
 
 class _Deferred:
@@ -758,7 +766,8 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
     width; a cond Tensor (B, C), or `Attention` heads as documented;
     h0, c0 and `rmask` (B, H); `lengths` (B,) integers in [0, T].
     Returns the packed layout of the lengths (all T if None; `_packing`),
-    x's real step-rows in it and `rmask` as an array of the states' dtype."""
+    x's real step-rows in it (x's rows themselves if no row pads) and
+    `rmask` as an array of the states' dtype."""
     xd = x.data
     H = cells[0].wh.shape[-1]
     C = _cond_width(cond)
@@ -787,7 +796,8 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
         raise ShapeError(f"{op}: {', '.join(bad)}, expected {(B, H)}")
     pack = _packing(_check_lengths(
         op, np.full(B, T) if lengths is None else lengths, B, 0, T), T)
-    return pack, xd.reshape(T * B, -1)[pack[2]], rmask
+    xr = xd.reshape(T * B, -1)
+    return pack, xr if len(pack[2]) == T * B else xr[pack[2]], rmask
 
 
 def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
@@ -945,7 +955,7 @@ def _gate_inputs(xp: np.ndarray, wx: np.ndarray, live: np.ndarray,
         start = stop
 
 
-def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
+def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray | None,
                     gx: np.ndarray, recording: bool, reverse: bool = False,
                     h0: np.ndarray | None = None, c0: np.ndarray | None = None,
                     cond=None, rmask: np.ndarray | None = None, pool=None):
@@ -958,13 +968,15 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
     caller; `_gate_inputs`), and each step adds `_gate_terms`' term to
     its block; backward needs none of it. The recurrence writes packed
     step-row k's state into row rank[k] (`_packing`) of `out` (P, H),
-    maybe a column view, and backward reads its gradient there in g.
+    maybe a column view, if given.
     `pool`, if given, is (run, at), both (B, H) in sorted row order:
     `run`, filled with -inf, gets each row's max over its real steps (a
     NaN wins), and `at` (None when not recording) the output row it came
     from, the earliest step's on ties, as `np.argmax` picks.
-    Returns None or, `recording`, g -> the gradients of (x, wi, wh, b,
-    h0, c0, then cond's tensors), None for an input not given."""
+    Returns None or, `recording`, (g, gp) -> the gradients of (x, wi, wh,
+    b, h0, c0, then cond's tensors), None for an input not given, from
+    those of `out` and `run` (sorted row order), either maybe None; gp
+    joins BPTT at each row's `at` step, with no dense scatter."""
     order, live, index, rank = pack
     (P, D), (G, H), B, T = xp.shape, cell.wh.shape, len(order), len(live)
     wi, w = cell.wi.data, cell.wh.data
@@ -991,7 +1003,8 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
         if recording:
             acts[blk], c_prev[blk], tanh_c[blk], h_in[blk] = a_t, c[:n], tc_t, h_t
         h[:n], c[:n] = h_new, c_new
-        out[rank[blk]] = h_new
+        if out is not None:
+            out[rank[blk]] = h_new
         if pool is not None:
             run = pool[0][:n]
             # the earliest maximal step must win a tie: the forward
@@ -1003,17 +1016,21 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray,
     if not recording:
         return None
 
-    def grads(g):
+    def grads(g, gp=None):
         # only dc and dh are left to the loop
         per_dc, per_dh, dc_from_h = _gate_grads(acts, c_prev, tanh_c)
         f = acts[:, H:2 * H]
         dz = np.empty((P, 4, H), dtype=acts.dtype)
-        dh = np.zeros((B, H), dtype=g.dtype)
-        dc = np.zeros((B, H), dtype=g.dtype)
+        dh, dc = (np.zeros((B, H), dtype=(gp if g is None else g).dtype)
+                  for _ in range(2))
         for t in steps[::-1]:
             n = live[t]
             blk = slice(ends[t] - n, ends[t])
-            dh_new = g[rank[blk]] + dh[:n]
+            dh_new = None if g is None else g[rank[blk]]
+            if gp is not None:   # (g + gp scattered to the `at` rows)[rows]
+                hit = np.where(pool[1][:n] == rank[blk, None], gp[:n], 0.0)
+                dh_new = hit if dh_new is None else np.add(dh_new, hit, out=dh_new)
+            dh_new += dh[:n]
             dc_new = dc[:n] + dh_new * dc_from_h[blk]
             np.multiply(per_dc[blk], dc_new[:, None, :], out=dz[blk, :3])
             np.multiply(per_dh[blk], dh_new, out=dz[blk, 3])
@@ -1079,23 +1096,23 @@ def _at_once(here, there):
 
 
 def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
-                 lengths: np.ndarray | None = None) -> tuple[Tensor, Tensor]:
+                 lengths: np.ndarray | None = None,
+                 states: bool = True) -> tuple[Tensor, Tensor | None]:
     """Both directions of an encoder over x (T, B, D), from zero states:
-    (pooled, states). states (P, 2H) are the real step-rows in
-    `lstm_layer`'s order, `fwd` reading each row forward in the first H
-    columns and `bwd` in reverse in the last H; pooled (B, 2H) is each
-    row's per-dimension max over its real steps. `lengths` is as in `lstm_layer`, but a row with none raises
+    (pooled, states). states (P, 2H), made only with `states` (else
+    None), are the real step-rows in `lstm_layer`'s order, `fwd` reading
+    each row forward in the first H columns and `bwd` in reverse in the
+    last H; pooled (B, 2H) is each row's per-dimension max over its real
+    steps. `lengths` is as in `lstm_layer`, but a row with none raises
     EmptySequenceError. Each direction is `_lstm_direction`, pooling as
     it steps, and runs at once with the other, `bwd` on the worker
-    thread; checks, tensors, the records and both directions'
-    input-projection buffers (`_gx_buffer`) stay on this one. Both read
-    one gather of x's real step-rows and write their column half of the
-    states at each row's time-major rank. States and wh's gradients are
-    those of `linear` and `lstm_layer` (x2), side by side, bit for bit
-    (x, wi and b sum the real step-rows only).
-    Two tape records, the states' and then the pooled vector's, whose
-    backward routes each gradient to the earliest maximal step of its
-    row, as `np.argmax` finds it.
+    thread; checks, tensors, the record and both directions'
+    input-projection buffers (`_gx_buffer`) stay on this one. States and
+    wh's gradients are those of `linear` and `lstm_layer` (x2), side by
+    side, bit for bit (x, wi and b sum the real step-rows only).
+    One tape record, which reads both outputs' gradients (`_route`): the
+    pooled vector's joins BPTT at the earliest maximal step of its row,
+    as `np.argmax` finds it.
     """
     pack, xp, _ = _check_lstm("bilstm_layer", x, (fwd, bwd), lengths)
     order, live = pack[:2]
@@ -1105,41 +1122,41 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     H = fwd.wh.shape[1]
     recording = _active_tape() is not None
     dtype = np.result_type(x.data, fwd.wi.data)
-    hs = np.empty((len(xp), 2 * H), dtype)
+    hs = np.empty((len(xp), 2 * H), dtype) if states else None
     # allocated on this thread: memory the worker frees stays in its own
     # malloc arena, where the rest of the process cannot reuse it
     gxs = [_gx_buffer(len(xp), B, 4 * H, dtype) for _ in range(2)]
     run = np.full((B, 2 * H), -np.inf, dtype)   # in sorted row order
     at = np.zeros((B, 2 * H), np.intp) if recording else None
-    pools = [(run[:, half], None if at is None else at[:, half])
-             for half in (slice(None, H), slice(H, None))]
+
+    def half(k, *arrays):   # direction k's columns of each array, if any
+        return [None if a is None else a[:, k * H:(k + 1) * H] for a in arrays]
+
     grads_f, grads_b = _at_once(
-        lambda: _lstm_direction(xp, pack, fwd, hs[:, :H], gxs[0], recording,
-                                pool=pools[0]),
-        lambda: _lstm_direction(xp, pack, bwd, hs[:, H:], gxs[1], recording,
-                                reverse=True, pool=pools[1]))
-    unsort = np.argsort(order)
-    out, pooled = Tensor(hs), Tensor(run[unsort])
+        lambda: _lstm_direction(xp, pack, fwd, half(0, hs)[0], gxs[0], recording,
+                                pool=half(0, run, at)),
+        lambda: _lstm_direction(xp, pack, bwd, half(1, hs)[0], gxs[1], recording,
+                                reverse=True, pool=half(1, run, at)))
+    pooled = Tensor(run[np.argsort(order)])
+    out = None if hs is None else Tensor(hs)
     if not recording:
         return pooled, out
 
-    def _bw(g):
+    def _bw(_):
         # each direction makes its own weight gradients: both threads are
         # busy here already, and deferred they ran slower with a higher
         # peak RSS (benchmark pairs)
+        gs = (None if out is None else out.grad,
+              None if pooled.grad is None else pooled.grad[order])
         (dx, *dfwd), (dx_bwd, *dbwd) = _at_once(
-            lambda: [d() if callable(d) else d for d in grads_f(g[:, :H])[:4]],
-            lambda: [d() if callable(d) else d for d in grads_b(g[:, H:])[:4]])
+            lambda: [d() if callable(d) else d for d in grads_f(*half(0, *gs))[:4]],
+            lambda: [d() if callable(d) else d for d in grads_b(*half(1, *gs))[:4]])
         dx += dx_bwd
         return (dx, *dfwd, *dbwd)
 
-    def _pool_bw(g):
-        full = np.zeros(hs.shape, dtype=g.dtype)
-        np.put_along_axis(full, at[unsort], g, axis=0)   # `at` holds rows
-        return (full,)
-
-    _record(out, (x, fwd.wi, fwd.wh, fwd.b, bwd.wi, bwd.wh, bwd.b), _bw)
-    _record(pooled, (out,), _pool_bw)
+    _record(pooled if out is None else out,   # the states' record if any
+            (x, fwd.wi, fwd.wh, fwd.b, bwd.wi, bwd.wh, bwd.b), _bw,
+            None if out is None else pooled)
     return pooled, out
 
 

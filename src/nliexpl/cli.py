@@ -396,7 +396,7 @@ def cmd_repr_export(args) -> int:
     for start in range(0, len(sentences), size):
         ids, lengths = pad_rows([model.vocab.encode(tokens)
                                  for tokens in sentences[start:start + size]])
-        chunks.append(encoder.encode(model.embedding, ids, lengths)[0].data)
+        chunks.append(encoder.encode(model.embedding, ids, lengths, False)[0].data)
     matrix = np.concatenate(chunks)
     out_path = Path(args.out) if args.out else run_dir / "dumps" / "representations.txt"
     header = f"sentence representations rows={matrix.shape[0]} cols={matrix.shape[1]}"

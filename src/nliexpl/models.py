@@ -142,12 +142,13 @@ class BiLstmEncoder(_Part):
         self.fwd = ad.init_lstm(rng, embed_dim, hidden, f"{prefix}.fwd")
         self.bwd = ad.init_lstm(rng, embed_dim, hidden, f"{prefix}.bwd")
 
-    def encode(self, embedding: WordEmbedding, ids: np.ndarray,
-               lengths: np.ndarray) -> tuple[ad.Tensor, ad.Tensor]:
-        """Returns (u, states): u is (B, 2H); states (P, 2H) are the P
-        real step-rows in time-major order, forward half first."""
+    def encode(self, embedding: WordEmbedding, ids: np.ndarray, lengths: np.ndarray,
+               states: bool = True) -> tuple[ad.Tensor, ad.Tensor | None]:
+        """Returns (u, states), one tape record: u is (B, 2H); states (P,
+        2H), the P real step-rows in time-major order, forward half first,
+        are made only with `states` (else None), for attention to read."""
         return ad.bilstm_layer(embedding.lookup(ids.T), self.fwd, self.bwd,
-                               lengths)
+                               lengths, states)
 
 
 class MlpClassifier(_Part):
@@ -415,10 +416,10 @@ class BaseModel(_Part):
 
     def features(self, batch: Batch):
         """Encodes the declared sentences; returns (fv, *states), one
-        states tensor per sentence. fv.f is [u, v, |u-v|, u*v] for a
-        sentence pair and the sentence vector itself for one sentence."""
+        states tensor per sentence, or None if no head reads them. fv.f is
+        [u, v, |u-v|, u*v] for a pair and the sentence vector for one."""
         encoded = [getattr(self, f"{name}_encoder").encode(
-                       self.embedding, *self._rows(batch, name))
+                       self.embedding, *self._rows(batch, name), bool(self.heads))
                    for name in self.sentences]
         vectors = [u for u, _ in encoded]
         if len(vectors) == 2:

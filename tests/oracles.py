@@ -66,23 +66,28 @@ from nliexpl.models import DecodeResult
 
 def backward_in_line(tape, loss):
     """`autodiff.backward` with no deferral: each record's gradients,
-    deferred ones called at once, summed into `.grad` in record order."""
+    deferred ones called at once, summed into `.grad` in record order. A
+    record with another output (`Tape.also`) runs if either has a
+    gradient."""
     loss.grad = np.ones_like(loss.data)
     for out, inputs, backward_fn in reversed(tape.records):
-        if out.grad is None:
+        outs = [out, *([tape.also[out]] if out in tape.also else [])]
+        if all(t.grad is None for t in outs):
             continue
         for t, gi in zip(inputs, backward_fn(out.grad)):
             if gi is None:
                 continue
             gi = gi() if callable(gi) else gi
             t.grad = gi if t.grad is None else t.grad + gi
-        if not out.is_param:
-            out.grad = None
+        for t in outs:
+            if not t.is_param:
+                t.grad = None
     for out, inputs, _ in tape.records:
         for t in inputs:
             if not t.is_param:
                 t.grad = None
     tape.records.clear()
+    tape.also.clear()
 
 
 class InlineExecutor:

@@ -554,9 +554,14 @@ def test_criterion_10_padding_invariance_fuzz():
                           hypothesis=ids_h[None, :],
                           hypothesis_len=np.array([lh]),
                           labels=np.array([0]))
-            fv, *states = model.features(batch)
+            fv, *unread = model.features(batch)
+            assert unread == [None, None]   # no attention head reads them
+            states = [getattr(model, f"{name}_encoder").encode(
+                          model.embedding, ids[None, :], np.array([n]))[1].data
+                      for name, ids, n in (("premise", ids_p, lp),
+                                           ("hypothesis", ids_h, lh))]
             expl, _, preds = model.generate(batch)
-            return (fv.u.data.copy(), fv.v.data.copy(), [s.data for s in states],
+            return (fv.u.data.copy(), fv.v.data.copy(), states,
                     int(preds[0]), expl[0])
 
         u1, v1, states1, lab1, dec1 = one(prem, hyp)

@@ -795,6 +795,19 @@ class TestPacking:
         np.testing.assert_array_equal(_real_rows(T, len(lengths), lengths)[rank],
                                       index)
 
+    @pytest.mark.parametrize("lengths", [None, [4, 4, 4], [4, 1, 3], [2, 2, 2]])
+    def test_real_rows_are_a_view_when_no_row_pads(self, lengths):
+        """x's real step-rows (`_check_lstm`) are x's rows themselves when
+        every row runs all T steps, the packing being the identity; else
+        a gather. Either way they equal x's rows at the packed index."""
+        T, B, D = 4, 3, 5
+        x = ad.Tensor(np.random.default_rng(30).normal(size=(T, B, D)))
+        cell = ad.init_lstm(np.random.default_rng(30), D, 2, "c")
+        pack, xp, _ = ad._check_lstm("op", x, [cell],
+                                     None if lengths is None else np.array(lengths))
+        np.testing.assert_array_equal(xp, x.data.reshape(T * B, D)[pack[2]])
+        assert np.shares_memory(xp, x.data) == (lengths in (None, [4, 4, 4]))
+
 
 class TestLstmLayer:
     @pytest.mark.parametrize("reverse", [False, True])
@@ -1583,15 +1596,23 @@ class TestBilstmLayer:
                 np.testing.assert_allclose(grads[name], grads_ref[name],
                                            err_msg=name, **close)
 
-    def test_one_tape_record_per_output(self):
-        """The states' record, then the pooled vector's, which reads the
-        states; the composed encoder wrote six."""
+    def test_one_tape_record_for_both_outputs(self):
+        """One record whose out is the states, the pooled vector being
+        its other output (`Tape.also`); with no states, one record whose
+        out is the pooled vector. The composed encoder wrote six."""
         p, (fwd, bwd) = _bilstm_params(
             _bilstm_arrays(np.random.default_rng(33), 4, 3, 5, 2), np.float64)
+        inputs = (p["x"], *(p[f"{d}.{k}"] for d in ("fwd", "bwd")
+                            for k in ("wi", "wh", "b")))
         with ad.Tape() as tape:
             pooled, states = ad.bilstm_layer(p["x"], fwd, bwd)
-        assert [(out, inputs[:1]) for out, inputs, _ in tape.records] == [
-            (states, (p["x"],)), (pooled, (states,))]
+        assert [r[:2] for r in tape.records] == [(states, inputs)]
+        assert tape.also == {states: pooled}
+        with ad.Tape() as tape:
+            pooled, states = ad.bilstm_layer(p["x"], fwd, bwd, states=False)
+        assert states is None
+        assert [r[:2] for r in tape.records] == [(pooled, inputs)]
+        assert tape.also == {}
         with ad.Tape() as tape:
             bilstm_composed(p["x"], fwd, bwd)
         assert len(tape.records) == 6
@@ -1661,7 +1682,7 @@ class TestBilstmLayer:
             if kw.get("reverse") and not in_backward:
                 raise boom
             if kw.get("reverse") and grads is not None:
-                def failing_grads(g):
+                def failing_grads(*g):
                     raise boom
                 return failing_grads
             return grads
@@ -1710,6 +1731,34 @@ def _pooled_by_oracle(x, fwd, bwd, lengths=None):
     return max_over_time(dense_steps([states], real), lengths), states
 
 
+def _no_states(x, fwd, bwd, lengths=None):
+    return ad.bilstm_layer(x, fwd, bwd, lengths=lengths, states=False)
+
+
+def _pooling_run(layer, arrays, lengths, reads, dtype):
+    """(pooled, states or None, the gradients of x and both cells'
+    weights) of `layer` under a weighted-sum loss of its pooled vector,
+    its states or both (`reads`). A third of the states' weights are
+    -0.0, so a sum that adds a +0.0 where it should not shows in the
+    sign of a zero gradient."""
+    p, (fwd, bwd) = _bilstm_params(arrays, dtype)
+    T, B = arrays["x"].shape[:2]
+    rng = np.random.default_rng(49)
+    w_pooled = ad.Tensor(rng.normal(size=(B, 2 * fwd.wh.shape[1])).astype(dtype))
+    w_states = rng.normal(size=(T, B, w_pooled.shape[1])).astype(dtype)
+    w_states.reshape(-1)[::3] = -0.0
+    with ad.Tape() as tape:
+        pooled, hs = layer(p["x"], fwd, bwd, lengths=lengths)
+        terms = [ad.sum_(ad.mul(pooled, w_pooled))] if reads != "states" else []
+        if reads != "pooled":
+            w = w_states.reshape(T * B, -1)[_real_rows(T, B, lengths)]
+            terms.append(ad.sum_(ad.mul(hs, ad.Tensor(w))))
+        loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+    ad.backward(tape, loss)
+    return (pooled.data, None if hs is None else hs.data,
+            {name: t.grad for name, t in p.items()})
+
+
 class TestBilstmPooling:
     """`bilstm_layer`'s pooled output against `max_over_time` of its
     states, the separate op it ran as before."""
@@ -1745,6 +1794,108 @@ class TestBilstmPooling:
         for name in grads:
             np.testing.assert_array_equal(grads[name], grads_ref[name],
                                           err_msg=name)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_no_states_ties_match_max_over_time_of_states(self, case, dtype):
+        """With no states, under a loss of the pooled vector, all-zero
+        weights making every step tie (as above): the pooled vector and
+        all seven gradients bit-equal `max_over_time` of the states of a
+        call that returns them (without ties: `test_whichever_output_is_read`)."""
+        T, lengths = self.CASES[case]
+        lengths = None if case == "no-lengths" else np.array(lengths)
+        arrays = _bilstm_arrays(np.random.default_rng(40), T, len(self.CASES[case][1]),
+                                3, 4)
+        arrays.update({k: np.zeros_like(v) for k, v in arrays.items() if k != "x"})
+        runs = [_pooling_run(layer, arrays, lengths, "pooled", dtype)
+                for layer in (_no_states, _pooled_by_oracle)]
+        assert runs[0][1] is None
+        self._assert_same(*runs, states=False)
+
+    def test_nan_without_states(self):
+        """`test_nan_state_pools_to_nan`'s NaN, on a real step and on a
+        pad step, with no states: the pooled vector and every gradient
+        are `max_over_time`'s, NaN where its are."""
+        T, B, lengths = 5, 3, np.array([5, 3, 2])
+        arrays = _bilstm_arrays(np.random.default_rng(39), T, B, 3, 4)
+        arrays["x"][2, 0, 1] = np.nan
+        arrays["x"][4, 2, 0] = np.nan
+        runs = [_pooling_run(layer, arrays, lengths, "pooled", np.float64)
+                for layer in (_no_states, _pooled_by_oracle)]
+        assert np.isnan(runs[0][0][0]).all() and not np.isnan(runs[0][0][1:]).any()
+        self._assert_same(*runs, states=False)
+
+    @pytest.mark.parametrize("reads,states", [("pooled", False), ("pooled", True),
+                                              ("states", True), ("both", True)])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_whichever_output_is_read(self, case, reads, states, dtype):
+        """Under a loss of the pooled vector only, of the states only or
+        of both, the one record gives the outputs and every gradient of
+        `bilstm_composed` bit for bit where no row pads (one row of
+        length 1 pads with rows whose gradient is 0), and of the states
+        pooled by `max_over_time` where rows differ in length (the
+        composition's `linear` sums the gradients of x, wi and b over
+        all T * B rows in another order)."""
+        T, lengths = self.CASES[case]
+        lengths = None if case == "no-lengths" else np.array(lengths)
+        arrays = _bilstm_arrays(np.random.default_rng(41), T, len(self.CASES[case][1]),
+                                3, 4)
+        ref = _pooled_by_oracle if case == "lengths" else _composed_rows
+        runs = [_pooling_run(layer, arrays, lengths, reads, dtype)
+                for layer in (_no_states if not states else ad.bilstm_layer, ref)]
+        self._assert_same(*runs, states)
+
+    @pytest.mark.parametrize("reads,states", [("pooled", False), ("pooled", True),
+                                              ("states", True), ("both", True)])
+    def test_finite_differences(self, reads, states):
+        """float64 finite differences of x and both cells' weights,
+        whichever output the loss reads."""
+        T, B, lengths = 4, 3, np.array([4, 1, 3])
+        p, cells = _bilstm_params(_bilstm_arrays(np.random.default_rng(42), T, B, 3, 2),
+                                  np.float64)
+        rng = np.random.default_rng(43)
+        w_states = ad.Tensor(rng.normal(size=(int(lengths.sum()), 4)))
+        w_pooled = ad.Tensor(rng.normal(size=(B, 4)))
+
+        def loss():
+            pooled, hs = ad.bilstm_layer(p["x"], *cells, lengths, states)
+            terms = [ad.sum_(ad.mul(t, w)) for t, w, read in (
+                (pooled, w_pooled, reads != "states"),
+                (hs, w_states, reads != "pooled")) if read]
+            return terms[0] if len(terms) == 1 else ad.add(*terms)
+
+        check_op_gradient(loss, p)
+
+    @staticmethod
+    def _assert_same(run, ref, states=True):
+        """Pooled vectors, states (if returned) and gradients bit-equal,
+        the sign of every zero included."""
+        pairs = [("pooled", run[0], ref[0])] + [("states", run[1], ref[1])] * states
+        assert run[2].keys() == ref[2].keys() and len(run[2]) == 7
+        for name, a, b in pairs + [(k, run[2][k], ref[2][k]) for k in run[2]]:
+            np.testing.assert_array_equal(a, b, err_msg=name)
+            np.testing.assert_array_equal(np.signbit(a), np.signbit(b), err_msg=name)
+
+    def test_no_states_peaks_a_states_array_lower(self, monkeypatch):
+        """Untaped, a call with no states peaks at least the states'
+        bytes below one that returns them: no states array is made. Both
+        directions run on this thread, so the peaks do not depend on how
+        the two threads' allocations overlap."""
+        import tracemalloc
+        monkeypatch.setattr(ad, "_worker", InlineExecutor())
+        p, (fwd, bwd) = _bilstm_params(
+            _bilstm_arrays(np.random.default_rng(44), 60, 5, 8, 32), np.float32)
+        peaks = {}
+        for states in (True, False):
+            tracemalloc.start()
+            try:
+                pooled, hs = ad.bilstm_layer(p["x"], fwd, bwd, states=states)
+                peaks[states] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert hs is None and pooled.shape == (5, 64)
+        assert peaks[True] - peaks[False] >= 60 * 5 * 64 * 4
 
     def test_nan_state_pools_to_nan(self):
         """A NaN among a row's real states makes that row's pooled values

@@ -640,6 +640,40 @@ class TestEvalAndGenerate:
                                                 np.array([ids.shape[1]]))
             np.testing.assert_allclose(row, u.data[0], rtol=1e-6)
 
+    def test_repr_export_bit_equal_to_states_returning_encode(
+            self, tmp_path, toy_config, trained):
+        """repr-export encodes with no states. Its matrix is, bit for bit,
+        the pooled vectors of the same chunks encoded with their states,
+        as the command ran when every encode returned them, and each row
+        is the column max of its real states."""
+        from nliexpl.models import load_model
+        from nliexpl.data import pad_rows, tokenize
+        lines = ["a dog runs", "a cat sits in the park", "dog",
+                 "the man is sleeping on a bench", "a cat"]
+        sentences = tmp_path / "several.txt"
+        sentences.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "m.txt"
+        assert main(["repr-export", "--config", str(toy_config),
+                     "--set", "eval.batch_size", "2",
+                     "--checkpoint", str(trained),
+                     "--sentences", str(sentences), "--out", str(out),
+                     "--out-root", str(tmp_path / "rr")]) == 0
+        model = load_model(trained)
+        ref = []
+        for start in range(0, len(lines), 2):
+            ids, lengths = pad_rows([model.vocab.encode(tokenize(line))
+                                     for line in lines[start:start + 2]])
+            u, states = model.premise_encoder.encode(model.embedding, ids,
+                                                     lengths)
+            _, row = np.nonzero(np.arange(ids.shape[1])[:, None] < lengths)
+            for b in range(len(lengths)):
+                np.testing.assert_array_equal(
+                    u.data[b], states.data[row == b].max(axis=0))
+            ref.append(u.data)
+        # savetxt's %.18e keeps every bit of a float32
+        np.testing.assert_array_equal(np.loadtxt(out),
+                                      np.concatenate(ref).astype(np.float64))
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_non_positive_batch_size_exits_1(self, tmp_path, toy_config,
                                              trained, capsys, size):

@@ -390,6 +390,30 @@ PASS_CASES = ([(v, False) for v in VARIANTS]
                                      "expl-pred-att")])
 
 
+class _AllocationSpy:
+    """`autodiff`'s numpy, recording the shape of each array that
+    np.empty, np.zeros and np.full make there."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _made(self, make, shape, *args, **kwargs):
+        self.shapes.append(tuple(np.atleast_1d(shape)))
+        return make(shape, *args, **kwargs)
+
+    def empty(self, shape, *args, **kwargs):
+        return self._made(np.empty, shape, *args, **kwargs)
+
+    def zeros(self, shape, *args, **kwargs):
+        return self._made(np.zeros, shape, *args, **kwargs)
+
+    def full(self, shape, *args, **kwargs):
+        return self._made(np.full, shape, *args, **kwargs)
+
+
 def _pass_setup(variant, n=7, seed=4):
     model, _, vocab = toy_setup(variant, n=n, seed=seed, max_len=12)
     clf = None
@@ -520,6 +544,35 @@ class TestOnePass:
         bare = replace(encoded[4], explanations=[])
         with pytest.raises(E.EvaluationError, match=f"1 have none: {bare.id}$"):
             E.evaluation_pass(model, [*encoded[:4], bare], 3, nll=model.explains)
+
+    @pytest.mark.parametrize("variant", ["hyp-to-expl", "expl-pred-att"])
+    def test_explain_then_predict_makes_no_unread_states(self, monkeypatch,
+                                                          variant):
+        """An explain-then-predict pass makes no (P, 2H) array in any
+        encode whose states nothing reads: the explanation classifier's,
+        and every encode of a generator without attention heads. The
+        attention generator's encodes, whose states the heads read, do
+        make one, so the spy sees such arrays where they are made."""
+        import nliexpl.autodiff as ad
+        model, clf, _, encoded = _pass_setup(variant)
+        spy, layer, calls = _AllocationSpy(), ad.bilstm_layer, []
+
+        def encode(x, fwd, bwd, lengths, states=True):
+            spy.shapes.clear()
+            out = layer(x, fwd, bwd, lengths, states)
+            calls.append(((int(lengths.sum()), 2 * fwd.wh.shape[1]) in spy.shapes,
+                          fwd is clf.explanation_encoder.fwd))
+            return out
+
+        monkeypatch.setattr(ad, "np", spy)
+        monkeypatch.setattr(ad, "bilstm_layer", encode)
+        res = E.evaluation_pass(model, encoded, 3, expl_classifier=clf)
+        assert len(res.preds) == len(encoded)
+        heads = bool(model.heads)
+        batches = 3   # 7 examples, 3 a batch
+        assert sorted(calls) == sorted(
+            [(heads, False)] * len(model.sentences) * batches
+            + [(False, True)] * batches)
 
     @staticmethod
     def _count_calls(monkeypatch):

@@ -196,18 +196,22 @@ class TestEncoder:
                 ad.backward(tape, loss)
         assert threading.active_count() <= before + 1
 
-    def test_pred_expl_loss_writes_eight_fewer_records(self, monkeypatch):
-        """Each of the two encodes is two records (states, then the
-        pooled vector) where the composed encoder wrote six."""
+    def test_pred_expl_loss_writes_ten_fewer_records(self, monkeypatch):
+        """Each of the two encodes is one record where the composed
+        encoder wrote six."""
         model, batch, _ = toy_setup("pred-expl")
         counts = []
-        for layer in (ad.bilstm_layer, bilstm_composed):
+
+        def composed(x, fwd, bwd, lengths, states):
+            return bilstm_composed(x, fwd, bwd, lengths)
+
+        for layer in (ad.bilstm_layer, composed):
             monkeypatch.setattr(ad, "bilstm_layer", layer)
             with ad.Tape() as tape:
                 model.loss(batch, train=True, rng=np.random.default_rng(0),
                            alpha=0.6)
             counts.append(len(tape.records))
-        assert counts[1] - counts[0] == 8
+        assert counts[1] - counts[0] == 10
 
 
 class TestWordEmbedding:
@@ -637,7 +641,8 @@ class TestDecoding:
         length; its real step-rows go straight to the output head, with
         no gather record between. No record comes from a composed-cell
         op, and every record has one Tensor output and a one-argument
-        backward."""
+        backward. `records` is the count when each encode wrote two
+        records (its states, then its pooled vector); each writes one."""
         model, batch, _ = toy_setup(variant)
         with ad.Tape() as tape:
             model.loss(batch, train=True, rng=np.random.default_rng(0),
@@ -645,7 +650,8 @@ class TestDecoding:
         kinds = Counter(fn.__qualname__.split(".")[0]
                         for _, _, fn in tape.records)
         assert kinds["lstm_layer"] == sequences
-        assert len(tape.records) == records
+        assert len(tape.records) == records - len(model.sentences)
+        assert kinds["bilstm_layer"] == len(model.sentences)
         assert not kinds.keys() & {"lstm_cell", "lstm_step", "slice_last",
                                    "sigmoid_", "stack_steps", "take_rows"}
         for out, _, fn in tape.records:
@@ -960,9 +966,9 @@ class TestPipeline:
         widths = []
         encode = M.BiLstmEncoder.encode
 
-        def spy(encoder, embedding, ids, lengths):
+        def spy(encoder, embedding, ids, lengths, states=True):
             widths.append(ids.shape[0])
-            return encode(encoder, embedding, ids, lengths)
+            return encode(encoder, embedding, ids, lengths, states)
 
         monkeypatch.setattr(M.BiLstmEncoder, "encode", spy)
         labels, _, _ = ExplainThenPredict(gen, clf).predict(batch)
