@@ -347,12 +347,15 @@ def cmd_eval(args) -> int:
 def cmd_generate(args) -> int:
     config = _resolved_config(args)
     corpus = resolve_path(args.corpus)
-    run_dir = _start_run(args, config, [corpus, Path(args.checkpoint)])
+    clf_path = config["eval"].get("expl_classifier")
+    run_dir = _start_run(args, config, [corpus, Path(args.checkpoint),
+                                        clf_path and Path(clf_path)])
     model = load_model(args.checkpoint)
+    expl_clf = load_model(clf_path) if clf_path else None
     report, dumps = transfer_eval(model, corpus, colmap=_colmap(config),
                                   split=args.split,
                                   batch_size=config["eval"]["batch_size"],
-                                  **_limits(config))
+                                  expl_classifier=expl_clf, **_limits(config))
     out_path = Path(args.out) if args.out else run_dir / "dumps" / "generated.csv"
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -372,9 +375,14 @@ def cmd_bleu(args) -> int:
     ref_paths = [resolve_path(p) for p in args.references]
     _start_run(args, config, [cand_path] + ref_paths)
     cands = [line.split() for line in _lines(cand_path)]
+    if not cands:
+        raise EvaluationError(f"{cand_path}: no candidate line")
     ref_files = [_lines(p) for p in ref_paths]
     if any(len(lines) != len(cands) for lines in ref_files):
-        raise EvaluationError("reference files must align with candidates")
+        counts = ", ".join(f"{p} {len(lines)}" for p, lines in
+                           zip([cand_path, *ref_paths], [cands, *ref_files]))
+        raise EvaluationError("reference files must align with candidates; "
+                              f"lines per file: {counts}")
     refs = [[lines[i].split() for lines in ref_files]
             for i in range(len(cands))]
     score = bleu(cands, refs)

@@ -228,7 +228,6 @@ class Example:
     explanation_texts: list[str] = field(default_factory=list)
     premise_highlights: list[set[int] | None] = field(default_factory=list)
     hypothesis_highlights: list[set[int] | None] = field(default_factory=list)
-    split: str = "train"
 
 
 @dataclass
@@ -324,7 +323,6 @@ def load_corpus(path, split: str = "train",
                 explanation_texts=expl_texts,
                 premise_highlights=p_high,
                 hypothesis_highlights=h_high,
-                split=split,
             ))
     if split in ("valid", "test"):
         short = sum(1 for e in examples if len(e.explanations) < 3)
@@ -424,6 +422,18 @@ def make_batch(chunk: list[EncodedExample], with_explanations: bool) -> Batch:
     return Batch(ids=[e.id for e in chunk], premise=prem, premise_len=prem_len,
                  hypothesis=hyp, hypothesis_len=hyp_len, labels=labels,
                  explanation=expl, explanation_len=expl_len)
+
+
+def missing_explanations(model, encoded: list[EncodedExample]) -> str | None:
+    """The error message for the examples of `encoded` without the
+    explanation that `model` (a model or its variant class) needs, naming
+    up to five, or None."""
+    ids = [e.id for e in encoded if not e.explanations]
+    if not ids:
+        return None
+    return (f"{model.variant} needs an explanation for every example; {len(ids)} "
+            f"example(s) have none: {', '.join(ids[:5])}"
+            f"{', ...' if len(ids) > 5 else ''}")
 
 
 def iterate_batches(encoded: list[EncodedExample], batch_size: int = 64,

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import (ColumnMap, EncodedExample, Example, encode_corpus,
-                   iterate_batches, load_corpus, open_text)
+                   iterate_batches, load_corpus, missing_explanations, open_text)
 from .models import ExplainThenPredict, ModelError
 
 BLEU_MAX_N = 4
@@ -293,13 +293,9 @@ def evaluation_pass(model, encoded: list[EncodedExample],
     if expl_classifier is not None and not model.has_classifier:
         pipe = ExplainThenPredict(model, expl_classifier)
     res = EvalOutput()
-    if not (nll or greedy or pipe is not None or model.has_classifier):
-        return res
-    explained = nll or "explanation" in model.sentences
-    if explained and (ids := [e.id for e in encoded if not e.explanations]):
-        raise EvaluationError(f"{model.variant} needs an explanation for every "
-                              f"example; {len(ids)} have none: {', '.join(ids[:5])}"
-                              f"{', ...' if len(ids) > 5 else ''}")
+    explained = nll or model.reads_explanations
+    if explained and (message := missing_explanations(model, encoded)):
+        raise EvaluationError(message)
     for batch in iterate_batches(encoded, batch_size,
                                  with_explanations=explained):
         preds, scored, generated = model.eval_batch(
@@ -389,11 +385,14 @@ def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
 
     Returns (EvalReport, dump rows): one row per example, ready for
     human annotation, whose explanation is the greedy one for a variant
-    that explains and empty for any other. No parameter is updated. A
-    model that reads explanations (expl-to-label) is rejected with
-    ModelError: the corpus is run from its premises and hypotheses alone.
+    that explains and empty for any other. Its label is the model's own;
+    for a generator without a classifier, explain-then-predict's on that
+    same explanation when `expl_classifier` is given, else empty. No
+    parameter is updated. A model that reads explanations (expl-to-label)
+    is rejected with ModelError: the corpus is run from its premises and
+    hypotheses alone.
     """
-    if "explanation" in model.sentences:
+    if model.reads_explanations:
         raise ModelError(f"{model.variant} reads explanations, and transfer "
                          "batches carry no explanations (premise/hypothesis "
                          "pairs only)")

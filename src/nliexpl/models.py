@@ -308,16 +308,12 @@ class LstmDecoder(_Part):
 # Variants
 
 
-def joint_loss(l_label, l_expl, alpha: float):
-    """alpha * label loss + (1 - alpha) * explanation loss.
-
-    Accepts scalars or Tensors; alpha outside [0, 1] is an error.
-    """
+def joint_loss(l_label: ad.Tensor, l_expl: ad.Tensor, alpha: float) -> ad.Tensor:
+    """alpha * label loss + (1 - alpha) * explanation loss; alpha outside
+    [0, 1] is an error."""
     if alpha is None or not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0,1], got {alpha}")
-    if isinstance(l_label, ad.Tensor):
-        return ad.add(ad.scale(l_label, alpha), ad.scale(l_expl, 1.0 - alpha))
-    return alpha * l_label + (1.0 - alpha) * l_expl
+    return ad.add(ad.scale(l_label, alpha), ad.scale(l_expl, 1.0 - alpha))
 
 
 def wrap_rows(vocab: Vocabulary, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +331,8 @@ class BaseModel(_Part):
                       attention head per sentence) or "reconstruct"
 
     Derived once per class (see `__init_subclass__`): `explains`,
-    `needs_explanations`, `takes_alpha` and the selection `criterion`.
+    `reads_explanations`, `needs_explanations`, `takes_alpha` and the
+    selection `criterion`.
     Derived per call from the same facts: the loss, the decoder's first
     word (the label word with a classifier, else <bos>), perplexity and
     generation; a variant class defines no method. Parameters are
@@ -351,7 +348,8 @@ class BaseModel(_Part):
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.explains = cls.decodes in ("explain", "attend")
-        cls.needs_explanations = cls.explains or "explanation" in cls.sentences
+        cls.reads_explanations = "explanation" in cls.sentences
+        cls.needs_explanations = cls.explains or cls.reads_explanations
         cls.takes_alpha = cls.has_classifier and cls.decodes is not None
         cls.criterion = ("val-accuracy" if cls.has_classifier
                          else "val-perplexity")
@@ -496,22 +494,19 @@ class BaseModel(_Part):
                     expl_loss=float(expl_loss.data))
         return joint_loss(label_loss, expl_loss, alpha), info
 
-    def eval_batch(self, batch: Batch, nll: bool = False, greedy: bool = False,
-                   use_gold_label: bool = False):
+    def eval_batch(self, batch: Batch, nll: bool = False, greedy: bool = False):
         """From one `_condition`: (labels, (summed NLL, tokens, correct
         tokens) with `nll`, (explanations, empty flags) with `greedy`),
         None where not asked or not given. A classifier variant starts
-        both from the predicted label word (the NLL from the gold one
-        with `use_gold_label`)."""
+        both from the predicted label word."""
         if (nll or greedy) and not self.explains:
             raise ModelError(f"{self.variant} does not explain")
         fv, ctx, logits = self._condition(batch)
         preds = None if logits is None else logits.data.argmax(axis=1)
         scored = generated = None
         if nll:
-            classes = batch.labels if use_gold_label and preds is not None else preds
             res = self._teacher_forced(fv.f, *self._rows(batch, "explanation"),
-                                       classes, False, ctx=ctx)
+                                       preds, False, ctx=ctx)
             scored = float(res.nll_sum.data), res.n_tokens, res.n_correct
         if greedy:
             generated = self.decoder.greedy(
@@ -524,15 +519,9 @@ class BaseModel(_Part):
             raise ModelError(f"{self.variant} has no classifier")
         return self.eval_batch(batch)[0]
 
-    def explanation_nll(self, batch: Batch, use_gold_label: bool = False):
+    def explanation_nll(self, batch: Batch):
         """(summed NLL, tokens, correct tokens) for perplexity."""
-        return self.eval_batch(batch, nll=True, use_gold_label=use_gold_label)[1]
-
-    def generate(self, batch: Batch):
-        """Greedy explanations; a classifier variant also returns the
-        labels it conditioned them on."""
-        preds, _, (expl, empty) = self.eval_batch(batch, greedy=True)
-        return (expl, empty) if preds is None else (expl, empty, preds)
+        return self.eval_batch(batch, nll=True)[1]
 
 
 class PairClassifier(BaseModel):
@@ -611,8 +600,7 @@ class ExplainThenPredict:
         if not generator.explains:
             raise ModelError(f"{generator.variant} cannot generate "
                              "explanations for explain-then-predict")
-        if not (expl_classifier.has_classifier
-                and expl_classifier.sentences == ("explanation",)):
+        if not isinstance(expl_classifier, ExplanationClassifier):
             raise ModelError(f"{expl_classifier.variant} does not label "
                              "explanations; explain-then-predict needs "
                              "expl-to-label")
@@ -622,16 +610,16 @@ class ExplainThenPredict:
         self.generator = generator
         self.expl_classifier = expl_classifier
 
-    def predict(self, batch: Batch, generated=None):
+    def predict(self, batch: Batch, generated):
         """Returns (labels, explanation ids, empty-explanation flags).
 
         Labels `generated`, the generator's (ids, flags) for the batch,
-        or decodes them first. All are labelled in one batched encode;
-        each label still depends only on its own explanation, since
-        padding never reaches real positions. An empty generation is
-        classified from the bare <bos><eos> pair and flagged.
+        in one batched encode; each label still depends only on its own
+        explanation, since padding never reaches real positions. An empty
+        generation is classified from the bare <bos><eos> pair and
+        flagged.
         """
-        expl, empty = generated or self.generator.generate(batch)[:2]
+        expl, empty = generated
         ids, lengths = wrap_rows(self.generator.vocab, expl)
         wrapped = replace(batch, explanation=ids, explanation_len=lengths)
         return self.expl_classifier.predict_labels(wrapped), expl, empty

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .data import EmbeddingTable, EncodedExample, Vocabulary, iterate_batches
+from .data import (EmbeddingTable, EncodedExample, Vocabulary, iterate_batches,
+                   missing_explanations)
 from .evaluation import evaluation_pass, label_accuracy
 from .models import ModelConfig, ModelError, build_model, variant_class
 from .models import joint_loss  # noqa: F401  (public here too)
@@ -111,10 +112,6 @@ class RunRecord:
     def save(self, path) -> None:
         Path(path).write_text(self.to_json(), encoding="utf-8")
 
-    @classmethod
-    def load(cls, path) -> "RunRecord":
-        return cls(**json.loads(Path(path).read_text(encoding="utf-8")))
-
 
 # selection criterion -> (validation metric, sign that makes higher better)
 _CRITERIA = {"val-accuracy": ("val_accuracy", 1.0),
@@ -130,17 +127,14 @@ def check_splits(variant: str, data: TrainData) -> None:
     """Raises TrainingError naming a split that encoded to no example,
     or the examples without an explanation when the variant reads or
     decodes explanations."""
-    explains = variant_class(variant).needs_explanations
+    cls = variant_class(variant)
     for split, examples in (("train", data.train), ("valid", data.valid)):
         if not examples:
             raise TrainingError(f"the {split} split has no example with both "
                                 "a premise and a hypothesis")
-        ids = [e.id for e in examples if explains and not e.explanations]
-        if ids:
-            shown = ", ".join(ids[:5]) + (", ..." if len(ids) > 5 else "")
-            raise TrainingError(
-                f"{variant} needs an explanation for every example; "
-                f"{len(ids)} {split} example(s) have none: {shown}")
+        if cls.needs_explanations and (
+                message := missing_explanations(cls, examples)):
+            raise TrainingError(f"{split} split: {message}")
 
 
 def _validation_metrics(model, valid, batch_size) -> dict:

@@ -55,6 +55,11 @@ def label_alone(clf, token_ids):
     return int(clf.predict_labels(batch)[0])
 
 
+def explain_then_predict(pipe, batch):
+    """`pipe.predict` of its generator's own greedy output for `batch`."""
+    return pipe.predict(batch, pipe.generator.eval_batch(batch, greedy=True)[2])
+
+
 def cast_model(model, dtype):
     """Every parameter and the frozen embedding table of `model` in
     `dtype`, in place (float64 for the gradient checks)."""

@@ -25,8 +25,8 @@ from nliexpl.quality import (HYPOTHESIS_SLOT, PREMISE_SLOT, TEMPLATES,
                              is_uninformative, normalize, validate_annotation,
                              instantiate_templates)
 from nliexpl.training import TrainConfig, TrainData, train
-from model_utils import (full_model_grad_check, label_alone, toy_config,
-                         toy_setup)
+from model_utils import (explain_then_predict, full_model_grad_check,
+                         label_alone, toy_config, toy_setup)
 from oracles import (brute_force_bleu, levenshtein_full, max_rel_err,
                      numeric_grad, straight_line_attention)
 from synth import make_examples, random_sentence
@@ -249,7 +249,7 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
         state.advance_epoch()
         if epoch % 10 == 9:
             acc = label_accuracy(model.predict_labels(full), full.labels)
-            _, tokens, correct = model.explanation_nll(full, use_gold_label=True)
+            _, tokens, correct = model.eval_batch(full, nll=True)[1]
             if acc == 100.0 and correct / tokens > 0.95:
                 reached = (epoch, acc, correct / tokens)
                 break
@@ -479,7 +479,7 @@ def test_criterion_8_pipeline_contract():
         agree = 0
         total = 0
         for batch in iterate_batches(encoded, 8, with_explanations=True):
-            labels, expls, empty = pipe.predict(batch)
+            labels, expls, empty = explain_then_predict(pipe, batch)
             for lab, e in zip(labels, expls):
                 agree += int(label_alone(clf, e) == lab)
                 total += 1
@@ -490,7 +490,8 @@ def test_criterion_8_pipeline_contract():
     gen.decoder.b_out.data[:] = -10.0
     gen.decoder.b_out.data[vocab.eos_id] = 10.0
     clf = _expl_classifier_for(vocab, seed=91)
-    labels, expls, empty = ExplainThenPredict(gen, clf).predict(batch)
+    labels, expls, empty = explain_then_predict(ExplainThenPredict(gen, clf),
+                                                batch)
     assert all(empty) and len(labels) == 4
     _report(8, "pipeline label equals the explanation classifier's label "
                "on 100% of examples (both generator variants)", t0)
@@ -560,7 +561,7 @@ def test_criterion_10_padding_invariance_fuzz():
                           model.embedding, ids[None, :], np.array([n]))[1].data
                       for name, ids, n in (("premise", ids_p, lp),
                                            ("hypothesis", ids_h, lh))]
-            expl, _, preds = model.generate(batch)
+            preds, _, (expl, _) = model.eval_batch(batch, greedy=True)
             return (fv.u.data.copy(), fv.v.data.copy(), states,
                     int(preds[0]), expl[0])
 

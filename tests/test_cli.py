@@ -1,13 +1,18 @@
 """End-to-end CLI tests over a temporary synthetic corpus."""
 
+import contextlib
 import csv
+import io
 import json
 import os
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nliexpl import cli
 from nliexpl.cli import main
@@ -380,8 +385,8 @@ class TestTrainCommand:
                      "--out-root", str(tmp_path / "runs")])
         assert code == 1
         err = capsys.readouterr().err
-        assert f"1 {split} example(s) have none: {missing}" in err
-        assert f"{variant} needs an explanation" in err
+        assert (f"{split} split: {variant} needs an explanation for every "
+                f"example; 1 example(s) have none: {missing}") in err
 
     @pytest.mark.parametrize("command", ["train", "grid"])
     def test_refused_run_leaves_no_run_directory(self, tmp_path, toy_config,
@@ -498,7 +503,7 @@ class TestEvalAndGenerate:
                      "--out-root", str(tmp_path / "eval-runs")])
         assert code == 1
         assert ("expl-to-label needs an explanation for every example; "
-                f"1 have none: {missing}") in capsys.readouterr().err
+                f"1 example(s) have none: {missing}") in capsys.readouterr().err
 
     def test_eval_rejects_bad_annotations(self, tmp_path, toy_config, corpus,
                                           trained, capsys):
@@ -788,6 +793,38 @@ class TestExplainThenPredictCommand:
                                     if f.is_file()]
             assert inputs == {str(f): cli._sha256(f) for f in files}
 
+    def test_generate_labels_by_explain_then_predict(self, tmp_path,
+                                                     toy_config, corpus):
+        """`generate` with [eval] expl_classifier labels each generation of
+        a generator without a classifier by explain-then-predict, as
+        `transfer_eval` given that classifier does, and hashes the
+        classifier checkpoint into the manifest."""
+        from nliexpl.evaluation import transfer_eval
+        from nliexpl.models import load_model
+        _, valid = corpus
+        examples = make_examples(9, seed=50, n_explanations=3)
+        gen = self._save(tmp_path / "gen", "expl-pred-att", examples)
+        clf = self._save(tmp_path / "clf", "expl-to-label", examples)
+        out = tmp_path / "dump.csv"
+        assert main(["generate", "--config", str(toy_config),
+                     "--set", "eval.expl_classifier", str(clf),
+                     "--checkpoint", str(gen), "--corpus", str(valid),
+                     "--out", str(out), "--out-root", str(tmp_path / "runs")]) == 0
+        report, dumps = transfer_eval(load_model(gen), valid, split="test",
+                                      expl_classifier=load_model(clf))
+        rows = list(csv.DictReader(out.open(encoding="utf-8")))
+        assert [(r["id"], r["predicted_label"], r["explanation"]) for r in rows] \
+            == [(d["id"], str(d["predicted_label"]), d["explanation"])
+                for d in dumps]
+        assert {r["predicted_label"] for r in rows} <= {"0", "1", "2"}
+        (run_dir,) = run_dirs(tmp_path / "runs")
+        written = json.loads((run_dir / "reports" / "generate_report.json")
+                             .read_text())
+        assert written["accuracy"] == report.accuracy is not None
+        inputs = json.loads((run_dir / "manifest.json").read_text())["inputs"]
+        for f in Path(clf).rglob("*"):
+            assert inputs[str(f)] == cli._sha256(f)
+
     def test_pair_classifier_exits_1(self, tmp_path, toy_config, corpus,
                                      capsys):
         examples = make_examples(9, seed=50, n_explanations=3)
@@ -816,13 +853,27 @@ class TestBleuCommand:
         out = capsys.readouterr().out
         assert out.startswith("bleu 1.000000")
 
-    def test_misaligned_references_exit_1(self, tmp_path):
-        (tmp_path / "cand.txt").write_text("a b\n")
-        (tmp_path / "ref.txt").write_text("a b\nc d\n")
-        code = main(["bleu", "--candidates", str(tmp_path / "cand.txt"),
-                     "--references", str(tmp_path / "ref.txt"),
+    def test_misaligned_references_exit_1(self, tmp_path, capsys):
+        """The message names each file and its line count."""
+        cand, ref1, ref2 = (tmp_path / f for f in ("c.txt", "r1.txt", "r2.txt"))
+        cand.write_text("a b\n")
+        ref1.write_text("a b\nc d\n")
+        ref2.write_text("a b\n")
+        code = main(["bleu", "--candidates", str(cand),
+                     "--references", str(ref1), str(ref2),
                      "--out-root", str(tmp_path / "runs")])
         assert code == 1
+        assert (f"lines per file: {cand} 1, {ref1} 2, {ref2} 1"
+                in capsys.readouterr().err)
+
+    def test_empty_candidate_file_is_named(self, tmp_path, capsys):
+        cand, ref = tmp_path / "c.txt", tmp_path / "r.txt"
+        cand.write_text("")
+        ref.write_text("")
+        code = main(["bleu", "--candidates", str(cand), "--references",
+                     str(ref), "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert f"{cand}: no candidate line" in capsys.readouterr().err
 
 
 def _spoil_line(path, lineno, bad=b"\xff"):
@@ -886,6 +937,49 @@ class TestMalformedInput:
         assert code == 1
         assert f"error: {tmp_path / spoiled}:2: not UTF-8 text" in captured.err
         assert "bleu" not in captured.out
+
+
+class TestByteMutationFuzz:
+    """Valid inputs of `filter`, `validate` and `bleu` with 1-4 bytes
+    replaced by arbitrary ones: the command exits 0 or 1, never 2 (an
+    unexpected exception), and with 1 its stderr names the mutated
+    file."""
+
+    @staticmethod
+    def _seed_files(root):
+        corpus = root / "c.csv"
+        write_corpus_csv(corpus, make_examples(3, seed=6, n_explanations=3))
+        texts = {"cand.txt": "a dog runs in the park\nthe cat sits on a mat\n",
+                 "ref1.txt": "a dog runs in a park\nthe cat is on the mat\n",
+                 "ref2.txt": "the dog runs\na cat sits on the mat\n"}
+        for name, text in texts.items():
+            (root / name).write_text(text, encoding="utf-8")
+        bleu = ["bleu", "--candidates", str(root / "cand.txt"), "--references",
+                str(root / "ref1.txt"), str(root / "ref2.txt")]
+        return {"filter": (["filter", "--input", str(corpus)], [corpus]),
+                "validate": (["validate", "--input", str(corpus)], [corpus]),
+                "bleu": (bleu, [root / name for name in texts])}
+
+    @settings(max_examples=80, deadline=None)
+    @given(command=st.sampled_from(["filter", "validate", "bleu"]),
+           data=st.data())
+    def test_exits_0_or_1_naming_the_mutated_file(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            argv, inputs = self._seed_files(root)[command]
+            target = data.draw(st.sampled_from(inputs), label="file")
+            raw = bytearray(target.read_bytes())
+            for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+                at = data.draw(st.integers(0, len(raw) - 1), label="at")
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+            target.write_bytes(bytes(raw))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                code = main([*argv, "--out-root", str(root / "runs")])
+            assert code in (0, 1), err.getvalue()
+            if code == 1:
+                assert str(target) in err.getvalue()
 
 
 class TestDataRootEnvVar:

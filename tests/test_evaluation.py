@@ -14,7 +14,7 @@ from nliexpl.data import encode_corpus, iterate_batches, load_corpus
 from nliexpl.models import (BiLstmEncoder, ExplainThenPredict, LstmDecoder,
                             ModelError)
 from nliexpl.training import _validation_metrics
-from model_utils import report_from_json, toy_setup
+from model_utils import explain_then_predict, report_from_json, toy_setup
 from oracles import brute_force_bleu
 from synth import make_examples
 
@@ -427,7 +427,7 @@ def _labels_by_batch(model, clf, batches):
     if model.has_classifier:
         return np.concatenate([model.predict_labels(b) for b in batches])
     pipe = ExplainThenPredict(model, clf)
-    return np.concatenate([pipe.predict(b)[0] for b in batches])
+    return np.concatenate([explain_then_predict(pipe, b)[0] for b in batches])
 
 
 def _reference_report(model, clf, encoded, examples, batch_size):
@@ -452,7 +452,7 @@ def _reference_report(model, clf, encoded, examples, batch_size):
         report.provenance["perplexity_total_nll"] = total
         by_id = {e.id: e for e in examples}
         cands = [model.vocab.decode(g) for b in batches
-                 for g in model.generate(b)[0]]
+                 for g in model.eval_batch(b, greedy=True)[2][0]]
         report.bleu = E.bleu(cands, [by_id[e.id].explanations[:2]
                                      for e in encoded])
         report.counts["bleu_candidates"] = len(cands)
@@ -478,7 +478,7 @@ def _reference_transfer(model, clf, path, batch_size):
     texts = [""] * len(encoded)
     if model.explains:
         texts = [" ".join(model.vocab.decode(g))
-                 for b in batches for g in model.generate(b)[0]]
+                 for b in batches for g in model.eval_batch(b, greedy=True)[2][0]]
     by_id = {e.id: e for e in examples}
     dumps = [{"id": enc.id, "premise": by_id[enc.id].premise_text,
               "hypothesis": by_id[enc.id].hypothesis_text,
@@ -542,7 +542,7 @@ class TestOnePass:
             E.perplexity(model, encoded, 3)
             assert made == [False] * 3 + [True] * 3
         bare = replace(encoded[4], explanations=[])
-        with pytest.raises(E.EvaluationError, match=f"1 have none: {bare.id}$"):
+        with pytest.raises(E.EvaluationError, match=rf"1 example\(s\) have none: {bare.id}$"):
             E.evaluation_pass(model, [*encoded[:4], bare], 3, nll=model.explains)
 
     @pytest.mark.parametrize("variant", ["hyp-to-expl", "expl-pred-att"])
@@ -625,8 +625,11 @@ class TestOnePass:
         assert set(metrics) == {"val_accuracy", "val_perplexity",
                                 "val_token_accuracy"}
 
-    def test_nothing_to_compute_runs_no_batch(self, monkeypatch):
+    def test_nothing_to_compute_gives_empty_output(self, monkeypatch):
+        """A pass asked for nothing decodes nothing and gives an empty
+        EvalOutput."""
         model, _, _, encoded = _pass_setup("hyp-to-expl")
         counts = self._count_calls(monkeypatch)
         res = E.evaluation_pass(model, encoded, 3)
-        assert not counts and res == E.EvalOutput()
+        assert counts["greedy"] == counts["teacher_forced"] == 0
+        assert res == E.EvalOutput()

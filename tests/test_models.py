@@ -20,8 +20,9 @@ from nliexpl.data import (EmbeddingTable, Vocabulary, build_vocab,
                           encode_corpus, make_batch, pad_rows)
 from nliexpl.models import (AttentionHead, ExplainThenPredict, ModelConfig,
                             build_model, feature_vector, load_model)
-from model_utils import (cast_model, full_model_grad_check, label_alone,
-                         toy_config, toy_setup)
+from model_utils import (cast_model, explain_then_predict,
+                         full_model_grad_check, label_alone, toy_config,
+                         toy_setup)
 from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
                      greedy_composed, greedy_serial, max_rel_err, nll_rows,
                      softmax, straight_line_attention, teacher_forced_dense)
@@ -349,6 +350,7 @@ def test_variant_fact_table(variant, classifier, explains, needs_expl, alpha,
             cls.takes_alpha, cls.criterion) == (classifier, explains,
                                                 needs_expl, alpha, criterion)
     assert cls.sentences == sentences
+    assert cls.reads_explanations == (variant == "expl-to-label")
     model, _, _ = toy_setup(variant, n=3)
     assert model.variant == variant
     prefixes = {n.split(".")[0] for n in model.params()}
@@ -361,8 +363,7 @@ def test_variant_fact_table(variant, classifier, explains, needs_expl, alpha,
                                      if not row[2]])
 def test_non_explaining_variant_refuses_explanations(variant):
     model, batch, _ = toy_setup(variant, n=3)
-    for call in (lambda: model.generate(batch),
-                 lambda: model.explanation_nll(batch),
+    for call in (lambda: model.explanation_nll(batch),
                  lambda: model.eval_batch(batch, nll=True),
                  lambda: model.eval_batch(batch, greedy=True)):
         with pytest.raises(M.ModelError, match="does not explain"):
@@ -469,13 +470,13 @@ EXPLAINING = ["pred-expl", "expl-pred-att", "expl-pred-seq2seq",
 class TestDecoding:
     def test_greedy_terminates_within_cap(self):
         model, batch, _ = toy_setup("pred-expl", n=4, max_len=40)
-        expl, empty, preds = model.generate(batch)
+        preds, _, (expl, empty) = model.eval_batch(batch, greedy=True)
         assert all(len(e) <= 40 for e in expl)
         assert len(expl) == batch.size
 
     def test_hyp_to_expl_respects_cap(self):
         model, batch, _ = toy_setup("hyp-to-expl", n=4, max_len=7)
-        expl, empty = model.generate(batch)
+        _, _, (expl, empty) = model.eval_batch(batch, greedy=True)
         assert all(len(e) <= 7 for e in expl)
 
     def test_label_token_changes_first_step_logits(self):
@@ -494,7 +495,7 @@ class TestDecoding:
 
     def test_teacher_forced_token_counts(self):
         model, batch, _ = toy_setup("pred-expl", n=4)
-        nll, tokens, correct = model.explanation_nll(batch, use_gold_label=True)
+        nll, tokens, correct = model.explanation_nll(batch)
         assert tokens == int((batch.explanation_len - 1).sum())
         assert 0 <= correct <= tokens
         assert nll > 0
@@ -707,7 +708,7 @@ class TestDecoding:
 
     def test_pred_expl_generation_conditions_on_predicted_label(self):
         model, batch, vocab = toy_setup("pred-expl", n=3)
-        _, _, preds = model.generate(batch)
+        preds = model.eval_batch(batch, greedy=True)[0]
         np.testing.assert_array_equal(preds, model.predict_labels(batch))
 
 
@@ -783,8 +784,8 @@ class TestBothThreads:
 
         monkeypatch.setattr(ad, "_split_matmul", no_split)
         model, batch, _ = toy_setup("pred-expl", n=12)
-        model.generate(batch)
-        model.explanation_nll(batch, use_gold_label=True)
+        model.eval_batch(batch, greedy=True)
+        model.explanation_nll(batch)
         model.predict_labels(batch)
 
 
@@ -919,7 +920,7 @@ class TestPipeline:
         gen, batch, vocab = toy_setup("expl-pred-seq2seq", n=5, seed=2)
         clf = self._classifier_sharing(vocab)
         pipe = ExplainThenPredict(gen, clf)
-        labels, expl, _ = pipe.predict(batch)
+        labels, expl, _ = explain_then_predict(pipe, batch)
         assert [label_alone(clf, e) for e in expl] == labels.tolist()
 
     def test_empty_generation_flagged_not_fatal(self):
@@ -928,7 +929,8 @@ class TestPipeline:
         gen.decoder.b_out.data[:] = -10.0
         gen.decoder.b_out.data[vocab.eos_id] = 10.0
         clf = self._classifier_sharing(vocab)
-        labels, expl, empty = ExplainThenPredict(gen, clf).predict(batch)
+        labels, expl, empty = explain_then_predict(
+            ExplainThenPredict(gen, clf), batch)
         assert all(empty)
         assert len(labels) == 3
 
@@ -941,7 +943,8 @@ class TestPipeline:
     def test_classifier_led_generator_labels_its_explanations(self):
         gen, batch, vocab = toy_setup("pred-expl", n=3)
         clf = self._classifier_sharing(vocab)
-        labels, expl, _ = ExplainThenPredict(gen, clf).predict(batch)
+        labels, expl, _ = explain_then_predict(ExplainThenPredict(gen, clf),
+                                               batch)
         assert [label_alone(clf, e) for e in expl] == labels.tolist()
 
     @pytest.mark.parametrize("variant", ["bilstm-max", "hyp-to-label",
@@ -971,7 +974,8 @@ class TestPipeline:
             return encode(encoder, embedding, ids, lengths, states)
 
         monkeypatch.setattr(M.BiLstmEncoder, "encode", spy)
-        labels, _, _ = ExplainThenPredict(gen, clf).predict(batch)
+        labels, _, _ = explain_then_predict(ExplainThenPredict(gen, clf),
+                                            batch)
         # two generator encodes, then one classifier encode of all 5 rows
         assert widths == [5, 5, 5] and len(labels) == 5
 
@@ -1180,6 +1184,6 @@ class TestPaddingInvariance:
                 np.testing.assert_array_equal(grads_padded[name], g, err_msg=name)
         if model.explains:
             assert model.explanation_nll(batch) == model.explanation_nll(padded)
-            g1 = model.generate(batch)[0]
-            g2 = model.generate(padded)[0]
+            g1 = model.eval_batch(batch, greedy=True)[2][0]
+            g2 = model.eval_batch(padded, greedy=True)[2][0]
             assert g1 == g2

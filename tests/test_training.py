@@ -1,5 +1,7 @@
 """Tests for training loops, joint loss, and grid selection."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,11 @@ def toy_data(n_train=18, n_valid=9, seed=0):
                      vocab=vocab, table=table)
 
 
+def _load_record(path) -> RunRecord:
+    """The RunRecord that `RunRecord.save` wrote to `path`."""
+    return RunRecord(**json.loads(path.read_text(encoding="utf-8")))
+
+
 def toy_train_config(variant, **kw):
     defaults = dict(variant=variant, epochs=2, seed=0, batch_size=8,
                     embed_dim=8, encoder_hidden=6, classifier_width=6,
@@ -34,21 +41,27 @@ def toy_train_config(variant, **kw):
     return TrainConfig(**defaults)
 
 
+def _joint(l_label, l_expl, alpha):
+    """`joint_loss` of two float64 scalar Tensors, as a float."""
+    return float(joint_loss(ad.Tensor(np.float64(l_label)),
+                            ad.Tensor(np.float64(l_expl)), alpha).data)
+
+
 class TestJointLoss:
     def test_alpha_one_is_label_loss(self):
-        assert joint_loss(2.0, 10.0, 1.0) == 2.0
+        assert _joint(2.0, 10.0, 1.0) == 2.0
 
     def test_alpha_zero_is_explanation_loss(self):
-        assert joint_loss(2.0, 10.0, 0.0) == 10.0
+        assert _joint(2.0, 10.0, 0.0) == 10.0
 
     def test_point_six_weighting(self):
-        assert joint_loss(2.0, 10.0, 0.6) == pytest.approx(5.2, rel=1e-12)
+        assert _joint(2.0, 10.0, 0.6) == pytest.approx(5.2, rel=1e-12)
 
     def test_out_of_range_alpha(self):
         with pytest.raises(ValueError):
-            joint_loss(1.0, 1.0, 1.5)
+            _joint(1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
-            joint_loss(1.0, 1.0, -0.1)
+            _joint(1.0, 1.0, -0.1)
 
     def test_tensor_form(self):
         a = ad.Tensor(np.float32(2.0))
@@ -169,7 +182,7 @@ class TestTrain:
         data = toy_data()
         cfg = toy_train_config("bilstm-max", epochs=2)
         rec = train(cfg, data, tmp_path / "run")
-        loaded = RunRecord.load(tmp_path / "run" / "run.json")
+        loaded = _load_record(tmp_path / "run" / "run.json")
         assert loaded.best_epoch == rec.best_epoch
         assert loaded.config["variant"] == "bilstm-max"
         assert len(loaded.epochs) == 2
@@ -202,7 +215,7 @@ class TestTrain:
         assert rec.note == "epoch 1: non-finite gradient in ['w']"
         assert [e["epoch"] for e in rec.epochs] == [0] and rec.best_epoch == 0
         load_model(rec.checkpoint_path)
-        loaded = RunRecord.load(tmp_path / "run" / "run.json")
+        loaded = _load_record(tmp_path / "run" / "run.json")
         assert (loaded.aborted, loaded.note) == (True, rec.note)
         assert len(loaded.epochs) == 1
 
