@@ -513,16 +513,13 @@ def embedding_lookup(frozen: np.ndarray, ids: np.ndarray, trainable: Tensor,
     rows = frozen[ids]
     sl = slots[ids]
     hit = sl >= 0
-    if hit.any():
-        rows = rows.copy()
-        rows[hit] = trainable.data[sl[hit]]
+    rows[hit] = trainable.data[sl[hit]]   # `rows` is a copy: `ids` is an array
     out = Tensor(rows)
     k = trainable.shape[0]
 
     def _bw(g):
         gt = np.zeros((k, g.shape[-1]), dtype=g.dtype)
-        if hit.any():
-            np.add.at(gt, sl[hit], g[hit])
+        np.add.at(gt, sl[hit], g[hit])
         return (gt,)
 
     _record(out, (trainable,), _bw)

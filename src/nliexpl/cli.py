@@ -1,12 +1,12 @@
 """Command-line entry point.
 
 Subcommands: filter, validate, train, grid, eval, generate, bleu,
-repr-export. Every invocation creates a run directory named by
-timestamp and seed containing a reproducibility manifest (resolved
-config, argv, sha256 of every input file, and the numpy, BLAS and
-thread settings it ran under); artifacts land in
+repr-export. A command that gets past its input checks creates a run
+directory named by timestamp and seed containing a reproducibility
+manifest (resolved config, argv, sha256 of every input file, and the
+numpy, BLAS and thread settings it ran under); artifacts land in
 checkpoints/, reports/, and dumps/ underneath unless an explicit output
-path is given.
+path is given. An invocation refused for its input leaves nothing.
 
 Exit codes: 0 success, 1 input/validation failure, 2 runtime error
 (argparse itself exits 2 on unknown flags).
@@ -62,6 +62,8 @@ RUN_FLAGS = (
     ("--encoder", "model", "encoder_hidden", int, _TRAINING),
     ("--epochs", "training", "epochs", int, _TRAINING),
     ("--batch-size", "training", "batch_size", int, _TRAINING),
+    ("--expl-classifier", "eval", "expl_classifier", str, ("eval",)),
+    ("--annotations", "eval", "annotations", str, ("eval",)),
 )
 
 
@@ -74,6 +76,7 @@ def _sha256(path: Path) -> str:
 
 
 def _start_run(args, config: dict, inputs: list[Path]) -> Path:
+    """The run directory and its manifest, made once every input has loaded."""
     seed = config["training"]["seed"]
     stamp = time.strftime("%Y%m%d-%H%M%S")
     run_dir = Path(args.out_root) / f"{stamp}-seed{seed}"
@@ -84,10 +87,7 @@ def _start_run(args, config: dict, inputs: list[Path]) -> Path:
     for sub in ("checkpoints", "reports", "dumps"):
         (run_dir / sub).mkdir(parents=True, exist_ok=True)
     hashed = {}
-    for p in inputs:
-        if p is None or not Path(p).exists():
-            continue
-        p = Path(p)
+    for p in map(Path, filter(None, inputs)):
         files = sorted(f for f in p.rglob("*") if f.is_file()) if p.is_dir() else [p]
         for f in files:
             hashed[str(f)] = _sha256(f)
@@ -193,9 +193,9 @@ def _train_config(config: dict, **overrides) -> TrainConfig:
 def cmd_filter(args) -> int:
     config = _resolved_config(args)
     path = resolve_path(args.input)
-    run_dir = _start_run(args, config, [path])
     colmap = _colmap(config)
     examples, skipped = load_corpus(path, split="all", colmap=colmap)
+    run_dir = _start_run(args, config, [path])
     report_path = Path(args.out) if args.out else run_dir / "reports" / "filter_report.csv"
     survivors_path = (Path(args.survivors) if args.survivors
                       else run_dir / "reports" / "survivors.csv")
@@ -229,8 +229,8 @@ def cmd_filter(args) -> int:
 def cmd_validate(args) -> int:
     config = _resolved_config(args)
     path = resolve_path(args.input)
-    run_dir = _start_run(args, config, [path])
     examples, skipped = load_corpus(path, split="all", colmap=_colmap(config))
+    run_dir = _start_run(args, config, [path])
     out_path = Path(args.out) if args.out else run_dir / "reports" / "validation.csv"
     n_failed = 0
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
@@ -312,31 +312,43 @@ def cmd_grid(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    config = _resolved_config(args)
+def _load_eval_inputs(args, config: dict):
+    """The checkpoint, [eval] expl_classifier and corpus of `eval` and
+    `generate`, loaded: (model, classifier or None, examples, encoded,
+    skipped rows, [corpus, checkpoint, classifier or None])."""
     corpus = resolve_path(args.corpus)
-    clf_path = args.expl_classifier or config["eval"].get("expl_classifier")
-    ann_path = resolve_path(args.annotations or config["eval"].get("annotations"))
-    run_dir = _start_run(args, config, [corpus, Path(args.checkpoint),
-                                        clf_path and Path(clf_path), ann_path])
+    clf_path = config["eval"].get("expl_classifier")
     model = load_model(args.checkpoint)
     expl_clf = load_model(clf_path) if clf_path else None
-    colmap = _colmap(config)
-    examples, skipped = load_corpus(corpus, split=args.split, colmap=colmap)
+    examples, skipped = load_corpus(corpus, split=args.split,
+                                    colmap=_colmap(config))
     encoded = encode_corpus(examples, model.vocab, **_limits(config))
+    inputs = [corpus, args.checkpoint, clf_path]
+    return model, expl_clf, examples, encoded, skipped, inputs
+
+
+def cmd_eval(args) -> int:
+    config = _resolved_config(args)
+    model, expl_clf, examples, encoded, skipped, inputs = _load_eval_inputs(args, config)
+    ann_path = resolve_path(config["eval"].get("annotations"))
+    records = load_annotations(ann_path) if ann_path else None
+    counts = {"skipped_rows": skipped}
+    if args.inter_annotator:
+        try:
+            score, used, unused = inter_annotator_bleu(examples)
+        except EvaluationError as err:
+            raise EvaluationError(f"{inputs[0]}: {err}") from None
+        counts.update(inter_annotator_bleu_x100=round(100 * score, 2),
+                      inter_annotator_examples=used,
+                      inter_annotator_skipped=unused)
     report = evaluate_model(model, encoded, examples, split=args.split,
                             batch_size=config["eval"]["batch_size"],
                             expl_classifier=expl_clf)
-    report.counts["skipped_rows"] = skipped
+    report.counts.update(counts)
     if ann_path:
-        records = load_annotations(ann_path)
         report.expl_at_k = expl_at_k(records, config["eval"]["expl_at_k_mode"])
         report.provenance["expl_at_k_mode"] = config["eval"]["expl_at_k_mode"]
-    if args.inter_annotator:
-        score, used, skipped_ia = inter_annotator_bleu(examples)
-        report.counts["inter_annotator_bleu_x100"] = round(100 * score, 2)
-        report.counts["inter_annotator_examples"] = used
-        report.counts["inter_annotator_skipped"] = skipped_ia
+    run_dir = _start_run(args, config, [*inputs, ann_path])
     out_path = run_dir / "reports" / "eval_report.json"
     out_path.write_text(report.to_json())
     print(report.table())
@@ -346,24 +358,20 @@ def cmd_eval(args) -> int:
 
 def cmd_generate(args) -> int:
     config = _resolved_config(args)
-    corpus = resolve_path(args.corpus)
-    clf_path = config["eval"].get("expl_classifier")
-    run_dir = _start_run(args, config, [corpus, Path(args.checkpoint),
-                                        clf_path and Path(clf_path)])
-    model = load_model(args.checkpoint)
-    expl_clf = load_model(clf_path) if clf_path else None
-    report, dumps = transfer_eval(model, corpus, colmap=_colmap(config),
-                                  split=args.split,
+    model, expl_clf, examples, encoded, skipped, inputs = _load_eval_inputs(args, config)
+    report, dumps = transfer_eval(model, encoded, examples, split=args.split,
                                   batch_size=config["eval"]["batch_size"],
-                                  expl_classifier=expl_clf, **_limits(config))
+                                  expl_classifier=expl_clf)
+    report.counts["skipped_rows"] = skipped
+    sha = report.provenance.pop("vocab_sha256")   # it follows the corpus
+    report.provenance.update(corpus=str(inputs[0]), vocab_sha256=sha)
+    run_dir = _start_run(args, config, inputs)
     out_path = Path(args.out) if args.out else run_dir / "dumps" / "generated.csv"
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "premise", "hypothesis", "predicted_label",
-                         "explanation"])
-        for row in dumps:
-            writer.writerow([row["id"], row["premise"], row["hypothesis"],
-                             row["predicted_label"], row["explanation"]])
+        writer = csv.DictWriter(fh, ["id", "premise", "hypothesis",
+                                     "predicted_label", "explanation"])
+        writer.writeheader()
+        writer.writerows(dumps)
     (run_dir / "reports" / "generate_report.json").write_text(report.to_json())
     print(f"generated explanations: {out_path} ({len(dumps)} rows)")
     return 0
@@ -373,7 +381,6 @@ def cmd_bleu(args) -> int:
     config = _resolved_config(args)
     cand_path = resolve_path(args.candidates)
     ref_paths = [resolve_path(p) for p in args.references]
-    _start_run(args, config, [cand_path] + ref_paths)
     cands = [line.split() for line in _lines(cand_path)]
     if not cands:
         raise EvaluationError(f"{cand_path}: no candidate line")
@@ -383,9 +390,13 @@ def cmd_bleu(args) -> int:
                            zip([cand_path, *ref_paths], [cands, *ref_files]))
         raise EvaluationError("reference files must align with candidates; "
                               f"lines per file: {counts}")
-    refs = [[lines[i].split() for lines in ref_files]
-            for i in range(len(cands))]
+    refs = [[line.split() for line in lines] for lines in zip(*ref_files)]
+    blank = [i for i, r in enumerate(refs, start=1) if not any(r)]
+    if blank:
+        raise EvaluationError(f"line {blank[0]} is blank in every reference "
+                              f"file: {', '.join(map(str, ref_paths))}")
     score = bleu(cands, refs)
+    _start_run(args, config, [cand_path] + ref_paths)
     print(f"bleu {score:.6f} (x100: {100 * score:.2f})")
     return 0
 
@@ -393,7 +404,6 @@ def cmd_bleu(args) -> int:
 def cmd_repr_export(args) -> int:
     config = _resolved_config(args)
     sent_path = resolve_path(args.sentences)
-    run_dir = _start_run(args, config, [sent_path, Path(args.checkpoint)])
     model = load_model(args.checkpoint)
     encoder = getattr(model, f"{model.sentences[0]}_encoder")
     sentences = [tokenize(line) for line in _lines(sent_path) if line.strip()]
@@ -406,6 +416,7 @@ def cmd_repr_export(args) -> int:
                                  for tokens in sentences[start:start + size]])
         chunks.append(encoder.encode(model.embedding, ids, lengths, False)[0].data)
     matrix = np.concatenate(chunks)
+    run_dir = _start_run(args, config, [sent_path, Path(args.checkpoint)])
     out_path = Path(args.out) if args.out else run_dir / "dumps" / "representations.txt"
     header = f"sentence representations rows={matrix.shape[0]} cols={matrix.shape[1]}"
     np.savetxt(out_path, matrix, header=header)
@@ -463,9 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--split", default="test")
-    p.add_argument("--expl-classifier", dest="expl_classifier",
-                   help="checkpoint for explain-then-predict labeling")
-    p.add_argument("--annotations", help="partial-score CSV for expl@k")
     p.add_argument("--inter-annotator", action="store_true",
                    help="also report inter-annotator BLEU")
 

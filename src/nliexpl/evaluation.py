@@ -17,12 +17,12 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import (ColumnMap, EncodedExample, Example, encode_corpus,
-                   iterate_batches, load_corpus, missing_explanations, open_text)
+from .data import (EncodedExample, Example, iterate_batches,
+                   missing_explanations, open_text)
 from .models import ExplainThenPredict, ModelError
 
 BLEU_MAX_N = 4
@@ -234,10 +234,7 @@ class EvalReport:
     provenance: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "accuracy": self.accuracy, "perplexity": self.perplexity,
-            "bleu": self.bleu, "expl_at_k": self.expl_at_k,
-            "counts": self.counts, "provenance": self.provenance}, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
     def table(self) -> str:
         def fmt(v, scale=1.0):
@@ -377,11 +374,11 @@ def evaluate_model(model, encoded: list[EncodedExample],
     return report
 
 
-def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
-                  split: str = "transfer", batch_size: int = EVAL_BATCH_SIZE,
-                  expl_classifier=None, **limits):
-    """Out-of-domain evaluation without fine-tuning; `limits` are the
-    truncation keywords of `encode_corpus`.
+def transfer_eval(model, encoded: list[EncodedExample],
+                  examples: list[Example], split: str = "transfer",
+                  batch_size: int = EVAL_BATCH_SIZE, expl_classifier=None):
+    """Out-of-domain evaluation without fine-tuning, of `encoded` (an
+    encoding of `examples`, which give each row's texts).
 
     Returns (EvalReport, dump rows): one row per example, ready for
     human annotation, whose explanation is the greedy one for a variant
@@ -396,13 +393,10 @@ def transfer_eval(model, corpus_path, colmap: ColumnMap | None = None,
         raise ModelError(f"{model.variant} reads explanations, and transfer "
                          "batches carry no explanations (premise/hypothesis "
                          "pairs only)")
-    examples, skipped = load_corpus(corpus_path, split=split, colmap=colmap)
-    encoded = encode_corpus(examples, model.vocab, **limits)
     report = EvalReport(provenance={
-        "split": split, "variant": model.variant, "corpus": str(corpus_path),
+        "split": split, "variant": model.variant,
         "vocab_sha256": model.vocab.sha256()})
     report.counts["examples"] = len(encoded)
-    report.counts["skipped_rows"] = skipped
     can_label = model.has_classifier or expl_classifier is not None
     res = evaluation_pass(model, encoded, batch_size, greedy=model.explains,
                           expl_classifier=expl_classifier)

@@ -517,6 +517,17 @@ class TestEvalAndGenerate:
         assert code == 1
         assert "ann.csv:2: k and n must be integers" in capsys.readouterr().err
 
+    def test_inter_annotator_names_a_corpus_without_three(
+            self, tmp_path, toy_config, corpus, trained, capsys):
+        train, _ = corpus   # one explanation an example
+        code = main(["eval", "--config", str(toy_config),
+                     "--checkpoint", str(trained), "--corpus", str(train),
+                     "--inter-annotator",
+                     "--out-root", str(tmp_path / "eval-runs")])
+        assert code == 1
+        assert (f"{train}: no examples with three explanations"
+                in capsys.readouterr().err)
+
     def test_eval_rejects_annotation_row_past_the_header(
             self, tmp_path, toy_config, corpus, trained, capsys):
         _, valid = corpus
@@ -799,6 +810,7 @@ class TestExplainThenPredictCommand:
         a generator without a classifier by explain-then-predict, as
         `transfer_eval` given that classifier does, and hashes the
         classifier checkpoint into the manifest."""
+        from nliexpl.data import encode_corpus, load_corpus
         from nliexpl.evaluation import transfer_eval
         from nliexpl.models import load_model
         _, valid = corpus
@@ -810,7 +822,10 @@ class TestExplainThenPredictCommand:
                      "--set", "eval.expl_classifier", str(clf),
                      "--checkpoint", str(gen), "--corpus", str(valid),
                      "--out", str(out), "--out-root", str(tmp_path / "runs")]) == 0
-        report, dumps = transfer_eval(load_model(gen), valid, split="test",
+        model = load_model(gen)
+        test_ex, _ = load_corpus(valid, split="test")
+        report, dumps = transfer_eval(model, encode_corpus(test_ex, model.vocab),
+                                      test_ex, split="test",
                                       expl_classifier=load_model(clf))
         rows = list(csv.DictReader(out.open(encoding="utf-8")))
         assert [(r["id"], r["predicted_label"], r["explanation"]) for r in rows] \
@@ -874,6 +889,65 @@ class TestBleuCommand:
                      str(ref), "--out-root", str(tmp_path / "runs")])
         assert code == 1
         assert f"{cand}: no candidate line" in capsys.readouterr().err
+
+    def test_blank_reference_line_is_named(self, tmp_path, capsys):
+        """A line blank in every reference file names the line and the
+        reference files."""
+        cand, ref = tmp_path / "c.txt", tmp_path / "r.txt"
+        cand.write_text("a b\nc d\n")
+        ref.write_text("a b\n\n")
+        code = main(["bleu", "--candidates", str(cand), "--references",
+                     str(ref), "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert (f"line 2 is blank in every reference file: {ref}"
+                in capsys.readouterr().err)
+
+
+class TestRefusedCommand:
+    """Every command loads and checks its input before it opens a run, so
+    an invocation refused for its input leaves nothing under --out-root."""
+
+    @pytest.mark.parametrize("command", ["filter", "validate", "train", "grid",
+                                         "eval", "generate", "bleu",
+                                         "repr-export"])
+    def test_missing_input_leaves_no_run(self, tmp_path, toy_config, corpus,
+                                         capsys, command):
+        _, valid = corpus
+        missing = str(tmp_path / "missing")
+        argv = {"filter": ["--input", missing],
+                "validate": ["--input", missing],
+                "train": ["--config", str(toy_config),
+                          "--set", "data.train", missing],
+                "grid": ["--config", str(toy_config), "--decoders", "6",
+                         "--set", "data.valid", missing],
+                "eval": ["--checkpoint", missing, "--corpus", str(valid)],
+                "generate": ["--checkpoint", missing, "--corpus", str(valid)],
+                "bleu": ["--candidates", str(valid), "--references", missing],
+                "repr-export": ["--checkpoint", missing,
+                                "--sentences", str(valid)]}[command]
+        out_root = tmp_path / "runs"
+        assert main([command, *argv, "--out-root", str(out_root)]) == 1
+        assert missing in capsys.readouterr().err
+        assert not out_root.exists()
+
+    def test_bad_annotations_refused_before_evaluating(
+            self, tmp_path, toy_config, corpus, monkeypatch, capsys):
+        _, valid = corpus
+        ckpt = TestExplainThenPredictCommand._save(
+            tmp_path / "m", "pred-expl", make_examples(9, seed=50,
+                                                       n_explanations=3))
+        ann = tmp_path / "ann.csv"
+        ann.write_text("id,predicted_label_correct,k,n\na,1,3,2\n")
+        calls, evaluate = [], cli.evaluate_model
+        monkeypatch.setattr(cli, "evaluate_model", lambda *a, **kw: (
+            calls.append(a), evaluate(*a, **kw))[1])
+        out_root = tmp_path / "runs"
+        code = main(["eval", "--config", str(toy_config),
+                     "--checkpoint", str(ckpt), "--corpus", str(valid),
+                     "--annotations", str(ann), "--out-root", str(out_root)])
+        assert code == 1
+        assert "ann.csv:2: a: bad partial score 3/2" in capsys.readouterr().err
+        assert calls == [] and not out_root.exists()
 
 
 def _spoil_line(path, lineno, bad=b"\xff"):
@@ -939,14 +1013,26 @@ class TestMalformedInput:
         assert "bleu" not in captured.out
 
 
+@pytest.fixture(scope="session")
+def toy_checkpoint(tmp_path_factory):
+    """An untrained pred-expl checkpoint and a corpus it evaluates,
+    saved once for the session."""
+    root = tmp_path_factory.mktemp("toy-checkpoint")
+    examples = make_examples(3, seed=6, n_explanations=3)
+    write_corpus_csv(root / "c.csv", examples)
+    return (TestExplainThenPredictCommand._save(root / "ckpt", "pred-expl",
+                                                examples), root / "c.csv")
+
+
 class TestByteMutationFuzz:
-    """Valid inputs of `filter`, `validate` and `bleu` with 1-4 bytes
-    replaced by arbitrary ones: the command exits 0 or 1, never 2 (an
-    unexpected exception), and with 1 its stderr names the mutated
-    file."""
+    """Valid inputs of `filter`, `validate`, `bleu`, `eval --annotations`
+    and `repr-export --sentences` with 1-4 bytes replaced by arbitrary
+    ones: the command exits 0 or 1, never 2 (an unexpected exception),
+    and with 1 its stderr names the mutated file and it leaves nothing
+    under --out-root."""
 
     @staticmethod
-    def _seed_files(root):
+    def _seed_files(root, ckpt, evaluated):
         corpus = root / "c.csv"
         write_corpus_csv(corpus, make_examples(3, seed=6, n_explanations=3))
         texts = {"cand.txt": "a dog runs in the park\nthe cat sits on a mat\n",
@@ -954,19 +1040,30 @@ class TestByteMutationFuzz:
                  "ref2.txt": "the dog runs\na cat sits on the mat\n"}
         for name, text in texts.items():
             (root / name).write_text(text, encoding="utf-8")
+        ann, sentences = root / "ann.csv", root / "s.txt"
+        ann.write_text("id,predicted_label_correct,k,n\nx1,1,1,2\nx2,no,0,1\n",
+                       encoding="utf-8")
+        sentences.write_text("a dog runs in the park\nthe cat sits\n",
+                             encoding="utf-8")
         bleu = ["bleu", "--candidates", str(root / "cand.txt"), "--references",
                 str(root / "ref1.txt"), str(root / "ref2.txt")]
         return {"filter": (["filter", "--input", str(corpus)], [corpus]),
                 "validate": (["validate", "--input", str(corpus)], [corpus]),
-                "bleu": (bleu, [root / name for name in texts])}
+                "bleu": (bleu, [root / name for name in texts]),
+                "eval": (["eval", "--checkpoint", str(ckpt), "--corpus",
+                          str(evaluated), "--annotations", str(ann)], [ann]),
+                "repr-export": (["repr-export", "--checkpoint", str(ckpt),
+                                 "--sentences", str(sentences)], [sentences])}
 
     @settings(max_examples=80, deadline=None)
-    @given(command=st.sampled_from(["filter", "validate", "bleu"]),
+    @given(command=st.sampled_from(["filter", "validate", "bleu", "eval",
+                                    "repr-export"]),
            data=st.data())
-    def test_exits_0_or_1_naming_the_mutated_file(self, command, data):
+    def test_exits_0_or_1_naming_the_mutated_file(self, toy_checkpoint,
+                                                  command, data):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
-            argv, inputs = self._seed_files(root)[command]
+            argv, inputs = self._seed_files(root, *toy_checkpoint)[command]
             target = data.draw(st.sampled_from(inputs), label="file")
             raw = bytearray(target.read_bytes())
             for _ in range(data.draw(st.integers(1, 4), label="mutations")):
@@ -980,6 +1077,7 @@ class TestByteMutationFuzz:
             assert code in (0, 1), err.getvalue()
             if code == 1:
                 assert str(target) in err.getvalue()
+                assert not (root / "runs").exists()
 
 
 class TestDataRootEnvVar:

@@ -354,6 +354,14 @@ class TestEvaluateModel:
         assert r1 == r2
 
 
+def _transfer(model, path, **kwargs):
+    """`transfer_eval` of the corpus CSV at `path`, loaded and encoded
+    with the default columns and limits, as `generate` loads it."""
+    examples, _ = load_corpus(path, split="transfer")
+    return E.transfer_eval(model, encode_corpus(examples, model.vocab),
+                           examples, **kwargs)
+
+
 class TestTransferEval:
     def test_read_only_and_deterministic(self, tmp_path):
         from synth import write_corpus_csv
@@ -361,8 +369,8 @@ class TestTransferEval:
         path = tmp_path / "transfer.csv"
         write_corpus_csv(path, make_examples(10, seed=5))
         before = model.param_hash()
-        r1, dumps1 = E.transfer_eval(model, path)
-        r2, dumps2 = E.transfer_eval(model, path)
+        r1, dumps1 = _transfer(model, path)
+        r2, dumps2 = _transfer(model, path)
         assert model.param_hash() == before
         assert r1 == r2 and dumps1 == dumps2
         assert r1.accuracy is not None
@@ -371,12 +379,19 @@ class TestTransferEval:
                 "explanation"} <= set(dumps1[0])
 
     def test_unmappable_labels_skipped_and_counted(self, tmp_path):
+        """`generate` counts the rows it skipped into its report."""
+        from nliexpl.cli import main
         path = tmp_path / "weird.csv"
         path.write_text("gold_label,Sentence1,Sentence2\n"
                         "entailment,a dog runs,a dog moves\n"
                         "unknown,a cat sits,a cat rests\n")
         model, _, _ = toy_setup("bilstm-max", n=4)
-        report, _ = E.transfer_eval(model, path)
+        model.save(tmp_path / "ckpt")
+        assert main(["generate", "--checkpoint", str(tmp_path / "ckpt"),
+                     "--corpus", str(path), "--split", "transfer",
+                     "--out-root", str(tmp_path / "runs")]) == 0
+        (report_path,) = (tmp_path / "runs").glob("*/reports/generate_report.json")
+        report = report_from_json(report_path.read_text())
         assert report.counts["skipped_rows"] == 1
         assert report.counts["examples"] == 1
 
@@ -460,15 +475,14 @@ def _reference_report(model, clf, encoded, examples, batch_size):
 
 
 def _reference_transfer(model, clf, path, batch_size):
-    examples, skipped = load_corpus(path, split="transfer")
+    examples, _ = load_corpus(path, split="transfer")
     encoded = encode_corpus(examples, model.vocab)
     batches = list(iterate_batches(encoded, batch_size,
                                    with_explanations=False))
     report = E.EvalReport(provenance={
-        "split": "transfer", "variant": model.variant, "corpus": str(path),
+        "split": "transfer", "variant": model.variant,
         "vocab_sha256": model.vocab.sha256()})
     report.counts["examples"] = len(encoded)
-    report.counts["skipped_rows"] = skipped
     preds = None
     if model.has_classifier or clf is not None:
         preds = _labels_by_batch(model, clf, batches)
@@ -514,10 +528,10 @@ class TestOnePass:
         if variant == "expl-to-label":
             # transfer batches carry no gold explanation to label
             with pytest.raises(ModelError, match="no explanations"):
-                E.transfer_eval(model, path, batch_size=3)
+                _transfer(model, path, batch_size=3)
             return
-        report, dumps = E.transfer_eval(model, path, batch_size=3,
-                                        expl_classifier=clf)
+        report, dumps = _transfer(model, path, batch_size=3,
+                                  expl_classifier=clf)
         ref_report, ref_dumps = _reference_transfer(model, clf, path, 3)
         assert report.to_json() == ref_report.to_json()
         assert dumps == ref_dumps
@@ -595,7 +609,7 @@ class TestOnePass:
         path = tmp_path / "transfer.csv"
         write_corpus_csv(path, make_examples(7, seed=9))   # 3 batches
         counts = self._count_calls(monkeypatch)
-        E.transfer_eval(model, path, batch_size=3, expl_classifier=clf)
+        _transfer(model, path, batch_size=3, expl_classifier=clf)
         expected = {f"{name}_encoder": 3 for name in model.sentences}
         if clf is not None:
             expected["explanation_encoder"] = 3

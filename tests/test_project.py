@@ -63,3 +63,17 @@ def test_workflow_installs_the_package_and_runs_its_script():
     assert install < workflow.index("name: No files left behind")
     ignored = (ROOT / ".gitignore").read_text(encoding="utf-8").split()
     assert "build/" in ignored and "*.egg-info/" in ignored
+
+
+def test_cli_docs_name_every_subcommand():
+    """The subcommands `cli.build_parser()` defines are exactly those the
+    `cli` module docstring lists and those the README's CLI block runs."""
+    from nliexpl import cli
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    listed = re.search(r"Subcommands: ([^.]+)\.", cli.__doc__).group(1)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n\n```bash\n(.*?)```", readme, re.S).group(1)
+    commands = set(sub.choices)
+    assert set(listed.replace(",", " ").split()) == commands
+    assert set(re.findall(r"^nliexpl ([\w-]+)", block, re.M)) == commands
