@@ -436,13 +436,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     return out
 
 
-def concat(parts: list[Tensor], axis: int = -1) -> Tensor:
+def concat(parts: list[Tensor]) -> Tensor:
+    """The parts joined along their last axis."""
     if not parts:
         raise ShapeError("concat: empty input list")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-    _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=axis)))
+    out = Tensor(np.concatenate([p.data for p in parts], axis=-1))
+    splits = np.cumsum([p.shape[-1] for p in parts])[:-1]
+    _record(out, tuple(parts), lambda g: tuple(np.split(g, splits, axis=-1)))
     return out
 
 
@@ -1165,8 +1165,8 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
 class SgdState:
     """Learning-rate schedule state: lr(epoch) = base * decay**epoch."""
 
-    base_lr: float = 0.1
-    decay: float = 0.99
+    base_lr: float
+    decay: float
     epoch: int = 0
 
     @property

@@ -6,7 +6,8 @@ directory named by timestamp and seed containing a reproducibility
 manifest (resolved config, argv, sha256 of every input file, and the
 numpy, BLAS and thread settings it ran under); artifacts land in
 checkpoints/, reports/, and dumps/ underneath unless an explicit output
-path is given. An invocation refused for its input leaves nothing.
+path is given. An invocation refused for its input or an output path
+leaves nothing.
 
 Exit codes: 0 success, 1 input/validation failure, 2 runtime error
 (argparse itself exits 2 on unknown flags).
@@ -37,7 +38,7 @@ from .evaluation import (EvaluationError, EvalReport, bleu, evaluate_model,
                          expl_at_k, inter_annotator_bleu, load_annotations,
                          transfer_eval)
 from .models import ModelError, load_model, variant_class
-from .quality import filter_example, validate_annotation
+from .quality import FILTER_THRESHOLD, filter_example, validate_annotation
 from .training import (ALPHA_GRID, DECODER_GRID, TrainConfig, TrainData,
                        TrainingError, check_splits, grid_select, train)
 
@@ -67,14 +68,6 @@ RUN_FLAGS = (
 )
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _start_run(args, config: dict, inputs: list[Path]) -> Path:
     """The run directory and its manifest, made once every input has loaded."""
     seed = config["training"]["seed"]
@@ -90,7 +83,8 @@ def _start_run(args, config: dict, inputs: list[Path]) -> Path:
     for p in map(Path, filter(None, inputs)):
         files = sorted(f for f in p.rglob("*") if f.is_file()) if p.is_dir() else [p]
         for f in files:
-            hashed[str(f)] = _sha256(f)
+            with open(f, "rb") as fh:
+                hashed[str(f)] = hashlib.file_digest(fh, "sha256").hexdigest()
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "version": __version__,
@@ -108,6 +102,20 @@ def _start_run(args, config: dict, inputs: list[Path]) -> Path:
     (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=1),
                                            encoding="utf-8")
     return run_dir
+
+
+def _check_outputs(args) -> None:
+    """Refuses an --out-root under a file, and an --out or --survivors
+    that is a directory or whose directory does not exist."""
+    root = Path(args.out_root)
+    nearest = next(p for p in (root, *root.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"--out-root {root}: {nearest} is not a directory")
+    for dest in ("out", "survivors"):
+        path = getattr(args, dest, None)
+        if path and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ConfigError(f"--{dest} {path}: not a file in an existing "
+                              "directory")
 
 
 def _lines(path) -> list[str]:
@@ -190,8 +198,7 @@ def _train_config(config: dict, **overrides) -> TrainConfig:
 # Commands
 
 
-def cmd_filter(args) -> int:
-    config = _resolved_config(args)
+def cmd_filter(args, config: dict) -> int:
     path = resolve_path(args.input)
     colmap = _colmap(config)
     examples, skipped = load_corpus(path, split="all", colmap=colmap)
@@ -226,8 +233,7 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def cmd_validate(args) -> int:
-    config = _resolved_config(args)
+def cmd_validate(args, config: dict) -> int:
     path = resolve_path(args.input)
     examples, skipped = load_corpus(path, split="all", colmap=_colmap(config))
     run_dir = _start_run(args, config, [path])
@@ -249,8 +255,7 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config = _resolved_config(args)
+def cmd_train(args, config: dict) -> int:
     cfg = _train_config(config)
     bundle, valid_ex, inputs = _load_bundle(config)
     run_dir = _start_run(args, config, inputs)
@@ -278,8 +283,7 @@ def _grid_list(flag: str, raw: str, kind) -> list:
         raise ConfigError(f"bad value for {flag}: {raw!r}") from None
 
 
-def cmd_grid(args) -> int:
-    config = _resolved_config(args)
+def cmd_grid(args, config: dict) -> int:
     decoders = (_grid_list("--decoders", args.decoders, int) if args.decoders
                 else list(DECODER_GRID))
     alphas = [config["training"].get("alpha")]
@@ -327,8 +331,7 @@ def _load_eval_inputs(args, config: dict):
     return model, expl_clf, examples, encoded, skipped, inputs
 
 
-def cmd_eval(args) -> int:
-    config = _resolved_config(args)
+def cmd_eval(args, config: dict) -> int:
     model, expl_clf, examples, encoded, skipped, inputs = _load_eval_inputs(args, config)
     ann_path = resolve_path(config["eval"].get("annotations"))
     records = load_annotations(ann_path) if ann_path else None
@@ -356,8 +359,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_generate(args) -> int:
-    config = _resolved_config(args)
+def cmd_generate(args, config: dict) -> int:
     model, expl_clf, examples, encoded, skipped, inputs = _load_eval_inputs(args, config)
     report, dumps = transfer_eval(model, encoded, examples, split=args.split,
                                   batch_size=config["eval"]["batch_size"],
@@ -377,8 +379,7 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_bleu(args) -> int:
-    config = _resolved_config(args)
+def cmd_bleu(args, config: dict) -> int:
     cand_path = resolve_path(args.candidates)
     ref_paths = [resolve_path(p) for p in args.references]
     cands = [line.split() for line in _lines(cand_path)]
@@ -401,8 +402,7 @@ def cmd_bleu(args) -> int:
     return 0
 
 
-def cmd_repr_export(args) -> int:
-    config = _resolved_config(args)
+def cmd_repr_export(args, config: dict) -> int:
     sent_path = resolve_path(args.sentences)
     model = load_model(args.checkpoint)
     encoder = getattr(model, f"{model.sentences[0]}_encoder")
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--out", help="report CSV path")
     p.add_argument("--survivors", help="survivors CSV path")
-    p.add_argument("--threshold", type=int, default=10)
+    p.add_argument("--threshold", type=int, default=FILTER_THRESHOLD)
 
     p = _add_command(sub, "validate", cmd_validate, "check annotation constraints")
     p.add_argument("--input", required=True)
@@ -503,7 +503,8 @@ def main(argv=None) -> int:
         print("warning: neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is "
               "set; see 'BLAS threads' in README.md", file=sys.stderr)
     try:
-        return args.fn(args)
+        _check_outputs(args)
+        return args.fn(args, _resolved_config(args))
     except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -72,10 +72,8 @@ DEFAULTS = {
     "data": {"embedding_dim": _RUN_DEFAULTS["embed_dim"], "min_count": 15,
              "sentence_limit": SENTENCE_LIMIT,
              "explanation_limit": EXPLANATION_LIMIT},
-    "model": {k: _RUN_DEFAULTS[k] for k in SCHEMA["model"]
-              if k in _RUN_DEFAULTS},
-    "training": {k: _RUN_DEFAULTS[k] for k in SCHEMA["training"]
-                 if k in _RUN_DEFAULTS},
+    **{section: {k: _RUN_DEFAULTS[k] for k in SCHEMA[section]
+                 if k in _RUN_DEFAULTS} for section in ("model", "training")},
     "eval": {"batch_size": EVAL_BATCH_SIZE, "expl_at_k_mode": "partial"},
 }
 

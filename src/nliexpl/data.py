@@ -162,11 +162,11 @@ class EmbeddingTable:
         return self.matrix.shape[1]
 
     @classmethod
-    def random(cls, vocab: Vocabulary, dim: int, rng: np.random.Generator,
-               scale: float = 0.5) -> "EmbeddingTable":
-        """Frozen random vectors for synthetic/toy corpora that have no
-        pretrained vector file. <pad> stays zero."""
-        m = rng.uniform(-scale, scale, size=(len(vocab), dim)).astype(np.float32)
+    def random(cls, vocab: Vocabulary, dim: int,
+               rng: np.random.Generator) -> "EmbeddingTable":
+        """Frozen random vectors, uniform in [-0.5, 0.5), for synthetic/toy
+        corpora that have no pretrained vector file. <pad> stays zero."""
+        m = rng.uniform(-0.5, 0.5, size=(len(vocab), dim)).astype(np.float32)
         m[vocab.pad_id] = 0.0
         return cls(matrix=m)
 
@@ -402,11 +402,11 @@ class Batch:
         return len(self.ids)
 
 
-def pad_rows(rows: list, pad_id: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Right-pads id rows into one (B, T) matrix; returns (ids, lengths)."""
+def pad_rows(rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pads id rows with <pad>: (ids (B, T), lengths (B,))."""
     lengths = np.array([len(r) for r in rows], dtype=np.int64)
     width = int(lengths.max())
-    out = np.full((len(rows), width), pad_id, dtype=np.int64)
+    out = np.full((len(rows), width), Vocabulary.pad_id, dtype=np.int64)
     for i, r in enumerate(rows):
         out[i, :len(r)] = r
     return out, lengths

@@ -339,7 +339,7 @@ def generate_all(model, encoded, batch_size=EVAL_BATCH_SIZE):
 
 
 def evaluate_model(model, encoded: list[EncodedExample],
-                   examples: list[Example] | None = None, split: str = "valid",
+                   examples: list[Example], split: str = "valid",
                    batch_size: int = EVAL_BATCH_SIZE,
                    expl_classifier=None) -> EvalReport:
     """Full metric sweep for one model on one split.
@@ -363,7 +363,7 @@ def evaluate_model(model, encoded: list[EncodedExample],
         report.perplexity = ppl.perplexity
         report.counts["explanation_tokens"] = ppl.n_tokens
         report.provenance["perplexity_total_nll"] = ppl.total_nll
-    by_id = {e.id: e for e in examples or ()}
+    by_id = {e.id: e for e in examples}
     referenced = [enc for enc in encoded
             if enc.id in by_id and by_id[enc.id].explanations]
     if model.explains and referenced:

@@ -190,11 +190,11 @@ def _nearest_templates(explanations: list[str], premise: str, hypothesis: str,
 
 
 def is_uninformative(explanation: str, premise: str, hypothesis: str,
-                     label: str, threshold: int = FILTER_THRESHOLD) -> FilterResult:
+                     label: str) -> FilterResult:
     """True iff the normalized explanation sits strictly below
-    `threshold` edits from some instantiated template."""
+    FILTER_THRESHOLD edits from some instantiated template."""
     return next(_nearest_templates([explanation], premise, hypothesis, label,
-                                   threshold))
+                                   FILTER_THRESHOLD))
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,12 @@ def test_criterion_1_gradient_suite():
                "(rel err < 1e-4, float64 replay)", t0, budget=120)
 
 
+def _unit_table(vocab, dim, rng):
+    """Frozen vectors uniform in [-1, 1): twice `EmbeddingTable.random`'s,
+    which scaling by 2 keeps bit for bit."""
+    return EmbeddingTable(2 * EmbeddingTable.random(vocab, dim, rng).matrix)
+
+
 def test_criterion_2_overfit_pred_expl(tmp_path):
     """32-example pred-expl run reaches 100% labels, >95% tokens."""
     t0 = time.monotonic()
@@ -225,7 +231,7 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
     vocab = build_vocab([e.premise for e in examples]
                         + [e.hypothesis for e in examples]
                         + [e.explanations[0] for e in examples], min_count=1)
-    table = EmbeddingTable.random(vocab, 32, np.random.default_rng(5), scale=1.0)
+    table = _unit_table(vocab, 32, np.random.default_rng(5))
     encoded = encode_corpus(examples, vocab)
     cfg = TrainConfig(variant="pred-expl", alpha=0.6, epochs=300, seed=0,
                       batch_size=2, embed_dim=32, encoder_hidden=64,
@@ -421,7 +427,7 @@ def test_criterion_7_expl_to_label_directional():
     examples = make_examples(5000, seed=77)
     train_ex, held_ex = examples[:4500], examples[4500:]
     vocab = build_vocab([e.explanations[0] for e in train_ex], min_count=15)
-    table = EmbeddingTable.random(vocab, 24, np.random.default_rng(3), scale=1.0)
+    table = _unit_table(vocab, 24, np.random.default_rng(3))
     enc_train = encode_corpus(train_ex, vocab)
     enc_held = encode_corpus(held_ex, vocab)
 
@@ -432,7 +438,7 @@ def test_criterion_7_expl_to_label_directional():
         model = build_model(cfg.model_config(), vocab, table,
                             np.random.default_rng([cfg.seed, 0]))
         params = model.params()
-        state = ad.SgdState()
+        state = ad.SgdState(base_lr=cfg.lr, decay=cfg.decay)
         accuracy = 0.0
         for epoch in range(cfg.epochs):
             drop_rng = np.random.default_rng([cfg.seed, 1, epoch])

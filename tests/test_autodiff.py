@@ -2493,12 +2493,12 @@ class TestSgd:
     def test_basic_step(self):
         p = ad.param(np.array([1.0], dtype=np.float32), "p")
         p.grad = np.array([2.0], dtype=np.float32)
-        ad.sgd_step({"p": p}, ad.SgdState())
+        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99))
         np.testing.assert_allclose(p.data, [0.8], rtol=1e-6)
         assert p.grad is None
 
     def test_lr_schedule_closed_form(self):
-        state = ad.SgdState()
+        state = ad.SgdState(0.1, 0.99)
         assert state.lr == 0.1
         state.advance_epoch()
         np.testing.assert_allclose(state.lr, 0.099, rtol=1e-12)
@@ -2507,7 +2507,7 @@ class TestSgd:
         np.testing.assert_allclose(state.lr, 0.09044, rtol=1e-4)
 
     def test_lr_monotone_non_increasing(self):
-        state = ad.SgdState()
+        state = ad.SgdState(0.1, 0.99)
         last = state.lr
         for _ in range(100):
             state.advance_epoch()
@@ -2517,7 +2517,7 @@ class TestSgd:
     def test_zero_gradient_leaves_params(self):
         p = ad.param(np.array([1.5], dtype=np.float32), "p")
         p.grad = np.zeros(1, dtype=np.float32)
-        ad.sgd_step({"p": p}, ad.SgdState())
+        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99))
         np.testing.assert_allclose(p.data, [1.5])
 
     def test_nan_gradient_aborts_whole_step(self):
@@ -2526,13 +2526,13 @@ class TestSgd:
         p1.grad = np.array([0.5], dtype=np.float32)
         p2.grad = np.array([np.nan], dtype=np.float32)
         with pytest.raises(ad.GradientError, match="p2"):
-            ad.sgd_step({"p1": p1, "p2": p2}, ad.SgdState())
+            ad.sgd_step({"p1": p1, "p2": p2}, ad.SgdState(0.1, 0.99))
         np.testing.assert_allclose(p1.data, [1.0])  # untouched
 
     def test_clip_norm(self):
         p = ad.param(np.array([0.0, 0.0], dtype=np.float32), "p")
         p.grad = np.array([3.0, 4.0], dtype=np.float32)  # norm 5
-        ad.sgd_step({"p": p}, ad.SgdState(), clip_norm=1.0)
+        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99), clip_norm=1.0)
         np.testing.assert_allclose(p.data, [-0.1 * 0.6, -0.1 * 0.8], rtol=1e-6)
 
 
@@ -2601,3 +2601,79 @@ class TestNoDeadOps:
         assert {("autodiff", "lstm_layer"), ("autodiff", "_packing"),
                 ("models", "BiLstmEncoder")} <= set(defined)
         assert dead == []
+
+
+class TestNoDeadOptions:
+    """A defaulted parameter that no program call passes is a constant
+    dressed as an option: each one in `src/nliexpl` is passed by some call
+    of its function's name in `src/nliexpl` or `perfbench/` (its tests
+    excluded), or is a test seam named here. Matching calls by name
+    over-approximates "passed", so this can miss a dead option but never
+    fails a live one."""
+
+    ROOT = Path(__file__).resolve().parent.parent
+    TEST_SEAMS = {
+        "init_lstm(dtype)": "float64 cells for the finite-difference checks",
+        "lstm_layer(reverse)": "the reverse-direction kernel run alone, on "
+                               "gate inputs, with h0/c0/cond/rmask",
+    }
+
+    @staticmethod
+    def _defaulted_parameters(src: Path):
+        """(label, called name, parameter, position a call passes it at or
+        None) for each defaulted parameter of a module-level function or a
+        class method; a method's position skips self/cls, and a class is
+        called by its name for `__init__`."""
+        found = []
+        for path in sorted(src.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(top, ast.ClassDef):
+                    defs = [(top, f) for f in top.body
+                            if isinstance(f, ast.FunctionDef)]
+                else:
+                    defs = [(None, top)] if isinstance(top, ast.FunctionDef) else []
+                for cls, fn in defs:
+                    args = fn.args
+                    positional = [a.arg for a in args.posonlyargs + args.args]
+                    bound = cls is not None and not any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in fn.decorator_list)
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    defaulted += [a.arg for a, d in zip(args.kwonlyargs,
+                                                        args.kw_defaults)
+                                  if d is not None]
+                    called = cls.name if fn.name == "__init__" else fn.name
+                    owner = f"{cls.name}." if cls else ""
+                    for name in defaulted:
+                        at = (positional.index(name) - bound
+                              if name in positional else None)
+                        found.append((f"{owner}{fn.name}({name})", called,
+                                      name, at))
+        return found
+
+    @staticmethod
+    def _calls(paths):
+        """The calls in `paths`, by the name they call."""
+        calls = {}
+        for path in paths:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+        return calls
+
+    def test_every_defaulted_parameter_is_passed_by_the_program(self):
+        src = self.ROOT / "src" / "nliexpl"
+        calls = self._calls([*src.glob("*.py"), *(
+            p for p in (self.ROOT / "perfbench").glob("*.py")
+            if not p.name.startswith("test_"))])
+        unpassed = {label for label, called, name, at
+                    in self._defaulted_parameters(src)
+                    if not any(any(k.arg in (name, None) for k in call.keywords)
+                               or any(isinstance(a, ast.Starred) for a in call.args)
+                               or at is not None and len(call.args) > at
+                               for call in calls.get(called, ()))}
+        assert unpassed - set(self.TEST_SEAMS) == set(), \
+            "no program call passes these; make them constants"
+        assert set(self.TEST_SEAMS) - unpassed == set(), \
+            "a test seam is gone or now passed by the program"

@@ -1,7 +1,9 @@
 """End-to-end CLI tests over a temporary synthetic corpus."""
 
+import ast
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -18,7 +20,9 @@ from nliexpl import cli
 from nliexpl.cli import main
 from nliexpl.config import (SCHEMA, ConfigError, apply_override, empty_config,
                             load_config)
+from nliexpl.data import ColumnMap, load_corpus
 from nliexpl.evaluation import EXPL_AT_K_MODES
+from nliexpl.quality import FILTER_THRESHOLD, filter_example
 from nliexpl.training import TrainConfig
 from synth import make_examples, write_corpus_csv
 
@@ -159,6 +163,28 @@ class TestFilterCommand:
         surv = list(csv.DictReader(survivors.open()))
         assert all(r["pairID"] != "syn0" for r in surv)
         assert len(surv) == 5
+
+    def test_threshold_reaches_the_filter(self, tmp_path):
+        """With --threshold 0 nothing is filtered; with no flag each row
+        is `filter_example`'s at FILTER_THRESHOLD."""
+        examples = make_examples(6, seed=1)
+        e = examples[0]
+        e.explanation_texts = [f"{e.premise_text} implies {e.hypothesis_text}"]
+        e.label = "entailment"
+        corpus, report = tmp_path / "c.csv", tmp_path / "report.csv"
+        write_corpus_csv(corpus, examples)
+
+        def rows(*flags):
+            assert main(["filter", "--input", str(corpus), "--out", str(report),
+                         *flags, "--out-root", str(tmp_path / "runs")]) == 0
+            return [(r["filtered"], r["nearest_template"], r["distance"])
+                    for r in csv.DictReader(report.open(encoding="utf-8"))]
+
+        want = [(str(int(r.uninformative)), r.nearest_template, str(r.distance))
+                for ex in load_corpus(corpus, split="all")[0]
+                for r in filter_example(ex, threshold=FILTER_THRESHOLD)]
+        assert rows() == want and ("1", "0") in {(f, d) for f, _, d in want}
+        assert {f for f, _, _ in rows("--threshold", "0")} == {"0"}
 
     def test_input_files_not_mutated(self, tmp_path):
         corpus = tmp_path / "c.csv"
@@ -802,7 +828,8 @@ class TestExplainThenPredictCommand:
             files = [valid, ann] + [f for d in (gen, clf)
                                     for f in sorted(Path(d).rglob("*"))
                                     if f.is_file()]
-            assert inputs == {str(f): cli._sha256(f) for f in files}
+            assert inputs == {str(f): hashlib.sha256(f.read_bytes()).hexdigest()
+                              for f in files}
 
     def test_generate_labels_by_explain_then_predict(self, tmp_path,
                                                      toy_config, corpus):
@@ -838,7 +865,7 @@ class TestExplainThenPredictCommand:
         assert written["accuracy"] == report.accuracy is not None
         inputs = json.loads((run_dir / "manifest.json").read_text())["inputs"]
         for f in Path(clf).rglob("*"):
-            assert inputs[str(f)] == cli._sha256(f)
+            assert inputs[str(f)] == hashlib.sha256(f.read_bytes()).hexdigest()
 
     def test_pair_classifier_exits_1(self, tmp_path, toy_config, corpus,
                                      capsys):
@@ -929,6 +956,41 @@ class TestRefusedCommand:
         assert main([command, *argv, "--out-root", str(out_root)]) == 1
         assert missing in capsys.readouterr().err
         assert not out_root.exists()
+
+    @pytest.mark.parametrize("command,flag", [
+        ("filter", "--out"), ("filter", "--survivors"), ("validate", "--out"),
+        ("generate", "--out"), ("repr-export", "--out")])
+    @pytest.mark.parametrize("bad", ["nodir/out.txt", "adir"])
+    def test_unwritable_output_leaves_nothing(self, tmp_path, toy_checkpoint,
+                                              capsys, command, flag, bad):
+        """An explicit output in a missing directory, or naming a
+        directory, exits 1 naming it before anything is written."""
+        ckpt, corpus = toy_checkpoint
+        (tmp_path / "adir").mkdir()
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("a dog runs\n", encoding="utf-8")
+        argv = {"filter": ["--input", str(corpus)],
+                "validate": ["--input", str(corpus)],
+                "generate": ["--checkpoint", str(ckpt), "--corpus", str(corpus)],
+                "repr-export": ["--checkpoint", str(ckpt),
+                                "--sentences", str(sentences)]}[command]
+        out, out_root = tmp_path / bad, tmp_path / "runs"
+        assert main([command, *argv, flag, str(out),
+                     "--out-root", str(out_root)]) == 1
+        assert f"error: {flag} {out}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "s.txt"]
+
+    @pytest.mark.parametrize("below", ["", "runs"])
+    def test_out_root_under_a_file_exits_1(self, tmp_path, toy_checkpoint,
+                                           capsys, below):
+        _, corpus = toy_checkpoint
+        taken = tmp_path / "taken"
+        taken.write_text("x", encoding="utf-8")
+        assert main(["filter", "--input", str(corpus),
+                     "--out-root", str(taken / below)]) == 1
+        assert f"{taken} is not a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text(encoding="utf-8") == "x"
 
     def test_bad_annotations_refused_before_evaluating(
             self, tmp_path, toy_config, corpus, monkeypatch, capsys):
@@ -1182,6 +1244,35 @@ class TestRunSettings:
     def test_config_sections_name_every_train_config_field(self):
         keys = {*SCHEMA["model"], *SCHEMA["training"], "embed_dim"}
         assert keys == {f.name for f in fields(TrainConfig)}
+
+    def test_every_other_config_key_is_read(self):
+        """Besides [model] and [training] (TrainConfig's fields, above),
+        the [data] col_* keys are ColumnMap's fields and every other key
+        is named in `cli.py`, so no key is accepted and then ignored."""
+        columns = {k for k in SCHEMA["data"] if k.startswith("col_")}
+        assert columns == {f"col_{f.name}" for f in fields(ColumnMap)}
+        named = {node.value for node in ast.walk(ast.parse(
+                     Path(cli.__file__).read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Constant)}
+        assert {f"[{section}] {key}" for section in ("data", "eval")
+                for key in SCHEMA[section]
+                if key not in columns and key not in named} == set()
+
+    def test_every_flag_is_read(self):
+        """Each flag's destination is read by `cli.py`: as an `args`
+        attribute, or as a RUN_FLAGS key that `_resolved_config` reads."""
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and getattr(node.value, "id", None) == "args"}
+        read |= {key for _, _, key, _, _ in cli.RUN_FLAGS}
+        (sub,) = [a for a in cli.build_parser()._actions
+                  if a.dest == "command"]
+        unread = {f"{name} {action.option_strings[0]}"
+                  for name, parser in sub.choices.items()
+                  for action in parser._actions
+                  if action.dest != "help" and action.dest not in read}
+        assert unread == set()
 
     def test_defaults_are_train_config_defaults(self):
         config = empty_config()

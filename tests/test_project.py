@@ -77,3 +77,17 @@ def test_cli_docs_name_every_subcommand():
     commands = set(sub.choices)
     assert set(listed.replace(",", " ").split()) == commands
     assert set(re.findall(r"^nliexpl ([\w-]+)", block, re.M)) == commands
+
+
+def test_readme_names_every_flag():
+    """Every flag `cli.build_parser()` defines, on the program or on a
+    subcommand, appears in README.md."""
+    from nliexpl import cli
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    flags = {flag for p in [parser, *sub.choices.values()]
+             for action in p._actions if action.dest != "help"
+             for flag in action.option_strings}
+    assert {flag for flag in flags
+            if not re.search(re.escape(flag) + r"(?![\w-])", readme)} == set()

@@ -190,12 +190,15 @@ class TestIsUninformative:
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            expl = "".join(rng.choice(list("abcdef "), size=20))
-            res5 = Q.is_uninformative(expl, "abc def", "fed cba", "neutral",
-                                      threshold=5)
-            res15 = Q.is_uninformative(expl, "abc def", "fed cba", "neutral",
-                                       threshold=15)
+        texts = ["".join(rng.choice(list("abcdef "), size=20)) for _ in range(50)]
+        e = Example(id="m", premise=tokenize("abc def"),
+                    hypothesis=tokenize("fed cba"), label="neutral",
+                    explanations=[tokenize(t) for t in texts],
+                    premise_text="abc def", hypothesis_text="fed cba",
+                    explanation_texts=texts)
+        for res5, res15 in zip(Q.filter_example(e, threshold=5),
+                               Q.filter_example(e, threshold=15)):
+            assert res5.distance == res15.distance
             if res5.uninformative:
                 assert res15.uninformative
 

@@ -227,7 +227,7 @@ class TestTrain:
             data.vocab, data.table, np.random.default_rng(0))
         from nliexpl.data import make_batch
         batch = make_batch(data.train[:1], with_explanations=True)
-        state = ad.SgdState()
+        state = ad.SgdState(base_lr=0.1, decay=0.99)
         params = model.params()
         losses = []
         for _ in range(50):

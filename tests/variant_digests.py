@@ -85,7 +85,7 @@ def variant_digests(variant: str, hidden: int) -> dict:
     out["grads"] = _digest(*(
         name.encode() + (b"none" if p.grad is None else p.grad.tobytes())
         for name, p in sorted(params.items())))
-    ad.sgd_step(params, ad.SgdState(base_lr=0.1))
+    ad.sgd_step(params, ad.SgdState(base_lr=0.1, decay=0.99))
     out["step_hash"] = model.param_hash()
     res = evaluation_pass(model, encode_corpus(make_examples(6, seed=0), vocab),
                           batch_size=4, nll=model.explains,
