@@ -10,12 +10,11 @@ from .evaluation import (AnnotationRecord, EvalReport, bleu, expl_at_k,
                          inter_annotator_bleu, label_accuracy, perplexity,
                          transfer_eval)
 from .models import (ExplainThenPredict, ModelConfig, build_model,
-                     feature_vector, load_model)
+                     feature_vector, joint_loss, load_model)
 from .quality import (TEMPLATES, ValidationReport, edit_distance,
                       instantiate_templates, is_uninformative,
                       validate_annotation)
-from .training import (RunRecord, TrainConfig, TrainData, grid_select,
-                       joint_loss, train)
+from .training import RunRecord, TrainConfig, TrainData, grid_select, train
 
 __all__ = [
     "SgdState", "Tape", "Tensor", "backward", "sgd_step",
@@ -25,9 +24,8 @@ __all__ = [
     "AnnotationRecord", "EvalReport", "bleu", "expl_at_k",
     "inter_annotator_bleu", "label_accuracy", "perplexity", "transfer_eval",
     "ExplainThenPredict", "ModelConfig", "build_model", "feature_vector",
-    "load_model",
+    "joint_loss", "load_model",
     "TEMPLATES", "ValidationReport", "edit_distance", "instantiate_templates",
     "is_uninformative", "validate_annotation",
-    "RunRecord", "TrainConfig", "TrainData", "grid_select", "joint_loss",
-    "train",
+    "RunRecord", "TrainConfig", "TrainData", "grid_select", "train",
 ]

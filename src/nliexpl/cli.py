@@ -32,8 +32,8 @@ from .checkpoint import CheckpointError
 from .config import (ConfigError, apply_override, empty_config, load_config,
                      resolve_path, set_value)
 from .data import (ColumnMap, CorpusFormatError, EmbeddingTable, build_vocab,
-                   encode_corpus, load_corpus, load_embeddings, open_text,
-                   pad_rows, row_id, tokenize)
+                   corpus_rows, encode_corpus, load_corpus, load_embeddings,
+                   open_text, pad_rows, tokenize)
 from .evaluation import (EvaluationError, EvalReport, bleu, evaluate_model,
                          expl_at_k, inter_annotator_bleu, load_annotations,
                          transfer_eval)
@@ -219,14 +219,12 @@ def cmd_filter(args, config: dict) -> int:
             for k, r in enumerate(rows):
                 writer.writerow([e.id, k, int(r.uninformative),
                                  r.nearest_template, r.distance, codes])
-    with open_text(path, newline="") as src, \
+    with corpus_rows(path, colmap) as (header, records), \
             open(survivors_path, "w", newline="", encoding="utf-8") as dst:
-        reader = csv.DictReader(src)
-        writer = csv.DictWriter(dst, fieldnames=reader.fieldnames)
+        writer = csv.DictWriter(dst, fieldnames=header)
         writer.writeheader()
-        for rownum, row in enumerate(reader, start=2):
-            if row_id(row, colmap.id, rownum) in survivor_ids:
-                writer.writerow(row)
+        writer.writerows(cells for _, example_id, cells in records
+                         if example_id in survivor_ids)
     print(f"filtered report: {report_path}")
     print(f"survivors: {survivors_path} ({len(survivor_ids)} of "
           f"{len(examples)} examples; {skipped} rows skipped)")

@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .data import EXPLANATION_LIMIT, SENTENCE_LIMIT, open_text
-from .evaluation import EVAL_BATCH_SIZE, EXPL_AT_K_MODES
+from .evaluation import EVAL_BATCH_SIZE, expl_at_k_mode
 from .training import TrainConfig
 
 
@@ -26,6 +26,12 @@ def _strlist(raw: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in raw.split(",") if part.strip())
 
 
+def _path(raw: str) -> str:
+    if "\0" in raw:   # no file path holds one; opening it is a ValueError
+        raise ValueError(raw)
+    return raw
+
+
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -33,16 +39,10 @@ def _positive_int(raw: str) -> int:
     return value
 
 
-def _expl_at_k_mode(raw: str) -> str:
-    if raw not in EXPL_AT_K_MODES:
-        raise ValueError(raw)
-    return raw
-
-
 SCHEMA: dict[str, dict[str, type | object]] = {
     "data": {
-        "train": str, "valid": str,
-        "embeddings": str, "embedding_dim": int, "min_count": int,
+        "train": _path, "valid": _path,
+        "embeddings": _path, "embedding_dim": int, "min_count": int,
         "sentence_limit": _positive_int, "explanation_limit": _positive_int,
         "col_gold_label": str, "col_premise": str, "col_hypothesis": str,
         "col_explanations": _strlist, "col_premise_highlights": _strlist,
@@ -58,8 +58,8 @@ SCHEMA: dict[str, dict[str, type | object]] = {
         "clip_norm": float,
     },
     "eval": {
-        "batch_size": _positive_int, "expl_classifier": str,
-        "annotations": str, "expl_at_k_mode": _expl_at_k_mode,
+        "batch_size": _positive_int, "expl_classifier": _path,
+        "annotations": _path, "expl_at_k_mode": expl_at_k_mode,
     },
 }
 

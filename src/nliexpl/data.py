@@ -260,43 +260,58 @@ def _parse_highlights(cell: str | None, where: str) -> set[int] | None:
         raise CorpusFormatError(f"{where}: bad highlight indices {cell!r}") from None
 
 
-def row_id(row: dict, id_col: str, rownum: int) -> str:
-    """A corpus row's example id: its id cell, else "row<N>" by CSV line."""
-    return (row.get(id_col) or "").strip() or f"row{rownum}"
+@contextmanager
+def csv_rows(path, required, id_of, error: type[Exception]):
+    """`path` read as a UTF-8 CSV file with a header: yields (header,
+    rows), where rows yields (line, id, cells) for each data row and
+    `id_of(cells, line)` gives a row's id. Raises `error` naming the file
+    and the line for bytes that are not UTF-8, a `required` column
+    missing from the header, a row with more cells than the header and
+    a repeated id."""
+    with open_text(path, error, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise error(f"{path}:1: missing columns {missing}")
+
+        def rows():
+            first_line: dict[str, int] = {}
+            for line, cells in enumerate(reader, start=2):
+                if None in cells:   # DictReader's key for cells past the header
+                    raise error(f"{path}:{line}: {len(header) + len(cells[None])} "
+                                f"cells, more than the header's {len(header)}")
+                row_id = id_of(cells, line)
+                if row_id in first_line:
+                    raise error(f"{path}: example id {row_id!r} repeated on "
+                                f"rows {first_line[row_id]} and {line}")
+                first_line[row_id] = line
+                yield line, row_id, cells
+        yield header, rows()
+
+
+def corpus_rows(path, colmap: ColumnMap):
+    """`csv_rows` for a corpus: label and sentences required; a row's id is
+    its id cell, else "row<N>" by CSV line."""
+    return csv_rows(path, (colmap.gold_label, colmap.premise, colmap.hypothesis),
+                    lambda cells, line: (cells.get(colmap.id) or "").strip()
+                    or f"row{line}", CorpusFormatError)
 
 
 def load_corpus(path, split: str = "train",
                 colmap: ColumnMap | None = None) -> tuple[list[Example], int]:
-    """Parse a corpus CSV. Returns (examples, skipped_row_count).
+    """Parse a corpus CSV (`corpus_rows`): (examples, skipped_row_count).
 
     Rows whose gold label is outside the 3-way set are skipped and
     counted rather than rejected, so transfer corpora with extra labels
-    load cleanly. A repeated example id is an error, whichever rows
-    carry it: evaluation and the filter match outputs to rows by id. So
-    is a row with more cells than the header, and bytes that are not
-    UTF-8.
+    load cleanly. Ids are unique, whichever rows carry them: evaluation
+    and the filter match outputs to rows by id.
     """
     colmap = colmap or ColumnMap()
     examples: list[Example] = []
     skipped = 0
-    first_row: dict[str, int] = {}
-    with open_text(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in (colmap.gold_label, colmap.premise, colmap.hypothesis):
-            if col not in header:
-                raise CorpusFormatError(f"{path}: missing required column {col!r}")
-        for rownum, row in enumerate(reader, start=2):
-            if None in row:   # DictReader's key for cells past the header
-                raise CorpusFormatError(
-                    f"{path}: row {rownum} has {len(header) + len(row[None])} "
-                    f"cells, more than the header's {len(header)}")
-            example_id = row_id(row, colmap.id, rownum)
-            if example_id in first_row:
-                raise CorpusFormatError(
-                    f"{path}: example id {example_id!r} repeated on rows "
-                    f"{first_row[example_id]} and {rownum}")
-            first_row[example_id] = rownum
+    with corpus_rows(path, colmap) as (_, rows):
+        for rownum, example_id, row in rows:
             label = (row.get(colmap.gold_label) or "").strip().lower()
             if label not in LABELS:
                 skipped += 1

@@ -13,7 +13,6 @@ Conventions pinned here so numbers are comparable across runs:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from collections import Counter
@@ -21,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .data import (EncodedExample, Example, iterate_batches,
-                   missing_explanations, open_text)
+from .data import (EncodedExample, Example, csv_rows, iterate_batches,
+                   missing_explanations)
 from .models import ExplainThenPredict, ModelError
 
 BLEU_MAX_N = 4
@@ -153,29 +152,13 @@ _FLAGS = {"1": True, "true": True, "yes": True,
 
 
 def load_annotations(path) -> list[AnnotationRecord]:
-    """Annotation CSV columns: id, predicted_label_correct, k, n; one
-    row per example id. The flag is 1/true/yes or 0/false/no, in any
+    """Annotation CSV (`data.csv_rows`) columns: id,
+    predicted_label_correct, k, n; one row per example id. The flag is 1/true/yes or 0/false/no, in any
     case."""
     records = []
-    first_row: dict[str, int] = {}
-    with open_text(path, EvaluationError, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ("id", "predicted_label_correct", "k", "n")
-                   if c not in (reader.fieldnames or [])]
-        if missing:
-            raise EvaluationError(f"{path}:1: missing columns {missing}")
-        for rownum, row in enumerate(reader, start=2):
-            if None in row:   # DictReader's key for cells past the header
-                width = len(reader.fieldnames)
-                raise EvaluationError(
-                    f"{path}:{rownum}: {width + len(row[None])} cells, more "
-                    f"than the header's {width}")
-            example_id = row["id"]
-            if example_id in first_row:
-                raise EvaluationError(
-                    f"{path}: example id {example_id!r} repeated on rows "
-                    f"{first_row[example_id]} and {rownum}")
-            first_row[example_id] = rownum
+    with csv_rows(path, ("id", "predicted_label_correct", "k", "n"),
+                  lambda cells, line: cells["id"], EvaluationError) as (_, rows):
+        for rownum, example_id, row in rows:
             try:
                 k, n = int(row["k"]), int(row["n"])
             except (TypeError, ValueError):
@@ -200,6 +183,13 @@ def load_annotations(path) -> list[AnnotationRecord]:
 EXPL_AT_K_MODES = ("partial", "strict")
 
 
+def expl_at_k_mode(mode: str) -> str:
+    """`mode` if it is one of EXPL_AT_K_MODES, else EvaluationError."""
+    if mode not in EXPL_AT_K_MODES:
+        raise EvaluationError(f"unknown mode {mode!r}")
+    return mode
+
+
 def expl_at_k(records: list[AnnotationRecord],
               mode: str = "partial") -> float | None:
     """Explanation correctness over the label-correct subset, x100.
@@ -208,8 +198,7 @@ def expl_at_k(records: list[AnnotationRecord],
     34.68); "strict" counts only full scores. Returns None when no
     record has a correct label (undefined).
     """
-    if mode not in EXPL_AT_K_MODES:
-        raise EvaluationError(f"unknown mode {mode!r}")
+    expl_at_k_mode(mode)
     subset = [r for r in records if r.predicted_label_correct]
     if not subset:
         return None

@@ -209,8 +209,8 @@ class LstmDecoder(_Part):
     configuration the per-step input is [p_ctx, h_ctx, embedding]: one
     context per `autodiff.Attention` head of `attn_ctx`, in order. That
     projection or those heads are the `cond` of the decoder's LSTM.
-    Recurrent (variational) dropout draws one mask per sequence and
-    applies it to the hidden state entering each step, training only.
+    Recurrent (variational) dropout draws one mask per sequence from `rng`
+    and applies it to the hidden state entering each step.
     """
 
     def __init__(self, rng: np.random.Generator, cfg: ModelConfig,
@@ -247,8 +247,7 @@ class LstmDecoder(_Part):
 
     def teacher_forced(self, embedding: WordEmbedding, source: ad.Tensor,
                        inputs: np.ndarray, targets: np.ndarray,
-                       lengths: np.ndarray, train: bool,
-                       rng: np.random.Generator | None = None,
+                       lengths: np.ndarray, rng: np.random.Generator | None = None,
                        attn_ctx=None) -> DecodeResult:
         """Row b's first `lengths[b]` steps of (B, S) `inputs` are real.
         The whole sequence is one `lstm_layer`, which skips the pad steps
@@ -260,7 +259,7 @@ class LstmDecoder(_Part):
         B, S = inputs.shape
         h, c = self._init_state(source)
         rmask = None
-        if train and self.dropout > 0.0:
+        if rng is not None and self.dropout > 0.0:
             rmask = ad.dropout_mask(rng, (B, self.hidden), self.dropout,
                                     embedding.frozen.dtype)
         hs = ad.lstm_layer(embedding.lookup(inputs.T), self.cell, h, c,
@@ -444,14 +443,14 @@ class BaseModel(_Part):
 
     def _teacher_forced(self, source: ad.Tensor, ids: np.ndarray,
                         lengths: np.ndarray, classes: np.ndarray | None,
-                        train: bool, rng: np.random.Generator | None = None,
+                        rng: np.random.Generator | None = None,
                         ctx=None) -> DecodeResult:
         """Decodes padded <bos> ... <eos> rows from `source`, with the
         first word of `classes` in place of <bos> as the first input."""
         inputs = ids[:, :-1].copy()
         inputs[:, 0] = self._first_words(classes, len(ids))
         return self.decoder.teacher_forced(self.embedding, source, inputs,
-                                           ids[:, 1:], lengths - 1, train, rng,
+                                           ids[:, 1:], lengths - 1, rng,
                                            attn_ctx=ctx)
 
     def _reconstruction_rows(self, batch: Batch, name: str):
@@ -461,13 +460,12 @@ class BaseModel(_Part):
         return wrap_rows(self.vocab, [row[:min(n, cap)]
                                       for row, n in zip(ids, lengths)])
 
-    def loss(self, batch: Batch, train: bool = True,
-             rng: np.random.Generator | None = None,
+    def loss(self, batch: Batch, rng: np.random.Generator | None = None,
              alpha: float | None = None) -> tuple[ad.Tensor, dict]:
         """The label loss with a classifier; with a decoder, the summed
         teacher-forced NLL over the batch size (the first gold explanation
         from f and the gold label word, or the premise from u and the
-        hypothesis from v); with both, `joint_loss`."""
+        hypothesis from v); with both, `joint_loss`. Dropout runs with `rng`."""
         fv, ctx, logits = self._condition(batch)
         info = {}
         if logits is not None:
@@ -480,13 +478,13 @@ class BaseModel(_Part):
         if self.decodes == "reconstruct":
             nll = ad.add(*(self._teacher_forced(
                                u, *self._reconstruction_rows(batch, name),
-                               None, train, rng).nll_sum
+                               None, rng).nll_sum
                            for u, name in ((fv.u, "premise"),
                                            (fv.v, "hypothesis"))))
         else:
             classes = None if logits is None else batch.labels
             nll = self._teacher_forced(fv.f, *self._rows(batch, "explanation"),
-                                       classes, train, rng, ctx).nll_sum
+                                       classes, rng, ctx).nll_sum
         expl_loss = ad.scale(nll, 1.0 / batch.size)
         if logits is None:
             return expl_loss, info
@@ -506,7 +504,7 @@ class BaseModel(_Part):
         scored = generated = None
         if nll:
             res = self._teacher_forced(fv.f, *self._rows(batch, "explanation"),
-                                       preds, False, ctx=ctx)
+                                       preds, ctx=ctx)
             scored = float(res.nll_sum.data), res.n_tokens, res.n_correct
         if greedy:
             generated = self.decoder.greedy(

@@ -26,7 +26,6 @@ from .data import (EmbeddingTable, EncodedExample, Vocabulary, iterate_batches,
                    missing_explanations)
 from .evaluation import evaluation_pass, label_accuracy
 from .models import ModelConfig, ModelError, build_model, variant_class
-from .models import joint_loss  # noqa: F401  (public here too)
 
 log = logging.getLogger(__name__)
 
@@ -176,8 +175,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                                      shuffle=True,
                                      with_explanations=model.needs_explanations):
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, train=True, rng=drop_rng,
-                                     alpha=config.alpha)
+                loss, _ = model.loss(batch, rng=drop_rng, alpha=config.alpha)
             loss_val = float(loss.data)
             if not math.isfinite(loss_val):
                 record.note = f"non-finite loss at epoch {epoch}"

@@ -718,7 +718,7 @@ def attend_step(decoder, emb: Tensor, heads, h: Tensor, c: Tensor,
 
 def teacher_forced_dense(decoder, embedding, source: Tensor,
                          inputs: np.ndarray, targets: np.ndarray,
-                         lengths: np.ndarray, train: bool, rng=None,
+                         lengths: np.ndarray, rng=None,
                          attn_ctx=None) -> DecodeResult:
     """`LstmDecoder.teacher_forced` as it was before it gathered the real
     target rows, with the same signature: the decoder's recurrence (with
@@ -729,7 +729,7 @@ def teacher_forced_dense(decoder, embedding, source: Tensor,
     target_mask = np.arange(S)[None, :] < lengths[:, None]
     h, c = decoder._init_state(source)
     rmask = None
-    if train and decoder.dropout > 0.0:
+    if rng is not None and decoder.dropout > 0.0:
         rmask = dropout_mask(rng, (B, decoder.hidden), decoder.dropout,
                              embedding.frozen.dtype)
     if decoder.attention:

@@ -248,8 +248,7 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
                                      epoch=epoch, shuffle=True,
                                      with_explanations=True):
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, train=True, rng=drop_rng,
-                                     alpha=cfg.alpha)
+                loss, _ = model.loss(batch, rng=drop_rng, alpha=cfg.alpha)
             ad.backward(tape, loss)
             ad.sgd_step(params, state)
         state.advance_epoch()
@@ -447,7 +446,7 @@ def test_criterion_7_expl_to_label_directional():
                                          shuffle=True,
                                          with_explanations=True):
                 with ad.Tape() as tape:
-                    loss, _ = model.loss(batch, train=True, rng=drop_rng)
+                    loss, _ = model.loss(batch, rng=drop_rng)
                 ad.backward(tape, loss)
                 ad.sgd_step(params, state)
             state.advance_epoch()

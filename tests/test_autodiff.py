@@ -2374,7 +2374,7 @@ class TestBackwardReleases:
         model, batch, vocab = toy_setup("pred-expl", n=8, hidden=6, embed=5,
                                         dec=6, width=6)
         with ad.Tape() as tape:
-            loss, _ = model.loss(batch, train=True, alpha=0.6,
+            loss, _ = model.loss(batch, alpha=0.6,
                                  rng=np.random.default_rng(5))
         return model, tape, loss, len(vocab)
 
@@ -2604,12 +2604,13 @@ class TestNoDeadOps:
 
 
 class TestNoDeadOptions:
-    """A defaulted parameter that no program call passes is a constant
+    """A defaulted parameter that no program call passes, or that every
+    program call passes as one and the same literal, is a constant
     dressed as an option: each one in `src/nliexpl` is passed by some call
     of its function's name in `src/nliexpl` or `perfbench/` (its tests
-    excluded), or is a test seam named here. Matching calls by name
-    over-approximates "passed", so this can miss a dead option but never
-    fails a live one."""
+    excluded) with a value other than the rest, or is a test seam named
+    here. Matching calls by name over-approximates "passed", so this can
+    miss a dead option but never fails a live one."""
 
     ROOT = Path(__file__).resolve().parent.parent
     TEST_SEAMS = {
@@ -2621,9 +2622,9 @@ class TestNoDeadOptions:
     @staticmethod
     def _defaulted_parameters(src: Path):
         """(label, called name, parameter, position a call passes it at or
-        None) for each defaulted parameter of a module-level function or a
-        class method; a method's position skips self/cls, and a class is
-        called by its name for `__init__`."""
+        None, default) for each defaulted parameter of a module-level
+        function or a class method; a method's position skips self/cls,
+        and a class is called by its name for `__init__`."""
         found = []
         for path in sorted(src.glob("*.py")):
             for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -2638,42 +2639,72 @@ class TestNoDeadOptions:
                     bound = cls is not None and not any(
                         getattr(d, "id", None) == "staticmethod"
                         for d in fn.decorator_list)
-                    defaulted = positional[len(positional) - len(args.defaults):]
-                    defaulted += [a.arg for a, d in zip(args.kwonlyargs,
-                                                        args.kw_defaults)
+                    defaulted = list(zip(positional[len(positional)
+                                                    - len(args.defaults):],
+                                         args.defaults))
+                    defaulted += [(a.arg, d) for a, d in zip(args.kwonlyargs,
+                                                             args.kw_defaults)
                                   if d is not None]
                     called = cls.name if fn.name == "__init__" else fn.name
                     owner = f"{cls.name}." if cls else ""
-                    for name in defaulted:
+                    for name, default in defaulted:
                         at = (positional.index(name) - bound
                               if name in positional else None)
                         found.append((f"{owner}{fn.name}({name})", called,
-                                      name, at))
+                                      name, at, default))
         return found
 
-    @staticmethod
-    def _calls(paths):
-        """The calls in `paths`, by the name they call."""
+    @classmethod
+    def _program_calls(cls):
+        """The calls in `src/nliexpl` and `perfbench/`, by the name they
+        call."""
         calls = {}
-        for path in paths:
+        for path in [*(cls.ROOT / "src" / "nliexpl").glob("*.py"), *(
+                p for p in (cls.ROOT / "perfbench").glob("*.py")
+                if not p.name.startswith("test_"))]:
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
                     calls.setdefault(name, []).append(node)
         return calls
 
+    @staticmethod
+    def _argument(call, name: str, at: int | None):
+        """The node `call` passes as parameter `name` (at position `at`),
+        None if it passes none, or `call` itself if a `*` or `**` may."""
+        for k in call.keywords:
+            if k.arg in (name, None):
+                return k.value if k.arg else call
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return call
+        return call.args[at] if at is not None and len(call.args) > at else None
+
+    def _arguments(self):
+        """(label, [node each program call passes, or None], default) per
+        defaulted parameter."""
+        calls = self._program_calls()
+        return [(label, [self._argument(c, name, at)
+                         for c in calls.get(called, ())], default)
+                for label, called, name, at, default
+                in self._defaulted_parameters(self.ROOT / "src" / "nliexpl")]
+
     def test_every_defaulted_parameter_is_passed_by_the_program(self):
-        src = self.ROOT / "src" / "nliexpl"
-        calls = self._calls([*src.glob("*.py"), *(
-            p for p in (self.ROOT / "perfbench").glob("*.py")
-            if not p.name.startswith("test_"))])
-        unpassed = {label for label, called, name, at
-                    in self._defaulted_parameters(src)
-                    if not any(any(k.arg in (name, None) for k in call.keywords)
-                               or any(isinstance(a, ast.Starred) for a in call.args)
-                               or at is not None and len(call.args) > at
-                               for call in calls.get(called, ()))}
+        unpassed = {label for label, passed, _ in self._arguments()
+                    if all(node is None for node in passed)}
         assert unpassed - set(self.TEST_SEAMS) == set(), \
             "no program call passes these; make them constants"
         assert set(self.TEST_SEAMS) - unpassed == set(), \
             "a test seam is gone or now passed by the program"
+
+    def test_no_defaulted_parameter_is_one_literal_on_every_call(self):
+        """A parameter that some program call passes, while every call
+        passes or leaves at its default one and the same literal."""
+        constant = set()
+        for label, passed, default in self._arguments():
+            values = [default if node is None else node for node in passed]
+            if (any(node is not None for node in passed)
+                    and all(isinstance(v, ast.Constant) for v in values)
+                    and len({ast.dump(v) for v in values}) == 1):
+                constant.add(label)
+        assert constant == set(), \
+            "every program call passes these as one literal; make them constants"

@@ -10,6 +10,7 @@ import os
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,6 +141,16 @@ class TestConfigFile:
                 in capsys.readouterr().err)
 
 
+    def test_a_path_with_a_nul_byte_is_a_config_error(self, toy_config):
+        """No file path holds a NUL byte, and opening one is a ValueError,
+        so each path key refuses it when the config loads."""
+        config = load_config(toy_config)
+        for key in ("data.train", "data.valid", "data.embeddings",
+                    "eval.expl_classifier", "eval.annotations"):
+            with pytest.raises(ConfigError, match=rf"\[{key.replace('.', '] ')}"):
+                apply_override(config, key, "a\0b.csv")
+
+
 class TestFilterCommand:
     def test_writes_report_and_survivors(self, tmp_path):
         examples = make_examples(6, seed=1)
@@ -185,6 +196,29 @@ class TestFilterCommand:
                 for r in filter_example(ex, threshold=FILTER_THRESHOLD)]
         assert rows() == want and ("1", "0") in {(f, d) for f, _, d in want}
         assert {f for f, _, _ in rows("--threshold", "0")} == {"0"}
+
+    def test_survivors_copy_reads_ids_as_load_corpus_does(self, tmp_path):
+        """Rows with no id cell are "row<N>" to both reads, and a corpus
+        with no data row still gets the header line."""
+        examples = make_examples(4, seed=1)
+        e = examples[1]
+        e.explanation_texts = [f"{e.premise_text} implies {e.hypothesis_text}"]
+        e.label = "entailment"
+        for ex in examples:
+            ex.id = ""
+        corpus, survivors = tmp_path / "c.csv", tmp_path / "s.csv"
+        write_corpus_csv(corpus, examples)
+        header = corpus.read_text(encoding="utf-8").splitlines()[0]
+
+        def kept():
+            assert main(["filter", "--input", str(corpus), "--survivors",
+                         str(survivors), "--out-root", str(tmp_path / "runs")]) == 0
+            return survivors.read_text(encoding="utf-8").splitlines()
+
+        lines = corpus.read_text(encoding="utf-8").splitlines()
+        assert kept() == [lines[0], lines[1], lines[3], lines[4]]
+        corpus.write_text(header + "\n", encoding="utf-8")
+        assert kept() == [header]
 
     def test_input_files_not_mutated(self, tmp_path):
         corpus = tmp_path / "c.csv"
@@ -1057,7 +1091,7 @@ class TestMalformedInput:
         corpus.write_text("".join(lines), encoding="utf-8")
         code, outs = self._corpus_run(tmp_path, command)
         assert code == 1
-        assert (f"error: {corpus}: row 3 has 8 cells, more than the header's 7"
+        assert (f"error: {corpus}:3: 8 cells, more than the header's 7"
                 in capsys.readouterr().err)
         assert not any(p.exists() for p in outs)
 
@@ -1087,11 +1121,23 @@ def toy_checkpoint(tmp_path_factory):
 
 
 class TestByteMutationFuzz:
-    """Valid inputs of `filter`, `validate`, `bleu`, `eval --annotations`
-    and `repr-export --sentences` with 1-4 bytes replaced by arbitrary
-    ones: the command exits 0 or 1, never 2 (an unexpected exception),
-    and with 1 its stderr names the mutated file and it leaves nothing
-    under --out-root."""
+    """Valid inputs of `filter`, `validate`, `bleu`, `eval --annotations`,
+    `repr-export --sentences` and `train --config` (the config file or
+    its embeddings file) with 1-4 bytes replaced by arbitrary ones: the
+    command exits 0 or 1, never 2 (an unexpected exception), and with 1
+    it leaves nothing under --out-root and its stderr names the mutated
+    file (for `train`, the embeddings file)."""
+
+    class Accepted(BaseException):
+        """Raised in place of `cli._start_run`: every input was accepted."""
+
+    @staticmethod
+    def _mutate(target, data):
+        raw = bytearray(target.read_bytes())
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            at = data.draw(st.integers(0, len(raw) - 1), label="at")
+            raw[at] = data.draw(st.integers(0, 255), label="byte")
+        target.write_bytes(bytes(raw))
 
     @staticmethod
     def _seed_files(root, ckpt, evaluated):
@@ -1127,11 +1173,7 @@ class TestByteMutationFuzz:
             root = Path(tmp)
             argv, inputs = self._seed_files(root, *toy_checkpoint)[command]
             target = data.draw(st.sampled_from(inputs), label="file")
-            raw = bytearray(target.read_bytes())
-            for _ in range(data.draw(st.integers(1, 4), label="mutations")):
-                at = data.draw(st.integers(0, len(raw) - 1), label="at")
-                raw[at] = data.draw(st.integers(0, 255), label="byte")
-            target.write_bytes(bytes(raw))
+            self._mutate(target, data)
             err = io.StringIO()
             with contextlib.redirect_stderr(err), \
                     contextlib.redirect_stdout(io.StringIO()):
@@ -1140,6 +1182,58 @@ class TestByteMutationFuzz:
             if code == 1:
                 assert str(target) in err.getvalue()
                 assert not (root / "runs").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_train_config_and_embeddings(self, data):
+        """`cli._start_run` raises `Accepted`, so an accepted command stops
+        before it builds a model of whatever size the mutation set. The
+        config's paths are short, relative to NLIEXPL_DATA_ROOT, so most
+        mutations land on its keys and values."""
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            examples = make_examples(4, seed=7)
+            write_corpus_csv(root / "train.csv", examples)
+            write_corpus_csv(root / "valid.csv", make_examples(3, seed=8))
+            emb = root / "emb.txt"
+            emb.write_text("".join(
+                f"{t} 0.1 -0.2 0.3 0.4\n" for t in sorted(
+                    {t for e in examples for x in e.explanations for t in x})),
+                encoding="utf-8")
+            cfg = root / "c.ini"
+            cfg.write_text("""[data]
+train = train.csv
+valid = valid.csv
+embeddings = emb.txt
+embedding_dim = 4
+min_count = 1
+
+[model]
+variant = pred-expl
+encoder_hidden = 4
+decoder_hidden = 4
+classifier_width = 4
+
+[training]
+alpha = 0.6
+seed = 3
+""", encoding="utf-8")
+            target = data.draw(st.sampled_from([cfg, emb]), label="file")
+            self._mutate(target, data)
+            err = io.StringIO()
+            with mock.patch.object(cli, "_start_run", side_effect=self.Accepted), \
+                    mock.patch.dict(os.environ, {"NLIEXPL_DATA_ROOT": tmp}), \
+                    contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                try:
+                    code = main(["train", "--config", str(cfg),
+                                 "--out-root", str(root / "runs")])
+                except self.Accepted:
+                    return
+            assert code in (0, 1), err.getvalue()
+            if code == 1:
+                assert not (root / "runs").exists()
+                assert target == cfg or str(emb) in err.getvalue()
 
 
 class TestDataRootEnvVar:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nliexpl import data as D
+from nliexpl.evaluation import EvaluationError, load_annotations
 from synth import make_examples, write_corpus_csv
 
 
@@ -289,6 +290,47 @@ class TestBatching:
         for batch in D.iterate_batches(enc, 7, with_explanations=True):
             assert (batch.premise_len <= batch.premise.shape[1]).all()
             assert (batch.explanation_len <= batch.explanation.shape[1]).all()
+
+
+class TestCsvRows:
+    """Both CSV inputs go through `csv_rows`: the same fault gets the same
+    message, naming the file and the line, from the corpus and from the
+    annotation reader."""
+
+    # reader, its error, header, a data row for an id, its last required column
+    READERS = {
+        "corpus": (D.load_corpus, D.CorpusFormatError,
+                   "pairID,gold_label,Sentence1,Sentence2",
+                   "{},entailment,a dog,an animal", "Sentence2"),
+        "annotations": (load_annotations, EvaluationError,
+                        "id,predicted_label_correct,k,n", "{},1,1,1", "n"),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("fault", ["missing column", "long row",
+                                       "repeated id", "not UTF-8"])
+    def test_a_fault_reads_alike_in_both_readers(self, tmp_path, reader, fault):
+        load, error, header, row, last = self.READERS[reader]
+        rows = [row.format(i) for i in ("a", "b", "c")]
+        path = tmp_path / "in.csv"
+        width = header.count(",") + 1
+        if fault == "missing column":
+            header = header[:-len(last) - 1]
+            expected = f"{path}:1: missing columns [{last!r}]"
+        elif fault == "long row":
+            rows[1] += ",extra"
+            expected = f"{path}:3: {width + 1} cells, more than the header's {width}"
+        elif fault == "repeated id":
+            rows[2] = row.format("a")
+            expected = f"{path}: example id 'a' repeated on rows 2 and 4"
+        else:
+            rows[1] = "\udcff" + rows[1]
+            expected = f"{path}:3: not UTF-8 text (invalid start byte)"
+        path.write_bytes("\n".join([header, *rows, ""]).encode(
+            "utf-8", "surrogateescape"))
+        with pytest.raises(error) as info:
+            load(path)
+        assert str(info.value) == expected
 
 
 class TestLoadCorpus:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import evaluation as E
+from nliexpl.config import SCHEMA
 from nliexpl.data import encode_corpus, iterate_batches, load_corpus
 from nliexpl.models import (BiLstmEncoder, ExplainThenPredict, LstmDecoder,
                             ModelError)
@@ -219,6 +220,15 @@ class TestExplAtK:
     def test_all_full_scores(self):
         records = self._records([(1, 1)] * 7)
         assert E.expl_at_k(records) == 100.0
+
+    def test_mode_is_checked_in_one_place(self):
+        """`expl_at_k_mode` is the one check: `expl_at_k` calls it, and it
+        parses the config key `[eval] expl_at_k_mode`."""
+        assert SCHEMA["eval"]["expl_at_k_mode"] is E.expl_at_k_mode
+        assert [E.expl_at_k_mode(m) for m in E.EXPL_AT_K_MODES] == ["partial",
+                                                                     "strict"]
+        with pytest.raises(E.EvaluationError, match="unknown mode 'bogus'"):
+            E.expl_at_k(self._records([(1, 1)]), "bogus")
 
     def test_incorrect_label_records_ignored_entirely(self):
         records = self._records([(1, 1)] * 4)

@@ -87,7 +87,7 @@ class TestClassifier:
     def test_tie_breaks_to_lowest_class_index(self):
         model, batch = self._biased_model([0.3, 0.3, 0.3])
         assert (model.predict_labels(batch) == 0).all()
-        assert (model.loss(batch, train=False)[1]["preds"] == 0).all()
+        assert (model.loss(batch)[1]["preds"] == 0).all()
 
     def test_labels_read_the_logits_not_the_probabilities(self):
         """Logits 0.1 and the next float32 up have equal probabilities in
@@ -98,7 +98,7 @@ class TestClassifier:
         probs = softmax(t([bias])).data[0]
         assert probs[0] == probs[1]
         model, batch = self._biased_model(bias)
-        preds = model.loss(batch, train=False)[1]["preds"]
+        preds = model.loss(batch)[1]["preds"]
         np.testing.assert_array_equal(preds, model.predict_labels(batch))
         assert (preds == 1).all()
 
@@ -209,7 +209,7 @@ class TestEncoder:
         for layer in (ad.bilstm_layer, composed):
             monkeypatch.setattr(ad, "bilstm_layer", layer)
             with ad.Tape() as tape:
-                model.loss(batch, train=True, rng=np.random.default_rng(0),
+                model.loss(batch, rng=np.random.default_rng(0),
                            alpha=0.6)
             counts.append(len(tape.records))
         assert counts[1] - counts[0] == 10
@@ -434,7 +434,7 @@ class TestVariantStructure:
             return original(self, *args, **kw)
 
         monkeypatch.setattr(M.LstmDecoder, "teacher_forced", spy)
-        model.loss(batch, train=False, alpha=0.6)
+        model.loss(batch, alpha=0.6)
         assert len(seen) == 2 and seen[0] is seen[1] is model.decoder
 
     def test_expl_to_label_uses_only_explanations(self):
@@ -516,8 +516,7 @@ class TestDecoding:
             with ad.Tape() as tape:
                 fv, ctx, _ = model._condition(b)
                 res = model._teacher_forced(fv.f, b.explanation,
-                                            b.explanation_len, b.labels,
-                                            train=False, ctx=ctx)
+                                            b.explanation_len, b.labels, ctx=ctx)
             ad.backward(tape, res.nll_sum)
             grads = {name: np.zeros_like(p.data) if p.grad is None
                      else p.grad.copy() for name, p in params.items()}
@@ -554,8 +553,8 @@ class TestDecoding:
 
             monkeypatch.setattr(M.LstmDecoder, "teacher_forced", spy)
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, train=True,
-                                     rng=np.random.default_rng(4), alpha=alpha)
+                loss, _ = model.loss(batch, rng=np.random.default_rng(4),
+                                     alpha=alpha)
             ad.backward(tape, loss)
             grads = {name: p.grad for name, p in params.items()}
             for p in params.values():
@@ -624,8 +623,7 @@ class TestDecoding:
         ids, lengths = pad_rows([[vocab.bos_id, *e] + [vocab.eos_id] * early
                                  for e, early in zip(emitted, stopped)])
         fv, ctx, _ = model._condition(batch)
-        res = model._teacher_forced(fv.f, ids, lengths, preds, train=False,
-                                    ctx=ctx)
+        res = model._teacher_forced(fv.f, ids, lengths, preds, ctx=ctx)
         decided = sum(len(e) for e in emitted) + sum(stopped)
         assert res.n_tokens == decided
         assert res.n_correct == decided
@@ -646,7 +644,7 @@ class TestDecoding:
         records (its states, then its pooled vector); each writes one."""
         model, batch, _ = toy_setup(variant)
         with ad.Tape() as tape:
-            model.loss(batch, train=True, rng=np.random.default_rng(0),
+            model.loss(batch, rng=np.random.default_rng(0),
                        alpha=alpha)
         kinds = Counter(fn.__qualname__.split(".")[0]
                         for _, _, fn in tape.records)
@@ -685,8 +683,7 @@ class TestDecoding:
             monkeypatch.setattr(M.LstmDecoder, "teacher_forced", forced)
             monkeypatch.setattr(M.LstmDecoder, "greedy", greedy)
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, train=True,
-                                     rng=np.random.default_rng(4))
+                loss, _ = model.loss(batch, rng=np.random.default_rng(4))
             ad.backward(tape, loss)
             grads = {name: p.grad for name, p in params.items()}
             for p in params.values():
@@ -758,7 +755,7 @@ class TestBothThreads:
             for p in params.values():
                 p.grad = None
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, train=True, alpha=0.6,
+                loss, _ = model.loss(batch, alpha=0.6,
                                      rng=np.random.default_rng(5))
             reads = sum(any(t is model.embedding.label_rows for t in inputs)
                         for _, inputs, _ in tape.records)
@@ -1009,7 +1006,7 @@ class TestRecurrentDropout:
 
         monkeypatch.setattr(ad, "dropout_mask", spy)
         monkeypatch.setattr(M.ad, "dropout_mask", spy, raising=False)
-        model.loss(batch, train=True, rng=np.random.default_rng(0), alpha=0.6)
+        model.loss(batch, rng=np.random.default_rng(0), alpha=0.6)
         # exactly one mask drawn for the whole sequence, sized (B, H)
         assert calls == [((batch.size, model.decoder.hidden), 0.5)]
 
@@ -1019,17 +1016,17 @@ class TestRecurrentDropout:
         monkeypatch.setattr(
             ad, "dropout_mask",
             lambda *a, **k: calls.append(a) or np.ones((4, 4), np.float32))
-        model.loss(batch, train=False, alpha=0.6)
+        model.loss(batch, alpha=0.6)
         assert calls == []
 
     def test_dropout_changes_training_loss_only(self):
         model, batch, _ = toy_setup("pred-expl", n=4)
-        train_a = float(model.loss(batch, train=True, alpha=0.6,
+        train_a = float(model.loss(batch, alpha=0.6,
                                    rng=np.random.default_rng(1))[0].data)
-        train_b = float(model.loss(batch, train=True, alpha=0.6,
+        train_b = float(model.loss(batch, alpha=0.6,
                                    rng=np.random.default_rng(2))[0].data)
-        eval_a = float(model.loss(batch, train=False, alpha=0.6)[0].data)
-        eval_b = float(model.loss(batch, train=False, alpha=0.6)[0].data)
+        eval_a = float(model.loss(batch, alpha=0.6)[0].data)
+        eval_b = float(model.loss(batch, alpha=0.6)[0].data)
         assert train_a != train_b   # different masks
         assert eval_a == eval_b     # identity path
 
@@ -1050,10 +1047,10 @@ class TestSaveLoad:
                                                ("expl-to-label", None)])
     def test_round_trip_preserves_behavior(self, tmp_path, variant, alpha):
         model, batch, _ = toy_setup(variant, n=4)
-        loss_before = float(model.loss(batch, train=False, alpha=alpha)[0].data)
+        loss_before = float(model.loss(batch, alpha=alpha)[0].data)
         model.save(tmp_path / "ckpt")
         loaded = load_model(tmp_path / "ckpt")
-        loss_after = float(loaded.loss(batch, train=False, alpha=alpha)[0].data)
+        loss_after = float(loaded.loss(batch, alpha=alpha)[0].data)
         assert loss_before == loss_after
         assert loaded.param_hash() == model.param_hash()
 
@@ -1169,7 +1166,7 @@ class TestPaddingInvariance:
             explanation_len=batch.explanation_len)
         def loss_and_grads(b):
             with ad.Tape() as tape:
-                loss = model.loss(b, train=False, alpha=alpha)[0]
+                loss = model.loss(b, alpha=alpha)[0]
             ad.backward(tape, loss)
             grads = {name: p.grad for name, p in model.params().items()}
             for p in model.params().values():

@@ -8,9 +8,9 @@ import pytest
 from nliexpl import autodiff as ad
 from nliexpl.data import EmbeddingTable, build_vocab, encode_corpus
 from nliexpl.evaluation import label_accuracy, perplexity, predict_all
-from nliexpl.models import build_model, load_model
+from nliexpl.models import build_model, joint_loss, load_model
 from nliexpl.training import (RunRecord, TrainConfig, TrainData, TrainingError,
-                              grid_select, joint_loss, train)
+                              grid_select, train)
 from model_utils import cast_model, toy_setup
 from synth import make_examples
 
@@ -80,7 +80,7 @@ class TestJointLoss:
             for p in params.values():
                 p.grad = None
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, train=False, alpha=alpha)
+                loss, _ = model.loss(batch, alpha=alpha)
             ad.backward(tape, loss)
             return {n: (np.zeros_like(p.data) if p.grad is None
                         else p.grad.copy()) for n, p in params.items()}
@@ -232,7 +232,7 @@ class TestTrain:
         losses = []
         for _ in range(50):
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, train=False, alpha=0.6)
+                loss, _ = model.loss(batch, alpha=0.6)
             losses.append(float(loss.data))
             ad.backward(tape, loss)
             ad.sgd_step(params, state)

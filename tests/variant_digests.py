@@ -77,7 +77,7 @@ def variant_digests(variant: str, hidden: int) -> dict:
     alpha = 0.6 if model.takes_alpha else None
     out = {"init_hash": model.param_hash()}
     with ad.Tape() as tape:
-        loss, _ = model.loss(batch, train=True, rng=np.random.default_rng(5),
+        loss, _ = model.loss(batch, rng=np.random.default_rng(5),
                              alpha=alpha)
     ad.backward(tape, loss)
     params = model.params()
