@@ -404,7 +404,7 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (_gemm_rows(a) @ b)[:len(a)]
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """y = x @ w.T + b with w of shape (out, in); x may be (..., in).
 
     Leading axes are flattened, so a (T, B, in) sequence is one GEMM;
@@ -414,25 +414,21 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """
     if w.data.ndim != 2 or x.shape[-1] != w.shape[1]:
         raise ShapeError(f"linear: x {x.shape} incompatible with w {w.shape}")
-    if b is not None and b.shape != (w.shape[0],):
+    if b.shape != (w.shape[0],):
         raise ShapeError(f"linear: bias {b.shape} incompatible with w {w.shape}")
     xd, wd = x.data, w.data
     x2 = xd.reshape(-1, wd.shape[1])
     y = _matmul(x2, wd.T)
-    if b is not None:
-        y += b.data
+    y += b.data
     out = Tensor(y.reshape(xd.shape[:-1] + (wd.shape[0],)))
 
     def _bw(g):
         g2 = g.reshape(-1, wd.shape[0])
         gx = _matmul(g2, wd).reshape(xd.shape)
         gw = lambda: g2.T @ x2   # noqa: E731 (deferred, see `backward`)
-        if b is None:
-            return (gx, gw)
         return (gx, gw, g2.sum(axis=0))
 
-    inputs = (x, w) if b is None else (x, w, b)
-    _record(out, inputs, _bw)
+    _record(out, (x, w, b), _bw)
     return out
 
 
@@ -535,8 +531,6 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float,
     """Inverted-dropout mask: Bernoulli(1-rate) scaled by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
-    if rate == 0.0:
-        return np.ones(shape, dtype=dtype)
     keep = (rng.random(shape) >= rate).astype(dtype)
     return keep / np.dtype(dtype).type(1.0 - rate)
 

@@ -263,11 +263,11 @@ def _parse_highlights(cell: str | None, where: str) -> set[int] | None:
 @contextmanager
 def csv_rows(path, required, id_of, error: type[Exception]):
     """`path` read as a UTF-8 CSV file with a header: yields (header,
-    rows), where rows yields (line, id, cells) for each data row and
-    `id_of(cells, line)` gives a row's id. Raises `error` naming the file
-    and the line for bytes that are not UTF-8, a `required` column
-    missing from the header, a row with more cells than the header and
-    a repeated id."""
+    rows), where rows yields (line, id, cells) for each data row, `line`
+    being the line of the file that the row ends on, and `id_of(cells,
+    line)` gives a row's id. Raises `error` naming the file and the line
+    for bytes that are not UTF-8, a `required` column missing from the
+    header, a row with more cells than the header and a repeated id."""
     with open_text(path, error, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -277,7 +277,8 @@ def csv_rows(path, required, id_of, error: type[Exception]):
 
         def rows():
             first_line: dict[str, int] = {}
-            for line, cells in enumerate(reader, start=2):
+            for cells in reader:
+                line = reader.line_num   # counts blank lines and quoted newlines
                 if None in cells:   # DictReader's key for cells past the header
                     raise error(f"{path}:{line}: {len(header) + len(cells[None])} "
                                 f"cells, more than the header's {len(header)}")
@@ -292,7 +293,7 @@ def csv_rows(path, required, id_of, error: type[Exception]):
 
 def corpus_rows(path, colmap: ColumnMap):
     """`csv_rows` for a corpus: label and sentences required; a row's id is
-    its id cell, else "row<N>" by CSV line."""
+    its id cell, else "row<N>", N the line the row ends on."""
     return csv_rows(path, (colmap.gold_label, colmap.premise, colmap.hypothesis),
                     lambda cells, line: (cells.get(colmap.id) or "").strip()
                     or f"row{line}", CorpusFormatError)

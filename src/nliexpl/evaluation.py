@@ -92,11 +92,9 @@ def bleu(candidates, reference_sets) -> float:
         if n >= 2 and num == 0:
             num += 1
             den += 1
-        if num == 0 or den == 0:
+        if num == 0 or den == 0:   # at n = 1 if every candidate is empty
             return 0.0
         log_sum += math.log(num / den) / BLEU_MAX_N
-    if cand_len == 0:
-        return 0.0
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
     return bp * math.exp(log_sum)
 
@@ -190,8 +188,7 @@ def expl_at_k_mode(mode: str) -> str:
     return mode
 
 
-def expl_at_k(records: list[AnnotationRecord],
-              mode: str = "partial") -> float | None:
+def expl_at_k(records: list[AnnotationRecord], mode: str) -> float | None:
     """Explanation correctness over the label-correct subset, x100.
 
     "partial" averages the k/n scores (fractional values come out, e.g.

@@ -191,8 +191,8 @@ def _nearest_templates(explanations: list[str], premise: str, hypothesis: str,
 
 def is_uninformative(explanation: str, premise: str, hypothesis: str,
                      label: str) -> FilterResult:
-    """True iff the normalized explanation sits strictly below
-    FILTER_THRESHOLD edits from some instantiated template."""
+    """Its FilterResult: uninformative iff the normalized explanation sits
+    strictly below FILTER_THRESHOLD edits from some instantiated template."""
     return next(_nearest_templates([explanation], premise, hypothesis, label,
                                    FILTER_THRESHOLD))
 

@@ -318,7 +318,8 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
         raise ShapeError(
             f"lstm_cell: x {x.shape}, h {h.shape}, c {c.shape} vs params "
             f"D={params.wi.shape[1]} H={H}")
-    gates = add(linear(x, params.wi, params.b), linear(h, params.wh))
+    gates = add(linear(x, params.wi, params.b),
+                linear(h, params.wh, Tensor(np.zeros(4 * H, h.dtype))))
     i = sigmoid_(slice_last(gates, 0, H))
     f = sigmoid_(slice_last(gates, H, 2 * H))
     g = tanh_(slice_last(gates, 2 * H, 3 * H))

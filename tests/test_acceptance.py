@@ -83,7 +83,8 @@ def _op_level_checks():
 
     m1 = p64((3, 4), "m1")
     m2 = p64((2, 4), "m2")
-    check(lambda: ad.sum_(ad.linear(m1, m2)), {"m1": m1, "m2": m2})
+    check(lambda: ad.sum_(ad.linear(m1, m2, ad.Tensor(np.zeros(2)))),
+          {"m1": m1, "m2": m2})
     w = p64((5, 4), "w")
     bias = p64((5,), "bias")
     check(lambda: ad.sum_(ad.tanh_(ad.linear(a, w, bias))),
@@ -132,7 +133,8 @@ def _op_level_checks():
     # step-rows as it returns them
     head_w = p64((5, 2), "head_w")
     check(lambda: ad.sum_(ad.cross_entropy_rows(ad.linear(ad.lstm_layer(
-        x_seq, seq_cell, h0, c0, seq_lengths, cond=cond, rmask=drop_h), head_w),
+        x_seq, seq_cell, h0, c0, seq_lengths, cond=cond, rmask=drop_h), head_w,
+        ad.Tensor(np.zeros(5))),
         np.array([4, 0, 2, 1, 3, 3, 0, 2]))),
         {"x_seq": x_seq, "cond": cond, "wh": seq_cell.wh, "head_w": head_w})
     # the attention decoder's op: two heads whose rows' key lengths

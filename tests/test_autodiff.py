@@ -39,6 +39,12 @@ def f64_param(x, name):
     return ad.param(np.asarray(x, dtype=np.float64), name)
 
 
+def zero_bias(w):
+    """A bias of zeros for `linear` with weight w (out, in), not a
+    parameter."""
+    return ad.Tensor(np.zeros(w.shape[0], w.dtype))
+
+
 def check_op_gradient(build_loss, params, eps=1e-3, tol=1e-4):
     """Analytic grads from one backward vs central differences (float64)."""
     for p in params.values():
@@ -93,7 +99,7 @@ class TestAffine:
     def test_matmul_linear_values(self):
         a = f64([[1.0, 2.0], [3.0, 4.0]])
         eye = f64([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(ad.linear(a, eye).data, a.data)
+        np.testing.assert_allclose(ad.linear(a, eye, zero_bias(eye)).data, a.data)
         w = f64([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])  # (out=3, in=2)
         bias = f64([1.0, 1.0, 1.0])
         y = ad.linear(f64([[1.0, 1.0]]), w, bias)
@@ -105,7 +111,7 @@ class TestAffine:
         x = f64(rng.normal(size=(4, 1)))
         w = f64_param(rng.normal(size=(3, 4)), "w")
         with ad.Tape() as tape:
-            loss = ad.sum_(ad.linear(f64(x.data.T), w))
+            loss = ad.sum_(ad.linear(f64(x.data.T), w, zero_bias(w)))
         ad.backward(tape, loss)
         np.testing.assert_allclose(w.grad, np.tile(x.data.T, (3, 1)))
 
@@ -2190,7 +2196,8 @@ class TestSecondCore:
             with ad.Tape() as tape:
                 loss = None
                 for x, wk in zip(xs, ws):
-                    y = ad.linear(ad.linear(ad.Tensor(x), w), wk)
+                    y = ad.linear(ad.linear(ad.Tensor(x), w, zero_bias(w)), wk,
+                                  zero_bias(wk))
                     term = ad.sum_(ad.mul(y, y))
                     loss = term if loss is None else ad.add(loss, term)
             backward(tape, loss)
@@ -2217,7 +2224,7 @@ class TestSecondCore:
         rng = np.random.default_rng(62)
         x, w = (ad.Tensor(rng.normal(size=s)) for s in ((4, 3), (5, 3)))
         with ad.Tape() as tape:
-            loss = ad.sum_(ad.linear(ad.tanh_(x), w))
+            loss = ad.sum_(ad.linear(ad.tanh_(x), w, zero_bias(w)))
         ad.backward(tape, loss)
         assert x.grad is None and w.grad is None
 
@@ -2326,10 +2333,11 @@ class TestTapeDiscipline:
         x2 = f64(rng.normal(size=(3, 1)).T)
 
         def l1():
-            return ad.sum_(ad.tanh_(ad.linear(x1, w)))
+            return ad.sum_(ad.tanh_(ad.linear(x1, w, zero_bias(w))))
 
         def l2():
-            return ad.sum_(ad.mul(ad.linear(x2, w), ad.linear(x2, w)))
+            return ad.sum_(ad.mul(ad.linear(x2, w, zero_bias(w)),
+                                  ad.linear(x2, w, zero_bias(w))))
 
         grads = []
         for fn in (l1, l2):
@@ -2435,8 +2443,8 @@ class TestBackwardReleases:
         x = f64(rng.normal(size=(4, 3)))
         w1, w2 = (f64_param(rng.normal(size=(3, 3)), n) for n in ("w1", "w2"))
         with ad.Tape() as tape:
-            h = ad.tanh_(ad.linear(x, w1))
-            y = ad.linear(h, w2)
+            h = ad.tanh_(ad.linear(x, w1, zero_bias(w1)))
+            y = ad.linear(h, w2, zero_bias(w2))
             loss = ad.sum_(ad.mul(y, y))
         kinds = [fn.__qualname__.split(".")[0] for _, _, fn in tape.records]
         assert kinds[:2] == ["linear", "tanh_"]
@@ -2543,7 +2551,7 @@ class TestDeterminism:
             w = ad.param(rng.normal(size=(4, 4)).astype(np.float32), "w")
             x = f32(rng.normal(size=(4, 2)).T)
             with ad.Tape() as tape:
-                loss = ad.sum_(ad.tanh_(ad.linear(x, w)))
+                loss = ad.sum_(ad.tanh_(ad.linear(x, w, zero_bias(w))))
             ad.backward(tape, loss)
             return float(loss.data), w.grad.copy()
 

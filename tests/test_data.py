@@ -332,6 +332,32 @@ class TestCsvRows:
             load(path)
         assert str(info.value) == expected
 
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_a_row_is_named_by_the_line_it_ends_on(self, tmp_path, reader):
+        """After a blank line (which the reader skips) and a quoted id
+        that holds a newline, an error names the line of the file that
+        the row ends on, not the row's count."""
+        load, error, header, row, _ = self.READERS[reader]
+        path = tmp_path / "in.csv"
+        lines = [header, row.format("a"), "", row.format('"b\nc"')]   # lines 1-5
+        for last, expected in (
+                (row.format("a"), f"{path}: example id 'a' repeated on rows 2 and 6"),
+                (row.format("d") + ",extra",
+                 f"{path}:6: {header.count(',') + 2} cells, more than the "
+                 f"header's {header.count(',') + 1}")):
+            path.write_text("\n".join([*lines, last, ""]), encoding="utf-8")
+            with pytest.raises(error) as info:
+                load(path)
+            assert str(info.value) == expected
+
+    def test_an_id_less_corpus_row_is_named_by_its_line(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_text('pairID,gold_label,Sentence1,Sentence2\n'
+                        ',neutral,"a dog\nruns",an animal\n\n'
+                        ',entailment,a dog,an animal\n', encoding="utf-8")
+        examples, _ = D.load_corpus(path)
+        assert [e.id for e in examples] == ["row3", "row5"]
+
 
 class TestLoadCorpus:
     def test_load_written_corpus(self, tmp_path):

@@ -103,6 +103,12 @@ class TestBleu:
         augmented = [r + [c] for (c, r) in zip(cands, refs)]
         assert E.bleu(cands, augmented) >= score - 1e-12
 
+    def test_empty_candidates_score_zero(self):
+        """Candidates that are all empty score 0.0, as in the oracle: no
+        unigram, so the first precision is 0/0."""
+        refs = [[["a", "dog"]], [["the", "cat", "sits"], ["a", "cat"]]]
+        assert E.bleu([[], []], refs) == 0.0 == brute_force_bleu([[], []], refs)
+
     def test_empty_corpus_is_error(self):
         with pytest.raises(E.EvaluationError):
             E.bleu([], [])
@@ -215,11 +221,11 @@ class TestExplAtK:
 
     def test_partial_mean_over_correct_subset(self):
         records = self._records([(3468, 10000)] * 80)
-        assert E.expl_at_k(records) == pytest.approx(34.68, abs=1e-9)
+        assert E.expl_at_k(records, "partial") == pytest.approx(34.68, abs=1e-9)
 
     def test_all_full_scores(self):
         records = self._records([(1, 1)] * 7)
-        assert E.expl_at_k(records) == 100.0
+        assert E.expl_at_k(records, "partial") == 100.0
 
     def test_mode_is_checked_in_one_place(self):
         """`expl_at_k_mode` is the one check: `expl_at_k` calls it, and it
@@ -233,14 +239,15 @@ class TestExplAtK:
     def test_incorrect_label_records_ignored_entirely(self):
         records = self._records([(1, 1)] * 4)
         noise = self._records([(0, 1)] * 10, correct=False)
-        assert E.expl_at_k(records + noise) == 100.0
+        assert E.expl_at_k(records + noise, "partial") == 100.0
         # their scores are irrelevant too
         noise2 = self._records([(1, 1)] * 10, correct=False)
-        assert E.expl_at_k(records + noise2) == 100.0
+        assert E.expl_at_k(records + noise2, "partial") == 100.0
 
     def test_order_invariance(self):
         records = self._records([(1, 2), (0, 1), (2, 3), (1, 1)])
-        assert E.expl_at_k(records) == E.expl_at_k(records[::-1])
+        assert (E.expl_at_k(records, "partial")
+                == E.expl_at_k(records[::-1], "partial"))
 
     def test_strict_mode_counts_full_credit_only(self):
         records = self._records([(1, 1), (1, 2), (1, 1), (0, 1)])
@@ -248,7 +255,7 @@ class TestExplAtK:
 
     def test_empty_correct_subset_undefined(self):
         records = self._records([(1, 1)] * 3, correct=False)
-        assert E.expl_at_k(records) is None
+        assert E.expl_at_k(records, "partial") is None
 
     def test_entailment_scores_are_rational_k_of_n(self):
         with pytest.raises(E.EvaluationError):
