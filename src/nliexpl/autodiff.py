@@ -198,11 +198,12 @@ def backward(tape: Tape, loss: Tensor) -> None:
     of Qi et al. 2024, arXiv:2401.10241), holding its operands until it
     has run; for any other input it runs here at once. At the end this
     thread takes the ones the worker has not started, latest first, while
-    the worker works from the front. A parameter's contributions are
-    summed in record order whichever thread made them, so every bit is as
-    if all ran here. The pass waits for all of them before it returns or
-    raises; the first exception of a deferred one (in record order) is
-    raised unchanged.
+    the worker works from the front. A parameter's contributions, arrays
+    and deferred alike, are summed at the end in record order whichever
+    thread made them, so every bit is as if all ran here, and a backward
+    function that raises leaves every parameter's gradient as it was. The
+    pass waits for all of them before it returns or raises; the first
+    exception of a deferred one (in record order) is raised unchanged.
     """
     if tape._done:
         raise TapeError("backward already ran on this tape")
@@ -215,8 +216,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
     leaves = _unproduced(records, tape.also)
     tape._done = True
     loss.grad = np.ones_like(loss.data)
-    # a parameter's contributions from its first deferred one on, in record
-    # order: arrays and `_Deferred`s, the latter also in `queued`
+    # each parameter's contributions in record order: arrays and
+    # `_Deferred`s, the latter also in `queued`
     later: dict[Tensor, list] = {}
     queued: list[_Deferred] = []
     try:
@@ -257,16 +258,14 @@ def _route(out: Tensor, inputs: tuple[Tensor, ...], backward_fn,
     for t, gi in zip(inputs, backward_fn(out.grad)):
         if gi is None:
             continue
+        if t.is_param:
+            if callable(gi):
+                queued.append(gi := _Deferred(gi))
+            later.setdefault(t, []).append(gi)
+            continue
         if callable(gi):
-            if t.is_param:
-                queued.append(_Deferred(gi))
-                later.setdefault(t, []).append(queued[-1])
-                continue
             gi = gi()
-        if t in later:
-            later[t].append(gi)
-        else:
-            t.grad = gi if t.grad is None else t.grad + gi
+        t.grad = gi if t.grad is None else t.grad + gi
     for t in (out, other):
         if not t.is_param:
             t.grad = None

@@ -38,7 +38,7 @@ class CheckpointError(RuntimeError):
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray],
                     trainable: set[str] | None = None,
-                    meta: dict | None = None) -> Path:
+                    meta: dict | None = None) -> None:
     """Write `arrays` (insertion order preserved) as directory `path`,
     replacing the checkpoint (or empty directory) already there."""
     path = Path(path)
@@ -78,7 +78,6 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray],
         os.replace(path, previous)
     os.replace(partial, path)
     shutil.rmtree(previous, ignore_errors=True)
-    return path
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -284,7 +284,7 @@ def evaluation_pass(model, encoded: list[EncodedExample],
         preds, scored, generated = model.eval_batch(
             batch, nll=nll, greedy=greedy or pipe is not None)
         if pipe is not None:
-            preds = pipe.predict(batch, generated)[0]
+            preds = pipe.predict(batch, generated[0])
         if preds is not None:
             res.preds += preds.tolist()
             res.golds += batch.labels.tolist()

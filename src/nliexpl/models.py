@@ -512,11 +512,6 @@ class BaseModel(_Part):
                 self.vocab.eos_id, attn_ctx=ctx)
         return preds, scored, generated
 
-    def predict_labels(self, batch: Batch) -> np.ndarray:
-        if not self.has_classifier:
-            raise ModelError(f"{self.variant} has no classifier")
-        return self.eval_batch(batch)[0]
-
     def explanation_nll(self, batch: Batch):
         """(summed NLL, tokens, correct tokens) for perplexity."""
         return self.eval_batch(batch, nll=True)[1]
@@ -608,19 +603,14 @@ class ExplainThenPredict:
         self.generator = generator
         self.expl_classifier = expl_classifier
 
-    def predict(self, batch: Batch, generated):
-        """Returns (labels, explanation ids, empty-explanation flags).
-
-        Labels `generated`, the generator's (ids, flags) for the batch,
+    def predict(self, batch: Batch, explanations: list) -> np.ndarray:
+        """The labels of `explanations`, the generator's ids for the batch,
         in one batched encode; each label still depends only on its own
         explanation, since padding never reaches real positions. An empty
-        generation is classified from the bare <bos><eos> pair and
-        flagged.
-        """
-        expl, empty = generated
-        ids, lengths = wrap_rows(self.generator.vocab, expl)
+        generation is classified from the bare <bos><eos> pair."""
+        ids, lengths = wrap_rows(self.generator.vocab, explanations)
         wrapped = replace(batch, explanation=ids, explanation_len=lengths)
-        return self.expl_classifier.predict_labels(wrapped), expl, empty
+        return self.expl_classifier.eval_batch(wrapped)[0]
 
 
 VARIANTS: dict[str, type[BaseModel]] = {

@@ -171,13 +171,15 @@ class FilterResult:
     distance: int
 
 
-def _nearest_templates(explanations: list[str], premise: str, hypothesis: str,
-                       label: str, threshold: int):
-    """Yields each explanation's FilterResult: the first template at the
-    minimum distance. Templates are instantiated and normalized once."""
-    templates = [(t, normalize(t))
-                 for t in instantiate_templates(premise, hypothesis, label)]
-    for explanation in explanations:
+def filter_example(example, threshold: int = FILTER_THRESHOLD) -> list[FilterResult]:
+    """Each explanation's FilterResult, in the example's order: the first
+    template at the minimum distance, uninformative iff that distance is
+    strictly below `threshold`. Templates are instantiated and normalized
+    once."""
+    templates = [(t, normalize(t)) for t in instantiate_templates(
+        example.premise_text, example.hypothesis_text, example.label)]
+    results = []
+    for explanation in example.explanation_texts:
         norm_expl = normalize(explanation)
         best_d, best_t = None, ""
         for candidate, norm in templates:
@@ -186,15 +188,8 @@ def _nearest_templates(explanations: list[str], premise: str, hypothesis: str,
                 best_d, best_t = d, candidate
                 if best_d == 0:
                     break
-        yield FilterResult(best_d < threshold, best_t, best_d)
-
-
-def is_uninformative(explanation: str, premise: str, hypothesis: str,
-                     label: str) -> FilterResult:
-    """Its FilterResult: uninformative iff the normalized explanation sits
-    strictly below FILTER_THRESHOLD edits from some instantiated template."""
-    return next(_nearest_templates([explanation], premise, hypothesis, label,
-                                   FILTER_THRESHOLD))
+        results.append(FilterResult(best_d < threshold, best_t, best_d))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +292,3 @@ def validate_annotation(example) -> ValidationReport:
         if tokens and not (expl_words - words):
             flag(NO_NON_HIGHLIGHTED_WORD, "contains only highlighted words")
     return report
-
-
-def filter_example(example, threshold: int = FILTER_THRESHOLD) -> list[FilterResult]:
-    """Each explanation's FilterResult, in the example's order."""
-    return list(_nearest_templates(example.explanation_texts, example.premise_text,
-                                   example.hypothesis_text, example.label, threshold))

@@ -52,12 +52,14 @@ def label_alone(clf, token_ids):
     batch = Batch(ids=["alone"], premise=None, premise_len=None,
                   hypothesis=None, hypothesis_len=None, labels=None,
                   explanation=row, explanation_len=np.array([row.shape[1]]))
-    return int(clf.predict_labels(batch)[0])
+    return int(clf.eval_batch(batch)[0][0])
 
 
 def explain_then_predict(pipe, batch):
-    """`pipe.predict` of its generator's own greedy output for `batch`."""
-    return pipe.predict(batch, pipe.generator.eval_batch(batch, greedy=True)[2])
+    """(labels, explanation ids, empty flags): `pipe.predict` of its
+    generator's own greedy output for `batch`."""
+    expl, empty = pipe.generator.eval_batch(batch, greedy=True)[2]
+    return pipe.predict(batch, expl), expl, empty
 
 
 def cast_model(model, dtype):

@@ -9,7 +9,8 @@ import csv
 
 import numpy as np
 
-from nliexpl.data import Example
+from nliexpl.data import Example, tokenize
+from nliexpl.quality import filter_example
 
 SUBJECTS = ["dog", "cat", "man", "woman", "bird", "boy", "girl", "horse",
             "runner", "child"]
@@ -92,3 +93,13 @@ def random_sentence(rng: np.random.Generator, n_words: int | None = None) -> str
     n = int(n_words if n_words is not None else rng.integers(3, 9))
     pool = SUBJECTS + VERBS + PLACES
     return " ".join(pool[rng.integers(len(pool))] for _ in range(n))
+
+
+def filter_one(explanation: str, premise: str, hypothesis: str, label: str):
+    """`filter_example`'s FilterResult for an Example that holds the one
+    explanation, as `nliexpl filter` filters a corpus row."""
+    (result,) = filter_example(Example(
+        id="one", premise=tokenize(premise), hypothesis=tokenize(hypothesis),
+        label=label, explanations=[tokenize(explanation)], premise_text=premise,
+        hypothesis_text=hypothesis, explanation_texts=[explanation]))
+    return result

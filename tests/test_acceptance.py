@@ -22,14 +22,14 @@ from nliexpl.evaluation import evaluate_model, label_accuracy, predict_all
 from nliexpl.data import Batch
 from nliexpl.models import AttentionHead, ExplainThenPredict, build_model
 from nliexpl.quality import (HYPOTHESIS_SLOT, PREMISE_SLOT, TEMPLATES,
-                             is_uninformative, normalize, validate_annotation,
+                             normalize, validate_annotation,
                              instantiate_templates)
 from nliexpl.training import TrainConfig, TrainData, train
 from model_utils import (explain_then_predict, full_model_grad_check,
                          label_alone, toy_config, toy_setup)
 from oracles import (brute_force_bleu, levenshtein_full, max_rel_err,
                      numeric_grad, straight_line_attention)
-from synth import make_examples, random_sentence
+from synth import filter_one, make_examples, random_sentence
 from test_quality import _example_from_case, load_annotation_cases
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -255,7 +255,7 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
             ad.sgd_step(params, state)
         state.advance_epoch()
         if epoch % 10 == 9:
-            acc = label_accuracy(model.predict_labels(full), full.labels)
+            acc = label_accuracy(model.eval_batch(full)[0], full.labels)
             _, tokens, correct = model.eval_batch(full, nll=True)[1]
             if acc == 100.0 and correct / tokens > 0.95:
                 reached = (epoch, acc, correct / tokens)
@@ -354,7 +354,8 @@ def _perturb(rng, text, k):
 
 
 def test_criterion_5_template_filter():
-    """Self-filtering at distance 0; strict <10 boundary; idempotence."""
+    """Self-filtering at distance 0; strict <10 boundary; idempotence:
+    `filter_example`, as `nliexpl filter` runs it, on one explanation."""
     t0 = time.monotonic()
     rng = np.random.default_rng(3)
     pairs = [(random_sentence(rng), random_sentence(rng)) for _ in range(50)]
@@ -364,7 +365,7 @@ def test_criterion_5_template_filter():
                 "entailment"
             inst = tpl.pattern.replace(PREMISE_SLOT, premise) \
                               .replace(HYPOTHESIS_SLOT, hypothesis)
-            res = is_uninformative(inst, premise, hypothesis, label)
+            res = filter_one(inst, premise, hypothesis, label)
             assert res.uninformative and res.distance == 0, tpl.pattern
 
     # strict boundary: verified-distance 9 filters, 10 does not
@@ -380,7 +381,7 @@ def test_criterion_5_template_filter():
                            for c in candidates)
             if true_min != k:
                 continue   # edits cancelled or hit another template
-            res = is_uninformative(perturbed, premise, hypothesis, label)
+            res = filter_one(perturbed, premise, hypothesis, label)
             assert res.distance == k
             assert res.uninformative == (k < 10)
             return True
@@ -395,13 +396,13 @@ def test_criterion_5_template_filter():
     for i in range(40):
         premise, hypothesis = random_sentence(rng), random_sentence(rng)
         explanation = random_sentence(rng, 8)
-        if not is_uninformative(explanation, premise, hypothesis,
-                                "neutral").uninformative:
+        if not filter_one(explanation, premise, hypothesis,
+                          "neutral").uninformative:
             survivors.append((explanation, premise, hypothesis))
     assert survivors
     for explanation, premise, hypothesis in survivors:
-        assert not is_uninformative(explanation, premise, hypothesis,
-                                    "neutral").uninformative
+        assert not filter_one(explanation, premise, hypothesis,
+                              "neutral").uninformative
     _report(5, f"all {len(TEMPLATES)} templates self-filter at distance 0 "
                "on 50 pairs; 9-vs-10 edit boundary strict; filter "
                "idempotent", t0, budget=30)

@@ -789,8 +789,8 @@ class TestEvalAndGenerate:
         from nliexpl.checkpoint import load_checkpoint, save_checkpoint
         arrays, manifest = load_checkpoint(trained)
         del manifest["meta"]["vocab_tokens"]
-        broken = save_checkpoint(tmp_path / "broken", arrays,
-                                 meta=manifest["meta"])
+        broken = tmp_path / "broken"
+        save_checkpoint(broken, arrays, meta=manifest["meta"])
         sentences = tmp_path / "s.txt"
         sentences.write_text("a dog runs\n")
         code = main(["repr-export", "--config", str(toy_config),
@@ -900,6 +900,28 @@ class TestExplainThenPredictCommand:
         inputs = json.loads((run_dir / "manifest.json").read_text())["inputs"]
         for f in Path(clf).rglob("*"):
             assert inputs[str(f)] == hashlib.sha256(f.read_bytes()).hexdigest()
+
+    def test_model_with_its_own_classifier_refuses_one(
+            self, tmp_path, toy_config, corpus, capsys):
+        """`eval` and `generate` of a model that labels with its own
+        classifier refuse an explanation classifier, from the flag or from
+        [eval], which would go unused: exit 1 naming the variant and the
+        setting, before the run directory opens."""
+        examples = make_examples(9, seed=50, n_explanations=3)
+        model = self._save(tmp_path / "model", "pred-expl", examples)
+        clf = self._save(tmp_path / "clf", "expl-to-label", examples)
+        _, valid = corpus
+        for command, how in (("eval", ["--expl-classifier", str(clf)]),
+                             ("eval", ["--set", "eval.expl_classifier", str(clf)]),
+                             ("generate", ["--set", "eval.expl_classifier",
+                                           str(clf)])):
+            assert main([command, "--config", str(toy_config), *how,
+                         "--checkpoint", str(model), "--corpus", str(valid),
+                         "--out-root", str(tmp_path / "runs")]) == 1
+            err = capsys.readouterr().err
+            assert "pred-expl labels with its own classifier" in err
+            assert "[eval] expl_classifier" in err
+        assert not (tmp_path / "runs").exists()
 
     def test_pair_classifier_exits_1(self, tmp_path, toy_config, corpus,
                                      capsys):

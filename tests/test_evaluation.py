@@ -457,7 +457,7 @@ def _pass_setup(variant, n=7, seed=4):
 
 def _labels_by_batch(model, clf, batches):
     if model.has_classifier:
-        return np.concatenate([model.predict_labels(b) for b in batches])
+        return np.concatenate([model.eval_batch(b)[0] for b in batches])
     pipe = ExplainThenPredict(model, clf)
     return np.concatenate([explain_then_predict(pipe, b)[0] for b in batches])
 
@@ -521,7 +521,7 @@ def _reference_transfer(model, clf, path, batch_size):
 
 class TestOnePass:
     """The evaluation pass gives what separate per-batch calls of
-    predict_labels / explanation_nll / generate / explain-then-predict
+    eval_batch labels / explanation_nll / generate / explain-then-predict
     give, encodes and decodes each batch once, and computes only what
     its caller reads."""
 

@@ -82,24 +82,24 @@ class TestClassifier:
         model, batch = self._biased_model([0.5, 0.2, 0.2])
         _, _, logits = model._condition(batch)
         np.testing.assert_allclose(logits.data, [[0.5, 0.2, 0.2]] * 2)
-        assert (model.predict_labels(batch) == 0).all()
+        assert (model.eval_batch(batch)[0] == 0).all()
 
     def test_tie_breaks_to_lowest_class_index(self):
         model, batch = self._biased_model([0.3, 0.3, 0.3])
-        assert (model.predict_labels(batch) == 0).all()
+        assert (model.eval_batch(batch)[0] == 0).all()
         assert (model.loss(batch)[1]["preds"] == 0).all()
 
     def test_labels_read_the_logits_not_the_probabilities(self):
         """Logits 0.1 and the next float32 up have equal probabilities in
         float32 (argmax 0) but distinct logits (argmax 1): the training
-        loss takes its predictions from the logits, as `predict_labels`
+        loss takes its predictions from the logits, as `eval_batch`
         does, before its loss op overwrites them with probabilities."""
         bias = [0.1, np.nextafter(np.float32(0.1), np.float32(1)), -3.0]
         probs = softmax(t([bias])).data[0]
         assert probs[0] == probs[1]
         model, batch = self._biased_model(bias)
         preds = model.loss(batch)[1]["preds"]
-        np.testing.assert_array_equal(preds, model.predict_labels(batch))
+        np.testing.assert_array_equal(preds, model.eval_batch(batch)[0])
         assert (preds == 1).all()
 
     def test_composition_equals_collapsed_affine(self):
@@ -706,7 +706,7 @@ class TestDecoding:
     def test_pred_expl_generation_conditions_on_predicted_label(self):
         model, batch, vocab = toy_setup("pred-expl", n=3)
         preds = model.eval_batch(batch, greedy=True)[0]
-        np.testing.assert_array_equal(preds, model.predict_labels(batch))
+        np.testing.assert_array_equal(preds, model.eval_batch(batch)[0])
 
 
 class TestBothThreads:
@@ -783,7 +783,7 @@ class TestBothThreads:
         model, batch, _ = toy_setup("pred-expl", n=12)
         model.eval_batch(batch, greedy=True)
         model.explanation_nll(batch)
-        model.predict_labels(batch)
+        model.eval_batch(batch)
 
 
 class TestGreedyOnBothThreads:
@@ -978,8 +978,8 @@ class TestPipeline:
 
     def test_expl_to_label_deterministic(self):
         clf, batch, _ = toy_setup("expl-to-label", n=4)
-        a = clf.predict_labels(batch)
-        b = clf.predict_labels(batch)
+        a = clf.eval_batch(batch)[0]
+        b = clf.eval_batch(batch)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_attention_single_token_premise_context_fixed(self):

@@ -91,3 +91,14 @@ def test_readme_names_every_flag():
              for flag in action.option_strings}
     assert {flag for flag in flags
             if not re.search(re.escape(flag) + r"(?![\w-])", readme)} == set()
+
+
+def test_package_namespace_holds_only_its_submodules():
+    """Code imports the modules (`from nliexpl.training import train`),
+    so each name has one home: once the CLI has loaded the package, every
+    public attribute of `nliexpl` is one of its submodules."""
+    import nliexpl.cli  # noqa: F401 (loads the modules the program runs)
+    stray = sorted(name for name, value in vars(nliexpl).items()
+                   if not name.startswith("_")
+                   and getattr(value, "__name__", None) != f"nliexpl.{name}")
+    assert stray == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from nliexpl import quality as Q
 from nliexpl.data import Example, tokenize
 from oracles import levenshtein_full
+from synth import filter_one
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -161,31 +162,34 @@ class TestTemplates:
 
 
 class TestIsUninformative:
+    """The template filter as `nliexpl filter` runs it: `filter_example`,
+    on one-explanation Examples where a case has one explanation."""
+
     def test_exact_template_distance_zero(self):
-        res = Q.is_uninformative("a dog runs implies an animal moves",
-                                 "A dog runs", "An animal moves", "entailment")
+        res = filter_one("a dog runs implies an animal moves",
+                         "A dog runs", "An animal moves", "entailment")
         assert res.uninformative
         assert res.distance == 0
 
     def test_nine_edits_filtered(self):
         base = Q.normalize("a dog runs in the park implies an animal moves around")
         perturbed = base + "x" * 9
-        res = Q.is_uninformative(perturbed, "A dog runs in the park",
-                                 "An animal moves around", "entailment")
+        res = filter_one(perturbed, "A dog runs in the park",
+                         "An animal moves around", "entailment")
         assert res.uninformative
         assert res.distance == 9
 
     def test_distance_ten_not_filtered(self):
         # far from every template: check the reported min distance first
         explanation = "wholly original reasoning with nothing shared"
-        res = Q.is_uninformative(explanation, "zq", "xv", "entailment")
+        res = filter_one(explanation, "zq", "xv", "entailment")
         assert res.distance >= 10
         assert not res.uninformative
 
     def test_first_nearest_template_wins(self):
         # "<PREMISE>" and "<HYPOTHESIS>" are the first two frames
-        assert Q.is_uninformative("c", "a", "b", "neutral").nearest_template == "a"
-        res = Q.is_uninformative("b", "a", "b", "neutral")
+        assert filter_one("c", "a", "b", "neutral").nearest_template == "a"
+        res = filter_one("b", "a", "b", "neutral")
         assert (res.nearest_template, res.distance) == ("b", 0)
 
     def test_threshold_monotonicity(self):
@@ -203,8 +207,8 @@ class TestIsUninformative:
                 assert res15.uninformative
 
     def test_casing_and_whitespace_ignored(self):
-        res = Q.is_uninformative("A  DOG implies AN ANIMAL.", "a dog",
-                                 "an animal", "entailment")
+        res = filter_one("A  DOG implies AN ANIMAL.", "a dog",
+                         "an animal", "entailment")
         assert res.uninformative and res.distance == 0
 
     def test_every_shipped_template_self_filters(self):
@@ -212,8 +216,7 @@ class TestIsUninformative:
             label = t.label_class if t.label_class != "general" else "neutral"
             inst = t.pattern.replace(Q.PREMISE_SLOT, "a man sings") \
                             .replace(Q.HYPOTHESIS_SLOT, "someone is loud")
-            res = Q.is_uninformative(inst, "a man sings", "someone is loud",
-                                     label)
+            res = filter_one(inst, "a man sings", "someone is loud", label)
             assert res.uninformative and res.distance == 0, t.pattern
 
     def test_filter_example_rows(self):
@@ -263,11 +266,11 @@ class TestIsUninformative:
         survivors = []
         for i in range(60):
             expl = " ".join(rng.choice(pool, size=rng.integers(3, 9)))
-            res = Q.is_uninformative(expl, "a dog runs", "a cat sits", "entailment")
+            res = filter_one(expl, "a dog runs", "a cat sits", "entailment")
             if not res.uninformative:
                 survivors.append(expl)
         for expl in survivors:
-            res = Q.is_uninformative(expl, "a dog runs", "a cat sits", "entailment")
+            res = filter_one(expl, "a dog runs", "a cat sits", "entailment")
             assert not res.uninformative
 
 
