@@ -317,16 +317,10 @@ def cmd_grid(args, config: dict) -> int:
 def _load_eval_inputs(args, config: dict):
     """The checkpoint, [eval] expl_classifier and corpus of `eval` and
     `generate`, loaded: (model, classifier or None, examples, encoded,
-    skipped rows, [corpus, checkpoint, classifier or None]). A model with
-    a classifier of its own refuses an explanation classifier, which only
-    labels a generator's output."""
+    skipped rows, [corpus, checkpoint, classifier or None])."""
     corpus = resolve_path(args.corpus)
     clf_path = config["eval"].get("expl_classifier")
     model = load_model(args.checkpoint)
-    if clf_path and model.has_classifier:
-        raise ModelError(f"{model.variant} labels with its own classifier; "
-                         "[eval] expl_classifier (--expl-classifier) labels "
-                         "only a generator without one")
     expl_clf = load_model(clf_path) if clf_path else None
     examples, skipped = load_corpus(corpus, split=args.split,
                                     colmap=_colmap(config))

@@ -269,11 +269,16 @@ def evaluation_pass(model, encoded: list[EncodedExample],
     for everything the pass gives: labels whenever the model has a
     classifier, teacher-forced NLL with `nll`, greedy explanations with
     `greedy`. A generator without a classifier, given `expl_classifier`,
-    labels by explain-then-predict on the same greedy output. Batches
-    carry explanations only when the pass reads them (the NLL, or a model
-    that encodes them); EvaluationError names any example without one."""
+    labels by explain-then-predict on the same greedy output; a model with
+    a classifier of its own refuses one. Batches carry explanations only
+    when the pass reads them (the NLL, or a model that encodes them);
+    EvaluationError names any example without one."""
     pipe = None
-    if expl_classifier is not None and not model.has_classifier:
+    if expl_classifier is not None:
+        if model.has_classifier:
+            raise ModelError(f"{model.variant} labels with its own classifier; "
+                             "an explanation classifier ([eval] expl_classifier) "
+                             "labels only a generator without one")
         pipe = ExplainThenPredict(model, expl_classifier)
     res = EvalOutput()
     explained = nll or model.reads_explanations

@@ -171,7 +171,7 @@ class FilterResult:
     distance: int
 
 
-def filter_example(example, threshold: int = FILTER_THRESHOLD) -> list[FilterResult]:
+def filter_example(example, threshold: int) -> list[FilterResult]:
     """Each explanation's FilterResult, in the example's order: the first
     template at the minimum distance, uninformative iff that distance is
     strictly below `threshold`. Templates are instantiated and normalized

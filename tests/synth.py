@@ -10,7 +10,6 @@ import csv
 import numpy as np
 
 from nliexpl.data import Example, tokenize
-from nliexpl.quality import filter_example
 
 SUBJECTS = ["dog", "cat", "man", "woman", "bird", "boy", "girl", "horse",
             "runner", "child"]
@@ -95,11 +94,11 @@ def random_sentence(rng: np.random.Generator, n_words: int | None = None) -> str
     return " ".join(pool[rng.integers(len(pool))] for _ in range(n))
 
 
-def filter_one(explanation: str, premise: str, hypothesis: str, label: str):
-    """`filter_example`'s FilterResult for an Example that holds the one
-    explanation, as `nliexpl filter` filters a corpus row."""
-    (result,) = filter_example(Example(
-        id="one", premise=tokenize(premise), hypothesis=tokenize(hypothesis),
-        label=label, explanations=[tokenize(explanation)], premise_text=premise,
-        hypothesis_text=hypothesis, explanation_texts=[explanation]))
-    return result
+def text_example(premise: str, hypothesis: str, label: str,
+                 *explanations: str) -> Example:
+    """An Example of these texts, tokenized as the corpus reader does."""
+    return Example(id="x", premise=tokenize(premise),
+                   hypothesis=tokenize(hypothesis), label=label,
+                   explanations=[tokenize(t) for t in explanations],
+                   premise_text=premise, hypothesis_text=hypothesis,
+                   explanation_texts=list(explanations))

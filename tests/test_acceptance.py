@@ -21,15 +21,15 @@ from nliexpl.evaluation import bleu as corpus_bleu
 from nliexpl.evaluation import evaluate_model, label_accuracy, predict_all
 from nliexpl.data import Batch
 from nliexpl.models import AttentionHead, ExplainThenPredict, build_model
-from nliexpl.quality import (HYPOTHESIS_SLOT, PREMISE_SLOT, TEMPLATES,
-                             normalize, validate_annotation,
-                             instantiate_templates)
+from nliexpl.quality import (FILTER_THRESHOLD, HYPOTHESIS_SLOT, PREMISE_SLOT,
+                             TEMPLATES, filter_example, normalize,
+                             validate_annotation, instantiate_templates)
 from nliexpl.training import TrainConfig, TrainData, train
 from model_utils import (explain_then_predict, full_model_grad_check,
                          label_alone, toy_config, toy_setup)
 from oracles import (brute_force_bleu, levenshtein_full, max_rel_err,
                      numeric_grad, straight_line_attention)
-from synth import filter_one, make_examples, random_sentence
+from synth import make_examples, random_sentence, text_example
 from test_quality import _example_from_case, load_annotation_cases
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -365,7 +365,8 @@ def test_criterion_5_template_filter():
                 "entailment"
             inst = tpl.pattern.replace(PREMISE_SLOT, premise) \
                               .replace(HYPOTHESIS_SLOT, hypothesis)
-            res = filter_one(inst, premise, hypothesis, label)
+            (res,) = filter_example(text_example(premise, hypothesis, label,
+                                                 inst), FILTER_THRESHOLD)
             assert res.uninformative and res.distance == 0, tpl.pattern
 
     # strict boundary: verified-distance 9 filters, 10 does not
@@ -381,7 +382,8 @@ def test_criterion_5_template_filter():
                            for c in candidates)
             if true_min != k:
                 continue   # edits cancelled or hit another template
-            res = filter_one(perturbed, premise, hypothesis, label)
+            (res,) = filter_example(text_example(premise, hypothesis, label,
+                                                 perturbed), FILTER_THRESHOLD)
             assert res.distance == k
             assert res.uninformative == (k < 10)
             return True
@@ -396,13 +398,15 @@ def test_criterion_5_template_filter():
     for i in range(40):
         premise, hypothesis = random_sentence(rng), random_sentence(rng)
         explanation = random_sentence(rng, 8)
-        if not filter_one(explanation, premise, hypothesis,
-                          "neutral").uninformative:
+        (res,) = filter_example(text_example(premise, hypothesis, "neutral",
+                                             explanation), FILTER_THRESHOLD)
+        if not res.uninformative:
             survivors.append((explanation, premise, hypothesis))
     assert survivors
     for explanation, premise, hypothesis in survivors:
-        assert not filter_one(explanation, premise, hypothesis,
-                              "neutral").uninformative
+        (res,) = filter_example(text_example(premise, hypothesis, "neutral",
+                                             explanation), FILTER_THRESHOLD)
+        assert not res.uninformative
     _report(5, f"all {len(TEMPLATES)} templates self-filter at distance 0 "
                "on 50 pairs; 9-vs-10 edit boundary strict; filter "
                "idempotent", t0, budget=30)

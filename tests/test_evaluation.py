@@ -553,6 +553,25 @@ class TestOnePass:
         assert report.to_json() == ref_report.to_json()
         assert dumps == ref_dumps
 
+    @pytest.mark.parametrize("variant", ["pred-expl", "bilstm-max"])
+    def test_model_with_its_own_classifier_refuses_an_explanation_classifier(
+            self, variant):
+        """Every evaluation call that takes `expl_classifier` refuses one
+        for a model that labels with its own classifier, naming the
+        variant, rather than leave it unused."""
+        model, _, examples, encoded = _pass_setup(variant)
+        clf, _, _ = toy_setup("expl-to-label", n=7, seed=4)
+        for call in (lambda: E.evaluation_pass(model, encoded, 3,
+                                               expl_classifier=clf),
+                     lambda: E.predict_all(model, encoded, 3, clf),
+                     lambda: E.evaluate_model(model, encoded, examples,
+                                              expl_classifier=clf),
+                     lambda: E.transfer_eval(model, encoded, examples,
+                                             expl_classifier=clf)):
+            with pytest.raises(ModelError, match=f"{variant} labels with "
+                               "its own classifier"):
+                call()
+
     @pytest.mark.parametrize("variant", ["pred-expl", "expl-to-label"])
     def test_batches_carry_explanations_only_when_read(self, monkeypatch,
                                                        variant):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nliexpl import quality as Q
 from nliexpl.data import Example, tokenize
 from oracles import levenshtein_full
-from synth import filter_one
+from synth import text_example
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -162,44 +162,45 @@ class TestTemplates:
 
 
 class TestIsUninformative:
-    """The template filter as `nliexpl filter` runs it: `filter_example`,
-    on one-explanation Examples where a case has one explanation."""
+    """Whether an explanation is uninformative (`FilterResult.uninformative`)
+    as `nliexpl filter` decides it: `filter_example` at FILTER_THRESHOLD,
+    which rates each explanation of an Example on its own."""
 
     def test_exact_template_distance_zero(self):
-        res = filter_one("a dog runs implies an animal moves",
-                         "A dog runs", "An animal moves", "entailment")
+        (res,) = Q.filter_example(text_example(
+            "A dog runs", "An animal moves", "entailment",
+            "a dog runs implies an animal moves"), Q.FILTER_THRESHOLD)
         assert res.uninformative
         assert res.distance == 0
 
     def test_nine_edits_filtered(self):
         base = Q.normalize("a dog runs in the park implies an animal moves around")
         perturbed = base + "x" * 9
-        res = filter_one(perturbed, "A dog runs in the park",
-                         "An animal moves around", "entailment")
+        (res,) = Q.filter_example(text_example(
+            "A dog runs in the park", "An animal moves around", "entailment",
+            perturbed), Q.FILTER_THRESHOLD)
         assert res.uninformative
         assert res.distance == 9
 
     def test_distance_ten_not_filtered(self):
         # far from every template: check the reported min distance first
         explanation = "wholly original reasoning with nothing shared"
-        res = filter_one(explanation, "zq", "xv", "entailment")
+        (res,) = Q.filter_example(text_example(
+            "zq", "xv", "entailment", explanation), Q.FILTER_THRESHOLD)
         assert res.distance >= 10
         assert not res.uninformative
 
     def test_first_nearest_template_wins(self):
         # "<PREMISE>" and "<HYPOTHESIS>" are the first two frames
-        assert filter_one("c", "a", "b", "neutral").nearest_template == "a"
-        res = filter_one("b", "a", "b", "neutral")
-        assert (res.nearest_template, res.distance) == ("b", 0)
+        far, near = Q.filter_example(text_example("a", "b", "neutral", "c", "b"),
+                                     Q.FILTER_THRESHOLD)
+        assert far.nearest_template == "a"
+        assert (near.nearest_template, near.distance) == ("b", 0)
 
     def test_threshold_monotonicity(self):
         rng = np.random.default_rng(3)
         texts = ["".join(rng.choice(list("abcdef "), size=20)) for _ in range(50)]
-        e = Example(id="m", premise=tokenize("abc def"),
-                    hypothesis=tokenize("fed cba"), label="neutral",
-                    explanations=[tokenize(t) for t in texts],
-                    premise_text="abc def", hypothesis_text="fed cba",
-                    explanation_texts=texts)
+        e = text_example("abc def", "fed cba", "neutral", *texts)
         for res5, res15 in zip(Q.filter_example(e, threshold=5),
                                Q.filter_example(e, threshold=15)):
             assert res5.distance == res15.distance
@@ -207,8 +208,9 @@ class TestIsUninformative:
                 assert res15.uninformative
 
     def test_casing_and_whitespace_ignored(self):
-        res = filter_one("A  DOG implies AN ANIMAL.", "a dog",
-                         "an animal", "entailment")
+        (res,) = Q.filter_example(text_example(
+            "a dog", "an animal", "entailment", "A  DOG implies AN ANIMAL."),
+            Q.FILTER_THRESHOLD)
         assert res.uninformative and res.distance == 0
 
     def test_every_shipped_template_self_filters(self):
@@ -216,18 +218,15 @@ class TestIsUninformative:
             label = t.label_class if t.label_class != "general" else "neutral"
             inst = t.pattern.replace(Q.PREMISE_SLOT, "a man sings") \
                             .replace(Q.HYPOTHESIS_SLOT, "someone is loud")
-            res = filter_one(inst, "a man sings", "someone is loud", label)
+            (res,) = Q.filter_example(text_example(
+                "a man sings", "someone is loud", label, inst), Q.FILTER_THRESHOLD)
             assert res.uninformative and res.distance == 0, t.pattern
 
     def test_filter_example_rows(self):
-        e = Example(id="e1", premise=tokenize("a dog runs"),
-                    hypothesis=tokenize("an animal moves"), label="entailment",
-                    explanations=[tokenize("a dog runs implies an animal moves"),
-                                  tokenize("dogs are animals and running is moving")],
-                    premise_text="a dog runs", hypothesis_text="an animal moves",
-                    explanation_texts=["a dog runs implies an animal moves",
-                                       "dogs are animals and running is moving"])
-        rows = Q.filter_example(e)
+        e = text_example("a dog runs", "an animal moves", "entailment",
+                         "a dog runs implies an animal moves",
+                         "dogs are animals and running is moving")
+        rows = Q.filter_example(e, Q.FILTER_THRESHOLD)
         assert rows[0].uninformative and rows[0].distance == 0
         assert not rows[1].uninformative
 
@@ -256,22 +255,21 @@ class TestIsUninformative:
                      for t in templates]
             d = min(dists)
             want.append((d < Q.FILTER_THRESHOLD, templates[dists.index(d)], d))
-        rows = Q.filter_example(e)
+        rows = Q.filter_example(e, Q.FILTER_THRESHOLD)
         assert [(r.uninformative, r.nearest_template, r.distance)
                 for r in rows] == want
 
     def test_filtering_idempotent_on_survivors(self):
         rng = np.random.default_rng(4)
         pool = ["dog", "cat", "runs", "sits", "implies", "park", "happy"]
-        survivors = []
-        for i in range(60):
-            expl = " ".join(rng.choice(pool, size=rng.integers(3, 9)))
-            res = filter_one(expl, "a dog runs", "a cat sits", "entailment")
-            if not res.uninformative:
-                survivors.append(expl)
-        for expl in survivors:
-            res = filter_one(expl, "a dog runs", "a cat sits", "entailment")
-            assert not res.uninformative
+        texts = [" ".join(rng.choice(pool, size=rng.integers(3, 9)))
+                 for _ in range(60)]
+        rows = Q.filter_example(text_example(
+            "a dog runs", "a cat sits", "entailment", *texts), Q.FILTER_THRESHOLD)
+        survivors = [t for t, r in zip(texts, rows) if not r.uninformative]
+        assert not any(r.uninformative for r in Q.filter_example(text_example(
+            "a dog runs", "a cat sits", "entailment", *survivors),
+            Q.FILTER_THRESHOLD))
 
 
 def _example_from_case(case) -> Example:
