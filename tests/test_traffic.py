@@ -15,6 +15,9 @@ A new path joins the script when a corpus, config, flag or environment
 can reach it, or ALLOWED with its reason when only a caller outside the
 program can; a path nothing reaches leaves `src/`. An ALLOWED entry that
 the traffic runs, or that names no statement, fails the test too.
+
+The same script, run untraced under PINNED_ENV, must print, warn, exit
+and write files as `traffic_digests.py` recorded them.
 """
 
 import ast
@@ -22,19 +25,25 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
+import shutil
+import subprocess
 import sys
 import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nliexpl
 from nliexpl import autodiff as ad
 from nliexpl import cli
+from nliexpl.data import BOS, RESERVED
 from synth import make_examples, write_corpus_csv
+from variant_digests import PINNED_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(nliexpl.__file__).resolve().parent
@@ -151,7 +160,8 @@ def _traced(ran: set):
 
 
 def _run(argv, code=0):
-    """`nliexpl argv`, which must exit with `code`."""
+    """`nliexpl argv`, which must exit with `code`: the traced run's
+    runner. `traffic_digests.Recorder` is the recorded run's."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         got = cli.main([str(a) for a in argv])
@@ -167,7 +177,9 @@ def _write_csv(path, header, rows):
 
 def _annotation_corpus(path):
     """The rows of `fixtures/annotation_cases.json`, with highlights,
-    plus an id-less row and one whose label is skipped."""
+    plus an id-less row, one whose label is skipped, two short rows (no
+    label cell; no hypothesis cell) and one whose highlight indices lie
+    out of range."""
     def cell(v):
         return "" if v is None else "{" + ",".join(map(str, v)) + "}"
 
@@ -179,6 +191,9 @@ def _annotation_corpus(path):
     rows.append(["", first["label"], first["premise"], first["hypothesis"],
                  f"{first['premise']} implies {first['hypothesis']}", "", ""])
     rows.append(["skipped", "-", first["premise"], first["hypothesis"], "", "", ""])
+    rows += [["lonely"], ["short", "neutral", first["premise"]],
+             ["far", first["label"], first["premise"], first["hypothesis"],
+              f"{first['premise']} so {first['hypothesis']}", "{-1,99}", ""]]
     _write_csv(path, ["pairID", "gold_label", "Sentence1", "Sentence2",
                       "Explanation_1", "Sentence1_Highlighted_1",
                       "Sentence2_Highlighted_1"], rows)
@@ -191,12 +206,17 @@ def _config(path, **sections):
     return path
 
 
-def _traffic(d: Path, monkeypatch):
-    """The script: every command, each feature switched on."""
+def _traffic(d: Path, monkeypatch, run):
+    """The script: every command, each feature switched on, each run
+    through `run(argv, code)`. Its outputs are recorded by invocation
+    order (`traffic_digests.py`), so a new invocation goes at the end."""
     runs = d / "runs"
     data = d / "data"
     data.mkdir(parents=True)
     monkeypatch.setenv("NLIEXPL_DATA_ROOT", str(data))   # relative paths
+    # a BLAS thread variable set, as under PINNED_ENV, whatever the caller's
+    # environment: the model commands warn only once both are unset below
+    monkeypatch.setenv(cli.BLAS_THREAD_VARS[0], "1")
 
     # corpora: 70 explained train rows (batches of 64 and 6) with an empty
     # premise; a valid split with three explanations but for one row, and
@@ -217,10 +237,10 @@ def _traffic(d: Path, monkeypatch):
         + "\nnotaword " + " ".join(["0.5"] * 6) + "\n", encoding="utf-8")
 
     _annotation_corpus(d / "cases.csv")
-    _run(["filter", "--input", d / "cases.csv", "--out-root", runs])
-    _run(["validate", "--input", d / "cases.csv", "--out-root", runs])
-    _run(["validate", "--input", d / "cases.csv", "--out", d / "validation.csv",
-          "--out-root", runs])
+    run(["filter", "--input", d / "cases.csv", "--out-root", runs])
+    run(["validate", "--input", d / "cases.csv", "--out-root", runs])
+    run(["validate", "--input", d / "cases.csv", "--out", d / "validation.csv",
+         "--out-root", runs])
 
     # every variant; a batch of 64 rows and a classifier 128 wide split
     # products over both threads, and a decoder's 64 explanations make
@@ -228,7 +248,7 @@ def _traffic(d: Path, monkeypatch):
     base = dict(data=dict(train="train.csv", valid="valid.csv",
                           embeddings="emb.txt", embedding_dim=6, min_count=1,
                           sentence_limit=30, col_explanations=
-                          "Explanation_1, Explanation_2, Explanation_3"),
+                          "Explanation_1, Explanation_2, Explanation_3,"),
                 model=dict(encoder_hidden=4, decoder_hidden=4,
                            classifier_width=128, max_decode_len=5),
                 training=dict(epochs=1, batch_size=64, seed=3, dropout=0.5),
@@ -242,8 +262,8 @@ def _traffic(d: Path, monkeypatch):
                  "pred-expl": ["--alpha", "0.5", "--set", "training.clip_norm", "1"],
                  "autoenc": ["--alpha", "0.5"]}.get(variant, [])
         root = runs / variant
-        _run(["train", "--config", cfg, "--variant", variant, *extra,
-              "--out-root", root])
+        run(["train", "--config", cfg, "--variant", variant, *extra,
+             "--out-root", root])
         (run_dir,) = root.iterdir()
         ckpt[variant] = run_dir / "checkpoints" / "best"
 
@@ -254,17 +274,17 @@ def _traffic(d: Path, monkeypatch):
     # default alphas, and a diverging train whose probabilities clamp
     gap_cfg = _config(d / "gap.ini", **{
         **base, "data": {**base["data"], "embeddings": "", "train": "gap.csv"}})
-    _run(["train", "--config", gap_cfg, "--variant", "bilstm-max",
-          "--out-root", runs])
-    _run(["train", "--config", gap_cfg, "--variant", "pred-expl", "--alpha",
-          "0.5", "--out-root", runs], code=1)
-    _run(["grid", "--config", cfg, "--variant", "pred-expl", "--decoders", "4",
-          "--alphas", "0.5", "--out-root", runs])
-    _run(["grid", "--config", cfg, "--variant", "bilstm-max", "--out-root", runs])
-    _run(["grid", "--config", cfg, "--variant", "pred-expl", "--decoders", "4",
-          "--set", "training.lr", "1e30", "--out-root", runs], code=2)
-    _run(["train", "--config", cfg, "--variant", "expl-pred-seq2seq",
-          "--set", "training.lr", "1e30", "--out-root", runs], code=2)
+    run(["train", "--config", gap_cfg, "--variant", "bilstm-max",
+         "--out-root", runs])
+    run(["train", "--config", gap_cfg, "--variant", "pred-expl", "--alpha",
+         "0.5", "--out-root", runs], code=1)
+    run(["grid", "--config", cfg, "--variant", "pred-expl", "--decoders", "4",
+         "--alphas", "0.5", "--out-root", runs])
+    run(["grid", "--config", cfg, "--variant", "bilstm-max", "--out-root", runs])
+    run(["grid", "--config", cfg, "--variant", "pred-expl", "--decoders", "4",
+         "--set", "training.lr", "1e30", "--out-root", runs], code=2)
+    run(["train", "--config", cfg, "--variant", "expl-pred-seq2seq",
+         "--set", "training.lr", "1e30", "--out-root", runs], code=2)
 
     # evaluation: annotations in both modes, ones that leave expl@k
     # undefined, and none; a corpus with six examples that have no
@@ -276,45 +296,45 @@ def _traffic(d: Path, monkeypatch):
     _write_csv(none_correct, ["id", "predicted_label_correct", "k", "n"],
                [["a", "no", "1", "2"]])
     for mode in ("partial", "strict"):
-        _run(["eval", "--checkpoint", ckpt["pred-expl"], "--corpus", valid_csv,
-              "--inter-annotator", "--annotations", ann,
-              "--set", "eval.expl_at_k_mode", mode, "--out-root", runs])
-    _run(["eval", "--checkpoint", ckpt["expl-pred-att"], "--corpus", valid_csv,
-          "--expl-classifier", ckpt["expl-to-label"],
-          "--annotations", none_correct, "--out-root", runs])
-    _run(["eval", "--checkpoint", ckpt["bilstm-max"], "--corpus", valid_csv,
-          "--out-root", runs])
+        run(["eval", "--checkpoint", ckpt["pred-expl"], "--corpus", valid_csv,
+             "--inter-annotator", "--annotations", ann,
+             "--set", "eval.expl_at_k_mode", mode, "--out-root", runs])
+    run(["eval", "--checkpoint", ckpt["expl-pred-att"], "--corpus", valid_csv,
+         "--expl-classifier", ckpt["expl-to-label"],
+         "--annotations", none_correct, "--out-root", runs])
+    run(["eval", "--checkpoint", ckpt["bilstm-max"], "--corpus", valid_csv,
+         "--out-root", runs])
     bare = make_examples(8, seed=2)
     for e in bare[1:7]:
         e.explanation_texts = []
     write_corpus_csv(d / "bare.csv", bare)
-    _run(["eval", "--checkpoint", ckpt["expl-to-label"], "--corpus",
-          d / "bare.csv", "--out-root", runs], code=1)
+    run(["eval", "--checkpoint", ckpt["expl-to-label"], "--corpus",
+         d / "bare.csv", "--out-root", runs], code=1)
 
     # generation: labelled by explain-then-predict, unlabelled, and by the
     # model's own classifier
-    _run(["generate", "--checkpoint", ckpt["expl-pred-seq2seq"], "--corpus",
-          valid_csv, "--set", "eval.expl_classifier", ckpt["expl-to-label"],
-          "--out-root", runs])
-    _run(["generate", "--checkpoint", ckpt["expl-pred-att"], "--corpus",
-          valid_csv, "--out", d / "generated.csv", "--out-root", runs])
-    _run(["generate", "--checkpoint", ckpt["bilstm-max"], "--corpus",
-          data / "train.csv", "--out-root", runs])
+    run(["generate", "--checkpoint", ckpt["expl-pred-seq2seq"], "--corpus",
+         valid_csv, "--set", "eval.expl_classifier", ckpt["expl-to-label"],
+         "--out-root", runs])
+    run(["generate", "--checkpoint", ckpt["expl-pred-att"], "--corpus",
+         valid_csv, "--out", d / "generated.csv", "--out-root", runs])
+    run(["generate", "--checkpoint", ckpt["bilstm-max"], "--corpus",
+         data / "train.csv", "--out-root", runs])
     (d / "cand.txt").write_text("a dog runs\nthe cat sits\n")
     (d / "ref.txt").write_text("a dog runs fast\nthe cat sits down\n")
-    _run(["bleu", "--candidates", d / "cand.txt", "--references", d / "ref.txt",
-          "--out-root", runs])
+    run(["bleu", "--candidates", d / "cand.txt", "--references", d / "ref.txt",
+         "--out-root", runs])
 
     # refused input that reaches a message builder
     (d / "bad.txt").write_bytes(b"a dog\n\xff runs\n")
-    _run(["bleu", "--candidates", d / "bad.txt", "--references", d / "ref.txt",
-          "--out-root", runs], code=1)
+    run(["bleu", "--candidates", d / "bad.txt", "--references", d / "ref.txt",
+         "--out-root", runs], code=1)
     (d / "short.txt").write_text("a dog runs\n")
-    _run(["bleu", "--candidates", d / "short.txt", "--references", d / "ref.txt",
-          "--out-root", runs], code=1)
+    run(["bleu", "--candidates", d / "short.txt", "--references", d / "ref.txt",
+         "--out-root", runs], code=1)
     (d / "blank.txt").write_text("a dog runs fast\n \n")
-    _run(["bleu", "--candidates", d / "cand.txt", "--references", d / "blank.txt",
-          d / "blank.txt", "--out-root", runs], code=1)
+    run(["bleu", "--candidates", d / "cand.txt", "--references", d / "blank.txt",
+         d / "blank.txt", "--out-root", runs], code=1)
 
     # a model command with neither BLAS thread variable set (the warning),
     # then with the worker held busy: every task it hands the worker runs
@@ -322,17 +342,90 @@ def _traffic(d: Path, monkeypatch):
     (d / "sentences.txt").write_text("a dog runs\n\na cat sits in the park\n")
     for var in cli.BLAS_THREAD_VARS:
         monkeypatch.delenv(var, raising=False)
-    _run(["repr-export", "--checkpoint", ckpt["pred-expl"], "--sentences",
-          d / "sentences.txt", "--out", d / "repr.txt", "--out-root", runs])
+    run(["repr-export", "--checkpoint", ckpt["pred-expl"], "--sentences",
+         d / "sentences.txt", "--out", d / "repr.txt", "--out-root", runs])
     release = threading.Event()
     busy = ad._worker.submit(release.wait, 60)
     try:
-        _run(["repr-export", "--checkpoint", ckpt["pred-expl"], "--sentences",
-              d / "sentences.txt", "--out-root", runs])
+        run(["repr-export", "--checkpoint", ckpt["pred-expl"], "--sentences",
+             d / "sentences.txt", "--out-root", runs])
         assert not busy.done()   # the command never waited for the worker
     finally:
         release.set()
         busy.result(timeout=60)
+
+    # with no data root, so that every path is absolute: a train whose
+    # embeddings give a reserved token a line and whose corpus has a label
+    # word in two explanations, a word in one and an empty hypothesis, with
+    # min_count 2, no dropout and lr 0, so that its second epoch does not
+    # improve on the first; an eval of an explaining model on a corpus that
+    # has no explanation (no perplexity, no BLEU)
+    monkeypatch.delenv("NLIEXPL_DATA_ROOT")
+    (data / "reserved.txt").write_text(
+        (data / "emb.txt").read_text(encoding="utf-8")
+        + "<unk> " + " ".join(["0.5"] * 6) + "\n", encoding="utf-8")
+    reserved = make_examples(70, seed=0)
+    for e in reserved[:2]:
+        e.explanation_texts[0] += " neutral"
+    reserved[0].explanation_texts[0] += " zebra"
+    reserved[6].hypothesis_text = ""
+    write_corpus_csv(data / "reserved.csv", reserved)
+    flat = _config(d / "flat.ini", **{
+        **base, "data": {**base["data"], "train": data / "reserved.csv",
+                         "valid": valid_csv, "embeddings": data / "reserved.txt",
+                         "min_count": 2},
+        "training": {**base["training"], "epochs": 2, "lr": 0, "dropout": 0}})
+    run(["train", "--config", flat, "--variant", "pred-expl", "--alpha", "0.5",
+         "--out-root", runs])
+    unexplained = make_examples(6, seed=3)
+    for e in unexplained:
+        e.explanation_texts = []
+    write_corpus_csv(d / "unexplained.csv", unexplained)
+    run(["eval", "--checkpoint", ckpt["pred-expl"], "--corpus",
+         d / "unexplained.csv", "--out-root", runs])
+
+    # validation with one highlight column for three explanations; a
+    # reference file blank on a line that another one fills; a generator
+    # whose output bias makes it emit only <bos>, from a checkpoint
+    # directory that also holds a subdirectory
+    hl = _config(d / "hl.ini", data={
+        "col_premise_highlights": "Sentence1_Highlighted_1",
+        "col_hypothesis_highlights": "Sentence2_Highlighted_1"})
+    run(["validate", "--config", hl, "--input", valid_csv, "--out-root", runs])
+    run(["bleu", "--candidates", d / "cand.txt", "--references", d / "ref.txt",
+         d / "blank.txt", "--out-root", runs])
+    bos = shutil.copytree(ckpt["expl-pred-seq2seq"], d / "bos")
+    (bos / "notes").mkdir()
+    (bos / "notes" / "readme.txt").write_text("emits <bos> only\n")
+    manifest = json.loads((bos / "manifest.json").read_text(encoding="utf-8"))
+    (entry,) = [t for t in manifest["tensors"] if t["name"] == "decoder.out.b"]
+    blob = np.memmap(bos / "params.bin", dtype="<f4", mode="r+")
+    blob[entry["offset"] // 4 + RESERVED.index(BOS)] = 1e4
+    blob.flush()
+    del blob
+    run(["generate", "--checkpoint", bos, "--corpus", valid_csv,
+         "--out-root", runs])
+
+    # refused: an empty corpus file; annotations whose flag column comes
+    # last, on a row that stops before it; checkpoints whose manifest gives
+    # a tensor's offset as a string and as a boolean; a model size and an
+    # epoch count below 1
+    (d / "empty.csv").write_text("")
+    run(["validate", "--input", d / "empty.csv", "--out-root", runs], code=1)
+    _write_csv(d / "flagless.csv", ["id", "k", "n", "predicted_label_correct"],
+               [["a", "1", "2"]])
+    run(["eval", "--checkpoint", ckpt["bilstm-max"], "--corpus", valid_csv,
+         "--annotations", d / "flagless.csv", "--out-root", runs], code=1)
+    for name, offset in (("text", "0"), ("flag", False)):
+        bad = shutil.copytree(ckpt["bilstm-max"], d / name)
+        manifest = json.loads((bad / "manifest.json").read_text(encoding="utf-8"))
+        manifest["tensors"][0]["offset"] = offset
+        (bad / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        run(["eval", "--checkpoint", bad, "--corpus", valid_csv,
+             "--out-root", runs], code=1)
+    for flag in ("--encoder", "--epochs"):
+        run(["train", "--config", cfg, "--variant", "bilstm-max", flag, "0",
+             "--out-root", runs], code=1)
 
 
 def _perfbench(d: Path):
@@ -356,7 +449,7 @@ def test_every_statement_runs_on_a_program_path(tmp_path, monkeypatch):
     ran: set = set()
     hooks = sys.gettrace(), threading.gettrace()
     with _traced(ran):
-        _traffic(tmp_path / "cli", monkeypatch)
+        _traffic(tmp_path / "cli", monkeypatch, _run)
         _perfbench(tmp_path / "perfbench")
     assert (sys.gettrace(), threading.gettrace()) == hooks
     unrun = []
@@ -371,3 +464,22 @@ def test_every_statement_runs_on_a_program_path(tmp_path, monkeypatch):
     assert not left, "no program path runs these statements:\n" + "\n".join(left)
     assert set(ALLOWED) - allowed == set(), \
         "these ALLOWED entries name no statement left unrun"
+
+
+def test_every_command_writes_the_recorded_outputs():
+    """Each invocation of the script, run under PINNED_ENV with no tracer,
+    exits, prints, warns and writes files as `traffic_digests.py`
+    recorded them in `fixtures/traffic_digests.json`."""
+    env = {**os.environ, **PINNED_ENV,
+           "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).parent / "traffic_digests.py")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    want = json.loads((FIXTURES / "traffic_digests.json").read_text())
+    assert got.keys() == want.keys(), "the script's invocations changed"
+    moved = [f"{key} {' '.join(entry['argv'][:1])}: {field}"
+             for key, entry in want.items() for field, value in entry.items()
+             if got[key][field] != value]
+    assert not moved, "these outputs moved:\n" + "\n".join(moved)
