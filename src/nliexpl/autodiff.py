@@ -267,8 +267,7 @@ def _route(out: Tensor, inputs: tuple[Tensor, ...], backward_fn,
             gi = gi()
         t.grad = gi if t.grad is None else t.grad + gi
     for t in (out, other):
-        if not t.is_param:
-            t.grad = None
+        t.grad = None
 
 
 class _Deferred:
@@ -748,14 +747,14 @@ def _check_lengths(op: str, lengths, B: int, low: int, high: int) -> np.ndarray:
     return lengths.astype(np.int64, copy=False)
 
 
-def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
+def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray,
                 cond=None, h0: Tensor | None = None, c0: Tensor | None = None,
                 rmask: np.ndarray | None = None):
     """The checks of an LSTM sequence op: x (T, B, D) with T > 0; each
     cell's wi (4H, D + C), wh (4H, H) and b (4H,), C being `cond`'s
     width; a cond Tensor (B, C), or `Attention` heads as documented;
     h0, c0 and `rmask` (B, H); `lengths` (B,) integers in [0, T].
-    Returns the packed layout of the lengths (all T if None; `_packing`),
+    Returns the packed layout of the lengths (`_packing`),
     x's real step-rows in it (x's rows themselves if no row pads) and
     `rmask` as an array of the states' dtype."""
     xd = x.data
@@ -784,14 +783,13 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray | None,
            if s is not None and s.shape != (B, H)]
     if bad:
         raise ShapeError(f"{op}: {', '.join(bad)}, expected {(B, H)}")
-    pack = _packing(_check_lengths(
-        op, np.full(B, T) if lengths is None else lengths, B, 0, T), T)
+    pack = _packing(_check_lengths(op, lengths, B, 0, T), T)
     xr = xd.reshape(T * B, -1)
     return pack, xr if len(pack[2]) == T * B else xr[pack[2]], rmask
 
 
 def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
-               c0: Tensor | None = None, lengths: np.ndarray | None = None,
+               c0: Tensor | None = None, *, lengths: np.ndarray,
                cond: Tensor | list[Attention] | None = None,
                reverse: bool = False, rmask: np.ndarray | None = None) -> Tensor:
     """An LSTM over a whole sequence x (T, B, D) as one tape record.
@@ -807,9 +805,8 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     `np.flatnonzero(np.arange(T)[:, None] < lengths)` lists them.
 
     Row b's real steps are t < `lengths[b]`, `lengths` being (B,)
-    integers in [0, T] (otherwise ShapeError); None means all T. Pad
-    steps have no output row, cost nothing and change no bit of anything
-    else.
+    integers in [0, T] (otherwise ShapeError). Pad steps have no output
+    row, cost nothing and change no bit of anything else.
     With `reverse` the steps run from T-1 down to 0, so each row's real
     prefix is read backwards starting from (h0, c0), exactly as if it had
     been reversed in place. `rmask` (B, H) is a recurrent dropout mask
@@ -1085,8 +1082,7 @@ def _at_once(here, there):
         later.drop()
 
 
-def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams,
-                 lengths: np.ndarray | None = None,
+def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams, lengths: np.ndarray,
                  states: bool = True) -> tuple[Tensor, Tensor | None]:
     """Both directions of an encoder over x (T, B, D), from zero states:
     (pooled, states). states (P, 2H), made only with `states` (else

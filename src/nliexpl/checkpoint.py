@@ -36,9 +36,8 @@ class CheckpointError(RuntimeError):
     """Checkpoint directory is missing pieces or inconsistent."""
 
 
-def save_checkpoint(path, arrays: dict[str, np.ndarray],
-                    trainable: set[str] | None = None,
-                    meta: dict | None = None) -> None:
+def save_checkpoint(path, arrays: dict[str, np.ndarray], trainable: set[str],
+                    meta: dict) -> None:
     """Write `arrays` (insertion order preserved) as directory `path`,
     replacing the checkpoint (or empty directory) already there."""
     path = Path(path)
@@ -63,12 +62,12 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray],
                     "name": name,
                     "shape": list(arr.shape),
                     "offset": offset,
-                    "trainable": trainable is None or name in trainable,
+                    "trainable": name in trainable,
                 })
                 blob.write(memoryview(data))
                 offset += data.nbytes
         manifest = {"format": FORMAT_TAG, "dtype": "<f4", "blob_bytes": offset,
-                    "tensors": entries, "meta": meta or {}}
+                    "tensors": entries, "meta": meta}
         (partial / MANIFEST_NAME).write_text(
             json.dumps(manifest, indent=1, sort_keys=False), encoding="utf-8")
     except BaseException:

@@ -305,8 +305,8 @@ def cmd_grid(args, config: dict) -> int:
     (run_dir / "reports" / "grid.json").write_text(json.dumps(summary, indent=1))
     print(f"grid summary: {run_dir / 'reports' / 'grid.json'}")
     if best.checkpoint_path is None:
-        notes = "; ".join(f"grid{i:02d}: {r.note}"
-                          for i, r in enumerate(records) if r.aborted)
+        # a run keeps a checkpoint unless it aborts in its first epoch
+        notes = "; ".join(f"grid{i:02d}: {r.note}" for i, r in enumerate(records))
         print(f"aborted: no run kept a checkpoint ({notes})", file=sys.stderr)
         return 2
     print(f"best {best.criterion}={best.best_value} "

@@ -108,7 +108,7 @@ def set_value(config: dict, section: str, key: str, raw) -> None:
     flag value; unknown keys are rejected."""
     if section not in SCHEMA or key not in SCHEMA[section]:
         raise ConfigError(f"unknown config key [{section}] {key}")
-    if raw is None or (isinstance(raw, str) and not raw.strip()):
+    if isinstance(raw, str) and not raw.strip():
         if key in DEFAULTS.get(section, {}):
             raise ConfigError(f"[{section}] {key} needs a value")
         config[section][key] = None

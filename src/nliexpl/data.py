@@ -368,14 +368,11 @@ class EncodedExample:
 def encode_example(e: Example, vocab: Vocabulary,
                    sentence_limit: int = SENTENCE_LIMIT,
                    explanation_limit: int = EXPLANATION_LIMIT) -> EncodedExample | None:
-    """Map an Example onto ids; head-keep truncation at the limits, which
-    must be at least 1 (otherwise ValueError).
+    """Map an Example onto ids; head-keep truncation at the limits, each
+    at least 1 (`config` refuses any other).
 
     Returns None (with a warning) for an empty premise or hypothesis.
     """
-    if min(sentence_limit, explanation_limit) < 1:
-        raise ValueError(f"limits must be at least 1, got sentence_limit="
-                         f"{sentence_limit}, explanation_limit={explanation_limit}")
     if not e.premise or not e.hypothesis:
         log.warning("skipping %s: empty premise or hypothesis", e.id)
         return None

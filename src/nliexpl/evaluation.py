@@ -92,7 +92,7 @@ def bleu(candidates, reference_sets) -> float:
         if n >= 2 and num == 0:
             num += 1
             den += 1
-        if num == 0 or den == 0:   # at n = 1 if every candidate is empty
+        if num == 0:   # at n = 1 if every candidate is empty (den is 0 too)
             return 0.0
         log_sum += math.log(num / den) / BLEU_MAX_N
     bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
@@ -307,11 +307,9 @@ def evaluation_pass(model, encoded: list[EncodedExample],
 
 def predict_all(model, encoded, batch_size=EVAL_BATCH_SIZE,
                 expl_classifier=None):
-    """(predicted, gold) labels for every example; a generator without
-    a classifier labels by explain-then-predict."""
-    if not model.has_classifier and expl_classifier is None:
-        raise EvaluationError(f"{model.variant} needs an explanation "
-                              "classifier to predict labels")
+    """(predicted, gold) labels for every example, from the model's own
+    classifier or, for a generator without one, by explain-then-predict
+    with `expl_classifier`."""
     res = evaluation_pass(model, encoded, batch_size,
                           expl_classifier=expl_classifier)
     return np.array(res.preds), np.array(res.golds)
@@ -339,7 +337,8 @@ def evaluate_model(model, encoded: list[EncodedExample],
     explain-then-predict pipeline for generator-only variants (when an
     explanation classifier is supplied). Perplexity needs every example
     explained; BLEU scores the greedy generations of the examples that
-    have gold explanations in `examples` against their first two.
+    have gold explanations in `examples`, which `encoded` encodes,
+    against their first two.
     """
     report = EvalReport(provenance={
         "split": split, "variant": model.variant,
@@ -355,8 +354,7 @@ def evaluate_model(model, encoded: list[EncodedExample],
         report.counts["explanation_tokens"] = ppl.n_tokens
         report.provenance["perplexity_total_nll"] = ppl.total_nll
     by_id = {e.id: e for e in examples}
-    referenced = [enc for enc in encoded
-            if enc.id in by_id and by_id[enc.id].explanations]
+    referenced = [enc for enc in encoded if by_id[enc.id].explanations]
     if model.explains and referenced:
         generated = generate_all(model, referenced, batch_size)[0]
         report.bleu = bleu([model.vocab.decode(gen) for gen in generated],

@@ -84,10 +84,10 @@ def feature_vector(u: ad.Tensor, v: ad.Tensor) -> FeatureVector:
 
 
 class _Part:
-    """Holds model weights. The tensors it holds are the only record of
-    them: `params()` walks the attributes in assignment order and takes
-    each parameter Tensor, the weights of each LSTM cell and, in turn,
-    those of each part, alone or in a list."""
+    """Holds model weights. The tensors it holds, all parameters, are the
+    only record of them: `params()` walks the attributes in assignment
+    order and takes each Tensor, the weights of each LSTM cell and, in
+    turn, those of each part, alone or in a list."""
 
     def params(self) -> dict[str, ad.Tensor]:
         out: dict[str, ad.Tensor] = {}
@@ -97,7 +97,7 @@ class _Part:
                     out.update(item.params())
                 elif isinstance(item, ad.LstmParams):
                     out.update((t.name, t) for t in (item.wi, item.wh, item.b))
-                elif isinstance(item, ad.Tensor) and item.is_param:
+                elif isinstance(item, ad.Tensor):
                     out[item.name] = item
         return out
 
@@ -263,7 +263,7 @@ class LstmDecoder(_Part):
             rmask = ad.dropout_mask(rng, (B, self.hidden), self.dropout,
                                     embedding.frozen.dtype)
         hs = ad.lstm_layer(embedding.lookup(inputs.T), self.cell, h, c,
-                           lengths, cond=self._cond(source, attn_ctx),
+                           lengths=lengths, cond=self._cond(source, attn_ctx),
                            rmask=rmask)
         logits = ad.linear(hs, self.w_out, self.b_out)
         gold = targets.T[np.arange(S)[:, None] < lengths]   # in hs's row order
@@ -308,10 +308,8 @@ class LstmDecoder(_Part):
 
 
 def joint_loss(l_label: ad.Tensor, l_expl: ad.Tensor, alpha: float) -> ad.Tensor:
-    """alpha * label loss + (1 - alpha) * explanation loss; alpha outside
-    [0, 1] is an error."""
-    if alpha is None or not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0,1], got {alpha}")
+    """alpha * label loss + (1 - alpha) * explanation loss, for an alpha
+    in [0, 1] (`TrainConfig` refuses any other)."""
     return ad.add(ad.scale(l_label, alpha), ad.scale(l_expl, 1.0 - alpha))
 
 
@@ -495,10 +493,9 @@ class BaseModel(_Part):
     def eval_batch(self, batch: Batch, nll: bool = False, greedy: bool = False):
         """From one `_condition`: (labels, (summed NLL, tokens, correct
         tokens) with `nll`, (explanations, empty flags) with `greedy`),
-        None where not asked or not given. A classifier variant starts
-        both from the predicted label word."""
-        if (nll or greedy) and not self.explains:
-            raise ModelError(f"{self.variant} does not explain")
+        None where not asked or not given; only a model that explains is
+        asked for either. A classifier variant starts both from the
+        predicted label word."""
         fv, ctx, logits = self._condition(batch)
         preds = None if logits is None else logits.data.argmax(axis=1)
         scored = generated = None
@@ -590,9 +587,8 @@ class ExplainThenPredict:
     """Pipeline: generate an explanation, then label it in isolation."""
 
     def __init__(self, generator: BaseModel, expl_classifier: BaseModel):
-        if not generator.explains:
-            raise ModelError(f"{generator.variant} cannot generate "
-                             "explanations for explain-then-predict")
+        """`generator` explains and has no classifier (`evaluation_pass`
+        builds a pipe for no other)."""
         if not isinstance(expl_classifier, ExplanationClassifier):
             raise ModelError(f"{expl_classifier.variant} does not label "
                              "explanations; explain-then-predict needs "

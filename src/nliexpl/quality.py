@@ -289,6 +289,6 @@ def validate_annotation(example) -> ValidationReport:
             if used * 2 < len(words):
                 flag(HIGHLIGHTS_UNDERUSED,
                      f"uses {used}/{len(words)} highlighted words")
-        if tokens and not (expl_words - words):
+        if not expl_words - words:
             flag(NO_NON_HIGHLIGHTED_WORD, "contains only highlighted words")
     return report

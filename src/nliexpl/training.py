@@ -211,17 +211,11 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
 
 def grid_select(configs: list[TrainConfig], data: TrainData,
                 out_root) -> tuple[RunRecord, list[RunRecord]]:
-    """Train every config and return (best record, all records).
-
-    All configs must share a selection criterion. Ties break toward the
-    smaller decoder size, then the lower alpha.
+    """Train every config, at least one and all of one variant, so of one
+    selection criterion, and return (best record, all records). Ties
+    break toward the smaller decoder size, then the lower alpha.
     """
-    if not configs:
-        raise TrainingError("empty grid")
-    criteria = {c.criterion for c in configs}
-    if len(criteria) != 1:
-        raise TrainingError(f"grid mixes selection criteria: {criteria}")
-    criterion = criteria.pop()
+    criterion = configs[0].criterion
     out_root = Path(out_root)
     records = []
     for i, cfg in enumerate(configs):

@@ -106,6 +106,11 @@ class InlineExecutor:
 # Finite differences
 
 
+def all_steps(x) -> np.ndarray:
+    """The `lengths` of a (T, B, ...) sequence whose rows are all real."""
+    return np.full(x.shape[1], x.shape[0])
+
+
 def numeric_grad(f, params, eps=1e-3):
     """Central finite differences of the scalar function `f()`.
 
@@ -743,7 +748,7 @@ def teacher_forced_dense(decoder, embedding, source: Tensor,
         hs = stack_steps(steps)
     else:
         hs = dense_steps([lstm_layer(embedding.lookup(inputs.T), decoder.cell,
-                                     h, c, lengths,
+                                     h, c, lengths=lengths,
                                      cond=decoder._cond(source, attn_ctx),
                                      rmask=rmask)], target_mask.T)
     rows = reshape(hs, (S * B, decoder.hidden))

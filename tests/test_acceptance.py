@@ -125,7 +125,7 @@ def _op_level_checks():
     out_w = rng.normal(size=(4, 3, 2))[np.arange(4)[:, None] < seq_lengths]
     for reverse in (False, True):
         check(lambda: ad.sum_(ad.mul(ad.lstm_layer(
-            x_seq, seq_cell, h0, c0, seq_lengths, cond=cond, reverse=reverse,
+            x_seq, seq_cell, h0, c0, lengths=seq_lengths, cond=cond, reverse=reverse,
             rmask=drop_h), ad.Tensor(out_w))),
             {"x_seq": x_seq, "cond": cond, "wi": seq_cell.wi, "wh": seq_cell.wh,
              "b": seq_cell.b, "h0": h0, "c0": c0})
@@ -133,7 +133,7 @@ def _op_level_checks():
     # step-rows as it returns them
     head_w = p64((5, 2), "head_w")
     check(lambda: ad.sum_(ad.cross_entropy_rows(ad.linear(ad.lstm_layer(
-        x_seq, seq_cell, h0, c0, seq_lengths, cond=cond, rmask=drop_h), head_w,
+        x_seq, seq_cell, h0, c0, lengths=seq_lengths, cond=cond, rmask=drop_h), head_w,
         ad.Tensor(np.zeros(5))),
         np.array([4, 0, 2, 1, 3, 3, 0, 2]))),
         {"x_seq": x_seq, "cond": cond, "wh": seq_cell.wh, "head_w": head_w})
@@ -149,7 +149,7 @@ def _op_level_checks():
                              p64((8, 2), "att_wh", scale=0.5),
                              p64((8,), "att_b", scale=0.5))
     check(lambda: ad.sum_(ad.mul(ad.lstm_layer(
-        x_seq, att_cell, h0, c0, seq_lengths, cond=heads, rmask=drop_h),
+        x_seq, att_cell, h0, c0, lengths=seq_lengths, cond=heads, rmask=drop_h),
         ad.Tensor(out_w))),
         {"x_seq": x_seq, "wi": att_cell.wi, "wh": att_cell.wh, "b": att_cell.b,
          "h0": h0, "c0": c0, **{t.name: t for head in heads
@@ -168,11 +168,11 @@ def _op_level_checks():
         # reads both outputs, the pooled vector and the states, whose
         # weights are bi_w's at the real step-rows
         pooled, states = ad.bilstm_layer(xs, *cells, lengths)
-        real = np.arange(4)[:, None] < (np.full(3, 4) if lengths is None else lengths)
+        real = np.arange(4)[:, None] < lengths
         return ad.add(ad.sum_(ad.mul(pooled, ad.Tensor(pool_w))),
                       ad.sum_(ad.mul(states, ad.Tensor(bi_w[real]))))
 
-    for lengths in (seq_lengths, None):
+    for lengths in (seq_lengths, np.full(3, 4)):
         check(lambda: encoder_loss(lengths),
               {"xs": xs, **{t.name: t for cell in cells
                             for t in (cell.wi, cell.wh, cell.b)}})

@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
 from model_utils import toy_setup
-from oracles import (InlineExecutor, backward_in_line, bilstm_composed,
-                     column_max, dense_steps, gate_input_cell, lstm_cell,
-                     lstm_layer_dense, lstm_gates_two_exp, lstm_step,
+from oracles import (InlineExecutor, all_steps, backward_in_line,
+                     bilstm_composed, column_max, dense_steps, gate_input_cell,
+                     lstm_cell, lstm_layer_dense, lstm_gates_two_exp, lstm_step,
                      max_over_time, max_rel_err, nll_rows, numeric_grad,
                      scalar_lstm_step, sigmoid_, slice_last, softmax,
                      stack_steps, take_rows)
@@ -201,7 +201,7 @@ class TestSoftmax:
             with pytest.raises(ad.ShapeError, match="attention head 0"):
                 ad.lstm_layer(f64(np.zeros((4, 2, 3))), cell,
                               f64(np.zeros((2, 2))), f64(np.zeros((2, 2))),
-                              cond=[head])
+                              lengths=np.full(2, 4), cond=[head])
 
     def test_rowwise_mask_zeroes_exactly(self):
         rng = np.random.default_rng(41)
@@ -473,8 +473,8 @@ class TestSequenceOps:
         w = rng.normal(size=(3, 2, 2)).reshape(6, 2)   # one per (t, b)
 
         def loss():
-            return ad.sum_(ad.mul(ad.lstm_layer(x, cell, h0, h0, cond=[head]),
-                                  f64(w)))
+            return ad.sum_(ad.mul(ad.lstm_layer(x, cell, h0, h0, cond=[head],
+                                                lengths=all_steps(x)), f64(w)))
 
         check_op_gradient(loss, p)
 
@@ -801,7 +801,7 @@ class TestPacking:
         np.testing.assert_array_equal(_real_rows(T, len(lengths), lengths)[rank],
                                       index)
 
-    @pytest.mark.parametrize("lengths", [None, [4, 4, 4], [4, 1, 3], [2, 2, 2]])
+    @pytest.mark.parametrize("lengths", [[4, 4, 4], [4, 1, 3], [2, 2, 2]])
     def test_real_rows_are_a_view_when_no_row_pads(self, lengths):
         """x's real step-rows (`_check_lstm`) are x's rows themselves when
         every row runs all T steps, the packing being the identity; else
@@ -809,10 +809,9 @@ class TestPacking:
         T, B, D = 4, 3, 5
         x = ad.Tensor(np.random.default_rng(30).normal(size=(T, B, D)))
         cell = ad.init_lstm(np.random.default_rng(30), D, 2, "c")
-        pack, xp, _ = ad._check_lstm("op", x, [cell],
-                                     None if lengths is None else np.array(lengths))
+        pack, xp, _ = ad._check_lstm("op", x, [cell], np.array(lengths))
         np.testing.assert_array_equal(xp, x.data.reshape(T * B, D)[pack[2]])
-        assert np.shares_memory(xp, x.data) == (lengths in (None, [4, 4, 4]))
+        assert np.shares_memory(xp, x.data) == (lengths == [4, 4, 4])
 
 
 class TestLstmLayer:
@@ -878,7 +877,7 @@ class TestLstmLayer:
         bit-equal."""
         T, lengths = LAYER_CASES[case]
         B, H = len(lengths), 8
-        lengths = None if min(lengths) == T else np.array(lengths)
+        lengths = np.array(lengths)
         rng = np.random.default_rng(26)
         for given in (False, True):
             for dropout in (False, True):
@@ -1007,8 +1006,8 @@ class TestLstmLayer:
         taped = {
             "linear 2-D": lambda: ad.linear(x, w, b),
             "linear 3-D": lambda: ad.linear(x3, w, b),
-            "lstm_layer": lambda: ad.lstm_layer(seq, dec, h0, c0, np.array([3]),
-                                                cond),
+            "lstm_layer": lambda: ad.lstm_layer(seq, dec, h0, c0,
+                                                lengths=np.array([3]), cond=cond),
             "bilstm_layer": lambda: ad.bilstm_layer(seq, *enc, np.array([1]))[1],
         }
         for name, op in taped.items():
@@ -1028,7 +1027,7 @@ class TestLstmLayer:
         pads = rng.normal(size=(2, 1, 4 * H))
         padded = np.concatenate([gx, pads]).astype(np.float32)
         for reverse in (False, True):
-            short = _gx_layer(f32(gx), wh, reverse=reverse)
+            short = _gx_layer(f32(gx), wh, reverse=reverse, lengths=np.array([3]))
             long = _gx_layer(f32(padded), wh, reverse=reverse,
                              lengths=np.array([3]))
             np.testing.assert_array_equal(long.data, short.data)
@@ -1071,9 +1070,9 @@ class TestLstmLayer:
             try:
                 if taped:
                     with tape:
-                        hs = ad.lstm_layer(x, cell)
+                        hs = ad.lstm_layer(x, cell, lengths=all_steps(x))
                 else:
-                    hs = ad.lstm_layer(x, cell)
+                    hs = ad.lstm_layer(x, cell, lengths=all_steps(x))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1117,12 +1116,12 @@ class TestLstmLayer:
         x, h0, c0, cond = (f64(rng.normal(size=shape)) for shape in
                            ((6, 3, 3), (3, 2), (3, 2), (3, 2)))
         with ad.Tape() as tape:
-            ad.lstm_layer(x, cell, h0, c0, cond=cond, reverse=True)
+            ad.lstm_layer(x, cell, h0, c0, cond=cond, reverse=True, lengths=all_steps(x))
         assert [inputs for _, inputs, _ in tape.records] == [
             (x, cell.wi, cell.wh, cell.b, h0, c0, cond)]
         wide = f64(rng.normal(size=(6, 3, 5)))
         with ad.Tape() as tape:
-            ad.lstm_layer(wide, cell, c0=c0)
+            ad.lstm_layer(wide, cell, c0=c0, lengths=all_steps(wide))
         assert [inputs for _, inputs, _ in tape.records] == [
             (wide, cell.wi, cell.wh, cell.b, c0)]
 
@@ -1130,15 +1129,18 @@ class TestLstmLayer:
         rng = np.random.default_rng(29)
         cell = ad.init_lstm(rng, 3, 2, "cell", dtype=np.float64)
         x, state = f64(np.zeros((3, 2, 3))), f64(np.zeros((2, 2)))
-        calls = [lambda: ad.lstm_layer(f64(np.zeros((3, 2, 4))), cell),
-                 lambda: ad.lstm_layer(f64(np.zeros((3, 3))), cell),
-                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell,
+        every = all_steps(x)
+        calls = [lambda: ad.lstm_layer(f64(np.zeros((3, 2, 4))), cell, lengths=every),
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 3))), cell, lengths=every),
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell, lengths=every,
                                        cond=f64(np.zeros((2, 2)))),
-                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell,
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell, lengths=every,
                                        cond=f64(np.zeros((3, 1)))),
-                 lambda: ad.lstm_layer(x, cell, f64(np.zeros((2, 3))), state),
-                 lambda: ad.lstm_layer(x, cell, state, f64(np.zeros((1, 2)))),
-                 lambda: ad.lstm_layer(x, cell, rmask=np.ones((2, 3)))]
+                 lambda: ad.lstm_layer(x, cell, f64(np.zeros((2, 3))), state,
+                                       lengths=every),
+                 lambda: ad.lstm_layer(x, cell, state, f64(np.zeros((1, 2))),
+                                       lengths=every),
+                 lambda: ad.lstm_layer(x, cell, lengths=every, rmask=np.ones((2, 3)))]
         # lengths (B,) = (2,) integers in [0, T] = [0, 3]
         calls += [lambda lengths=lengths: ad.lstm_layer(x, cell, lengths=lengths)
                   for lengths in (np.array([3]), np.array([[3, 3]]),
@@ -1148,7 +1150,7 @@ class TestLstmLayer:
             with pytest.raises(ad.ShapeError):
                 call()
         with pytest.raises(ad.EmptySequenceError):
-            ad.lstm_layer(f64(np.zeros((0, 2, 3))), cell)
+            ad.lstm_layer(f64(np.zeros((0, 2, 3))), cell, lengths=np.zeros(2, int))
 
     def test_cond_matches_linear_on_concatenated_input(self):
         """With `cond`, against `linear` over the explicitly concatenated
@@ -1162,7 +1164,7 @@ class TestLstmLayer:
         close = dict(rtol=1e-10, atol=1e-10)
         for T, lengths in LAYER_CASES.values():
             B = len(lengths)
-            lengths = None if min(lengths) == T else np.array(lengths)
+            lengths = np.array(lengths)
             for reverse, given, dropout in itertools.product((False, True),
                                                              repeat=3):
                 arrays = {"x": rng.normal(size=(T, B, D)),
@@ -1216,7 +1218,7 @@ class TestLstmLayer:
         close = dict(rtol=1e-10, atol=1e-10)
         for T, lengths in LAYER_CASES.values():
             B = len(lengths)
-            lengths = None if min(lengths) == T else np.array(lengths)
+            lengths = np.array(lengths)
             for reverse, dropout in itertools.product((False, True), repeat=2):
                 key_lengths = []
                 if kind == "attention":
@@ -1406,7 +1408,7 @@ class TestAttentionLayer:
         x, cell, h0, c0, heads, _ = _attention_inputs(arrays, key_lengths,
                                                       np.float64)
         with ad.Tape() as tape:
-            ad.lstm_layer(x, cell, h0, c0, np.array([5, 1, 3]), cond=heads)
+            ad.lstm_layer(x, cell, h0, c0, lengths=np.array([5, 1, 3]), cond=heads)
         assert [inputs for _, inputs, _ in tape.records] == [
             (x, cell.wi, cell.wh, cell.b, h0, c0,
              *(t for a in heads for t in (a.wc, a.bc, a.keys, a.values)))]
@@ -1447,7 +1449,8 @@ class TestAttentionLayer:
                 cond = f32(rng.normal(size=(B, 2)))
                 cell = ad.LstmParams(f32(rng.normal(size=(4 * H, D + 2))),
                                      cell.wh, cell.b)
-            states = ad.lstm_layer(x, cell, h0, c0, cond=cond).data.reshape(
+            states = ad.lstm_layer(x, cell, h0, c0, lengths=all_steps(x),
+                                   cond=cond).data.reshape(
                 T, B, H)   # every row real: row t * B + b is (t, b)
             with monkeypatch.context() as m:
                 if inline:
@@ -1489,12 +1492,12 @@ class TestAttentionLayer:
                 {**arrays, **{k: np.zeros(v) for k, v in change.items()}},
                 key_lengths, np.float64)
             with pytest.raises(ad.ShapeError):
-                ad.lstm_layer(x, cell, h0, c0, cond=heads)
+                ad.lstm_layer(x, cell, h0, c0, cond=heads, lengths=all_steps(x))
         for lengths in (np.array([1]), np.array([1.0, 2.0])):
             x, cell, h0, c0, heads, _ = _attention_inputs(
                 arrays, [lengths, key_lengths[1]], np.float64)
             with pytest.raises(ad.ShapeError, match="attention head 0"):
-                ad.lstm_layer(x, cell, h0, c0, cond=heads)
+                ad.lstm_layer(x, cell, h0, c0, cond=heads, lengths=all_steps(x))
 
 
 def _bilstm_arrays(rng, T, B, D, H):
@@ -1555,7 +1558,7 @@ class TestBilstmLayer:
         float64 pooled vector and all seven gradients within 1e-10."""
         T, lengths = PACKING_CASES[case]
         B, D, H = len(lengths), 5, 8
-        lengths = None if min(lengths) == T else np.array(lengths)
+        lengths = np.array(lengths)
         rng = np.random.default_rng(31)
         arrays = _bilstm_arrays(rng, T, B, D, H)
         weights = (rng.normal(size=(T, B, 2 * H)), rng.normal(size=(B, 2 * H)))
@@ -1611,16 +1614,17 @@ class TestBilstmLayer:
         inputs = (p["x"], *(p[f"{d}.{k}"] for d in ("fwd", "bwd")
                             for k in ("wi", "wh", "b")))
         with ad.Tape() as tape:
-            pooled, states = ad.bilstm_layer(p["x"], fwd, bwd)
+            pooled, states = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]))
         assert [r[:2] for r in tape.records] == [(states, inputs)]
         assert tape.also == {states: pooled}
         with ad.Tape() as tape:
-            pooled, states = ad.bilstm_layer(p["x"], fwd, bwd, states=False)
+            pooled, states = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]),
+                                             states=False)
         assert states is None
         assert [r[:2] for r in tape.records] == [(pooled, inputs)]
         assert tape.also == {}
         with ad.Tape() as tape:
-            bilstm_composed(p["x"], fwd, bwd)
+            bilstm_composed(p["x"], fwd, bwd, all_steps(p["x"]))
         assert len(tape.records) == 6
 
     def test_no_backward_caches_without_tape(self):
@@ -1638,9 +1642,9 @@ class TestBilstmLayer:
             try:
                 if taped:
                     with tape:
-                        _, hs = ad.bilstm_layer(p["x"], fwd, bwd)
+                        _, hs = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]))
                 else:
-                    _, hs = ad.bilstm_layer(p["x"], fwd, bwd)
+                    _, hs = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1698,12 +1702,13 @@ class TestBilstmLayer:
         monkeypatch.setattr(ad, "_lstm_direction", failing)
         with pytest.raises(RuntimeError) as info:
             with ad.Tape() as tape:
-                loss = ad.sum_(ad.bilstm_layer(p["x"], fwd, bwd)[0])
+                loss = ad.sum_(ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]))[0])
             ad.backward(tape, loss)
         assert info.value is boom
         monkeypatch.setattr(ad, "_lstm_direction", direction)
-        for out, ref in zip(ad.bilstm_layer(p["x"], fwd, bwd),
-                            _composed_rows(p["x"], fwd, bwd)):
+        lengths = all_steps(p["x"])
+        for out, ref in zip(ad.bilstm_layer(p["x"], fwd, bwd, lengths),
+                            _composed_rows(p["x"], fwd, bwd, lengths)):
             np.testing.assert_array_equal(out.data, ref.data)
 
 
@@ -1713,11 +1718,12 @@ class TestBilstmLayer:
         import multiprocessing
         p, (fwd, bwd) = _bilstm_params(
             _bilstm_arrays(np.random.default_rng(37), 4, 3, 5, 2), np.float64)
-        expected = [t.data for t in ad.bilstm_layer(p["x"], fwd, bwd)]
+        expected = [t.data for t in ad.bilstm_layer(p["x"], fwd, bwd,
+                                                    all_steps(p["x"]))]
 
         def child():
             same = all(np.array_equal(t.data, e) for t, e in zip(
-                ad.bilstm_layer(p["x"], fwd, bwd), expected))
+                ad.bilstm_layer(p["x"], fwd, bwd, lengths=all_steps(p["x"])), expected))
             os._exit(0 if same else 1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
@@ -1769,7 +1775,7 @@ class TestBilstmPooling:
     """`bilstm_layer`'s pooled output against `max_over_time` of its
     states, the separate op it ran as before."""
 
-    CASES = {"lengths": (5, [5, 1, 3, 2]), "no-lengths": (4, [4, 4, 4]),
+    CASES = {"lengths": (5, [5, 1, 3, 2]), "every-row-length-T": (4, [4, 4, 4]),
              "one-row-of-length-1": (3, [1])}
 
     @pytest.mark.parametrize("ties", [False, True])
@@ -1783,7 +1789,7 @@ class TestBilstmPooling:
         directions."""
         T, lengths = self.CASES[case]
         B, D, H = len(lengths), 3, 4
-        lengths = None if case == "no-lengths" else np.array(lengths)
+        lengths = np.array(lengths)
         rng = np.random.default_rng(38)
         arrays = _bilstm_arrays(rng, T, B, D, H)
         if ties:
@@ -1809,7 +1815,7 @@ class TestBilstmPooling:
         all seven gradients bit-equal `max_over_time` of the states of a
         call that returns them (without ties: `test_whichever_output_is_read`)."""
         T, lengths = self.CASES[case]
-        lengths = None if case == "no-lengths" else np.array(lengths)
+        lengths = np.array(lengths)
         arrays = _bilstm_arrays(np.random.default_rng(40), T, len(self.CASES[case][1]),
                                 3, 4)
         arrays.update({k: np.zeros_like(v) for k, v in arrays.items() if k != "x"})
@@ -1844,7 +1850,7 @@ class TestBilstmPooling:
         composition's `linear` sums the gradients of x, wi and b over
         all T * B rows in another order)."""
         T, lengths = self.CASES[case]
-        lengths = None if case == "no-lengths" else np.array(lengths)
+        lengths = np.array(lengths)
         arrays = _bilstm_arrays(np.random.default_rng(41), T, len(self.CASES[case][1]),
                                 3, 4)
         ref = _pooled_by_oracle if case == "lengths" else _composed_rows
@@ -1896,7 +1902,8 @@ class TestBilstmPooling:
         for states in (True, False):
             tracemalloc.start()
             try:
-                pooled, hs = ad.bilstm_layer(p["x"], fwd, bwd, states=states)
+                pooled, hs = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]),
+                                             states=states)
                 peaks[states] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1999,7 +2006,7 @@ class TestInputChunks:
             x, cell, h0, c0, heads, p = _attention_inputs(arrays, key_lengths,
                                                           np.float32)
             with ad.Tape() as tape:
-                hs = ad.lstm_layer(x, cell, h0, c0, lengths,
+                hs = ad.lstm_layer(x, cell, h0, c0, lengths=lengths,
                                    cond=heads or p.get("cond"),
                                    reverse=case == "reverse", rmask=rmask)
                 loss = ad.sum_(ad.mul(hs, weights))
@@ -2038,8 +2045,9 @@ class TestInputChunks:
         x = f32(rng.normal(size=(T, B, D)))
         cells = [ad.init_lstm(rng, D, H, name) for name in ("fwd", "bwd")]
         buffer = min(T * B, 2 * ad._CHUNK_ROWS + B) * 4 * H * 4   # bytes
-        for directions, op in ((1, lambda: (ad.lstm_layer(x, cells[0]),)),
-                               (2, lambda: ad.bilstm_layer(x, *cells))):
+        every = all_steps(x)
+        for directions, op in ((1, lambda: (ad.lstm_layer(x, cells[0], lengths=every),)),
+                               (2, lambda: ad.bilstm_layer(x, *cells, every))):
             tracemalloc.start()
             try:
                 outs = op()

@@ -37,7 +37,8 @@ def test_round_trip_bit_exact(tmp_path, arrays):
 
 
 def test_manifest_records_offsets_and_trainability(tmp_path, arrays):
-    save_checkpoint(tmp_path / "ckpt", arrays, trainable={"enc.wi", "enc.b"})
+    save_checkpoint(tmp_path / "ckpt", arrays, trainable={"enc.wi", "enc.b"},
+                    meta={})
     manifest = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
     entries = {e["name"]: e for e in manifest["tensors"]}
     assert entries["enc.wi"]["offset"] == 0
@@ -49,7 +50,8 @@ def test_manifest_records_offsets_and_trainability(tmp_path, arrays):
 
 
 def test_blob_is_little_endian_float32(tmp_path):
-    save_checkpoint(tmp_path / "ckpt", {"w": np.array([1.0, 2.5], dtype=np.float32)})
+    save_checkpoint(tmp_path / "ckpt", {"w": np.array([1.0, 2.5], dtype=np.float32)},
+                    {"w"}, {})
     blob = (tmp_path / "ckpt" / "params.bin").read_bytes()
     assert np.frombuffer(blob, dtype="<f4").tolist() == [1.0, 2.5]
 
@@ -60,7 +62,7 @@ def test_missing_directory_is_error(tmp_path):
 
 
 def test_truncated_blob_is_error(tmp_path, arrays):
-    save_checkpoint(tmp_path / "ckpt", arrays)
+    save_checkpoint(tmp_path / "ckpt", arrays, set(arrays), {})
     blob_path = tmp_path / "ckpt" / "params.bin"
     blob_path.write_bytes(blob_path.read_bytes()[:-4])
     with pytest.raises(CheckpointError):
@@ -89,14 +91,14 @@ def _edit_manifest(path, edit):
     (lambda m: m["tensors"].append("junk"), "bad tensor entry"),
 ])
 def test_inconsistent_manifest_is_error(tmp_path, arrays, edit, message):
-    save_checkpoint(tmp_path / "ckpt", arrays)
+    save_checkpoint(tmp_path / "ckpt", arrays, set(arrays), {})
     _edit_manifest(tmp_path / "ckpt", edit)
     with pytest.raises(CheckpointError, match=message):
         load_checkpoint(tmp_path / "ckpt")
 
 
 def test_unparsable_manifest_is_error(tmp_path, arrays):
-    save_checkpoint(tmp_path / "ckpt", arrays)
+    save_checkpoint(tmp_path / "ckpt", arrays, set(arrays), {})
     (tmp_path / "ckpt" / "manifest.json").write_text("{not json")
     with pytest.raises(CheckpointError, match="unreadable manifest"):
         load_checkpoint(tmp_path / "ckpt")
@@ -107,9 +109,9 @@ def _perturbed(arrays):
 
 
 def test_resave_replaces_and_leaves_no_siblings(tmp_path, arrays):
-    save_checkpoint(tmp_path / "ckpt", arrays)
+    save_checkpoint(tmp_path / "ckpt", arrays, set(arrays), {})
     newer = _perturbed(arrays)
-    save_checkpoint(tmp_path / "ckpt", newer)
+    save_checkpoint(tmp_path / "ckpt", newer, set(newer), {})
     loaded, _ = load_checkpoint(tmp_path / "ckpt")
     for name in arrays:
         assert loaded[name].tobytes() == newer[name].tobytes()
@@ -124,7 +126,7 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, arrays,
 
     from nliexpl import checkpoint
 
-    save_checkpoint(tmp_path / "ckpt", arrays, meta={"save": 1})
+    save_checkpoint(tmp_path / "ckpt", arrays, set(arrays), {"save": 1})
 
     def killed(*args, **kwargs):
         raise OSError("killed between the two writes")
@@ -132,8 +134,8 @@ def test_interrupted_save_keeps_previous_checkpoint(tmp_path, arrays,
     monkeypatch.setattr(checkpoint, "json",
                         SimpleNamespace(dumps=killed, loads=json.loads))
     with pytest.raises(OSError, match="killed"):
-        save_checkpoint(tmp_path / "ckpt", _perturbed(arrays),
-                        meta={"save": 2})
+        save_checkpoint(tmp_path / "ckpt", _perturbed(arrays), set(arrays),
+                        {"save": 2})
     monkeypatch.undo()
     loaded, manifest = load_checkpoint(tmp_path / "ckpt")
     assert manifest["meta"] == {"save": 1}
@@ -147,7 +149,7 @@ def test_directory_with_other_files_is_not_replaced(tmp_path, arrays):
     target.mkdir()
     (target / "notes.txt").write_text("keep me")
     with pytest.raises(CheckpointError, match="more than a checkpoint"):
-        save_checkpoint(target, arrays)
+        save_checkpoint(target, arrays, set(arrays), {})
     assert (target / "notes.txt").read_text() == "keep me"
 
 
@@ -195,7 +197,7 @@ def test_in_place_step_stays_out_of_the_file(tmp_path):
 def test_dropped_loads_leave_no_descriptor_open(tmp_path, arrays):
     """Each mapping holds a duplicate of the blob's descriptor until the
     arrays viewing it are gone."""
-    save_checkpoint(tmp_path / "ckpt", arrays)
+    save_checkpoint(tmp_path / "ckpt", arrays, set(arrays), {})
     open_fds = len(os.listdir("/proc/self/fd"))
     for _ in range(200):
         loaded, _ = load_checkpoint(tmp_path / "ckpt")
@@ -205,7 +207,7 @@ def test_dropped_loads_leave_no_descriptor_open(tmp_path, arrays):
 
 def test_all_zero_size_tensors_load_writable(tmp_path):
     empty = {"a": np.zeros((0, 3), np.float32), "b": np.zeros(0, np.float32)}
-    save_checkpoint(tmp_path / "ckpt", empty)
+    save_checkpoint(tmp_path / "ckpt", empty, set(), {})
     assert (tmp_path / "ckpt" / "params.bin").stat().st_size == 0
     loaded, _ = load_checkpoint(tmp_path / "ckpt")
     for name, arr in empty.items():
@@ -218,7 +220,7 @@ def test_load_copies_no_tensor_bytes(tmp_path):
     """numpy reports its data buffers to tracemalloc, so a load that read
     the 16 MB blob into memory would show here."""
     big = {"w": np.arange(4 << 20, dtype=np.float32).reshape(1024, -1)}
-    save_checkpoint(tmp_path / "ckpt", big)
+    save_checkpoint(tmp_path / "ckpt", big, set(big), {})
     tracemalloc.start()
     try:
         loaded, _ = load_checkpoint(tmp_path / "ckpt")

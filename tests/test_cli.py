@@ -790,7 +790,7 @@ class TestEvalAndGenerate:
         arrays, manifest = load_checkpoint(trained)
         del manifest["meta"]["vocab_tokens"]
         broken = tmp_path / "broken"
-        save_checkpoint(broken, arrays, meta=manifest["meta"])
+        save_checkpoint(broken, arrays, set(arrays), manifest["meta"])
         sentences = tmp_path / "s.txt"
         sentences.write_text("a dog runs\n")
         code = main(["repr-export", "--config", str(toy_config),

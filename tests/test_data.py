@@ -192,15 +192,6 @@ class TestEncodeExample:
         enc = D.encode_example(e, v)
         assert len(enc.explanations[0]) == 42
 
-    @pytest.mark.parametrize("limits", [(-1, 40), (0, 40), (84, 0), (84, -1)])
-    def test_limit_below_1_is_error(self, limits):
-        """A limit below 1 would drop real tokens (a slice to -1) or
-        every explanation word (to 0): refused, not truncated."""
-        e = D.Example(id="x", premise=["a", "b"], hypothesis=["b"],
-                      label="neutral", explanations=[["one", "two"]])
-        with pytest.raises(ValueError, match="at least 1"):
-            D.encode_example(e, _vocab_for([e]), *limits)
-
     def test_empty_premise_skipped_with_warning(self, caplog):
         e = D.Example(id="x", premise=[], hypothesis=["b"], label="neutral",
                       explanations=[])

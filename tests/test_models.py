@@ -359,17 +359,6 @@ def test_variant_fact_table(variant, classifier, explains, needs_expl, alpha,
     assert ("classifier" in prefixes) == classifier
 
 
-@pytest.mark.parametrize("variant", [row[0] for row in VARIANT_FACTS
-                                     if not row[2]])
-def test_non_explaining_variant_refuses_explanations(variant):
-    model, batch, _ = toy_setup(variant, n=3)
-    for call in (lambda: model.explanation_nll(batch),
-                 lambda: model.eval_batch(batch, nll=True),
-                 lambda: model.eval_batch(batch, greedy=True)):
-        with pytest.raises(M.ModelError, match="does not explain"):
-            call()
-
-
 def test_variant_classes_only_declare_facts():
     """All behaviour is derived on BaseModel: each variant class
     subclasses it directly and defines no function of its own."""
@@ -931,12 +920,6 @@ class TestPipeline:
         assert all(empty)
         assert len(labels) == 3
 
-    @pytest.mark.parametrize("variant", ["autoenc", "bilstm-max"])
-    def test_generator_that_cannot_explain_rejected(self, variant):
-        gen, _, vocab = toy_setup(variant, n=3)
-        with pytest.raises(M.ModelError, match="cannot generate"):
-            ExplainThenPredict(gen, self._classifier_sharing(vocab))
-
     def test_classifier_led_generator_labels_its_explanations(self):
         gen, batch, vocab = toy_setup("pred-expl", n=3)
         clf = self._classifier_sharing(vocab)
@@ -1094,7 +1077,8 @@ class TestSaveLoad:
         model.save(tmp_path / "ckpt")
         arrays, manifest = load_checkpoint(tmp_path / "ckpt")
         edit(arrays, manifest["meta"])
-        save_checkpoint(tmp_path / "edited", arrays, meta=manifest["meta"])
+        save_checkpoint(tmp_path / "edited", arrays, set(arrays),
+                        manifest["meta"])
         with pytest.raises(M.ModelError, match=named):
             load_model(tmp_path / "edited")
 

@@ -1,20 +1,35 @@
-"""Every statement inside a function of `nliexpl` runs on some program path.
+"""Every statement inside a function of `nliexpl` runs, and every branch
+goes both ways, on some program path.
 
-A fixed script of program invocations, the traffic, runs under a line
-tracer on this thread and on the worker thread (`autodiff._worker`): every
-CLI command at toy scale, with each feature that a corpus, a config, an
+A fixed script of program invocations, the traffic, runs under a tracer
+on this thread and on the worker thread (`autodiff._worker`): every CLI
+command at toy scale, with each feature that a corpus, a config, an
 environment variable or a flag can switch on, refused invocations that
 reach their message builders, and one iteration of each of perfbench's
-tiny workloads. A statement inside a function body of `src/nliexpl` that
-never ran fails the test, unless it is a `raise`, sits in an `except`
-handler, compiles to no bytecode (a docstring, `global`) or is named in
-ALLOWED with its reason. Module and class bodies run at import and are
-not counted.
+tiny workloads. The one traced run feeds two guards.
+
+Lines: a statement inside a function body of `src/nliexpl` that never
+ran fails, unless it is a `raise`, sits in an `except` handler, compiles
+to no bytecode (a docstring, `global`) or is named in ALLOWED with its
+reason. Module and class bodies run at import and are not counted.
+
+Branches: the tracer also records, from opcode events, where each
+conditional jump went. A jump that ran and always went the same way
+fails, unless its untaken side starts a `raise` or an `except` handler,
+either side raises before it leaves the jump's line (the compiler's
+re-raise at a `with` exit or an unmatched `except`), it lies in a raise
+or a handler itself, its untaken side's line never ran (the line guard
+names that line), or ALLOWED names its line. Jumps are found through
+their `dis` targets; the copies the compiler makes of one test (a
+`while` header's, at the loop's foot) share a line and both
+destinations and count as one. This sees what the line guard cannot: a
+condition whose other side runs on another path, and a branch inside
+one expression.
 
 A new path joins the script when a corpus, config, flag or environment
 can reach it, or ALLOWED with its reason when only a caller outside the
 program can; a path nothing reaches leaves `src/`. An ALLOWED entry that
-the traffic runs, or that names no statement, fails the test too.
+names neither an unrun statement nor a one-way branch fails the test too.
 
 The same script, run untraced under PINNED_ENV, must print, warn, exit
 and write files as `traffic_digests.py` recorded them.
@@ -23,6 +38,8 @@ and write files as `traffic_digests.py` recorded them.
 import ast
 import contextlib
 import csv
+import dis
+import functools
 import io
 import json
 import os
@@ -32,6 +49,8 @@ import subprocess
 import sys
 import threading
 import types
+import warnings
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -49,15 +68,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = Path(nliexpl.__file__).resolve().parent
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
-# "module.qualname" (every statement of the function) or "module.qualname:
-# first line of the statement" -> why no program path runs it
+# "module.qualname" (every statement of the function), "module.qualname:
+# first line of the statement" or "module.qualname: line of a branch" ->
+# why no program path runs it, or takes the branch's other side
 ALLOWED = {
     "autodiff.Tensor.__init__: data = np.ascontiguousarray(data)":
         "arrays from outside the package; every op makes contiguous ones",
     "autodiff.Tensor.__repr__": "debugging",
+    "autodiff.backward: if not any(out is loss for out, _, _ in records):":
+        "a loss that its tape did not make, which the raise after it "
+        "refuses: the program always passes the tape that made the loss",
     "autodiff.backward: t.grad = None":
         "an input that no record produced and that is not a parameter: "
         "the models never build one; test_autodiff.py does",
+    "autodiff._unproduced: if not t.is_param and t not in produced}":
+        "as `backward: t.grad = None`",
+    "autodiff._route: if out.grad is None and other.grad is None:":
+        "as `_route: return`",
     "autodiff._route: return":
         "a record whose outputs have no gradient: the models never build "
         "one; test_autodiff.py does",
@@ -67,12 +94,45 @@ ALLOWED = {
     "autodiff._route: gi = gi()":
         "a non-parameter's deferred gradient: the models never build one; "
         "test_autodiff.py does",
+    "autodiff._matmul: and a.dtype == b.dtype == np.float32:":
+        "a float64 product: the models compute in float32; the "
+        "finite-difference tests in float64",
+    "autodiff._check_lstm: P = len(a.keys.data) if a.keys.data.ndim == 2 else 0":
+        "attention keys that are not 2-D, which the raise after it refuses: "
+        "the attention decoder reads the encoders' (P, 2H) states",
+    "autodiff._check_lstm: if s is not None and s.shape != (B, H)]":
+        "a state or mask of another shape, which the raise after it names: "
+        "the decoders build every one (B, H)",
+    "autodiff.lstm_layer: *(None if t is None else t.data for t in (h0, c0)),":
+        "a zero initial state (h0 or c0 None): each decoder starts from its "
+        "source's projection; test_autodiff.py starts from zero",
+    "autodiff.lstm_layer: _record(out, tuple(t for t in inputs if t is not None),":
+        "as the line above",
+    "autodiff.lstm_layer: lambda g: tuple(d for d in grads(g) if d is not None))":
+        "as the line above",
+    "autodiff._chunk_stops: return stops + [len(counts)] if len(counts) else []":
+        "a batch whose rows all have no step: a decoder row holds <bos> at "
+        "least, and the encoders refuse an empty row",
+    "autodiff.bilstm_layer._bw: None if pooled.grad is None else pooled.grad[order])":
+        "an encoder whose pooled vector takes no gradient: every variant's "
+        "loss reads it; test_autodiff.py reads the states alone",
+    "autodiff.sgd_step: live = [(name, p) for name, p in params.items() if p.grad is not None]":
+        "a parameter without a gradient: every variant's loss reaches all "
+        "of its parameters; TestSgd leaves some out",
+    "autodiff.sgd_step: bad = [name for name, p in live if not np.isfinite(p.grad).all()]":
+        "a non-finite gradient under a finite loss: no learning rate on the "
+        "script's corpora gets one (runs at 1e2-3e38 either train or stop "
+        "at a non-finite loss first); TestSgd feeds one",
     "autodiff._OpenTapes.__init__": "runs at import, and on another thread's "
                                     "first use: the worker uses none",
     "autodiff._new_worker": "runs at import and in a forked child "
                             "(test_runs_in_a_forked_child)",
+    "cli._check_outputs: nearest = next(p for p in (root, *root.parents) if p.exists())":
+        "a path with no existing ancestor: the last one, / or ., exists",
     "checkpoint._map_blob: return np.empty(0, _DTYPE)":
         "a zero-byte params.bin from outside; the program saves none",
+    "data._undecodable_line: for lineno, raw in enumerate(fh, start=1):":
+        "as the return after the loop, below",
     "data._undecodable_line: return \"?\"":
         "a file that changed between its failed decode and this read: every "
         "UTF-8 error lies inside one line",
@@ -131,20 +191,73 @@ def _statements(path: Path):
     return found
 
 
+# opcodes with a jump target (`dis.hasjrel`, `dis.hasjabs`) that always
+# take it; every other one is a branch. Python 3.12 renames the
+# conditional jumps, not these.
+_JUMPS = set(dis.hasjrel + dis.hasjabs)
+_ALWAYS = {op for name, op in dis.opmap.items()
+           if name.startswith("JUMP") and "_IF_" not in name}
+_RAISES = {dis.opmap["RAISE_VARARGS"], dis.opmap["RERAISE"]}
+
+
+@functools.cache
+def _layout(code: types.CodeType):
+    """(branches, lines, side) of `code`: offset -> (target, next offset)
+    of each branch, offset -> line of each instruction, and side(offset,
+    line), where straight-line code from `offset` leaves `line`: "raise"
+    if it raises first, else the line of the first branch or of the first
+    instruction on another line."""
+    ins = list(dis.get_instructions(code))
+    after = {a.offset: b.offset for a, b in zip(ins, ins[1:])}
+    by_offset = {i.offset: i for i in ins}
+    branches = {i.offset: (i.argval, after[i.offset]) for i in ins
+                if i.opcode in _JUMPS - _ALWAYS and i.offset in after}
+    lines = {offset: line for start, end, line in code.co_lines()
+             for offset in range(start, end, 2)}
+
+    def side(offset, line):
+        seen = set()
+        while offset in by_offset and offset not in seen:
+            seen.add(offset)
+            if by_offset[offset].opcode in _RAISES:
+                return "raise"
+            if offset in branches or lines[offset] not in (line, None):
+                return lines[offset]
+            i = by_offset[offset]
+            offset = i.argval if i.opcode in _ALWAYS else after.get(offset)
+        return line   # it returned
+
+    return branches, lines, side
+
+
 @contextlib.contextmanager
-def _traced(ran: set):
+def _traced(ran: set, codes: dict):
     """Records (file, line) of every line that `nliexpl` runs in `ran`,
-    on this thread and on a worker started for the purpose; restores the
-    worker and both trace hooks afterwards."""
+    and in `codes`, id(code) -> (code, its branches, (branch offset,
+    next offset) of every branch taken), on this thread and on a worker
+    started for the purpose; restores the worker and both trace hooks
+    afterwards."""
     files = {str(p) for p in SRC.glob("*.py")}
 
-    def local(frame, event, arg):
-        if event == "line":
-            ran.add((frame.f_code.co_filename, frame.f_lineno))
-        return local
-
     def hook(frame, event, arg):
-        return local if frame.f_code.co_filename in files else None
+        code = frame.f_code
+        if code.co_filename not in files:
+            return None
+        branches, taken = (codes.get(id(code)) or codes.setdefault(
+            id(code), (code, _layout(code)[0], set())))[1:]
+        frame.f_trace_opcodes = True
+        last = -1
+
+        def local(frame, event, arg):
+            nonlocal last
+            if event == "opcode":
+                if last in branches:
+                    taken.add((last, frame.f_lasti))
+                last = frame.f_lasti
+            elif event == "line":
+                ran.add((code.co_filename, frame.f_lineno))
+            return local
+        return local
 
     worker, hooks = ad._worker, (sys.gettrace(), threading.gettrace())
     threading.settrace(hook)   # for the threads started from here on
@@ -157,6 +270,26 @@ def _traced(ran: set):
         threading.settrace(hooks[1])
         ad._worker.shutdown(wait=True)
         ad._worker = worker
+
+
+def _one_way(codes: dict):
+    """(file, line, untaken line) of each branch that ran and always went
+    the same way, where neither side raises before it leaves the branch's
+    line; copies of one test (same line, same two destinations) count as
+    one branch."""
+    for code, branches, taken in codes.values():
+        _, lines, side = _layout(code)
+        went = defaultdict(set)
+        for at, nxt in taken:
+            both = frozenset(branches[at])
+            if nxt in both:   # not an exception raised at a FOR_ITER
+                went[lines[at], both].add(nxt)
+        for (line, both), dests in went.items():
+            if len(both) == 2 and len(dests) == 1:
+                (untaken,) = both - dests
+                sides = side(untaken, line), side(next(iter(dests)), line)
+                if "raise" not in sides:
+                    yield code.co_filename, line, sides[0]
 
 
 def _run(argv, code=0):
@@ -444,26 +577,69 @@ def _perfbench(d: Path):
         wl.checks(state, [out])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the diverging runs
-def test_every_statement_runs_on_a_program_path(tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def traced(tmp_path_factory):
+    """One traced run of the script and perfbench's workloads: the unrun
+    statements, (where, line, first line), and the one-way branches,
+    (where, line, text, untaken line), that no exemption covers."""
     ran: set = set()
+    codes: dict = {}
+    d = tmp_path_factory.mktemp("traffic")
     hooks = sys.gettrace(), threading.gettrace()
-    with _traced(ran):
-        _traffic(tmp_path / "cli", monkeypatch, _run)
-        _perfbench(tmp_path / "perfbench")
+    with pytest.MonkeyPatch.context() as monkeypatch, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # the diverging runs
+        with _traced(ran, codes):
+            _traffic(d / "cli", monkeypatch, _run)
+            _perfbench(d / "perfbench")
     assert (sys.gettrace(), threading.gettrace()) == hooks
-    unrun = []
+    unrun, counted = [], {}   # counted: (file, line) -> function
     for path in sorted(SRC.glob("*.py")):
         for where, span, first in _statements(path):
+            counted.update(dict.fromkeys(((str(path), line) for line in span),
+                                         where))
             if not any((str(path), line) in ran for line in span):
                 unrun.append((where, span.start, first))
-    allowed = {entry for where, _, first in unrun
-               for entry in (where, f"{where}: {first}") if entry in ALLOWED}
+    # a branch in, or with a side in, a raise or a handler (which hold no
+    # counted statement) is exempt; a side whose line never ran is the
+    # line guard's
+    one_way = []
+    for file, line, untaken in sorted(_one_way(codes)):
+        if (file, line) in counted and (file, untaken) in counted \
+                and (file, untaken) in ran:
+            text = Path(file).read_text(encoding="utf-8").splitlines()[line - 1]
+            one_way.append((counted[file, line], line,
+                            re.sub(r"\s+# .*", "", text).strip(), untaken))
+    return unrun, one_way
+
+
+def _allowed(where: str, first: str) -> list[str]:
+    """The ALLOWED entries that name a statement or branch line."""
+    return [entry for entry in (where, f"{where}: {first}") if entry in ALLOWED]
+
+
+def test_every_statement_runs_on_a_program_path(traced):
+    unrun, _ = traced
     left = [f"{where}:{line}: {first}" for where, line, first in unrun
-            if where not in allowed and f"{where}: {first}" not in allowed]
+            if not _allowed(where, first)]
     assert not left, "no program path runs these statements:\n" + "\n".join(left)
-    assert set(ALLOWED) - allowed == set(), \
-        "these ALLOWED entries name no statement left unrun"
+
+
+def test_every_branch_goes_both_ways_on_a_program_path(traced):
+    _, one_way = traced
+    left = [f"{where}:{line}: {text}  (never goes to line {untaken})"
+            for where, line, text, untaken in one_way
+            if not _allowed(where, text)]
+    assert not left, "no program path takes the other side of these " \
+        "branches:\n" + "\n".join(left)
+
+
+def test_every_allowed_entry_names_an_unrun_statement_or_a_one_way_branch(
+        traced):
+    unrun, one_way = traced
+    used = {entry for where, _, text, *_ in [*unrun, *one_way]
+            for entry in _allowed(where, text)}
+    assert set(ALLOWED) - used == set(), \
+        "these ALLOWED entries name no statement left unrun and no one-way branch"
 
 
 def test_every_command_writes_the_recorded_outputs():
