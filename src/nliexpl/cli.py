@@ -282,12 +282,19 @@ def _grid_list(flag: str, raw: str, kind) -> list:
 
 
 def cmd_grid(args, config: dict) -> int:
-    decoders = (_grid_list("--decoders", args.decoders, int) if args.decoders
-                else list(DECODER_GRID))
+    cls = variant_class(_variant(config))
+    if cls.decodes is None:   # every decoder size would train the same run
+        if args.decoders:
+            raise ConfigError(f"--decoders: {cls.variant} builds no decoder")
+        decoders = [config["model"]["decoder_hidden"]]
+    elif args.decoders:
+        decoders = _grid_list("--decoders", args.decoders, int)
+    else:
+        decoders = list(DECODER_GRID)
     alphas = [config["training"].get("alpha")]
     if args.alphas:
         alphas = _grid_list("--alphas", args.alphas, float)
-    elif variant_class(_variant(config)).takes_alpha:
+    elif cls.takes_alpha:
         alphas = list(ALPHA_GRID)
     configs = [_train_config(config, decoder_hidden=dec, alpha=alpha)
                for dec in decoders for alpha in alphas]
@@ -464,7 +471,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = _add_command(sub, "grid", cmd_grid,
                      "train a hyperparameter grid and select")
     p.add_argument("--decoders", help="comma-separated decoder sizes "
-                   "(default: the canonical 512,1024,2048,4096 sweep)")
+                   "(default: the canonical 512,1024,2048,4096 sweep); a "
+                   "variant that builds no decoder refuses it and trains "
+                   "[model] decoder_hidden alone")
     p.add_argument("--alphas", help="comma-separated alpha values (default "
                    "for weighted variants: 0.1..0.9 step 0.1)")
 

@@ -1328,6 +1328,26 @@ seed = 1
         values = [r["best_value"] for r in summary["runs"]]
         assert summary["best"]["value"] == min(values)
 
+    def test_variant_without_decoder_trains_one_run(self, tmp_path, corpus,
+                                                    capsys):
+        """A decoder size changes nothing in a variant that builds no
+        decoder: its grid is one run of [model] decoder_hidden, and
+        --decoders is refused, naming the variant, before any input loads."""
+        cfg = self._config(tmp_path, corpus, "bilstm-max")
+        out_root = tmp_path / "runs"
+        assert main(["grid", "--config", str(cfg), "--out-root",
+                     str(out_root)]) == 0
+        (run_dir,) = run_dirs(out_root)
+        summary = json.loads((run_dir / "reports" / "grid.json").read_text())
+        assert [r["config"]["decoder_hidden"] for r in summary["runs"]] == [
+            TrainConfig.decoder_hidden]
+        refused = tmp_path / "refused"
+        assert main(["grid", "--config", str(cfg), "--decoders", "4,6",
+                     "--set", "data.train", str(tmp_path / "missing"),
+                     "--out-root", str(refused)]) == 1
+        assert "--decoders: bilstm-max builds no decoder" in capsys.readouterr().err
+        assert not refused.exists()
+
     def test_alpha_sweep_needs_no_configured_alpha(self, tmp_path, corpus):
         cfg = self._config(tmp_path, corpus, "pred-expl")
         out_root = tmp_path / "runs"

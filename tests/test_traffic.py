@@ -129,6 +129,9 @@ ALLOWED = {
                             "(test_runs_in_a_forked_child)",
     "cli._check_outputs: nearest = next(p for p in (root, *root.parents) if p.exists())":
         "a path with no existing ancestor: the last one, / or ., exists",
+    "cli.cmd_grid: decoders = list(DECODER_GRID)":
+        "the default sweep trains decoders 512 to 4096 wide, hundreds of MB "
+        "each at any corpus size: too large for the script",
     "checkpoint._map_blob: return np.empty(0, _DTYPE)":
         "a zero-byte params.bin from outside; the program saves none",
     "data._undecodable_line: for lineno, raw in enumerate(fh, start=1):":
