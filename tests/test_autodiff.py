@@ -801,7 +801,8 @@ class TestPacking:
         np.testing.assert_array_equal(_real_rows(T, len(lengths), lengths)[rank],
                                       index)
 
-    @pytest.mark.parametrize("lengths", [[4, 4, 4], [4, 1, 3], [2, 2, 2]])
+    @pytest.mark.parametrize("lengths", [[4, 4, 4], [4, 1, 3], [2, 2, 2],
+                                         [1, 4, 4]])
     def test_real_rows_are_a_view_when_no_row_pads(self, lengths):
         """x's real step-rows (`_check_lstm`) are x's rows themselves when
         every row runs all T steps, the packing being the identity; else

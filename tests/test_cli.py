@@ -366,6 +366,12 @@ class TestTrainCommand:
     @pytest.mark.parametrize("args,message", [
         (["grid", "--decoders", "x"], "bad value for --decoders: 'x'"),
         (["grid", "--alphas", "0.5,y"], "bad value for --alphas: '0.5,y'"),
+        (["grid", "--decoders", ","], "bad value for --decoders: ','"),
+        (["grid", "--alphas", ","], "bad value for --alphas: ','"),
+        (["grid", "--alphas", "0.5,1.5"], "alpha must be in [0,1], got 1.5"),
+        (["train", "--alpha", "1.5"], "alpha must be in [0,1], got 1.5"),
+        (["train", "--variant", "autoenc", "--alpha", "-0.1"],
+         "alpha must be in [0,1], got -0.1"),
         (["grid", "--decoders", "0"], "decoder_hidden=0"),
         (["train", "--decoder", "0"], "decoder_hidden=0"),
         (["train", "--encoder", "-3"], "encoder_hidden=-3"),

@@ -7,8 +7,9 @@ import pytest
 
 from nliexpl import autodiff as ad
 from nliexpl.data import EmbeddingTable, build_vocab, encode_corpus
-from nliexpl.evaluation import label_accuracy, perplexity, predict_all
-from nliexpl.models import build_model, joint_loss, load_model
+from nliexpl.evaluation import (evaluate_model, label_accuracy, perplexity,
+                                predict_all)
+from nliexpl.models import BaseModel, build_model, joint_loss, load_model
 from nliexpl.training import (RunRecord, TrainConfig, TrainData, TrainingError,
                               grid_select, train)
 from model_utils import cast_model, toy_setup
@@ -108,9 +109,13 @@ class TestTrainConfig:
             "val-perplexity"
         assert TrainConfig(variant="hyp-to-expl").criterion == "val-perplexity"
 
-    def test_bad_alpha_range(self):
-        with pytest.raises(TrainingError):
-            TrainConfig(variant="pred-expl", alpha=1.5)
+    @pytest.mark.parametrize("variant", ["pred-expl", "autoenc"])
+    @pytest.mark.parametrize("alpha", [-0.1, 1.5])
+    def test_bad_alpha_range(self, variant, alpha):
+        """Every variant that takes alpha refuses one outside [0,1] here,
+        so the joint loss is never given one."""
+        with pytest.raises(TrainingError, match=r"alpha must be in \[0,1\]"):
+            TrainConfig(variant=variant, alpha=alpha)
 
     def test_zero_lr_is_a_valid_frozen_run(self):
         assert TrainConfig(variant="bilstm-max", lr=0.0).lr == 0.0
@@ -276,3 +281,27 @@ class TestGridSelect:
         best, records = grid_select(configs, None, tmp_path)
         assert best is records[want]
 
+
+@pytest.mark.parametrize("variant", ["bilstm-max", "hyp-to-label",
+                                     "expl-to-label", "autoenc"])
+def test_non_explaining_variant_is_never_asked_for_explanations(
+        tmp_path, monkeypatch, variant):
+    """Training's validation and the evaluation of its best checkpoint
+    ask a model that does not explain for labels only: no caller asks
+    it for explanation NLL or greedy explanations."""
+    asked = []
+    eval_batch = BaseModel.eval_batch
+
+    def spy(self, batch, nll=False, greedy=False):
+        if not self.explains:
+            asked.append((nll, greedy))
+        return eval_batch(self, batch, nll=nll, greedy=greedy)
+
+    monkeypatch.setattr(BaseModel, "eval_batch", spy)
+    alpha = 0.6 if variant == "autoenc" else None
+    data = toy_data()
+    record = train(toy_train_config(variant, epochs=1, alpha=alpha), data,
+                   tmp_path)
+    evaluate_model(load_model(record.checkpoint_path), data.valid,
+                   make_examples(9, seed=100), batch_size=4)
+    assert asked and set(asked) == {(False, False)}
