@@ -4,8 +4,7 @@ Implements exactly the operations the model zoo needs: affine maps
 (one GEMM over all leading axes), elementwise arithmetic and tanh,
 one fused softmax cross-entropy (`cross_entropy_rows`, forward and
 backward in the logits' buffer), concatenation, embedding lookup with
-partially trainable rows, dropout, two fused LSTM ops, and plain SGD
-with per-epoch learning-rate decay.
+partially trainable rows, dropout, two fused LSTM ops, and plain SGD.
 
 The LSTM ops follow Appleyard, Kocisky & Blunsom 2016 (arXiv:1604.01946)
 and share one step (`_lstm_step`) on one fused gate kernel. Each runs a
@@ -525,7 +524,7 @@ def embedding_lookup(frozen: np.ndarray, ids: np.ndarray, trainable: Tensor,
 
 
 def dropout_mask(rng: np.random.Generator, shape, rate: float,
-                 dtype=np.float32) -> np.ndarray:
+                 dtype) -> np.ndarray:
     """Inverted-dropout mask: Bernoulli(1-rate) scaled by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0,1), got {rate}")
@@ -619,9 +618,9 @@ class Attention:
 
 def _cond_width(cond) -> int:
     """The number of wi's columns that `cond` (see `lstm_layer`) reads."""
-    if isinstance(cond, list):
-        return sum(a.values.shape[-1] for a in cond)
-    return 0 if cond is None else cond.shape[-1]
+    if isinstance(cond, Tensor):
+        return cond.shape[-1]
+    return sum(a.values.shape[-1] for a in cond)
 
 
 class _Contexts:
@@ -707,8 +706,7 @@ def _gate_terms(cell: LstmParams, cond, order: np.ndarray, recording: bool):
         per_seq = (_gemm_rows(cond.data) @ wi[:, -C:].T)[:len(cond.data)]
         per_seq += b
         return wi[:, :-C], per_seq, None
-    return (wi[:, C:], b,
-            None if cond is None else _Contexts(cond, wi[:, :C], order, recording))
+    return wi[:, C:], b, _Contexts(cond, wi[:, :C], order, recording) if cond else None
 
 
 def _state_term(h: np.ndarray, w: np.ndarray,
@@ -748,7 +746,7 @@ def _check_lengths(op: str, lengths, B: int, low: int, high: int) -> np.ndarray:
 
 
 def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray,
-                cond=None, h0: Tensor | None = None, c0: Tensor | None = None,
+                cond=(), h0: Tensor | None = None, c0: Tensor | None = None,
                 rmask: np.ndarray | None = None):
     """The checks of an LSTM sequence op: x (T, B, D) with T > 0; each
     cell's wi (4H, D + C), wh (4H, H) and b (4H,), C being `cond`'s
@@ -769,7 +767,7 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray,
     T, B, _ = xd.shape
     if T == 0:
         raise EmptySequenceError(f"{op}: no timesteps")
-    for k, a in enumerate(cond if isinstance(cond, list) else []):
+    for k, a in enumerate([] if isinstance(cond, Tensor) else cond):
         A, name = a.keys.shape[-1], f"{op}: attention head {k}"
         P = len(a.keys.data) if a.keys.data.ndim == 2 else 0
         if not P or a.values.shape != a.keys.shape or (a.wc.shape, a.bc.shape) \
@@ -788,10 +786,9 @@ def _check_lstm(op: str, x: Tensor, cells, lengths: np.ndarray,
     return pack, xr if len(pack[2]) == T * B else xr[pack[2]], rmask
 
 
-def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
-               c0: Tensor | None = None, *, lengths: np.ndarray,
-               cond: Tensor | list[Attention] | None = None,
-               reverse: bool = False, rmask: np.ndarray | None = None) -> Tensor:
+def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor, c0: Tensor, *,
+               lengths: np.ndarray, cond: Tensor | list[Attention],
+               reverse: bool = False, rmask: np.ndarray | None) -> Tensor:
     """An LSTM over a whole sequence x (T, B, D) as one tape record.
 
     Step t's gate input is x_t @ wi.T + b, projected for the real rows
@@ -799,8 +796,8 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     what a decoder reads besides its input: with a Tensor (B, C) (its
     source) step t reads [x_t, cond], the product with wi's last C
     columns made once; with `Attention` heads it reads [each head's
-    context of the previous hidden state, x_t]. h0/c0 (B, H) are the
-    initial state (None is a zero state). Returns the states (P, H) of
+    context of the previous hidden state, x_t], with no heads x_t alone.
+    h0/c0 (B, H) are the initial state. Returns the states (P, H) of
     the P real step-rows (t, b) in time-major order, as
     `np.flatnonzero(np.arange(T)[:, None] < lengths)` lists them.
 
@@ -810,7 +807,8 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     With `reverse` the steps run from T-1 down to 0, so each row's real
     prefix is read backwards starting from (h0, c0), exactly as if it had
     been reversed in place. `rmask` (B, H) is a recurrent dropout mask
-    applied to the hidden state entering every step's recurrent term.
+    applied to the hidden state entering every step's recurrent term, or
+    None.
 
     The work is `_lstm_direction`, run here on the calling thread;
     `bilstm_layer` runs it too, one direction on the worker thread.
@@ -821,17 +819,14 @@ def lstm_layer(x: Tensor, cell: LstmParams, h0: Tensor | None = None,
     dtype = np.result_type(x.data, cell.wi.data)
     hs = np.empty((len(xp), cell.wh.shape[1]), dtype)
     gx = _gx_buffer(len(xp), x.shape[1], cell.wi.shape[0], dtype)
-    grads = _lstm_direction(xp, pack, cell, hs, gx,
-                            _active_tape() is not None, reverse,
-                            *(None if t is None else t.data for t in (h0, c0)),
-                            cond, rmask)
+    grads = _lstm_direction(xp, pack, cell, hs, gx, _active_tape() is not None,
+                            reverse, h0.data, c0.data, cond, rmask)
     out = Tensor(hs)
-    if grads is not None:
-        inputs = (x, cell.wi, cell.wh, cell.b, h0, c0, *(
-            [t for a in cond for t in (a.wc, a.bc, a.keys, a.values)]
-            if isinstance(cond, list) else [cond]))
-        _record(out, tuple(t for t in inputs if t is not None),
-                lambda g: tuple(d for d in grads(g) if d is not None))
+    if grads is not None:   # a lambda, so the op read off its __qualname__ is lstm_layer
+        _record(out, (x, cell.wi, cell.wh, cell.b, h0, c0, *(
+            [cond] if isinstance(cond, Tensor)
+            else [t for a in cond for t in (a.wc, a.bc, a.keys, a.values)])),
+            lambda g: grads(g))
     return out
 
 
@@ -945,7 +940,7 @@ def _gate_inputs(xp: np.ndarray, wx: np.ndarray, live: np.ndarray,
 def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray | None,
                     gx: np.ndarray, recording: bool, reverse: bool = False,
                     h0: np.ndarray | None = None, c0: np.ndarray | None = None,
-                    cond=None, rmask: np.ndarray | None = None, pool=None):
+                    cond=(), rmask: np.ndarray | None = None, pool=None):
     """`lstm_layer` on checked arrays (`cond` as given) and no tape, so
     any thread can run it, on packed sequences as in the README: every
     (P, ...) array here, from x's real step-rows xp (P, D) on, is in the
@@ -1045,7 +1040,7 @@ def _lstm_direction(xp: np.ndarray, pack, cell: LstmParams, out: np.ndarray | No
             return (dx, lambda: np.concatenate([dwx(), gs.T @ cond.data], axis=1),
                     dwh, gs.sum(axis=0), dh0, dc0, (_gemm_rows(gs) @ wi[:, D:])[:B])
         if ctx is None:
-            return dx, dwx, dwh, dz.sum(axis=0), dh0, dc0, None
+            return dx, dwx, dwh, dz.sum(axis=0), dh0, dc0
         dw, *dheads = (d if d.ndim < 3 else d[ctx.rows[(k - 1) // 4]]   # to rows
                        for k, d in enumerate(ctx.grads))
         return (dx, lambda: np.concatenate([dw, dwx()], axis=1), dwh,
@@ -1083,7 +1078,7 @@ def _at_once(here, there):
 
 
 def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams, lengths: np.ndarray,
-                 states: bool = True) -> tuple[Tensor, Tensor | None]:
+                 states: bool) -> tuple[Tensor, Tensor | None]:
     """Both directions of an encoder over x (T, B, D), from zero states:
     (pooled, states). states (P, 2H), made only with `states` (else
     None), are the real step-rows in `lstm_layer`'s order, `fwd` reading
@@ -1167,7 +1162,7 @@ class SgdState:
 
 
 def sgd_step(params: dict[str, Tensor], state: SgdState,
-             clip_norm: float | None = None) -> None:
+             clip_norm: float | None) -> None:
     """In-place p <- p - lr * g on every parameter with a gradient.
 
     Aborts without touching any parameter if a gradient is non-finite.

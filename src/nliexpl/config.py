@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .data import EXPLANATION_LIMIT, SENTENCE_LIMIT, open_text
-from .evaluation import EVAL_BATCH_SIZE, expl_at_k_mode
+from .evaluation import expl_at_k_mode
 from .training import TrainConfig
 
 
@@ -74,7 +74,7 @@ DEFAULTS = {
              "explanation_limit": EXPLANATION_LIMIT},
     **{section: {k: _RUN_DEFAULTS[k] for k in SCHEMA[section]
                  if k in _RUN_DEFAULTS} for section in ("model", "training")},
-    "eval": {"batch_size": EVAL_BATCH_SIZE, "expl_at_k_mode": "partial"},
+    "eval": {"batch_size": 64, "expl_at_k_mode": "partial"},
 }
 
 DATA_ROOT_ENV = "NLIEXPL_DATA_ROOT"

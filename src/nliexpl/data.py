@@ -299,7 +299,7 @@ def corpus_rows(path, colmap: ColumnMap):
                     or f"row{line}", CorpusFormatError)
 
 
-def load_corpus(path, split: str = "train",
+def load_corpus(path, split: str,
                 colmap: ColumnMap | None = None) -> tuple[list[Example], int]:
     """Parse a corpus CSV (`corpus_rows`): (examples, skipped_row_count).
 
@@ -365,35 +365,23 @@ class EncodedExample:
     explanations: list[np.ndarray]  # each [<bos> ... <eos>]
 
 
-def encode_example(e: Example, vocab: Vocabulary,
-                   sentence_limit: int = SENTENCE_LIMIT,
-                   explanation_limit: int = EXPLANATION_LIMIT) -> EncodedExample | None:
-    """Map an Example onto ids; head-keep truncation at the limits, each
-    at least 1 (`config` refuses any other).
-
-    Returns None (with a warning) for an empty premise or hypothesis.
-    """
-    if not e.premise or not e.hypothesis:
-        log.warning("skipping %s: empty premise or hypothesis", e.id)
-        return None
-    prem = np.array(vocab.encode(e.premise[:sentence_limit]), dtype=np.int64)
-    hyp = np.array(vocab.encode(e.hypothesis[:sentence_limit]), dtype=np.int64)
-    expls = []
-    for tokens in e.explanations:
-        ids = vocab.encode(tokens[:explanation_limit])
-        expls.append(np.array([vocab.bos_id] + ids + [vocab.eos_id], dtype=np.int64))
-    return EncodedExample(id=e.id, premise=prem, hypothesis=hyp,
-                          label=label_to_class(e.label), explanations=expls)
-
-
 def encode_corpus(examples: list[Example], vocab: Vocabulary,
                   sentence_limit: int = SENTENCE_LIMIT,
                   explanation_limit: int = EXPLANATION_LIMIT) -> list[EncodedExample]:
+    """Map each Example onto ids; head-keep truncation at the limits, each
+    at least 1 (`config` refuses any other). An example with an empty
+    premise or hypothesis is skipped with a warning."""
     out = []
     for e in examples:
-        enc = encode_example(e, vocab, sentence_limit, explanation_limit)
-        if enc is not None:
-            out.append(enc)
+        if not e.premise or not e.hypothesis:
+            log.warning("skipping %s: empty premise or hypothesis", e.id)
+            continue
+        prem = np.array(vocab.encode(e.premise[:sentence_limit]), dtype=np.int64)
+        hyp = np.array(vocab.encode(e.hypothesis[:sentence_limit]), dtype=np.int64)
+        expls = [np.array([vocab.bos_id, *vocab.encode(tokens[:explanation_limit]),
+                           vocab.eos_id], dtype=np.int64) for tokens in e.explanations]
+        out.append(EncodedExample(id=e.id, premise=prem, hypothesis=hyp,
+                                  label=label_to_class(e.label), explanations=expls))
     return out
 
 
@@ -449,7 +437,7 @@ def missing_explanations(model, encoded: list[EncodedExample]) -> str | None:
             f"{', ...' if len(ids) > 5 else ''}")
 
 
-def iterate_batches(encoded: list[EncodedExample], batch_size: int = 64,
+def iterate_batches(encoded: list[EncodedExample], batch_size: int,
                     seed: int = 0, epoch: int = 0, shuffle: bool = False, *,
                     with_explanations: bool):
     """Deterministic batch stream; the final partial batch is emitted.

@@ -25,7 +25,6 @@ from .data import (EncodedExample, Example, csv_rows, iterate_batches,
 from .models import ExplainThenPredict, ModelError
 
 BLEU_MAX_N = 4
-EVAL_BATCH_SIZE = 64   # the [eval] batch_size default
 
 
 class EvaluationError(ValueError):
@@ -263,7 +262,7 @@ class EvalOutput:
 
 
 def evaluation_pass(model, encoded: list[EncodedExample],
-                    batch_size: int = EVAL_BATCH_SIZE, nll: bool = False,
+                    batch_size: int, nll: bool = False,
                     greedy: bool = False, expl_classifier=None) -> EvalOutput:
     """One `model.eval_batch` per batch, so each batch is encoded once
     for everything the pass gives: labels whenever the model has a
@@ -305,8 +304,7 @@ def evaluation_pass(model, encoded: list[EncodedExample],
     return res
 
 
-def predict_all(model, encoded, batch_size=EVAL_BATCH_SIZE,
-                expl_classifier=None):
+def predict_all(model, encoded, batch_size, expl_classifier):
     """(predicted, gold) labels for every example, from the model's own
     classifier or, for a generator without one, by explain-then-predict
     with `expl_classifier`."""
@@ -316,20 +314,19 @@ def predict_all(model, encoded, batch_size=EVAL_BATCH_SIZE,
 
 
 def perplexity(model, encoded: list[EncodedExample],
-               batch_size: int = EVAL_BATCH_SIZE) -> EvalOutput:
+               batch_size: int) -> EvalOutput:
     """Teacher-forced perplexity over the first gold explanations."""
     return evaluation_pass(model, encoded, batch_size, nll=True)
 
 
-def generate_all(model, encoded, batch_size=EVAL_BATCH_SIZE):
+def generate_all(model, encoded, batch_size):
     """Greedy explanations (token-id lists) and empty flags for every example."""
     res = evaluation_pass(model, encoded, batch_size, greedy=True)
     return res.generated, res.empty
 
 
 def evaluate_model(model, encoded: list[EncodedExample],
-                   examples: list[Example], split: str = "valid",
-                   batch_size: int = EVAL_BATCH_SIZE,
+                   examples: list[Example], split: str, batch_size: int,
                    expl_classifier=None) -> EvalReport:
     """Full metric sweep for one model on one split.
 
@@ -364,8 +361,8 @@ def evaluate_model(model, encoded: list[EncodedExample],
 
 
 def transfer_eval(model, encoded: list[EncodedExample],
-                  examples: list[Example], split: str = "transfer",
-                  batch_size: int = EVAL_BATCH_SIZE, expl_classifier=None):
+                  examples: list[Example], split: str, batch_size: int,
+                  expl_classifier):
     """Out-of-domain evaluation without fine-tuning, of `encoded` (an
     encoding of `examples`, which give each row's texts).
 

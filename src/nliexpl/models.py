@@ -143,7 +143,7 @@ class BiLstmEncoder(_Part):
         self.bwd = ad.init_lstm(rng, embed_dim, hidden, f"{prefix}.bwd")
 
     def encode(self, embedding: WordEmbedding, ids: np.ndarray, lengths: np.ndarray,
-               states: bool = True) -> tuple[ad.Tensor, ad.Tensor | None]:
+               states: bool) -> tuple[ad.Tensor, ad.Tensor | None]:
         """Returns (u, states), one tape record: u is (B, 2H); states (P,
         2H), the P real step-rows in time-major order, forward half first,
         are made only with `states` (else None), for attention to read."""
@@ -247,8 +247,8 @@ class LstmDecoder(_Part):
 
     def teacher_forced(self, embedding: WordEmbedding, source: ad.Tensor,
                        inputs: np.ndarray, targets: np.ndarray,
-                       lengths: np.ndarray, rng: np.random.Generator | None = None,
-                       attn_ctx=None) -> DecodeResult:
+                       lengths: np.ndarray, rng: np.random.Generator | None,
+                       attn_ctx) -> DecodeResult:
         """Row b's first `lengths[b]` steps of (B, S) `inputs` are real.
         The whole sequence is one `lstm_layer`, which skips the pad steps
         and takes the source projection (once per sequence) or the heads
@@ -275,7 +275,7 @@ class LstmDecoder(_Part):
 
     def greedy(self, embedding: WordEmbedding, source: ad.Tensor,
                start_ids: np.ndarray, eos_id: int,
-               attn_ctx=None) -> tuple[list[list[int]], list[bool]]:
+               attn_ctx) -> tuple[list[list[int]], list[bool]]:
         """Argmax decoding until <eos> or the length cap; eval mode.
 
         One loop for both configurations: each step is teacher forcing's
@@ -458,8 +458,8 @@ class BaseModel(_Part):
         return wrap_rows(self.vocab, [row[:min(n, cap)]
                                       for row, n in zip(ids, lengths)])
 
-    def loss(self, batch: Batch, rng: np.random.Generator | None = None,
-             alpha: float | None = None) -> tuple[ad.Tensor, dict]:
+    def loss(self, batch: Batch, rng: np.random.Generator | None,
+             alpha: float | None) -> tuple[ad.Tensor, dict]:
         """The label loss with a classifier; with a decoder, the summed
         teacher-forced NLL over the batch size (the first gold explanation
         from f and the gold label word, or the premise from u and the

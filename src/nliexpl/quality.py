@@ -116,7 +116,7 @@ def normalize(text: str) -> str:
     return text
 
 
-def edit_distance(a: str, b: str, limit: int | None = None) -> int:
+def edit_distance(a: str, b: str, limit: int | None) -> int:
     """Character-level Levenshtein distance with unit costs: Myers' bit-
     parallel algorithm (J. ACM 1999) in Hyyro's 2003 form, on Python ints.
     With `limit`, any distance >= limit is reported as `limit`; the loop

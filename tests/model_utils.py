@@ -82,7 +82,7 @@ def full_model_grad_check(model, batch, alpha=None, eps=1e-3, tol=1e-4):
     for p in params.values():
         p.grad = None
     with ad.Tape() as tape:
-        loss, _ = model.loss(batch, alpha=alpha)
+        loss, _ = model.loss(batch, rng=None, alpha=alpha)
     ad.backward(tape, loss)
     analytic = {}
     for name, p in params.items():
@@ -91,7 +91,7 @@ def full_model_grad_check(model, batch, alpha=None, eps=1e-3, tol=1e-4):
         p.grad = None
 
     def run():
-        return float(model.loss(batch, alpha=alpha)[0].data)
+        return float(model.loss(batch, rng=None, alpha=alpha)[0].data)
 
     numeric = numeric_grad(run, params, eps=eps)
     err = max_rel_err(analytic, numeric)

@@ -111,6 +111,14 @@ def all_steps(x) -> np.ndarray:
     return np.full(x.shape[1], x.shape[0])
 
 
+def zero_states(x: Tensor, cell: LstmParams) -> tuple[Tensor, Tensor]:
+    """A zero initial state (h0, c0), each (B, H), of `cell` over a (T, B,
+    ...) sequence x, in the dtype `lstm_layer` computes in."""
+    shape = (x.shape[1], cell.wh.shape[1])
+    dtype = np.result_type(x.data, cell.wi.data)
+    return Tensor(np.zeros(shape, dtype)), Tensor(np.zeros(shape, dtype))
+
+
 def numeric_grad(f, params, eps=1e-3):
     """Central finite differences of the scalar function `f()`.
 
@@ -456,7 +464,7 @@ def lstm_layer_dense(gx: Tensor, wh: Tensor, h0: Tensor | None = None,
 
 def gate_input_cell(wh: Tensor) -> LstmParams:
     """A cell with recurrent weights `wh` (4H, H) whose input projection
-    is the identity with a zero bias, so that `lstm_layer(gx, cell)`
+    is the identity with a zero bias, so that `lstm_layer(gx, cell, ...)`
     runs on given gate inputs gx (T, B, 4H): multiplying by 1 and adding
     0s is exact in any float dtype, and the gradient of gx is that of
     the gate inputs."""
@@ -473,9 +481,12 @@ def bilstm_composed(x: Tensor, fwd: LstmParams, bwd: LstmParams,
     the (T, B, 2H) layout (`dense_steps`, where `concat` joined the two
     (T, B, H) halves `lstm_layer` returned), then `max_over_time`.
     Returns (pooled, states)."""
-    halves = [lstm_layer(linear(x, cell.wi, cell.b), gate_input_cell(cell.wh),
-                         lengths=lengths, reverse=reverse)
-              for cell, reverse in ((fwd, False), (bwd, True))]
+    halves = []
+    for cell, reverse in ((fwd, False), (bwd, True)):
+        gx, gate_cell = linear(x, cell.wi, cell.b), gate_input_cell(cell.wh)
+        halves.append(lstm_layer(gx, gate_cell, *zero_states(gx, gate_cell),
+                                 lengths=lengths, cond=[], reverse=reverse,
+                                 rmask=None))
     T, B = x.shape[:2]
     real = np.arange(T)[:, None] < (np.full(B, T) if lengths is None else lengths)
     states = dense_steps(halves, real)
@@ -724,8 +735,8 @@ def attend_step(decoder, emb: Tensor, heads, h: Tensor, c: Tensor,
 
 def teacher_forced_dense(decoder, embedding, source: Tensor,
                          inputs: np.ndarray, targets: np.ndarray,
-                         lengths: np.ndarray, rng=None,
-                         attn_ctx=None) -> DecodeResult:
+                         lengths: np.ndarray, rng,
+                         attn_ctx) -> DecodeResult:
     """`LstmDecoder.teacher_forced` as it was before it gathered the real
     target rows, with the same signature: the decoder's recurrence (with
     attention, one `attend_step` per step over all B rows), then the
@@ -762,7 +773,7 @@ def teacher_forced_dense(decoder, embedding, source: Tensor,
 
 
 def greedy_composed(decoder, embedding, source: Tensor, start_ids,
-                    eos_id: int, attn_ctx=None):
+                    eos_id: int, attn_ctx):
     """`LstmDecoder.greedy` of the attention decoder as it was, with the
     same signature: one `attend_step` per step, then the output layer."""
     h, c = decoder._init_state(source)
@@ -783,7 +794,7 @@ def greedy_composed(decoder, embedding, source: Tensor, start_ids,
 
 
 def greedy_serial(decoder, embedding, source: Tensor, start_ids, eos_id: int,
-                  attn_ctx=None):
+                  attn_ctx):
     """`LstmDecoder.greedy` as it ran on one thread, with the same
     signature, returning also the final state (h, c): each step's gate
     input x_t @ wx.T + the per-sequence term, plus the recurrent term,

@@ -167,7 +167,7 @@ def _op_level_checks():
     def encoder_loss(lengths):
         # reads both outputs, the pooled vector and the states, whose
         # weights are bi_w's at the real step-rows
-        pooled, states = ad.bilstm_layer(xs, *cells, lengths)
+        pooled, states = ad.bilstm_layer(xs, *cells, lengths, True)
         real = np.arange(4)[:, None] < lengths
         return ad.add(ad.sum_(ad.mul(pooled, ad.Tensor(pool_w))),
                       ad.sum_(ad.mul(states, ad.Tensor(bi_w[real]))))
@@ -252,7 +252,7 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
             with ad.Tape() as tape:
                 loss, _ = model.loss(batch, rng=drop_rng, alpha=cfg.alpha)
             ad.backward(tape, loss)
-            ad.sgd_step(params, state)
+            ad.sgd_step(params, state, cfg.clip_norm)
         state.advance_epoch()
         if epoch % 10 == 9:
             acc = label_accuracy(model.eval_batch(full)[0], full.labels)
@@ -453,11 +453,11 @@ def test_criterion_7_expl_to_label_directional():
                                          shuffle=True,
                                          with_explanations=True):
                 with ad.Tape() as tape:
-                    loss, _ = model.loss(batch, rng=drop_rng)
+                    loss, _ = model.loss(batch, rng=drop_rng, alpha=cfg.alpha)
                 ad.backward(tape, loss)
-                ad.sgd_step(params, state)
+                ad.sgd_step(params, state, cfg.clip_norm)
             state.advance_epoch()
-            preds, golds = predict_all(model, enc_held, cfg.batch_size)
+            preds, golds = predict_all(model, enc_held, cfg.batch_size, None)
             accuracy = label_accuracy(preds, golds)
             if accuracy > 95.0:
                 break
@@ -570,7 +570,7 @@ def test_criterion_10_padding_invariance_fuzz():
             fv, *unread = model.features(batch)
             assert unread == [None, None]   # no attention head reads them
             states = [getattr(model, f"{name}_encoder").encode(
-                          model.embedding, ids[None, :], np.array([n]))[1].data
+                          model.embedding, ids[None, :], np.array([n]), True)[1].data
                       for name, ids, n in (("premise", ids_p, lp),
                                            ("hypothesis", ids_h, lh))]
             preds, _, (expl, _) = model.eval_batch(batch, greedy=True)

@@ -24,7 +24,7 @@ from oracles import (InlineExecutor, all_steps, backward_in_line,
                      lstm_cell, lstm_layer_dense, lstm_gates_two_exp, lstm_step,
                      max_over_time, max_rel_err, nll_rows, numeric_grad,
                      scalar_lstm_step, sigmoid_, slice_last, softmax,
-                     stack_steps, take_rows)
+                     stack_steps, take_rows, zero_states)
 
 
 def f64(x):
@@ -201,7 +201,7 @@ class TestSoftmax:
             with pytest.raises(ad.ShapeError, match="attention head 0"):
                 ad.lstm_layer(f64(np.zeros((4, 2, 3))), cell,
                               f64(np.zeros((2, 2))), f64(np.zeros((2, 2))),
-                              lengths=np.full(2, 4), cond=[head])
+                              lengths=np.full(2, 4), cond=[head], rmask=None)
 
     def test_rowwise_mask_zeroes_exactly(self):
         rng = np.random.default_rng(41)
@@ -474,7 +474,8 @@ class TestSequenceOps:
 
         def loss():
             return ad.sum_(ad.mul(ad.lstm_layer(x, cell, h0, h0, cond=[head],
-                                                lengths=all_steps(x)), f64(w)))
+                                                lengths=all_steps(x), rmask=None),
+                                  f64(w)))
 
         check_op_gradient(loss, p)
 
@@ -712,10 +713,10 @@ class TestLstmCell:
             np.testing.assert_array_equal(a.data, b.data)
 
 
-def _gx_layer(gx, wh, *args, **kw):
-    """`lstm_layer` on given gate inputs gx (T, B, 4H), the signature of
-    `lstm_layer_dense`."""
-    return ad.lstm_layer(gx, gate_input_cell(wh), *args, **kw)
+def _gx_layer(gx, wh, h0, c0, **kw):
+    """`lstm_layer` on given gate inputs gx (T, B, 4H) and no cond, the
+    signature of `lstm_layer_dense`."""
+    return ad.lstm_layer(gx, gate_input_cell(wh), h0, c0, cond=[], **kw)
 
 
 def _cell_scan(gx, wh, h0, c0, lengths, reverse, rmask):
@@ -773,11 +774,14 @@ def _dense_real_rows(gx, wh, *args, lengths=None, **kw):
 
 def _layer_run(layer, arrays, lengths, reverse, rmask, weights, dtype):
     """States and input gradients of `layer` under a weighted-sum loss;
-    `arrays` holds gx, wh and optionally h0, c0."""
+    `arrays` holds gx, wh and optionally h0, c0, else the state is zero."""
     p = {name: ad.param(np.asarray(v, dtype=dtype), name)
          for name, v in arrays.items()}
+    T, B, G = p["gx"].shape
+    h0, c0 = (p[k] if k in p else ad.Tensor(np.zeros((B, G // 4), dtype))
+              for k in ("h0", "c0"))
     with ad.Tape() as tape:
-        hs = layer(p["gx"], p["wh"], p.get("h0"), p.get("c0"), lengths=lengths,
+        hs = layer(p["gx"], p["wh"], h0, c0, lengths=lengths,
                    reverse=reverse,
                    rmask=None if rmask is None else rmask.astype(dtype))
         loss = ad.sum_(ad.mul(hs, ad.Tensor(weights.astype(dtype))))
@@ -873,7 +877,8 @@ class TestLstmLayer:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_matches_dense_oracle(self, case, reverse):
         """The packed layer against the dense one it replaced, gathered at
-        the real step-rows, with and without h0/c0 and recurrent dropout:
+        the real step-rows, with given and zero h0/c0, with and without
+        recurrent dropout:
         float64 states and gradients within 1e-10, float32 states
         bit-equal."""
         T, lengths = LAYER_CASES[case]
@@ -925,8 +930,9 @@ class TestLstmLayer:
         cell = ad.init_lstm(rng, D, H, "cell", dtype=np.float64)
         cell.wh.data = cell.wh.data.view(_product_probe(products))
         with ad.Tape() as tape:
-            loss = ad.sum_(ad.lstm_layer(x, cell, lengths=np.array(lengths),
-                                         reverse=reverse))
+            loss = ad.sum_(ad.lstm_layer(x, cell, *zero_states(x, cell),
+                                         lengths=np.array(lengths), cond=[],
+                                         reverse=reverse, rmask=None))
         forward = [b[1] for _, b in products]
         ad.backward(tape, loss)
         backward = [a[0] for a, _ in products[len(forward):]]
@@ -955,14 +961,17 @@ class TestLstmLayer:
         with ad.Tape() as tape:
             if directions == "both" and 0 in lengths:
                 with pytest.raises(ad.EmptySequenceError):
-                    ad.bilstm_layer(x, *cells, lengths=np.array(lengths))
+                    ad.bilstm_layer(x, *cells, lengths=np.array(lengths),
+                                    states=True)
                 assert products == [] and tape.records == []
                 return
             if directions == "both":
-                hs = ad.bilstm_layer(x, *cells, lengths=np.array(lengths))[1]
+                hs = ad.bilstm_layer(x, *cells, lengths=np.array(lengths),
+                                     states=True)[1]
             else:
-                hs = ad.lstm_layer(x, cells[0], lengths=np.array(lengths),
-                                   reverse=directions == "reverse")
+                hs = ad.lstm_layer(x, cells[0], *zero_states(x, cells[0]),
+                                   lengths=np.array(lengths), cond=[],
+                                   reverse=directions == "reverse", rmask=None)
             loss = ad.sum_(hs)
         forward = len(products)
         ad.backward(tape, loss)
@@ -1008,8 +1017,10 @@ class TestLstmLayer:
             "linear 2-D": lambda: ad.linear(x, w, b),
             "linear 3-D": lambda: ad.linear(x3, w, b),
             "lstm_layer": lambda: ad.lstm_layer(seq, dec, h0, c0,
-                                                lengths=np.array([3]), cond=cond),
-            "bilstm_layer": lambda: ad.bilstm_layer(seq, *enc, np.array([1]))[1],
+                                                lengths=np.array([3]), cond=cond,
+                                                rmask=None),
+            "bilstm_layer": lambda: ad.bilstm_layer(seq, *enc, np.array([1]),
+                                                    True)[1],
         }
         for name, op in taped.items():
             with ad.Tape() as tape:
@@ -1027,10 +1038,12 @@ class TestLstmLayer:
         wh = f32(rng.normal(size=(4 * H, H)))
         pads = rng.normal(size=(2, 1, 4 * H))
         padded = np.concatenate([gx, pads]).astype(np.float32)
+        h0, c0 = (f32(np.zeros((1, H))) for _ in range(2))
         for reverse in (False, True):
-            short = _gx_layer(f32(gx), wh, reverse=reverse, lengths=np.array([3]))
-            long = _gx_layer(f32(padded), wh, reverse=reverse,
-                             lengths=np.array([3]))
+            short = _gx_layer(f32(gx), wh, h0, c0, reverse=reverse,
+                              lengths=np.array([3]), rmask=None)
+            long = _gx_layer(f32(padded), wh, h0, c0, reverse=reverse,
+                             lengths=np.array([3]), rmask=None)
             np.testing.assert_array_equal(long.data, short.data)
 
     @pytest.mark.parametrize("reverse", [False, True])
@@ -1069,11 +1082,12 @@ class TestLstmLayer:
             tape = ad.Tape()
             tracemalloc.start()
             try:
+                kw = dict(lengths=all_steps(x), cond=[], rmask=None)
                 if taped:
                     with tape:
-                        hs = ad.lstm_layer(x, cell, lengths=all_steps(x))
+                        hs = ad.lstm_layer(x, cell, *zero_states(x, cell), **kw)
                 else:
-                    hs = ad.lstm_layer(x, cell, lengths=all_steps(x))
+                    hs = ad.lstm_layer(x, cell, *zero_states(x, cell), **kw)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1111,39 +1125,48 @@ class TestLstmLayer:
 
     def test_one_tape_record(self):
         """The input projection, the cond term and the recurrence are one
-        record, whose inputs are x, the cell and whatever else is given."""
+        record, whose inputs are x, the cell, h0, c0 and a cond Tensor if
+        given."""
         rng = np.random.default_rng(28)
         cell = ad.init_lstm(rng, 5, 2, "cell", dtype=np.float64)
         x, h0, c0, cond = (f64(rng.normal(size=shape)) for shape in
                            ((6, 3, 3), (3, 2), (3, 2), (3, 2)))
         with ad.Tape() as tape:
-            ad.lstm_layer(x, cell, h0, c0, cond=cond, reverse=True, lengths=all_steps(x))
+            ad.lstm_layer(x, cell, h0, c0, cond=cond, reverse=True,
+                          lengths=all_steps(x), rmask=None)
         assert [inputs for _, inputs, _ in tape.records] == [
             (x, cell.wi, cell.wh, cell.b, h0, c0, cond)]
         wide = f64(rng.normal(size=(6, 3, 5)))
         with ad.Tape() as tape:
-            ad.lstm_layer(wide, cell, c0=c0, lengths=all_steps(wide))
+            ad.lstm_layer(wide, cell, h0, c0, cond=[], lengths=all_steps(wide),
+                          rmask=None)
         assert [inputs for _, inputs, _ in tape.records] == [
-            (wide, cell.wi, cell.wh, cell.b, c0)]
+            (wide, cell.wi, cell.wh, cell.b, h0, c0)]
 
     def test_shape_errors(self):
         rng = np.random.default_rng(29)
         cell = ad.init_lstm(rng, 3, 2, "cell", dtype=np.float64)
         x, state = f64(np.zeros((3, 2, 3))), f64(np.zeros((2, 2)))
         every = all_steps(x)
-        calls = [lambda: ad.lstm_layer(f64(np.zeros((3, 2, 4))), cell, lengths=every),
-                 lambda: ad.lstm_layer(f64(np.zeros((3, 3))), cell, lengths=every),
-                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell, lengths=every,
-                                       cond=f64(np.zeros((2, 2)))),
-                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell, lengths=every,
-                                       cond=f64(np.zeros((3, 1)))),
-                 lambda: ad.lstm_layer(x, cell, f64(np.zeros((2, 3))), state,
-                                       lengths=every),
-                 lambda: ad.lstm_layer(x, cell, state, f64(np.zeros((1, 2))),
-                                       lengths=every),
-                 lambda: ad.lstm_layer(x, cell, lengths=every, rmask=np.ones((2, 3)))]
+        plain = dict(lengths=every, cond=[], rmask=None)
+        calls = [lambda: ad.lstm_layer(f64(np.zeros((3, 2, 4))), cell, state, state,
+                                       **plain),
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 3))), cell, state, state,
+                                       **plain),
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell, state, state,
+                                       lengths=every, cond=f64(np.zeros((2, 2))),
+                                       rmask=None),
+                 lambda: ad.lstm_layer(f64(np.zeros((3, 2, 2))), cell, state, state,
+                                       lengths=every, cond=f64(np.zeros((3, 1))),
+                                       rmask=None),
+                 lambda: ad.lstm_layer(x, cell, f64(np.zeros((2, 3))), state, **plain),
+                 lambda: ad.lstm_layer(x, cell, state, f64(np.zeros((1, 2))), **plain),
+                 lambda: ad.lstm_layer(x, cell, state, state, lengths=every, cond=[],
+                                       rmask=np.ones((2, 3)))]
         # lengths (B,) = (2,) integers in [0, T] = [0, 3]
-        calls += [lambda lengths=lengths: ad.lstm_layer(x, cell, lengths=lengths)
+        calls += [lambda lengths=lengths: ad.lstm_layer(x, cell, state, state,
+                                                        lengths=lengths, cond=[],
+                                                        rmask=None)
                   for lengths in (np.array([3]), np.array([[3, 3]]),
                                   np.array([3.0, 2.0]), np.array([True, True]),
                                   np.array([-1, 2]), np.array([2, 4]))]
@@ -1151,15 +1174,16 @@ class TestLstmLayer:
             with pytest.raises(ad.ShapeError):
                 call()
         with pytest.raises(ad.EmptySequenceError):
-            ad.lstm_layer(f64(np.zeros((0, 2, 3))), cell, lengths=np.zeros(2, int))
+            ad.lstm_layer(f64(np.zeros((0, 2, 3))), cell, state, state,
+                          lengths=np.zeros(2, int), cond=[], rmask=None)
 
     def test_cond_matches_linear_on_concatenated_input(self):
         """With `cond`, against `linear` over the explicitly concatenated
         [x_t, cond] feeding the dense layer, gathered at the real
         step-rows: states and the gradients of x, cond, wi, wh, b, h0 and
         c0 within 1e-10 (float64), for every packing case and a row of
-        length 0, both directions, with and without h0/c0 and recurrent
-        dropout."""
+        length 0, both directions, with given and zero h0/c0, with and
+        without recurrent dropout."""
         rng = np.random.default_rng(30)
         D, C, H = 3, 2, 4
         close = dict(rtol=1e-10, atol=1e-10)
@@ -1185,16 +1209,18 @@ class TestLstmLayer:
                 for fused in (True, False):
                     p = {k: f64_param(v, k) for k, v in arrays.items()}
                     cell = ad.LstmParams(p["wi"], p["wh"], p["b"])
+                    h0, c0 = (p[k] if k in p else f64(np.zeros((B, H)))
+                              for k in ("h0", "c0"))
                     kw = dict(lengths=lengths, reverse=reverse, rmask=rmask)
                     with ad.Tape() as tape:
                         if fused:
-                            hs = ad.lstm_layer(p["x"], cell, p.get("h0"),
-                                               p.get("c0"), cond=p["cond"], **kw)
+                            hs = ad.lstm_layer(p["x"], cell, h0, c0,
+                                               cond=p["cond"], **kw)
                         else:
                             cat = ad.concat([p["x"], stack_steps([p["cond"]] * T)])
                             hs = take_rows(lstm_layer_dense(
                                 ad.linear(cat, p["wi"], p["b"]), p["wh"],
-                                p.get("h0"), p.get("c0"), **kw), real)
+                                h0, c0, **kw), real)
                         loss = ad.sum_(ad.mul(hs, weights))
                     ad.backward(tape, loss)
                     runs.append((hs.data, {k: t.grad for k, t in p.items()}))
@@ -1244,7 +1270,7 @@ class TestLstmLayer:
                 for packed in (True, False):
                     x, cell, h0, c0, heads, p = _attention_inputs(
                         arrays, key_lengths, np.float64)
-                    cond = heads if kind == "attention" else p.get("cond")
+                    cond = heads if kind == "attention" else p.get("cond", [])
                     kw = dict(lengths=lengths, cond=cond, reverse=reverse,
                               rmask=rmask)
                     if not packed:
@@ -1343,7 +1369,7 @@ class TestPadSteps:
         lengths = self._lengths()
         self._assert_same(self._runs(lambda p: ad.lstm_layer(
             p["x"], ad.LstmParams(p["wi"], p["wh"], p["b"]), p["h0"], p["c0"],
-            lengths=lengths, cond=p.get("cond")), arrays))
+            lengths=lengths, cond=p.get("cond", []), rmask=None), arrays))
 
     def test_bilstm_layer(self):
         rng = np.random.default_rng(48)
@@ -1358,7 +1384,7 @@ class TestPadSteps:
         def layer(p):
             return ad.bilstm_layer(p["x"], *(ad.LstmParams(
                 p[f"wi.{d}"], p[f"wh.{d}"], p[f"b.{d}"]) for d in ("fwd", "bwd")),
-                lengths=lengths)
+                lengths=lengths, states=True)
 
         self._assert_same(self._runs(layer, arrays))
 
@@ -1409,7 +1435,8 @@ class TestAttentionLayer:
         x, cell, h0, c0, heads, _ = _attention_inputs(arrays, key_lengths,
                                                       np.float64)
         with ad.Tape() as tape:
-            ad.lstm_layer(x, cell, h0, c0, lengths=np.array([5, 1, 3]), cond=heads)
+            ad.lstm_layer(x, cell, h0, c0, lengths=np.array([5, 1, 3]), cond=heads,
+                          rmask=None)
         assert [inputs for _, inputs, _ in tape.records] == [
             (x, cell.wi, cell.wh, cell.b, h0, c0,
              *(t for a in heads for t in (a.wc, a.bc, a.keys, a.values)))]
@@ -1451,7 +1478,7 @@ class TestAttentionLayer:
                 cell = ad.LstmParams(f32(rng.normal(size=(4 * H, D + 2))),
                                      cell.wh, cell.b)
             states = ad.lstm_layer(x, cell, h0, c0, lengths=all_steps(x),
-                                   cond=cond).data.reshape(
+                                   cond=cond, rmask=None).data.reshape(
                 T, B, H)   # every row real: row t * B + b is (t, b)
             with monkeypatch.context() as m:
                 if inline:
@@ -1493,12 +1520,14 @@ class TestAttentionLayer:
                 {**arrays, **{k: np.zeros(v) for k, v in change.items()}},
                 key_lengths, np.float64)
             with pytest.raises(ad.ShapeError):
-                ad.lstm_layer(x, cell, h0, c0, cond=heads, lengths=all_steps(x))
+                ad.lstm_layer(x, cell, h0, c0, cond=heads, lengths=all_steps(x),
+                              rmask=None)
         for lengths in (np.array([1]), np.array([1.0, 2.0])):
             x, cell, h0, c0, heads, _ = _attention_inputs(
                 arrays, [lengths, key_lengths[1]], np.float64)
             with pytest.raises(ad.ShapeError, match="attention head 0"):
-                ad.lstm_layer(x, cell, h0, c0, cond=heads, lengths=all_steps(x))
+                ad.lstm_layer(x, cell, h0, c0, cond=heads, lengths=all_steps(x),
+                              rmask=None)
 
 
 def _bilstm_arrays(rng, T, B, D, H):
@@ -1564,7 +1593,7 @@ class TestBilstmLayer:
         arrays = _bilstm_arrays(rng, T, B, D, H)
         weights = (rng.normal(size=(T, B, 2 * H)), rng.normal(size=(B, 2 * H)))
         for dtype in (np.float32, np.float64):
-            hs, grads = _bilstm_run(ad.bilstm_layer, arrays, lengths, weights,
+            hs, grads = _bilstm_run(_with_states, arrays, lengths, weights,
                                     dtype)
             hs_ref, grads_ref = _bilstm_run(_composed_rows, arrays, lengths,
                                             weights, dtype)
@@ -1597,7 +1626,7 @@ class TestBilstmLayer:
             lengths = rng.integers(1, T + 1, size=B)
             arrays = _bilstm_arrays(rng, T, B, 3, 4)
             weights = rng.normal(size=(T, B, 8))
-            hs, grads = _bilstm_run(ad.bilstm_layer, arrays, lengths, weights,
+            hs, grads = _bilstm_run(_with_states, arrays, lengths, weights,
                                     np.float64)
             hs_ref, grads_ref = _bilstm_run(_composed_rows, arrays, lengths,
                                             weights, np.float64)
@@ -1615,7 +1644,8 @@ class TestBilstmLayer:
         inputs = (p["x"], *(p[f"{d}.{k}"] for d in ("fwd", "bwd")
                             for k in ("wi", "wh", "b")))
         with ad.Tape() as tape:
-            pooled, states = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]))
+            pooled, states = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]),
+                                             states=True)
         assert [r[:2] for r in tape.records] == [(states, inputs)]
         assert tape.also == {states: pooled}
         with ad.Tape() as tape:
@@ -1643,9 +1673,9 @@ class TestBilstmLayer:
             try:
                 if taped:
                     with tape:
-                        _, hs = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]))
+                        _, hs = _with_states(p["x"], fwd, bwd, all_steps(p["x"]))
                 else:
-                    _, hs = ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]))
+                    _, hs = _with_states(p["x"], fwd, bwd, all_steps(p["x"]))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1674,7 +1704,7 @@ class TestBilstmLayer:
         for change, lengths in cases:
             p, (fwd, bwd) = _bilstm_params({**good, **change}, np.float64)
             errors = []
-            for layer in (ad.bilstm_layer, bilstm_composed):
+            for layer in (_with_states, bilstm_composed):
                 with pytest.raises(ValueError) as info:
                     layer(p["x"], fwd, bwd, lengths=lengths)
                 errors.append(type(info.value))
@@ -1703,12 +1733,12 @@ class TestBilstmLayer:
         monkeypatch.setattr(ad, "_lstm_direction", failing)
         with pytest.raises(RuntimeError) as info:
             with ad.Tape() as tape:
-                loss = ad.sum_(ad.bilstm_layer(p["x"], fwd, bwd, all_steps(p["x"]))[0])
+                loss = ad.sum_(_with_states(p["x"], fwd, bwd, all_steps(p["x"]))[0])
             ad.backward(tape, loss)
         assert info.value is boom
         monkeypatch.setattr(ad, "_lstm_direction", direction)
         lengths = all_steps(p["x"])
-        for out, ref in zip(ad.bilstm_layer(p["x"], fwd, bwd, lengths),
+        for out, ref in zip(_with_states(p["x"], fwd, bwd, lengths),
                             _composed_rows(p["x"], fwd, bwd, lengths)):
             np.testing.assert_array_equal(out.data, ref.data)
 
@@ -1719,12 +1749,12 @@ class TestBilstmLayer:
         import multiprocessing
         p, (fwd, bwd) = _bilstm_params(
             _bilstm_arrays(np.random.default_rng(37), 4, 3, 5, 2), np.float64)
-        expected = [t.data for t in ad.bilstm_layer(p["x"], fwd, bwd,
-                                                    all_steps(p["x"]))]
+        expected = [t.data for t in _with_states(p["x"], fwd, bwd,
+                                                 all_steps(p["x"]))]
 
         def child():
             same = all(np.array_equal(t.data, e) for t, e in zip(
-                ad.bilstm_layer(p["x"], fwd, bwd, lengths=all_steps(p["x"])), expected))
+                _with_states(p["x"], fwd, bwd, all_steps(p["x"])), expected))
             os._exit(0 if same else 1)
 
         proc = multiprocessing.get_context("fork").Process(target=child)
@@ -1735,17 +1765,21 @@ class TestBilstmLayer:
         assert proc.exitcode == 0
 
 
+def _with_states(x, fwd, bwd, lengths):
+    return ad.bilstm_layer(x, fwd, bwd, lengths, states=True)
+
+
+def _no_states(x, fwd, bwd, lengths):
+    return ad.bilstm_layer(x, fwd, bwd, lengths, states=False)
+
+
 def _pooled_by_oracle(x, fwd, bwd, lengths=None):
     """`bilstm_layer`'s states, pooled by `max_over_time` (oracles) of
     their (T, B, 2H) layout (`dense_steps`) instead of by the op itself."""
-    _, states = ad.bilstm_layer(x, fwd, bwd, lengths=lengths)
+    _, states = _with_states(x, fwd, bwd, lengths)
     T, B = x.shape[:2]
     real = np.arange(T)[:, None] < (np.full(B, T) if lengths is None else lengths)
     return max_over_time(dense_steps([states], real), lengths), states
-
-
-def _no_states(x, fwd, bwd, lengths=None):
-    return ad.bilstm_layer(x, fwd, bwd, lengths=lengths, states=False)
 
 
 def _pooling_run(layer, arrays, lengths, reads, dtype):
@@ -1797,7 +1831,7 @@ class TestBilstmPooling:
             arrays.update({k: np.zeros_like(v) for k, v in arrays.items()
                            if k != "x"})
         weights = (rng.normal(size=(T, B, 2 * H)), rng.normal(size=(B, 2 * H)))
-        _, grads = _bilstm_run(ad.bilstm_layer, arrays, lengths, weights, dtype)
+        _, grads = _bilstm_run(_with_states, arrays, lengths, weights, dtype)
         _, grads_ref = _bilstm_run(_pooled_by_oracle, arrays, lengths, weights,
                                    dtype)
         assert grads["pooled"].dtype == dtype
@@ -1856,7 +1890,7 @@ class TestBilstmPooling:
                                 3, 4)
         ref = _pooled_by_oracle if case == "lengths" else _composed_rows
         runs = [_pooling_run(layer, arrays, lengths, reads, dtype)
-                for layer in (_no_states if not states else ad.bilstm_layer, ref)]
+                for layer in (_with_states if states else _no_states, ref)]
         self._assert_same(*runs, states)
 
     @pytest.mark.parametrize("reads,states", [("pooled", False), ("pooled", True),
@@ -1922,7 +1956,7 @@ class TestBilstmPooling:
         arrays["x"][4, 2, 0] = np.nan   # row 2, a pad step
         weights = (np.zeros((T, B, 8)), rng.normal(size=(B, 8)))
         runs = [_bilstm_run(layer, arrays, lengths, weights, np.float64)[1]
-                for layer in (ad.bilstm_layer, _pooled_by_oracle)]
+                for layer in (_with_states, _pooled_by_oracle)]
         assert np.isnan(runs[0]["pooled"][0]).all()
         assert not np.isnan(runs[0]["pooled"][1:]).any()
         for name in runs[0]:
@@ -2000,7 +2034,8 @@ class TestInputChunks:
                 arrays["cond"] = rng.normal(size=(B, C))
             key_lengths = []
         lengths = self._lengths(rng)
-        rmask = ad.dropout_mask(rng, (B, H), 0.5) if case == "rmask" else None
+        rmask = (ad.dropout_mask(rng, (B, H), 0.5, np.float32) if case == "rmask"
+                 else None)
         weights = ad.Tensor(rng.normal(size=(lengths.sum(), H)).astype(np.float32))
 
         def run():
@@ -2008,7 +2043,7 @@ class TestInputChunks:
                                                           np.float32)
             with ad.Tape() as tape:
                 hs = ad.lstm_layer(x, cell, h0, c0, lengths=lengths,
-                                   cond=heads or p.get("cond"),
+                                   cond=heads or p.get("cond", []),
                                    reverse=case == "reverse", rmask=rmask)
                 loss = ad.sum_(ad.mul(hs, weights))
             ad.backward(tape, loss)
@@ -2031,7 +2066,7 @@ class TestInputChunks:
         weights = (rng.normal(size=(self.T, self.B, 2 * H)),
                    rng.normal(size=(self.B, 2 * H)))
         self._chunked_and_whole(monkeypatch, lambda: _bilstm_run(
-            ad.bilstm_layer, arrays, lengths, weights, np.float32))
+            _with_states, arrays, lengths, weights, np.float32))
 
     @pytest.mark.parametrize("T", [60, 480])
     def test_forward_memory_stays_under_two_buffers(self, T):
@@ -2046,9 +2081,11 @@ class TestInputChunks:
         x = f32(rng.normal(size=(T, B, D)))
         cells = [ad.init_lstm(rng, D, H, name) for name in ("fwd", "bwd")]
         buffer = min(T * B, 2 * ad._CHUNK_ROWS + B) * 4 * H * 4   # bytes
-        every = all_steps(x)
-        for directions, op in ((1, lambda: (ad.lstm_layer(x, cells[0], lengths=every),)),
-                               (2, lambda: ad.bilstm_layer(x, *cells, every))):
+        every, (h0, c0) = all_steps(x), zero_states(x, cells[0])
+        for directions, op in ((1, lambda: (ad.lstm_layer(x, cells[0], h0, c0,
+                                                          lengths=every, cond=[],
+                                                          rmask=None),)),
+                               (2, lambda: ad.bilstm_layer(x, *cells, every, True))):
             tracemalloc.start()
             try:
                 outs = op()
@@ -2481,7 +2518,7 @@ class TestDropout:
 
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
-            ad.dropout_mask(np.random.default_rng(0), (1,), 1.0)
+            ad.dropout_mask(np.random.default_rng(0), (1,), 1.0, np.float64)
 
     def test_inverted_scaling_preserves_mean(self):
         # Monte-Carlo: mean over 10,000 masks within 2% of x
@@ -2514,7 +2551,7 @@ class TestSgd:
     def test_basic_step(self):
         p = ad.param(np.array([1.0], dtype=np.float32), "p")
         p.grad = np.array([2.0], dtype=np.float32)
-        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99))
+        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99), None)
         np.testing.assert_allclose(p.data, [0.8], rtol=1e-6)
         assert p.grad is None
 
@@ -2538,7 +2575,7 @@ class TestSgd:
     def test_zero_gradient_leaves_params(self):
         p = ad.param(np.array([1.5], dtype=np.float32), "p")
         p.grad = np.zeros(1, dtype=np.float32)
-        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99))
+        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99), None)
         np.testing.assert_allclose(p.data, [1.5])
 
     def test_nan_gradient_aborts_whole_step(self):
@@ -2547,7 +2584,7 @@ class TestSgd:
         p1.grad = np.array([0.5], dtype=np.float32)
         p2.grad = np.array([np.nan], dtype=np.float32)
         with pytest.raises(ad.GradientError, match="p2"):
-            ad.sgd_step({"p1": p1, "p2": p2}, ad.SgdState(0.1, 0.99))
+            ad.sgd_step({"p1": p1, "p2": p2}, ad.SgdState(0.1, 0.99), None)
         np.testing.assert_allclose(p1.data, [1.0])  # untouched
 
     def test_clip_norm(self):
@@ -2725,3 +2762,27 @@ class TestNoDeadOptions:
                 constant.add(label)
         assert constant == set(), \
             "every program call passes these as one literal; make them constants"
+
+    @staticmethod
+    def _surely_passes(call, name: str, at: int | None) -> bool:
+        """Whether `call` passes parameter `name` (at position `at`) by
+        keyword, or by a position before its first `*` argument."""
+        if any(k.arg == name for k in call.keywords):
+            return True
+        starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+        return at is not None and at < (starred[0] if starred else len(call.args))
+
+    def test_no_defaulted_parameter_is_passed_by_every_call(self):
+        """A default that every program call of its name overrides serves
+        only the tests that leave it out. A call with a `*` or `**`
+        argument that does not name the parameter may leave the default,
+        so this never fails a live one. `BiLstmEncoder.encode(states)` is
+        checked by hand: `Vocabulary.encode` shares its name."""
+        calls = self._program_calls()
+        overridden = {
+            label for label, called, name, at, _
+            in self._defaulted_parameters(self.ROOT / "src" / "nliexpl")
+            if calls.get(called) and all(self._surely_passes(c, name, at)
+                                         for c in calls[called])}
+        assert not overridden, \
+            f"every program call passes these; make them required: {sorted(overridden)}"

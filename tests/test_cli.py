@@ -719,7 +719,7 @@ class TestEvalAndGenerate:
         for row, line in zip(matrix, lines):
             ids = np.array([model.vocab.encode(tokenize(line))])
             u, _ = model.premise_encoder.encode(model.embedding, ids,
-                                                np.array([ids.shape[1]]))
+                                                np.array([ids.shape[1]]), True)
             np.testing.assert_allclose(row, u.data[0], rtol=1e-6)
 
     def test_repr_export_bit_equal_to_states_returning_encode(
@@ -746,7 +746,7 @@ class TestEvalAndGenerate:
             ids, lengths = pad_rows([model.vocab.encode(tokenize(line))
                                      for line in lines[start:start + 2]])
             u, states = model.premise_encoder.encode(model.embedding, ids,
-                                                     lengths)
+                                                     lengths, True)
             _, row = np.nonzero(np.arange(ids.shape[1])[:, None] < lengths)
             for b in range(len(lengths)):
                 np.testing.assert_array_equal(
@@ -892,7 +892,7 @@ class TestExplainThenPredictCommand:
         model = load_model(gen)
         test_ex, _ = load_corpus(valid, split="test")
         report, dumps = transfer_eval(model, encode_corpus(test_ex, model.vocab),
-                                      test_ex, split="test",
+                                      test_ex, split="test", batch_size=64,
                                       expl_classifier=load_model(clf))
         rows = list(csv.DictReader(out.open(encoding="utf-8")))
         assert [(r["id"], r["predicted_label"], r["explanation"]) for r in rows] \

@@ -168,19 +168,19 @@ def _vocab_for(examples):
                          + [e.hypothesis for e in examples], min_count=1)
 
 
-class TestEncodeExample:
+class TestEncodeCorpus:
     def test_premise_truncated_to_limit(self):
         e = D.Example(id="x", premise=["w"] * 90, hypothesis=["h"],
                       label="neutral", explanations=[["ok", "fine", "sure"]])
         v = D.build_vocab([["w"] * 20, ["h"] * 20], min_count=1)
-        enc = D.encode_example(e, v)
+        [enc] = D.encode_corpus([e], v)
         assert len(enc.premise) == 84
 
     def test_explanation_wrapped_with_bos_eos(self):
         e = D.Example(id="x", premise=["a"], hypothesis=["b"], label="neutral",
                       explanations=[["one", "two", "three", "four", "five"]])
         v = _vocab_for([e])
-        enc = D.encode_example(e, v)
+        [enc] = D.encode_corpus([e], v)
         expl = enc.explanations[0]
         assert len(expl) == 7
         assert expl[0] == v.bos_id and expl[-1] == v.eos_id
@@ -189,7 +189,7 @@ class TestEncodeExample:
         e = D.Example(id="x", premise=["a"], hypothesis=["b"], label="neutral",
                       explanations=[[f"t{i}" for i in range(40)]])
         v = _vocab_for([e])
-        enc = D.encode_example(e, v)
+        [enc] = D.encode_corpus([e], v)
         assert len(enc.explanations[0]) == 42
 
     def test_empty_premise_skipped_with_warning(self, caplog):
@@ -197,14 +197,14 @@ class TestEncodeExample:
                       explanations=[])
         v = D.build_vocab([["b"] * 20], min_count=1)
         with caplog.at_level("WARNING"):
-            assert D.encode_example(e, v) is None
+            assert D.encode_corpus([e], v) == []
         assert "skipping" in caplog.text
 
     def test_round_trip_preserves_in_vocab_tokens(self):
         examples = make_examples(20, seed=3)
         v = _vocab_for(examples)
         for e in examples:
-            enc = D.encode_example(e, v)
+            [enc] = D.encode_corpus([e], v)
             assert v.decode(enc.premise) == e.premise
             assert v.decode(enc.explanations[0]) == e.explanations[0]
 
@@ -212,7 +212,7 @@ class TestEncodeExample:
         e = D.Example(id="x", premise=["qqq", "dog"], hypothesis=["dog"],
                       label="neutral", explanations=[])
         v = D.build_vocab([["dog"] * 20], min_count=15)
-        enc = D.encode_example(e, v)
+        [enc] = D.encode_corpus([e], v)
         assert enc.premise[0] == v.unk_id
 
 
@@ -290,7 +290,7 @@ class TestCsvRows:
 
     # reader, its error, header, a data row for an id, its last required column
     READERS = {
-        "corpus": (D.load_corpus, D.CorpusFormatError,
+        "corpus": (lambda path: D.load_corpus(path, split="train"), D.CorpusFormatError,
                    "pairID,gold_label,Sentence1,Sentence2",
                    "{},entailment,a dog,an animal", "Sentence2"),
         "annotations": (load_annotations, EvaluationError,
@@ -346,7 +346,7 @@ class TestCsvRows:
         path.write_text('pairID,gold_label,Sentence1,Sentence2\n'
                         ',neutral,"a dog\nruns",an animal\n\n'
                         ',entailment,a dog,an animal\n', encoding="utf-8")
-        examples, _ = D.load_corpus(path)
+        examples, _ = D.load_corpus(path, split="train")
         assert [e.id for e in examples] == ["row3", "row5"]
 
 
@@ -369,7 +369,7 @@ class TestLoadCorpus:
             "entailment,a dog,an animal,a dog is an animal\n"
             "maybe,a dog,a cat,who knows\n"
             "-,a dog,a cat,unlabeled\n")
-        loaded, skipped = D.load_corpus(path)
+        loaded, skipped = D.load_corpus(path, split="train")
         assert len(loaded) == 1
         assert skipped == 2
 
@@ -382,13 +382,13 @@ class TestLoadCorpus:
             "a1,-,a dog,a pet\n")
         with pytest.raises(D.CorpusFormatError,
                            match=r"'a1' repeated on rows 2 and 4"):
-            D.load_corpus(path)
+            D.load_corpus(path, split="train")
 
     def test_missing_required_column_is_error(self, tmp_path):
         path = tmp_path / "corpus.csv"
         path.write_text("gold_label,Sentence1\nentailment,a dog\n")
         with pytest.raises(D.CorpusFormatError, match="Sentence2"):
-            D.load_corpus(path)
+            D.load_corpus(path, split="train")
 
     def test_highlight_parsing(self, tmp_path):
         path = tmp_path / "corpus.csv"
@@ -396,7 +396,7 @@ class TestLoadCorpus:
             "gold_label,Sentence1,Sentence2,Explanation_1,"
             "Sentence1_Highlighted_1,Sentence2_Highlighted_1\n"
             'entailment,a dog runs,an animal runs,a dog is an animal,"1,2",{}\n')
-        loaded, _ = D.load_corpus(path)
+        loaded, _ = D.load_corpus(path, split="train")
         assert loaded[0].premise_highlights[0] == {1, 2}
         assert loaded[0].hypothesis_highlights[0] is None
 
@@ -406,7 +406,7 @@ class TestLoadCorpus:
             "gold_label,Sentence1,Sentence2,Explanation_1,Sentence1_Highlighted_1\n"
             "entailment,a dog,an animal,a dog is an animal,abc\n")
         with pytest.raises(D.CorpusFormatError):
-            D.load_corpus(path)
+            D.load_corpus(path, split="train")
 
     def test_column_mapping_adapts_other_corpora(self, tmp_path):
         path = tmp_path / "sick.csv"
@@ -415,7 +415,7 @@ class TestLoadCorpus:
         cm = D.ColumnMap(gold_label="entailment_label", premise="sentence_A",
                          hypothesis="sentence_B", explanations=(),
                          premise_highlights=(), hypothesis_highlights=())
-        loaded, skipped = D.load_corpus(path, colmap=cm)
+        loaded, skipped = D.load_corpus(path, split="train", colmap=cm)
         assert skipped == 0
         assert loaded[0].label == "contradiction"
         assert loaded[0].explanations == []

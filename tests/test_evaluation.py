@@ -172,12 +172,12 @@ class TestPerplexity:
     def test_uniform_model_equals_vocab_size(self):
         encoded, vocab = self._encoded()
         stub = _StubModel(math.log(len(vocab)))
-        res = E.perplexity(stub, encoded)
+        res = E.perplexity(stub, encoded, 64)
         np.testing.assert_allclose(res.perplexity, len(vocab), rtol=1e-12)
 
     def test_perfect_model_is_one(self):
         encoded, _ = self._encoded()
-        res = E.perplexity(_StubModel(0.0), encoded)
+        res = E.perplexity(_StubModel(0.0), encoded, 64)
         assert res.perplexity == 1.0
 
     def test_uniform_real_model(self):
@@ -211,7 +211,7 @@ class TestPerplexity:
 
     def test_zero_tokens_is_error(self):
         with pytest.raises(E.EvaluationError):
-            E.perplexity(_StubModel(0.0), [])
+            E.perplexity(_StubModel(0.0), [], 64)
 
 
 class TestExplAtK:
@@ -330,8 +330,8 @@ class TestEvaluateModel:
         clf, _, _ = toy_setup("expl-to-label", n=6, seed=3)
         examples = make_examples(6, seed=3)
         encoded = encode_corpus(examples, vocab)
-        report = E.evaluate_model(gen, encoded, examples, expl_classifier=clf,
-                                  batch_size=3)
+        report = E.evaluate_model(gen, encoded, examples, split="valid",
+                                  batch_size=3, expl_classifier=clf)
         assert report.accuracy is not None
         assert report.perplexity is not None and report.perplexity >= 1.0
         assert report.bleu is not None and 0.0 <= report.bleu <= 1.0
@@ -353,7 +353,7 @@ class TestEvaluateModel:
         examples[2] = replace(examples[2], explanations=[],
                               explanation_texts=[])
         encoded = encode_corpus(examples, vocab)
-        report = E.evaluate_model(model, encoded, examples, batch_size=3)
+        report = E.evaluate_model(model, encoded, examples, "valid", 3)
         assert len(encoded) == 6 and report.perplexity is None
         rest = [enc for enc in encoded if enc.id != examples[2].id]
         assert report.counts["bleu_candidates"] == len(rest) == 5
@@ -366,17 +366,17 @@ class TestEvaluateModel:
         model, _, vocab = toy_setup("pred-expl", n=6, seed=1)
         examples = make_examples(6, seed=1)
         encoded = encode_corpus(examples, vocab)
-        r1 = E.evaluate_model(model, encoded, examples, batch_size=3)
-        r2 = E.evaluate_model(model, encoded, examples, batch_size=3)
+        r1 = E.evaluate_model(model, encoded, examples, "valid", 3)
+        r2 = E.evaluate_model(model, encoded, examples, "valid", 3)
         assert r1 == r2
 
 
-def _transfer(model, path, **kwargs):
+def _transfer(model, path, batch_size, expl_classifier=None):
     """`transfer_eval` of the corpus CSV at `path`, loaded and encoded
     with the default columns and limits, as `generate` loads it."""
     examples, _ = load_corpus(path, split="transfer")
     return E.transfer_eval(model, encode_corpus(examples, model.vocab),
-                           examples, **kwargs)
+                           examples, "transfer", batch_size, expl_classifier)
 
 
 class TestTransferEval:
@@ -386,8 +386,8 @@ class TestTransferEval:
         path = tmp_path / "transfer.csv"
         write_corpus_csv(path, make_examples(10, seed=5))
         before = model.param_hash()
-        r1, dumps1 = _transfer(model, path)
-        r2, dumps2 = _transfer(model, path)
+        r1, dumps1 = _transfer(model, path, 64)
+        r2, dumps2 = _transfer(model, path, 64)
         assert model.param_hash() == before
         assert r1 == r2 and dumps1 == dumps2
         assert r1.accuracy is not None
@@ -529,8 +529,8 @@ class TestOnePass:
     def test_evaluate_model_matches_per_batch_views(self, variant, with_clf):
         model, clf, examples, encoded = _pass_setup(variant)
         clf = clf if with_clf else None
-        got = E.evaluate_model(model, encoded, examples, batch_size=3,
-                               expl_classifier=clf)
+        got = E.evaluate_model(model, encoded, examples, split="valid",
+                               batch_size=3, expl_classifier=clf)
         ref = _reference_report(model, clf, encoded, examples, 3)
         assert got.to_json() == ref.to_json()
 
@@ -545,9 +545,9 @@ class TestOnePass:
         if variant == "expl-to-label":
             # transfer batches carry no gold explanation to label
             with pytest.raises(ModelError, match="no explanations"):
-                _transfer(model, path, batch_size=3)
+                _transfer(model, path, 3)
             return
-        report, dumps = _transfer(model, path, batch_size=3,
+        report, dumps = _transfer(model, path, 3,
                                   expl_classifier=clf)
         ref_report, ref_dumps = _reference_transfer(model, clf, path, 3)
         assert report.to_json() == ref_report.to_json()
@@ -564,10 +564,10 @@ class TestOnePass:
         for call in (lambda: E.evaluation_pass(model, encoded, 3,
                                                expl_classifier=clf),
                      lambda: E.predict_all(model, encoded, 3, clf),
-                     lambda: E.evaluate_model(model, encoded, examples,
-                                              expl_classifier=clf),
+                     lambda: E.evaluate_model(model, encoded, examples, "valid",
+                                              3, expl_classifier=clf),
                      lambda: E.transfer_eval(model, encoded, examples,
-                                             expl_classifier=clf)):
+                                             "transfer", 3, clf)):
             with pytest.raises(ModelError, match=f"{variant} labels with "
                                "its own classifier"):
                 call()
@@ -584,7 +584,7 @@ class TestOnePass:
         monkeypatch.setattr(D, "make_batch", lambda chunk, with_expl: (
             made.append(with_expl), make(chunk, with_expl))[1])
         reads = variant == "expl-to-label"
-        E.predict_all(model, encoded, 3)
+        E.predict_all(model, encoded, 3, None)
         assert made == [reads] * 3
         if model.explains:
             made.clear()
@@ -607,7 +607,7 @@ class TestOnePass:
         model, clf, _, encoded = _pass_setup(variant)
         spy, layer, calls = _AllocationSpy(), ad.bilstm_layer, []
 
-        def encode(x, fwd, bwd, lengths, states=True):
+        def encode(x, fwd, bwd, lengths, states):
             spy.shapes.clear()
             out = layer(x, fwd, bwd, lengths, states)
             calls.append(((int(lengths.sum()), 2 * fwd.wh.shape[1]) in spy.shapes,
@@ -645,7 +645,7 @@ class TestOnePass:
         path = tmp_path / "transfer.csv"
         write_corpus_csv(path, make_examples(7, seed=9))   # 3 batches
         counts = self._count_calls(monkeypatch)
-        _transfer(model, path, batch_size=3, expl_classifier=clf)
+        _transfer(model, path, 3, expl_classifier=clf)
         expected = {f"{name}_encoder": 3 for name in model.sentences}
         if clf is not None:
             expected["explanation_encoder"] = 3

@@ -87,7 +87,7 @@ class TestClassifier:
     def test_tie_breaks_to_lowest_class_index(self):
         model, batch = self._biased_model([0.3, 0.3, 0.3])
         assert (model.eval_batch(batch)[0] == 0).all()
-        assert (model.loss(batch)[1]["preds"] == 0).all()
+        assert (model.loss(batch, rng=None, alpha=None)[1]["preds"] == 0).all()
 
     def test_labels_read_the_logits_not_the_probabilities(self):
         """Logits 0.1 and the next float32 up have equal probabilities in
@@ -98,7 +98,7 @@ class TestClassifier:
         probs = softmax(t([bias])).data[0]
         assert probs[0] == probs[1]
         model, batch = self._biased_model(bias)
-        preds = model.loss(batch)[1]["preds"]
+        preds = model.loss(batch, rng=None, alpha=None)[1]["preds"]
         np.testing.assert_array_equal(preds, model.eval_batch(batch)[0])
         assert (preds == 1).all()
 
@@ -148,23 +148,23 @@ class TestEncoder:
     def test_length_one_u_equals_single_state(self):
         vocab, emb, enc = self._encoder_setup()
         ids = np.array([[vocab.token_to_id["dog"]]])
-        u, states = enc.encode(emb, ids, np.array([1]))
+        u, states = enc.encode(emb, ids, np.array([1]), True)
         assert states.shape == u.shape == (1, 6)   # the one real step-row
         np.testing.assert_array_equal(u.data, states.data)
 
     def test_padding_leaves_u_unchanged(self):
         vocab, emb, enc = self._encoder_setup()
         ids = np.array([[vocab.token_to_id["dog"], vocab.token_to_id["runs"]]])
-        u_plain, _ = enc.encode(emb, ids, np.array([2]))
+        u_plain, _ = enc.encode(emb, ids, np.array([2]), True)
         padded = np.concatenate([ids, np.zeros((1, 5), dtype=np.int64)], axis=1)
-        u_padded, _ = enc.encode(emb, padded, np.array([2]))
+        u_padded, _ = enc.encode(emb, padded, np.array([2]), True)
         np.testing.assert_array_equal(u_plain.data, u_padded.data)
 
     def test_u_is_columnwise_max_of_real_states(self):
         vocab, emb, enc = self._encoder_setup()
         ids = np.array([[7, 8, 9, 7], [8, 9, 0, 0]], dtype=np.int64)
         lengths = np.array([4, 2])
-        u, states = enc.encode(emb, ids, lengths)
+        u, states = enc.encode(emb, ids, lengths, True)
         _, row = np.nonzero(np.arange(4)[:, None] < lengths)   # time-major
         for b in range(2):
             real = states.data[row == b]
@@ -174,13 +174,13 @@ class TestEncoder:
     def test_all_pad_row_is_error(self):
         vocab, emb, enc = self._encoder_setup()
         with pytest.raises(ad.EmptySequenceError):
-            enc.encode(emb, np.zeros((1, 3), dtype=np.int64), np.array([0]))
+            enc.encode(emb, np.zeros((1, 3), dtype=np.int64), np.array([0]), True)
 
     def test_pad_steps_have_no_state_row(self):
         vocab, emb, enc = self._encoder_setup()
         ids = np.array([[7, 8, 0, 0]], dtype=np.int64)
-        _, states = enc.encode(emb, ids, np.array([2]))
-        _, unpadded = enc.encode(emb, ids[:, :2], np.array([2]))
+        _, states = enc.encode(emb, ids, np.array([2]), True)
+        _, unpadded = enc.encode(emb, ids[:, :2], np.array([2]), True)
         assert states.shape == (2, 6)
         np.testing.assert_array_equal(states.data, unpadded.data)
 
@@ -191,7 +191,7 @@ class TestEncoder:
         for k in range(50):
             tape = ad.Tape()
             with tape:
-                u, _ = enc.encode(emb, ids, np.array([4, 2]))
+                u, _ = enc.encode(emb, ids, np.array([4, 2]), True)
                 loss = ad.sum_(u)
             if k % 2:
                 ad.backward(tape, loss)
@@ -423,7 +423,7 @@ class TestVariantStructure:
             return original(self, *args, **kw)
 
         monkeypatch.setattr(M.LstmDecoder, "teacher_forced", spy)
-        model.loss(batch, alpha=0.6)
+        model.loss(batch, rng=None, alpha=0.6)
         assert len(seen) == 2 and seen[0] is seen[1] is model.decoder
 
     def test_expl_to_label_uses_only_explanations(self):
@@ -672,7 +672,7 @@ class TestDecoding:
             monkeypatch.setattr(M.LstmDecoder, "teacher_forced", forced)
             monkeypatch.setattr(M.LstmDecoder, "greedy", greedy)
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, rng=np.random.default_rng(4))
+                loss, _ = model.loss(batch, rng=np.random.default_rng(4), alpha=None)
             ad.backward(tape, loss)
             grads = {name: p.grad for name, p in params.items()}
             for p in params.values():
@@ -999,7 +999,7 @@ class TestRecurrentDropout:
         monkeypatch.setattr(
             ad, "dropout_mask",
             lambda *a, **k: calls.append(a) or np.ones((4, 4), np.float32))
-        model.loss(batch, alpha=0.6)
+        model.loss(batch, rng=None, alpha=0.6)
         assert calls == []
 
     def test_dropout_changes_training_loss_only(self):
@@ -1008,8 +1008,8 @@ class TestRecurrentDropout:
                                    rng=np.random.default_rng(1))[0].data)
         train_b = float(model.loss(batch, alpha=0.6,
                                    rng=np.random.default_rng(2))[0].data)
-        eval_a = float(model.loss(batch, alpha=0.6)[0].data)
-        eval_b = float(model.loss(batch, alpha=0.6)[0].data)
+        eval_a = float(model.loss(batch, rng=None, alpha=0.6)[0].data)
+        eval_b = float(model.loss(batch, rng=None, alpha=0.6)[0].data)
         assert train_a != train_b   # different masks
         assert eval_a == eval_b     # identity path
 
@@ -1030,10 +1030,10 @@ class TestSaveLoad:
                                                ("expl-to-label", None)])
     def test_round_trip_preserves_behavior(self, tmp_path, variant, alpha):
         model, batch, _ = toy_setup(variant, n=4)
-        loss_before = float(model.loss(batch, alpha=alpha)[0].data)
+        loss_before = float(model.loss(batch, rng=None, alpha=alpha)[0].data)
         model.save(tmp_path / "ckpt")
         loaded = load_model(tmp_path / "ckpt")
-        loss_after = float(loaded.loss(batch, alpha=alpha)[0].data)
+        loss_after = float(loaded.loss(batch, rng=None, alpha=alpha)[0].data)
         assert loss_before == loss_after
         assert loaded.param_hash() == model.param_hash()
 
@@ -1150,7 +1150,7 @@ class TestPaddingInvariance:
             explanation_len=batch.explanation_len)
         def loss_and_grads(b):
             with ad.Tape() as tape:
-                loss = model.loss(b, alpha=alpha)[0]
+                loss = model.loss(b, rng=None, alpha=alpha)[0]
             ad.backward(tape, loss)
             grads = {name: p.grad for name, p in model.params().items()}
             for p in model.params().values():

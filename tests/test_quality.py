@@ -48,15 +48,15 @@ def near_pairs(draw):
 
 class TestEditDistance:
     def test_identity(self):
-        assert Q.edit_distance("abc", "abc") == 0
+        assert Q.edit_distance("abc", "abc", None) == 0
 
     def test_kitten_sitting(self):
         assert levenshtein_full("kitten", "sitting") == 3
-        assert Q.edit_distance("kitten", "sitting") == 3
+        assert Q.edit_distance("kitten", "sitting", None) == 3
 
     def test_pure_insertions(self):
-        assert Q.edit_distance("", "abcd") == 4
-        assert Q.edit_distance("abcd", "") == 4
+        assert Q.edit_distance("", "abcd", None) == 4
+        assert Q.edit_distance("abcd", "", None) == 4
 
     def test_matches_full_matrix_oracle(self):
         rng = np.random.default_rng(0)
@@ -64,7 +64,7 @@ class TestEditDistance:
         for _ in range(300):
             a = "".join(rng.choice(list(letters), size=rng.integers(0, 12)))
             b = "".join(rng.choice(list(letters), size=rng.integers(0, 12)))
-            assert Q.edit_distance(a, b) == levenshtein_full(a, b)
+            assert Q.edit_distance(a, b, None) == levenshtein_full(a, b)
 
     def test_banded_limit_caps(self):
         rng = np.random.default_rng(1)
@@ -83,15 +83,15 @@ class TestEditDistance:
         for _ in range(1000):
             a, b, c = ("".join(rng.choice(list(letters), size=rng.integers(0, 8)))
                        for _ in range(3))
-            dab = Q.edit_distance(a, b)
-            assert dab == Q.edit_distance(b, a)
+            dab = Q.edit_distance(a, b, None)
+            assert dab == Q.edit_distance(b, a, None)
             assert (dab == 0) == (a == b)
-            assert dab <= Q.edit_distance(a, c) + Q.edit_distance(c, b)
+            assert dab <= Q.edit_distance(a, c, None) + Q.edit_distance(c, b, None)
 
     @given(short_text, short_text)
     @settings(max_examples=80, deadline=None)
     def test_hypothesis_agrees_with_oracle(self, a, b):
-        assert Q.edit_distance(a, b) == levenshtein_full(a, b)
+        assert Q.edit_distance(a, b, None) == levenshtein_full(a, b)
 
     @given(st.one_of(st.tuples(long_text, long_text), near_pairs()))
     @settings(max_examples=150, deadline=None)

@@ -103,13 +103,6 @@ ALLOWED = {
     "autodiff._check_lstm: if s is not None and s.shape != (B, H)]":
         "a state or mask of another shape, which the raise after it names: "
         "the decoders build every one (B, H)",
-    "autodiff.lstm_layer: *(None if t is None else t.data for t in (h0, c0)),":
-        "a zero initial state (h0 or c0 None): each decoder starts from its "
-        "source's projection; test_autodiff.py starts from zero",
-    "autodiff.lstm_layer: _record(out, tuple(t for t in inputs if t is not None),":
-        "as the line above",
-    "autodiff.lstm_layer: lambda g: tuple(d for d in grads(g) if d is not None))":
-        "as the line above",
     "autodiff._chunk_stops: return stops + [len(counts)] if len(counts) else []":
         "a batch whose rows all have no step: a decoder row holds <bos> at "
         "least, and the encoders refuse an empty row",

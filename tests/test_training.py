@@ -75,7 +75,7 @@ class TestJointLoss:
             for p in params.values():
                 p.grad = None
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, alpha=alpha)
+                loss, _ = model.loss(batch, rng=None, alpha=alpha)
             ad.backward(tape, loss)
             return {n: (np.zeros_like(p.data) if p.grad is None
                         else p.grad.copy()) for n, p in params.items()}
@@ -166,7 +166,7 @@ class TestTrain:
         cfg = toy_train_config("pred-expl", alpha=0.6, epochs=3)
         rec = train(cfg, data, tmp_path / "run")
         model = load_model(rec.checkpoint_path)
-        preds, golds = predict_all(model, data.valid, cfg.batch_size)
+        preds, golds = predict_all(model, data.valid, cfg.batch_size, None)
         assert label_accuracy(preds, golds) == rec.best_value
 
     def test_perplexity_checkpoint_round_trip(self, tmp_path):
@@ -231,10 +231,10 @@ class TestTrain:
         losses = []
         for _ in range(50):
             with ad.Tape() as tape:
-                loss, _ = model.loss(batch, alpha=0.6)
+                loss, _ = model.loss(batch, rng=None, alpha=0.6)
             losses.append(float(loss.data))
             ad.backward(tape, loss)
-            ad.sgd_step(params, state)
+            ad.sgd_step(params, state, None)
         assert losses[-1] < losses[0]
 
 
@@ -303,5 +303,5 @@ def test_non_explaining_variant_is_never_asked_for_explanations(
     record = train(toy_train_config(variant, epochs=1, alpha=alpha), data,
                    tmp_path)
     evaluate_model(load_model(record.checkpoint_path), data.valid,
-                   make_examples(9, seed=100), batch_size=4)
+                   make_examples(9, seed=100), split="valid", batch_size=4)
     assert asked and set(asked) == {(False, False)}
