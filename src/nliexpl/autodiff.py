@@ -1145,23 +1145,7 @@ def bilstm_layer(x: Tensor, fwd: LstmParams, bwd: LstmParams, lengths: np.ndarra
 # SGD
 
 
-@dataclass
-class SgdState:
-    """Learning-rate schedule state: lr(epoch) = base * decay**epoch."""
-
-    base_lr: float
-    decay: float
-    epoch: int = 0
-
-    @property
-    def lr(self) -> float:
-        return self.base_lr * self.decay ** self.epoch
-
-    def advance_epoch(self) -> None:
-        self.epoch += 1
-
-
-def sgd_step(params: dict[str, Tensor], state: SgdState,
+def sgd_step(params: dict[str, Tensor], lr: float,
              clip_norm: float | None) -> None:
     """In-place p <- p - lr * g on every parameter with a gradient.
 
@@ -1178,7 +1162,6 @@ def sgd_step(params: dict[str, Tensor], state: SgdState,
             factor = clip_norm / total
             for _, p in live:
                 p.grad = p.grad * factor
-    lr = state.lr
     for _, p in live:
         p.data -= (lr * p.grad).astype(p.data.dtype, copy=False)
         p.grad = None

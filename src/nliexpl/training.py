@@ -164,11 +164,11 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
     model = build_model(config.model_config(), data.vocab, data.table,
                         np.random.default_rng([config.seed, 0]))
     params = model.params()
-    state = ad.SgdState(base_lr=config.lr, decay=config.decay)
     ckpt_dir = out_dir / "checkpoints" / "best"
 
     for epoch in range(config.epochs):
         drop_rng = np.random.default_rng([config.seed, 1, epoch])
+        lr = config.lr * config.decay ** epoch   # decayed once per completed epoch
         epoch_losses = []
         for batch in iterate_batches(data.train, config.batch_size,
                                      seed=config.seed, epoch=epoch,
@@ -182,7 +182,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                 break
             ad.backward(tape, loss)
             try:
-                ad.sgd_step(params, state, clip_norm=config.clip_norm)
+                ad.sgd_step(params, lr, clip_norm=config.clip_norm)
             except ad.GradientError as err:
                 record.note = f"epoch {epoch}: {err}"
                 break
@@ -191,7 +191,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
             record.aborted = True
             log.error("%s; keeping last good checkpoint", record.note)
             break
-        entry = {"epoch": epoch, "lr": state.lr,
+        entry = {"epoch": epoch, "lr": lr,
                  "train_loss": float(np.mean(epoch_losses))}
         entry.update(_validation_metrics(model, data.valid, config.batch_size))
         record.epochs.append(entry)
@@ -204,7 +204,6 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                                              "criterion": criterion,
                                              "criterion_value": value})
             record.checkpoint_path = str(ckpt_dir)
-        state.advance_epoch()   # decay once per completed epoch
     record.save(out_dir / "run.json")
     return record
 

@@ -241,7 +241,6 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
     model = build_model(cfg.model_config(), vocab, table,
                         np.random.default_rng([cfg.seed, 0]))
     params = model.params()
-    state = ad.SgdState(base_lr=cfg.lr, decay=cfg.decay)
     full = make_batch(encoded, with_explanations=True)
     reached = None
     for epoch in range(cfg.epochs):
@@ -252,8 +251,7 @@ def test_criterion_2_overfit_pred_expl(tmp_path):
             with ad.Tape() as tape:
                 loss, _ = model.loss(batch, rng=drop_rng, alpha=cfg.alpha)
             ad.backward(tape, loss)
-            ad.sgd_step(params, state, cfg.clip_norm)
-        state.advance_epoch()
+            ad.sgd_step(params, cfg.lr * cfg.decay ** epoch, cfg.clip_norm)
         if epoch % 10 == 9:
             acc = label_accuracy(model.eval_batch(full)[0], full.labels)
             _, tokens, correct = model.eval_batch(full, nll=True)[1]
@@ -444,7 +442,6 @@ def test_criterion_7_expl_to_label_directional():
         model = build_model(cfg.model_config(), vocab, table,
                             np.random.default_rng([cfg.seed, 0]))
         params = model.params()
-        state = ad.SgdState(base_lr=cfg.lr, decay=cfg.decay)
         accuracy = 0.0
         for epoch in range(cfg.epochs):
             drop_rng = np.random.default_rng([cfg.seed, 1, epoch])
@@ -455,8 +452,7 @@ def test_criterion_7_expl_to_label_directional():
                 with ad.Tape() as tape:
                     loss, _ = model.loss(batch, rng=drop_rng, alpha=cfg.alpha)
                 ad.backward(tape, loss)
-                ad.sgd_step(params, state, cfg.clip_norm)
-            state.advance_epoch()
+                ad.sgd_step(params, cfg.lr * cfg.decay ** epoch, cfg.clip_norm)
             preds, golds = predict_all(model, enc_held, cfg.batch_size, None)
             accuracy = label_accuracy(preds, golds)
             if accuracy > 95.0:

@@ -2551,31 +2551,14 @@ class TestSgd:
     def test_basic_step(self):
         p = ad.param(np.array([1.0], dtype=np.float32), "p")
         p.grad = np.array([2.0], dtype=np.float32)
-        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99), None)
+        ad.sgd_step({"p": p}, 0.1, None)
         np.testing.assert_allclose(p.data, [0.8], rtol=1e-6)
         assert p.grad is None
-
-    def test_lr_schedule_closed_form(self):
-        state = ad.SgdState(0.1, 0.99)
-        assert state.lr == 0.1
-        state.advance_epoch()
-        np.testing.assert_allclose(state.lr, 0.099, rtol=1e-12)
-        state.epoch = 10
-        np.testing.assert_allclose(state.lr, 0.1 * 0.99 ** 10, rtol=1e-12)
-        np.testing.assert_allclose(state.lr, 0.09044, rtol=1e-4)
-
-    def test_lr_monotone_non_increasing(self):
-        state = ad.SgdState(0.1, 0.99)
-        last = state.lr
-        for _ in range(100):
-            state.advance_epoch()
-            assert 0 < state.lr <= last
-            last = state.lr
 
     def test_zero_gradient_leaves_params(self):
         p = ad.param(np.array([1.5], dtype=np.float32), "p")
         p.grad = np.zeros(1, dtype=np.float32)
-        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99), None)
+        ad.sgd_step({"p": p}, 0.1, None)
         np.testing.assert_allclose(p.data, [1.5])
 
     def test_nan_gradient_aborts_whole_step(self):
@@ -2584,13 +2567,13 @@ class TestSgd:
         p1.grad = np.array([0.5], dtype=np.float32)
         p2.grad = np.array([np.nan], dtype=np.float32)
         with pytest.raises(ad.GradientError, match="p2"):
-            ad.sgd_step({"p1": p1, "p2": p2}, ad.SgdState(0.1, 0.99), None)
+            ad.sgd_step({"p1": p1, "p2": p2}, 0.1, None)
         np.testing.assert_allclose(p1.data, [1.0])  # untouched
 
     def test_clip_norm(self):
         p = ad.param(np.array([0.0, 0.0], dtype=np.float32), "p")
         p.grad = np.array([3.0, 4.0], dtype=np.float32)  # norm 5
-        ad.sgd_step({"p": p}, ad.SgdState(0.1, 0.99), clip_norm=1.0)
+        ad.sgd_step({"p": p}, 0.1, clip_norm=1.0)
         np.testing.assert_allclose(p.data, [-0.1 * 0.6, -0.1 * 0.8], rtol=1e-6)
 
 

@@ -186,7 +186,7 @@ def test_in_place_step_stays_out_of_the_file(tmp_path):
     before = _param_bytes(loaded)
     for p in params.values():
         p.grad = np.ones_like(p.data)
-    ad.sgd_step(params, ad.SgdState(base_lr=0.5, decay=0.99), None)
+    ad.sgd_step(params, 0.5, None)
     assert all(_param_bytes(loaded)[name] != before[name] for name in params)
     assert blob_path.read_bytes() == on_disk
     assert _param_bytes(load_model(tmp_path / "ckpt")) == before

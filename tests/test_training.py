@@ -144,13 +144,22 @@ class TestTrain:
         assert [e["val_accuracy"] for e in rec1.epochs] == \
             [e["val_accuracy"] for e in rec2.epochs]
 
-    def test_lr_schedule_recorded_exactly(self, tmp_path):
+    def test_lr_schedule_recorded_exactly(self, tmp_path, monkeypatch):
+        """Epoch e steps with, and records, lr * decay**e (the defaults
+        0.1 and 0.99), decaying once per completed epoch."""
         data = toy_data()
         cfg = toy_train_config("bilstm-max", epochs=4)
+        step, used = ad.sgd_step, []
+
+        def spy(params, lr, clip_norm):
+            used.append(lr)
+            step(params, lr, clip_norm)
+
+        monkeypatch.setattr(ad, "sgd_step", spy)
         rec = train(cfg, data, tmp_path / "run")
-        for e, entry in enumerate(rec.epochs):
-            assert entry["lr"] == pytest.approx(0.1 * 0.99 ** e, rel=1e-12)
-        lrs = [e["lr"] for e in rec.epochs]
+        lrs = [0.1 * 0.99 ** e for e in range(4)]
+        assert [entry["lr"] for entry in rec.epochs] == lrs
+        assert sorted(set(used), reverse=True) == lrs
         assert lrs == sorted(lrs, reverse=True)
 
     def test_best_epoch_optimizes_criterion(self, tmp_path):
@@ -202,10 +211,10 @@ class TestTrain:
         run.json are kept."""
         step = ad.sgd_step
 
-        def failing(params, state, clip_norm=None):
-            if state.epoch == 1:
+        def failing(params, lr, clip_norm):
+            if lr == 0.1 * 0.99:   # epoch 1's
                 raise ad.GradientError("non-finite gradient in ['w']")
-            step(params, state, clip_norm=clip_norm)
+            step(params, lr, clip_norm=clip_norm)
 
         monkeypatch.setattr(ad, "sgd_step", failing)
         cfg = toy_train_config("bilstm-max", epochs=3)
@@ -226,7 +235,6 @@ class TestTrain:
             data.vocab, data.table, np.random.default_rng(0))
         from nliexpl.data import make_batch
         batch = make_batch(data.train[:1], with_explanations=True)
-        state = ad.SgdState(base_lr=0.1, decay=0.99)
         params = model.params()
         losses = []
         for _ in range(50):
@@ -234,7 +242,7 @@ class TestTrain:
                 loss, _ = model.loss(batch, rng=None, alpha=0.6)
             losses.append(float(loss.data))
             ad.backward(tape, loss)
-            ad.sgd_step(params, state, None)
+            ad.sgd_step(params, 0.1, None)
         assert losses[-1] < losses[0]
 
 
