@@ -638,6 +638,21 @@ def test_every_allowed_entry_names_an_unrun_statement_or_a_one_way_branch(
         "these ALLOWED entries name no statement left unrun and no one-way branch"
 
 
+@pytest.mark.parametrize("script", ["traffic_digests.py", "variant_digests.py"])
+def test_a_digest_script_refuses_an_unpinned_environment(script):
+    """Outside PINNED_ENV, each digest script prints nothing, names every
+    pin that is unset or set to another value, and exits 1."""
+    env = {k: v for k, v in os.environ.items() if k not in PINNED_ENV}
+    env.update(OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, str(Path(__file__).parent / script)],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "OPENBLAS_NUM_THREADS is '2', not '1'" in proc.stderr
+    for pin in set(PINNED_ENV) - {"OPENBLAS_NUM_THREADS"}:
+        assert f"{pin} is unset" in proc.stderr
+
+
 def test_every_command_writes_the_recorded_outputs():
     """Each invocation of the script, run under PINNED_ENV with no tracer,
     exits, prints, warns and writes files as `traffic_digests.py`

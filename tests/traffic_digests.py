@@ -14,7 +14,9 @@ prints them as JSON. `tests/fixtures/traffic_digests.json` holds the
 recorded ones, and `test_traffic.test_every_command_writes_the_recorded_
 outputs` runs this script under `variant_digests.PINNED_ENV` and
 compares. A change that moves an output records them again and says in
-CHANGES.md which output moved and why.
+CHANGES.md which output moved and why. Like `variant_digests.py`, it
+prints nothing and exits 1 outside PINNED_ENV, naming each pin that is
+unset or different.
 """
 
 import contextlib
@@ -106,5 +108,7 @@ def traffic_digests() -> dict:
 
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).parent))
+    from variant_digests import refuse_unpinned
+    refuse_unpinned()
     json.dump(traffic_digests(), sys.stdout, indent=1)
     print()

@@ -38,11 +38,14 @@ outputs did not.
 that moves the digests passes such a test against the code it replaces
 before they are recorded again. Float32 GEMM and SIMD results depend
 on the kernels picked, so it is run with the pins of `PINNED_ENV`: one
-OpenBLAS thread, Haswell GEMM kernels and no AVX-512 numpy loops.
+OpenBLAS thread, Haswell GEMM kernels and no AVX-512 numpy loops. Run
+in any other environment, it prints nothing, names each pin that is
+unset or different, and exits 1.
 """
 
 import hashlib
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -51,6 +54,24 @@ import numpy as np
 
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": "Haswell",
               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+
+def unpinned() -> list[str]:
+    """A line for each pin of PINNED_ENV that the environment leaves unset
+    or sets to another value."""
+    return [f"{k} is {os.environ[k]!r}, not {v!r}" if k in os.environ
+            else f"{k} is unset, not {v!r}"
+            for k, v in PINNED_ENV.items() if os.environ.get(k) != v]
+
+
+def refuse_unpinned() -> None:
+    """Exits 1 naming each pin that is not as PINNED_ENV sets it, so that
+    digests recorded under other kernels are never printed."""
+    if bad := unpinned():
+        sys.exit("refusing to record digests outside PINNED_ENV:\n"
+                 + "\n".join(bad))
+
 
 VARIANTS = ("bilstm-max", "hyp-to-label", "hyp-to-expl", "pred-expl",
             "expl-pred-seq2seq", "expl-pred-att", "expl-to-label", "autoenc")
@@ -107,6 +128,7 @@ def all_digests() -> dict:
 
 
 if __name__ == "__main__":
+    refuse_unpinned()
     sys.path.insert(0, str(Path(__file__).parent))
     json.dump(all_digests(), sys.stdout, indent=1)
     print()
