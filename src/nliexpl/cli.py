@@ -89,7 +89,7 @@ def _start_run(args, config: dict, inputs: list[Path]) -> Path:
     manifest = {
         "version": __version__,
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "config": config,
         "inputs": hashed,
         "environment": {   # what float rounding and speed depend on
@@ -504,7 +504,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Runs the command `argv` (the process's arguments when None, as the
+    console script calls it); returns its exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     args = build_parser().parse_args(argv)
+    args.argv = argv   # what the manifest records
     if args.command in MODEL_COMMANDS and not any(map(os.environ.get,
                                                       BLAS_THREAD_VARS)):
         print("warning: neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is "

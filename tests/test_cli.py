@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -956,6 +957,21 @@ class TestBleuCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("bleu 1.000000")
+
+    def test_manifest_records_the_argv_main_ran(self, tmp_path, monkeypatch):
+        """In-process, `main(argv)` records argv, not its host process's
+        arguments; `main()` reads and records the process's, as the
+        console script runs."""
+        (tmp_path / "cand.txt").write_text("a dog runs\n")
+        argv = ["bleu", "--candidates", str(tmp_path / "cand.txt"),
+                "--references", str(tmp_path / "cand.txt"),
+                "--out-root", str(tmp_path / "runs")]
+        monkeypatch.setattr(sys, "argv", ["host", "--stray", "arg"])
+        assert main(argv) == 0
+        monkeypatch.setattr(sys, "argv", ["nliexpl", *argv])
+        assert main() == 0
+        assert [json.loads((d / "manifest.json").read_text())["argv"]
+                for d in run_dirs(tmp_path / "runs")] == [argv, argv]
 
     def test_misaligned_references_exit_1(self, tmp_path, capsys):
         """The message names each file and its line count."""

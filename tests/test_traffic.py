@@ -53,6 +53,7 @@ import warnings
 from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -290,10 +291,13 @@ def _one_way(codes: dict):
 
 def _run(argv, code=0):
     """`nliexpl argv`, which must exit with `code`: the traced run's
-    runner. `traffic_digests.Recorder` is the recorded run's."""
+    runner. `traffic_digests.Recorder` is the recorded run's. Both call
+    `cli.main()` as the console script does, on sys.argv; perfbench's
+    corpus-quality workload passes main its argv."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        got = cli.main([str(a) for a in argv])
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(sys, "argv", ["nliexpl", *map(str, argv)]):
+        got = cli.main()
     assert got == code, (argv, out.getvalue(), err.getvalue())
 
 

@@ -28,6 +28,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from nliexpl import cli
 
@@ -77,9 +78,10 @@ class Recorder:
         before = _files(self.root)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as caught:
+                warnings.catch_warnings(record=True) as caught, \
+                mock.patch.object(sys, "argv", ["nliexpl", *argv]):
             warnings.simplefilter("always")
-            got = cli.main(argv)
+            got = cli.main()   # as the console script calls it
         written = [p for p, stat in _files(self.root).items()
                    if before.get(p) != stat]
         self.entries[f"{len(self.entries):02d}"] = {
