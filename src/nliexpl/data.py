@@ -267,7 +267,8 @@ def csv_rows(path, required, id_of, error: type[Exception]):
     being the line of the file that the row ends on, and `id_of(cells,
     line)` gives a row's id. Raises `error` naming the file and the line
     for bytes that are not UTF-8, a `required` column missing from the
-    header, a row with more cells than the header and a repeated id."""
+    header, a row with more or fewer cells than the header and a
+    repeated id."""
     with open_text(path, error, newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
@@ -282,6 +283,10 @@ def csv_rows(path, required, id_of, error: type[Exception]):
                 if None in cells:   # DictReader's key for cells past the header
                     raise error(f"{path}:{line}: {len(header) + len(cells[None])} "
                                 f"cells, more than the header's {len(header)}")
+                if None in cells.values():   # its value for cells short of it
+                    given = len(header) - list(cells.values()).count(None)
+                    raise error(f"{path}:{line}: {given} cells, fewer than the "
+                                f"header's {len(header)}")
                 row_id = id_of(cells, line)
                 if row_id in first_line:
                     raise error(f"{path}: example id {row_id!r} repeated on "
@@ -313,12 +318,12 @@ def load_corpus(path, split: str,
     skipped = 0
     with corpus_rows(path, colmap) as (_, rows):
         for rownum, example_id, row in rows:
-            label = (row.get(colmap.gold_label) or "").strip().lower()
+            label = row[colmap.gold_label].strip().lower()
             if label not in LABELS:
                 skipped += 1
                 continue
-            premise_text = (row.get(colmap.premise) or "").strip()
-            hypothesis_text = (row.get(colmap.hypothesis) or "").strip()
+            premise_text = row[colmap.premise].strip()
+            hypothesis_text = row[colmap.hypothesis].strip()
             expl_texts = []
             for col in colmap.explanations:
                 cell = (row.get(col) or "").strip()

@@ -158,12 +158,12 @@ def load_annotations(path) -> list[AnnotationRecord]:
         for rownum, example_id, row in rows:
             try:
                 k, n = int(row["k"]), int(row["n"])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise EvaluationError(
                     f"{path}:{rownum}: k and n must be integers, got "
                     f"{row['k']!r} and {row['n']!r}") from None
             flag = row["predicted_label_correct"]
-            correct = _FLAGS.get((flag or "").strip().lower())
+            correct = _FLAGS.get(flag.strip().lower())
             if correct is None:
                 raise EvaluationError(
                     f"{path}:{rownum}: predicted_label_correct must be one of "

@@ -239,6 +239,21 @@ class TestFilterCommand:
         assert code == 1
         assert "repeated on rows 2 and 4" in capsys.readouterr().err
 
+    def test_short_row_exits_1_with_no_run_directory(self, tmp_path, capsys):
+        """A row that stops before the header's last column is refused,
+        named by its line, before a run directory is made."""
+        corpus = tmp_path / "c.csv"
+        write_corpus_csv(corpus, make_examples(3, seed=3))
+        width = corpus.read_text().splitlines()[0].count(",") + 1
+        with open(corpus, "a", encoding="utf-8") as fh:
+            fh.write("short,neutral,a dog\n")
+        code = main(["filter", "--input", str(corpus),
+                     "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus}:5: 3 cells, fewer than the header's {width}\n")
+        assert not (tmp_path / "runs").exists()
+
     def test_missing_file_exits_1(self, tmp_path, capsys):
         code = main(["filter", "--input", str(tmp_path / "nope.csv"),
                      "--out-root", str(tmp_path / "runs")])

@@ -298,7 +298,7 @@ class TestCsvRows:
     }
 
     @pytest.mark.parametrize("reader", sorted(READERS))
-    @pytest.mark.parametrize("fault", ["missing column", "long row",
+    @pytest.mark.parametrize("fault", ["missing column", "long row", "short row",
                                        "repeated id", "not UTF-8"])
     def test_a_fault_reads_alike_in_both_readers(self, tmp_path, reader, fault):
         load, error, header, row, last = self.READERS[reader]
@@ -311,6 +311,9 @@ class TestCsvRows:
         elif fault == "long row":
             rows[1] += ",extra"
             expected = f"{path}:3: {width + 1} cells, more than the header's {width}"
+        elif fault == "short row":
+            rows[1] = rows[1].rsplit(",", 2)[0]
+            expected = f"{path}:3: {width - 2} cells, fewer than the header's {width}"
         elif fault == "repeated id":
             rows[2] = row.format("a")
             expected = f"{path}: example id 'a' repeated on rows 2 and 4"

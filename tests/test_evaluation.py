@@ -279,7 +279,7 @@ class TestExplAtK:
         ("id,predicted_label_correct,k,n\na,true,1,1\nb,true,one,2\n",
          r"ann\.csv:3: k and n must be integers, got 'one' and '2'"),
         ("id,predicted_label_correct,k,n\na,true,1,1\nb,true,1\n",
-         r"ann\.csv:3: k and n must be integers"),
+         r"ann\.csv:3: 3 cells, fewer than the header's 4"),
         ("id,predicted_label_correct,k,n\na,1,1,1,extra\n",
          r"ann\.csv:2: 5 cells, more than the header's 4"),
         ("id,predicted_label_correct,k,n\na,true,1,1.5\n",

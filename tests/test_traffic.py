@@ -310,9 +310,8 @@ def _write_csv(path, header, rows):
 
 def _annotation_corpus(path):
     """The rows of `fixtures/annotation_cases.json`, with highlights,
-    plus an id-less row, one whose label is skipped, two short rows (no
-    label cell; no hypothesis cell) and one whose highlight indices lie
-    out of range."""
+    plus an id-less row, one whose label is skipped and one whose
+    highlight indices lie out of range."""
     def cell(v):
         return "" if v is None else "{" + ",".join(map(str, v)) + "}"
 
@@ -324,9 +323,8 @@ def _annotation_corpus(path):
     rows.append(["", first["label"], first["premise"], first["hypothesis"],
                  f"{first['premise']} implies {first['hypothesis']}", "", ""])
     rows.append(["skipped", "-", first["premise"], first["hypothesis"], "", "", ""])
-    rows += [["lonely"], ["short", "neutral", first["premise"]],
-             ["far", first["label"], first["premise"], first["hypothesis"],
-              f"{first['premise']} so {first['hypothesis']}", "{-1,99}", ""]]
+    rows.append(["far", first["label"], first["premise"], first["hypothesis"],
+                 f"{first['premise']} so {first['hypothesis']}", "{-1,99}", ""])
     _write_csv(path, ["pairID", "gold_label", "Sentence1", "Sentence2",
                       "Explanation_1", "Sentence1_Highlighted_1",
                       "Sentence2_Highlighted_1"], rows)
@@ -540,7 +538,8 @@ def _traffic(d: Path, monkeypatch, run):
          "--out-root", runs])
 
     # refused: an empty corpus file; annotations whose flag column comes
-    # last, on a row that stops before it; checkpoints whose manifest gives
+    # last, on a row that stops before it (fewer cells than the header);
+    # checkpoints whose manifest gives
     # a tensor's offset as a string and as a boolean; a model size and an
     # epoch count below 1
     (d / "empty.csv").write_text("")
@@ -559,6 +558,12 @@ def _traffic(d: Path, monkeypatch, run):
     for flag in ("--encoder", "--epochs"):
         run(["train", "--config", cfg, "--variant", "bilstm-max", flag, "0",
              "--out-root", runs], code=1)
+    # refused: a corpus whose last rows stop early, after the id and
+    # after the premise (fewer cells than the header)
+    shutil.copy(d / "cases.csv", d / "short.csv")
+    with open(d / "short.csv", "a", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["lonely"], ["short", "neutral", "a dog"]])
+    run(["filter", "--input", d / "short.csv", "--out-root", runs], code=1)
 
 
 def _perfbench(d: Path):
