@@ -45,12 +45,12 @@ def label_accuracy(preds, golds) -> float:
 # BLEU
 
 
-def _ngrams(tokens, n) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
-def _closest_ref_len(cand_len: int, refs) -> int:
-    return min((abs(len(r) - cand_len), len(r)) for r in refs)[1]
+def _ngrams(tokens) -> Counter:
+    """Counts of the n-grams of orders 1..BLEU_MAX_N; a gram's length is n."""
+    grams = []
+    for n in range(1, BLEU_MAX_N + 1):
+        grams += zip(*[tokens[i:] for i in range(n)])
+    return Counter(grams)
 
 
 def bleu(candidates, reference_sets) -> float:
@@ -58,7 +58,8 @@ def bleu(candidates, reference_sets) -> float:
 
     `candidates` is a list of token lists; `reference_sets[i]` is the
     list of reference token lists for candidate i (at least one
-    non-empty reference each).
+    non-empty reference each; empty ones are dropped). Each candidate
+    n-gram is clipped to its highest count in one reference.
     """
     if not candidates:
         raise EvaluationError("empty candidate corpus")
@@ -73,18 +74,17 @@ def bleu(candidates, reference_sets) -> float:
         if not refs:
             raise EvaluationError("candidate with no non-empty reference")
         cand_len += len(cand)
-        ref_len += _closest_ref_len(len(cand), refs)
-        for n in range(1, BLEU_MAX_N + 1):
-            counts = _ngrams(cand, n)
-            if not counts:
-                continue
-            max_ref = Counter()
-            for r in refs:
-                for gram, c in _ngrams(r, n).items():
-                    if c > max_ref[gram]:
-                        max_ref[gram] = c
-            clipped[n] += sum(min(c, max_ref[g]) for g, c in counts.items())
-            totals[n] += sum(counts.values())
+        ref_len += min((abs(len(r) - len(cand)), len(r)) for r in refs)[1]
+        ref_counts = [_ngrams(r) for r in refs]
+        for gram, c in _ngrams(cand).items():
+            most = 0   # the gram's highest count in one reference
+            for counts in ref_counts:
+                k = counts.get(gram, 0)
+                if k > most:
+                    most = k
+            n = len(gram)
+            clipped[n] += c if c < most else most
+            totals[n] += c
     log_sum = 0.0
     for n in range(1, BLEU_MAX_N + 1):
         num, den = clipped[n], totals[n]

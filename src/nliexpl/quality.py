@@ -5,8 +5,8 @@ An explanation is uninformative when its edit distance to any template,
 instantiated with the full premise/hypothesis, falls strictly below 10
 characters, after normalization (lowercase, whitespace runs collapsed,
 one trailing period stripped) so casing and punctuation noise cannot
-dominate. `edit_distance` is exact Levenshtein, bit-parallel (Myers 1999,
-Hyyro 2003); given a `limit`, it is exact below it and `limit` otherwise.
+dominate. `edit_distances` is exact Levenshtein, bit-parallel (Myers 1999,
+Hyyro 2003), all templates in one pass (Hyyro, Fredriksson, Navarro 2005).
 """
 
 from __future__ import annotations
@@ -116,42 +116,44 @@ def normalize(text: str) -> str:
     return text
 
 
-def edit_distance(a: str, b: str, limit: int | None) -> int:
-    """Character-level Levenshtein distance with unit costs: Myers' bit-
-    parallel algorithm (J. ACM 1999) in Hyyro's 2003 form, on Python ints.
-    With `limit`, any distance >= limit is reported as `limit`; the loop
-    stops once the last cell minus the characters left reaches it, since
-    adjacent cells differ by at most one."""
-    if a == b:
-        return 0
-    if len(a) < len(b):
-        a, b = b, a
-    m, n = len(a), len(b)
-    limit = m + 1 if limit is None else limit
-    if m - n >= limit:
-        return limit
+def edit_distances(texts: list[str], patterns: list[str]) -> list[list[int]]:
+    """Character-level Levenshtein distance, unit costs, of each text to
+    each pattern: `[[d(t, p) for p in patterns] for t in texts]`. Myers'
+    algorithm (J. ACM 1999) in Hyyro's 2003 form, all patterns packed into
+    one Python int (Hyyro, Fredriksson and Navarro, JEA 2005): one pass per
+    text. A zero guard bit after each pattern takes the carry out of its
+    `(eq & pv) + pv`; `starts` sets each one's row-0 delta to +1."""
     peq: dict[str, int] = {}
-    for i, c in enumerate(a):
-        peq[c] = peq.get(c, 0) | 1 << i
-    full, high = (1 << m) - 1, 1 << (m - 1)
-    # bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1; score = D[m][j]
-    pv, mv, score, stop = full, 0, m, limit + n
-    for j, c in enumerate(b, 1):
-        eq = peq.get(c, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = (mv | ~(xh | pv)) & full
-        mh = pv & xh
-        if ph & high:
-            score += 1
-        elif mh & high:
-            score -= 1
-        if score + j >= stop:
-            return limit
-        ph = (ph << 1) | 1
-        pv = (mh << 1) | (full & ~(xv | ph))
-        mv = ph & xv
-    return score
+    blocks = []   # (offset, width mask) of each pattern
+    starts = mask = off = 0
+    for p in patterns:
+        own: dict[str, int] = {}
+        for i, c in enumerate(p):
+            own[c] = own.get(c, 0) | 1 << i
+        for c, bits in own.items():
+            peq[c] = peq.get(c, 0) | bits << off
+        width = (1 << len(p)) - 1
+        blocks.append((off, width))
+        starts |= 1 << off
+        mask |= width << off
+        off += len(p) + 1
+    out = []
+    for text in texts:
+        # bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1 within a pattern
+        pv, mv = mask, 0
+        for c in text:
+            eq = peq.get(c, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ~(xh | pv)
+            mh = pv & xh
+            ph = (ph << 1) | starts
+            pv = ((mh << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+        # D[m][n] = D[0][n] + the pattern's vertical deltas, D[0][n] = n
+        out.append([len(text) + (pv >> o & w).bit_count() - (mv >> o & w).bit_count()
+                    for o, w in blocks])
+    return out
 
 
 def instantiate_templates(premise: str, hypothesis: str, label: str) -> list[str]:
@@ -174,21 +176,15 @@ class FilterResult:
 def filter_example(example, threshold: int) -> list[FilterResult]:
     """Each explanation's FilterResult, in the example's order: the first
     template at the minimum distance, uninformative iff that distance is
-    strictly below `threshold`. Templates are instantiated and normalized
-    once."""
-    templates = [(t, normalize(t)) for t in instantiate_templates(
-        example.premise_text, example.hypothesis_text, example.label)]
+    strictly below `threshold`. Templates are instantiated, normalized
+    and packed once per example."""
+    templates = instantiate_templates(example.premise_text,
+                                      example.hypothesis_text, example.label)
     results = []
-    for explanation in example.explanation_texts:
-        norm_expl = normalize(explanation)
-        best_d, best_t = None, ""
-        for candidate, norm in templates:
-            d = edit_distance(norm_expl, norm, limit=best_d)
-            if best_d is None or d < best_d:
-                best_d, best_t = d, candidate
-                if best_d == 0:
-                    break
-        results.append(FilterResult(best_d < threshold, best_t, best_d))
+    for ds in edit_distances([normalize(e) for e in example.explanation_texts],
+                             [normalize(t) for t in templates]):
+        best = min(ds)
+        results.append(FilterResult(best < threshold, templates[ds.index(best)], best))
     return results
 
 

@@ -18,90 +18,122 @@ FIXTURES = Path(__file__).parent / "fixtures"
 short_text = st.text(alphabet="abcdef ", max_size=12)
 
 # few letters so characters repeat, plus non-ASCII; up to 200 characters
-# so the bit vectors span several 30-bit CPython int digits
+# so that 40 packed patterns span hundreds of 30-bit CPython int digits
 WIDE_ALPHABET = "aab e\u00e9\u00fc\u4e2d"
 long_text = st.integers(0, 200).flatmap(lambda n: st.one_of(
     st.text(alphabet=WIDE_ALPHABET, min_size=n, max_size=n),
     st.text(min_size=n, max_size=n)))
-LIMITS = (None, *range(1, 13), 10_000)
 
 
 @st.composite
-def near_pairs(draw):
-    """(a, b) with b a few random edits away from a, so distances fall
-    on both sides of the small limits."""
-    a = draw(long_text)
-    b = list(a)
+def near(draw, text):
+    """`text` after a few random edits, so that distances stay small."""
+    out = list(text)
     for _ in range(draw(st.integers(0, 14))):
-        i = draw(st.integers(0, len(b)))
+        i = draw(st.integers(0, len(out)))
         c = draw(st.sampled_from(WIDE_ALPHABET))
         op = draw(st.sampled_from("ids"))
         if op == "i":
-            b.insert(i, c)
-        elif i < len(b):
+            out.insert(i, c)
+        elif i < len(out):
             if op == "d":
-                del b[i]
+                del out[i]
             else:
-                b[i] = c
-    return a, "".join(b)
+                out[i] = c
+    return "".join(out)
+
+
+@st.composite
+def packed_cases(draw):
+    """(texts, patterns): 0-40 patterns, repeated ones among them as in
+    the shipped contradiction list, and texts that are empty, free or a
+    few edits off a pattern."""
+    n = draw(st.integers(0, 40))
+    patterns = draw(st.lists(st.one_of(st.just(""), long_text),
+                             min_size=n, max_size=n))
+    if patterns:
+        patterns += draw(st.lists(st.sampled_from(patterns), max_size=3))
+        patterns = draw(st.permutations(patterns))
+    texts = draw(st.lists(st.one_of(
+        st.just(""), long_text,
+        *([st.sampled_from(patterns).flatmap(near)] if patterns else [])),
+        min_size=1, max_size=2))
+    return texts, patterns
+
+
+def _oracle(texts, patterns):
+    return [[levenshtein_full(t, p) for p in patterns] for t in texts]
 
 
 class TestEditDistance:
     def test_identity(self):
-        assert Q.edit_distance("abc", "abc", None) == 0
+        assert Q.edit_distances(["abc"], ["abc", "abc"]) == [[0, 0]]
 
     def test_kitten_sitting(self):
         assert levenshtein_full("kitten", "sitting") == 3
-        assert Q.edit_distance("kitten", "sitting", None) == 3
+        assert Q.edit_distances(["kitten", "sitting"], ["sitting", "kitten"]) \
+            == [[3, 0], [0, 3]]
 
     def test_pure_insertions(self):
-        assert Q.edit_distance("", "abcd", None) == 4
-        assert Q.edit_distance("abcd", "", None) == 4
+        assert Q.edit_distances(["", "abcd"], ["abcd", "", "ab"]) \
+            == [[4, 0, 2], [0, 4, 2]]
+
+    def test_no_texts_or_no_patterns(self):
+        assert Q.edit_distances(["abc", ""], []) == [[], []]
+        assert Q.edit_distances([], ["abc"]) == []
 
     def test_matches_full_matrix_oracle(self):
         rng = np.random.default_rng(0)
-        letters = "abcde"
-        for _ in range(300):
-            a = "".join(rng.choice(list(letters), size=rng.integers(0, 12)))
-            b = "".join(rng.choice(list(letters), size=rng.integers(0, 12)))
-            assert Q.edit_distance(a, b, None) == levenshtein_full(a, b)
+        letters = list("abcde")
 
-    def test_banded_limit_caps(self):
-        rng = np.random.default_rng(1)
-        letters = "abc"
-        for _ in range(300):
-            a = "".join(rng.choice(list(letters), size=rng.integers(0, 15)))
-            b = "".join(rng.choice(list(letters), size=rng.integers(0, 15)))
-            true_d = levenshtein_full(a, b)
-            for limit in (1, 3, 10):
-                capped = Q.edit_distance(a, b, limit=limit)
-                assert capped == min(true_d, limit)
+        def word():
+            return "".join(rng.choice(letters, size=rng.integers(0, 12)))
+
+        for _ in range(60):
+            texts = [word() for _ in range(rng.integers(0, 4))]
+            patterns = [word() for _ in range(rng.integers(0, 10))]
+            assert Q.edit_distances(texts, patterns) == _oracle(texts, patterns)
 
     def test_metric_properties_on_random_triples(self):
         rng = np.random.default_rng(2)
-        letters = "abcd"
-        for _ in range(1000):
-            a, b, c = ("".join(rng.choice(list(letters), size=rng.integers(0, 8)))
-                       for _ in range(3))
-            dab = Q.edit_distance(a, b, None)
-            assert dab == Q.edit_distance(b, a, None)
-            assert (dab == 0) == (a == b)
-            assert dab <= Q.edit_distance(a, c, None) + Q.edit_distance(c, b, None)
+        letters = list("abcd")
+        for _ in range(300):
+            words = ["".join(rng.choice(letters, size=rng.integers(0, 8)))
+                     for _ in range(3)]
+            d = Q.edit_distances(words, words)
+            for i, a in enumerate(words):
+                for j, b in enumerate(words):
+                    assert d[i][j] == d[j][i]
+                    assert (d[i][j] == 0) == (a == b)
+                    assert all(d[i][j] <= d[i][k] + d[k][j] for k in range(3))
 
-    @given(short_text, short_text)
+    def test_forty_long_patterns(self):
+        """40 patterns of 150-200 characters pack into more than 6000 bits,
+        over 200 CPython int digits, with one of them repeated."""
+        rng = np.random.default_rng(5)
+        letters = list(WIDE_ALPHABET)
+
+        def word(n):
+            return "".join(rng.choice(letters, size=n))
+
+        patterns = [word(rng.integers(150, 201)) for _ in range(39)]
+        patterns.insert(20, patterns[7])
+        texts = ["", word(180), patterns[7][:170] + word(12)]
+        assert sum(len(p) + 1 for p in patterns) > 6000
+        assert Q.edit_distances(texts, patterns) == _oracle(texts, patterns)
+
+    @given(st.lists(short_text, max_size=3), st.lists(short_text, max_size=6))
     @settings(max_examples=80, deadline=None)
-    def test_hypothesis_agrees_with_oracle(self, a, b):
-        assert Q.edit_distance(a, b, None) == levenshtein_full(a, b)
+    def test_hypothesis_agrees_with_oracle(self, texts, patterns):
+        assert Q.edit_distances(texts, patterns) == _oracle(texts, patterns)
 
-    @given(st.one_of(st.tuples(long_text, long_text), near_pairs()))
-    @settings(max_examples=150, deadline=None)
-    def test_limit_contract_on_long_strings(self, pair):
-        a, b = pair
-        true_d = levenshtein_full(a, b)
-        for limit in LIMITS:
-            want = true_d if limit is None else min(true_d, limit)
-            assert Q.edit_distance(a, b, limit) == want, limit
-            assert Q.edit_distance(b, a, limit) == want, limit
+    @given(packed_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_packed_patterns_agree_with_oracle(self, case):
+        """Each pattern's distance is its own: no carry or start bit
+        crosses from one packed pattern into the next."""
+        texts, patterns = case
+        assert Q.edit_distances(texts, patterns) == _oracle(texts, patterns)
 
 
 class TestNormalize:
