@@ -104,9 +104,11 @@ def _start_run(args, config: dict, inputs: list[Path]) -> Path:
     return run_dir
 
 
-def _check_outputs(args) -> None:
-    """Refuses an --out-root under a file, and an --out or --survivors
-    that is a directory or whose directory does not exist."""
+def _check_flags(args) -> None:
+    """Refuses a negative --threshold, an --out-root under a file, and an
+    --out or --survivors that is a directory or in no existing directory."""
+    if getattr(args, "threshold", 0) < 0:
+        raise ConfigError(f"--threshold {args.threshold}: must be 0 or more")
     root = Path(args.out_root)
     nearest = next(p for p in (root, *root.parents) if p.exists())
     if not nearest.is_dir():
@@ -514,7 +516,7 @@ def main(argv=None) -> int:
         print("warning: neither OPENBLAS_NUM_THREADS nor OMP_NUM_THREADS is "
               "set; see 'BLAS threads' in README.md", file=sys.stderr)
     try:
-        _check_outputs(args)
+        _check_flags(args)
         return args.fn(args, _resolved_config(args))
     except INPUT_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)

@@ -198,6 +198,16 @@ class TestFilterCommand:
         assert rows() == want and ("1", "0") in {(f, d) for f, _, d in want}
         assert {f for f, _, _ in rows("--threshold", "0")} == {"0"}
 
+    def test_negative_threshold_exits_1_before_reading(self, tmp_path, capsys):
+        """A negative --threshold would filter nothing, since distances
+        are >= 0: it is refused before the corpus is read (here it does
+        not exist) or a run directory opens."""
+        code = main(["filter", "--input", str(tmp_path / "missing.csv"),
+                     "--threshold", "-3", "--out-root", str(tmp_path / "runs")])
+        assert code == 1
+        assert "--threshold -3" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     def test_survivors_copy_reads_ids_as_load_corpus_does(self, tmp_path):
         """Rows with no id cell are "row<N>" to both reads, and a corpus
         with no data row still gets the header line."""

@@ -121,7 +121,7 @@ ALLOWED = {
                                     "first use: the worker uses none",
     "autodiff._new_worker": "runs at import and in a forked child "
                             "(test_runs_in_a_forked_child)",
-    "cli._check_outputs: nearest = next(p for p in (root, *root.parents) if p.exists())":
+    "cli._check_flags: nearest = next(p for p in (root, *root.parents) if p.exists())":
         "a path with no existing ancestor: the last one, / or ., exists",
     "cli.cmd_grid: decoders = list(DECODER_GRID)":
         "the default sweep trains decoders 512 to 4096 wide, hundreds of MB "
@@ -564,6 +564,9 @@ def _traffic(d: Path, monkeypatch, run):
     with open(d / "short.csv", "a", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows([["lonely"], ["short", "neutral", "a dog"]])
     run(["filter", "--input", d / "short.csv", "--out-root", runs], code=1)
+    # refused: a negative filter threshold
+    run(["filter", "--input", d / "cases.csv", "--threshold", "-3",
+         "--out-root", runs], code=1)
 
 
 def _perfbench(d: Path):
