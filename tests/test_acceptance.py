@@ -312,7 +312,7 @@ def test_criterion_3_attention_oracle():
 
 
 def test_criterion_4_bleu_oracle():
-    """Corpus BLEU matches brute force to 1e-9; BLEU(c, {c}) == 1.0."""
+    """Corpus BLEU equals brute force exactly; BLEU(c, {c}) == 1.0."""
     t0 = time.monotonic()
     rng = np.random.default_rng(7)
     words = ["a", "b", "c", "d", "e", "f"]
@@ -327,11 +327,11 @@ def test_criterion_4_bleu_oracle():
                          for _ in range(rng.integers(1, 4))])
         got = corpus_bleu(cands, refs)
         want = brute_force_bleu(cands, refs)
-        assert abs(got - want) < 1e-9, f"trial {trial}: {got} vs {want}"
+        assert got == want, f"trial {trial}: {got} vs {want}"
     for length in (1, 2, 3, 4, 9):
         cand = [words[rng.integers(6)] for _ in range(length)]
         assert corpus_bleu([cand], [[list(cand)]]) == 1.0
-    _report(4, "20 random corpora match the brute-force oracle to 1e-9; "
+    _report(4, "20 random corpora equal the brute-force oracle exactly; "
                "self-BLEU is exactly 1.0", t0, budget=10)
 
 

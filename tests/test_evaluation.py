@@ -86,9 +86,22 @@ class TestBleu:
                 refs.append([[words[rng.integers(5)]
                               for _ in range(rng.integers(1, 9))]
                              for _ in range(rng.integers(1, 4))])
-            np.testing.assert_allclose(E.bleu(cands, refs),
-                                       brute_force_bleu(cands, refs),
-                                       atol=1e-9)
+            assert E.bleu(cands, refs) == brute_force_bleu(cands, refs)
+
+    @given(st.lists(st.tuples(
+        st.lists(st.sampled_from(["a", "b", "c"]), max_size=6),
+        st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=6),
+                 min_size=1, max_size=4).filter(any)), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_repeated_ngrams_and_empty_orders_match_brute_force(self, corpus):
+        """Three words, so n-grams repeat; candidates of 0-6 tokens, so
+        some orders have no n-gram; empty references, which `bleu` drops
+        and the oracle is given without. After the counts both do the
+        same float operations, so the scores are equal."""
+        cands = [c for c, _ in corpus]
+        refs = [r for _, r in corpus]
+        assert E.bleu(cands, refs) == brute_force_bleu(
+            cands, [[r for r in rs if r] for rs in refs])
 
     @given(st.lists(st.tuples(sentence, st.lists(sentence, min_size=1,
                                                  max_size=3)),
