@@ -128,8 +128,10 @@ def edit_distances(texts: list[str], patterns: list[str]) -> list[list[int]]:
     starts = mask = off = 0
     for p in patterns:
         own: dict[str, int] = {}
-        for i, c in enumerate(p):
-            own[c] = own.get(c, 0) | 1 << i
+        bit = 1
+        for c in p:
+            own[c] = own.get(c, 0) | bit
+            bit <<= 1
         for c, bits in own.items():
             peq[c] = peq.get(c, 0) | bits << off
         width = (1 << len(p)) - 1
@@ -139,18 +141,18 @@ def edit_distances(texts: list[str], patterns: list[str]) -> list[list[int]]:
         off += len(p) + 1
     out = []
     for text in texts:
-        # bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1 within a pattern
+        # bit i of pv/mv: D[i+1][j] - D[i][j] is +1/-1 in a pattern, so its
+        # D[m][n] = n + popcounts; `mask ^` is a ~ that keeps ints nonnegative
         pv, mv = mask, 0
         for c in text:
             eq = peq.get(c, 0)
             xv = eq | mv
             xh = (((eq & pv) + pv) ^ pv) | eq
-            ph = mv | ~(xh | pv)
+            ph = mv | (mask ^ (xh | pv))
             mh = pv & xh
             ph = (ph << 1) | starts
-            pv = ((mh << 1) | ~(xv | ph)) & mask
+            pv = ((mh << 1) | (mask ^ (xv | ph))) & mask
             mv = ph & xv
-        # D[m][n] = D[0][n] + the pattern's vertical deltas, D[0][n] = n
         out.append([len(text) + (pv >> o & w).bit_count() - (mv >> o & w).bit_count()
                     for o, w in blocks])
     return out
