@@ -13,6 +13,7 @@ from the variant class in `models`, where they are declared.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import math
@@ -31,6 +32,7 @@ log = logging.getLogger(__name__)
 
 ALPHA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 DECODER_GRID = (512, 1024, 2048, 4096)
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", lambda pad: 0)   # glibc's
 
 
 class TrainingError(RuntimeError):
@@ -105,11 +107,8 @@ class RunRecord:
     aborted: bool = False
     note: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=1)
-
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json(), encoding="utf-8")
+        Path(path).write_text(json.dumps(asdict(self), indent=1), encoding="utf-8")
 
 
 # selection criterion -> (validation metric, sign that makes higher better)
@@ -205,6 +204,7 @@ def train(config: TrainConfig, data: TrainData, out_dir) -> RunRecord:
                                              "criterion_value": value})
             record.checkpoint_path = str(ckpt_dir)
     record.save(out_dir / "run.json")
+    _malloc_trim(0)   # free heap back to the OS, so the next load is not on top
     return record
 
 

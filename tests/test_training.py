@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nliexpl import autodiff as ad
+from nliexpl import autodiff as ad, training
 from nliexpl.data import EmbeddingTable, build_vocab, encode_corpus
 from nliexpl.evaluation import (evaluate_model, label_accuracy, perplexity,
                                 predict_all)
@@ -194,6 +194,17 @@ class TestTrain:
         assert loaded.best_epoch == rec.best_epoch
         assert loaded.config["variant"] == "bilstm-max"
         assert len(loaded.epochs) == 2
+
+    def test_free_heap_goes_back_once_the_run_is_saved(self, tmp_path, monkeypatch):
+        """`train` ends with one `malloc_trim(0)`, after run.json is written,
+        so a checkpoint loaded next is not mapped on top of the heap that
+        the run's steps left free."""
+        calls = []
+        run_json = tmp_path / "run" / "run.json"
+        monkeypatch.setattr(training, "_malloc_trim",
+                            lambda pad: calls.append((pad, run_json.exists())))
+        train(toy_train_config("bilstm-max", epochs=2), toy_data(), tmp_path / "run")
+        assert calls == [(0, True)]
 
     def test_divergence_aborts_with_note(self, tmp_path):
         data = toy_data()
