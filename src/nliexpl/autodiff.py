@@ -109,8 +109,7 @@ def param(data, name: str) -> Tensor:
     return Tensor(data, is_param=True, name=name)
 
 
-def uniform_param(rng: np.random.Generator | None, shape, name: str,
-                  dtype=np.float32) -> Tensor:
+def uniform_param(rng: np.random.Generator | None, shape, name: str) -> Tensor:
     """Weight init: uniform in [-1/sqrt(fan_in), +1/sqrt(fan_in)], where
     fan_in is the last axis (the input width of a (out, in) weight).
 
@@ -118,9 +117,9 @@ def uniform_param(rng: np.random.Generator | None, shape, name: str,
     whose every parameter is about to be overwritten (a checkpoint load).
     """
     if rng is None:
-        return param(np.empty(shape, dtype=dtype), name)
+        return param(np.empty(shape, dtype=np.float32), name)
     bound = 1.0 / np.sqrt(shape[-1])
-    return param(rng.uniform(-bound, bound, size=shape).astype(dtype), name)
+    return param(rng.uniform(-bound, bound, size=shape).astype(np.float32), name)
 
 
 # ---------------------------------------------------------------------------
@@ -551,10 +550,10 @@ class LstmParams:
 
 
 def init_lstm(rng: np.random.Generator, input_dim: int, hidden: int,
-              prefix: str, dtype=np.float32) -> LstmParams:
-    wi = uniform_param(rng, (4 * hidden, input_dim), f"{prefix}.wi", dtype)
-    wh = uniform_param(rng, (4 * hidden, hidden), f"{prefix}.wh", dtype)
-    bias = np.zeros(4 * hidden, dtype=dtype)
+              prefix: str) -> LstmParams:
+    wi = uniform_param(rng, (4 * hidden, input_dim), f"{prefix}.wi")
+    wh = uniform_param(rng, (4 * hidden, hidden), f"{prefix}.wh")
+    bias = np.zeros(4 * hidden, dtype=np.float32)
     bias[hidden:2 * hidden] = 1.0  # forget gate
     b = param(bias, f"{prefix}.b")
     return LstmParams(wi=wi, wh=wh, b=b)

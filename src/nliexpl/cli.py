@@ -48,7 +48,7 @@ MODEL_COMMANDS = ("train", "grid", "eval", "generate", "repr-export")
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 INPUT_ERRORS = (ConfigError, CorpusFormatError, TrainingError, ModelError,
-                CheckpointError, EvaluationError, FileNotFoundError)
+                CheckpointError, EvaluationError)
 
 # The flags that set one config key: (flag, section, key, type, commands
 # taking it; None: every command). The parser adds them and

@@ -90,8 +90,6 @@ def load_config(path) -> dict[str, dict]:
     try:
         with open_text(path, ConfigError) as fh:
             parser.read_file(fh)
-    except OSError:
-        raise ConfigError(f"cannot read config file {path}") from None
     except configparser.Error as err:   # no section header, a repeated key
         raise ConfigError(" ".join(str(err).split())) from None
     config = empty_config()

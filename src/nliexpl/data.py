@@ -46,9 +46,14 @@ class CorpusFormatError(ValueError):
 @contextmanager
 def open_text(path, error: type[Exception] = CorpusFormatError,
               newline: str | None = None):
-    """`path` opened as UTF-8 text for reading. Bytes that are not UTF-8
-    raise `error` naming the file and the line that holds them."""
-    with open(path, encoding="utf-8", newline=newline) as fh:
+    """`path` opened as UTF-8 text for reading. A file that cannot be
+    opened, and bytes that are not UTF-8, raise `error` naming the file
+    (and the line that holds the bytes)."""
+    try:
+        fh = open(path, encoding="utf-8", newline=newline)
+    except OSError as err:
+        raise error(f"cannot read {path}: {err.strerror}") from None
+    with fh:
         try:
             yield fh
         except UnicodeDecodeError as err:
@@ -216,18 +221,24 @@ def load_embeddings(path, vocab: Vocabulary, dim: int) -> EmbeddingTable:
 
 @dataclass
 class Example:
-    """One NLI instance with explanations and optional highlights."""
+    """One NLI instance from its texts and each explanation's highlights
+    (None where unannotated); it tokenizes the texts itself."""
 
     id: str
-    premise: list[str]
-    hypothesis: list[str]
+    premise: list[str] = field(init=False)
+    hypothesis: list[str] = field(init=False)
     label: str
-    explanations: list[list[str]]
-    premise_text: str = ""
-    hypothesis_text: str = ""
-    explanation_texts: list[str] = field(default_factory=list)
-    premise_highlights: list[set[int] | None] = field(default_factory=list)
-    hypothesis_highlights: list[set[int] | None] = field(default_factory=list)
+    explanations: list[list[str]] = field(init=False)
+    premise_text: str
+    hypothesis_text: str
+    explanation_texts: list[str]
+    premise_highlights: list[set[int] | None]
+    hypothesis_highlights: list[set[int] | None]
+
+    def __post_init__(self):
+        self.premise = tokenize(self.premise_text)
+        self.hypothesis = tokenize(self.hypothesis_text)
+        self.explanations = [tokenize(t) for t in self.explanation_texts]
 
 
 @dataclass
@@ -322,8 +333,6 @@ def load_corpus(path, split: str,
             if label not in LABELS:
                 skipped += 1
                 continue
-            premise_text = row[colmap.premise].strip()
-            hypothesis_text = row[colmap.hypothesis].strip()
             expl_texts = []
             for col in colmap.explanations:
                 cell = (row.get(col) or "").strip()
@@ -335,12 +344,9 @@ def load_corpus(path, split: str,
                       for c in colmap.hypothesis_highlights[:max(1, len(expl_texts))]]
             examples.append(Example(
                 id=example_id,
-                premise=tokenize(premise_text),
-                hypothesis=tokenize(hypothesis_text),
                 label=label,
-                explanations=[tokenize(t) for t in expl_texts],
-                premise_text=premise_text,
-                hypothesis_text=hypothesis_text,
+                premise_text=row[colmap.premise].strip(),
+                hypothesis_text=row[colmap.hypothesis].strip(),
                 explanation_texts=expl_texts,
                 premise_highlights=p_high,
                 hypothesis_highlights=h_high,
@@ -400,8 +406,8 @@ class Batch:
     hypothesis: np.ndarray
     hypothesis_len: np.ndarray
     labels: np.ndarray
-    explanation: np.ndarray | None = None   # includes <bos>/<eos>
-    explanation_len: np.ndarray | None = None
+    explanation: np.ndarray | None   # includes <bos>/<eos>
+    explanation_len: np.ndarray | None
 
     @property
     def size(self) -> int:

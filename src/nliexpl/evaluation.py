@@ -216,7 +216,7 @@ class EvalReport:
     bleu: float | None = None
     expl_at_k: float | None = None
     counts: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    provenance: dict = field(kw_only=True)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1)

@@ -113,12 +113,11 @@ class WordEmbedding(_Part):
         if table.matrix.shape[0] != len(vocab):
             raise ModelError("embedding table does not match vocabulary size")
         self.frozen = np.asarray(table.matrix, dtype=np.float32)
-        self.dim = table.matrix.shape[1]
         self.slots = np.full(len(vocab), -1, dtype=np.int64)
         for slot, vid in enumerate(vocab.label_ids):
             self.slots[vid] = slot
         self.label_rows = ad.uniform_param(
-            rng, (len(vocab.label_ids), self.dim), "embedding.label_rows")
+            rng, (len(vocab.label_ids), table.dim), "embedding.label_rows")
 
     def lookup(self, ids: np.ndarray) -> ad.Tensor:
         return ad.embedding_lookup(self.frozen, ids, self.label_rows, self.slots)

@@ -57,6 +57,8 @@ class TrainConfig(ModelConfig):
                  for k in ("epochs", "batch_size") if getattr(self, k) < 1]
         if small:
             raise TrainingError("; ".join(small))
+        if self.seed < 0:
+            raise TrainingError(f"seed must be 0 or more, got {self.seed}")
         if not (math.isfinite(self.lr) and self.lr >= 0.0):
             raise TrainingError(f"lr must be finite and >= 0, got {self.lr}")
         if not 0.0 < self.decay <= 1.0:

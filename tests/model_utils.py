@@ -1,6 +1,7 @@
 """Shared builders and helpers for toy-scale model tests."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,10 +30,12 @@ def toy_setup(variant, n=6, seed=0, max_tokens=None, **cfg_kw):
     """
     examples = make_examples(n, seed=seed)
     if max_tokens is not None:
-        for e in examples:
-            e.premise = e.premise[:max_tokens]
-            e.hypothesis = e.hypothesis[:max_tokens]
-            e.explanations = [x[:max_tokens] for x in e.explanations]
+        def cut(text):   # a synthetic text's tokens are its words
+            return " ".join(text.split()[:max_tokens])
+        examples = [replace(e, premise_text=cut(e.premise_text),
+                            hypothesis_text=cut(e.hypothesis_text),
+                            explanation_texts=[cut(t) for t in e.explanation_texts])
+                    for e in examples]
     vocab = build_vocab([e.premise for e in examples]
                         + [e.hypothesis for e in examples]
                         + [e.explanations[0] for e in examples], min_count=1)
@@ -68,6 +71,15 @@ def cast_model(model, dtype):
     model.embedding.frozen = model.embedding.frozen.astype(dtype)
     for p in model.params().values():
         p.data = p.data.astype(dtype)
+
+
+def f64_lstm(rng, input_dim, hidden, prefix):
+    """`autodiff.init_lstm`'s cell with its parameters cast to float64,
+    for the finite-difference and oracle checks."""
+    cell = ad.init_lstm(rng, input_dim, hidden, prefix)
+    for p in (cell.wi, cell.wh, cell.b):
+        p.data = p.data.astype(np.float64)
+    return cell
 
 
 def report_from_json(text):

@@ -9,7 +9,7 @@ import csv
 
 import numpy as np
 
-from nliexpl.data import Example, tokenize
+from nliexpl.data import Example
 
 SUBJECTS = ["dog", "cat", "man", "woman", "bird", "boy", "girl", "horse",
             "runner", "child"]
@@ -58,10 +58,7 @@ def make_example(rng: np.random.Generator, idx: int, label: str,
     texts = variants[:n_explanations]
     return Example(
         id=f"syn{idx}",
-        premise=premise.split(),
-        hypothesis=hypothesis.split(),
         label=label,
-        explanations=[t.split() for t in texts],
         premise_text=premise,
         hypothesis_text=hypothesis,
         explanation_texts=texts,
@@ -96,9 +93,8 @@ def random_sentence(rng: np.random.Generator, n_words: int | None = None) -> str
 
 def text_example(premise: str, hypothesis: str, label: str,
                  *explanations: str) -> Example:
-    """An Example of these texts, tokenized as the corpus reader does."""
-    return Example(id="x", premise=tokenize(premise),
-                   hypothesis=tokenize(hypothesis), label=label,
-                   explanations=[tokenize(t) for t in explanations],
-                   premise_text=premise, hypothesis_text=hypothesis,
-                   explanation_texts=list(explanations))
+    """An Example of these texts, without highlights."""
+    return Example(id="x", label=label, premise_text=premise,
+                   hypothesis_text=hypothesis,
+                   explanation_texts=list(explanations),
+                   premise_highlights=[], hypothesis_highlights=[])

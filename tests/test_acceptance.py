@@ -25,8 +25,9 @@ from nliexpl.quality import (FILTER_THRESHOLD, HYPOTHESIS_SLOT, PREMISE_SLOT,
                              TEMPLATES, filter_example, normalize,
                              validate_annotation, instantiate_templates)
 from nliexpl.training import TrainConfig, TrainData, train
-from model_utils import (explain_then_predict, full_model_grad_check,
-                         label_alone, toy_config, toy_setup)
+from model_utils import (explain_then_predict, f64_lstm,
+                         full_model_grad_check, label_alone, toy_config,
+                         toy_setup)
 from oracles import (brute_force_bleu, levenshtein_full, max_rel_err,
                      numeric_grad, straight_line_attention)
 from synth import make_examples, random_sentence, text_example
@@ -155,7 +156,7 @@ def _op_level_checks():
          "h0": h0, "c0": c0, **{t.name: t for head in heads
                                 for t in (head.wc, head.bc, head.keys,
                                           head.values)}})
-    cells = [ad.init_lstm(rng, 3, 2, d, dtype=np.float64) for d in ("fwd", "bwd")]
+    cells = [f64_lstm(rng, 3, 2, d) for d in ("fwd", "bwd")]
     for cell in cells:
         cell.wi.data = rng.normal(size=cell.wi.shape) * 0.5
         cell.wh.data = rng.normal(size=cell.wh.shape) * 0.5
@@ -562,7 +563,8 @@ def test_criterion_10_padding_invariance_fuzz():
                           premise=ids_p[None, :], premise_len=np.array([lp]),
                           hypothesis=ids_h[None, :],
                           hypothesis_len=np.array([lh]),
-                          labels=np.array([0]))
+                          labels=np.array([0]), explanation=None,
+                          explanation_len=None)
             fv, *unread = model.features(batch)
             assert unread == [None, None]   # no attention head reads them
             states = [getattr(model, f"{name}_encoder").encode(

@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import sys
+import textwrap
 import threading
 import time
 import warnings
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import autodiff as ad
-from model_utils import toy_setup
+from model_utils import f64_lstm, toy_setup
 from oracles import (InlineExecutor, all_steps, backward_in_line,
                      bilstm_composed, column_max, dense_steps, gate_input_cell,
                      lstm_cell, lstm_layer_dense, lstm_gates_two_exp, lstm_step,
@@ -193,8 +194,7 @@ class TestSoftmax:
     def test_all_masked_is_error(self):
         """An attention row with no real key (key length 0), or more real
         keys than key rows, is a ShapeError."""
-        cell = ad.init_lstm(np.random.default_rng(0), 2 + 3, 2, "cell",
-                            dtype=np.float64)
+        cell = f64_lstm(np.random.default_rng(0), 2 + 3, 2, "cell")
         for lengths in ([0, 4], [2, 3]):
             head = ad.Attention(f64(np.zeros((2, 2))), f64(np.zeros(2)),
                                 f64(np.zeros((4, 2))), f64(np.zeros((4, 2))),
@@ -928,7 +928,7 @@ class TestLstmLayer:
         T, B, D, H = 8, len(lengths), 3, 4
         rng = np.random.default_rng(27)
         x = f64_param(rng.normal(size=(T, B, D)), "x")
-        cell = ad.init_lstm(rng, D, H, "cell", dtype=np.float64)
+        cell = f64_lstm(rng, D, H, "cell")
         cell.wh.data = cell.wh.data.view(_product_probe(products))
         with ad.Tape() as tape:
             loss = ad.sum_(ad.lstm_layer(x, cell, *zero_states(x, cell),
@@ -955,8 +955,7 @@ class TestLstmLayer:
         G, P = 4 * H, sum(lengths)
         rng = np.random.default_rng(27)
         x = f64_param(rng.normal(size=(T, B, D)), "x")
-        cells = [ad.init_lstm(rng, D, H, f"cell{k}", dtype=np.float64)
-                 for k in range(2)]
+        cells = [f64_lstm(rng, D, H, f"cell{k}") for k in range(2)]
         for t in (x, *(cell.wi for cell in cells)):
             t.data = t.data.view(Seen)
         with ad.Tape() as tape:
@@ -1011,8 +1010,8 @@ class TestLstmLayer:
             *(f64_param(rng.normal(size=shape), name) for name, shape in (
                 ("x", (1, D)), ("x3", (1, 1, D)), ("seq", (T, 1, D)),
                 ("cond", (1, C)), ("h0", (1, H)), ("c0", (1, H)))))
-        dec, *enc = (ad.init_lstm(rng, D + C * (k == 0), H, f"cell{k}",
-                                  dtype=np.float64) for k in range(3))
+        dec, *enc = (f64_lstm(rng, D + C * (k == 0), H, f"cell{k}")
+                     for k in range(3))
         seen(*(t for cell in (dec, *enc) for t in (cell.wi, cell.wh)))
         taped = {
             "linear 2-D": lambda: ad.linear(x, w, b),
@@ -1116,8 +1115,7 @@ class TestLstmLayer:
         """The step every LSTM path runs (`_lstm_step`) against the
         composed cell."""
         rng = np.random.default_rng(23)
-        params = ad.init_lstm(rng, input_dim=3, hidden=4, prefix="cell",
-                              dtype=np.float64)
+        params = f64_lstm(rng, input_dim=3, hidden=4, prefix="cell")
         x, h, c = (f64(rng.normal(size=(2, n))) for n in (3, 4, 4))
         h_ref, c_ref = lstm_cell(x, h, c, params)
         h2, c2 = _array_step(x, h, c, params)
@@ -1129,7 +1127,7 @@ class TestLstmLayer:
         record, whose inputs are x, the cell, h0, c0 and a cond Tensor if
         given."""
         rng = np.random.default_rng(28)
-        cell = ad.init_lstm(rng, 5, 2, "cell", dtype=np.float64)
+        cell = f64_lstm(rng, 5, 2, "cell")
         x, h0, c0, cond = (f64(rng.normal(size=shape)) for shape in
                            ((6, 3, 3), (3, 2), (3, 2), (3, 2)))
         with ad.Tape() as tape:
@@ -1146,7 +1144,7 @@ class TestLstmLayer:
 
     def test_shape_errors(self):
         rng = np.random.default_rng(29)
-        cell = ad.init_lstm(rng, 3, 2, "cell", dtype=np.float64)
+        cell = f64_lstm(rng, 3, 2, "cell")
         x, state = f64(np.zeros((3, 2, 3))), f64(np.zeros((2, 2)))
         every = all_steps(x)
         plain = dict(lengths=every, cond=[], rmask=None)
@@ -2647,12 +2645,15 @@ class TestNoDeadOptions:
     dressed as an option: each one in `src/nliexpl` is passed by some call
     of its function's name in `src/nliexpl` or `perfbench/` (its tests
     excluded) with a value other than the rest, or is a test seam named
-    here. Matching calls by name over-approximates "passed", so this can
-    miss a dead option but never fails a live one."""
+    here. Each `@dataclass` is a constructor called by its class name,
+    its fields the parameters, in `__init__`'s order. Matching calls by
+    name over-approximates "passed", so this can miss a dead option but
+    never fails a live one."""
 
     ROOT = Path(__file__).resolve().parent.parent
+    SRC = ROOT / "src" / "nliexpl"
+    CALLERS = (SRC, ROOT / "perfbench")
     TEST_SEAMS = {
-        "init_lstm(dtype)": "float64 cells for the finite-difference checks",
         "lstm_layer(reverse)": "the reverse-direction kernel run alone, on "
                                "gate inputs, with h0/c0/cond/rmask",
     }
@@ -2664,26 +2665,75 @@ class TestNoDeadOptions:
                                       "metadata; perfbench's model save "
                                       "leaves it out",
     }
+    # dataclass fields that every program construction passes, whose
+    # default the program reads itself -> where
+    READ_DEFAULTS = {
+        "TrainConfig(embed_dim)": "`config.DEFAULTS` gives it to [data] "
+                                  "embedding_dim, through `dataclasses.fields`",
+    }
 
     @staticmethod
-    def _definitions(src: Path):
+    def _tops(src: Path):
+        """Every module-level function and class definition in `src`."""
+        for path in sorted(src.glob("*.py")):
+            for top in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(top, (ast.ClassDef, ast.FunctionDef)):
+                    yield top
+
+    @classmethod
+    def _definitions(cls, src: Path):
         """(class or None, called name, function) for each module-level
         function and class method; a class is called by its name for
         `__init__`."""
-        for path in sorted(src.glob("*.py")):
-            for top in ast.parse(path.read_text(encoding="utf-8")).body:
-                if isinstance(top, ast.ClassDef):
-                    for f in top.body:
-                        if isinstance(f, ast.FunctionDef):
-                            yield top, top.name if f.name == "__init__" else f.name, f
-                elif isinstance(top, ast.FunctionDef):
-                    yield None, top.name, top
+        for top in cls._tops(src):
+            if isinstance(top, ast.FunctionDef):
+                yield None, top.name, top
+                continue
+            for f in top.body:
+                if isinstance(f, ast.FunctionDef):
+                    yield top, top.name if f.name == "__init__" else f.name, f
+
+    @staticmethod
+    def _decorator_name(node) -> str | None:
+        """`dataclass` for `@dataclass` and `@dataclass(...)`."""
+        node = node.func if isinstance(node, ast.Call) else node
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    @classmethod
+    def _dataclass_fields(cls, src: Path):
+        """{class name: [(field, default node or None, keyword-only)]}
+        for each `@dataclass` in `src`, the fields its `__init__` takes
+        in their order there, a dataclass base's first; a `field(...)`
+        default is its `default` or `default_factory`."""
+        own, bases = {}, {}
+        for top in cls._tops(src):
+            if not isinstance(top, ast.ClassDef) or not any(
+                    cls._decorator_name(d) == "dataclass" for d in top.decorator_list):
+                continue
+            bases[top.name] = [getattr(b, "id", None) for b in top.bases]
+            own[top.name] = []
+            for stmt in top.body:
+                if not isinstance(stmt, ast.AnnAssign):
+                    continue
+                default, options = stmt.value, {}
+                if isinstance(default, ast.Call) and getattr(default.func, "id", None) == "field":
+                    options = {k.arg: k.value for k in default.keywords}
+                    default = options.get("default", options.get("default_factory"))
+                if getattr(options.get("init"), "value", True) is not False:
+                    own[top.name].append((stmt.target.id, default, getattr(
+                        options.get("kw_only"), "value", False) is True))
+
+        def fields(name):
+            return [f for b in bases[name] if b in own for f in fields(b)] + own[name]
+        return {name: fields(name) for name in own}
 
     @classmethod
     def _defaulted_parameters(cls, src: Path):
         """(label, called name, parameter, position a call passes it at or
-        None, default) for each defaulted parameter of a module-level
-        function or a class method; a method's position skips self/cls."""
+        None, default, whether it is a dataclass field) for each defaulted
+        parameter of a module-level function or a class method, and each
+        defaulted field of a dataclass; a method's position skips
+        self/cls."""
         found = []
         for owner, called, fn in cls._definitions(src):
             args = fn.args
@@ -2700,17 +2750,21 @@ class TestNoDeadOptions:
             for name, default in defaulted:
                 at = positional.index(name) - bound if name in positional else None
                 found.append((f"{prefix}{fn.name}({name})", called, name, at,
-                              default))
+                              default, False))
+        for called, fields in cls._dataclass_fields(src).items():
+            positional = [name for name, _, kw_only in fields if not kw_only]
+            found += [(f"{called}({name})", called, name,
+                       None if kw_only else positional.index(name), default, True)
+                      for name, default, kw_only in fields if default is not None]
         return found
 
-    @classmethod
-    def _program_calls(cls):
-        """The calls in `src/nliexpl` and `perfbench/`, by the name they
-        call."""
+    @staticmethod
+    def _program_calls(callers):
+        """The calls in the modules of the `callers` directories, test
+        modules aside, by the name they call."""
         calls = {}
-        for path in [*(cls.ROOT / "src" / "nliexpl").glob("*.py"), *(
-                p for p in (cls.ROOT / "perfbench").glob("*.py")
-                if not p.name.startswith("test_"))]:
+        for path in (p for root in callers for p in root.glob("*.py")
+                     if not p.name.startswith("test_")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
                     name = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -2728,35 +2782,36 @@ class TestNoDeadOptions:
             return call
         return call.args[at] if at is not None and len(call.args) > at else None
 
-    def _arguments(self):
-        """(label, [node each program call passes, or None], default) per
-        defaulted parameter."""
-        calls = self._program_calls()
-        return [(label, [self._argument(c, name, at)
-                         for c in calls.get(called, ())], default)
-                for label, called, name, at, default
-                in self._defaulted_parameters(self.ROOT / "src" / "nliexpl")]
+    @classmethod
+    def _arguments(cls, src: Path, callers):
+        """(label, [node each program call passes, or None], default,
+        whether it is a field) per defaulted parameter."""
+        calls = cls._program_calls(callers)
+        return [(label, [cls._argument(c, name, at) for c in calls.get(called, ())],
+                 default, is_field)
+                for label, called, name, at, default, is_field
+                in cls._defaulted_parameters(src)]
 
-    def test_every_defaulted_parameter_is_passed_by_the_program(self):
-        unpassed = {label for label, passed, _ in self._arguments()
-                    if all(node is None for node in passed)}
-        assert unpassed - set(self.TEST_SEAMS) == set(), \
-            "no program call passes these; make them constants"
-        assert set(self.TEST_SEAMS) - unpassed == set(), \
-            "a test seam is gone or now passed by the program"
+    @classmethod
+    def _unpassed(cls, src: Path, callers) -> set[str]:
+        """Defaulted parameters that no program call passes. A field is
+        exempt: one that no construction passes is state that starts at
+        its default."""
+        return {label for label, passed, _, is_field in cls._arguments(src, callers)
+                if not is_field and all(node is None for node in passed)}
 
-    def test_no_defaulted_parameter_is_one_literal_on_every_call(self):
-        """A parameter that some program call passes, while every call
-        passes or leaves at its default one and the same literal."""
+    @classmethod
+    def _one_literal(cls, src: Path, callers) -> set[str]:
+        """Defaulted parameters that some program call passes, while every
+        call passes or leaves at its default one and the same literal."""
         constant = set()
-        for label, passed, default in self._arguments():
+        for label, passed, default, _ in cls._arguments(src, callers):
             values = [default if node is None else node for node in passed]
             if (any(node is not None for node in passed)
                     and all(isinstance(v, ast.Constant) for v in values)
                     and len({ast.dump(v) for v in values}) == 1):
                 constant.add(label)
-        assert constant == set(), \
-            "every program call passes these as one literal; make them constants"
+        return constant
 
     @staticmethod
     def _surely_passes(call, name: str, at: int | None) -> bool:
@@ -2767,19 +2822,46 @@ class TestNoDeadOptions:
         starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
         return at is not None and at < (starred[0] if starred else len(call.args))
 
+    @classmethod
+    def _overridden(cls, src: Path, callers) -> set[str]:
+        """Defaulted parameters that every program call of their name
+        surely passes."""
+        calls = cls._program_calls(callers)
+        return {label for label, called, name, at, *_ in cls._defaulted_parameters(src)
+                if calls.get(called) and all(cls._surely_passes(c, name, at)
+                                             for c in calls[called])}
+
+    @classmethod
+    def _shared(cls, src: Path) -> set[str]:
+        """Defaulted parameters of a definition whose called name another
+        definition in `src` shares."""
+        names = Counter([called for _, called, _ in cls._definitions(src)]
+                        + list(cls._dataclass_fields(src)))
+        return {label for label, called, *_ in cls._defaulted_parameters(src)
+                if names[called] > 1}
+
+    def test_every_defaulted_parameter_is_passed_by_the_program(self):
+        unpassed = self._unpassed(self.SRC, self.CALLERS)
+        assert unpassed - set(self.TEST_SEAMS) == set(), \
+            "no program call passes these; make them constants"
+        assert set(self.TEST_SEAMS) - unpassed == set(), \
+            "a test seam is gone or now passed by the program"
+
+    def test_no_defaulted_parameter_is_one_literal_on_every_call(self):
+        assert self._one_literal(self.SRC, self.CALLERS) == set(), \
+            "every program call passes these as one literal; make them constants"
+
     def test_no_defaulted_parameter_is_passed_by_every_call(self):
         """A default that every program call of its name overrides serves
-        only the tests that leave it out. A call with a `*` or `**`
-        argument that does not name the parameter may leave the default,
-        so this never fails a live one."""
-        calls = self._program_calls()
-        overridden = {
-            label for label, called, name, at, _
-            in self._defaulted_parameters(self.ROOT / "src" / "nliexpl")
-            if calls.get(called) and all(self._surely_passes(c, name, at)
-                                         for c in calls[called])}
-        assert not overridden, \
+        only the tests that leave it out, unless the program reads it
+        itself (READ_DEFAULTS). A call with a `*` or `**` argument that
+        does not name the parameter may leave the default, so this never
+        fails a live one."""
+        overridden = self._overridden(self.SRC, self.CALLERS)
+        assert overridden - set(self.READ_DEFAULTS) == set(), \
             f"every program call passes these; make them required: {sorted(overridden)}"
+        assert set(self.READ_DEFAULTS) - overridden == set(), \
+            "a READ_DEFAULTS entry is gone or now left out by some call"
 
     def test_a_shared_name_hides_no_defaulted_parameter(self):
         """Calls are matched by bare name, so the calls of one definition
@@ -2787,12 +2869,61 @@ class TestNoDeadOptions:
         `RunRecord.save` call for `BaseModel.save`), and a dead option of
         either can hide from the rules above. Each defaulted parameter of
         such a definition is checked by hand and named in SHARED_NAMES."""
-        src = self.ROOT / "src" / "nliexpl"
-        names = Counter(called for _, called, _ in self._definitions(src))
-        shared = {label for label, called, *_ in self._defaulted_parameters(src)
-                  if names[called] > 1}
+        shared = self._shared(self.SRC)
         assert shared - set(self.SHARED_NAMES) == set(), \
             "these share their function's name with another definition; " \
             "check each by hand and name it in SHARED_NAMES"
         assert set(self.SHARED_NAMES) - shared == set(), \
             "a SHARED_NAMES entry is gone or no longer shares its name"
+
+    def test_each_rule_names_its_planted_case(self, tmp_path):
+        """A module that plants one case for each rule: each rule names
+        exactly its own, so none of them is blind. A field that no
+        construction passes (`Frozen.state`, `KwOnly.b`) is state, not a
+        dead option; a `@dataclass(...)` is read, and neither an
+        `init=False` field nor a keyword-only one takes a position
+        (`Frozen(2, y)` passes `b`, `KwOnly(1, y)` passes `c`)."""
+        (tmp_path / "planted.py").write_text(textwrap.dedent("""\
+            from dataclasses import dataclass, field
+
+            def unpassed(a, b=1): ...
+            def literal(a, b=2): ...
+            def overridden(a, b=None): ...
+
+            @dataclass(frozen=True)
+            class Frozen:
+                a: int
+                derived: int = field(default=0, init=False)
+                b: int = 0
+                state: list = field(default_factory=list)
+
+            @dataclass
+            class KwOnly:
+                a: int
+                b: int = field(default=0, kw_only=True)
+                c: int = 0
+
+            class First:
+                def save(self, path=None): ...
+
+            class Second:
+                def save(self, path, meta=None): ...
+
+            def main(x, y):
+                unpassed(0)
+                literal(0, b=2)
+                literal(1)
+                overridden(0, x)
+                overridden(1, b=y)
+                Frozen(1, b=x)
+                Frozen(2, y)
+                KwOnly(1, y)
+                First().save()
+                Second().save(x, y)
+            """), encoding="utf-8")
+        roots = (tmp_path,)
+        assert self._unpassed(tmp_path, roots) == {"unpassed(b)"}
+        assert self._one_literal(tmp_path, roots) == {"literal(b)"}
+        assert self._overridden(tmp_path, roots) == {
+            "overridden(b)", "Frozen(b)", "KwOnly(c)"}
+        assert self._shared(tmp_path) == {"First.save(path)", "Second.save(meta)"}

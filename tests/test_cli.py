@@ -89,7 +89,7 @@ class TestConfigFile:
             load_config(bad)
 
     def test_missing_file_is_config_error(self, tmp_path):
-        with pytest.raises(ConfigError, match="cannot read config file"):
+        with pytest.raises(ConfigError, match="cannot read .*nope.ini: No such file"):
             load_config(tmp_path / "nope.ini")
 
     def test_config_not_utf8_exits_1(self, tmp_path, toy_config, capsys):
@@ -409,6 +409,8 @@ class TestTrainCommand:
         (["train", "--set", "training.decay", "0"], "decay must be in"),
         (["train", "--set", "training.decay", "1.5"], "decay must be in"),
         (["train", "--set", "training.clip_norm", "0"], "clip_norm must be"),
+        (["train", "--seed", "-1"], "seed must be 0 or more, got -1"),
+        (["grid", "--set", "training.seed", "-1"], "seed must be 0 or more, got -1"),
         (["train", "--set", "data.sentence_limit", "-1"],
          "bad value for [data] sentence_limit: '-1'"),
         (["train", "--set", "data.explanation_limit", "0"],
@@ -1040,24 +1042,29 @@ class TestRefusedCommand:
     @pytest.mark.parametrize("command", ["filter", "validate", "train", "grid",
                                          "eval", "generate", "bleu",
                                          "repr-export"])
-    def test_missing_input_leaves_no_run(self, tmp_path, toy_config, corpus,
-                                         capsys, command):
+    @pytest.mark.parametrize("directory", [False, True])
+    def test_unreadable_input_leaves_no_run(self, tmp_path, toy_config, corpus,
+                                            capsys, command, directory):
+        """An input path that does not exist, or that is a directory,
+        exits 1 naming it."""
         _, valid = corpus
-        missing = str(tmp_path / "missing")
-        argv = {"filter": ["--input", missing],
-                "validate": ["--input", missing],
+        bad = str(tmp_path / "input")
+        if directory:
+            os.mkdir(bad)
+        argv = {"filter": ["--input", bad],
+                "validate": ["--input", bad],
                 "train": ["--config", str(toy_config),
-                          "--set", "data.train", missing],
+                          "--set", "data.train", bad],
                 "grid": ["--config", str(toy_config), "--decoders", "6",
-                         "--set", "data.valid", missing],
-                "eval": ["--checkpoint", missing, "--corpus", str(valid)],
-                "generate": ["--checkpoint", missing, "--corpus", str(valid)],
-                "bleu": ["--candidates", str(valid), "--references", missing],
-                "repr-export": ["--checkpoint", missing,
+                         "--set", "data.valid", bad],
+                "eval": ["--checkpoint", bad, "--corpus", str(valid)],
+                "generate": ["--checkpoint", bad, "--corpus", str(valid)],
+                "bleu": ["--candidates", str(valid), "--references", bad],
+                "repr-export": ["--checkpoint", bad,
                                 "--sentences", str(valid)]}[command]
         out_root = tmp_path / "runs"
         assert main([command, *argv, "--out-root", str(out_root)]) == 1
-        assert missing in capsys.readouterr().err
+        assert bad in capsys.readouterr().err
         assert not out_root.exists()
 
     @pytest.mark.parametrize("command,flag", [

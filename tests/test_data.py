@@ -5,7 +5,7 @@ import pytest
 
 from nliexpl import data as D
 from nliexpl.evaluation import EvaluationError, load_annotations
-from synth import make_examples, write_corpus_csv
+from synth import make_examples, text_example, write_corpus_csv
 
 
 class TestTokenize:
@@ -170,15 +170,13 @@ def _vocab_for(examples):
 
 class TestEncodeCorpus:
     def test_premise_truncated_to_limit(self):
-        e = D.Example(id="x", premise=["w"] * 90, hypothesis=["h"],
-                      label="neutral", explanations=[["ok", "fine", "sure"]])
+        e = text_example(" ".join(["w"] * 90), "h", "neutral", "ok fine sure")
         v = D.build_vocab([["w"] * 20, ["h"] * 20], min_count=1)
         [enc] = D.encode_corpus([e], v)
         assert len(enc.premise) == 84
 
     def test_explanation_wrapped_with_bos_eos(self):
-        e = D.Example(id="x", premise=["a"], hypothesis=["b"], label="neutral",
-                      explanations=[["one", "two", "three", "four", "five"]])
+        e = text_example("a", "b", "neutral", "one two three four five")
         v = _vocab_for([e])
         [enc] = D.encode_corpus([e], v)
         expl = enc.explanations[0]
@@ -186,15 +184,13 @@ class TestEncodeCorpus:
         assert expl[0] == v.bos_id and expl[-1] == v.eos_id
 
     def test_explanation_at_exact_limit_keeps_everything(self):
-        e = D.Example(id="x", premise=["a"], hypothesis=["b"], label="neutral",
-                      explanations=[[f"t{i}" for i in range(40)]])
+        e = text_example("a", "b", "neutral", " ".join(f"t{i}" for i in range(40)))
         v = _vocab_for([e])
         [enc] = D.encode_corpus([e], v)
         assert len(enc.explanations[0]) == 42
 
     def test_empty_premise_skipped_with_warning(self, caplog):
-        e = D.Example(id="x", premise=[], hypothesis=["b"], label="neutral",
-                      explanations=[])
+        e = text_example("", "b", "neutral")
         v = D.build_vocab([["b"] * 20], min_count=1)
         with caplog.at_level("WARNING"):
             assert D.encode_corpus([e], v) == []
@@ -209,8 +205,7 @@ class TestEncodeCorpus:
             assert v.decode(enc.explanations[0]) == e.explanations[0]
 
     def test_unknown_tokens_become_unk(self):
-        e = D.Example(id="x", premise=["qqq", "dog"], hypothesis=["dog"],
-                      label="neutral", explanations=[])
+        e = text_example("qqq dog", "dog", "neutral")
         v = D.build_vocab([["dog"] * 20], min_count=15)
         [enc] = D.encode_corpus([e], v)
         assert enc.premise[0] == v.unk_id

@@ -17,7 +17,7 @@ from nliexpl.models import (BiLstmEncoder, ExplainThenPredict, LstmDecoder,
 from nliexpl.training import _validation_metrics
 from model_utils import explain_then_predict, report_from_json, toy_setup
 from oracles import brute_force_bleu
-from synth import make_examples
+from synth import make_examples, text_example
 
 token = st.sampled_from(["the", "cat", "dog", "runs", "sits", "a"])
 sentence = st.lists(token, min_size=1, max_size=8)
@@ -132,33 +132,30 @@ class TestBleu:
 
 
 class TestInterAnnotatorBleu:
-    def _example(self, idx, expls):
-        from nliexpl.data import Example
-        return Example(id=f"e{idx}", premise=["p"], hypothesis=["h"],
-                       label="neutral", explanations=expls)
+    @staticmethod
+    def _example(*explanations):
+        return text_example("p", "h", "neutral", *explanations)
 
     def test_identical_triples_score_one(self):
-        ex = [self._example(i, [["a", "dog", "runs"]] * 3) for i in range(4)]
+        ex = [self._example(*["a dog runs"] * 3) for _ in range(4)]
         score, used, skipped = E.inter_annotator_bleu(ex)
         assert score == 1.0 and used == 4 and skipped == 0
 
     def test_disjoint_third_explanation_near_zero(self):
-        ex = [self._example(i, [["a", "dog", "runs", "far"],
-                                ["the", "dog", "moves", "fast"],
-                                ["nothing", "matches", "anything", "here"]])
-              for i in range(3)]
+        ex = [self._example("a dog runs far", "the dog moves fast",
+                            "nothing matches anything here")
+              for _ in range(3)]
         score, _, _ = E.inter_annotator_bleu(ex)
         assert score < 0.05
 
     def test_examples_without_three_explanations_skipped(self):
-        ex = [self._example(0, [["a", "b", "c"]] * 3),
-              self._example(1, [["a", "b", "c"]])]
+        ex = [self._example(*["a b c"] * 3), self._example("a b c")]
         score, used, skipped = E.inter_annotator_bleu(ex)
         assert used == 1 and skipped == 1
 
     def test_nothing_usable_is_error(self):
         with pytest.raises(E.EvaluationError):
-            E.inter_annotator_bleu([self._example(0, [["a", "b", "c"]])])
+            E.inter_annotator_bleu([self._example("a b c")])
 
 
 class _StubModel:
@@ -363,8 +360,7 @@ class TestEvaluateModel:
         others' generations against their references."""
         model, _, vocab = toy_setup("pred-expl", n=6, seed=1)
         examples = make_examples(6, seed=1)
-        examples[2] = replace(examples[2], explanations=[],
-                              explanation_texts=[])
+        examples[2] = replace(examples[2], explanation_texts=[])
         encoded = encode_corpus(examples, vocab)
         report = E.evaluate_model(model, encoded, examples, "valid", 3)
         assert len(encoded) == 6 and report.perplexity is None

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nliexpl import quality as Q
-from nliexpl.data import Example, tokenize
+from nliexpl.data import Example
 from oracles import levenshtein_full
 from synth import text_example
 
@@ -276,11 +276,7 @@ class TestIsUninformative:
             st.text(alphabet="adog runs.", max_size=60),
             st.tuples(st.sampled_from(templates), st.text(max_size=12)).map(
                 lambda tc: tc[0].upper() + tc[1])), min_size=1, max_size=3))
-        e = Example(id="x", premise=premise.split(),
-                    hypothesis=hypothesis.split(), label=label,
-                    explanations=[t.split() for t in texts],
-                    premise_text=premise, hypothesis_text=hypothesis,
-                    explanation_texts=texts)
+        e = text_example(premise, hypothesis, label, *texts)
         want = []
         for text in texts:
             dists = [levenshtein_full(Q.normalize(text), Q.normalize(t))
@@ -310,10 +306,7 @@ def _example_from_case(case) -> Example:
 
     return Example(
         id=case["id"],
-        premise=tokenize(case["premise"]),
-        hypothesis=tokenize(case["hypothesis"]),
         label=case["label"],
-        explanations=[tokenize(case["explanation"])],
         premise_text=case["premise"],
         hypothesis_text=case["hypothesis"],
         explanation_texts=[case["explanation"]],
@@ -347,10 +340,11 @@ class TestValidateAnnotation:
                 Q.NO_NON_HIGHLIGHTED_WORD} <= seen
 
     def test_multiple_explanations_validated_independently(self):
-        e = Example(id="multi", premise=tokenize("a dog runs fast"),
-                    hypothesis=tokenize("an animal moves"), label="entailment",
-                    explanations=[tokenize("a dog is an animal that moves"),
-                                  tokenize("too short")],
+        e = Example(id="multi", label="entailment",
+                    premise_text="a dog runs fast",
+                    hypothesis_text="an animal moves",
+                    explanation_texts=["a dog is an animal that moves",
+                                       "too short"],
                     premise_highlights=[{0}, {0}],
                     hypothesis_highlights=[None, None])
         report = Q.validate_annotation(e)

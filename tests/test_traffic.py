@@ -567,6 +567,10 @@ def _traffic(d: Path, monkeypatch, run):
     # refused: a negative filter threshold
     run(["filter", "--input", d / "cases.csv", "--threshold", "-3",
          "--out-root", runs], code=1)
+    # refused: a negative seed; an input path that is a directory
+    run(["train", "--config", cfg, "--variant", "bilstm-max", "--seed", "-1",
+         "--out-root", runs], code=1)
+    run(["filter", "--input", data, "--out-root", runs], code=1)
 
 
 def _perfbench(d: Path):
